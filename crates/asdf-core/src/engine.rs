@@ -67,9 +67,9 @@ use parking_lot::Mutex;
 use crate::dag::{Dag, DagNode};
 use crate::error::RunEngineError;
 use crate::lane::{CachePadded, EdgeLane, ReadyList};
-use crate::module::{Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
+use crate::module::{EmitRows, Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
 use crate::time::{TickDuration, Timestamp};
-use crate::value::Sample;
+use crate::value::{Sample, Value};
 
 /// Ring capacity per edge lane. Modules typically emit a handful of
 /// samples per tick per edge; bursts beyond this spill (lock-free, heap)
@@ -776,189 +776,54 @@ fn run_module(
             source,
         });
     }
-    let mut clones = 0u64;
-    let mut spills = 0u64;
-    let mut flushes = 0u64;
+    let mut tally = RouteTally::default();
     for (port, sample) in emitted.drain(..) {
         let env = Envelope {
             source: Arc::clone(&rt.node.outputs[port.index()]),
             sample,
         };
-        let routes = &rt.route_map[port.index()];
-        if let Some((&(last_edge, last_slot), rest)) = routes.split_last() {
-            for tap in &rt.taps {
-                tap.push(env.clone());
-                clones += 1;
-            }
-            rt.routed += routes.len() as u64;
-            if batch_size > 1 {
-                for &(edge, slot) in rest {
-                    clones += 1;
-                    let buf = &mut rt.batch_bufs[edge - rt.first_edge];
-                    buf.push((slot, env.clone()));
-                    if buf.len() >= batch_size {
-                        flush_batch(lanes, edge, buf, batch_size, &rt.batch_hist, &mut spills);
-                        flushes += 1;
-                    }
-                }
-                let buf = &mut rt.batch_bufs[last_edge - rt.first_edge];
-                buf.push((last_slot, env));
-                if buf.len() >= batch_size {
-                    flush_batch(
-                        lanes,
-                        last_edge,
-                        buf,
-                        batch_size,
-                        &rt.batch_hist,
-                        &mut spills,
-                    );
-                    flushes += 1;
-                }
-            } else {
-                for &(edge, slot) in rest {
-                    clones += 1;
-                    if !lanes[edge].push(EnvBatch::One(slot, env.clone())) {
-                        spills += 1;
-                    }
-                }
-                if !lanes[last_edge].push(EnvBatch::One(last_slot, env)) {
-                    spills += 1;
-                }
-            }
+        if !rt.route_map[port.index()].is_empty() {
+            tap_and_route(rt, lanes, port.index(), env, &mut tally);
         } else if let Some((last, rest)) = rt.taps.split_last() {
             for tap in rest {
                 tap.push(env.clone());
-                clones += 1;
+                tally.clones += 1;
             }
             last.push(env);
         }
         // No routes and no taps: the envelope is dropped without a clone.
     }
     // Row emissions route after the scalar ones of the same run — on every
-    // engine configuration, so the two paths order identically. Each
-    // accumulated entry becomes one shared columnar block on edges whose
-    // consumer opted in, and materializes into the exact per-sample
-    // envelopes everywhere else (taps included).
+    // engine configuration, so the two paths order identically. A lone row
+    // already is its envelope's payload. A multi-row entry becomes one
+    // shared columnar block on edges whose consumer opted in (batching
+    // engines only), and materializes into the exact per-sample envelopes
+    // everywhere else (taps included).
     if !rt.row_emit.is_empty() {
         let mut entries = std::mem::take(&mut rt.row_emit);
         for entry in entries.drain(..) {
-            if entry.stamps.is_empty() {
-                continue;
-            }
-            let block = RowBlock {
-                source: Arc::clone(&rt.node.outputs[entry.port.index()]),
-                dim: entry.dim,
-                stamps: entry.stamps,
-                data: entry.data,
-            };
-            let n_rows = block.len();
-            for r in 0..n_rows {
-                for tap in &rt.taps {
-                    tap.push(block.envelope(r));
-                    clones += 1;
+            let port = entry.port.index();
+            let source = Arc::clone(&rt.node.outputs[port]);
+            match entry.rows {
+                EmitRows::One(timestamp, row) => {
+                    let sample = Sample {
+                        timestamp,
+                        value: Value::Vector(row),
+                    };
+                    tap_and_route(rt, lanes, port, Envelope { source, sample }, &mut tally);
                 }
-            }
-            let routes = &rt.route_map[entry.port.index()];
-            if routes.is_empty() {
-                continue;
-            }
-            rt.routed += (n_rows * routes.len()) as u64;
-            if batch_size > 1 && n_rows > 1 {
-                let block = Arc::new(block);
-                for (i, &(edge, slot)) in routes.iter().enumerate() {
-                    let lane_idx = edge - rt.first_edge;
-                    if rt.edge_accepts[lane_idx] {
-                        // Edge FIFO: scalars accumulated for this edge
-                        // earlier in the run must leave before the block.
-                        if !rt.batch_bufs[lane_idx].is_empty() {
-                            flush_batch(
-                                lanes,
-                                edge,
-                                &mut rt.batch_bufs[lane_idx],
-                                batch_size,
-                                &rt.batch_hist,
-                                &mut spills,
-                            );
-                            flushes += 1;
-                        }
-                        rt.batch_hist.record(n_rows as u64);
-                        if !lanes[edge].push(EnvBatch::Rows(slot, Arc::clone(&block))) {
-                            spills += 1;
-                        }
-                        flushes += 1;
-                        if i > 0 {
-                            clones += 1;
-                        }
-                    } else {
-                        // Consumer did not opt in: per-sample envelopes
-                        // through the ordinary batched accumulation.
-                        let buf = &mut rt.batch_bufs[lane_idx];
-                        for r in 0..n_rows {
-                            buf.push((slot, block.envelope(r)));
-                            if buf.len() >= batch_size {
-                                flush_batch(
-                                    lanes,
-                                    edge,
-                                    buf,
-                                    batch_size,
-                                    &rt.batch_hist,
-                                    &mut spills,
-                                );
-                                flushes += 1;
-                            }
-                        }
-                        if i > 0 {
-                            clones += n_rows as u64;
-                        }
-                    }
-                }
-            } else {
-                // Per-sample degradation: batch size 1, or a single-row
-                // entry whose Arc + block bookkeeping would cost more than
-                // it saves.
-                let (&(last_edge, last_slot), rest) =
-                    routes.split_last().expect("routes checked non-empty");
-                for r in 0..n_rows {
-                    let env = block.envelope(r);
+                EmitRows::Many { dim, stamps, data } => {
+                    let block = RowBlock {
+                        source,
+                        dim,
+                        stamps,
+                        data,
+                    };
                     if batch_size > 1 {
-                        for &(edge, slot) in rest {
-                            clones += 1;
-                            let buf = &mut rt.batch_bufs[edge - rt.first_edge];
-                            buf.push((slot, env.clone()));
-                            if buf.len() >= batch_size {
-                                flush_batch(
-                                    lanes,
-                                    edge,
-                                    buf,
-                                    batch_size,
-                                    &rt.batch_hist,
-                                    &mut spills,
-                                );
-                                flushes += 1;
-                            }
-                        }
-                        let buf = &mut rt.batch_bufs[last_edge - rt.first_edge];
-                        buf.push((last_slot, env));
-                        if buf.len() >= batch_size {
-                            flush_batch(
-                                lanes,
-                                last_edge,
-                                buf,
-                                batch_size,
-                                &rt.batch_hist,
-                                &mut spills,
-                            );
-                            flushes += 1;
-                        }
+                        route_block(rt, lanes, port, block, &mut tally);
                     } else {
-                        for &(edge, slot) in rest {
-                            clones += 1;
-                            if !lanes[edge].push(EnvBatch::One(slot, env.clone())) {
-                                spills += 1;
-                            }
-                        }
-                        if !lanes[last_edge].push(EnvBatch::One(last_slot, env)) {
-                            spills += 1;
+                        for r in 0..block.len() {
+                            tap_and_route(rt, lanes, port, block.envelope(r), &mut tally);
                         }
                     }
                 }
@@ -979,22 +844,152 @@ fn run_module(
                     &mut rt.batch_bufs[lane_idx],
                     batch_size,
                     &rt.batch_hist,
-                    &mut spills,
+                    &mut tally.spills,
                 );
-                flushes += 1;
+                tally.flushes += 1;
             }
         }
     }
-    if clones > 0 {
-        rt.clone_count.add(clones);
+    if tally.clones > 0 {
+        rt.clone_count.add(tally.clones);
     }
-    if spills > 0 {
-        rt.spill_count.add(spills);
+    if tally.spills > 0 {
+        rt.spill_count.add(tally.spills);
     }
-    if flushes > 0 {
-        rt.flush_count.add(flushes);
+    if tally.flushes > 0 {
+        rt.flush_count.add(tally.flushes);
     }
     Ok(())
+}
+
+/// Routing counts of one module run, added to the shared metrics once at
+/// its end.
+#[derive(Default)]
+struct RouteTally {
+    clones: u64,
+    spills: u64,
+    flushes: u64,
+}
+
+/// Copies one emitted envelope of output `port` to every tap, then routes
+/// it.
+fn tap_and_route(
+    rt: &mut RuntimeNode,
+    lanes: &[EnvLane],
+    port: usize,
+    env: Envelope,
+    tally: &mut RouteTally,
+) {
+    for tap in &rt.taps {
+        tap.push(env.clone());
+        tally.clones += 1;
+    }
+    let Some((&(last_edge, last_slot), rest)) = rt.route_map[port].split_last() else {
+        return;
+    };
+    rt.routed += rest.len() as u64 + 1;
+    tally.clones += rest.len() as u64;
+    let batch_size = rt.batch_size;
+    if batch_size > 1 {
+        let mut stage = |edge: usize, slot: usize, env: Envelope| {
+            let buf = &mut rt.batch_bufs[edge - rt.first_edge];
+            let hist = &rt.batch_hist;
+            stage_delivery(lanes, edge, buf, (slot, env), batch_size, hist, tally);
+        };
+        for &(edge, slot) in rest {
+            stage(edge, slot, env.clone());
+        }
+        stage(last_edge, last_slot, env);
+    } else {
+        for &(edge, slot) in rest {
+            if !lanes[edge].push(EnvBatch::One(slot, env.clone())) {
+                tally.spills += 1;
+            }
+        }
+        if !lanes[last_edge].push(EnvBatch::One(last_slot, env)) {
+            tally.spills += 1;
+        }
+    }
+}
+
+/// Adds one delivery to an edge's accumulation buffer under a batching
+/// engine, and flushes the buffer when it reaches the watermark (whatever
+/// stays below it goes out at end of run).
+fn stage_delivery(
+    lanes: &[EnvLane],
+    edge: usize,
+    buf: &mut Vec<(usize, Envelope)>,
+    delivery: (usize, Envelope),
+    batch_size: usize,
+    hist: &Histogram,
+    tally: &mut RouteTally,
+) {
+    buf.push(delivery);
+    if buf.len() >= batch_size {
+        flush_batch(lanes, edge, buf, batch_size, hist, &mut tally.spills);
+        tally.flushes += 1;
+    }
+}
+
+/// Routes a multi-row block of output `port` under a batching engine: whole
+/// to consumers that accept row blocks, as per-sample envelopes through
+/// the ordinary batched accumulation to the rest and to taps.
+fn route_block(
+    rt: &mut RuntimeNode,
+    lanes: &[EnvLane],
+    port: usize,
+    block: RowBlock,
+    tally: &mut RouteTally,
+) {
+    let batch_size = rt.batch_size;
+    let n_rows = block.len();
+    for r in 0..n_rows {
+        for tap in &rt.taps {
+            tap.push(block.envelope(r));
+            tally.clones += 1;
+        }
+    }
+    let routes = &rt.route_map[port];
+    if routes.is_empty() {
+        return;
+    }
+    rt.routed += (n_rows * routes.len()) as u64;
+    let block = Arc::new(block);
+    for (i, &(edge, slot)) in routes.iter().enumerate() {
+        let buf = &mut rt.batch_bufs[edge - rt.first_edge];
+        if rt.edge_accepts[edge - rt.first_edge] {
+            // Edge FIFO: scalars accumulated for this edge earlier in the
+            // run must leave before the block.
+            if !buf.is_empty() {
+                flush_batch(
+                    lanes,
+                    edge,
+                    buf,
+                    batch_size,
+                    &rt.batch_hist,
+                    &mut tally.spills,
+                );
+                tally.flushes += 1;
+            }
+            rt.batch_hist.record(n_rows as u64);
+            if !lanes[edge].push(EnvBatch::Rows(slot, Arc::clone(&block))) {
+                tally.spills += 1;
+            }
+            tally.flushes += 1;
+            if i > 0 {
+                tally.clones += 1;
+            }
+        } else {
+            for r in 0..n_rows {
+                let delivery = (slot, block.envelope(r));
+                let hist = &rt.batch_hist;
+                stage_delivery(lanes, edge, buf, delivery, batch_size, hist, tally);
+            }
+            if i > 0 {
+                tally.clones += n_rows as u64;
+            }
+        }
+    }
 }
 
 /// Unpacks a [`EnvBatch::Many`] into a consumer's slot queues in emission

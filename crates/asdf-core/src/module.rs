@@ -139,37 +139,62 @@ impl RowBlock {
     pub fn envelope(&self, r: usize) -> Envelope {
         Envelope {
             source: Arc::clone(&self.source),
-            sample: Sample::new(self.stamps[r], Value::from(self.row(r).to_vec())),
+            sample: Sample::new(self.stamps[r], self.row(r)),
         }
     }
 }
 
-/// One `emit_row` run of consecutive same-port, same-dimension rows,
-/// accumulated during a module run and converted into a [`RowBlock`] (or
-/// materialized per-sample) by the engine afterwards.
+/// One `emit_row` run of consecutive same-port rows, accumulated during a
+/// module run and routed by the engine afterwards.
 pub(crate) struct RowEmit {
     pub(crate) port: PortId,
-    pub(crate) dim: usize,
-    pub(crate) stamps: Vec<Timestamp>,
-    pub(crate) data: Vec<f64>,
+    pub(crate) rows: EmitRows,
+}
+
+/// The rows of one [`RowEmit`].
+pub(crate) enum EmitRows {
+    /// A lone row, held as the `Vector` payload its envelope will carry: a
+    /// module that emits one row per port per run (every collector does)
+    /// pays one copy of the row, into the `Arc` the consumers share.
+    One(Timestamp, Arc<[f64]>),
+    /// Two or more same-dimension rows in columnar storage, converted into
+    /// a [`RowBlock`] (or materialized per sample) by the engine.
+    Many {
+        dim: usize,
+        stamps: Vec<Timestamp>,
+        data: Vec<f64>,
+    },
 }
 
 /// Appends one row to the accumulated emissions, extending the last entry
 /// when port and dimension match (the columnar fast path) and starting a
 /// fresh entry otherwise.
 fn push_row(emitted_rows: &mut Vec<RowEmit>, port: PortId, ts: Timestamp, row: &[f64]) {
-    match emitted_rows.last_mut() {
-        Some(last) if last.port == port && last.dim == row.len() => {
-            last.stamps.push(ts);
-            last.data.extend_from_slice(row);
+    if let Some(last) = emitted_rows.last_mut().filter(|last| last.port == port) {
+        match &mut last.rows {
+            EmitRows::Many { dim, stamps, data } if *dim == row.len() => {
+                stamps.push(ts);
+                data.extend_from_slice(row);
+                return;
+            }
+            EmitRows::One(first_ts, first) if first.len() == row.len() => {
+                let mut data = Vec::with_capacity(2 * row.len());
+                data.extend_from_slice(first);
+                data.extend_from_slice(row);
+                last.rows = EmitRows::Many {
+                    dim: row.len(),
+                    stamps: vec![*first_ts, ts],
+                    data,
+                };
+                return;
+            }
+            _ => {}
         }
-        _ => emitted_rows.push(RowEmit {
-            port,
-            dim: row.len(),
-            stamps: vec![ts],
-            data: row.to_vec(),
-        }),
     }
+    emitted_rows.push(RowEmit {
+        port,
+        rows: EmitRows::One(ts, Arc::from(row)),
+    });
 }
 
 /// Why the scheduler invoked [`Module::run`].
@@ -966,11 +991,21 @@ mod tests {
         ctx.emit_row(PortId(1), &[5.0, 6.0]);
         ctx.emit_row(PortId(1), &[7.0]);
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].stamps.len(), 2);
-        assert_eq!(rows[0].data, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(rows[0].stamps[1], Timestamp::from_secs(4));
-        assert_eq!(rows[1].dim, 2);
-        assert_eq!(rows[2].dim, 1);
+        let EmitRows::Many { dim, stamps, data } = &rows[0].rows else {
+            panic!("two same-port rows share columnar storage");
+        };
+        assert_eq!((*dim, stamps.len()), (2, 2));
+        assert_eq!(*data, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(stamps[1], Timestamp::from_secs(4));
+        // A lone row is held as the payload its envelope will carry.
+        for (entry, expected) in [(&rows[1], &[5.0, 6.0][..]), (&rows[2], &[7.0][..])] {
+            assert_eq!(entry.port, PortId(1));
+            let EmitRows::One(ts, row) = &entry.rows else {
+                panic!("a lone row is not staged in columnar storage");
+            };
+            assert_eq!(*ts, Timestamp::from_secs(3));
+            assert_eq!(&row[..], expected);
+        }
     }
 
     #[test]

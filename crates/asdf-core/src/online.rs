@@ -25,9 +25,9 @@ use parking_lot::Mutex;
 use crate::dag::Dag;
 use crate::engine::TapHandle;
 use crate::error::{OnlineStartError, RunEngineError};
-use crate::module::{Envelope, PortId, RunCtx, RunReason};
+use crate::module::{EmitRows, Envelope, PortId, RunCtx, RunReason};
 use crate::time::Timestamp;
-use crate::value::Sample;
+use crate::value::{Sample, Value};
 
 enum Cmd {
     Periodic(Timestamp),
@@ -538,40 +538,44 @@ fn node_thread(
             stop.store(true, Ordering::Relaxed);
             break;
         }
-        for (port, sample) in emitted.drain(..) {
-            let env = Envelope {
-                source: Arc::clone(&node.outputs[port.index()]),
-                sample,
-            };
+        let deliver = |port: usize, env: Envelope| {
             for tap in &taps {
                 tap.push(env.clone());
             }
-            for (tx, slot) in &downstream[port.index()] {
+            for (tx, slot) in &downstream[port] {
                 let _ = tx.send(Cmd::Deliver {
                     slot: *slot,
                     env: env.clone(),
                 });
             }
+        };
+        for (port, sample) in emitted.drain(..) {
+            let source = Arc::clone(&node.outputs[port.index()]);
+            deliver(port.index(), Envelope { source, sample });
         }
         // Row emissions materialize per sample and follow the scalars of
         // the same run — identical to the tick engine's routing order.
         for entry in emitted_rows.drain(..) {
-            let block = crate::module::RowBlock {
-                source: Arc::clone(&node.outputs[entry.port.index()]),
-                dim: entry.dim,
-                stamps: entry.stamps,
-                data: entry.data,
-            };
-            for r in 0..block.len() {
-                let env = block.envelope(r);
-                for tap in &taps {
-                    tap.push(env.clone());
+            let port = entry.port.index();
+            let source = Arc::clone(&node.outputs[port]);
+            match entry.rows {
+                EmitRows::One(timestamp, row) => {
+                    let sample = Sample {
+                        timestamp,
+                        value: Value::Vector(row),
+                    };
+                    deliver(port, Envelope { source, sample });
                 }
-                for (tx, slot) in &downstream[entry.port.index()] {
-                    let _ = tx.send(Cmd::Deliver {
-                        slot: *slot,
-                        env: env.clone(),
-                    });
+                EmitRows::Many { dim, stamps, data } => {
+                    let block = crate::module::RowBlock {
+                        source,
+                        dim,
+                        stamps,
+                        data,
+                    };
+                    for r in 0..block.len() {
+                        deliver(port, block.envelope(r));
+                    }
                 }
             }
         }

@@ -9,18 +9,24 @@
 //! wall-clock scheduling.
 //!
 //! * `cluster_driver` — no inputs; output `tick` (Int = simulation time);
-//! * `sadc` — params: `node` (index); optional input `clock`; output
-//!   `output0` = the flattened 120-metric vector, origin = node hostname;
+//! * `sadc` — params: `node` (index) or `nodes` (`lo..hi`, a half-open
+//!   index range); optional input `clock`; one output per node, `output0`,
+//!   `output1`, … in node order = that node's flattened 120-metric vector,
+//!   origin = that node's hostname. One instance holds one `sadc_rpcd`
+//!   connection per node and polls them all under one cluster lock;
 //! * `hadoop_log` — params: `node`, `daemon` (`tasktracker`/`datanode`);
 //!   optional input `clock`; output `output0` = per-state count vector;
 //! * `strace` — params: `node`; optional input `clock`; output `output0` =
 //!   per-category syscall counts for the node's tasktracker process tree
 //!   (the paper's §5 future-work module).
 
+use std::ops::Range;
+
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::TickDuration;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
+use asdf_rpc::wire::WireError;
 
 /// Shared collector scheduling: free-run once per second without a clock
 /// input, trigger per pulse with one.
@@ -37,21 +43,23 @@ fn schedule_collector(ctx: &mut InitCtx<'_>, kind: &str) -> Result<(), ModuleErr
     Ok(())
 }
 
-/// Shared collector run body: consume the clock pulse, poll the daemon
-/// through the generic [`Collector`] contract, and emit the value vector
-/// columnar (consecutive snapshots pack into one row block under a
-/// batching engine instead of one `Vec`-allocating envelope per poll).
+fn poll_failed(kind: &str, e: WireError) -> ModuleError {
+    ModuleError::Other(format!("{kind}_rpcd poll failed: {e}"))
+}
+
+/// Shared single-node collector run body: consume the clock pulse, poll the
+/// daemon through the generic [`Collector`] contract into the module's
+/// reused buffer, and emit the value vector as a columnar row.
 fn poll_collector(
     daemon: &mut (dyn Collector + Send),
+    buf: &mut Vec<f64>,
     ctx: &mut RunCtx<'_>,
     out: PortId,
 ) -> Result<(), ModuleError> {
     ctx.discard_pending();
-    let snap = daemon
-        .poll_sample()
-        .map_err(|e| ModuleError::Other(format!("{}_rpcd poll failed: {e}", daemon.kind())))?;
-    if let Some(snap) = snap {
-        ctx.emit_row(out, &snap.values);
+    let polled = daemon.poll_into(buf);
+    if polled.map_err(|e| poll_failed(daemon.kind(), e))?.is_some() {
+        ctx.emit_row(out, buf);
     }
     Ok(())
 }
@@ -85,45 +93,103 @@ impl Module for ClusterDriver {
     }
 }
 
-/// The black-box collector: polls `sadc_rpcd` for one node's metric vector.
+/// The black-box collector: polls `sadc_rpcd` for the metric vectors of one
+/// node (`node = i`) or of a contiguous range of nodes (`nodes = lo..hi`).
+///
+/// Every node keeps what the paper's one-instance-per-node deployment gives
+/// it — its own connection, its own request and response on the wire, its
+/// own output port whose origin is its hostname — and the instance takes
+/// the cluster lock once per clock pulse for all of them.
 pub struct Sadc {
     cluster: ClusterHandle,
-    daemon: Option<Box<dyn Collector + Send>>,
-    out: Option<PortId>,
+    /// One daemon and its output port per monitored node, in node order.
+    daemons: Vec<(SadcRpcd, PortId)>,
+    /// Every poll decodes into this one buffer; `emit_row` copies it out.
+    buf: Vec<f64>,
 }
 
 impl Sadc {
-    /// Creates a collector for `cluster` (node chosen by the `node` config
-    /// parameter at init).
+    /// Creates a collector for `cluster` (nodes chosen by the `node` or
+    /// `nodes` config parameter at init).
     pub fn new(cluster: ClusterHandle) -> Self {
         Sadc {
             cluster,
-            daemon: None,
-            out: None,
+            daemons: Vec::new(),
+            buf: Vec::new(),
         }
+    }
+
+    /// The monitored node indices: `node = i` is the one-element range.
+    fn node_range(&self, ctx: &InitCtx<'_>) -> Result<Range<usize>, ModuleError> {
+        let n_slaves = self.cluster.n_slaves();
+        let (key, range) = match ctx.param("nodes") {
+            Some(_) if ctx.param("node").is_some() => {
+                return Err(ModuleError::invalid_parameter(
+                    "nodes",
+                    "give either `node` or `nodes`, not both",
+                ))
+            }
+            Some(raw) => {
+                let bounds = raw
+                    .split_once("..")
+                    .and_then(|(lo, hi)| Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?));
+                let Some(range) = bounds else {
+                    return Err(ModuleError::invalid_parameter(
+                        "nodes",
+                        format!("expected `lo..hi`, got `{raw}`"),
+                    ));
+                };
+                ("nodes", range)
+            }
+            None => {
+                let node: usize = ctx.parse_param("node")?;
+                ("node", node..node.saturating_add(1))
+            }
+        };
+        if range.is_empty() {
+            return Err(ModuleError::invalid_parameter(
+                key,
+                format!("{}..{} holds no node", range.start, range.end),
+            ));
+        }
+        if range.end > n_slaves {
+            return Err(ModuleError::invalid_parameter(
+                key,
+                format!("cluster has {n_slaves} slaves"),
+            ));
+        }
+        Ok(range)
     }
 }
 
 impl Module for Sadc {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        let node: usize = ctx.parse_param("node")?;
-        if node >= self.cluster.n_slaves() {
-            return Err(ModuleError::invalid_parameter(
-                "node",
-                format!("cluster has {} slaves", self.cluster.n_slaves()),
-            ));
+        for (j, node) in self.node_range(ctx)?.enumerate() {
+            let daemon = SadcRpcd::connect(self.cluster.clone(), node)
+                .map_err(|e| ModuleError::Other(format!("sadc_rpcd connect failed: {e}")))?;
+            let origin = self.cluster.slave_name(node);
+            let port = ctx.declare_output_with_origin(format!("output{j}"), origin);
+            self.daemons.push((daemon, port));
         }
-        let daemon = SadcRpcd::connect(self.cluster.clone(), node)
-            .map_err(|e| ModuleError::Other(format!("sadc_rpcd connect failed: {e}")))?;
-        let origin = self.cluster.slave_name(node);
-        self.out = Some(ctx.declare_output_with_origin("output0", origin));
-        self.daemon = Some(Box::new(daemon));
         schedule_collector(ctx, "sadc")
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        let daemon = self.daemon.as_mut().expect("initialized");
-        poll_collector(daemon.as_mut(), ctx, self.out.unwrap())
+        ctx.discard_pending();
+        let Sadc {
+            cluster,
+            daemons,
+            buf,
+        } = self;
+        cluster.with(|c| {
+            for (daemon, port) in daemons {
+                let polled = daemon.poll_into_locked(c, buf);
+                if polled.map_err(|e| poll_failed("sadc", e))?.is_some() {
+                    ctx.emit_row(*port, buf);
+                }
+            }
+            Ok(())
+        })
     }
 }
 
@@ -133,6 +199,7 @@ pub struct HadoopLog {
     cluster: ClusterHandle,
     daemon: Option<Box<dyn Collector + Send>>,
     out: Option<PortId>,
+    buf: Vec<f64>,
 }
 
 impl HadoopLog {
@@ -142,6 +209,7 @@ impl HadoopLog {
             cluster,
             daemon: None,
             out: None,
+            buf: Vec::new(),
         }
     }
 }
@@ -175,7 +243,7 @@ impl Module for HadoopLog {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let daemon = self.daemon.as_mut().expect("initialized");
-        poll_collector(daemon.as_mut(), ctx, self.out.unwrap())
+        poll_collector(daemon.as_mut(), &mut self.buf, ctx, self.out.unwrap())
     }
 }
 
@@ -190,6 +258,7 @@ pub struct Strace {
     cluster: ClusterHandle,
     daemon: Option<Box<dyn Collector + Send>>,
     out: Option<PortId>,
+    buf: Vec<f64>,
 }
 
 impl Strace {
@@ -199,6 +268,7 @@ impl Strace {
             cluster,
             daemon: None,
             out: None,
+            buf: Vec::new(),
         }
     }
 }
@@ -222,7 +292,7 @@ impl Module for Strace {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let daemon = self.daemon.as_mut().expect("initialized");
-        poll_collector(daemon.as_mut(), ctx, self.out.unwrap())
+        poll_collector(daemon.as_mut(), &mut self.buf, ctx, self.out.unwrap())
     }
 }
 
@@ -230,7 +300,7 @@ impl Module for Strace {
 mod tests {
     use asdf_core::config::Config;
     use asdf_core::dag::Dag;
-    use asdf_core::engine::TickEngine;
+    use asdf_core::engine::{TapHandle, TickEngine};
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
     use asdf_rpc::daemons::ClusterHandle;
@@ -331,6 +401,102 @@ input[clock] = drv.tick
             assert!(
                 Dag::build(&registry(&h), &parsed).is_err(),
                 "should reject: {cfg}"
+            );
+        }
+    }
+
+    /// `(origin, timestamp, value bits)` of every envelope a tap captured
+    /// from the port named `port`.
+    fn port_stream(tap: &TapHandle, port: &str) -> Vec<(String, u64, Vec<u64>)> {
+        tap.snapshot()
+            .iter()
+            .filter(|e| e.source.name == port)
+            .map(|e| {
+                let bits = e.sample.value.as_vector().unwrap();
+                (
+                    e.source.origin.clone(),
+                    e.sample.timestamp.as_secs(),
+                    bits.iter().map(|x| x.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_range_is_bitwise_equal_per_port_to_one_instance_per_node() {
+        // Clocked by the driver, and free-running *ahead* of it: listed
+        // first, the collectors' run at t=0 precedes the first simulation
+        // tick, polls `Ok(None)`, and must emit nothing.
+        let clocked = (
+            "[cluster_driver]\nid = drv\n\n",
+            "input[clock] = drv.tick\n",
+            "",
+        );
+        let ahead = ("", "", "\n[cluster_driver]\nid = drv\n");
+        for (head, clock, tail) in [clocked, ahead] {
+            let rack = format!("{head}[sadc]\nid = rack\nnodes = 1..4\n{clock}{tail}");
+            let per_node = (1..4)
+                .map(|i| format!("[sadc]\nid = s{i}\nnode = {i}\n{clock}\n"))
+                .collect::<String>();
+            let per_node = format!("{head}{per_node}{tail}");
+            // Without the clock edge nothing orders collectors and driver
+            // on a sharded engine, so only the serial one runs that form.
+            let thread_counts: &[usize] = if clock.is_empty() { &[1] } else { &[1, 2] };
+            for batch in [1, 64] {
+                for &threads in thread_counts {
+                    let run = |cfg: &str, ids: &[&str]| {
+                        let h = handle(5);
+                        let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
+                        let mut eng = TickEngine::with_threads(dag, threads);
+                        eng.set_batch_size(batch);
+                        let taps: Vec<TapHandle> =
+                            ids.iter().map(|id| eng.tap(id).unwrap()).collect();
+                        eng.run_for(TickDuration::from_secs(12)).unwrap();
+                        taps
+                    };
+                    let rack_tap = &run(&rack, &["rack"])[0];
+                    let node_taps = run(&per_node, &["s1", "s2", "s3"]);
+                    for (j, node_tap) in node_taps.iter().enumerate() {
+                        let expected = port_stream(node_tap, "output0");
+                        let emitted = if clock.is_empty() { 11 } else { 12 };
+                        assert_eq!(expected.len(), emitted, "clocked: {}", !clock.is_empty());
+                        assert_eq!(expected[0].0, format!("slave{:02}", j + 1));
+                        assert_eq!(
+                            port_stream(rack_tap, &format!("output{j}")),
+                            expected,
+                            "port {j}, batch {batch}, threads {threads}"
+                        );
+                    }
+                    assert_eq!(rack_tap.len(), 3 * node_taps[0].len(), "no other port");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_and_nodes_parameters_are_validated() {
+        let h = handle(4);
+        for (params, why) in [
+            ("node = 1\nnodes = 0..2", "both forms"),
+            ("nodes = 2..2", "empty range"),
+            ("nodes = 3..1", "reversed range"),
+            ("nodes = 2..5", "hi > n_slaves"),
+            ("nodes = 2", "not a range"),
+            ("nodes = a..b", "not numbers"),
+            ("node = 4", "node >= n_slaves"),
+            ("", "neither form"),
+        ] {
+            let cfg: Config = format!("[sadc]\nid = s\n{params}\n").parse().unwrap();
+            assert!(
+                Dag::build(&registry(&h), &cfg).is_err(),
+                "should reject {why}"
+            );
+        }
+        for params in ["nodes = 0..4", "nodes = 3..4", "node = 3"] {
+            let cfg: Config = format!("[sadc]\nid = s\n{params}\n").parse().unwrap();
+            assert!(
+                Dag::build(&registry(&h), &cfg).is_ok(),
+                "should accept {params}"
             );
         }
     }

@@ -8,8 +8,15 @@
 //! wire ([`crate::transport::Connection`]), then decodes it back — so Table
 //! 4's bandwidth numbers are measured on bytes that are actually moved and
 //! parsed.
+//!
+//! A poll allocates nothing once its buffers have grown: the request and
+//! the response are encoded into one byte buffer the connection keeps, and
+//! decoded straight into the caller's `Vec<f64>`
+//! ([`Collector::poll_into`]). Each daemon also has a `poll_into_locked`
+//! form for a caller that already holds the cluster, so one collector
+//! polling many nodes takes the lock once per second, not once per node.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use asdf_obs::SpanHandle;
 use parking_lot::Mutex;
@@ -19,7 +26,7 @@ use hadoop_logs::states::HadoopState;
 use hadoop_sim::cluster::Cluster;
 
 use crate::transport::{BandwidthStats, Connection};
-use crate::wire::{MessageBuilder, MessageReader, WireError};
+use crate::wire::{FrameReader, MessageBuilder, WireError};
 
 /// Builds the latency span for one daemon kind's `poll` calls: every poll
 /// (cluster access + encode + wire accounting + decode) is timed into the
@@ -99,8 +106,9 @@ pub struct CollectorSample {
 /// the bytes, decode it back — and differs only in *what* it samples. The
 /// trait lets the serve loop and the batch pipeline drive any kind
 /// generically; [`SadcRpcd`], [`HadoopLogRpcd`], and [`StraceRpcd`] remain
-/// the concrete types (their inherent `poll` methods keep the
-/// kind-specific snapshot types for callers that want them).
+/// the concrete types (their inherent `poll` methods wrap
+/// [`Collector::poll_into`] in the kind-specific snapshot types for
+/// callers that want them).
 pub trait Collector {
     /// Short kind name (`sadc`, `hadoop_log`, `strace`) for metric names
     /// and error messages.
@@ -109,20 +117,145 @@ pub trait Collector {
     /// The slave node index this daemon monitors.
     fn node(&self) -> usize;
 
-    /// Polls one second of data in the kind-agnostic shape. Returns
-    /// `Ok(None)` when the monitored source has produced nothing yet
-    /// (e.g. before the first simulation tick).
+    /// Polls one second of data into `out`, replacing its contents and
+    /// reusing its allocation, and returns the sample's simulation
+    /// timestamp. Returns `Ok(None)`, leaving `out` unspecified, when the
+    /// monitored source has produced nothing yet (e.g. before the first
+    /// simulation tick).
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the response fails to decode.
-    fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError>;
+    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError>;
+
+    /// [`Collector::poll_into`] into a fresh vector, for callers that want
+    /// an owned sample per poll.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the response fails to decode.
+    fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError> {
+        let mut values = Vec::new();
+        Ok(self
+            .poll_into(&mut values)?
+            .map(|timestamp| CollectorSample { timestamp, values }))
+    }
 
     /// Bandwidth accounting for Table 4.
     fn bandwidth(&self) -> BandwidthStats;
 
     /// Closes the connection.
     fn close(&mut self);
+}
+
+/// What every daemon kind keeps per monitored node: its own accounted
+/// connection and the byte buffer its messages are encoded into.
+#[derive(Debug)]
+struct Session {
+    node: usize,
+    conn: Connection,
+    /// The last message sent, in wire form. Reused by every poll for the
+    /// request and then the response.
+    wire: Vec<u8>,
+}
+
+impl Session {
+    /// Opens the connection and sends `hello` as its schema handshake,
+    /// then reads the protocol tag back as the control node would.
+    /// `shared_len` is the length of an announcement that follows `hello`
+    /// in the same frame but is encoded once for all connections (the
+    /// `sadc` metric names): this connection is charged for it all the same.
+    fn open(node: usize, hello: MessageBuilder, shared_len: usize) -> Result<Self, WireError> {
+        let mut conn = Connection::open();
+        let wire = hello.into_frame();
+        conn.send_handshake(wire.len() + shared_len);
+        FrameReader::new(&wire)?.get_str()?;
+        Ok(Session { node, conn, wire })
+    }
+
+    /// One poll's request and response over the accounted wire: the
+    /// request (`opcode`, node), then the response (`t`, `values`, and
+    /// whatever `trailer` appends) are encoded into the reused buffer and
+    /// the connection is charged for both.
+    fn exchange(
+        &mut self,
+        opcode: u8,
+        t: u64,
+        values: &[f64],
+        trailer: impl FnOnce(&mut MessageBuilder),
+    ) {
+        let mut req = MessageBuilder::reusing(std::mem::take(&mut self.wire));
+        req.put_u8(opcode).put_u32(self.node as u32);
+        let req = req.into_frame();
+        let req_len = req.len();
+        let mut resp = MessageBuilder::reusing(req);
+        resp.put_u64(t).put_f64_slice(values);
+        trailer(&mut resp);
+        self.wire = resp.into_frame();
+        self.conn.exchange(req_len, self.wire.len());
+    }
+
+    /// Decodes the response of the last [`Session::exchange`] as the
+    /// control node would: the timestamp, and the values into `out`.
+    fn decode_into(&self, out: &mut Vec<f64>) -> Result<u64, WireError> {
+        let mut r = FrameReader::new(&self.wire)?;
+        let timestamp = r.get_u64()?;
+        r.get_f64_slice_into(out)?;
+        Ok(timestamp)
+    }
+}
+
+/// The metric names every `sadc_rpcd` announces at handshake.
+///
+/// The schema is static (the `procsim` inventory: node metrics, one
+/// interface, the two Hadoop daemons), so it is rendered, encoded and
+/// decoded once per process and shared, instead of once per node. Each
+/// connection is still charged `wire_len` bytes for it.
+#[derive(Debug)]
+struct SadcSchema {
+    names: Arc<[String]>,
+    /// Encoded size of the announcement: the `u32` count and the names.
+    wire_len: usize,
+}
+
+fn sadc_schema() -> Result<&'static SadcSchema, WireError> {
+    static SCHEMA: OnceLock<Result<SadcSchema, WireError>> = OnceLock::new();
+    SCHEMA
+        .get_or_init(|| {
+            let mut names: Vec<String> = procsim::metrics::NODE_METRICS
+                .iter()
+                .map(|s| (*s).to_owned())
+                .collect();
+            names.extend(
+                procsim::metrics::IFACE_METRICS
+                    .iter()
+                    .map(|s| format!("eth0.{s}")),
+            );
+            for proc_name in ["datanode", "tasktracker"] {
+                names.extend(
+                    procsim::metrics::PROCESS_METRICS
+                        .iter()
+                        .map(|s| format!("{proc_name}.{s}")),
+                );
+            }
+            let mut b = MessageBuilder::new();
+            b.put_u32(names.len() as u32);
+            for n in &names {
+                b.put_str(n);
+            }
+            let wire_len = b.len();
+
+            // Decode it back, as the control node would.
+            let frame = b.into_frame();
+            let mut r = FrameReader::new(&frame)?;
+            let n = r.get_u32()? as usize;
+            let names = (0..n)
+                .map(|_| r.get_str().map(str::to_owned))
+                .collect::<Result<_, _>>()?;
+            Ok(SadcSchema { names, wire_len })
+        })
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 /// One second of black-box samples from a `sadc_rpcd` poll.
@@ -152,9 +285,8 @@ pub struct SadcSnapshot {
 #[derive(Debug)]
 pub struct SadcRpcd {
     cluster: ClusterHandle,
-    node: usize,
-    conn: Connection,
-    metric_names: Vec<String>,
+    session: Session,
+    metric_names: Arc<[String]>,
     span: SpanHandle,
 }
 
@@ -168,60 +300,14 @@ impl SadcRpcd {
     /// Returns a [`WireError`] if the handshake fails to decode (cannot
     /// happen unless the wire layer is broken — surfaced for realism).
     pub fn connect(cluster: ClusterHandle, node: usize) -> Result<Self, WireError> {
-        let mut conn = Connection::open();
-        // Render one frame's names; before the first tick, synthesize from a
-        // probe frame by ticking a scratch NodeSim is overkill — ask the
-        // cluster for a name template instead.
-        let names = cluster.with(|c| match c.latest_frame(node) {
-            Some(f) => f.flat_names(),
-            None => {
-                // Schema is static: derive it from the known inventory.
-                let mut names: Vec<String> = procsim::metrics::NODE_METRICS
-                    .iter()
-                    .map(|s| (*s).to_owned())
-                    .collect();
-                names.extend(
-                    procsim::metrics::IFACE_METRICS
-                        .iter()
-                        .map(|s| format!("eth0.{s}")),
-                );
-                for proc_name in ["datanode", "tasktracker"] {
-                    names.extend(
-                        procsim::metrics::PROCESS_METRICS
-                            .iter()
-                            .map(|s| format!("{proc_name}.{s}")),
-                    );
-                }
-                names
-            }
-        });
-        let node_name = cluster.slave_name(node);
-
-        let mut b = MessageBuilder::new();
-        b.put_str("sadc/1");
-        b.put_str(&node_name);
-        b.put_u32(names.len() as u32);
-        for n in &names {
-            b.put_str(n);
-        }
-        let hello = b.finish();
-        conn.send_handshake(&hello);
-
-        // Decode it back, as the control node would.
-        let mut r = MessageReader::new(hello)?;
-        let _proto = r.get_str()?;
-        let _node = r.get_str()?;
-        let n = r.get_u32()? as usize;
-        let mut metric_names = Vec::with_capacity(n);
-        for _ in 0..n {
-            metric_names.push(r.get_str()?);
-        }
-
+        let schema = sadc_schema()?;
+        let mut hello = MessageBuilder::new();
+        hello.put_str("sadc/1");
+        hello.put_str(&cluster.slave_name(node));
         Ok(SadcRpcd {
             cluster,
-            node,
-            conn,
-            metric_names,
+            session: Session::open(node, hello, schema.wire_len)?,
+            metric_names: Arc::clone(&schema.names),
             span: poll_span("sadc"),
         })
     }
@@ -231,6 +317,29 @@ impl SadcRpcd {
         &self.metric_names
     }
 
+    /// [`Collector::poll_into`] for a caller that already holds the
+    /// cluster lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the response fails to decode.
+    pub fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        let _timer = self.span.enter();
+        let Some(frame) = cluster.latest_frame(self.session.node) else {
+            return Ok(None);
+        };
+        // `out` first holds what the daemon sampled, then what the control
+        // node decoded from the wire.
+        frame.flatten_into(out);
+        self.session
+            .exchange(0x01, cluster.now().saturating_sub(1), out, |_| {});
+        self.session.decode_into(out).map(Some)
+    }
+
     /// Polls one second of metrics. Returns `None` before the first
     /// simulation tick (no frame rendered yet).
     ///
@@ -238,43 +347,20 @@ impl SadcRpcd {
     ///
     /// Returns a [`WireError`] if the response fails to decode.
     pub fn poll(&mut self) -> Result<Option<SadcSnapshot>, WireError> {
-        let _timer = self.span.enter();
-        let (t, values) = {
-            let node = self.node;
-            match self.cluster.with(|c| {
-                c.latest_frame(node)
-                    .map(|f| (c.now().saturating_sub(1), f.flatten()))
-            }) {
-                Some(x) => x,
-                None => return Ok(None),
-            }
-        };
-
-        let mut req = MessageBuilder::new();
-        req.put_u8(0x01); // opcode: poll
-        req.put_u32(self.node as u32);
-        let req = req.finish();
-
-        let mut resp = MessageBuilder::new();
-        resp.put_u64(t);
-        resp.put_f64_slice(&values);
-        let resp = resp.finish();
-        self.conn.exchange(&req, &resp);
-
-        let mut r = MessageReader::new(resp)?;
-        let timestamp = r.get_u64()?;
-        let values = r.get_f64_slice()?;
-        Ok(Some(SadcSnapshot { timestamp, values }))
+        Ok(self.poll_sample()?.map(|s| SadcSnapshot {
+            timestamp: s.timestamp,
+            values: s.values,
+        }))
     }
 
     /// Bandwidth accounting for Table 4.
     pub fn bandwidth(&self) -> BandwidthStats {
-        self.conn.stats()
+        self.session.conn.stats()
     }
 
     /// Closes the connection.
     pub fn close(&mut self) {
-        self.conn.close();
+        self.session.conn.close();
     }
 }
 
@@ -320,10 +406,9 @@ pub struct LogSnapshot {
 #[derive(Debug)]
 pub struct HadoopLogRpcd {
     cluster: ClusterHandle,
-    node: usize,
+    session: Session,
     daemon: LogDaemon,
     parser: LogParser,
-    conn: Connection,
     span: SpanHandle,
 }
 
@@ -338,27 +423,20 @@ impl HadoopLogRpcd {
         node: usize,
         daemon: LogDaemon,
     ) -> Result<Self, WireError> {
-        let mut conn = Connection::open();
-        let node_name = cluster.slave_name(node);
-        let mut b = MessageBuilder::new();
-        b.put_str("hadoop_log/1");
-        b.put_str(&node_name);
-        b.put_str(match daemon {
+        let mut hello = MessageBuilder::new();
+        hello.put_str("hadoop_log/1");
+        hello.put_str(&cluster.slave_name(node));
+        hello.put_str(match daemon {
             LogDaemon::TaskTracker => "tasktracker",
             LogDaemon::DataNode => "datanode",
         });
-        b.put_u32(daemon.states().len() as u32);
+        hello.put_u32(daemon.states().len() as u32);
         for s in daemon.states() {
-            b.put_str(s.name());
+            hello.put_str(s.name());
         }
-        let hello = b.finish();
-        conn.send_handshake(&hello);
-        let mut r = MessageReader::new(hello)?;
-        let _ = r.get_str()?;
-
         Ok(HadoopLogRpcd {
             cluster,
-            node,
+            session: Session::open(node, hello, 0)?,
             daemon,
             // Instant events (task failures, block deletions) are reported
             // as occurrence counts over a two-minute rolling horizon:
@@ -367,7 +445,6 @@ impl HadoopLogRpcd {
             // a shorter horizon lets the count drop to zero between
             // bursts, resetting the analysis's confirmation streak.
             parser: LogParser::with_instant_horizon(120),
-            conn,
             span: poll_span("hadoop_log"),
         })
     }
@@ -377,6 +454,56 @@ impl HadoopLogRpcd {
         self.daemon
     }
 
+    /// One poll, through `locked` when the caller already holds the
+    /// cluster and through the handle otherwise. Only the drain touches
+    /// the cluster, so without `locked` the lock is released before the
+    /// parser runs and log daemons on different engine threads parse in
+    /// parallel.
+    fn poll_via(
+        &mut self,
+        locked: Option<&mut Cluster>,
+        out: &mut Vec<f64>,
+    ) -> Result<u64, WireError> {
+        let _timer = self.span.enter();
+        let (node, daemon) = (self.session.node, self.daemon);
+        let drain = |c: &mut Cluster| {
+            let lines = match daemon {
+                LogDaemon::TaskTracker => c.drain_tasktracker_log(node),
+                LogDaemon::DataNode => c.drain_datanode_log(node),
+            };
+            (c.now().saturating_sub(1), lines)
+        };
+        let (t, lines) = match locked {
+            Some(c) => drain(c),
+            None => self.cluster.with(drain),
+        };
+        self.parser.feed_lines(lines.iter().map(String::as_str));
+        let v = self.parser.sample(t);
+        out.clear();
+        out.extend(daemon.states().iter().map(|s| v[*s]));
+        // Diagnostics a real daemon ships along: live instances, line stats.
+        let live = self.parser.live_instances() as u32;
+        let (seen, parsed) = self.parser.line_stats();
+        self.session.exchange(0x02, t, out, |resp| {
+            resp.put_u32(live).put_u64(seen).put_u64(parsed);
+        });
+        self.session.decode_into(out)
+    }
+
+    /// [`Collector::poll_into`] for a caller that already holds the
+    /// cluster lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the response fails to decode.
+    pub fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        self.poll_via(Some(cluster), out).map(Some)
+    }
+
     /// Polls one second of state counts: drains new log lines, feeds the
     /// parser, samples, and ships the counts over the accounted wire.
     ///
@@ -384,49 +511,19 @@ impl HadoopLogRpcd {
     ///
     /// Returns a [`WireError`] if the response fails to decode.
     pub fn poll(&mut self) -> Result<LogSnapshot, WireError> {
-        let _timer = self.span.enter();
-        let node = self.node;
-        let (t, lines) = self.cluster.with(|c| {
-            let lines = match self.daemon {
-                LogDaemon::TaskTracker => c.drain_tasktracker_log(node),
-                LogDaemon::DataNode => c.drain_datanode_log(node),
-            };
-            (c.now().saturating_sub(1), lines)
-        });
-        self.parser.feed_lines(lines.iter().map(String::as_str));
-        let v = self.parser.sample(t);
-        let counts: Vec<f64> = self.daemon.states().iter().map(|s| v[*s]).collect();
-
-        let mut req = MessageBuilder::new();
-        req.put_u8(0x02); // opcode: poll states
-        req.put_u32(node as u32);
-        let req = req.finish();
-
-        let mut resp = MessageBuilder::new();
-        resp.put_u64(t);
-        resp.put_f64_slice(&counts);
-        // Diagnostics a real daemon ships along: live instances, line stats.
-        resp.put_u32(self.parser.live_instances() as u32);
-        let (seen, parsed) = self.parser.line_stats();
-        resp.put_u64(seen);
-        resp.put_u64(parsed);
-        let resp = resp.finish();
-        self.conn.exchange(&req, &resp);
-
-        let mut r = MessageReader::new(resp)?;
-        let timestamp = r.get_u64()?;
-        let counts = r.get_f64_slice()?;
+        let mut counts = Vec::new();
+        let timestamp = self.poll_via(None, &mut counts)?;
         Ok(LogSnapshot { timestamp, counts })
     }
 
     /// Bandwidth accounting for Table 4.
     pub fn bandwidth(&self) -> BandwidthStats {
-        self.conn.stats()
+        self.session.conn.stats()
     }
 
     /// Closes the connection.
     pub fn close(&mut self) {
-        self.conn.close();
+        self.session.conn.close();
     }
 }
 
@@ -446,8 +543,7 @@ pub struct StraceSnapshot {
 #[derive(Debug)]
 pub struct StraceRpcd {
     cluster: ClusterHandle,
-    node: usize,
-    conn: Connection,
+    session: Session,
     span: SpanHandle,
 }
 
@@ -458,25 +554,38 @@ impl StraceRpcd {
     ///
     /// Returns a [`WireError`] if the handshake fails to decode.
     pub fn connect(cluster: ClusterHandle, node: usize) -> Result<Self, WireError> {
-        let mut conn = Connection::open();
-        let node_name = cluster.slave_name(node);
-        let mut b = MessageBuilder::new();
-        b.put_str("strace/1");
-        b.put_str(&node_name);
-        b.put_u32(procsim::syscalls::SYSCALL_CATEGORY_COUNT as u32);
+        let mut hello = MessageBuilder::new();
+        hello.put_str("strace/1");
+        hello.put_str(&cluster.slave_name(node));
+        hello.put_u32(procsim::syscalls::SYSCALL_CATEGORY_COUNT as u32);
         for c in procsim::syscalls::SYSCALL_CATEGORIES {
-            b.put_str(c);
+            hello.put_str(c);
         }
-        let hello = b.finish();
-        conn.send_handshake(&hello);
-        let mut r = MessageReader::new(hello)?;
-        let _ = r.get_str()?;
         Ok(StraceRpcd {
             cluster,
-            node,
-            conn,
+            session: Session::open(node, hello, 0)?,
             span: poll_span("strace"),
         })
+    }
+
+    /// [`Collector::poll_into`] for a caller that already holds the
+    /// cluster lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the response fails to decode.
+    pub fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        let _timer = self.span.enter();
+        let Some(counts) = cluster.latest_tt_syscalls(self.session.node) else {
+            return Ok(None);
+        };
+        self.session
+            .exchange(0x03, cluster.now().saturating_sub(1), counts, |_| {});
+        self.session.decode_into(out).map(Some)
     }
 
     /// Polls one second of syscall counts. Returns `None` before the first
@@ -486,39 +595,20 @@ impl StraceRpcd {
     ///
     /// Returns a [`WireError`] if the response fails to decode.
     pub fn poll(&mut self) -> Result<Option<StraceSnapshot>, WireError> {
-        let _timer = self.span.enter();
-        let node = self.node;
-        let Some((t, counts)) = self.cluster.with(|c| {
-            c.latest_tt_syscalls(node)
-                .map(|v| (c.now().saturating_sub(1), v.to_vec()))
-        }) else {
-            return Ok(None);
-        };
-
-        let mut req = MessageBuilder::new();
-        req.put_u8(0x03); // opcode: poll syscalls
-        req.put_u32(node as u32);
-        let req = req.finish();
-        let mut resp = MessageBuilder::new();
-        resp.put_u64(t);
-        resp.put_f64_slice(&counts);
-        let resp = resp.finish();
-        self.conn.exchange(&req, &resp);
-
-        let mut r = MessageReader::new(resp)?;
-        let timestamp = r.get_u64()?;
-        let counts = r.get_f64_slice()?;
-        Ok(Some(StraceSnapshot { timestamp, counts }))
+        Ok(self.poll_sample()?.map(|s| StraceSnapshot {
+            timestamp: s.timestamp,
+            counts: s.values,
+        }))
     }
 
     /// Bandwidth accounting (same shape as Table 4's rows).
     pub fn bandwidth(&self) -> BandwidthStats {
-        self.conn.stats()
+        self.session.conn.stats()
     }
 
     /// Closes the connection.
     pub fn close(&mut self) {
-        self.conn.close();
+        self.session.conn.close();
     }
 }
 
@@ -528,14 +618,12 @@ impl Collector for SadcRpcd {
     }
 
     fn node(&self) -> usize {
-        self.node
+        self.session.node
     }
 
-    fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError> {
-        Ok(self.poll()?.map(|s| CollectorSample {
-            timestamp: s.timestamp,
-            values: s.values,
-        }))
+    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
+        let cluster = self.cluster.clone();
+        cluster.with(|c| self.poll_into_locked(c, out))
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -553,17 +641,13 @@ impl Collector for HadoopLogRpcd {
     }
 
     fn node(&self) -> usize {
-        self.node
+        self.session.node
     }
 
-    fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError> {
-        // The log daemon always has a sample: an idle second is a vector
-        // of zero counts, not an absence of data.
-        let s = self.poll()?;
-        Ok(Some(CollectorSample {
-            timestamp: s.timestamp,
-            values: s.counts,
-        }))
+    /// The log daemon always has a sample: an idle second is a vector of
+    /// zero counts, not an absence of data.
+    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
+        self.poll_via(None, out).map(Some)
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -581,14 +665,12 @@ impl Collector for StraceRpcd {
     }
 
     fn node(&self) -> usize {
-        self.node
+        self.session.node
     }
 
-    fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError> {
-        Ok(self.poll()?.map(|s| CollectorSample {
-            timestamp: s.timestamp,
-            values: s.counts,
-        }))
+    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
+        let cluster = self.cluster.clone();
+        cluster.with(|c| self.poll_into_locked(c, out))
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -766,5 +848,117 @@ mod tests {
             snap.counts
         );
         assert!(d.bandwidth().per_iteration_kb() > 0.0);
+    }
+
+    /// What `SadcRpcd::connect` sent before the metric names were shared:
+    /// protocol tag, node name, count and all 120 names in one frame, plus
+    /// the per-message overhead, on top of the session bytes every
+    /// connection is charged at open.
+    fn unshared_sadc_static_bytes(node_name: &str, names: &[String]) -> u64 {
+        let mut b = MessageBuilder::new();
+        b.put_str("sadc/1");
+        b.put_str(node_name);
+        b.put_u32(names.len() as u32);
+        for n in names {
+            b.put_str(n);
+        }
+        Connection::open().stats().static_bytes + b.into_frame().len() as u64 + 66
+    }
+
+    #[test]
+    fn shared_schema_charges_each_connection_the_full_handshake() {
+        // Node names of different lengths: the handshake carries the name.
+        let h = handle(101, 12);
+        h.tick();
+        let frame_names = h.with(|c| c.latest_frame(0).unwrap().flat_names());
+        for node in [0, 7, 100] {
+            let d = SadcRpcd::connect(h.clone(), node).unwrap();
+            assert_eq!(d.metric_names(), frame_names, "schema is the frame's");
+            assert_eq!(
+                d.bandwidth().static_bytes,
+                unshared_sadc_static_bytes(&h.slave_name(node), &frame_names),
+                "node {node}"
+            );
+        }
+        let a = SadcRpcd::connect(h.clone(), 0).unwrap();
+        let b = SadcRpcd::connect(h.clone(), 1).unwrap();
+        assert!(Arc::ptr_eq(&a.metric_names, &b.metric_names));
+    }
+
+    #[test]
+    fn per_iteration_wire_bytes_are_exactly_table_4s() {
+        // Request 9 B; response 4 + 8 + (4 + 8n) B, plus 20 B of parser
+        // diagnostics from the log daemons; 66 B overhead per message.
+        // 1117 + 225 + 201 = the 1543 B per node per second of Table 4's sum.
+        let h = handle(3, 13);
+        let mut sadc = SadcRpcd::connect(h.clone(), 1).unwrap();
+        let mut tt = HadoopLogRpcd::connect(h.clone(), 1, LogDaemon::TaskTracker).unwrap();
+        let mut dn = HadoopLogRpcd::connect(h.clone(), 1, LogDaemon::DataNode).unwrap();
+        for _ in 0..5 {
+            h.tick();
+            sadc.poll().unwrap();
+            tt.poll().unwrap();
+            dn.poll().unwrap();
+        }
+        let per_iter = |bw: BandwidthStats| (bw.iterations, bw.call_bytes / bw.iterations);
+        assert_eq!(per_iter(sadc.bandwidth()), (5, 1117));
+        assert_eq!(per_iter(tt.bandwidth()), (5, 225));
+        assert_eq!(per_iter(dn.bandwidth()), (5, 201));
+    }
+
+    #[test]
+    fn every_poll_form_moves_the_same_bytes_and_values() {
+        // Two same-seed clusters, one polled through `poll_sample` (a fresh
+        // vector per poll, the lock per poll), one through
+        // `poll_into_locked` (one reused vector, the lock held by the
+        // caller): same samples, same per-node accounting, every kind.
+        let (ha, hb) = (handle(3, 14), handle(3, 14));
+        let mut a: Vec<Box<dyn Collector>> = Vec::new();
+        let mut sadc = Vec::new();
+        let mut logs = Vec::new();
+        let mut strace = Vec::new();
+        for node in 0..3 {
+            a.push(Box::new(SadcRpcd::connect(ha.clone(), node).unwrap()));
+            a.push(Box::new(
+                HadoopLogRpcd::connect(ha.clone(), node, LogDaemon::TaskTracker).unwrap(),
+            ));
+            a.push(Box::new(StraceRpcd::connect(ha.clone(), node).unwrap()));
+            sadc.push(SadcRpcd::connect(hb.clone(), node).unwrap());
+            logs.push(HadoopLogRpcd::connect(hb.clone(), node, LogDaemon::TaskTracker).unwrap());
+            strace.push(StraceRpcd::connect(hb.clone(), node).unwrap());
+        }
+        let mut buf = vec![f64::NAN; 7];
+        // Step 0 polls before the first tick: sadc and strace have nothing.
+        for step in 0..40 {
+            if step > 0 {
+                ha.tick();
+                hb.tick();
+            }
+            let owned: Vec<_> = a.iter_mut().map(|c| c.poll_sample().unwrap()).collect();
+            hb.with(|c| {
+                for node in 0..3 {
+                    let check = |kind: usize, t: Option<u64>, values: &[f64]| {
+                        let expected = &owned[node * 3 + kind];
+                        assert_eq!(t, expected.as_ref().map(|s| s.timestamp));
+                        if let Some(s) = expected {
+                            assert_eq!(values, s.values, "kind {kind} at step {step}");
+                        }
+                    };
+                    let t = sadc[node].poll_into_locked(c, &mut buf).unwrap();
+                    check(0, t, &buf);
+                    let t = logs[node].poll_into_locked(c, &mut buf).unwrap();
+                    check(1, t, &buf);
+                    let t = strace[node].poll_into_locked(c, &mut buf).unwrap();
+                    check(2, t, &buf);
+                }
+            });
+        }
+        for node in 0..3 {
+            assert_eq!(a[node * 3].bandwidth(), sadc[node].bandwidth());
+            assert_eq!(a[node * 3 + 1].bandwidth(), logs[node].bandwidth());
+            assert_eq!(a[node * 3 + 2].bandwidth(), strace[node].bandwidth());
+            assert_eq!(sadc[node].bandwidth().iterations, 39);
+            assert_eq!(logs[node].bandwidth().iterations, 40);
+        }
     }
 }

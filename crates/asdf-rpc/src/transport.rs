@@ -8,8 +8,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
-
 /// Process-wide RPC traffic instrumentation, shared by every connection.
 ///
 /// [`BandwidthStats`] stays per-connection (it is what Table 4 reports);
@@ -126,44 +124,49 @@ impl Connection {
         self.pending_bytes = 0;
     }
 
-    /// Sends a handshake-phase message (schema exchange); counts toward
-    /// static overhead.
+    /// Sends a handshake-phase message (schema exchange) of `msg_len`
+    /// framed bytes; counts toward static overhead.
+    ///
+    /// Like [`Connection::exchange`] this takes the message's length, not
+    /// the message: accounting needs nothing else, and the daemons encode
+    /// into buffers they keep.
     ///
     /// # Panics
     ///
     /// Panics if the connection is closed.
-    pub fn send_handshake(&mut self, msg: &Bytes) {
+    pub fn send_handshake(&mut self, msg_len: usize) {
         assert!(self.open, "send on closed connection");
-        let wire = msg.len() as u64 + self.per_message_overhead;
+        let wire = msg_len as u64 + self.per_message_overhead;
         self.stats.static_bytes += wire;
         self.pending_msgs += 1;
         self.pending_bytes += wire;
         let obs = rpc_obs();
         if obs.size_sampler.sample() {
-            obs.message_bytes.record(msg.len() as u64);
+            obs.message_bytes.record(msg_len as u64);
         }
         if self.pending_msgs >= OBS_FLUSH_EVERY {
             self.flush_obs();
         }
     }
 
-    /// Sends one data-collection request/response pair; counts toward
-    /// per-iteration bandwidth and bumps the iteration counter.
+    /// Sends one data-collection request/response pair of the given framed
+    /// lengths; counts toward per-iteration bandwidth and bumps the
+    /// iteration counter.
     ///
     /// # Panics
     ///
     /// Panics if the connection is closed.
-    pub fn exchange(&mut self, request: &Bytes, response: &Bytes) {
+    pub fn exchange(&mut self, request_len: usize, response_len: usize) {
         assert!(self.open, "exchange on closed connection");
-        let wire = request.len() as u64 + response.len() as u64 + 2 * self.per_message_overhead;
+        let wire = request_len as u64 + response_len as u64 + 2 * self.per_message_overhead;
         self.stats.call_bytes += wire;
         self.stats.iterations += 1;
         self.pending_msgs += 2;
         self.pending_bytes += wire;
         let obs = rpc_obs();
         if obs.size_sampler.sample() {
-            obs.message_bytes.record(request.len() as u64);
-            obs.message_bytes.record(response.len() as u64);
+            obs.message_bytes.record(request_len as u64);
+            obs.message_bytes.record(response_len as u64);
         }
         if self.pending_msgs >= OBS_FLUSH_EVERY {
             self.flush_obs();
@@ -199,10 +202,11 @@ mod tests {
     use super::*;
     use crate::wire::MessageBuilder;
 
-    fn msg(n_floats: usize) -> Bytes {
+    /// Framed length of a message carrying `n_floats` values.
+    fn msg(n_floats: usize) -> usize {
         let mut b = MessageBuilder::new();
         b.put_f64_slice(&vec![0.0; n_floats]);
-        b.finish()
+        b.into_frame().len()
     }
 
     #[test]
@@ -217,11 +221,11 @@ mod tests {
     fn handshake_counts_as_static_overhead() {
         let mut c = Connection::open();
         let m = msg(100);
-        c.send_handshake(&m);
+        c.send_handshake(m);
         let s = c.stats();
         assert_eq!(
             s.static_bytes,
-            TCP_SESSION_BYTES + m.len() as u64 + DEFAULT_PER_MESSAGE_OVERHEAD
+            TCP_SESSION_BYTES + m as u64 + DEFAULT_PER_MESSAGE_OVERHEAD
         );
         assert_eq!(s.iterations, 0);
     }
@@ -232,11 +236,11 @@ mod tests {
         let req = msg(0);
         let resp = msg(120);
         for _ in 0..10 {
-            c.exchange(&req, &resp);
+            c.exchange(req, resp);
         }
         let s = c.stats();
         assert_eq!(s.iterations, 10);
-        let expected_per_iter = (req.len() + resp.len()) as u64 + 2 * DEFAULT_PER_MESSAGE_OVERHEAD;
+        let expected_per_iter = (req + resp) as u64 + 2 * DEFAULT_PER_MESSAGE_OVERHEAD;
         assert_eq!(s.call_bytes, 10 * expected_per_iter);
         let kb = s.per_iteration_kb();
         assert!((kb - expected_per_iter as f64 / 1024.0).abs() < 1e-9);
@@ -257,15 +261,15 @@ mod tests {
         let was = asdf_obs::set_span_sample_period(1);
         let mut c = Connection::open();
         let hello = msg(10);
-        c.send_handshake(&hello);
-        c.exchange(&msg(0), &msg(20));
+        c.send_handshake(hello);
+        c.exchange(msg(0), msg(20));
         c.close();
         asdf_obs::set_span_sample_period(was);
 
         assert!(reg.counter("rpc.messages_total").get() >= msgs0 + 3);
         assert!(
             reg.counter("rpc.bytes_total").get()
-                >= bytes0 + hello.len() as u64 + DEFAULT_PER_MESSAGE_OVERHEAD
+                >= bytes0 + hello as u64 + DEFAULT_PER_MESSAGE_OVERHEAD
         );
         assert!(reg.histogram("rpc.message_bytes").count() >= sized0 + 3);
     }
@@ -281,6 +285,6 @@ mod tests {
         let mut c = Connection::open();
         c.close();
         assert!(!c.is_open());
-        c.exchange(&msg(0), &msg(1));
+        c.exchange(msg(0), msg(1));
     }
 }

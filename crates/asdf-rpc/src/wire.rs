@@ -7,8 +7,6 @@
 //! it is also exercised end-to-end by the collectors, which decode every
 //! message they "receive".
 
-use bytes::{Buf, BufMut, BytesMut};
-
 pub use bytes::Bytes;
 
 /// The wire protocol version this build speaks.
@@ -117,39 +115,62 @@ impl Handshake {
     }
 }
 
+/// Bytes of the `u32` length prefix in front of every message payload.
+const FRAME_PREFIX: usize = 4;
+
 /// Incrementally builds one wire message.
-#[derive(Debug, Default)]
+///
+/// The buffer starts with the four bytes of the `u32` frame prefix reserved,
+/// so [`MessageBuilder::finish`] patches the length in place instead of
+/// copying the payload behind a fresh prefix.
+#[derive(Debug)]
 pub struct MessageBuilder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+}
+
+impl Default for MessageBuilder {
+    fn default() -> Self {
+        MessageBuilder::new()
+    }
 }
 
 impl MessageBuilder {
     /// Starts an empty message.
     pub fn new() -> Self {
-        MessageBuilder::default()
+        MessageBuilder::reusing(Vec::new())
+    }
+
+    /// Starts an empty message in `buf`'s allocation (its contents are
+    /// discarded), so a caller that keeps the buffer of
+    /// [`MessageBuilder::into_frame`] builds every later message without
+    /// allocating.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&[0; FRAME_PREFIX]);
+        MessageBuilder { buf }
     }
 
     /// Appends an unsigned byte.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) -> &mut Self {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -160,43 +181,149 @@ impl MessageBuilder {
     /// Panics if the string exceeds 65535 bytes.
     pub fn put_str(&mut self, s: &str) -> &mut Self {
         let len = u16::try_from(s.len()).expect("wire strings are short");
-        self.buf.put_u16_le(len);
-        self.buf.put_slice(s.as_bytes());
+        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(s.as_bytes());
         self
     }
 
     /// Appends a `u32`-length-prefixed array of `f64`.
     pub fn put_f64_slice(&mut self, vals: &[f64]) -> &mut Self {
-        self.buf.put_u32_le(vals.len() as u32);
+        self.buf.reserve(4 + 8 * vals.len());
+        self.buf
+            .extend_from_slice(&(vals.len() as u32).to_le_bytes());
         for v in vals {
-            self.buf.put_f64_le(*v);
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
         self
     }
 
+    /// Finishes the message as the framed bytes in the builder's own
+    /// buffer: the `u32` payload length, then the payload.
+    pub fn into_frame(mut self) -> Vec<u8> {
+        let len = self.len() as u32;
+        self.buf[..FRAME_PREFIX].copy_from_slice(&len.to_le_bytes());
+        self.buf
+    }
+
     /// Finishes the message, prefixing the payload with its `u32` length.
     pub fn finish(self) -> Bytes {
-        let mut framed = BytesMut::with_capacity(self.buf.len() + 4);
-        framed.put_u32_le(self.buf.len() as u32);
-        framed.extend_from_slice(&self.buf);
-        framed.freeze()
+        Bytes::from(self.into_frame())
     }
 
     /// Current payload size (excluding the frame prefix).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - FRAME_PREFIX
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
-/// Reads one framed wire message.
+/// Reads one framed wire message out of a borrowed buffer.
+///
+/// This is the one decoder: [`MessageReader`] is the same reader over a
+/// buffer it owns. Every accessor checks that the bytes it needs are there
+/// before touching them, so arbitrary input yields a [`WireError`], never a
+/// panic.
+#[derive(Debug)]
+pub struct FrameReader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> FrameReader<'a> {
+    /// Validates the frame prefix and positions the reader at the payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::BadLength`] when the prefix disagrees with the
+    /// data, [`WireError::UnexpectedEof`] when there is no prefix at all.
+    pub fn new(framed: &'a [u8]) -> Result<Self, WireError> {
+        let Some((prefix, payload)) = framed.split_first_chunk::<FRAME_PREFIX>() else {
+            return Err(WireError::UnexpectedEof);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if payload.len() != len {
+            return Err(WireError::BadLength {
+                expected: len,
+                available: payload.len(),
+            });
+        }
+        Ok(FrameReader { buf: payload })
+    }
+
+    /// Consumes the next `n` bytes, or fails without consuming any.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self
+            .buf
+            .split_at_checked(n)
+            .ok_or(WireError::UnexpectedEof)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(WireError::UnexpectedEof)?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
+    /// Reads an unsigned byte.
+    pub fn get_u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take_array::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn get_u32(&mut self) -> Result<u32, WireError> {
+        self.take_array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn get_u64(&mut self) -> Result<u64, WireError> {
+        self.take_array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `f64`.
+    pub fn get_f64(&mut self) -> Result<f64, WireError> {
+        self.take_array().map(f64::from_le_bytes)
+    }
+
+    /// Reads a `u16`-length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<&'a str, WireError> {
+        let len = u16::from_le_bytes(self.take_array()?) as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    /// Reads a `u32`-length-prefixed array of `f64` into `out`, replacing
+    /// its contents and reusing its allocation. The announced length is
+    /// checked against the bytes present before `out` grows.
+    pub fn get_f64_slice_into(&mut self, out: &mut Vec<f64>) -> Result<(), WireError> {
+        let len = self.get_u32()? as usize;
+        let raw = self.take(len.checked_mul(8).ok_or(WireError::UnexpectedEof)?)?;
+        out.clear();
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("chunks of 8"))),
+        );
+        Ok(())
+    }
+
+    /// Bytes left unread in the payload.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+/// Reads one framed wire message it owns: [`FrameReader`] plus the buffer.
 #[derive(Debug)]
 pub struct MessageReader {
     buf: Bytes,
+    /// Offset of the first unread payload byte in `buf`.
+    pos: usize,
 }
 
 impl MessageReader {
@@ -206,76 +333,63 @@ impl MessageReader {
     ///
     /// Returns [`WireError::BadLength`] when the prefix disagrees with the
     /// data, [`WireError::UnexpectedEof`] when there is no prefix at all.
-    pub fn new(mut framed: Bytes) -> Result<Self, WireError> {
-        if framed.len() < 4 {
-            return Err(WireError::UnexpectedEof);
-        }
-        let len = framed.get_u32_le() as usize;
-        if framed.len() != len {
-            return Err(WireError::BadLength {
-                expected: len,
-                available: framed.len(),
-            });
-        }
-        Ok(MessageReader { buf: framed })
+    pub fn new(framed: Bytes) -> Result<Self, WireError> {
+        FrameReader::new(&framed)?;
+        Ok(MessageReader {
+            buf: framed,
+            pos: FRAME_PREFIX,
+        })
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
-            Err(WireError::UnexpectedEof)
-        } else {
-            Ok(())
-        }
+    /// Runs one [`FrameReader`] accessor over the unread payload and
+    /// advances past what it consumed.
+    fn read<T>(
+        &mut self,
+        f: impl FnOnce(&mut FrameReader<'_>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let mut r = FrameReader {
+            buf: &self.buf[self.pos..],
+        };
+        let v = f(&mut r)?;
+        self.pos = self.buf.len() - r.remaining();
+        Ok(v)
     }
 
     /// Reads an unsigned byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        self.read(|r| r.get_u8())
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.read(|r| r.get_u32())
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.read(|r| r.get_u64())
     }
 
     /// Reads a little-endian `f64`.
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        self.read(|r| r.get_f64())
     }
 
     /// Reads a `u16`-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        self.need(2)?;
-        let len = self.buf.get_u16_le() as usize;
-        self.need(len)?;
-        let raw = self.buf.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        self.read(|r| r.get_str().map(str::to_owned))
     }
 
     /// Reads a `u32`-length-prefixed array of `f64`.
     pub fn get_f64_slice(&mut self) -> Result<Vec<f64>, WireError> {
-        self.need(4)?;
-        let len = self.buf.get_u32_le() as usize;
-        self.need(len * 8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_f64_le());
-        }
+        let mut out = Vec::new();
+        self.read(|r| r.get_f64_slice_into(&mut out))?;
         Ok(out)
     }
 
     /// Bytes left unread in the payload.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 }
 
@@ -339,18 +453,9 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_reported() {
-        let mut b = MessageBuilder::new();
-        // Hand-roll a string field with bad UTF-8.
-        b.put_u8(0xff); // will be re-read as part of string? no — build properly:
-        let payload = b;
-        drop(payload);
-        let mut raw = BytesMut::new();
-        raw.put_u16_le(2);
-        raw.put_slice(&[0xff, 0xfe]);
-        let mut framed = BytesMut::new();
-        framed.put_u32_le(raw.len() as u32);
-        framed.extend_from_slice(&raw);
-        let mut r = MessageReader::new(framed.freeze()).unwrap();
+        // Hand-roll a string field with bad UTF-8: u16 length, two bytes.
+        let framed = Bytes::from(vec![4, 0, 0, 0, 2, 0, 0xff, 0xfe]);
+        let mut r = MessageReader::new(framed).unwrap();
         assert_eq!(r.get_str().unwrap_err(), WireError::InvalidUtf8);
     }
 
@@ -410,5 +515,54 @@ mod tests {
         assert_eq!(b.len(), 8);
         b.put_str("ab");
         assert_eq!(b.len(), 12);
+    }
+
+    #[test]
+    fn reused_buffer_builds_the_same_frames_without_regrowing() {
+        let vals = [1.0, -2.0, 3.5];
+        let mut fresh = MessageBuilder::new();
+        fresh.put_u64(9).put_f64_slice(&vals);
+        let fresh = fresh.finish();
+
+        let mut b = MessageBuilder::reusing(vec![0xaa; 64]);
+        assert!(b.is_empty(), "old contents are discarded");
+        b.put_u64(9).put_f64_slice(&vals);
+        let frame = b.into_frame();
+        assert_eq!(frame, fresh.to_vec());
+        let cap = frame.capacity();
+        let mut b = MessageBuilder::reusing(frame);
+        b.put_u64(10).put_f64_slice(&vals);
+        assert_eq!(b.into_frame().capacity(), cap);
+    }
+
+    #[test]
+    fn frame_reader_decodes_into_a_reused_vector() {
+        let mut b = MessageBuilder::new();
+        b.put_u8(7).put_str("slave03").put_f64_slice(&[1.0, -2.0]);
+        let frame = b.into_frame();
+        let mut r = FrameReader::new(&frame).unwrap();
+        assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.get_str().unwrap(), "slave03");
+        let mut out = vec![9.0; 5];
+        r.get_f64_slice_into(&mut out).unwrap();
+        assert_eq!(out, [1.0, -2.0]);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.get_u8().unwrap_err(), WireError::UnexpectedEof);
+    }
+
+    #[test]
+    fn lying_array_length_is_an_error_and_leaves_the_output_alone() {
+        // The array claims u32::MAX entries; four bytes follow.
+        let mut frame = vec![8, 0, 0, 0];
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        frame.extend_from_slice(&[0; 4]);
+        let mut out = vec![1.0];
+        let mut r = FrameReader::new(&frame).unwrap();
+        assert_eq!(
+            r.get_f64_slice_into(&mut out).unwrap_err(),
+            WireError::UnexpectedEof
+        );
+        assert_eq!(out, [1.0]);
+        assert_eq!(out.capacity(), 1);
     }
 }

@@ -4,7 +4,8 @@
 //! own config dialect — it can be dumped with
 //! [`Deployment::config_text`]) wiring, per slave node:
 //!
-//! * **black-box**: `sadc` → `knn` (1-NN against trained centroids) →
+//! * **black-box**: `sadc` (one instance per node, or per rack when
+//!   [`AsdfOptions::racks`] is set) → `knn` (1-NN against trained centroids) →
 //!   `analysis_bb` (state-histogram L1 peer comparison);
 //! * **white-box**: `hadoop_log` (TaskTracker and DataNode) → `mavgvec`
 //!   (windowed mean + stddev) → `analysis_wb` (median peer comparison
@@ -60,11 +61,14 @@ pub struct AsdfOptions {
     /// (`1` = per-sample delivery). Purely a transport knob: outputs are
     /// bitwise identical at any setting.
     pub batch_size: usize,
-    /// Rack count for the fleet-scale metric path: `> 1` tree-reduces the
-    /// collector edges through per-rack `rack_agg` summaries before a
-    /// rack-mode `metric_rank`, so the global DAG stage moves O(racks)
-    /// rows instead of O(nodes) metric vectors. Rankings are bitwise
-    /// identical to the flat wiring. `0`/`1` = flat per-node wiring.
+    /// Rack count for the fleet-scale wiring: `> 1` collects each rack
+    /// through one `sadc` instance (one connection, one port per node; one
+    /// cluster lock per rack per second) and tree-reduces the metric path
+    /// through per-rack `rack_agg` summaries before a rack-mode
+    /// `metric_rank`, so the DAG holds O(racks) instances ahead of the
+    /// analyses and its global stage moves O(racks) rows instead of
+    /// O(nodes) metric vectors. Every output is bitwise identical to the
+    /// flat wiring. `0`/`1` = the paper's flat wiring, one `sadc` per node.
     pub racks: usize,
 }
 
@@ -143,6 +147,41 @@ impl AsdfBuilder {
 
         push(&mut cfg, InstanceConfig::new("cluster_driver", "drv"));
 
+        // Rack mode puts one `sadc` instance in front of each rack; the
+        // flat wiring keeps the paper's one instance per node. Either way
+        // node `i`'s metric vectors leave on `sadc_port(i)`, so the
+        // consumers below are wired once for both. `per_rack` is the nodes
+        // per rack in rack mode; the last rack may hold fewer.
+        let per_rack = {
+            let n_racks = o.racks.min(n_nodes);
+            (n_racks > 1).then(|| n_nodes.div_ceil(n_racks))
+        };
+        let racks: Vec<std::ops::Range<usize>> = per_rack.map_or_else(Vec::new, |k| {
+            (0..n_nodes)
+                .step_by(k)
+                .map(|lo| lo..(lo + k).min(n_nodes))
+                .collect()
+        });
+        let sadc_port = |i: usize| match per_rack {
+            Some(k) => (format!("sadcr{}", i / k), format!("output{}", i % k)),
+            None => (format!("sadc{i}"), "output0".to_owned()),
+        };
+        let node_sadc = |i: usize| {
+            InstanceConfig::new("sadc", format!("sadc{i}"))
+                .with_param("node", i)
+                .with_input("clock", "drv", "tick")
+        };
+        if o.black_box || o.metric_rank {
+            for (rack, nodes) in racks.iter().enumerate() {
+                push(
+                    &mut cfg,
+                    InstanceConfig::new("sadc", format!("sadcr{rack}"))
+                        .with_param("nodes", format!("{}..{}", nodes.start, nodes.end))
+                        .with_input("clock", "drv", "tick"),
+                );
+            }
+        }
+
         if o.black_box {
             let model = self
                 .model
@@ -153,19 +192,17 @@ impl AsdfBuilder {
             let centroids_text = model.centroids_param();
             let stddev_text = model.stddev_param();
             for i in 0..n_nodes {
-                push(
-                    &mut cfg,
-                    InstanceConfig::new("sadc", format!("sadc{i}"))
-                        .with_param("node", i)
-                        .with_input("clock", "drv", "tick"),
-                );
+                if per_rack.is_none() {
+                    push(&mut cfg, node_sadc(i));
+                }
+                let (sadc, port) = sadc_port(i);
                 push(
                     &mut cfg,
                     InstanceConfig::new("knn", format!("onenn{i}"))
                         .with_param("centroids", centroids_text.clone())
                         .with_param("stddev", stddev_text.clone())
                         .with_param("k", 1)
-                        .with_input("input", format!("sadc{i}"), "output0"),
+                        .with_input("input", sadc, port),
                 );
             }
             let mut bb = InstanceConfig::new("analysis_bb", "bb")
@@ -182,44 +219,33 @@ impl AsdfBuilder {
                 &mut cfg,
                 InstanceConfig::new("print", "BlackBoxAlarm").with_input_all("a", "bb"),
             );
-        } else if o.metric_rank {
+        } else if o.metric_rank && per_rack.is_none() {
             // Metric ranking without the classifier still needs the
             // per-node collector edges.
             for i in 0..n_nodes {
-                push(
-                    &mut cfg,
-                    InstanceConfig::new("sadc", format!("sadc{i}"))
-                        .with_param("node", i)
-                        .with_input("clock", "drv", "tick"),
-                );
+                push(&mut cfg, node_sadc(i));
             }
         }
 
         if o.metric_rank {
             // Rank metric deviations on the same collector edges the
             // classifier consumes — no extra collection cost.
-            let n_racks = o.racks.min(n_nodes);
-            if n_racks > 1 {
+            if per_rack.is_some() {
                 // Fleet wiring: per-rack tree-reduce, then a rack-mode
                 // global ranker over O(racks) summary rows.
-                let per_rack = n_nodes.div_ceil(n_racks);
                 let mut mr = InstanceConfig::new("metric_rank", "mr")
                     .with_param("top", o.rank_top)
                     .with_param("nodes", names.join(","));
-                let mut rack = 0;
-                let mut start = 0;
-                while start < n_nodes {
-                    let end = (start + per_rack).min(n_nodes);
+                for (rack, nodes) in racks.iter().enumerate() {
                     let mut ra = InstanceConfig::new("rack_agg", format!("ra{rack}"))
                         .with_param("window", o.window)
                         .with_param("slide", o.slide);
-                    for (local, i) in (start..end).enumerate() {
-                        ra = ra.with_input(format!("m{local}"), format!("sadc{i}"), "output0");
+                    for (local, i) in nodes.clone().enumerate() {
+                        let (sadc, port) = sadc_port(i);
+                        ra = ra.with_input(format!("m{local}"), sadc, port);
                     }
                     push(&mut cfg, ra);
                     mr = mr.with_input(format!("r{rack}"), format!("ra{rack}"), "sum");
-                    rack += 1;
-                    start = end;
                 }
                 push(&mut cfg, mr);
             } else {
@@ -504,9 +530,11 @@ mod tests {
 
     #[test]
     fn rack_wiring_is_bitwise_equal_to_flat() {
-        // The fleet path (per-rack rack_agg tree-reduce + rack-mode
+        // The fleet path (per-rack sadc + rack_agg tree-reduce + rack-mode
         // metric_rank) must reproduce the flat wiring's rankings exactly,
-        // at any rack count that leaves >= 3 nodes' worth of summaries.
+        // at any rack count that leaves >= 3 nodes' worth of summaries —
+        // and the black-box verdicts of the `knn`s now fed from rack
+        // collector ports.
         let run = |racks: usize| {
             let cluster = Cluster::new(ClusterConfig::new(7, 9), Vec::new());
             let mut dep = AsdfBuilder::new(AsdfOptions {
@@ -521,22 +549,13 @@ mod tests {
             .deploy(cluster)
             .expect("deploys");
             dep.run_for(25);
-            dep.tap("mr")
-                .unwrap()
-                .drain()
-                .into_iter()
-                .map(|e| {
-                    (
-                        e.source.name.clone(),
-                        e.source.origin.clone(),
-                        e.sample.timestamp.as_secs(),
-                        e.sample.value.as_vector().unwrap().to_vec(),
-                    )
-                })
-                .collect::<Vec<_>>()
+            ["mr", "bb"].map(|id| dep.tap(id).unwrap().drain())
         };
         let flat = run(0);
-        assert!(!flat.is_empty(), "flat wiring should emit rankings");
+        assert!(
+            flat.iter().all(|tap| !tap.is_empty()),
+            "flat wiring should emit rankings and verdicts"
+        );
         for racks in [2, 3, 7] {
             assert_eq!(flat, run(racks), "racks={racks}");
         }

@@ -673,8 +673,8 @@ impl std::fmt::Debug for ServeDaemon {
 
 /// One tenant's collector feeder: ticks the monitored cluster once per
 /// step, polls every collector over the accounted wire, and pushes the
-/// encoded frames into the ingress queue — paced to `pace` per step, or
-/// flat out when `pace` is `None` (a flooding tenant).
+/// encoded frames into the ingress queue — paced to `pace` per step (see
+/// [`pace_step`]), or flat out when `pace` is `None` (a flooding tenant).
 fn feeder_loop(
     handle: ClusterHandle,
     mut collectors: Vec<(u8, Box<dyn Collector + Send>)>,
@@ -683,20 +683,22 @@ fn feeder_loop(
     steps: u64,
     pace: Option<Duration>,
 ) {
-    let start = Instant::now();
-    for step in 0..steps {
+    let mut deadline = Instant::now() + pace.unwrap_or_default();
+    // Every collector polls into this one buffer; the frame copies it out.
+    let mut values = Vec::new();
+    for _ in 0..steps {
         if stop.load(Ordering::Relaxed) {
             break;
         }
         handle.tick();
         for (stream, collector) in &mut collectors {
-            match collector.poll_sample() {
-                Ok(Some(sample)) => {
+            match collector.poll_into(&mut values) {
+                Ok(Some(timestamp)) => {
                     queue.push(encode_frame(
                         *stream,
                         collector.node() as u32,
-                        sample.timestamp,
-                        &sample.values,
+                        timestamp,
+                        &values,
                     ));
                 }
                 Ok(None) => {}
@@ -710,12 +712,24 @@ fn feeder_loop(
             }
         }
         if let Some(tick) = pace {
-            let target = tick.mul_f64((step + 1) as f64);
-            let elapsed = start.elapsed();
-            if target > elapsed {
-                std::thread::sleep(target - elapsed);
-            }
+            let (ahead, next) = pace_step(deadline, Instant::now(), tick);
+            std::thread::sleep(ahead);
+            deadline = next;
         }
+    }
+}
+
+/// How long a paced feeder sleeps after the step due at `deadline` finished
+/// at `now`, and when the next step is due. On time, the next deadline is
+/// `tick` after this one, not after the wake-up, so sleep overshoot never
+/// accumulates. A feeder that missed its deadline (the OS starved it)
+/// resumes its pace from `now`: like the engine's ticker it does not replay
+/// the time it slept through, so a stall cannot burst the missed steps into
+/// the ingress queue all at once.
+fn pace_step(deadline: Instant, now: Instant, tick: Duration) -> (Duration, Instant) {
+    match deadline.checked_duration_since(now) {
+        Some(ahead) => (ahead, deadline + tick),
+        None => (Duration::ZERO, now + tick),
     }
 }
 
@@ -750,6 +764,23 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 3);
         assert_eq!(r.get_u64().unwrap(), 41);
         assert_eq!(r.get_f64_slice().unwrap(), vec![1.0, 2.5]);
+    }
+
+    #[test]
+    fn a_starved_feeder_resumes_its_pace_instead_of_bursting() {
+        let tick = Duration::from_millis(4);
+        let start = Instant::now();
+        let due = start + tick;
+        // On time: sleep to the absolute deadline, the next one a tick on.
+        let woke = start + Duration::from_millis(1);
+        assert_eq!(
+            pace_step(due, woke, tick),
+            (Duration::from_millis(3), due + tick)
+        );
+        // Starved for 20 ticks: no sleep now, and the next step is a full
+        // tick away rather than 19 deadlines already in the past.
+        let late = start + 20 * tick;
+        assert_eq!(pace_step(due, late, tick), (Duration::ZERO, late + tick));
     }
 
     #[test]

@@ -150,6 +150,9 @@ pub struct ClusterStats {
     pub reduces_done: usize,
     /// Task attempts that failed (fault-induced).
     pub task_failures: usize,
+    /// Log lines dropped un-drained because no collector tailed their log
+    /// and it reached [`crate::logging::LOG_RETAIN_LINES`], all nodes.
+    pub log_lines_dropped: usize,
 }
 
 struct Slave {
@@ -363,7 +366,10 @@ impl Cluster {
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ClusterStats {
-        self.stats
+        ClusterStats {
+            log_lines_dropped: self.slaves.iter().map(|s| s.logs.dropped()).sum(),
+            ..self.stats
+        }
     }
 
     /// The metric frame rendered at the end of the last tick, if any tick

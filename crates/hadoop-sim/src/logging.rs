@@ -6,6 +6,7 @@
 //! snippet: `LaunchTaskAction: task_0001_m_000096_0`), and the
 //! `hadoop-logs` crate parses them back with no knowledge of the simulator.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::types::{AttemptId, BlockId};
@@ -168,12 +169,22 @@ impl fmt::Display for Wallclock {
     }
 }
 
+/// Lines a log keeps while nobody drains it. A daemon's log on disk is a
+/// rotated file, not an ever-growing one: past this many un-drained lines
+/// the oldest is dropped for each new one. A collector tailing the log
+/// drains it every second and never comes near the cap (the busiest log of
+/// a 5-node GridMix cluster writes about 1000 lines an hour); deployments
+/// that attach no tailer (rank-only, black-box-only) stop growing here.
+pub const LOG_RETAIN_LINES: usize = 4096;
+
 /// A per-node pair of log buffers that accumulate rendered lines until a
-/// collector drains them — standing in for the daemons' log files on disk.
+/// collector drains them — standing in for the daemons' log files on disk,
+/// each bounded at [`LOG_RETAIN_LINES`] like a rotated file.
 #[derive(Debug, Clone, Default)]
 pub struct NodeLogs {
-    tasktracker: Vec<String>,
-    datanode: Vec<String>,
+    tasktracker: VecDeque<String>,
+    datanode: VecDeque<String>,
+    dropped: usize,
 }
 
 impl NodeLogs {
@@ -182,28 +193,38 @@ impl NodeLogs {
         NodeLogs::default()
     }
 
-    /// Appends `event` rendered at `now`.
+    /// Appends `event` rendered at `now`, dropping the log's oldest
+    /// un-drained line first if it already holds [`LOG_RETAIN_LINES`].
     pub fn record(&mut self, now: u64, event: &LogEvent) {
-        let line = event.render(now);
-        match event.source() {
-            LogSource::TaskTracker => self.tasktracker.push(line),
-            LogSource::DataNode => self.datanode.push(line),
+        let log = match event.source() {
+            LogSource::TaskTracker => &mut self.tasktracker,
+            LogSource::DataNode => &mut self.datanode,
+        };
+        if log.len() == LOG_RETAIN_LINES {
+            log.pop_front();
+            self.dropped += 1;
         }
+        log.push_back(event.render(now));
     }
 
     /// Drains the TaskTracker log lines accumulated since the last drain.
     pub fn drain_tasktracker(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.tasktracker)
+        std::mem::take(&mut self.tasktracker).into()
     }
 
     /// Drains the DataNode log lines accumulated since the last drain.
     pub fn drain_datanode(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.datanode)
+        std::mem::take(&mut self.datanode).into()
     }
 
     /// Number of undrained lines (both logs).
     pub fn pending(&self) -> usize {
         self.tasktracker.len() + self.datanode.len()
+    }
+
+    /// Lines dropped un-drained, oldest first, because their log was full.
+    pub fn dropped(&self) -> usize {
+        self.dropped
     }
 }
 
@@ -275,6 +296,26 @@ mod tests {
         assert!(dn[0].contains("Deleting block blk_7"));
         assert_eq!(logs.pending(), 0);
         assert!(logs.drain_tasktracker().is_empty());
+    }
+
+    #[test]
+    fn an_undrained_log_keeps_the_newest_lines_and_counts_the_rest() {
+        let mut logs = NodeLogs::new();
+        let extra = 10;
+        for t in 0..(LOG_RETAIN_LINES + extra) as u64 {
+            logs.record(t, &LogEvent::LaunchTask(attempt()));
+        }
+        // The other log is bounded on its own.
+        logs.record(0, &LogEvent::DeleteBlock { block: BlockId(7) });
+        assert_eq!(logs.pending(), LOG_RETAIN_LINES + 1);
+        assert_eq!(logs.dropped(), extra);
+        let tt = logs.drain_tasktracker();
+        assert_eq!(tt.len(), LOG_RETAIN_LINES);
+        let oldest_kept = LogEvent::LaunchTask(attempt()).render(extra as u64);
+        assert_eq!(tt[0], oldest_kept);
+        // Draining makes room again: nothing more is dropped.
+        logs.record(0, &LogEvent::LaunchTask(attempt()));
+        assert_eq!((logs.pending(), logs.dropped()), (2, extra));
     }
 
     #[test]

@@ -120,3 +120,62 @@ fn decommissioned_cluster_still_renders_metrics() {
     cluster.recommission(0);
     assert!(!cluster.is_decommissioned(0));
 }
+
+#[test]
+fn untailed_logs_are_bounded_and_tailed_logs_are_untouched() {
+    use hadoop_sim::logging::LOG_RETAIN_LINES;
+    let disk_hog = || FaultSpec {
+        node: 2,
+        kind: FaultKind::DiskHog,
+        start_at: 60,
+    };
+
+    // A log tailed every second is byte for byte what it was before logs
+    // were bounded: 1244 lines with this FNV-1a digest, computed on the
+    // commit before the cap existed.
+    let mut tailed = Cluster::new(ClusterConfig::new(5, 7), vec![disk_hog()]);
+    let (mut lines, mut digest) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for _ in 0..300 {
+        tailed.tick();
+        for node in 0..5 {
+            let (tt, dn) = tailed.drain_logs(node);
+            for line in tt.iter().chain(&dn) {
+                lines += 1;
+                for b in line.bytes().chain([b'\n']) {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    assert_eq!((lines, digest), (1244, 0xa4ea_1902_00c6_d0f1));
+    assert_eq!(tailed.stats().log_lines_dropped, 0);
+
+    // Five minutes with no tailer (a rank-only or black-box-only
+    // deployment) stay far under the cap: every line is still there.
+    let mut untailed = Cluster::new(ClusterConfig::new(5, 7), vec![disk_hog()]);
+    untailed.advance(300);
+    assert_eq!(untailed.stats().log_lines_dropped, 0);
+    let kept: usize = (0..5)
+        .map(|node| {
+            let (tt, dn) = untailed.drain_logs(node);
+            assert!(tt.len().max(dn.len()) < LOG_RETAIN_LINES / 8);
+            tt.len() + dn.len()
+        })
+        .sum();
+    assert_eq!(kept as u64, lines);
+
+    // Left alone for three hours, a log stops at the cap, the newest lines
+    // are the ones kept, and the rest are counted.
+    let mut forgotten = Cluster::new(ClusterConfig::new(2, 7), Vec::new());
+    forgotten.advance(3 * 3600);
+    let dropped = forgotten.stats().log_lines_dropped;
+    assert!(dropped > 0, "three hours of two nodes overflow a log");
+    for node in 0..2 {
+        let (tt, dn) = forgotten.drain_logs(node);
+        assert!(tt.len() <= LOG_RETAIN_LINES && dn.len() <= LOG_RETAIN_LINES);
+        let newest = tt.last().expect("a tasktracker that ran for hours logged");
+        assert!(newest.starts_with("2008-04-15 16:5"), "kept: {newest}");
+    }
+    forgotten.advance(60);
+    assert_eq!(forgotten.stats().log_lines_dropped, dropped, "room again");
+}

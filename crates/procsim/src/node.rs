@@ -61,7 +61,17 @@ impl MetricFrame {
     /// Concatenates node, interface, and process metrics into one flat
     /// vector — the form the black-box `sadc` collector ships to analysis.
     pub fn flatten(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.flat_len());
+        let mut out = Vec::new();
+        self.flatten_into(&mut out);
+        out
+    }
+
+    /// [`MetricFrame::flatten`] into `out`, replacing its contents and
+    /// reusing its allocation — what a collector polling every second into
+    /// one buffer calls.
+    pub fn flatten_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.flat_len());
         out.extend_from_slice(&self.node);
         for (_, vals) in &self.ifaces {
             out.extend_from_slice(vals);
@@ -69,7 +79,6 @@ impl MetricFrame {
         for (_, vals) in &self.procs {
             out.extend_from_slice(vals);
         }
-        out
     }
 
     /// Length of [`MetricFrame::flatten`]'s output.

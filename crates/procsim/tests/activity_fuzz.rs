@@ -76,5 +76,8 @@ proptest! {
         let frame = node.tick(&a, &[("dn", ProcessActivity::default())]);
         prop_assert_eq!(frame.flatten().len(), frame.flat_names().len());
         prop_assert_eq!(frame.flat_len(), frame.flatten().len());
+        let mut reused = vec![f64::NAN; 3];
+        frame.flatten_into(&mut reused);
+        prop_assert_eq!(reused, frame.flatten());
     }
 }

@@ -31,12 +31,25 @@ scenarios:
     cargo test -p integration-tests --test scenario_matrix
 
 # The fleet-scale suites on their own: the sim-shard x engine-thread x
-# batch bitwise sweep, the rack tree-reduce vs flat ranking equivalence,
-# and the 500-node rack-path fingerpointing scenario (the 5000-node row
-# is measured by the perfsuite `fleet` block, not here).
+# batch bitwise sweep, the rack wiring (one `sadc` per rack + tree-reduce)
+# vs flat equivalence, the 500-node rack-path fingerpointing scenario (the
+# 5000-node row is measured by the perfsuite `fleet` block and by
+# asdfbench, not here), `sadc nodes = lo..hi` against one instance per
+# node, the collector wire accounting and decoder properties, and the
+# bound on un-tailed logs.
 fleet:
     cargo test -p integration-tests --test shard_equivalence -- sim_shards_compose rack_tree_reduce
     cargo test -p integration-tests --test scenario_matrix -- fleet_scale
+    cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
+    cargo test -q -p asdf-modules --lib -- collectors::tests::node_
+    cargo test -q -p asdf-rpc
+    cargo test -q -p hadoop-sim --test invariants -- untailed_logs
+
+# The benchmark binary (asdfbench, unchanged) at --smoke size on every
+# workload BENCHMARK.json lists, untraced and traced: fails unless each
+# run reports correct outputs and no failed operation.
+bench-smoke:
+    ./scripts/bench_smoke.sh
 
 # The N-tenant serve soak: healthy tenants bitwise-identical to their
 # solo runs while a flooding tenant sheds, join/leave mid-run, graceful

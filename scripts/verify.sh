@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # PR gate: the tier-1 recipe plus the sharded-engine differential suite,
-# the kernel property suites, and a warnings-denied doc build.
+# the fleet suites, a smoke run of the benchmark binary, the kernel
+# property suites, and a warnings-denied doc build.
 #
 # The equivalence tests run the fingerpointing pipeline at engine thread
 # counts {1, 2, 4, 8} (a dedicated 4-thread pass included) and compare
@@ -30,6 +31,17 @@ cargo test -p integration-tests --test shard_equivalence --test golden_figures
 echo "[verify] fault matrix: activation properties + golden scenarios + 500-node fleet path" >&2
 cargo test -q -p integration-tests --test fault_props
 cargo test -p integration-tests --test scenario_matrix
+
+# (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
+# and the fleet_scale scenario; both suites ran whole just above.)
+echo "[verify] fleet: rack collector wiring, sadc node ranges, wire accounting, log bound" >&2
+cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
+cargo test -q -p asdf-modules --lib -- collectors::tests::node_
+cargo test -q -p asdf-rpc
+cargo test -q -p hadoop-sim --test invariants -- untailed_logs
+
+echo "[verify] bench-smoke: the benchmark binary passes its own checks, untraced and traced" >&2
+./scripts/bench_smoke.sh
 
 echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound)" >&2
 cargo test -p integration-tests --test serve_soak

@@ -445,17 +445,19 @@ fn sim_shards_compose_with_engine_threads_and_batches() {
 
 #[test]
 fn rack_tree_reduce_rankings_match_flat_wiring() {
-    // The rack path changes the DAG shape (per-rack rack_agg stages plus
-    // a rack-mode metric_rank), so stream equality is checked on the `mr`
-    // tap alone — the analysis taps are covered by the flat sweeps above.
-    // Rankings must be bitwise equal to the flat wiring at every rack
-    // count, including with sim sharding and batching stacked on top.
+    // The rack path changes the DAG shape (one `sadc` per rack feeding the
+    // per-node `knn`s and a per-rack rack_agg stage, plus a rack-mode
+    // metric_rank) and nothing any tap sees: rankings and the analysis
+    // streams behind the rack collectors must be bitwise equal to the flat
+    // wiring at every rack count, including with sim sharding and
+    // batching stacked on top.
     let flat = matrix_campaign(1, 1);
     let model = support::small_model(&flat);
-    let reference = support::pipeline_streams(&flat, &model, Some(FaultKind::CpuHog), 29)
-        .pop()
-        .expect("mr tap present");
-    assert!(!reference.is_empty(), "flat wiring must emit rankings");
+    let reference = support::pipeline_streams(&flat, &model, Some(FaultKind::CpuHog), 29);
+    assert!(
+        reference.iter().all(|s| !s.is_empty()),
+        "flat wiring must emit on every tap, rankings included"
+    );
     for racks in [2usize, 3, 5] {
         for (sim_shards, threads, batch_size) in [(1, 1, 1), (4, 4, 64)] {
             let cfg = CampaignConfig {
@@ -463,12 +465,10 @@ fn rack_tree_reduce_rankings_match_flat_wiring() {
                 sim_shards,
                 ..matrix_campaign(threads, batch_size)
             };
-            let got = support::pipeline_streams(&cfg, &model, Some(FaultKind::CpuHog), 29)
-                .pop()
-                .expect("mr tap present");
+            let got = support::pipeline_streams(&cfg, &model, Some(FaultKind::CpuHog), 29);
             assert_eq!(
                 reference, got,
-                "rankings diverged: racks {racks}, sim_shards {sim_shards}, \
+                "streams diverged: racks {racks}, sim_shards {sim_shards}, \
                  threads {threads}, batch {batch_size}"
             );
         }
