@@ -53,8 +53,9 @@
 //! expose the batch-size distribution actually achieved.
 //!
 //! Determinism is what makes the reproduction's experiments exactly
-//! repeatable; the threaded [`crate::online::OnlineEngine`] runs the same
-//! modules against a wall clock for genuinely online deployments.
+//! repeatable. [`crate::online::OnlineEngine`] is this engine behind a
+//! pacer — one thread calling [`TickEngine::tick`] at wall-clock deadlines
+//! — so an online deployment schedules, routes and batches here too.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;

@@ -239,7 +239,9 @@ pub enum OnlineStartError {
     },
     /// The operating system refused to spawn an engine thread.
     Spawn {
-        /// The thread that failed to spawn (module instance id or `ticker`).
+        /// The thread that failed to spawn: the engine's one pacer thread
+        /// (`asdf-pacer[-<label>]`), or `feed-<tenant>` when `asdf::serve`
+        /// reports a tenant feeder through this error.
         thread: String,
         /// The OS-level failure.
         source: std::io::Error,

@@ -20,8 +20,9 @@
 //! * [`dag`] — worklist DAG construction (§3.3 of the paper);
 //! * [`engine`] — a deterministic simulated-time executor
 //!   ([`engine::TickEngine`]) used by the reproduction's experiments;
-//! * [`online`] — a wall-clock, thread-per-module executor
-//!   ([`online::OnlineEngine`]) matching the paper's deployment model;
+//! * [`online`] — the same engine paced against a wall clock
+//!   ([`online::OnlineEngine`]: one pacer thread calling `tick()` at
+//!   absolute deadlines) for genuinely online deployments;
 //! * [`value`] / [`time`] — samples, values, and second-resolution time.
 //!
 //! # Quick start

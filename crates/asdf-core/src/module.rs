@@ -228,9 +228,9 @@ impl Default for ScheduleSpec {
 
 /// An fpt-core plug-in module.
 ///
-/// Implementations must be [`Send`] so the threaded online engine can move
-/// each instance onto its own thread (the paper spawns one thread per module
-/// instance).
+/// Implementations must be [`Send`]: the online engine moves the whole DAG
+/// onto its pacer thread, and the sharded tick engine visits an instance
+/// from whichever worker claims it.
 ///
 /// # Examples
 ///

@@ -1,49 +1,46 @@
-//! The threaded online engine.
+//! The wall-clock online engine: one pacer thread over the tick scheduler.
 //!
-//! [`OnlineEngine`] executes the same [`Dag`] as the deterministic
-//! [`crate::engine::TickEngine`], but against a wall clock and with one
-//! thread per module instance — the paper's deployment model ("For each
-//! module instance ... a new thread is spawned"). Periodic modules are
-//! driven by a central ticker thread; input-triggered modules run as soon as
-//! enough samples are delivered to their mailbox.
+//! [`OnlineEngine`] owns a serial [`TickEngine`] on a single *pacer* thread
+//! and calls [`TickEngine::tick`] at absolute wall-clock deadlines. Who
+//! runs when — periodic timers, input triggers, routing, batching — is
+//! decided by `engine.rs` alone; this module only decides *when the next
+//! logical second happens*. The tick sequence a DAG sees online is
+//! therefore exactly the one [`TickEngine::run_for`] gives it offline, and
+//! nothing is "in flight" between two ticks. (The paper spawns a thread
+//! per module instance; DESIGN.md §1 records the deviation.)
 //!
 //! The engine maps wall time onto the framework's one-second [`Timestamp`]
 //! resolution through a configurable `wall_per_tick` duration: with the
 //! default of one second the engine runs in real time, while tests and demos
 //! can compress time (e.g. 5 ms per tick) without changing module behavior.
+//!
+//! # Pacing policy
+//!
+//! Tick `k` is due at `start + k * wall_per_tick / speed` — an absolute
+//! deadline, so sleep overshoot never accumulates. A late pacer (the
+//! previous tick overran, or the host did not wake it) runs its overdue
+//! ticks back to back: it catches up and **never skips a logical second**.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use asdf_obs::SpanHandle;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-
 use crate::dag::Dag;
-use crate::engine::TapHandle;
+use crate::engine::{TapHandle, TickEngine};
 use crate::error::{OnlineStartError, RunEngineError};
-use crate::module::{EmitRows, Envelope, PortId, RunCtx, RunReason};
 use crate::time::Timestamp;
-use crate::value::{Sample, Value};
 
-enum Cmd {
-    Periodic(Timestamp),
-    Deliver { slot: usize, env: Envelope },
-    Stop,
-}
-
-/// Scheduler-health telemetry shared by one engine's module threads.
+/// Scheduler-health telemetry of one engine's pacer.
 ///
-/// The lockstep between the ticker and the per-module threads is exactly
-/// where an online deployment silently falls behind: a module whose run
-/// takes longer than its period starts its next periodic run late. That
-/// lag is surfaced as the `online.scheduler_lag_ticks` gauge and the
-/// `online.tick_overruns_total` counter (global registry), mirrored into
-/// per-engine atomics for [`OnlineEngine::scheduler_lag_ticks`] and
-/// [`OnlineEngine::tick_overruns`].
+/// An online deployment falls behind in exactly one place: a tick that
+/// starts after its deadline. Two causes, two metrics (global registry,
+/// mirrored into per-engine atomics for the [`OnlineEngine`] accessors):
+/// the ticks before it overran — `online.scheduler_lag_ticks`, counted in
+/// `online.tick_overruns_total` — or the host woke the pacer late —
+/// `online.ticker_drift_ticks`, counted in `online.ticker_catchup_total`.
 struct SchedulerStats {
     /// `[online]` for an unlabeled engine, `[online:tenant]` otherwise —
     /// prefixes every warning so multi-tenant logs stay attributable.
@@ -62,20 +59,13 @@ struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Registers this engine's metric family. An empty `label` keeps the
-    /// historical unsuffixed names; a tenant label suffixes every metric
-    /// with `.<label>` so N engines in one process stay distinguishable.
+    /// Registers this engine's metric family: unsuffixed for an empty
+    /// `label`, else `.<label>` on every metric so N engines stay apart.
     fn new(label: &str) -> Self {
         let reg = asdf_obs::registry();
-        let suffix = if label.is_empty() {
-            String::new()
-        } else {
-            format!(".{label}")
-        };
-        let tag = if label.is_empty() {
-            "online".to_owned()
-        } else {
-            format!("online:{label}")
+        let (suffix, tag) = match label {
+            "" => (String::new(), "online".to_owned()),
+            _ => (format!(".{label}"), format!("online:{label}")),
         };
         SchedulerStats {
             tag,
@@ -93,19 +83,10 @@ impl SchedulerStats {
         }
     }
 
-    /// Counts envelopes dequeued from module mailboxes; called once per
-    /// coalesced tick range, not per envelope, so the engine-wide
-    /// throughput figure (`online.delivered_total` plus the per-engine
-    /// [`OnlineEngine::envelopes_delivered`] mirror) costs two relaxed
-    /// adds per run.
-    fn count_delivered(&self, n: u64) {
-        self.delivered.fetch_add(n, Ordering::Relaxed);
-        self.delivered_counter.add(n);
-    }
-
-    /// Records how late a periodic run started, warning on overrun
+    /// Records how many whole ticks after its deadline (or the pacer's last
+    /// wake-up, if later) the tick stamped `at` started, warning on overrun
     /// (log volume is bounded: only power-of-two occurrence counts log).
-    fn observe(&self, instance: &str, lag_ticks: i64) {
+    fn observe_lag(&self, at: Timestamp, lag_ticks: i64) {
         self.last_lag_ticks.store(lag_ticks, Ordering::Relaxed);
         self.lag_gauge.set(lag_ticks);
         let seen = self.lag_watermark.fetch_max(lag_ticks, Ordering::Relaxed);
@@ -115,19 +96,18 @@ impl SchedulerStats {
             self.overrun_counter.inc();
             if n.is_power_of_two() {
                 eprintln!(
-                    "warning: [{}] periodic module `{instance}` started {lag_ticks} tick(s) \
-                     late ({n} overrun(s) so far) — modules are not keeping up with the ticker",
-                    self.tag
+                    "warning: [{}] tick {} started {lag_ticks} tick(s) late ({n} overrun(s) \
+                     so far) — the modules are not keeping up with the pacer",
+                    self.tag,
+                    at.as_secs()
                 );
             }
         }
     }
 
-    /// Records how far the ticker itself drifted behind wall time between
-    /// two wake-ups (0 = on time). A positive drift means the ticker slept
-    /// through whole ticks — the host is overloaded or the tick is shorter
-    /// than the OS can schedule — and the engine is now catching up by
-    /// dispatching the skipped periods late.
+    /// Records how far past its deadline the pacer woke from a sleep. At
+    /// 1 or more it slept through whole ticks — an overloaded host, or a
+    /// tick shorter than the OS can schedule — and now runs them back to back.
     fn observe_drift(&self, drift_ticks: i64) {
         self.drift_gauge.set(drift_ticks);
         if drift_ticks >= 1 {
@@ -135,7 +115,7 @@ impl SchedulerStats {
             self.catchup_counter.inc();
             if n.is_power_of_two() {
                 eprintln!(
-                    "warning: [{}] ticker drifted {drift_ticks} tick(s) behind wall time \
+                    "warning: [{}] pacer woke {drift_ticks} tick(s) behind wall time \
                      and is catching up ({n} catch-up(s) so far)",
                     self.tag
                 );
@@ -144,24 +124,74 @@ impl SchedulerStats {
     }
 }
 
-#[derive(Clone)]
-struct WallClock {
-    start: Instant,
-    wall_per_tick: Duration,
+/// Pacer modes. [`FLUSH`] stops pacing and runs one final tick before the
+/// exit ([`OnlineEngine::flush_and_stop`]); [`ABORT`] just exits
+/// ([`OnlineEngine::stop`], `Drop`).
+const RUN: u8 = 0;
+const FLUSH: u8 = 1;
+const ABORT: u8 = 2;
+
+/// What the pacer thread shares with the [`OnlineEngine`] handle.
+struct Shared {
+    sched: SchedulerStats,
+    /// [`RUN`], [`FLUSH`] or [`ABORT`]: stored `Release` by the handle
+    /// before it unparks the pacer, loaded `Acquire` between ticks.
+    mode: AtomicU8,
+    /// Ticks completed so far. Stored `Release` after a tick, so whoever
+    /// loads (`Acquire`) `k` finds what ticks `0..k` pushed into the taps.
+    now: AtomicU64,
 }
 
-impl WallClock {
-    fn now(&self) -> Timestamp {
-        let elapsed = self.start.elapsed();
-        let ticks = elapsed.as_nanos() / self.wall_per_tick.as_nanos().max(1);
-        Timestamp::from_secs(ticks as u64)
+/// The pacer thread's body: `engine.tick()` once per `tick` of wall time,
+/// at absolute deadlines, until told to stop or a module fails.
+fn pace(mut engine: TickEngine, tick: Duration, shared: &Shared) -> Result<(), RunEngineError> {
+    let sched = &shared.sched;
+    let mut routed = 0;
+    let mut run_tick = |engine: &mut TickEngine| {
+        engine.tick()?;
+        let total = engine.envelopes_routed();
+        sched.delivered.store(total, Ordering::Relaxed);
+        sched.delivered_counter.add(total - routed);
+        routed = total;
+        shared.now.store(engine.now().as_secs(), Ordering::Release);
+        Ok(())
+    };
+    let ticks = |d: Duration| i64::try_from(d.as_nanos() / tick.as_nanos()).unwrap_or(i64::MAX);
+    let mut due = Instant::now();
+    let mut woke = due;
+    loop {
+        // Wait out the time to the deadline; a stop request unparks us.
+        let mut slept = false;
+        let start = loop {
+            match shared.mode.load(Ordering::Acquire) {
+                ABORT => return Ok(()),
+                // Overdue ticks are not replayed on the way out: one final
+                // tick consumes what the sources were handed since the last.
+                FLUSH => return run_tick(&mut engine),
+                _ => {}
+            }
+            let now = Instant::now();
+            if now >= due {
+                break now;
+            }
+            slept = true;
+            std::thread::park_timeout(due - now);
+        };
+        // Waking late is the host's lateness (drift). Lag is the engine's
+        // own: no tick could have started before the pacer last woke.
+        if slept {
+            woke = start;
+            sched.observe_drift(ticks(start - due));
+        }
+        sched.observe_lag(engine.now(), ticks(start - due.max(woke)));
+        run_tick(&mut engine)?;
+        due += tick;
     }
 }
 
-/// Configures and launches an [`OnlineEngine`].
-///
-/// Obtained from [`OnlineEngine::builder`]. Taps must be registered before
-/// [`Builder::start`], because module state moves onto per-instance threads.
+/// Configures and launches an [`OnlineEngine`]; obtained from
+/// [`OnlineEngine::builder`]. Taps must be registered before
+/// [`Builder::start`], because the engine moves onto the pacer thread.
 pub struct Builder {
     dag: Dag,
     wall_per_tick: Duration,
@@ -180,35 +210,29 @@ impl Builder {
     }
 
     /// Labels this engine's scheduler metrics (`online.*.<label>`) and log
-    /// warnings. The empty default keeps the historical unsuffixed metric
-    /// names; a serve daemon labels each tenant's engine with the tenant id
-    /// so per-tenant lag stays observable as tenant count grows.
+    /// warnings. The empty default keeps the unsuffixed metric names; a
+    /// serve daemon labels each tenant's engine with the tenant id.
     #[must_use]
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self
     }
 
-    /// Scales real-time pacing: the effective tick is
-    /// `wall_per_tick / speed` (default 1.0). `2.0` replays twice as fast
-    /// as real time; `0.5` half speed. Rejected at [`Builder::start`] if
-    /// not a positive finite number.
+    /// Scales real-time pacing: the effective tick is `wall_per_tick /
+    /// speed` (default 1.0; `2.0` replays twice as fast as real time).
+    /// Rejected at [`Builder::start`] if not a positive finite number.
     #[must_use]
     pub fn speed(mut self, speed: f64) -> Self {
         self.speed = speed;
         self
     }
 
-    /// Sets the tick-range window a module thread coalesces per run
-    /// (default 1 = run per delivery, the historical behavior).
-    ///
-    /// Above 1, a module thread greedily drains up to `batch_size`
-    /// already-queued deliveries from its mailbox before evaluating its
-    /// trigger, and the module is entered through
-    /// [`crate::module::Module::run_batch`] — so a backlog that built up
-    /// over a tick range is consumed by one batched run instead of one
-    /// dispatch per sample. A periodic command ends the range (it is
-    /// handled next). `0` is treated as `1`.
+    /// Sets the lane hand-off granularity of the tick engine underneath
+    /// ([`TickEngine::set_batch_size`]; default 1 = per-envelope hand-off).
+    /// Above 1, modules are entered through
+    /// [`crate::module::Module::run_batch`], so a backlog — a source handed
+    /// many frames at once — is consumed columnarly by one batched run.
+    /// Observables are identical at any setting. `0` is treated as `1`.
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
@@ -223,30 +247,22 @@ impl Builder {
         self
     }
 
-    /// Spawns all module threads plus the ticker and starts execution.
+    /// Builds the tick engine, spawns the pacer thread and starts
+    /// execution: the first tick is due immediately.
     ///
     /// # Errors
     ///
     /// Returns [`OnlineStartError::UnknownTaps`] for tap ids that matched
     /// no instance, [`OnlineStartError::InvalidSpeed`] for a non-positive
     /// or non-finite speed multiplier, and [`OnlineStartError::Spawn`]
-    /// (chaining the OS error) if a thread failed to launch — already
-    /// spawned threads are stopped and joined before returning.
+    /// (chaining the OS error) if the pacer thread failed to launch.
     pub fn start(self) -> Result<OnlineEngine, OnlineStartError> {
-        let Builder {
-            dag,
-            wall_per_tick,
-            taps,
-            batch_size,
-            label,
-            speed,
-        } = self;
-
+        let speed = self.speed;
         if !speed.is_finite() || speed <= 0.0 {
             return Err(OnlineStartError::InvalidSpeed { speed });
         }
-        let missing: Vec<String> = taps
-            .iter()
+        let dag = self.dag;
+        let missing: Vec<String> = (self.taps.iter())
             .filter(|id| dag.index_of(id).is_none())
             .cloned()
             .collect();
@@ -254,331 +270,42 @@ impl Builder {
             return Err(OnlineStartError::UnknownTaps { taps: missing });
         }
 
-        let clock = WallClock {
-            start: Instant::now(),
-            wall_per_tick: wall_per_tick.div_f64(speed),
-        };
-        let sched = Arc::new(SchedulerStats::new(&label));
-        let stop = Arc::new(AtomicBool::new(false));
-        let ticker_stop = Arc::new(AtomicBool::new(false));
-        let first_error: Arc<Mutex<Option<RunEngineError>>> = Arc::new(Mutex::new(None));
-
-        let n = dag.len();
-        let mut senders: Vec<Sender<Cmd>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Cmd>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
+        let mut engine = TickEngine::new(dag);
+        engine.set_batch_size(self.batch_size);
+        // Duplicate tap ids coalesce onto one handle (and one delivery).
         let mut tap_handles: HashMap<String, TapHandle> = HashMap::new();
-        let periods: Vec<Option<u64>> = dag
-            .nodes
-            .iter()
-            .map(|node| node.schedule.periodic.map(|p| p.as_secs().max(1)))
-            .collect();
-        // Node-level fan-out edges, kept for graceful shutdown: flushing
-        // stops instances in topological order so every upstream's final
-        // envelopes are already enqueued when the downstream's Stop lands.
-        let downstream_map: Vec<Vec<usize>> = dag
-            .nodes
-            .iter()
-            .map(|node| {
-                let mut dsts: Vec<usize> = node
-                    .routes
-                    .iter()
-                    .flat_map(|targets| targets.iter().map(|&(dst, _)| dst))
-                    .collect();
-                dsts.sort_unstable();
-                dsts.dedup();
-                dsts
-            })
-            .collect();
-
-        // Abort a partially spawned engine: released threads see the stop
-        // flag (or a Stop command) and exit; join them all before failing.
-        let abort_spawned =
-            |node_handles: &mut Vec<Option<JoinHandle<()>>>, thread: String, source| {
-                stop.store(true, Ordering::Relaxed);
-                for tx in &senders {
-                    let _ = tx.send(Cmd::Stop);
-                }
-                for handle in node_handles.iter_mut().filter_map(Option::take) {
-                    let _ = handle.join();
-                }
-                OnlineStartError::Spawn { thread, source }
-            };
-
-        let mut node_handles: Vec<Option<JoinHandle<()>>> = (0..n).map(|_| None).collect();
-        for (idx, node) in dag.nodes.into_iter().enumerate().rev() {
-            let rx = receivers.pop().expect("one receiver per node");
-            debug_assert_eq!(receivers.len(), idx);
-            let downstream: Vec<Vec<(Sender<Cmd>, usize)>> = node
-                .routes
-                .iter()
-                .map(|targets| {
-                    targets
-                        .iter()
-                        .map(|&(dst, slot)| (senders[dst].clone(), slot))
-                        .collect()
-                })
-                .collect();
-            // Duplicate tap registrations coalesce onto one handle (and
-            // one delivery) per instance.
-            let node_taps: Vec<TapHandle> = if taps.contains(&node.id) {
-                vec![tap_handles.entry(node.id.clone()).or_default().clone()]
-            } else {
-                Vec::new()
-            };
-            let id = node.id.clone();
-            let stop = Arc::clone(&stop);
-            let first_error = Arc::clone(&first_error);
-            let span = SpanHandle::new(
-                "online",
-                node.id.as_str(),
-                asdf_obs::registry().histogram(&format!("online.run_ns.{}", node.id)),
-            );
-            let node_clock = clock.clone();
-            let node_sched = Arc::clone(&sched);
-            let spawned = std::thread::Builder::new()
-                .name(format!("asdf-{id}"))
-                .spawn(move || {
-                    node_thread(
-                        node,
-                        rx,
-                        downstream,
-                        node_taps,
-                        stop,
-                        first_error,
-                        node_clock,
-                        node_sched,
-                        span,
-                        batch_size,
-                    );
-                });
-            match spawned {
-                Ok(handle) => node_handles[idx] = Some(handle),
-                Err(source) => return Err(abort_spawned(&mut node_handles, id, source)),
+        for id in self.taps {
+            if let Entry::Vacant(slot) = tap_handles.entry(id) {
+                let handle = engine.tap(slot.key()).expect("tap ids validated above");
+                slot.insert(handle);
             }
         }
 
-        // Ticker thread: wakes every effective tick and dispatches Periodic
-        // commands to due instances. Obeys its own stop flag so a graceful
-        // shutdown can quiesce the clock without aborting module threads.
-        let ticker_handle = {
-            let senders = senders.clone();
-            let clock = clock.clone();
-            let stop = Arc::clone(&stop);
-            let ticker_stop = Arc::clone(&ticker_stop);
-            let sched = Arc::clone(&sched);
-            let spawned = std::thread::Builder::new()
-                .name("asdf-ticker".to_owned())
-                .spawn(move || {
-                    let mut next_due: Vec<Option<u64>> =
-                        periods.iter().map(|p| p.as_ref().map(|_| 0u64)).collect();
-                    let mut last_seen: Option<u64> = None;
-                    while !stop.load(Ordering::Relaxed) && !ticker_stop.load(Ordering::Relaxed) {
-                        let now = clock.now();
-                        // Drift: a wake-up normally advances the clock by at
-                        // most one tick (we sleep a quarter tick). Jumping
-                        // further means whole ticks were slept through.
-                        if let Some(prev) = last_seen {
-                            sched.observe_drift(now.as_secs().saturating_sub(prev + 1) as i64);
-                        }
-                        last_seen = Some(now.as_secs());
-                        for (idx, due) in next_due.iter_mut().enumerate() {
-                            if let Some(due_at) = due {
-                                if *due_at <= now.as_secs() {
-                                    // Ignore send failures during shutdown.
-                                    let _ = senders[idx].send(Cmd::Periodic(now));
-                                    *due = Some(now.as_secs() + periods[idx].expect("periodic"));
-                                }
-                            }
-                        }
-                        std::thread::sleep(clock.wall_per_tick / 4);
-                    }
-                });
-            match spawned {
-                Ok(handle) => handle,
-                Err(source) => {
-                    return Err(abort_spawned(
-                        &mut node_handles,
-                        "ticker".to_owned(),
-                        source,
-                    ))
-                }
-            }
+        let tick = Duration::max(self.wall_per_tick.div_f64(speed), Duration::from_nanos(1));
+        let shared = Arc::new(Shared {
+            sched: SchedulerStats::new(&self.label),
+            mode: AtomicU8::new(RUN),
+            now: AtomicU64::new(0),
+        });
+        let name = match self.label.as_str() {
+            "" => "asdf-pacer".to_owned(),
+            label => format!("asdf-pacer-{label}"),
         };
-
-        Ok(OnlineEngine {
-            senders,
-            node_handles,
-            ticker_handle: Some(ticker_handle),
-            downstream_map,
-            stop,
-            ticker_stop,
-            first_error,
-            tap_handles,
-            clock,
-            sched,
-        })
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn node_thread(
-    mut node: crate::dag::DagNode,
-    rx: Receiver<Cmd>,
-    downstream: Vec<Vec<(Sender<Cmd>, usize)>>,
-    taps: Vec<TapHandle>,
-    stop: Arc<AtomicBool>,
-    first_error: Arc<Mutex<Option<RunEngineError>>>,
-    clock: WallClock,
-    sched: Arc<SchedulerStats>,
-    span: SpanHandle,
-    batch_size: usize,
-) {
-    use std::collections::VecDeque;
-
-    let slot_names: Vec<String> = node.slots.iter().map(|s| s.name.clone()).collect();
-    let mut queues: Vec<VecDeque<Envelope>> = vec![VecDeque::new(); node.slots.len()];
-    let trigger = node.schedule.input_trigger;
-    let mut emitted: Vec<(PortId, Sample)> = Vec::new();
-    let mut emitted_rows: Vec<crate::module::RowEmit> = Vec::new();
-    // The online engine transports per-sample envelopes over its channels;
-    // columnar blocks never travel here, so the backlog stays empty and
-    // `emit_row` entries materialize below.
-    let mut row_backlog: Vec<(usize, Arc<crate::module::RowBlock>)> = Vec::new();
-    // A non-Deliver command popped while coalescing a tick range; handled
-    // on the next loop iteration before blocking on the mailbox again.
-    let mut carry: Option<Cmd> = None;
-
-    loop {
-        let cmd = match carry.take() {
-            Some(cmd) => cmd,
-            None => match rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => break,
-            },
-        };
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let (run_now, reason) = match cmd {
-            Cmd::Stop => break,
-            Cmd::Periodic(ts) => {
-                // How late did this periodic run start? A healthy engine
-                // dequeues the tick within the same logical second it was
-                // dispatched for; anything later is an overrun.
-                let lag = clock.now().as_secs() as i64 - ts.as_secs() as i64;
-                sched.observe(&node.id, lag.max(0));
-                (Some(ts), RunReason::Periodic)
-            }
-            Cmd::Deliver { slot, env } => {
-                let mut ts = env.sample.timestamp;
-                queues[slot].push_back(env);
-                // Tick-range coalescing: greedily drain deliveries that
-                // already queued up behind this one, so one batched run
-                // consumes the whole range instead of one dispatch per
-                // sample. A periodic (or stop) command ends the range and
-                // carries over to the next iteration.
-                let mut delivered = 1usize;
-                while delivered < batch_size {
-                    match rx.try_recv() {
-                        Ok(Cmd::Deliver { slot, env }) => {
-                            ts = env.sample.timestamp;
-                            queues[slot].push_back(env);
-                            delivered += 1;
-                        }
-                        Ok(other) => {
-                            carry = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                sched.count_delivered(delivered as u64);
-                let pending: usize = queues.iter().map(VecDeque::len).sum();
-                if trigger > 0 && pending >= trigger {
-                    (Some(ts), RunReason::InputsReady)
-                } else {
-                    (None, RunReason::InputsReady)
-                }
-            }
-        };
-        let Some(now) = run_now else { continue };
-
-        let mut ctx = RunCtx {
-            now,
-            slot_names: &slot_names,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: node.outputs.len(),
-            emitted_rows: &mut emitted_rows,
-            row_backlog: &mut row_backlog,
-        };
-        let run_result = {
-            let _timer = span.enter();
-            if batch_size > 1 {
-                node.module.run_batch(&mut ctx, reason)
-            } else {
-                node.module.run(&mut ctx, reason)
-            }
-        };
-        if let Err(source) = run_result {
-            let mut guard = first_error.lock();
-            if guard.is_none() {
-                *guard = Some(RunEngineError {
-                    instance: node.id.clone(),
-                    at_secs: now.as_secs(),
+        let pacer = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(name.clone())
+                .spawn(move || pace(engine, tick, &shared))
+                .map_err(|source| OnlineStartError::Spawn {
+                    thread: name,
                     source,
-                });
-            }
-            stop.store(true, Ordering::Relaxed);
-            break;
-        }
-        let deliver = |port: usize, env: Envelope| {
-            for tap in &taps {
-                tap.push(env.clone());
-            }
-            for (tx, slot) in &downstream[port] {
-                let _ = tx.send(Cmd::Deliver {
-                    slot: *slot,
-                    env: env.clone(),
-                });
-            }
+                })?
         };
-        for (port, sample) in emitted.drain(..) {
-            let source = Arc::clone(&node.outputs[port.index()]);
-            deliver(port.index(), Envelope { source, sample });
-        }
-        // Row emissions materialize per sample and follow the scalars of
-        // the same run — identical to the tick engine's routing order.
-        for entry in emitted_rows.drain(..) {
-            let port = entry.port.index();
-            let source = Arc::clone(&node.outputs[port]);
-            match entry.rows {
-                EmitRows::One(timestamp, row) => {
-                    let sample = Sample {
-                        timestamp,
-                        value: Value::Vector(row),
-                    };
-                    deliver(port, Envelope { source, sample });
-                }
-                EmitRows::Many { dim, stamps, data } => {
-                    let block = crate::module::RowBlock {
-                        source,
-                        dim,
-                        stamps,
-                        data,
-                    };
-                    for r in 0..block.len() {
-                        deliver(port, block.envelope(r));
-                    }
-                }
-            }
-        }
+        Ok(OnlineEngine {
+            pacer: Some(pacer),
+            shared,
+            tap_handles,
+        })
     }
 }
 
@@ -586,49 +313,10 @@ fn node_thread(
 ///
 /// Created through [`OnlineEngine::builder`]. Dropping the engine stops it.
 pub struct OnlineEngine {
-    senders: Vec<Sender<Cmd>>,
-    node_handles: Vec<Option<JoinHandle<()>>>,
-    ticker_handle: Option<JoinHandle<()>>,
-    downstream_map: Vec<Vec<usize>>,
-    stop: Arc<AtomicBool>,
-    ticker_stop: Arc<AtomicBool>,
-    first_error: Arc<Mutex<Option<RunEngineError>>>,
+    /// `None` once joined. The pacer only exits unasked when a module failed.
+    pacer: Option<JoinHandle<Result<(), RunEngineError>>>,
+    shared: Arc<Shared>,
     tap_handles: HashMap<String, TapHandle>,
-    clock: WallClock,
-    sched: Arc<SchedulerStats>,
-}
-
-/// Kahn's topological order over node-level fan-out edges. A built [`Dag`]
-/// is acyclic, but the order stays total regardless (stragglers append at
-/// the end) so shutdown always reaches every node.
-fn topo_order(downstream: &[Vec<usize>]) -> Vec<usize> {
-    use std::collections::VecDeque;
-    let n = downstream.len();
-    let mut indegree = vec![0usize; n];
-    for dsts in downstream {
-        for &d in dsts {
-            indegree[d] += 1;
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        seen[i] = true;
-        for &d in &downstream[i] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                queue.push_back(d);
-            }
-        }
-    }
-    for (i, s) in seen.into_iter().enumerate() {
-        if !s {
-            order.push(i);
-        }
-    }
-    order
 }
 
 impl OnlineEngine {
@@ -649,124 +337,110 @@ impl OnlineEngine {
         self.tap_handles.get(instance_id)
     }
 
-    /// The engine's current logical time.
+    /// The engine's current logical time: how many ticks have completed,
+    /// i.e. the timestamp the next tick will carry. Trails the wall clock
+    /// by [`OnlineEngine::scheduler_lag_ticks`] when the engine is behind.
     pub fn now(&self) -> Timestamp {
-        self.clock.now()
+        Timestamp::from_secs(self.shared.now.load(Ordering::Acquire))
     }
 
-    /// Whether some module has failed (the engine is then shutting down).
+    /// Whether some module has failed (the engine has then stopped).
     pub fn has_failed(&self) -> bool {
-        self.first_error.lock().is_some()
+        self.pacer.as_ref().is_some_and(JoinHandle::is_finished)
     }
 
-    /// How many periodic runs (across all modules) started at least one
-    /// tick after they were dispatched — the online engine's "falling
-    /// behind" signal.
+    /// How many ticks started at least one whole tick late because the
+    /// ticks before them overran — the "modules are not keeping up" signal.
     pub fn tick_overruns(&self) -> u64 {
-        self.sched.overruns.load(Ordering::Relaxed)
+        self.shared.sched.overruns.load(Ordering::Relaxed)
     }
 
-    /// The most recently observed scheduler lag, in ticks (0 = on time).
+    /// How many whole ticks late the most recent tick started, counted from
+    /// its deadline or the pacer's last wake-up, whichever is later (a late
+    /// wake-up is drift, not lag).
     pub fn scheduler_lag_ticks(&self) -> i64 {
-        self.sched.last_lag_ticks.load(Ordering::Relaxed)
+        self.shared.sched.last_lag_ticks.load(Ordering::Relaxed)
     }
 
-    /// The worst scheduler lag observed over this engine's lifetime, in
-    /// ticks — the soak gate's "lag stays bounded" number (also exported as
-    /// the `online.scheduler_lag_ticks_watermark[.<label>]` gauge).
+    /// The worst scheduler lag over this engine's lifetime, in ticks — the
+    /// soak gate's number (`online.scheduler_lag_ticks_watermark[.<label>]`).
     pub fn scheduler_lag_watermark(&self) -> i64 {
-        self.sched.lag_watermark.load(Ordering::Relaxed)
+        self.shared.sched.lag_watermark.load(Ordering::Relaxed)
     }
 
-    /// How many ticker wake-ups found that whole ticks had been slept
-    /// through (wall-time drift the ticker then caught up on).
+    /// How many pacer wake-ups found that whole ticks had been slept
+    /// through (wall-time drift the pacer then caught up on).
     pub fn ticker_catchups(&self) -> u64 {
-        self.sched.catchups.load(Ordering::Relaxed)
+        self.shared.sched.catchups.load(Ordering::Relaxed)
     }
 
-    /// Envelopes dequeued from module mailboxes so far, across all module
-    /// threads of this engine — the online pipeline's throughput figure.
-    /// (The global `online.delivered_total` counter aggregates the same
-    /// quantity across engines.)
+    /// Envelopes routed between module instances so far
+    /// ([`TickEngine::envelopes_routed`], published after every tick): the
+    /// online throughput figure, and a pure function of the ticks run. (The
+    /// global `online.delivered_total` counter sums it across engines.)
     pub fn envelopes_delivered(&self) -> u64 {
-        self.sched.delivered.load(Ordering::Relaxed)
+        self.shared.sched.delivered.load(Ordering::Relaxed)
     }
 
-    /// Stops all threads and joins them.
+    /// Stops the engine as soon as the running tick (if any) has finished.
     ///
-    /// Abortive: module threads exit at the next command without draining
-    /// their mailboxes, so in-flight envelopes may be dropped. Use
-    /// [`OnlineEngine::flush_and_stop`] when every delivered sample must
-    /// reach its consumers first.
+    /// Abortive: no further tick runs, so whatever a source module was
+    /// handed since the last tick is never consumed. Use
+    /// [`OnlineEngine::flush_and_stop`] when it must be.
     ///
     /// # Errors
     ///
     /// Returns the first module failure observed during the run, if any.
     pub fn stop(mut self) -> Result<(), RunEngineError> {
-        self.shutdown();
-        match self.first_error.lock().take() {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        self.finish(ABORT)
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
-    /// Stops the engine gracefully, flushing in-flight envelopes.
+    /// Stops the engine gracefully: pacing stops, the running tick (if
+    /// any) finishes, and **one final tick** runs before the pacer exits.
     ///
-    /// The ticker is quiesced first (no new periodic work), then module
-    /// threads are stopped in topological order: because each mailbox is
-    /// FIFO, a node's Stop command queues behind every envelope its
-    /// already-stopped upstreams emitted, so the node consumes its whole
-    /// backlog (running whenever its trigger is met) before exiting.
-    /// Envelopes left below a trigger threshold are dropped, exactly as a
-    /// running engine would never have fired on them.
+    /// A tick carries every sample end to end, so nothing is ever in
+    /// flight between two ticks; the final tick is for what reached a
+    /// *source* since the last one (a serve tenant's ingress queue).
+    /// Envelopes left below a trigger threshold stay unconsumed, exactly
+    /// as a running engine would never have fired on them.
     ///
     /// # Errors
     ///
     /// Returns the first module failure observed during the run, if any.
-    /// After a failure the flush degenerates to the abortive path (the
-    /// failed engine is already tearing down).
+    /// A failed engine has already stopped and runs no final tick.
     pub fn flush_and_stop(mut self) -> Result<(), RunEngineError> {
-        self.ticker_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.ticker_handle.take() {
-            let _ = handle.join();
-        }
-        for idx in topo_order(&self.downstream_map) {
-            let _ = self.senders[idx].send(Cmd::Stop);
-            if let Some(handle) = self.node_handles[idx].take() {
-                let _ = handle.join();
-            }
-        }
-        match self.first_error.lock().take() {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        self.flush()
     }
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.ticker_stop.store(true, Ordering::Relaxed);
-        for tx in &self.senders {
-            let _ = tx.send(Cmd::Stop);
-        }
-        if let Some(handle) = self.ticker_handle.take() {
-            let _ = handle.join();
-        }
-        for handle in self.node_handles.iter_mut().filter_map(Option::take) {
-            let _ = handle.join();
-        }
+    /// [`OnlineEngine::flush_and_stop`] through a borrow: the handle
+    /// survives, so the engine's counters can be read once they are final.
+    pub fn flush(&mut self) -> Result<(), RunEngineError> {
+        self.finish(FLUSH)
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Tells the pacer how to exit, wakes it, and joins it. The outer
+    /// error is a module's panic on the pacer thread.
+    fn finish(&mut self, mode: u8) -> std::thread::Result<Result<(), RunEngineError>> {
+        let Some(pacer) = self.pacer.take() else {
+            return Ok(Ok(()));
+        };
+        self.shared.mode.store(mode, Ordering::Release);
+        pacer.thread().unpark();
+        pacer.join()
     }
 }
 
 impl Drop for OnlineEngine {
     fn drop(&mut self) {
-        self.shutdown();
+        let _ = self.finish(ABORT);
     }
 }
 
 impl std::fmt::Debug for OnlineEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineEngine")
-            .field("modules", &self.senders.len())
             .field("now", &self.now())
             .field("failed", &self.has_failed())
             .finish()
@@ -780,6 +454,7 @@ mod tests {
     use crate::dag::Dag;
     use crate::error::ModuleError;
     use crate::module::{InitCtx, Module};
+    use crate::module::{PortId, RunCtx, RunReason};
     use crate::registry::ModuleRegistry;
     use crate::time::TickDuration;
 

@@ -10,9 +10,9 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute point in time, in whole seconds since the engine epoch.
 ///
-/// Both the deterministic tick engine and the threaded online engine stamp
-/// samples with a `Timestamp`; in the former it is the tick index, in the
-/// latter it is wall-clock seconds since the engine started.
+/// Both engines stamp samples with a `Timestamp`, and in both it is the
+/// tick index: the online engine paces ticks against a wall clock (one per
+/// `wall_per_tick / speed`) but never skips one.
 ///
 /// # Examples
 ///

@@ -1,4 +1,4 @@
-//! Behavioural tests of the threaded online engine's lifecycle semantics.
+//! Behavioural tests of the online engine's lifecycle semantics.
 
 use std::time::Duration;
 
@@ -127,4 +127,42 @@ fn multiple_taps_on_one_instance_each_get_everything() {
     for (i, v) in values.iter().enumerate() {
         assert_eq!(*v, i as i64 + 1, "no duplicate deliveries: {values:?}");
     }
+}
+
+/// Starts a real-time (1 s per tick) engine and waits out its first tick,
+/// which is due at once; the pacer then sleeps towards the second.
+fn real_time_engine_after_its_first_tick() -> OnlineEngine {
+    let engine = OnlineEngine::builder(chain_dag(2))
+        .tap("r1")
+        .start()
+        .unwrap();
+    while engine.now().as_secs() < 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    engine
+}
+
+#[test]
+fn stopping_a_real_time_engine_does_not_wait_for_the_next_tick() {
+    // A stop request must wake the sleeping pacer, not wait to be noticed
+    // when it next wakes by itself.
+    let well_under_a_tick = Duration::from_millis(150);
+
+    let engine = real_time_engine_after_its_first_tick();
+    let stopping = std::time::Instant::now();
+    engine.stop().unwrap();
+    let took = stopping.elapsed();
+    assert!(took < well_under_a_tick, "stop took {took:?} of a 1 s tick");
+
+    let engine = real_time_engine_after_its_first_tick();
+    let tap = engine.tap_handle("r1").unwrap().clone();
+    let stopping = std::time::Instant::now();
+    engine.flush_and_stop().unwrap();
+    let took = stopping.elapsed();
+    assert!(
+        took < well_under_a_tick,
+        "flush took {took:?} of a 1 s tick"
+    );
+    // The tick at start plus the flush's final one; `stop` runs none.
+    assert_eq!(tap.len(), 2);
 }

@@ -7,7 +7,8 @@
 //! a versioned wire [`Handshake`], streams `sadc` / `hadoop_log` / `strace`
 //! frames over the length-prefixed wire format into a bounded per-tenant
 //! ingress queue, and is diagnosed by its own [`OnlineEngine`] (per-tenant
-//! DAG, batched RowBlock path) — all inside one process.
+//! DAG on the batched tick scheduler, one pacer thread) — all inside one
+//! process.
 //!
 //! The serve model handles the messy parts a batch run never sees:
 //!
@@ -16,10 +17,10 @@
 //!   online bias) with the drop counted on `rpc.shed_total.<tenant>`.
 //!   Queues are per tenant, so one tenant flooding never blocks another.
 //! * **Pacing** — tenants replay at `wall_per_tick / speed`; the engine's
-//!   ticker tracks its own drift and warns when it has to catch up.
+//!   pacer tracks its own drift and warns when it has to catch up.
 //! * **Join/leave without restart** — tenants are added and removed while
-//!   the daemon runs; leaving flushes in-flight envelopes via
-//!   [`OnlineEngine::flush_and_stop`] before reporting.
+//!   the daemon runs; leaving consumes whatever is still queued through
+//!   [`OnlineEngine::flush_and_stop`]'s final tick before reporting.
 //! * **Isolation** — analysis state, scheduler metrics
 //!   (`online.*.<tenant>`), and queue metrics are all per tenant, so a
 //!   healthy tenant's alarm stream is bitwise identical to a solo run of
@@ -33,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use asdf_core::config::{Config, InstanceConfig};
 use asdf_core::dag::Dag;
+use asdf_core::engine::TapHandle;
 use asdf_core::error::{BuildDagError, ModuleError, OnlineStartError, RunEngineError};
 use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::online::OnlineEngine;
@@ -72,7 +74,8 @@ pub struct ServeOptions {
     pub wb_k: f64,
     /// Consecutive anomalous windows required before an alarm.
     pub consecutive: usize,
-    /// Mailbox coalescing window of each tenant engine.
+    /// Lane hand-off granularity of each tenant's tick engine
+    /// ([`asdf_core::online::Builder::batch_size`]).
     pub batch_size: usize,
     /// Build the white-box paths (`hadoop_log` and `strace` streams feed
     /// `mavgvec → analysis_wb`) in addition to the black-box path.
@@ -361,7 +364,8 @@ pub struct TenantReport {
     pub shed: u64,
     /// Worst scheduler lag the tenant's engine ever observed, in ticks.
     pub lag_watermark: i64,
-    /// Envelopes delivered through the tenant's engine.
+    /// Envelopes routed through the tenant's engine — a pure function of
+    /// the frame sequence, like the alarm streams.
     pub delivered: u64,
 }
 
@@ -453,6 +457,26 @@ impl ServeDaemon {
         cfg
     }
 
+    /// Builds one tenant's analysis DAG, its `serve_ingest` reading `queue`.
+    fn tenant_dag(
+        &self,
+        queue: &Arc<IngressQueue>,
+        origins: Vec<String>,
+    ) -> Result<Dag, ServeError> {
+        let mut registry = ModuleRegistry::new();
+        asdf_modules::register_analysis_modules(&mut registry);
+        let queue = Arc::clone(queue);
+        let white_box = self.opts.white_box;
+        registry.register("serve_ingest", move || {
+            Box::new(ServeIngest::new(
+                Arc::clone(&queue),
+                origins.clone(),
+                white_box,
+            ))
+        });
+        Dag::build(&registry, &self.config()).map_err(ServeError::Build)
+    }
+
     /// Admits a tenant: validates its wire handshake, builds its analysis
     /// engine, and starts its collector feeder. Runs while other tenants
     /// are being served — no restart involved.
@@ -474,40 +498,13 @@ impl ServeDaemon {
             .map(|i| cluster.slave_name(i).to_owned())
             .collect();
         let handle = ClusterHandle::new(cluster);
-        let mut collectors: Vec<(u8, Box<dyn Collector + Send>)> = Vec::new();
-        for node in 0..self.opts.slaves {
-            collectors.push((
-                STREAM_SADC,
-                Box::new(SadcRpcd::connect(handle.clone(), node).map_err(ServeError::Collector)?),
-            ));
-            if self.opts.white_box {
-                collectors.push((
-                    STREAM_LOG,
-                    Box::new(
-                        HadoopLogRpcd::connect(handle.clone(), node, LogDaemon::TaskTracker)
-                            .map_err(ServeError::Collector)?,
-                    ),
-                ));
-                collectors.push((
-                    STREAM_STRACE,
-                    Box::new(
-                        StraceRpcd::connect(handle.clone(), node).map_err(ServeError::Collector)?,
-                    ),
-                ));
-            }
-        }
+        let collectors = connect_collectors(&handle, self.opts.slaves, self.opts.white_box)
+            .map_err(ServeError::Collector)?;
 
         let capacity = spec.queue_capacity.unwrap_or(self.opts.queue_capacity);
         let queue = Arc::new(IngressQueue::new(&tenant, capacity));
 
-        let mut registry = ModuleRegistry::new();
-        asdf_modules::register_analysis_modules(&mut registry);
-        let q = Arc::clone(&queue);
-        let white_box = self.opts.white_box;
-        registry.register("serve_ingest", move || {
-            Box::new(ServeIngest::new(Arc::clone(&q), origins.clone(), white_box))
-        });
-        let dag = Dag::build(&registry, &self.config()).map_err(ServeError::Build)?;
+        let dag = self.tenant_dag(&queue, origins)?;
         let mut builder = OnlineEngine::builder(dag)
             .wall_per_tick(self.opts.wall_per_tick)
             .speed(self.opts.speed)
@@ -604,8 +601,8 @@ impl ServeDaemon {
         }
     }
 
-    /// Removes a tenant: stops its feeder, waits for its ingress queue to
-    /// drain, flushes the engine's in-flight envelopes, and returns the
+    /// Removes a tenant: stops its feeder, then stops its engine with one
+    /// final tick that consumes every frame still queued, and returns the
     /// tenant's alarms and soak numbers. Other tenants keep running.
     ///
     /// # Errors
@@ -621,27 +618,18 @@ impl ServeDaemon {
         if let Some(handle) = t.feeder.take() {
             let _ = handle.join();
         }
-        // Already-queued frames still belong to the tenant: give the
-        // engine's periodic ingest a bounded window to drain them before
-        // flushing (one tick suffices once the feeder is quiet).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !t.queue.is_empty() && !t.engine.has_failed() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let lag_watermark = t.engine.scheduler_lag_watermark();
-        let delivered = t.engine.envelopes_delivered();
-        let bb = t.engine.tap_handle("bb").cloned();
-        let wb_tt = t.engine.tap_handle("wb_tt").cloned();
-        let wb_st = t.engine.tap_handle("wb_st").cloned();
-        t.engine.flush_and_stop().map_err(ServeError::Engine)?;
+        // Already-queued frames still belong to the tenant: with the feeder
+        // quiet, the flush's final tick has the ingest drain all of them.
+        t.engine.flush().map_err(ServeError::Engine)?;
+        let drain = |id| t.engine.tap_handle(id).map(TapHandle::drain);
         Ok(TenantReport {
             tenant: tenant.to_owned(),
-            bb_alarms: bb.map(|h| h.drain()).unwrap_or_default(),
-            wb_tt_alarms: wb_tt.map(|h| h.drain()).unwrap_or_default(),
-            wb_st_alarms: wb_st.map(|h| h.drain()).unwrap_or_default(),
+            bb_alarms: drain("bb").unwrap_or_default(),
+            wb_tt_alarms: drain("wb_tt").unwrap_or_default(),
+            wb_st_alarms: drain("wb_st").unwrap_or_default(),
             shed: t.queue.shed_count(),
-            lag_watermark,
-            delivered,
+            lag_watermark: t.engine.scheduler_lag_watermark(),
+            delivered: t.engine.envelopes_delivered(),
         })
     }
 
@@ -671,13 +659,38 @@ impl std::fmt::Debug for ServeDaemon {
     }
 }
 
+/// A collector daemon and the stream tag its frames carry.
+type TaggedCollector = (u8, Box<dyn Collector + Send>);
+
+/// One `sadc` daemon per slave, plus a TaskTracker `hadoop_log` and an
+/// `strace` daemon when `white_box`, each tagged with its stream, in the
+/// order a feeder polls them.
+fn connect_collectors(
+    handle: &ClusterHandle,
+    slaves: usize,
+    white_box: bool,
+) -> Result<Vec<TaggedCollector>, WireError> {
+    let mut collectors: Vec<TaggedCollector> = Vec::new();
+    for node in 0..slaves {
+        let sadc = SadcRpcd::connect(handle.clone(), node)?;
+        collectors.push((STREAM_SADC, Box::new(sadc)));
+        if white_box {
+            let log = HadoopLogRpcd::connect(handle.clone(), node, LogDaemon::TaskTracker)?;
+            collectors.push((STREAM_LOG, Box::new(log)));
+            let strace = StraceRpcd::connect(handle.clone(), node)?;
+            collectors.push((STREAM_STRACE, Box::new(strace)));
+        }
+    }
+    Ok(collectors)
+}
+
 /// One tenant's collector feeder: ticks the monitored cluster once per
 /// step, polls every collector over the accounted wire, and pushes the
 /// encoded frames into the ingress queue — paced to `pace` per step (see
 /// [`pace_step`]), or flat out when `pace` is `None` (a flooding tenant).
 fn feeder_loop(
     handle: ClusterHandle,
-    mut collectors: Vec<(u8, Box<dyn Collector + Send>)>,
+    mut collectors: Vec<TaggedCollector>,
     queue: Arc<IngressQueue>,
     stop: Arc<AtomicBool>,
     steps: u64,
@@ -723,9 +736,10 @@ fn feeder_loop(
 /// at `now`, and when the next step is due. On time, the next deadline is
 /// `tick` after this one, not after the wake-up, so sleep overshoot never
 /// accumulates. A feeder that missed its deadline (the OS starved it)
-/// resumes its pace from `now`: like the engine's ticker it does not replay
-/// the time it slept through, so a stall cannot burst the missed steps into
-/// the ingress queue all at once.
+/// resumes its pace from `now`: it does not replay the time it slept
+/// through, so a stall cannot burst the missed steps into the ingress queue
+/// all at once. (The engine's pacer does replay — to it a tick is a second
+/// that must happen, not data that can arrive later; DESIGN.md §5f.)
 fn pace_step(deadline: Instant, now: Instant, tick: Duration) -> (Duration, Instant) {
     match deadline.checked_duration_since(now) {
         Some(ahead) => (ahead, deadline + tick),
@@ -736,6 +750,7 @@ fn pace_step(deadline: Instant, now: Instant, tick: Duration) -> (Duration, Inst
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asdf_core::engine::TickEngine;
     use asdf_modules::kernel::CentroidBlock;
 
     fn tiny_model() -> Arc<BlackBoxModel> {
@@ -857,5 +872,148 @@ mod tests {
             err,
             ServeError::Handshake(WireError::VersionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn leaving_consumes_every_queued_frame_without_waiting_for_a_tick() {
+        // The engine's first tick runs at once, on an empty or nearly empty
+        // queue, and the next is an hour away: whatever the flooding feeder
+        // queued in between is consumed by the flush's final tick, or lost.
+        let opts = ServeOptions {
+            wall_per_tick: Duration::from_secs(3600),
+            ..fast_opts()
+        };
+        let mut daemon = ServeDaemon::new(tiny_model(), opts);
+        let hello = Handshake::new("parked").encode();
+        daemon
+            .join_tenant(hello, TenantSpec::flooding(7, 40))
+            .unwrap();
+        let patience = Instant::now() + Duration::from_secs(30);
+        while !daemon.tenant_done_streaming("parked") {
+            assert!(Instant::now() < patience, "the feeder should finish");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let leaving = Instant::now();
+        let report = daemon.leave_tenant("parked").unwrap();
+        assert!(
+            leaving.elapsed() < Duration::from_secs(5),
+            "leaving must not wait for the next paced tick"
+        );
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.bb_alarms.len(), 32, "queued frames were discarded");
+    }
+
+    /// Whether `frame` opens a collection step: the feeder polls node 0's
+    /// `sadc` first, and `sadc` answers every second.
+    fn opens_a_step(frame: &Bytes) -> bool {
+        let mut r = MessageReader::new(frame.clone()).unwrap();
+        r.get_u8().unwrap() == STREAM_SADC && r.get_u32().unwrap() == 0
+    }
+
+    /// The tap contents and routed-envelope count of a plain `TickEngine`
+    /// on a tenant's DAG, handed `frames` in chunks of `chunks` frames with
+    /// one tick after each chunk.
+    fn offline_run(
+        daemon: &ServeDaemon,
+        origins: &[String],
+        frames: &[Bytes],
+        chunks: &[usize],
+    ) -> ([Vec<Envelope>; 3], u64) {
+        let queue = Arc::new(IngressQueue::new("offline", usize::MAX));
+        let dag = daemon.tenant_dag(&queue, origins.to_vec()).unwrap();
+        let mut engine = TickEngine::new(dag);
+        engine.set_batch_size(daemon.opts.batch_size);
+        let taps = ["bb", "wb_tt", "wb_st"].map(|id| engine.tap(id).unwrap());
+        let mut rest = frames;
+        for &n in chunks {
+            let (chunk, tail) = rest.split_at(n);
+            chunk.iter().for_each(|f| queue.push(f.clone()));
+            rest = tail;
+            engine.tick().unwrap();
+        }
+        assert!(rest.is_empty(), "the chunks must cover every frame");
+        (taps.map(|tap| tap.drain()), engine.envelopes_routed())
+    }
+
+    #[test]
+    fn serve_alarms_equal_the_offline_engine_on_the_same_frames_however_split() {
+        let (seed, steps) = (7, 60);
+        let opts = ServeOptions {
+            white_box: true,
+            ..fast_opts()
+        };
+        let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
+
+        // One tenant's frame sequence, captured from the feeder itself.
+        let cluster = Cluster::new(ClusterConfig::new(opts.slaves, seed), Vec::new());
+        let origins: Vec<String> = (0..opts.slaves)
+            .map(|i| cluster.slave_name(i).to_owned())
+            .collect();
+        let handle = ClusterHandle::new(cluster);
+        let collectors = connect_collectors(&handle, opts.slaves, true).unwrap();
+        let captured = Arc::new(IngressQueue::new("capture", usize::MAX));
+        let never = Arc::new(AtomicBool::new(false));
+        feeder_loop(
+            handle,
+            collectors,
+            Arc::clone(&captured),
+            never,
+            steps,
+            None,
+        );
+        let mut frames = Vec::new();
+        captured.drain_into(&mut frames);
+
+        let mut bounds: Vec<usize> = (0..frames.len())
+            .filter(|&i| opens_a_step(&frames[i]))
+            .collect();
+        assert_eq!(bounds.len() as u64, steps);
+        bounds.push(frames.len());
+        let per_step: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        // Mid-step cuts, empty ticks and a backlog, in no rhythm.
+        let mut ragged = Vec::new();
+        let mut left = frames.len();
+        for n in [1, 0, 7, 40, 3, 0, 0, 95, 2, 11].into_iter().cycle() {
+            ragged.push(n.min(left));
+            left -= n.min(left);
+            if left == 0 {
+                break;
+            }
+        }
+
+        let (at_once, routed) = offline_run(&daemon, &origins, &frames, &[frames.len()]);
+        assert_eq!(at_once[0].len() as u64, steps / 10 * 4 * 2);
+        assert!(!at_once[1].is_empty() && !at_once[2].is_empty());
+        for chunks in [per_step, ragged] {
+            let (taps, n) = offline_run(&daemon, &origins, &frames, &chunks);
+            assert!(
+                taps == at_once,
+                "the split of frames over ticks changed an alarm"
+            );
+            assert_eq!(n, routed);
+        }
+
+        // The same seed through the paced daemon, twice over.
+        for tenant in ["twin_a", "twin_b"] {
+            let hello = Handshake::new(tenant).encode();
+            daemon
+                .join_tenant(hello, TenantSpec::paced(seed, steps))
+                .unwrap();
+        }
+        for tenant in ["twin_a", "twin_b"] {
+            assert!(daemon.wait_idle(tenant, Duration::from_secs(30)));
+            let report = daemon.leave_tenant(tenant).unwrap();
+            assert_eq!(report.shed, 0);
+            assert!(report.bb_alarms == at_once[0], "{tenant}: bb diverged");
+            assert!(
+                report.wb_tt_alarms == at_once[1],
+                "{tenant}: wb_tt diverged"
+            );
+            assert!(
+                report.wb_st_alarms == at_once[2],
+                "{tenant}: wb_st diverged"
+            );
+            assert_eq!(report.delivered, routed, "{tenant}: delivered");
+        }
     }
 }

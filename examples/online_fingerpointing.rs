@@ -1,12 +1,13 @@
-//! Online fingerpointing with the threaded wall-clock engine.
+//! Online fingerpointing with the wall-clock engine.
 //!
-//! The paper's deployment model: one thread per module instance, periodic
-//! collectors driven by a ticker, analyses triggered as data arrives —
-//! while the monitored system runs. This example builds the same DAG the
-//! deterministic experiments use, but executes it on
-//! [`asdf_core::online::OnlineEngine`] with compressed time (25 ms of wall
-//! time per monitored second, so a 12-minute observation finishes in
-//! ~18 s of wall time), and prints alarms as they are raised.
+//! The paper's deployment: periodic collectors, analyses triggered as data
+//! arrives, alarms raised while the monitored system runs. This example
+//! builds the same DAG the deterministic experiments use and executes it
+//! on [`asdf_core::online::OnlineEngine`] — the tick engine behind one
+//! pacer thread (the paper spawns a thread per module instance; DESIGN.md
+//! §1 records the deviation) — with compressed time (25 ms of wall time
+//! per monitored second, so a 12-minute observation finishes in ~18 s of
+//! wall time), and prints alarms as they are raised.
 //!
 //! Run with: `cargo run -p asdf-examples --bin online_fingerpointing --release`
 
@@ -61,7 +62,7 @@ fn main() {
     let dag = Dag::build(&registry, &config).expect("pipeline builds");
 
     println!(
-        "starting online engine: {} module instances, one thread each, {}x compressed time",
+        "starting online engine: {} module instances on one pacer thread, {}x compressed time",
         dag.len(),
         1000 / 25
     );

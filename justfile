@@ -53,9 +53,12 @@ bench-smoke:
 
 # The N-tenant serve soak: healthy tenants bitwise-identical to their
 # solo runs while a flooding tenant sheds, join/leave mid-run, graceful
-# shutdown flush, and the 8-tenant scheduler-lag bound.
+# shutdown flush, the 8-tenant scheduler-lag bound and the two-thread
+# tenant budget; then the suites that guard the one online path (online
+# == run_for, lifecycle, stop latency).
 serve-soak:
-    cargo test -p integration-tests --test serve_soak
+    cargo test -p integration-tests --test serve_soak --test online_engine
+    cargo test -p asdf-core --test online_semantics
 
 # Concurrency model tests for the lock-free engine primitives (SPSC lane,
 # spill stack, readiness wavefront) under the vendored loom facade. Uses a

@@ -43,8 +43,9 @@ cargo test -q -p hadoop-sim --test invariants -- untailed_logs
 echo "[verify] bench-smoke: the benchmark binary passes its own checks, untraced and traced" >&2
 ./scripts/bench_smoke.sh
 
-echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound)" >&2
-cargo test -p integration-tests --test serve_soak
+echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound, thread budget) + online engine suites" >&2
+cargo test -p integration-tests --test serve_soak --test online_engine
+cargo test -p asdf-core --test online_semantics
 
 echo "[verify] kernel property suites (bitwise SIMD/scalar pinning)" >&2
 cargo test -q -p asdf-modules --test kernel_prop --test dist2_prop --test classify_proptest

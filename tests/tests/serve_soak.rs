@@ -197,3 +197,62 @@ fn eight_tenant_soak_keeps_scheduler_lag_bounded() {
         );
     }
 }
+
+/// Threads of this process right now.
+#[cfg(target_os = "linux")]
+fn threads() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("Threads:"));
+    line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
+        .expect("a Threads: line")
+}
+
+/// Threads are counted per process and the soaks above run tenants of their
+/// own beside this one, so the count is taken in a child process that runs
+/// this test alone: see `a_tenant_costs_two_threads_whatever_its_size`.
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "run by a_tenant_costs_two_threads_whatever_its_size, alone in a process"]
+fn thread_budget_measured_alone() {
+    let opts = ServeOptions {
+        slaves: 20,
+        ..soak_opts()
+    };
+    let mut daemon = ServeDaemon::new(tiny_model(), opts);
+    let idle = threads();
+    join(&mut daemon, "budget", TenantSpec::paced(3, 30));
+    let joined = threads();
+    assert!(
+        joined <= idle + 2,
+        "a 20-slave white-box tenant (62 module instances) should cost a pacer and a \
+         feeder, not {} threads",
+        joined - idle
+    );
+    let report = drain(&mut daemon, "budget");
+    assert_eq!(report.bb_alarms.len(), 30 / 10 * 20 * 2);
+    // A joined thread has exited, but procfs may count it a moment longer.
+    let patience = std::time::Instant::now() + Duration::from_secs(5);
+    while threads() != idle && std::time::Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        threads(),
+        idle,
+        "leaving should return the tenant's threads"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_tenant_costs_two_threads_whatever_its_size() {
+    let this_binary = std::env::current_exe().expect("test binary path");
+    let child = std::process::Command::new(this_binary)
+        .args(["--ignored", "--exact", "thread_budget_measured_alone"])
+        .output()
+        .expect("child test process runs");
+    let report = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && report.contains("1 passed"),
+        "{report}"
+    );
+}
