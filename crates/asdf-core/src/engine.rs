@@ -15,18 +15,21 @@
 //! Figure-4 pipelines) advance in parallel and the `analysis_bb` /
 //! `analysis_wb` fan-ins act as a natural per-tick barrier.
 //!
-//! The hot paths are lock-free, built on the primitives in [`crate::lane`]
-//! and sized once at DAG build time:
+//! Serial and sharded execution run on the same three structures, all
+//! safe code:
 //!
-//! * every DAG edge owns a bounded SPSC [`EdgeLane`] — the upstream visit
-//!   is the producer, the downstream merge is the consumer, and no
-//!   per-node lock exists on either side;
+//! * every DAG edge owns one lane, a mutex-guarded `Vec` of hand-off
+//!   units: the upstream visit locks and pushes, the downstream merge
+//!   locks and drains. A lane has no capacity, so a burst of any size
+//!   just grows the `Vec`;
+//! * every node sits behind its own mutex: `tick()` reaches it through
+//!   `get_mut()`, a pool worker through a `lock()` nobody else contends
+//!   for;
 //! * intra-tick scheduling is an atomic readiness wavefront — per-node
-//!   indegree countdowns plus a claim-based [`ReadyList`] — so workers
-//!   schedule with single `fetch_add`s instead of a mutex + condvar gate;
-//! * node state itself lives in plain `UnsafeCell`s: a claim is unique,
-//!   so at most one worker ever touches a node per tick (the safety
-//!   argument is spelled out at `NodeCell` and in `lane.rs`).
+//!   indegree countdowns plus the claim-based `ReadyList` — which decides
+//!   who visits what and in which order. The locks above are never what
+//!   orders two visits; a wavefront bug would show as a wrong stream in
+//!   `shard_equivalence` or as a deadlock, not as a data race.
 //!
 //! Envelope routing is clone-free on single-consumer edges: the payload
 //! *moves* into the last destination, and fan-out destinations receive
@@ -57,7 +60,6 @@
 //! pacer — one thread calling [`TickEngine::tick`] at wall-clock deadlines
 //! — so an online deployment schedules, routes and batches here too.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -67,15 +69,9 @@ use parking_lot::Mutex;
 
 use crate::dag::{Dag, DagNode};
 use crate::error::RunEngineError;
-use crate::lane::{CachePadded, EdgeLane, ReadyList};
 use crate::module::{EmitRows, Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
 use crate::time::{TickDuration, Timestamp};
 use crate::value::{Sample, Value};
-
-/// Ring capacity per edge lane. Modules typically emit a handful of
-/// samples per tick per edge; bursts beyond this spill (lock-free, heap)
-/// rather than block, and `engine.lane.spill_total` counts how often.
-const LANE_CAP: usize = 16;
 
 /// Whole ticks the coordinator must complete alone (no worker visits)
 /// before it stops waking the pool on every tick.
@@ -149,9 +145,9 @@ impl TapHandle {
 /// One hand-off unit on an edge lane: a single delivery or a whole batch.
 ///
 /// With the engine's batch size at 1 (the default), every emission takes
-/// the allocation-free [`EnvBatch::One`] path and the engine behaves —
-/// spill accounting included — exactly like the historical per-envelope
-/// lanes. With a batch size above 1, the producing visit accumulates
+/// the allocation-free [`EnvBatch::One`] path and the engine behaves
+/// exactly like the historical per-envelope lanes. With a batch size
+/// above 1, the producing visit accumulates
 /// deliveries per edge and flushes them as [`EnvBatch::Many`] when the
 /// flush watermark (the batch size) is reached and at the end of the run,
 /// so a batch never spans two runs. Consumers unpack batches in emission
@@ -172,8 +168,11 @@ enum EnvBatch {
     Rows(usize, Arc<RowBlock>),
 }
 
-/// The per-edge envelope lane, carrying single deliveries or whole batches.
-type EnvLane = EdgeLane<EnvBatch>;
+/// The per-edge envelope lane, carrying single deliveries or whole batches
+/// in push order: a producing visit locks and pushes, the consumer's merge
+/// locks and drains. Within a tick the wavefront runs the two strictly one
+/// after the other, so the lock is never waited on.
+type EnvLane = Mutex<Vec<EnvBatch>>;
 
 /// Static scheduling facts about one node, shared by every engine worker.
 ///
@@ -213,9 +212,6 @@ struct RuntimeNode {
     /// node's emissions (all shallow `Arc` snapshots). Zero on an untapped
     /// single-consumer chain — the moved-envelope fast path.
     clone_count: Arc<Counter>,
-    /// Shared handle on `engine.lane.spill_total`: emissions that
-    /// overflowed a lane's ring onto its spill stack.
-    spill_count: Arc<Counter>,
     /// Lane hand-off granularity: 1 = one [`EnvBatch::One`] per emission
     /// (the historical path), >1 = accumulate per-edge batches and flush
     /// at this watermark. Observables are identical at any setting.
@@ -289,11 +285,12 @@ struct RuntimeNode {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct TickEngine {
-    nodes: Vec<RuntimeNode>,
+    /// One lock per node: [`TickEngine::tick`] goes through `get_mut()`,
+    /// a pool worker locks the node it claimed for the length of its visit.
+    nodes: Vec<Mutex<RuntimeNode>>,
     plan: Vec<NodePlan>,
     /// One [`EnvLane`] per DAG edge, indexed by the global edge ids in
-    /// `NodePlan::merge` / `RuntimeNode::route_map`. Shared by reference
-    /// with every worker; producers and consumers never take a lock.
+    /// `NodePlan::merge` / `RuntimeNode::route_map`.
     lanes: Box<[EnvLane]>,
     /// Requested engine worker count: `1` = serial, `0` = all available
     /// parallelism, resolved per [`TickEngine::run_for`] call.
@@ -336,7 +333,7 @@ impl TickEngine {
         let n = dag.nodes.len();
 
         // Routing plan: collapse each node's `(dst, slot)` routes onto
-        // per-downstream edges (one SPSC lane each), then invert them into
+        // per-downstream edges (one lane each), then invert them into
         // per-consumer merge lists sorted by upstream topological index.
         let mut plan: Vec<NodePlan> = Vec::with_capacity(n);
         let mut route_maps: Vec<Vec<Vec<(usize, usize)>>> = Vec::with_capacity(n);
@@ -385,11 +382,8 @@ impl TickEngine {
         for p in &mut plan {
             p.indegree = p.merge.len();
         }
-        let lanes: Box<[EnvLane]> = (0..edge_count)
-            .map(|_| EdgeLane::with_capacity(LANE_CAP))
-            .collect();
+        let lanes: Box<[EnvLane]> = (0..edge_count).map(|_| Mutex::new(Vec::new())).collect();
 
-        let spill_count = reg.counter("engine.lane.spill_total");
         let flush_count = reg.counter("engine.batch_flush_total");
         let accepts: Vec<bool> = dag
             .nodes
@@ -410,7 +404,7 @@ impl TickEngine {
                 let lane_gauge = reg.gauge(&format!("engine.lane_depth.{}", node.id));
                 let clone_count = reg.counter(&format!("engine.env_clones.{}", node.id));
                 let batch_hist = reg.histogram(&format!("engine.batch_len.{}", node.id));
-                RuntimeNode {
+                Mutex::new(RuntimeNode {
                     next_periodic: node.schedule.periodic.map(|_| Timestamp::EPOCH),
                     queues: vec![VecDeque::new(); node.slots.len()],
                     pending: 0,
@@ -421,7 +415,6 @@ impl TickEngine {
                     span,
                     lane_gauge,
                     clone_count,
-                    spill_count: Arc::clone(&spill_count),
                     batch_size: 1,
                     first_edge: first_edges[idx],
                     batch_bufs: vec![Vec::new(); p.downstreams.len()],
@@ -432,7 +425,7 @@ impl TickEngine {
                     edge_accepts: p.downstreams.iter().map(|&d| accepts[d]).collect(),
                     row_backlog: Vec::new(),
                     row_emit: Vec::new(),
-                }
+                })
             })
             .collect();
         TickEngine {
@@ -482,6 +475,7 @@ impl TickEngine {
         let batch_size = batch_size.max(1);
         self.batch_size = batch_size;
         for rt in &mut self.nodes {
+            let rt = rt.get_mut();
             rt.batch_size = batch_size;
             if batch_size > 1 {
                 for buf in &mut rt.batch_bufs {
@@ -496,7 +490,7 @@ impl TickEngine {
     /// envelopes/sec transport throughput (taps and dropped emissions are
     /// not transport and are excluded).
     pub fn envelopes_routed(&self) -> u64 {
-        self.nodes.iter().map(|rt| rt.routed).sum()
+        self.nodes.iter().map(|rt| rt.lock().routed).sum()
     }
 
     /// Registers a tap on the instance with id `id`, returning a handle that
@@ -504,7 +498,11 @@ impl TickEngine {
     ///
     /// Returns `None` when no instance has that id.
     pub fn tap(&mut self, id: &str) -> Option<TapHandle> {
-        let rt = self.nodes.iter_mut().find(|rt| rt.node.id == id)?;
+        let rt = self
+            .nodes
+            .iter_mut()
+            .map(Mutex::get_mut)
+            .find(|rt| rt.node.id == id)?;
         let handle = TapHandle::new();
         rt.taps.push(handle.clone());
         Some(handle)
@@ -530,45 +528,16 @@ impl TickEngine {
         let _tick_timer = obs.then(|| tick_span.enter_forced());
         let now = self.now;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (0..self.nodes.len()).try_for_each(|idx| {
-            self.deliver_inbox(idx);
-            visit_node(&mut self.nodes[idx], &self.lanes, now, obs, &mut scratch)
+        let (plan, lanes) = (&self.plan, &self.lanes);
+        let result = self.nodes.iter_mut().zip(plan).try_for_each(|(rt, p)| {
+            let rt = rt.get_mut();
+            deliver_inbox(rt, &p.merge, lanes);
+            visit_node(rt, lanes, now, obs, &mut scratch)
         });
         self.scratch = scratch;
         result?;
         self.now = self.now.next();
         Ok(())
-    }
-
-    /// Drains every upstream edge lane feeding `idx` into its input
-    /// queues, in upstream topological order (serial path: the calling
-    /// thread is both sides of every lane).
-    fn deliver_inbox(&mut self, idx: usize) {
-        let merge = &self.plan[idx].merge;
-        if merge.is_empty() {
-            return;
-        }
-        let dst = &mut self.nodes[idx];
-        let accepts = dst.accepts_rows;
-        for &(_u, edge) in merge {
-            self.lanes[edge].drain_into(|batch| match batch {
-                EnvBatch::One(slot, env) => {
-                    if !dst.row_backlog.is_empty() {
-                        settle_backlog(&mut dst.queues, &mut dst.row_backlog, slot);
-                    }
-                    dst.queues[slot].push_back(env);
-                    dst.pending += 1;
-                }
-                EnvBatch::Many(items) => {
-                    dst.pending += items.len();
-                    deliver_many(&mut dst.queues, &mut dst.row_backlog, items);
-                }
-                EnvBatch::Rows(slot, block) => {
-                    dst.pending += block.len();
-                    deliver_rows(&mut dst.queues, &mut dst.row_backlog, accepts, slot, block);
-                }
-            });
-        }
     }
 
     /// Runs [`TickEngine::tick`] once per second for `span`, sharding each
@@ -610,12 +579,12 @@ impl TickEngine {
         // than a futex round-trip per tick.
         let spin_budget: u32 = if workers >= cores { 64 } else { 1 << 14 };
         let run = ShardRun {
-            nodes: NodeCell::from_mut_slice(&mut self.nodes),
+            nodes: &self.nodes,
             lanes: &self.lanes,
             plan: &self.plan,
             remaining: self.plan.iter().map(|_| AtomicUsize::new(0)).collect(),
             ready: ReadyList::new(n),
-            visited: CachePadded(AtomicUsize::new(n)),
+            visited: AtomicUsize::new(n),
             now_secs: AtomicU64::new(0),
             obs_tick: AtomicBool::new(false),
             generation: AtomicU64::new(0),
@@ -668,7 +637,11 @@ impl TickEngine {
                 let wake = solo_streak < SOLO_TICKS_BEFORE_LAZY || t % LAZY_PROBE_PERIOD == 0;
                 run.release_tick(wake);
                 let own = run.drain(0, &mut scratch);
-                run.wait_tick_done();
+                if !run.wait_tick_done() {
+                    // A worker's visit panicked: leave, and let the scope's
+                    // join below re-raise it on this thread.
+                    break;
+                }
                 solo_streak = if own >= n as u64 {
                     solo_streak.saturating_add(1)
                 } else {
@@ -695,6 +668,36 @@ fn resolve_engine_threads(requested: usize) -> usize {
             .unwrap_or(1)
     } else {
         requested
+    }
+}
+
+/// Drains every upstream edge lane feeding `dst` into its input queues, in
+/// upstream topological order (`merge` is sorted that way). Every upstream
+/// has been visited this tick by the time a node is merged — in index order
+/// serially, by the wavefront when sharded — so nobody is producing into
+/// these lanes while they drain.
+fn deliver_inbox(dst: &mut RuntimeNode, merge: &[(usize, usize)], lanes: &[EnvLane]) {
+    let accepts = dst.accepts_rows;
+    for &(_u, edge) in merge {
+        for batch in lanes[edge].lock().drain(..) {
+            match batch {
+                EnvBatch::One(slot, env) => {
+                    if !dst.row_backlog.is_empty() {
+                        settle_backlog(&mut dst.queues, &mut dst.row_backlog, slot);
+                    }
+                    dst.queues[slot].push_back(env);
+                    dst.pending += 1;
+                }
+                EnvBatch::Many(items) => {
+                    dst.pending += items.len();
+                    deliver_many(&mut dst.queues, &mut dst.row_backlog, items);
+                }
+                EnvBatch::Rows(slot, block) => {
+                    dst.pending += block.len();
+                    deliver_rows(&mut dst.queues, &mut dst.row_backlog, accepts, slot, block);
+                }
+            }
+        }
     }
 }
 
@@ -839,23 +842,14 @@ fn run_module(
         for lane_idx in 0..rt.batch_bufs.len() {
             if !rt.batch_bufs[lane_idx].is_empty() {
                 let edge = rt.first_edge + lane_idx;
-                flush_batch(
-                    lanes,
-                    edge,
-                    &mut rt.batch_bufs[lane_idx],
-                    batch_size,
-                    &rt.batch_hist,
-                    &mut tally.spills,
-                );
+                let buf = &mut rt.batch_bufs[lane_idx];
+                flush_batch(lanes, edge, buf, batch_size, &rt.batch_hist);
                 tally.flushes += 1;
             }
         }
     }
     if tally.clones > 0 {
         rt.clone_count.add(tally.clones);
-    }
-    if tally.spills > 0 {
-        rt.spill_count.add(tally.spills);
     }
     if tally.flushes > 0 {
         rt.flush_count.add(tally.flushes);
@@ -868,7 +862,6 @@ fn run_module(
 #[derive(Default)]
 struct RouteTally {
     clones: u64,
-    spills: u64,
     flushes: u64,
 }
 
@@ -903,13 +896,9 @@ fn tap_and_route(
         stage(last_edge, last_slot, env);
     } else {
         for &(edge, slot) in rest {
-            if !lanes[edge].push(EnvBatch::One(slot, env.clone())) {
-                tally.spills += 1;
-            }
+            lanes[edge].lock().push(EnvBatch::One(slot, env.clone()));
         }
-        if !lanes[last_edge].push(EnvBatch::One(last_slot, env)) {
-            tally.spills += 1;
-        }
+        lanes[last_edge].lock().push(EnvBatch::One(last_slot, env));
     }
 }
 
@@ -927,7 +916,7 @@ fn stage_delivery(
 ) {
     buf.push(delivery);
     if buf.len() >= batch_size {
-        flush_batch(lanes, edge, buf, batch_size, hist, &mut tally.spills);
+        flush_batch(lanes, edge, buf, batch_size, hist);
         tally.flushes += 1;
     }
 }
@@ -962,20 +951,13 @@ fn route_block(
             // Edge FIFO: scalars accumulated for this edge earlier in the
             // run must leave before the block.
             if !buf.is_empty() {
-                flush_batch(
-                    lanes,
-                    edge,
-                    buf,
-                    batch_size,
-                    &rt.batch_hist,
-                    &mut tally.spills,
-                );
+                flush_batch(lanes, edge, buf, batch_size, &rt.batch_hist);
                 tally.flushes += 1;
             }
             rt.batch_hist.record(n_rows as u64);
-            if !lanes[edge].push(EnvBatch::Rows(slot, Arc::clone(&block))) {
-                tally.spills += 1;
-            }
+            lanes[edge]
+                .lock()
+                .push(EnvBatch::Rows(slot, Arc::clone(&block)));
             tally.flushes += 1;
             if i > 0 {
                 tally.clones += 1;
@@ -1073,15 +1055,12 @@ fn materialize_block(q: &mut VecDeque<Envelope>, block: &RowBlock) {
 /// degrades to the allocation-free [`EnvBatch::One`]; larger ones hand the
 /// buffer off wholesale, leaving a fresh watermark-capacity buffer behind
 /// so the next accumulation never re-grows through doubling reallocations.
-/// Spills are counted per batch pushed, since the batch is the lane's unit
-/// of hand-off.
 fn flush_batch(
     lanes: &[EnvLane],
     edge: usize,
     buf: &mut Vec<(usize, Envelope)>,
     batch_size: usize,
     hist: &Histogram,
-    spills: &mut u64,
 ) {
     hist.record(buf.len() as u64);
     let batch = if buf.len() == 1 {
@@ -1090,48 +1069,107 @@ fn flush_batch(
     } else {
         EnvBatch::Many(std::mem::replace(buf, Vec::with_capacity(batch_size)))
     };
-    if !lanes[edge].push(batch) {
-        *spills += 1;
-    }
+    lanes[edge].lock().push(batch);
 }
 
-/// A [`RuntimeNode`] shared across the worker pool *without* a lock.
-///
-/// # Safety argument
-///
-/// The wavefront protocol guarantees exclusive access:
-///
-/// * within a tick, each node index is published to the [`ReadyList`]
-///   exactly once (roots by `prepare_tick`, the rest by the single
-///   `fetch_sub` that hits zero), and claims are unique, so exactly one
-///   worker visits each node per tick;
-/// * the visiting worker's access is ordered *after* every upstream visit
-///   by the `remaining` release/acquire chain, and *before* every
-///   downstream visit the same way;
-/// * across ticks, the previous visitor's `visited` release increment is
-///   acquired by the coordinator before `prepare_tick`, whose ready-list
-///   reset release-publishes to the next tick's claimants.
-///
-/// Hence all accesses to a given node are totally ordered by
-/// happens-before, which is exactly the `UnsafeCell` requirement.
-#[repr(transparent)]
-struct NodeCell(UnsafeCell<RuntimeNode>);
+/// Sentinel marking a [`ReadyList`] slot that has been reserved but not
+/// yet published.
+const EMPTY: usize = usize::MAX;
 
-// SAFETY: see the type-level argument above; `RuntimeNode` itself is
-// `Send` (modules are `Send`, taps/metric handles are `Sync` handles).
-unsafe impl Sync for NodeCell {}
+/// The atomic readiness wavefront behind one sharded tick.
+///
+/// A fixed array of `n` publish slots (one per DAG node — every node
+/// enters the ready set exactly once per tick) plus two cursors:
+///
+/// * **publish** — [`ReadyList::push`] reserves the next slot with one
+///   `fetch_add` and release-stores the node index into it;
+/// * **claim** — [`ReadyList::claim`] hands each caller a strictly
+///   distinct slot with one `fetch_add`. A claim at or past `n` means
+///   every node of the tick is already owned by some worker, i.e. the
+///   claimant is done; a claimed slot that is still `EMPTY` simply has
+///   not been published yet, and [`ReadyList::wait`] spins for it.
+///
+/// Claims are unique, so the node behind a claimed slot is visited by the
+/// claimant alone and its mutex is never contended. Between ticks the
+/// coordinator calls [`ReadyList::reset`]; its final release store on the
+/// claim cursor publishes the wiped slots to any straggling claimant.
+struct ReadyList {
+    slots: Box<[AtomicUsize]>,
+    claim: AtomicUsize,
+    publish: AtomicUsize,
+}
 
-impl NodeCell {
-    /// Reinterprets exclusively-borrowed nodes as shared cells for the
-    /// duration of a sharded run (the `Cell::from_mut` pattern).
-    fn from_mut_slice(nodes: &mut [RuntimeNode]) -> &[NodeCell] {
-        fn assert_send<T: Send>() {}
-        assert_send::<RuntimeNode>();
-        // SAFETY: `NodeCell` is `repr(transparent)` over
-        // `UnsafeCell<RuntimeNode>`, which is `repr(transparent)` over
-        // `RuntimeNode`; the exclusive borrow's lifetime carries over, so
-        // no other access exists while the cells are live.
-        unsafe { &*(nodes as *mut [RuntimeNode] as *const [NodeCell]) }
+impl ReadyList {
+    /// Creates a wavefront list for `n` nodes.
+    fn new(n: usize) -> Self {
+        ReadyList {
+            slots: (0..n).map(|_| AtomicUsize::new(EMPTY)).collect(),
+            claim: AtomicUsize::new(0),
+            publish: AtomicUsize::new(0),
+        }
+    }
+
+    /// Rearms the list for a new tick. Caller must guarantee the previous
+    /// tick is fully drained (every slot claimed *and* visited); the
+    /// engine's coordinator does, by waiting for the visited count.
+    ///
+    /// The claim-cursor store is intentionally last and `Release`: a
+    /// straggler's next claim acquires it and therefore observes every
+    /// wiped slot, never a stale node index.
+    fn reset(&self) {
+        for s in self.slots.iter() {
+            s.store(EMPTY, Ordering::Relaxed);
+        }
+        self.publish.store(0, Ordering::Relaxed);
+        self.claim.store(0, Ordering::Release);
+    }
+
+    /// Publishes `idx` as ready. May be called concurrently from any
+    /// worker; each call takes a distinct slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if more than `n` nodes are pushed in one tick —
+    /// that would mean a node entered the wavefront twice.
+    fn push(&self, idx: usize) {
+        let t = self.publish.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(
+            t < self.slots.len(),
+            "node {idx} entered the wavefront twice"
+        );
+        self.slots[t].store(idx, Ordering::Release);
+    }
+
+    /// Reserves the next unclaimed slot, or `None` when every slot of
+    /// this tick is already owned (the claimant's drain is over).
+    fn claim(&self) -> Option<usize> {
+        let h = self.claim.fetch_add(1, Ordering::AcqRel);
+        (h < self.slots.len()).then_some(h)
+    }
+
+    /// Spins until the claimed slot `h` is published, returning the node
+    /// index — or `None` when `give_up` says to stop (shutdown). The
+    /// closure runs once per spin iteration; callers put their yield /
+    /// contention-counting policy there.
+    fn wait(&self, h: usize, mut give_up: impl FnMut() -> bool) -> Option<usize> {
+        loop {
+            let v = self.slots[h].load(Ordering::Acquire);
+            if v != EMPTY {
+                return Some(v);
+            }
+            if give_up() {
+                return None;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Published-but-unclaimed count (the instantaneous runnable-set
+    /// size; saturates at zero when claims have overshot).
+    fn depth(&self) -> usize {
+        let p = self.publish.load(Ordering::Relaxed);
+        let c = self.claim.load(Ordering::Relaxed);
+        p.saturating_sub(c)
     }
 }
 
@@ -1140,23 +1178,27 @@ impl NodeCell {
 /// Each tick is a readiness wavefront: `remaining[idx]` counts unvisited
 /// direct upstreams; the worker that decrements it to zero publishes the
 /// node to `ready`; the claiming worker drains the node's edge lanes in
-/// upstream topo order and visits it. `visited == n` ends the tick. No
-/// mutex or condvar is involved per node — the gate below is only the
-/// between-ticks parking lot.
+/// upstream topo order and visits it. `visited == n` ends the tick. The
+/// node and lane mutexes are never waited on (claims are unique, and a
+/// lane's producer finishes before its consumer is published); the gate
+/// below is only the between-ticks parking lot.
 struct ShardRun<'a> {
-    nodes: &'a [NodeCell],
+    nodes: &'a [Mutex<RuntimeNode>],
     lanes: &'a [EnvLane],
     plan: &'a [NodePlan],
     remaining: Vec<AtomicUsize>,
     /// The claim-based wavefront list (see [`ReadyList`]).
     ready: ReadyList,
-    /// Nodes visited this tick; padded because every worker RMWs it once
-    /// per visit while spinning readers poll it.
-    visited: CachePadded<AtomicUsize>,
+    /// Nodes visited this tick.
+    visited: AtomicUsize,
     now_secs: AtomicU64,
     obs_tick: AtomicBool,
     /// Tick generation: workers drain once per increment.
     generation: AtomicU64,
+    /// The run is over: set by the coordinator on its way out, or by a
+    /// visit that unwinds (a module panic) — the node it held is never
+    /// counted into `visited`, so every wait in the pool also gives up on
+    /// this flag instead of spinning for a tick that cannot finish.
     shutdown: AtomicBool,
     /// Between-ticks parking lot; the guarded value counts parked workers
     /// so the coordinator can skip `notify_all` when nobody is waiting.
@@ -1193,7 +1235,7 @@ impl ShardRun<'_> {
     fn prepare_tick(&self, now: Timestamp, obs: bool) {
         self.now_secs.store(now.as_secs(), Ordering::Relaxed);
         self.obs_tick.store(obs, Ordering::Relaxed);
-        self.visited.0.store(0, Ordering::Relaxed);
+        self.visited.store(0, Ordering::Relaxed);
         for (r, p) in self.remaining.iter().zip(self.plan) {
             r.store(p.indegree, Ordering::Relaxed);
         }
@@ -1220,7 +1262,8 @@ impl ShardRun<'_> {
         }
     }
 
-    /// Wakes every worker into pool shutdown. Idempotent.
+    /// Ends the run: every wait in the pool gives up and every worker
+    /// leaves its loop. Idempotent.
     fn stop_workers(&self) {
         let _g = self.gate.lock().expect("engine gate never poisoned");
         self.shutdown.store(true, Ordering::Release);
@@ -1269,6 +1312,11 @@ impl ShardRun<'_> {
     /// Claims and visits wavefront slots until the tick's claims are
     /// exhausted (or shutdown). Returns this call's visit count.
     fn drain(&self, w: usize, scratch: &mut Vec<(PortId, Sample)>) -> u64 {
+        // Armed for the whole drain and disarmed on the way out: a visit
+        // that unwinds (a module panic) never counts its node into
+        // `visited`, so without this the worker would die alone and the
+        // coordinator would wait forever for a tick that cannot finish.
+        let stop_if_unwinding = StopPoolOnDrop(self);
         let _timer = self
             .obs_tick
             .load(Ordering::Relaxed)
@@ -1292,44 +1340,17 @@ impl ShardRun<'_> {
             // and must stamp its nodes with the new tick's time.
             let now = Timestamp::from_secs(self.now_secs.load(Ordering::Relaxed));
             let obs = self.obs_tick.load(Ordering::Relaxed);
-            // SAFETY: the claim is unique and each node is published
-            // exactly once per tick, so this thread exclusively owns
-            // `nodes[idx]` until its `visited` increment below; see
-            // [`NodeCell`] for the cross-thread ordering argument.
-            let rt = unsafe { &mut *self.nodes[idx].0.get() };
             {
-                // Merge the inbox lanes in upstream topo order — every
-                // upstream has been visited this tick, so this thread is
-                // each lane's sole consumer (and nobody is producing).
-                let queues = &mut rt.queues;
-                let pending = &mut rt.pending;
-                let backlog = &mut rt.row_backlog;
-                let accepts = rt.accepts_rows;
-                for &(u, edge) in &self.plan[idx].merge {
-                    debug_assert!(u < idx);
-                    self.lanes[edge].drain_into(|batch| match batch {
-                        EnvBatch::One(slot, env) => {
-                            if !backlog.is_empty() {
-                                settle_backlog(queues, backlog, slot);
-                            }
-                            queues[slot].push_back(env);
-                            *pending += 1;
-                        }
-                        EnvBatch::Many(items) => {
-                            *pending += items.len();
-                            deliver_many(queues, backlog, items);
-                        }
-                        EnvBatch::Rows(slot, block) => {
-                            *pending += block.len();
-                            deliver_rows(queues, backlog, accepts, slot, block);
-                        }
-                    });
-                }
-            }
-            if let Err(err) = visit_node(rt, self.lanes, now, obs, scratch) {
-                let mut slot = self.error.lock();
-                if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
-                    *slot = Some((idx, err));
+                // The claim is unique and each node is published once per
+                // tick, so nobody else wants this lock before `visited`
+                // counts the visit below.
+                let mut rt = self.nodes[idx].lock();
+                deliver_inbox(&mut rt, &self.plan[idx].merge, self.lanes);
+                if let Err(err) = visit_node(&mut rt, self.lanes, now, obs, scratch) {
+                    let mut slot = self.error.lock();
+                    if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
+                        *slot = Some((idx, err));
+                    }
                 }
             }
             for &d in &self.plan[idx].downstreams {
@@ -1340,7 +1361,7 @@ impl ShardRun<'_> {
                     }
                 }
             }
-            self.visited.0.fetch_add(1, Ordering::Release);
+            self.visited.fetch_add(1, Ordering::Release);
         }
         if visits > 0 {
             self.visit_count[w].add(visits);
@@ -1348,23 +1369,29 @@ impl ShardRun<'_> {
         if slot_spins > 0 {
             self.slot_spin.add(slot_spins);
         }
+        std::mem::forget(stop_if_unwinding);
         visits
     }
 
     /// Coordinator-side tick barrier: spins until every node of the tick
-    /// has been visited. The acquire load pairs with each visitor's
-    /// release increment, so all node mutations (and any error slot
-    /// write) are visible once this returns.
-    fn wait_tick_done(&self) {
+    /// has been visited and returns `true` — or `false` when the run died
+    /// under it (a visit unwound on some worker) and the tick never will
+    /// finish. The acquire load pairs with each visitor's release
+    /// increment, so any error slot write is visible once this returns.
+    fn wait_tick_done(&self) -> bool {
         let n = self.nodes.len();
         let mut spins: u32 = 0;
-        while self.visited.0.load(Ordering::Acquire) < n {
+        while self.visited.load(Ordering::Acquire) < n {
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
             spins = spins.wrapping_add(1);
             std::hint::spin_loop();
             if spins & 63 == 0 {
                 std::thread::yield_now();
             }
         }
+        true
     }
 }
 
@@ -1418,8 +1445,7 @@ mod tests {
         }
     }
 
-    /// Emits `burst` consecutive samples every tick — enough to overflow
-    /// an edge lane's ring and exercise the spill path.
+    /// Emits `burst` consecutive samples every tick, all onto one edge.
     struct Burst {
         port: Option<PortId>,
         burst: i64,
@@ -1647,6 +1673,25 @@ mod tests {
         }
     }
 
+    /// Panics when run on any thread but the one that built it: a module
+    /// bug that only a pool worker's visit can hit.
+    struct PanicOffThread {
+        home: std::thread::ThreadId,
+    }
+    impl Module for PanicOffThread {
+        fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+            ctx.request_periodic(TickDuration::SECOND);
+            Ok(())
+        }
+        fn run(&mut self, _: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
+            assert!(
+                std::thread::current().id() == self.home,
+                "deliberate panic off the constructing thread"
+            );
+            Ok(())
+        }
+    }
+
     fn registry() -> ModuleRegistry {
         let mut reg = ModuleRegistry::new();
         reg.register("source", || {
@@ -1669,6 +1714,11 @@ mod tests {
             })
         });
         reg.register("failat", || Box::new(FailAt { at: 0, count: 0 }));
+        reg.register("panicoff", || {
+            Box::new(PanicOffThread {
+                home: std::thread::current().id(),
+            })
+        });
         reg.register("rowburst", || {
             Box::new(RowBurst {
                 port: None,
@@ -1787,6 +1837,78 @@ mod tests {
     }
 
     #[test]
+    fn a_module_panic_on_a_worker_thread_propagates_instead_of_hanging() {
+        // The body runs on a helper thread so a hang fails this test after
+        // 10 s instead of wedging the test binary: `run_for` must panic
+        // (the scope's join re-raises the worker's panic), not return and
+        // not spin on a tick that can no longer finish.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg: String = (0..64)
+                .map(|i| format!("[panicoff]\nid = p{i}\n\n"))
+                .collect();
+            let mut eng = engine_with_threads(&cfg, 2);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Worker 1 may lose the race for every node of a tick;
+                // keep ticking until it wins one.
+                loop {
+                    eng.run_for(TickDuration::from_secs(1000)).unwrap();
+                }
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_for hung after a module panicked on a worker thread");
+        assert!(panicked);
+    }
+
+    #[test]
+    fn ready_list_claims_are_distinct_and_exhaust() {
+        let list = ReadyList::new(3);
+        list.push(10);
+        list.push(11);
+        list.push(12);
+        let mut got: Vec<usize> = (0..3)
+            .map(|_| {
+                let h = list.claim().unwrap();
+                list.wait(h, || false).unwrap()
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [10, 11, 12]);
+        assert!(list.claim().is_none(), "fourth claim sees exhaustion");
+        list.reset();
+        list.push(7);
+        let h = list.claim().unwrap();
+        assert_eq!(list.wait(h, || false), Some(7));
+    }
+
+    #[test]
+    fn ready_list_wait_gives_up_on_request() {
+        let list = ReadyList::new(2);
+        let h = list.claim().unwrap();
+        let mut polls = 0;
+        let got = list.wait(h, || {
+            polls += 1;
+            polls > 3
+        });
+        assert_eq!(got, None);
+        assert!(polls > 3);
+    }
+
+    #[test]
+    fn ready_list_depth_tracks_publish_minus_claim() {
+        let list = ReadyList::new(4);
+        assert_eq!(list.depth(), 0);
+        list.push(0);
+        list.push(1);
+        assert_eq!(list.depth(), 2);
+        let _ = list.claim();
+        assert_eq!(list.depth(), 1);
+    }
+
+    #[test]
     fn tap_on_unknown_instance_is_none() {
         let mut eng = engine("[source]\nid = s\n");
         assert!(eng.tap("ghost").is_none());
@@ -1885,30 +2007,52 @@ mod tests {
     }
 
     #[test]
-    fn bursts_beyond_lane_capacity_spill_and_stay_ordered() {
-        // 40 emissions per tick through a 16-slot ring: the overflow takes
-        // the spill path, and delivery order must survive it.
-        let cfg = "[burst]\nid = sp_src\nburst = 40\n\n\
-                   [acc]\nid = sp_sink\ntrigger = 40\ninput[i] = sp_src.out\n";
-        let spill = asdf_obs::registry().counter("engine.lane.spill_total");
-        let before = spill.get();
-        for threads in [1, 2] {
-            let mut eng = engine_with_threads(cfg, threads);
-            let tap = eng.tap("sp_sink").unwrap();
+    fn bursts_of_any_size_cross_a_lane_whole_and_in_order() {
+        // A lane has no capacity to exceed: 40 emissions per tick (beyond
+        // the 16 slots an edge once had) and 10 000 on one edge in one tick
+        // all arrive, in order, serial or sharded, per envelope or batched.
+        for (burst, threads, batch) in [
+            (40i64, 1, 1),
+            (40, 2, 1),
+            (10_000, 1, 1),
+            (10_000, 2, 1),
+            (10_000, 1, 64),
+            (10_000, 2, 64),
+        ] {
+            let cfg = format!(
+                "[burst]\nid = sp_src\nburst = {burst}\n\n\
+                 [acc]\nid = sp_sum\ntrigger = {burst}\ninput[i] = sp_src.out\n\n\
+                 [rowfold]\nid = sp_fold\ntrigger = {burst}\ninput[i] = sp_src.out\n"
+            );
+            let mut eng = engine_with_threads(&cfg, threads);
+            eng.set_batch_size(batch);
+            let sum = eng.tap("sp_sum").unwrap();
+            let fold = eng.tap("sp_fold").unwrap();
             eng.run_for(TickDuration::from_secs(2)).unwrap();
-            let totals: Vec<i64> = tap
+            let shape = format!("burst={burst} threads={threads} batch={batch}");
+            // Count: a trigger window closes only when all `burst` arrived,
+            // and the totals are the sums of 1..=burst and 1..=2*burst.
+            let totals: Vec<i64> = sum
                 .drain()
                 .iter()
                 .map(|e| e.sample.value.as_int().unwrap())
                 .collect();
-            // Sum of 1..=40 and 1..=80: order-independent, but the
-            // accumulator also proves arrival count per trigger window.
-            assert_eq!(totals, [820, 3240], "threads={threads}");
+            let sum_to = |n: i64| n * (n + 1) / 2;
+            assert_eq!(totals, [sum_to(burst), sum_to(2 * burst)], "{shape}");
+            // Order: the fold is non-commutative, so it equals the fold of
+            // 1, 2, 3, … in emission order only if nothing was reordered.
+            let mut acc = 0.0f64;
+            let expected: Vec<Value> = (0..2)
+                .map(|t| {
+                    for x in t * burst + 1..=(t + 1) * burst {
+                        acc = acc.mul_add(1.000_000_1, x as f64 + t as f64);
+                    }
+                    Value::Float(acc)
+                })
+                .collect();
+            let digests: Vec<Value> = fold.drain().into_iter().map(|e| e.sample.value).collect();
+            assert_eq!(digests, expected, "{shape}");
         }
-        assert!(
-            spill.get() >= before + 2 * (40 - LANE_CAP as u64),
-            "ring overflow must be accounted in engine.lane.spill_total"
-        );
     }
 
     #[test]
@@ -2019,9 +2163,9 @@ input[i] = join.total
 
     #[test]
     fn batched_bursts_survive_lane_overflow() {
-        // 40 emissions per tick at watermark 4 = 10 batches through a
-        // 16-slot ring: stays under ring capacity where the per-envelope
-        // path spills, and the delivered stream is still identical.
+        // 40 emissions per tick at watermark 4 = 10 batches on one lane
+        // per tick, and at watermark 64 one partial batch: the delivered
+        // stream is identical either way.
         let cfg = "[burst]\nid = bb_src\nburst = 40\n\n\
                    [acc]\nid = bb_sink\ntrigger = 40\ninput[i] = bb_src.out\n";
         for batch in [4, 64] {

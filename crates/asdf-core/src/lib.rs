@@ -57,6 +57,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -64,7 +65,6 @@ pub mod config;
 pub mod dag;
 pub mod engine;
 pub mod error;
-pub mod lane;
 pub mod module;
 pub mod online;
 pub mod registry;

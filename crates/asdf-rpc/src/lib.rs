@@ -31,6 +31,7 @@
 //! # Ok::<(), asdf_rpc::wire::WireError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

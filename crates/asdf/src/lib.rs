@@ -49,6 +49,7 @@
 //! println!("balanced accuracy (combined): {:.1}%", result.ba_combined);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

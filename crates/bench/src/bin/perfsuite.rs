@@ -8,6 +8,13 @@
 //! Unlike the Criterion benches (statistical, minutes-long), this suite is
 //! a quick regression tripwire: one warm run per measurement, wall-clock
 //! seconds, a single JSON artifact that diffs cleanly across commits.
+//!
+//! A breached performance gate does not stop the run: it is recorded as
+//! `false` in the artifact (and counted into the history row's
+//! `gates_breached`), every later section is still measured, both files are
+//! written, and only then does the suite exit non-zero, listing every
+//! breach. Correctness checks (determinism, stream equality) still panic on
+//! the spot — a run that computed the wrong thing has nothing worth keeping.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -183,6 +190,8 @@ fn synthetic_log_lines(n_tasks: usize) -> Vec<String> {
 
 fn main() {
     let (_, threads) = bench::secs_and_threads_from_iter("perfsuite", 0, std::env::args().skip(1));
+    // One line per breached gate, reported after the artifacts are written.
+    let mut breaches: Vec<String> = Vec::new();
 
     // --- Campaign wall-clock: serial vs worker pool -----------------------
     let serial_cfg = CampaignConfig {
@@ -228,17 +237,18 @@ fn main() {
              skipped, values recorded"
         );
     }
-    assert!(
-        pool_gate,
-        "campaign pool speedup {pool_speedup:.3}x below the {POOL_GATE}x expectation \
-         with {workers} workers on {cores} cores"
-    );
+    if !pool_gate {
+        breaches.push(format!(
+            "campaign pool speedup {pool_speedup:.3}x below the {POOL_GATE}x expectation \
+             with {workers} workers on {cores} cores"
+        ));
+    }
 
     // --- Instrumentation self-overhead ------------------------------------
     // ASDF-on-ASDF: the observability layer must cost <1% of campaign
     // wall-clock. Paired on/off runs with a median-of-deltas estimator
     // isolate the instrumentation from scheduler noise; the gate is
-    // asserted here so a regression fails the suite, not just skews a
+    // checked here so a regression fails the suite, not just skews a
     // number. An apparent breach is re-measured (up to twice, keeping the
     // smallest estimate — noise only ever inflates the delta) before
     // failing: a background-load burst can fake >1%, but a real regression
@@ -261,7 +271,7 @@ fn main() {
     let overhead_pct = ovh.overhead_pct();
     // Two gates, reported separately so the JSON never conflates them: the
     // <1% soft gate is the paper-style recorded target, the <5% hard gate
-    // is what this suite actually enforces (see the assert below).
+    // is what this suite actually enforces (see the check below).
     let within_soft_gate = overhead_pct < 1.0;
     let within_hard_gate = overhead_pct < 5.0;
     eprintln!(
@@ -276,18 +286,19 @@ fn main() {
             "FAIL (enforced)"
         }
     );
-    // <1% is the recorded target; the hard assert sits at 5% because the
+    // <1% is the recorded target; the hard gate sits at 5% because the
     // estimator carries a launch-to-launch systematic bias of up to ~3% on
     // a 1-core virtualized box (allocation layout shifts which atomics
     // share cache lines; stable within a process, random across launches
     // — the same binary measures anywhere from 0% to ~3% across runs).
     // A real instrumentation regression lands well past 5%.
-    assert!(
-        within_hard_gate,
-        "instrumentation self-overhead {overhead_pct:.3}% breaches the 5% hard gate \
-         (on {:.4}s vs off {:.4}s; recorded target <1%)",
-        ovh.on_secs, ovh.off_secs
-    );
+    if !within_hard_gate {
+        breaches.push(format!(
+            "instrumentation self-overhead {overhead_pct:.3}% breaches the 5% hard gate \
+             (on {:.4}s vs off {:.4}s; recorded target <1%)",
+            ovh.on_secs, ovh.off_secs
+        ));
+    }
 
     // --- Sharded tick engine: thread sweep --------------------------------
     // One evaluation run at the fig7 cluster size for each engine worker
@@ -295,7 +306,7 @@ fn main() {
     // at every count (the differential suite's invariant, re-checked here
     // on the timed runs). Two gates, by core count:
     //   * 1 core: the sharded engine's coordination overhead must stay
-    //     within 1.3x of serial (lock-free lanes + lazy worker wake).
+    //     within 1.3x of serial (uncontended locks + lazy worker wake).
     //     The bound was 1.15x before batched columnar lanes sped the
     //     serial denominator up ~25%; the same absolute coordination
     //     cost now reads as a higher ratio, so the gate is recalibrated
@@ -359,18 +370,20 @@ fn main() {
         engine_secs[0], engine_secs[1], engine_secs[2]
     );
     let one_core_gate = cores > 1 || engine_overhead <= 1.3;
-    assert!(
-        one_core_gate,
-        "1-core sharded overhead {engine_overhead:.3}x breaches the 1.3x gate \
-         (serial {:.3}s vs 4 threads {:.3}s)",
-        engine_secs[0], engine_secs[2]
-    );
+    if !one_core_gate {
+        breaches.push(format!(
+            "1-core sharded overhead {engine_overhead:.3}x breaches the 1.3x gate \
+             (serial {:.3}s vs 4 threads {:.3}s)",
+            engine_secs[0], engine_secs[2]
+        ));
+    }
     if cores >= 4 {
-        assert!(
-            engine_speedup >= 1.5,
-            "sharded engine speedup {engine_speedup:.3}x below the 1.5x gate \
-             at 4 threads on {cores} cores"
-        );
+        if engine_speedup < 1.5 {
+            breaches.push(format!(
+                "sharded engine speedup {engine_speedup:.3}x below the 1.5x gate \
+                 at 4 threads on {cores} cores"
+            ));
+        }
     } else {
         eprintln!(
             "[perfsuite] {cores} core(s) available — speedup recorded, \
@@ -388,10 +401,17 @@ fn main() {
     // travel each lane as one shared allocation and both consumers buffer
     // or scan them columnar. The differential suite proves the two paths
     // bitwise identical; this section times them. Gate: batch 64 must
-    // deliver >= 2x per-sample throughput.
+    // deliver >= 1.5x per-sample throughput. The bound was 2x while a lane
+    // was a 16-slot ring: a 256-row burst at batch 1 overflowed it by 240
+    // heap nodes per tick, which the batched path never paid. Lanes are a
+    // locked `Vec` now, the per-sample *denominator* got faster (2.75 ->
+    // ~3.1 M env/s) with batch 64 level at 5.6-5.7 M, so the same batched
+    // throughput reads as ~1.8x — the situation that moved the one-core
+    // bound above from 1.15x to 1.3x. 1.5x still fails if batching stops
+    // paying for itself; both absolute rates are recorded beside the ratio.
     eprintln!("[perfsuite] batched columnar lanes, batch {{1, 16, 64, 256}} ...");
     const BATCHES: [usize; 4] = [1, 16, 64, 256];
-    const BATCH_GATE: f64 = 2.0;
+    const BATCH_GATE: f64 = 1.5;
     let row_model = batch_model();
     let row_cfg = format!(
         "[rowsrc]\nid = src\n\n\
@@ -441,12 +461,13 @@ fn main() {
         batch_rates[2] / 1e6,
         batch_rates[3] / 1e6
     );
-    assert!(
-        batch_gate,
-        "batched columnar throughput {batch_speedup:.3}x below the {BATCH_GATE}x gate at \
-         batch 64 (per-sample {:.0} env/s vs batched {:.0} env/s)",
-        batch_rates[0], batch_rates[2]
-    );
+    if !batch_gate {
+        breaches.push(format!(
+            "batched columnar throughput {batch_speedup:.3}x below the {BATCH_GATE}x gate at \
+             batch 64 (per-sample {:.0} env/s vs batched {:.0} env/s)",
+            batch_rates[0], batch_rates[2]
+        ));
+    }
 
     // --- Multi-tenant serve soak ------------------------------------------
     // The `asdf serve` acceptance gate: 8 concurrent tenants at 1x pacing
@@ -554,17 +575,19 @@ fn main() {
         "[perfsuite] serve: lag watermark {serve_lag} tick(s), flood shed \
          {serve_flood_shed}, rss {serve_rss:.1} MB"
     );
-    assert!(
-        serve_lag_gate,
-        "serve soak lag watermark {serve_lag} ticks breaches the \
-         {SERVE_LAG_GATE_TICKS}-tick gate ({SERVE_TENANTS} paced tenants + \
-         1 flooder at {SERVE_TICK_MS} ms/tick)"
-    );
-    assert!(
-        serve_rss_gate,
-        "serve soak RSS {serve_rss:.1} MB breaches the \
-         {SERVE_RSS_CEILING_MB} MB ceiling"
-    );
+    if !serve_lag_gate {
+        breaches.push(format!(
+            "serve soak lag watermark {serve_lag} ticks breaches the \
+             {SERVE_LAG_GATE_TICKS}-tick gate ({SERVE_TENANTS} paced tenants + \
+             1 flooder at {SERVE_TICK_MS} ms/tick)"
+        ));
+    }
+    if !serve_rss_gate {
+        breaches.push(format!(
+            "serve soak RSS {serve_rss:.1} MB breaches the \
+             {SERVE_RSS_CEILING_MB} MB ceiling"
+        ));
+    }
 
     // --- Widened fault matrix: per-scenario accuracy ----------------------
     // One evaluation run per (new fault kind, workload) at the smoke
@@ -712,11 +735,12 @@ fn main() {
              values recorded"
         );
     }
-    assert!(
-        fleet_gate,
-        "sharded fleet sim speedup {fleet_speedup:.3}x below the {FLEET_SIM_GATE}x gate \
-         at {FLEET_GATE_NODES} nodes on {cores} cores"
-    );
+    if !fleet_gate {
+        breaches.push(format!(
+            "sharded fleet sim speedup {fleet_speedup:.3}x below the {FLEET_SIM_GATE}x gate \
+             at {FLEET_GATE_NODES} nodes on {cores} cores"
+        ));
+    }
 
     // --- Analysis kernels -------------------------------------------------
     eprintln!("[perfsuite] analysis kernels ...");
@@ -814,12 +838,13 @@ fn main() {
         "[perfsuite] scan: scalar {scan_scalar_ns:.1}ns, simd {scan_simd_ns:.1}ns \
          -> {scan_speedup:.3}x"
     );
-    assert!(
-        scan_gate,
-        "SIMD centroid scan speedup {scan_speedup:.3}x below the {SCAN_GATE}x gate \
-         ({DIM}-dim, {N_STATES} centroids: scalar {scan_scalar_ns:.1}ns vs \
-         simd {scan_simd_ns:.1}ns)"
-    );
+    if !scan_gate {
+        breaches.push(format!(
+            "SIMD centroid scan speedup {scan_speedup:.3}x below the {SCAN_GATE}x gate \
+             ({DIM}-dim, {N_STATES} centroids: scalar {scan_scalar_ns:.1}ns vs \
+             simd {scan_simd_ns:.1}ns)"
+        ));
+    }
 
     // --- Log-parser kernel ------------------------------------------------
     eprintln!("[perfsuite] log parser ...");
@@ -894,7 +919,7 @@ fn main() {
     )
     .unwrap();
     writeln!(json, "    \"speedup_b64\": {batch_speedup:.3},").unwrap();
-    writeln!(json, "    \"gate_2x\": {batch_gate}").unwrap();
+    writeln!(json, "    \"gate_1_5x\": {batch_gate}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"serve\": {{").unwrap();
     writeln!(json, "    \"tenants\": {},", SERVE_TENANTS + 1).unwrap();
@@ -1012,6 +1037,7 @@ fn main() {
         ("classify_1nn_context_ns", round3(ctx_ns)),
         ("classify_k3_context_ns", round3(ctx_k3_ns)),
         ("parser_lines_per_sec", lines_per_sec.round()),
+        ("gates_breached", breaches.len() as f64),
     ]
     .into_iter()
     .map(|(k, v)| (k.to_owned(), v))
@@ -1065,6 +1091,17 @@ fn main() {
         .expect("open BENCH_history.jsonl");
     writeln!(file, "{}", history::render_record(&record)).expect("append BENCH_history.jsonl");
     eprintln!("[perfsuite] appended {hist}");
+
+    if !breaches.is_empty() {
+        eprintln!(
+            "[perfsuite] FAILED: {} gate(s) breached (both artifacts written):",
+            breaches.len()
+        );
+        for b in &breaches {
+            eprintln!("[perfsuite]   - {b}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// Three-decimal rounding for history metrics, mirroring the `{:.3}`

@@ -30,6 +30,7 @@
 //! assert_eq!(v[HadoopState::MapTask], 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -24,6 +24,7 @@
 //! assert_eq!(frame.ifaces[0].1.len(), 18);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -60,13 +60,6 @@ serve-soak:
     cargo test -p integration-tests --test serve_soak --test online_engine
     cargo test -p asdf-core --test online_semantics
 
-# Concurrency model tests for the lock-free engine primitives (SPSC lane,
-# spill stack, readiness wavefront) under the vendored loom facade. Uses a
-# separate target dir so --cfg loom never invalidates the main build cache.
-loom:
-    CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
-        cargo test -q -p asdf-core --test loom_lane
-
 # Warnings-denied rustdoc build of the first-party crates (the vendored
 # workspace members are excluded; they are not ours to lint).
 docs:

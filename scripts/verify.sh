@@ -53,12 +53,6 @@ cargo test -q -p asdf-modules --test kernel_prop --test dist2_prop --test classi
 echo "[verify] perfwatch suites (snapshot round-trip, E-Divisive, dogfood DAG)" >&2
 cargo test -q -p integration-tests --test obs_snapshot --test perfwatch_dogfood
 
-echo "[verify] loom models (SPSC lane + readiness wavefront)" >&2
-# Separate target dir: --cfg loom would otherwise invalidate the main
-# build cache on every alternation between verify steps.
-CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
-    cargo test -q -p asdf-core --test loom_lane
-
 echo "[verify] rustdoc -D warnings (first-party crates)" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p asdf-core -p asdf-modules -p asdf -p asdf-obs -p bench \
