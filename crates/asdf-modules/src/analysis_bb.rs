@@ -85,9 +85,15 @@ impl Default for AnalysisBb {
 }
 
 /// Component-wise median; for even counts, the mean of the middle pair.
+/// NaNs (a counter can arrive as one off the wire) sort after every
+/// number, so they shift the median instead of panicking the sort; it is
+/// NaN itself only once NaNs reach the middle of the column.
 pub(crate) fn median(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty(), "median of empty slice");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    values.sort_by(|a, b| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
     let n = values.len();
     if n % 2 == 1 {
         values[n / 2]
@@ -393,6 +399,21 @@ input[l2] = n2.out
         assert_eq!(median(&mut v), 2.5);
         let mut v = [7.0];
         assert_eq!(median(&mut v), 7.0);
+    }
+
+    #[test]
+    fn median_sorts_nan_last_instead_of_panicking() {
+        let mut v = [1.0, f64::NAN, 2.0];
+        assert_eq!(median(&mut v), 2.0);
+        let mut v = [f64::NAN, 1.0, 3.0, -f64::NAN, 2.0, 0.5];
+        assert_eq!(median(&mut v), 2.5);
+        assert!(v[4].is_nan() && v[5].is_nan(), "{v:?}");
+        let mut v = [f64::NAN, 1.0];
+        assert!(median(&mut v).is_nan());
+        // Signed zeros still compare equal: the stable sort leaves them
+        // in input order, as it did before NaN was tolerated.
+        let mut v = [0.0, -0.0, 1.0];
+        assert!(median(&mut v).is_sign_negative());
     }
 
     #[test]

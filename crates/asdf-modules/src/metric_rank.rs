@@ -31,12 +31,16 @@
 //! * `top` — how many metrics to report per node (default 5).
 //!
 //! Inputs: one slot per node (`m0`, `m1`, ...), each carrying per-second
-//! metric vectors (the same edges `knn` consumes). Output per node:
+//! metric vectors (the same edges `knn` consumes). The windowed means are
+//! running sums ([`crate::rack::WindowSums`], shared with `rack_agg`): a
+//! vector is added to every open window when its aligned row is complete
+//! and dropped, so the module holds `ceil(window / slide)` mean matrices
+//! and whatever still waits in the aligner, never a window of samples.
+//! Output per node:
 //! `rank<i>`, a vector of `2·top` values `[idx0, score0, idx1, score1, …]`
 //! — metric indices into the collector's flattened frame, most deviant
 //! first, ties broken toward the lower index so results are deterministic.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
@@ -45,24 +49,26 @@ use asdf_core::value::Value;
 use hadoop_logs::sync::Aligner;
 
 use crate::kernel::CentroidBlock;
-use crate::rack::{self, RackSummary};
+use crate::rack::{self, RackSummary, WindowSums};
 
 /// Fraction of the baseline magnitude used as the deviation
 /// denominator's floor (see the module docs' `dev` formula).
 const MAD_FLOOR_FRACTION: f64 = 0.01;
 
-/// One buffered metric vector: an envelope's shared allocation or a
-/// zero-copy view into a columnar [`RowBlock`] (cf. `mavgvec`'s window
-/// rows — both paths are bitwise identical by construction). Shared with
-/// the `rack_agg` aggregator, which buffers the same collector edges.
+/// One metric vector waiting in the aligner for its peers: an envelope's
+/// shared allocation or a zero-copy view into a columnar [`RowBlock`]
+/// (cf. `mavgvec`'s window rows — both paths are bitwise identical by
+/// construction). Dropped as soon as its aligned row has been summed.
+/// Shared with the `rack_agg` aggregator, which sits on the same
+/// collector edges.
 #[derive(Debug, Clone)]
 pub(crate) enum MetricRow {
     Owned(Arc<[f64]>),
     Block(Arc<RowBlock>, usize),
 }
 
-impl MetricRow {
-    pub(crate) fn as_slice(&self) -> &[f64] {
+impl AsRef<[f64]> for MetricRow {
+    fn as_ref(&self) -> &[f64] {
         match self {
             MetricRow::Owned(v) => v,
             MetricRow::Block(block, r) => block.row(*r),
@@ -73,16 +79,14 @@ impl MetricRow {
 /// Peer-baseline metric deviation ranker.
 #[derive(Debug)]
 pub struct MetricRank {
-    window: usize,
-    slide: usize,
     top: usize,
     aligner: Aligner<MetricRow>,
-    history: Vec<VecDeque<MetricRow>>,
-    rows_since_eval: usize,
+    /// Flat mode's open windows (rack mode receives closed ones).
+    sums: WindowSums,
     /// Metric vector width, discovered from the first sample.
     dim: usize,
-    /// Per-node windowed means, one contiguous row per node, zeroed and
-    /// reused every evaluation.
+    /// Per-node windowed means, one contiguous row per node, overwritten
+    /// every evaluation.
     means: CentroidBlock,
     /// Peer baseline (component-wise median across nodes).
     baseline: Vec<f64>,
@@ -104,12 +108,9 @@ impl MetricRank {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         MetricRank {
-            window: 0,
-            slide: 0,
             top: 0,
             aligner: Aligner::new(1),
-            history: Vec::new(),
-            rows_since_eval: 0,
+            sums: WindowSums::new(1, 1),
             dim: 0,
             means: CentroidBlock::default(),
             baseline: Vec::new(),
@@ -140,7 +141,7 @@ impl MetricRank {
             }
         };
         if self.rack_nodes == 0 {
-            self.check_width(row.as_slice().len())?;
+            self.check_width(row.as_ref().len())?;
         }
         self.aligner.push(slot_idx, secs, row);
         Ok(())
@@ -149,7 +150,7 @@ impl MetricRank {
     fn check_width(&mut self, width: usize) -> Result<(), ModuleError> {
         if self.dim == 0 {
             self.dim = width;
-            self.means = CentroidBlock::zeroed(width, self.history.len());
+            self.means = CentroidBlock::zeroed(width, self.rank_ports.len());
             self.baseline = vec![0.0; width];
             self.mad = vec![0.0; width];
         } else if width != self.dim {
@@ -161,8 +162,8 @@ impl MetricRank {
         Ok(())
     }
 
-    /// Drains aligned rows, evaluating a window every `slide` rows (flat
-    /// mode) or re-ranking on every aligned set of rack summaries (rack
+    /// Drains aligned rows, ranking every window they close (flat mode)
+    /// or re-ranking on every aligned set of rack summaries (rack
     /// mode — the rack aggregators already windowed).
     fn process_aligned(&mut self, emit: &mut Emitter<'_>) -> Result<(), ModuleError> {
         if self.rack_nodes > 0 {
@@ -174,29 +175,15 @@ impl MetricRank {
     }
 
     fn process_aligned_flat(&mut self, emit: &mut Emitter<'_>) {
-        let n_nodes = self.history.len();
         while let Some((t, row)) = self.aligner.pop_aligned() {
-            for (node, v) in row.into_iter().enumerate() {
-                self.history[node].push_back(v);
-                if self.history[node].len() > self.window {
-                    self.history[node].pop_front();
-                }
-            }
-            self.rows_since_eval += 1;
-            let warm = self.history.iter().all(|h| h.len() >= self.window);
-            if !warm || self.rows_since_eval < self.slide {
+            // The same running sums `rack_agg` keeps per rack.
+            let Some(means) = self.sums.push(&row) else {
                 continue;
-            }
-            self.rows_since_eval = 0;
-
-            // Windowed per-node means into the reused contiguous rows —
-            // the same arithmetic `rack_agg` applies per rack.
-            for node in 0..n_nodes {
-                rack::windowed_mean_into(
-                    self.history[node].iter().map(|v| v.as_slice()),
-                    self.window,
-                    self.means.row_mut(node),
-                );
+            };
+            for node in 0..row.len() {
+                self.means
+                    .row_mut(node)
+                    .copy_from_slice(&means[node * self.dim..][..self.dim]);
             }
             self.rank_and_emit(t, emit);
         }
@@ -210,8 +197,7 @@ impl MetricRank {
         while let Some((t, row)) = self.aligner.pop_aligned() {
             let mut at = 0;
             for rack_row in &row {
-                let summary =
-                    RackSummary::decode(rack_row.as_slice()).map_err(ModuleError::Other)?;
+                let summary = RackSummary::decode(rack_row.as_ref()).map_err(ModuleError::Other)?;
                 if self.dim == 0 {
                     self.dim = summary.dim;
                     self.means = CentroidBlock::zeroed(summary.dim, self.rack_nodes);
@@ -266,10 +252,19 @@ impl MetricRank {
                 let dev = (m - base).abs() / (self.mad[d] + floor);
                 self.ranked.push((d, dev));
             }
-            self.ranked
-                .sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            // Only `top` pairs leave, so select them and sort just those.
+            // The order is strict and total (no two pairs share an index),
+            // hence the selected prefix is the one a full sort would give.
+            let by_score_then_index = |a: &(usize, f64), b: &(usize, f64)| {
+                b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+            };
+            let top = self.top.min(self.ranked.len());
+            if top < self.ranked.len() {
+                self.ranked.select_nth_unstable_by(top, by_score_then_index);
+            }
+            self.ranked[..top].sort_unstable_by(by_score_then_index);
             self.out_row.clear();
-            for &(d, dev) in self.ranked.iter().take(self.top) {
+            for &(d, dev) in &self.ranked[..top] {
                 self.out_row.push(d as f64);
                 self.out_row.push(dev);
             }
@@ -286,12 +281,12 @@ impl Default for MetricRank {
 
 impl Module for MetricRank {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        self.window = ctx.parse_param_or("window", 60usize)?;
-        if self.window == 0 {
+        let window = ctx.parse_param_or("window", 60usize)?;
+        if window == 0 {
             return Err(ModuleError::invalid_parameter("window", "must be positive"));
         }
-        self.slide = ctx.parse_param_or("slide", self.window)?;
-        if self.slide == 0 {
+        let slide = ctx.parse_param_or("slide", window)?;
+        if slide == 0 {
             return Err(ModuleError::invalid_parameter("slide", "must be positive"));
         }
         self.top = ctx.parse_param_or("top", 5usize)?;
@@ -347,7 +342,7 @@ impl Module for MetricRank {
                 .push(ctx.declare_output_with_origin(format!("rank{i}"), origin));
         }
         self.aligner = Aligner::new(n_nodes);
-        self.history = vec![VecDeque::new(); n_nodes];
+        self.sums = WindowSums::new(window, slide);
         self.col = Vec::with_capacity(n_nodes);
         Ok(())
     }
@@ -421,10 +416,12 @@ mod tests {
         port: Option<PortId>,
         t: u64,
         after: u64,
+        bump: f64,
     }
     impl Module for DeviantVecNode {
         fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
             self.after = ctx.parse_param("after")?;
+            self.bump = ctx.parse_param_or("bump", 50.0)?;
             self.port = Some(ctx.declare_output_with_origin("out", "culprit"));
             ctx.request_periodic(TickDuration::SECOND);
             Ok(())
@@ -433,7 +430,7 @@ mod tests {
             self.t += 1;
             let mut v = vec![1.0, 2.0, 3.0, 4.0];
             if self.t > self.after {
-                v[2] += 50.0;
+                v[2] += self.bump;
             }
             ctx.emit(self.port.unwrap(), v);
             Ok(())
@@ -449,6 +446,7 @@ mod tests {
                 port: None,
                 t: 0,
                 after: 0,
+                bump: 0.0,
             })
         });
         reg
@@ -522,6 +520,16 @@ input[m2] = n2.out
                 assert_eq!(row, vec![0.0, 0.0, 1.0, 0.0, 2.0, 0.0], "{port}");
             }
         }
+    }
+
+    #[test]
+    fn top_beyond_the_metric_count_ranks_every_metric() {
+        // top = 9 of 4 metrics: all four, the deviant one first, the tied
+        // rest by ascending index.
+        let out = run(&three_node_config(5, 9), 40);
+        let last = ranks_of(&out, "rank2").last().unwrap().clone();
+        let indices: Vec<f64> = last.iter().step_by(2).copied().collect();
+        assert_eq!(indices, vec![2.0, 0.0, 1.0, 3.0], "{last:?}");
     }
 
     #[test]
@@ -605,6 +613,43 @@ input[r1] = ra1.sum
         let rack_out = project(&run(&rack, 40));
         assert!(!flat_out.is_empty());
         assert_eq!(flat_out, rack_out);
+
+        // Overlapping (slide < window) and gapped (slide > window) windows:
+        // still equal, and closed on rows max(window, slide) + j * slide
+        // (row r is second r - 1).
+        for (slide, closing_rows) in [(3, (10..=40).step_by(3)), (14, (14..=40).step_by(14))] {
+            let with_slide = |cfg: &str| {
+                cfg.replace("window = 10\n", &format!("window = 10\nslide = {slide}\n"))
+            };
+            let flat_out = project(&run(&with_slide(&flat), 40));
+            let rack_out = project(&run(&with_slide(&rack), 40));
+            assert_eq!(flat_out, rack_out, "slide {slide}");
+            let mut stamps: Vec<u64> = flat_out.iter().map(|(_, _, t, _)| *t).collect();
+            stamps.dedup();
+            let want: Vec<u64> = closing_rows.map(|r| r - 1).collect();
+            assert_eq!(stamps, want, "slide {slide}");
+        }
+    }
+
+    #[test]
+    fn a_nan_counter_is_ranked_not_a_panic() {
+        // From t = 5 the culprit's metric 2 is NaN: its windowed mean is
+        // NaN, so is one entry of the peer column the medians sort.
+        let cfg = three_node_config(5, 2).replace("after = 5", "after = 5\nbump = NaN");
+        let out = run(&cfg, 40);
+        let culprit = ranks_of(&out, "rank2");
+        assert_eq!(culprit.len(), 4, "one ranking per 10 s window");
+        for row in &culprit {
+            assert_eq!(row.len(), 4);
+            assert_eq!(row[0], 2.0, "the NaN metric leads: {row:?}");
+            assert!(row[1].is_nan());
+        }
+        // The peers' medians skip the NaN: they stay quiet and finite.
+        for port in ["rank0", "rank1"] {
+            for row in ranks_of(&out, port) {
+                assert!(row[1] < 1.0, "{port}: {row:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,26 @@
 //! arithmetic happens at merge time, so any tree shape reduces to the same
 //! flat mean matrix bitwise. The per-node mean and the per-metric
 //! median/MAD are computed by the exact same code on both paths
-//! ([`windowed_mean_into`], [`peer_baseline_into`]), which is what the
-//! rack-merge proptests pin down.
+//! ([`WindowSums`], [`peer_baseline_into`]).
+//!
+//! No sample is retained to form a mean: [`WindowSums`] adds each aligned
+//! row into the running sum of every window it belongs to and the row is
+//! dropped. The additions run in arrival order from `0.0` — the order
+//! [`windowed_mean_into`] sums a buffered window in — so the means are the
+//! same bits as recomputing from retained rows, which is what the
+//! `window_sums_prop` proptests pin down. It holds
+//! `ceil(window / slide) × nodes × dim × 8` bytes whatever the window
+//! length in samples.
+
+use std::collections::VecDeque;
 
 use crate::analysis_bb::median;
 use crate::kernel::CentroidBlock;
 
 /// Accumulates `rows` (chronologically ordered window samples) into `out`
-/// and scales by `1/window` — the exact windowed-mean arithmetic of the
-/// flat `metric_rank` path. `out` is fully overwritten.
+/// and scales by `1/window` — the windowed mean of a *buffered* window.
+/// Not on the data path: it is the reference the proptests hold
+/// [`WindowSums`] to, bit for bit. `out` is fully overwritten.
 pub fn windowed_mean_into<'a>(
     rows: impl Iterator<Item = &'a [f64]>,
     window: usize,
@@ -40,6 +51,87 @@ pub fn windowed_mean_into<'a>(
     let inv_n = 1.0 / window as f64;
     for m in out.iter_mut() {
         *m *= inv_n;
+    }
+}
+
+/// Running per-node sums of every window that is currently open.
+///
+/// Windows are `window` aligned rows long and one closes every `slide`
+/// rows, the first on row `max(window, slide)`: with `slide < window`
+/// `ceil(window / slide)` windows overlap, with `slide > window` the rows
+/// between two windows belong to none. Each open window owns a row-major
+/// `nodes × dim` accumulator; a closed window's accumulator is the next
+/// one to open.
+#[derive(Debug)]
+pub struct WindowSums {
+    window: usize,
+    slide: usize,
+    /// Aligned rows pushed so far.
+    rows: usize,
+    /// Sums of the open windows, oldest first.
+    open: VecDeque<Vec<f64>>,
+    /// Means of the window closed last.
+    closed: Vec<f64>,
+}
+
+impl WindowSums {
+    /// Creates the sums for windows of `window` rows, one closing every
+    /// `slide` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` or `slide` is zero.
+    pub fn new(window: usize, slide: usize) -> Self {
+        assert!(window > 0 && slide > 0, "window and slide must be positive");
+        WindowSums {
+            window,
+            slide,
+            rows: 0,
+            open: VecDeque::new(),
+            closed: Vec::new(),
+        }
+    }
+
+    /// Adds one aligned row — one metric vector per node, in node order —
+    /// to every open window. When the row completes a window, returns its
+    /// row-major `nodes × dim` mean matrix (valid until the next push).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vectors differ in length, or the row's shape differs
+    /// from the rows already in an open window.
+    pub fn push<R: AsRef<[f64]>>(&mut self, row: &[R]) -> Option<&[f64]> {
+        let dim = row.first().map_or(0, |v| v.as_ref().len());
+        let seen = self.rows;
+        self.rows += 1;
+
+        let lead = self.slide.saturating_sub(self.window);
+        if seen >= lead && (seen - lead).is_multiple_of(self.slide) {
+            let mut sums = std::mem::take(&mut self.closed);
+            sums.clear();
+            sums.resize(row.len() * dim, 0.0);
+            self.open.push_back(sums);
+        }
+        for (node, v) in row.iter().enumerate() {
+            let v = v.as_ref();
+            assert_eq!(v.len(), dim, "metric vectors of one row must agree");
+            for sums in &mut self.open {
+                for (m, x) in sums[node * dim..][..dim].iter_mut().zip(v) {
+                    *m += x;
+                }
+            }
+        }
+
+        let first = self.window.max(self.slide);
+        if self.rows < first || !(self.rows - first).is_multiple_of(self.slide) {
+            return None;
+        }
+        self.closed = self.open.pop_front().expect("opened `window` rows ago");
+        let inv_n = 1.0 / self.window as f64;
+        for m in &mut self.closed {
+            *m *= inv_n;
+        }
+        Some(&self.closed)
     }
 }
 

@@ -12,7 +12,7 @@
 //! contributed that timestamp, and drop semantics for timestamps that some
 //! node skipped.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Aligns per-node time series so downstream peer comparison always sees
 /// one row per timestamp with a value from every node.
@@ -30,10 +30,21 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aligner<T> {
-    buffers: Vec<BTreeMap<u64, T>>,
+    /// One buffer per stream, strictly ascending in `t`. Streams report in
+    /// time order almost always, so a push is a `push_back` and a release
+    /// a `pop_front`: nothing is allocated per value.
+    buffers: Vec<VecDeque<(u64, T)>>,
     /// Timestamps at or before this are gone (released or dropped).
     released_through: Option<u64>,
     dropped: u64,
+}
+
+/// Index of the first buffered entry at or after `t`.
+fn lower_bound<T>(buf: &VecDeque<(u64, T)>, t: u64) -> usize {
+    match buf.front() {
+        Some(&(first, _)) if first >= t => 0,
+        _ => buf.partition_point(|&(u, _)| u < t),
+    }
 }
 
 impl<T: Clone> Aligner<T> {
@@ -45,7 +56,7 @@ impl<T: Clone> Aligner<T> {
     pub fn new(n_nodes: usize) -> Self {
         assert!(n_nodes > 0, "aligner needs at least one stream");
         Aligner {
-            buffers: vec![BTreeMap::new(); n_nodes],
+            buffers: vec![VecDeque::new(); n_nodes],
             released_through: None,
             dropped: 0,
         }
@@ -56,7 +67,8 @@ impl<T: Clone> Aligner<T> {
         self.buffers.len()
     }
 
-    /// Records that `node` observed `value` at time `t`.
+    /// Records that `node` observed `value` at time `t`; a second value
+    /// for the same `(node, t)` replaces the first.
     ///
     /// Values at timestamps already released or dropped are discarded (a
     /// straggler that shows up after its row was given up on).
@@ -67,7 +79,17 @@ impl<T: Clone> Aligner<T> {
                 return;
             }
         }
-        self.buffers[node].insert(t, value);
+        let buf = &mut self.buffers[node];
+        if buf.back().is_none_or(|&(last, _)| last < t) {
+            buf.push_back((t, value));
+            return;
+        }
+        let at = lower_bound(buf, t);
+        if buf[at].0 == t {
+            buf[at].1 = value;
+        } else {
+            buf.insert(at, (t, value));
+        }
     }
 
     /// Releases the earliest timestamp every node has contributed, dropping
@@ -81,46 +103,33 @@ impl<T: Clone> Aligner<T> {
         // over nodes of each node's earliest buffered timestamp.
         let mut candidate: u64 = 0;
         for buf in &self.buffers {
-            let first = *buf.keys().next()?; // any empty buffer ⇒ nothing complete
+            let &(first, _) = buf.front()?; // any empty buffer ⇒ nothing complete
             candidate = candidate.max(first);
         }
         // Walk forward from the candidate until a timestamp is complete:
         // a node may be missing `candidate` even though it has later data.
         loop {
-            let mut all_have = true;
-            let mut next_candidate = None;
+            let mut next_candidate = candidate;
             for buf in &self.buffers {
-                if buf.contains_key(&candidate) {
-                    continue;
-                }
-                all_have = false;
-                // The node's next timestamp after the failed candidate.
-                match buf.range(candidate..).next() {
-                    Some((&t, _)) => {
-                        next_candidate = Some(next_candidate.map_or(t, |c: u64| c.max(t)));
-                    }
-                    None => return None, // node has no data ≥ candidate yet
-                }
+                // The node's first timestamp at or after the candidate;
+                // none ⇒ the node has no data ≥ candidate yet.
+                let &(t, _) = buf.get(lower_bound(buf, candidate))?;
+                next_candidate = next_candidate.max(t);
             }
-            if all_have {
+            if next_candidate == candidate {
                 break;
             }
-            candidate = next_candidate.expect("some node forced a later candidate");
+            candidate = next_candidate;
         }
         // Release: extract values at `candidate`, drop everything earlier.
         let mut row = Vec::with_capacity(self.buffers.len());
         for buf in &mut self.buffers {
-            let mut stale = buf.range(..candidate).count() as u64;
-            while let Some((&t, _)) = buf.iter().next() {
-                if t < candidate {
-                    buf.remove(&t);
-                } else {
-                    break;
-                }
-            }
-            // `stale` rows were dropped because a peer skipped them.
-            self.dropped += std::mem::take(&mut stale);
-            row.push(buf.remove(&candidate).expect("candidate complete"));
+            // The stale rows were dropped because a peer skipped them.
+            let stale = lower_bound(buf, candidate);
+            buf.drain(..stale);
+            self.dropped += stale as u64;
+            let (_, value) = buf.pop_front().expect("candidate complete");
+            row.push(value);
         }
         self.released_through = Some(candidate);
         Some((candidate, row))
@@ -143,7 +152,7 @@ impl<T: Clone> Aligner<T> {
 
     /// Total buffered values awaiting alignment.
     pub fn pending(&self) -> usize {
-        self.buffers.iter().map(BTreeMap::len).sum()
+        self.buffers.iter().map(VecDeque::len).sum()
     }
 }
 

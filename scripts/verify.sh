@@ -34,9 +34,10 @@ cargo test -p integration-tests --test scenario_matrix
 
 # (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
 # and the fleet_scale scenario; both suites ran whole just above.)
-echo "[verify] fleet: rack collector wiring, sadc node ranges, wire accounting, log bound" >&2
+echo "[verify] fleet: rack collector wiring, sadc node ranges, running window sums, wire accounting, log bound" >&2
 cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
 cargo test -q -p asdf-modules --lib -- collectors::tests::node_
+cargo test -q -p asdf-modules --test window_sums_prop
 cargo test -q -p asdf-rpc
 cargo test -q -p hadoop-sim --test invariants -- untailed_logs
 
