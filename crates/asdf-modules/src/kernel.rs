@@ -12,66 +12,48 @@
 //!   chain, which caps throughput at one add per FP-add latency.
 //!
 //! This module fixes both. [`CentroidBlock`] stores all centroids in one
-//! flat, row-major allocation whose rows start on 32-byte boundaries and
-//! are zero-padded to a multiple of [`LANES`] components, and the kernels
-//! ([`dist2_x4`], [`dist2_bounded_x4`], and the fused [`argmin_dist2`])
-//! accumulate into **four independent lanes** that are folded once at the
-//! end. Four lanes break the dependency chain and map exactly onto a
-//! 32-byte SIMD register (4 × f64), so LLVM auto-vectorizes the inner
-//! loop without any unstable `std::simd` dependency.
-//!
-//! On x86-64 each kernel additionally carries an AVX2 clone (same Rust
-//! body compiled with `#[target_feature(enable = "avx2")]`), selected per
-//! call by cached CPUID detection. The clone is *bitwise identical* to the
-//! portable build: it is the same lane-ordered arithmetic — rustc never
-//! contracts `mul`+`add` into FMA — so the only difference is that the
-//! four lanes ride one 256-bit register instead of two 128-bit ones.
+//! flat, row-major `Vec<f64>` whose rows are zero-padded to a multiple of
+//! [`LANES`] components, and the kernels ([`dist2_x4`],
+//! [`dist2_bounded_x4`], and the fused [`argmin_dist2`]) accumulate into
+//! **four independent lanes** that are folded once at the end. Four lanes
+//! break the dependency chain, and LLVM auto-vectorizes the inner loop
+//! for whatever vector width the build targets, without any unstable
+//! `std::simd` dependency. There is one body per kernel and no runtime
+//! dispatch: the loop is add-latency-bound, so a copy recompiled for
+//! wider registers measured no faster (DESIGN.md, "Kernel layout").
 //!
 //! # The lane-fold accumulation contract
 //!
 //! The 4-lane order is the *canonical* semantics of squared distance in
 //! this workspace: lane `j` accumulates components `j, j+4, j+8, ...`,
-//! and the total is folded as `(acc0 + acc1) + (acc2 + acc3)`. The scalar
-//! reference ([`dist2_x4`]) and every vectorized or fused variant use the
-//! same order, so their results are **bitwise identical** (pinned by the
-//! `kernel_prop` property tests). Zero padding is bitwise-invisible:
-//! squared terms are non-negative, so every lane accumulator stays
-//! non-negative and `acc + 0.0` is exact.
-//!
-//! The old left-to-right [`crate::training::dist2`] remains as a
-//! reference-only path for its own property tests; results differ from
-//! the lane fold by ULPs. Golden fixtures were allowed a one-time move
-//! when the hot paths switched accumulation order; in practice the
-//! figure-level outputs were ULP-robust and did not change (see
-//! DESIGN.md, "Kernel layout").
+//! and the total is folded as `(acc0 + acc1) + (acc2 + acc3)`.
+//! [`dist2_x4`], its early-exit form and the fused scan all use that
+//! order, so their results are **bitwise identical** (pinned by the
+//! `kernel_prop` property tests against an independent reference). Zero
+//! padding is bitwise-invisible: squared terms are non-negative, so every
+//! lane accumulator stays non-negative and `acc + 0.0` is exact.
 
-/// Components per accumulation lane group: 4 × f64 = one 32-byte SIMD
-/// register.
+/// Components per accumulation lane group, and the multiple every stored
+/// row is zero-padded to.
 pub const LANES: usize = 4;
 
 /// Components between early-exit bound checks in [`dist2_bounded_x4`]
-/// (four lane groups, matching the reference kernel's chunk of 16).
+/// (four lane groups).
 const BOUND_CHUNK: usize = 4 * LANES;
 
-/// One 32-byte-aligned group of four `f64` lanes — the storage unit that
-/// gives [`CentroidBlock`] and [`AlignedVec`] their alignment guarantee.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[repr(C, align(32))]
-struct Lane4([f64; LANES]);
-
 /// Rounds `dim` up to a whole number of lane groups.
-fn blocks_for(dim: usize) -> usize {
-    dim.div_ceil(LANES)
+fn padded_len(dim: usize) -> usize {
+    dim.div_ceil(LANES) * LANES
 }
 
 /// A contiguous, row-major matrix of `f64` rows, built once and scanned
 /// many times.
 ///
-/// Rows all share one allocation; each row starts on a 32-byte boundary
-/// and is zero-padded to a multiple of [`LANES`] components. The padding
-/// is an internal invariant (only the `dim`-component prefix of a row is
-/// ever handed out mutably), which lets the kernels run a tail-free
-/// full-stride loop over [`Self::row_padded`].
+/// Rows all share one allocation; each row is zero-padded to a multiple
+/// of [`LANES`] components. The padding is an internal invariant (only
+/// the `dim`-component prefix of a row is ever handed out mutably), which
+/// lets the kernels run a tail-free full-stride loop over
+/// [`Self::row_padded`].
 ///
 /// This is the storage behind [`crate::training::BlackBoxModel`]'s
 /// centroids and the scratch matrices of the `analysis_bb` fingerpointer.
@@ -87,9 +69,9 @@ fn blocks_for(dim: usize) -> usize {
 /// assert_eq!(block.row(1), &[4.0, 5.0, 6.0]);
 /// assert_eq!(block.rows().count(), 2);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CentroidBlock {
-    data: Vec<Lane4>,
+    data: Vec<f64>,
     dim: usize,
     n_rows: usize,
 }
@@ -107,7 +89,7 @@ impl CentroidBlock {
     /// Creates a block of `n_rows` all-zero rows.
     pub fn zeroed(dim: usize, n_rows: usize) -> Self {
         CentroidBlock {
-            data: vec![Lane4::default(); blocks_for(dim) * n_rows],
+            data: vec![0.0; padded_len(dim) * n_rows],
             dim,
             n_rows,
         }
@@ -135,8 +117,7 @@ impl CentroidBlock {
     /// Panics if `row.len() != self.dim()`.
     pub fn push_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row length must match block dim");
-        self.data
-            .resize(self.data.len() + blocks_for(self.dim), Lane4::default());
+        self.data.resize(self.data.len() + self.stride(), 0.0);
         self.n_rows += 1;
         self.row_mut(self.n_rows - 1).copy_from_slice(row);
     }
@@ -159,7 +140,7 @@ impl CentroidBlock {
     /// Components per stored row including the zero padding (a multiple of
     /// [`LANES`]; 0 when `dim` is 0).
     pub fn stride(&self) -> usize {
-        blocks_for(self.dim) * LANES
+        padded_len(self.dim)
     }
 
     /// Row `i` without padding.
@@ -179,11 +160,8 @@ impl CentroidBlock {
     /// Panics if `i >= self.len()`.
     pub fn row_padded(&self, i: usize) -> &[f64] {
         assert!(i < self.n_rows, "row {i} out of {}", self.n_rows);
-        let blocks = blocks_for(self.dim);
-        let lanes: &[Lane4] = &self.data[i * blocks..(i + 1) * blocks];
-        // Lane4 is #[repr(C)] over [f64; LANES], so the group array is
-        // layout-identical to a flat f64 slice.
-        unsafe { std::slice::from_raw_parts(lanes.as_ptr().cast::<f64>(), blocks * LANES) }
+        let stride = self.stride();
+        &self.data[i * stride..(i + 1) * stride]
     }
 
     /// Mutable view of row `i` without padding, so the zero-padding
@@ -194,13 +172,8 @@ impl CentroidBlock {
     /// Panics if `i >= self.len()`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.n_rows, "row {i} out of {}", self.n_rows);
-        let blocks = blocks_for(self.dim);
-        let dim = self.dim;
-        let lanes: &mut [Lane4] = &mut self.data[i * blocks..(i + 1) * blocks];
-        let flat = unsafe {
-            std::slice::from_raw_parts_mut(lanes.as_mut_ptr().cast::<f64>(), blocks * LANES)
-        };
-        &mut flat[..dim]
+        let start = i * self.stride();
+        &mut self.data[start..start + self.dim]
     }
 
     /// Iterates the rows (without padding) in order.
@@ -216,7 +189,7 @@ impl CentroidBlock {
     /// Resets every component (padding included) to `0.0`, keeping the
     /// shape. Lets scratch matrices be reused without reallocating.
     pub fn zero(&mut self) {
-        self.data.fill(Lane4::default());
+        self.data.fill(0.0);
     }
 
     /// Removes every row while keeping the dimension and the allocation,
@@ -229,14 +202,8 @@ impl CentroidBlock {
     }
 }
 
-impl PartialEq for CentroidBlock {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.n_rows == other.n_rows && self.data == other.data
-    }
-}
-
-/// A 32-byte-aligned `f64` vector zero-padded to a multiple of [`LANES`]
-/// components — the query-side counterpart of [`CentroidBlock`].
+/// An `f64` vector zero-padded to a multiple of [`LANES`] components —
+/// the query-side counterpart of [`CentroidBlock`].
 ///
 /// The `knn` hot path keeps its scaled-sample scratch and reciprocal-σ
 /// vector in this form so the fused scan reads both sides of the distance
@@ -245,31 +212,31 @@ impl PartialEq for CentroidBlock {
 /// # Examples
 ///
 /// ```
-/// use asdf_modules::kernel::AlignedVec;
+/// use asdf_modules::kernel::PaddedVec;
 ///
-/// let v = AlignedVec::from_slice(&[1.0, 2.0, 3.0]);
+/// let v = PaddedVec::from_slice(&[1.0, 2.0, 3.0]);
 /// assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
 /// assert_eq!(v.as_padded().len() % 4, 0);
 /// assert!(v.as_padded()[3..].iter().all(|&x| x == 0.0));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct AlignedVec {
-    data: Vec<Lane4>,
+pub struct PaddedVec {
+    data: Vec<f64>,
     len: usize,
 }
 
-impl AlignedVec {
+impl PaddedVec {
     /// An all-zero vector of `len` components.
     pub fn zeroed(len: usize) -> Self {
-        AlignedVec {
-            data: vec![Lane4::default(); blocks_for(len)],
+        PaddedVec {
+            data: vec![0.0; padded_len(len)],
             len,
         }
     }
 
-    /// Copies a slice into aligned, padded storage.
+    /// Copies a slice into padded storage.
     pub fn from_slice(v: &[f64]) -> Self {
-        let mut out = AlignedVec::zeroed(v.len());
+        let mut out = PaddedVec::zeroed(v.len());
         out.as_mut_slice().copy_from_slice(v);
         out
     }
@@ -286,53 +253,33 @@ impl AlignedVec {
 
     /// The live components.
     pub fn as_slice(&self) -> &[f64] {
-        &self.as_padded()[..self.len]
+        &self.data[..self.len]
     }
 
     /// The live components plus the zero padding (length a multiple of
     /// [`LANES`]) — the tail-free view the kernels scan.
     pub fn as_padded(&self) -> &[f64] {
-        unsafe {
-            std::slice::from_raw_parts(self.data.as_ptr().cast::<f64>(), self.data.len() * LANES)
-        }
+        &self.data
     }
 
     /// Mutable view of the live components; the padding stays zero.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        let len = self.len;
-        let flat = unsafe {
-            std::slice::from_raw_parts_mut(
-                self.data.as_mut_ptr().cast::<f64>(),
-                self.data.len() * LANES,
-            )
-        };
-        &mut flat[..len]
+        &mut self.data[..self.len]
     }
 }
 
-/// Squared Euclidean distance in the canonical 4-lane accumulation order —
-/// the scalar reference every vectorized variant is pinned against.
+/// Squared Euclidean distance in the canonical 4-lane accumulation order.
 ///
 /// Lane `j` accumulates components `j, j+4, j+8, ...` (a shorter-than-4
 /// tail lands in lanes `0..tail`), and the lanes are folded as
 /// `(acc0 + acc1) + (acc2 + acc3)`. The order is part of the public
 /// contract: [`dist2_bounded_x4`] and [`argmin_dist2`] produce bitwise
 /// identical sums, including over zero-padded [`CentroidBlock`] /
-/// [`AlignedVec`] views (padding contributes exact `+0.0` terms).
+/// [`PaddedVec`] views (padding contributes exact `+0.0` terms).
 ///
-/// Only the common prefix is compared when the slices' lengths differ,
-/// matching [`crate::training::dist2`]'s `zip` semantics.
+/// Only the common prefix is compared when the slices' lengths differ
+/// (`zip` semantics).
 pub fn dist2_x4(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        return unsafe { dist2_x4_avx2(a, b) };
-    }
-    dist2_x4_impl(a, b)
-}
-
-#[inline(always)]
-fn dist2_x4_impl(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f64; LANES];
@@ -364,17 +311,8 @@ fn dist2_x4_impl(a: &[f64], b: &[f64]) -> f64 {
 /// the fold of non-negative lanes is monotone in each lane, so an
 /// abandoned candidate provably cannot beat `bound`. A completed
 /// computation is bitwise identical to [`dist2_x4`].
+#[inline]
 pub fn dist2_bounded_x4(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        return unsafe { dist2_bounded_x4_avx2(a, b, bound) };
-    }
-    dist2_bounded_x4_impl(a, b, bound)
-}
-
-#[inline(always)]
-fn dist2_bounded_x4_impl(a: &[f64], b: &[f64], bound: f64) -> f64 {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f64; LANES];
@@ -418,7 +356,7 @@ fn dist2_bounded_x4_impl(a: &[f64], b: &[f64], bound: f64) -> f64 {
 ///
 /// `query` is either an unpadded vector of `block.dim()` components or a
 /// padded view of `block.stride()` components whose tail is zero (as
-/// produced by [`AlignedVec::as_padded`]); both give bitwise identical
+/// produced by [`PaddedVec::as_padded`]); both give bitwise identical
 /// decisions, but the padded form lets the scan run tail-free over
 /// [`CentroidBlock::row_padded`]. Ties keep the lowest index. Returns 0
 /// for an empty block.
@@ -435,16 +373,6 @@ pub fn argmin_dist2(query: &[f64], block: &CentroidBlock) -> usize {
         block.stride()
     );
     let padded = query.len() == block.stride();
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        return unsafe { argmin_dist2_avx2(query, block, padded) };
-    }
-    argmin_dist2_impl(query, block, padded)
-}
-
-#[inline(always)]
-fn argmin_dist2_impl(query: &[f64], block: &CentroidBlock, padded: bool) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for i in 0..block.len() {
@@ -453,7 +381,7 @@ fn argmin_dist2_impl(query: &[f64], block: &CentroidBlock, padded: bool) -> usiz
         } else {
             block.row(i)
         };
-        let d = dist2_bounded_x4_impl(query, row, best_d);
+        let d = dist2_bounded_x4(query, row, best_d);
         if d < best_d {
             best_d = d;
             best = i;
@@ -462,49 +390,20 @@ fn argmin_dist2_impl(query: &[f64], block: &CentroidBlock, padded: bool) -> usiz
     best
 }
 
-/// Cached CPUID check for the AVX2 fast path (the detection macro keeps
-/// its own atomic cache, so repeated calls are a load and a bit test).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// The distance-kernel variant runtime dispatch selects on this host:
-/// `"avx2"` when the AVX2 clones are taken, `"scalar"` otherwise.
+/// The widest vector unit the distance kernels were compiled for:
+/// `"avx2"` when the build enables it (`-C target-feature=+avx2` or a
+/// `target-cpu` that has it), `"scalar"` — the target's baseline —
+/// otherwise.
 ///
-/// Part of the host fingerprint perf-history records carry — two hosts
-/// with different dispatch are different populations for trend analysis.
+/// Part of the host fingerprint perf-history records carry — two builds
+/// with different vector widths are different populations for trend
+/// analysis.
 pub fn simd_dispatch() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        return "avx2";
+    if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else {
+        "scalar"
     }
-    "scalar"
-}
-
-/// [`dist2_x4`] compiled with AVX2 enabled: same lane-ordered arithmetic,
-/// bitwise identical results (rustc performs no FP contraction), but the
-/// four lanes occupy one 256-bit register.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dist2_x4_avx2(a: &[f64], b: &[f64]) -> f64 {
-    dist2_x4_impl(a, b)
-}
-
-/// [`dist2_bounded_x4`] compiled with AVX2 enabled; see [`dist2_x4_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dist2_bounded_x4_avx2(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    dist2_bounded_x4_impl(a, b, bound)
-}
-
-/// [`argmin_dist2`] compiled with AVX2 enabled so the bounded distance
-/// inlines into the scan inside the feature region; see [`dist2_x4_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn argmin_dist2_avx2(query: &[f64], block: &CentroidBlock, padded: bool) -> usize {
-    argmin_dist2_impl(query, block, padded)
 }
 
 #[cfg(test)]
@@ -512,12 +411,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_are_32_byte_aligned_and_zero_padded() {
+    fn rows_are_zero_padded_to_the_stride() {
         let block = CentroidBlock::from_rows(&[vec![1.0; 7], vec![2.0; 7]]);
         assert_eq!(block.stride(), 8);
         for i in 0..block.len() {
             let padded = block.row_padded(i);
-            assert_eq!(padded.as_ptr() as usize % 32, 0, "row {i} misaligned");
             assert_eq!(padded.len(), 8);
             assert_eq!(padded[7], 0.0, "padding must stay zero");
         }
@@ -540,7 +438,7 @@ mod tests {
         let a: Vec<f64> = (0..13).map(|i| i as f64 * 0.37).collect();
         let b: Vec<f64> = (0..13).map(|i| 5.0 - i as f64 * 0.21).collect();
         let block = CentroidBlock::from_rows(std::slice::from_ref(&b));
-        let q = AlignedVec::from_slice(&a);
+        let q = PaddedVec::from_slice(&a);
         let unpadded = dist2_x4(&a, &b);
         let padded = dist2_x4(q.as_padded(), block.row_padded(0));
         assert_eq!(unpadded.to_bits(), padded.to_bits());

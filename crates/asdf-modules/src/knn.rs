@@ -267,6 +267,34 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_model_component_is_an_invalid_parameter() {
+        use asdf_core::config::Config;
+        use asdf_core::dag::Dag;
+        use asdf_core::error::BuildDagError;
+        for (centroids, stddev) in [
+            ("1.0,2.0|NaN,4.0", "1.0,1.0"),
+            ("1.0,2.0|3.0,4.0", "1.0,inf"),
+        ] {
+            let cfg = format!(
+                "[vecsource]\nid = s\n\n[knn]\nid = n\ncentroids = {centroids}\nstddev = {stddev}\ninput[i] = s.out\n"
+            );
+            let parsed: Config = cfg.parse().unwrap();
+            match Dag::build(&vector_source_registry(), &parsed) {
+                Err(BuildDagError::ModuleInit {
+                    instance,
+                    source: ModuleError::InvalidParameter { reason, .. },
+                }) => {
+                    assert_eq!(instance, "n");
+                    assert!(reason.contains("non-finite"), "{reason}");
+                }
+                other => {
+                    panic!("{centroids} / {stddev}: expected invalid_parameter, got {other:?}")
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dimension_mismatch_is_a_runtime_error() {
         use asdf_core::config::Config;
         use asdf_core::dag::Dag;

@@ -11,7 +11,7 @@
 //! 0..200, non-multiple-of-4 tails included, and at the `bound = 0.0` /
 //! `bound = INFINITY` early-exit edges.
 
-use asdf_modules::kernel::{self, AlignedVec, CentroidBlock};
+use asdf_modules::kernel::{self, CentroidBlock, PaddedVec};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::Strategy;
@@ -65,7 +65,7 @@ proptest! {
         // Zero padding contributes exact +0.0 terms to non-negative lane
         // accumulators, so the padded full-stride scan is bit-identical.
         let exact = ref_dist2_lane4(&a, &b);
-        let q = AlignedVec::from_slice(&a);
+        let q = PaddedVec::from_slice(&a);
         let block = CentroidBlock::from_rows(std::slice::from_ref(&b));
         prop_assert_eq!(
             kernel::dist2_x4(q.as_padded(), block.row_padded(0)).to_bits(),
@@ -140,8 +140,8 @@ proptest! {
         // Unpadded query path.
         prop_assert_eq!(kernel::argmin_dist2(&q, &block), best);
         // Padded full-stride query path.
-        let aligned = AlignedVec::from_slice(&q);
-        prop_assert_eq!(kernel::argmin_dist2(aligned.as_padded(), &block), best);
+        let padded = PaddedVec::from_slice(&q);
+        prop_assert_eq!(kernel::argmin_dist2(padded.as_padded(), &block), best);
     }
 
     #[test]

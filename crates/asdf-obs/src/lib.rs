@@ -30,8 +30,7 @@
 //! layer against that baseline and gates it at <1% of campaign
 //! wall-clock. To stay under that gate on sub-microsecond paths, span
 //! *timing* is sampled (every [`span_sample_period`]-th execution per
-//! site; see [`span`] module docs) and timestamps come from the CPU
-//! cycle counter, not an OS clock. Trace *capture* is separate and
+//! site; see [`span`] module docs). Trace *capture* is separate and
 //! **off by default** ([`start_tracing`]); while capture is on every
 //! span is timed so traces stay complete, and only capture allocates
 //! (bounded by the recorder capacity).
@@ -52,6 +51,8 @@
 //! assert_eq!(events.len() as u64 + dropped, 1);
 //! assert_eq!(hist.count(), 1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod json;

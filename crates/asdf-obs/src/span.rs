@@ -11,19 +11,18 @@
 //! # Staying under the overhead gate
 //!
 //! Span sites sit on paths that execute in hundreds of nanoseconds (a
-//! module run, an RPC poll), where even one OS clock read per span would
-//! blow the <1%-of-wall-clock self-overhead budget. Two measures keep
-//! timing honest *and* cheap:
+//! module run, an RPC poll), where two clock reads per span would blow
+//! the <1%-of-wall-clock self-overhead budget. So outside trace capture,
+//! span *timing* is **sampled**: every
+//! [`crate::span_sample_period`]-th execution per site is timed; the
+//! rest cost two relaxed loads and one relaxed increment. Latency
+//! histograms therefore hold a uniform sample of executions (exact
+//! event totals belong in [`crate::Counter`]s). While trace capture is
+//! on, every span is timed so traces stay complete.
 //!
-//! * timestamps come from the CPU's constant-rate cycle counter (`rdtsc`
-//!   on x86_64, calibrated once against the OS clock; portable
-//!   [`Instant`] fallback elsewhere), and
-//! * outside trace capture, span *timing* is **sampled**: every
-//!   [`crate::span_sample_period`]-th execution per site is timed; the
-//!   rest cost two relaxed loads and one relaxed increment. Latency
-//!   histograms therefore hold a uniform sample of executions (exact
-//!   event totals belong in [`crate::Counter`]s). While trace capture is
-//!   on, every span is timed so traces stay complete.
+//! Timestamps are nanoseconds of [`Instant`] since a process-wide epoch:
+//! one monotonic clock on every platform, with no calibration step and no
+//! unit conversion between a read and a recorded duration.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,53 +35,24 @@ use crate::metrics::Histogram;
 /// period: 32.
 pub(crate) static SAMPLE_MASK: AtomicU64 = AtomicU64::new(31);
 
-/// Raw monotonic clock ticks: TSC cycles on x86_64 (constant-rate on any
-/// CPU this project targets), nanoseconds since the process epoch
-/// elsewhere.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn now_ticks() -> u64 {
-    // SAFETY: RDTSC has no preconditions.
-    unsafe { core::arch::x86_64::_rdtsc() }
+/// The process-wide instant every span timestamp is measured from.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn now_ticks() -> u64 {
+/// Monotonic nanoseconds since [`epoch`].
+#[inline]
+fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Nanoseconds per clock tick, calibrated once against the OS clock (a
-/// one-off ~5 ms pause at the first [`SpanHandle`] construction; exactly
-/// 1.0 on the portable fallback where ticks already are nanoseconds).
-pub(crate) fn ns_per_tick() -> f64 {
-    static CAL: OnceLock<f64> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        if cfg!(target_arch = "x86_64") {
-            let t0 = Instant::now();
-            let c0 = now_ticks();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let ns = t0.elapsed().as_nanos() as f64;
-            let ticks = now_ticks().saturating_sub(c0).max(1) as f64;
-            ns / ticks
-        } else {
-            1.0
-        }
-    })
-}
-
-#[inline]
-fn ticks_to_ns(delta_ticks: u64) -> u64 {
-    (delta_ticks as f64 * ns_per_tick()) as u64
-}
-
-/// Tick value all trace timestamps are measured from, anchored by
+/// [`now_ns`] value all trace timestamps are measured from, anchored by
 /// [`crate::start_tracing`].
-pub(crate) static EPOCH_TICKS: AtomicU64 = AtomicU64::new(0);
+static TRACE_EPOCH_NS: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn anchor_epoch() {
-    ns_per_tick();
-    EPOCH_TICKS.store(now_ticks(), Ordering::Relaxed);
+    TRACE_EPOCH_NS.store(now_ns(), Ordering::Relaxed);
 }
 
 /// Advances a per-site sampling ticker and reports whether this execution
@@ -134,13 +104,6 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-}
-
-/// The process-wide instant backing the portable tick fallback.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
 }
 
 /// Small dense id for the current thread (Chrome traces want integer
@@ -200,8 +163,6 @@ impl SpanHandle {
     /// Creates a handle feeding `hist` (typically obtained from the
     /// [`crate::registry()`] so summaries and exports can find it).
     pub fn new(cat: &'static str, name: impl Into<Arc<str>>, hist: Arc<Histogram>) -> Self {
-        // Calibrate the tick clock at construction, never on the hot path.
-        ns_per_tick();
         SpanHandle {
             name: name.into(),
             cat,
@@ -227,7 +188,7 @@ impl SpanHandle {
     #[inline]
     pub fn enter(&self) -> SpanGuard<'_> {
         let start = if crate::enabled() && (crate::tracing_on() || tick_site(&self.ticker)) {
-            Some(now_ticks())
+            Some(now_ns())
         } else {
             None
         };
@@ -248,7 +209,7 @@ impl SpanHandle {
     pub fn enter_forced(&self) -> SpanGuard<'_> {
         SpanGuard {
             handle: self,
-            start: Some(now_ticks()),
+            start: Some(now_ns()),
         }
     }
 }
@@ -263,10 +224,10 @@ pub struct SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let dur_ns = ticks_to_ns(now_ticks().saturating_sub(start));
+        let dur_ns = now_ns().saturating_sub(start);
         self.handle.hist.record(dur_ns);
         if crate::tracing_on() {
-            let ts_ns = ticks_to_ns(start.saturating_sub(EPOCH_TICKS.load(Ordering::Relaxed)));
+            let ts_ns = start.saturating_sub(TRACE_EPOCH_NS.load(Ordering::Relaxed));
             record_event(TraceEvent {
                 name: Arc::clone(&self.handle.name),
                 cat: self.handle.cat,
@@ -294,6 +255,34 @@ mod tests {
         crate::set_span_sample_period(was);
         assert_eq!(hist.count(), 3);
         assert_eq!(span.name(), "unit");
+    }
+
+    #[test]
+    fn a_span_around_a_sleep_records_a_duration_that_brackets_it() {
+        let _guard = crate::tests::flag_lock();
+        let was = crate::set_span_sample_period(1);
+        let hist = Arc::new(Histogram::new());
+        let span = SpanHandle::new("test", "slept", Arc::clone(&hist));
+        let pause = std::time::Duration::from_millis(20);
+        crate::start_tracing(16);
+        let outer = Instant::now();
+        {
+            let _g = span.enter();
+            std::thread::sleep(pause);
+        }
+        let outer_ns = outer.elapsed().as_nanos() as u64;
+        let (events, _) = crate::stop_tracing();
+        crate::set_span_sample_period(was);
+        let ev = events
+            .iter()
+            .find(|e| &*e.name == "slept")
+            .expect("span captured");
+        // The span lies inside `outer` and contains the sleep, so its
+        // duration is pinned from both sides in real nanoseconds.
+        let pause_ns = pause.as_nanos() as u64;
+        assert!(ev.dur_ns >= pause_ns, "{} < {pause_ns}", ev.dur_ns);
+        assert!(ev.dur_ns <= outer_ns, "{} > {outer_ns}", ev.dur_ns);
+        assert_eq!(hist.snapshot().sum, ev.dur_ns);
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //!   `--secs` collection steps; prints the per-tenant soak report
 //!   (alarms, shed frames, scheduler-lag watermark).
 //! * `perfwatch [--history PATH] [--report PATH] [--json PATH]
-//!   [--permutations N] [--pvalue P] [--min-segment N] [--no-dogfood]` —
-//!   the dogfooded perf-regression watchdog: loads the BENCH history
-//!   (default `BENCH_history.jsonl`), runs E-Divisive change-point
-//!   detection per metric, cross-checks with the peer-comparison DAG
-//!   replay, and prints a markdown report (optionally written to
+//!   [--permutations N] [--pvalue P] [--min-segment N]` — the
+//!   perf-regression watchdog: loads the BENCH history (default
+//!   `BENCH_history.jsonl`), runs E-Divisive change-point detection per
+//!   metric, and prints a markdown report (optionally written to
 //!   `--report` and, as JSON, to `--json`). Advisory: always exits 0
 //!   unless the history itself is unreadable.
 //!
@@ -76,7 +75,7 @@ fn usage() -> ! {
          \x20                [--window W] [--threshold T] [--k K] [--batch-size B]\n\
          asdf perfwatch   [--history PATH] [--report PATH] [--json PATH]\n\
          \x20                [--permutations N] [--pvalue P] [--min-segment N]\n\
-         \x20                [--seed X] [--no-dogfood]\n\
+         \x20                [--seed X]\n\
          \n\
          campaign subcommands default to smoke scale; --trace-out writes a\n\
          Chrome trace_event JSON (chrome://tracing / Perfetto); perfwatch\n\
@@ -125,7 +124,6 @@ struct Opts {
     permutations: Option<usize>,
     pvalue: Option<f64>,
     min_segment: Option<usize>,
-    no_dogfood: bool,
     tenants: usize,
     flood: usize,
     tick_ms: u64,
@@ -158,7 +156,6 @@ fn parse_opts(args: &[String]) -> Opts {
         permutations: None,
         pvalue: None,
         min_segment: None,
-        no_dogfood: false,
         tenants: 4,
         flood: 0,
         tick_ms: 1000,
@@ -208,7 +205,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--min-segment" => {
                 o.min_segment = Some(val("--min-segment").parse().unwrap_or_else(|_| usage()));
             }
-            "--no-dogfood" => o.no_dogfood = true,
             "--tenants" => o.tenants = val("--tenants").parse().unwrap_or_else(|_| usage()),
             "--flood" => o.flood = val("--flood").parse().unwrap_or_else(|_| usage()),
             "--tick-ms" => o.tick_ms = val("--tick-ms").parse().unwrap_or_else(|_| usage()),
@@ -626,9 +622,6 @@ fn cmd_perfwatch(o: Opts) {
         opts.detector.min_segment = m;
     }
     opts.detector.seed = o.seed;
-    if o.no_dogfood {
-        opts.dogfood = None;
-    }
     let report = perfwatch::analyze(&text, &opts).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
@@ -652,7 +645,7 @@ fn cmd_perfwatch(o: Opts) {
         eprintln!("json -> {out}");
     }
     // Advisory by design: findings are evidence for humans, not a gate,
-    // so a clean run exits 0 whatever the detectors concluded.
+    // so a clean run exits 0 whatever the detector concluded.
 }
 
 /// Runs a campaign subcommand under the observability exporters: optional

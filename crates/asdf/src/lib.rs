@@ -28,12 +28,9 @@
 //!   `asdf serve`: many monitored clusters ("tenants") stream collector
 //!   frames over the versioned wire protocol into bounded per-tenant
 //!   ingress queues, each diagnosed by its own labeled online engine;
-//! * [`perfwatch`] — the dogfooded perf-regression watchdog: it loads
-//!   the repo's own `BENCH_history.jsonl` benchmark series, runs
-//!   E-Divisive-mean change-point detection per metric, and cross-checks
-//!   the findings by replaying the history through a real
-//!   `mavgvec → knn → analysis_bb` peer-comparison DAG (ASDF diagnosing
-//!   ASDF).
+//! * [`perfwatch`] — the perf-regression watchdog: it loads the repo's
+//!   own `BENCH_history.jsonl` benchmark series and runs E-Divisive-mean
+//!   change-point detection per metric.
 //!
 //! # Quick start
 //!

@@ -35,7 +35,8 @@ pub struct HistoryRecord {
     pub commit: String,
     /// Cores available to the run (0 when unrecorded).
     pub cores: usize,
-    /// Kernel SIMD dispatch on the host (`avx2`, `scalar`, or `unknown`).
+    /// Vector width the distance kernels were compiled for (`avx2`,
+    /// `scalar`, or `unknown`).
     pub simd: String,
     /// Campaign worker count the suite ran with.
     pub workers: usize,

@@ -1,44 +1,33 @@
-//! `perfwatch` — the dogfooded perf-regression watchdog.
+//! `perfwatch` — the perf-regression watchdog.
 //!
 //! The reproduction's benchmark suite appends one schema-versioned record
 //! per run to `BENCH_history.jsonl` ([`history`]). This module watches
-//! that series with two *independent* detectors and cross-checks them:
+//! that series with [`edivisive`] — E-Divisive-mean change-point
+//! detection per metric, the technique MongoDB's performance CI uses:
+//! nonparametric, needs no baseline labels, localizes *when* a metric's
+//! distribution shifted and by how much.
 //!
-//! 1. [`edivisive`] — E-Divisive-mean change-point detection per metric,
-//!    the technique MongoDB's performance CI uses: nonparametric, needs
-//!    no baseline labels, localizes *when* a metric's distribution
-//!    shifted and by how much.
-//! 2. [`dogfood`] — the paper's own peer-comparison pipeline turned on
-//!    itself: each metric becomes a "node", its normalized history is
-//!    replayed through a real `perfseries → mavgvec → knn → analysis_bb`
-//!    DAG (batched, so the columnar row-block transport is exercised),
-//!    and `analysis_bb` fingerpoints the metric whose workload-state
-//!    histogram diverges from the metric population.
-//!
-//! [`analyze`] runs both and assembles a [`report::PerfwatchReport`];
-//! the `asdf perfwatch` subcommand renders it as markdown or JSON. The
-//! watchdog is **advisory**: it ranks evidence and always exits cleanly,
-//! leaving gating decisions to humans (see DESIGN.md §Perfwatch).
+//! [`analyze`] is parse → E-Divisive per metric → ranked findings in a
+//! [`report::PerfwatchReport`]; the `asdf perfwatch` subcommand renders
+//! it as markdown or JSON. The watchdog is **advisory**: it ranks
+//! evidence and always exits cleanly, leaving gating decisions to humans
+//! (see DESIGN.md §Perfwatch).
 
-pub mod dogfood;
 pub mod edivisive;
 pub mod history;
 pub mod report;
 
 use std::collections::BTreeMap;
 
-pub use dogfood::{run_dogfood, DogfoodConfig, DogfoodVerdict};
 pub use edivisive::{detect, ChangePoint, DetectorConfig};
 pub use history::{parse_history, render_record, utc_from_epoch, HistoryError, HistoryRecord};
-pub use report::{Agreement, MetricFinding, PerfwatchReport};
+pub use report::{MetricFinding, PerfwatchReport};
 
 /// Options for [`analyze`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzeOptions {
     /// E-Divisive tuning.
     pub detector: DetectorConfig,
-    /// Dogfood tuning; `None` disables the DAG replay.
-    pub dogfood: Option<DogfoodConfig>,
     /// Minimum points a metric series needs before change-point
     /// detection considers it.
     pub min_points: usize,
@@ -48,16 +37,14 @@ impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
             detector: DetectorConfig::default(),
-            dogfood: Some(DogfoodConfig::default()),
             min_points: 8,
         }
     }
 }
 
-/// Runs the full watchdog over a `BENCH_history.jsonl` document: parses
-/// the records (legacy schema-0 lines included), runs E-Divisive per
-/// metric, replays the aligned metric matrix through the dogfood DAG,
-/// and cross-checks the two detectors.
+/// Runs the watchdog over a `BENCH_history.jsonl` document: parses the
+/// records (legacy schema-0 lines included), runs E-Divisive per metric,
+/// and ranks the findings.
 ///
 /// # Errors
 ///
@@ -104,65 +91,12 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
             .then_with(|| a.metric.cmp(&b.metric))
     });
 
-    // Dogfood needs a rectangular matrix: metrics present in *every*
-    // record, in record order.
-    let (dogfood_verdicts, dogfood_skipped) = match &opts.dogfood {
-        None => (Vec::new(), Some("disabled".to_owned())),
-        Some(cfg) => {
-            let aligned: BTreeMap<String, Vec<f64>> = series
-                .iter()
-                .filter(|(_, xs)| xs.len() == n_records)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            if aligned.len() < 3 || n_records < cfg.min_points() {
-                (
-                    Vec::new(),
-                    Some(format!(
-                        "needs >= 3 aligned metrics over >= {} records, have {} over {}",
-                        cfg.min_points(),
-                        aligned.len(),
-                        n_records
-                    )),
-                )
-            } else {
-                match run_dogfood(&aligned, cfg) {
-                    Ok(v) => (v, None),
-                    Err(e) => (Vec::new(), Some(e.to_string())),
-                }
-            }
-        }
-    };
-
-    let mut rep = PerfwatchReport {
+    Ok(PerfwatchReport {
         n_records,
         n_schema0,
         span_utc,
         findings,
-        dogfood_verdicts,
-        dogfood_skipped,
-        agreement: Agreement::BothQuiet,
-    };
-    rep.agreement = if rep.dogfood_skipped.is_some() {
-        Agreement::DogfoodSkipped
-    } else {
-        let shifted = rep.shifted_metrics();
-        let flagged = rep.dogfood_flagged();
-        let mut a = shifted.clone();
-        a.sort();
-        let mut b = flagged.clone();
-        b.sort();
-        if a.is_empty() && b.is_empty() {
-            Agreement::BothQuiet
-        } else if a == b {
-            Agreement::Agree(a)
-        } else {
-            Agreement::Disagree {
-                edivisive: a,
-                dogfood: b,
-            }
-        }
-    };
-    Ok(rep)
+    })
 }
 
 #[cfg(test)]
@@ -202,22 +136,13 @@ mod tests {
     }
 
     #[test]
-    fn both_detectors_agree_on_an_injected_step() {
+    fn an_injected_step_is_found_at_the_right_metric_and_index() {
         let text = synthetic_history(60, 30);
         let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
         assert_eq!(rep.n_records, 60);
-        // E-Divisive names the right metric at the right index...
         assert_eq!(rep.shifted_metrics(), ["campaign_serial_secs"]);
         let cp = &rep.findings[0].change_points[0];
         assert!((28..=32).contains(&cp.index), "index {}", cp.index);
-        // ...the dogfood DAG fingerpoints the same metric...
-        assert_eq!(rep.dogfood_skipped, None);
-        assert_eq!(rep.dogfood_flagged(), ["campaign_serial_secs"]);
-        // ...and the report records the agreement.
-        assert_eq!(
-            rep.agreement,
-            Agreement::Agree(vec!["campaign_serial_secs".to_owned()])
-        );
         // The loudest metric sorts first.
         assert_eq!(rep.findings[0].metric, "campaign_serial_secs");
     }
@@ -228,8 +153,6 @@ mod tests {
         let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
         assert_eq!(rep.n_records, 2);
         assert!(rep.shifted_metrics().is_empty());
-        assert!(rep.dogfood_skipped.is_some());
-        assert_eq!(rep.agreement, Agreement::DogfoodSkipped);
         // Empty history is fine too.
         let empty = analyze("", &AnalyzeOptions::default()).unwrap();
         assert_eq!(empty.n_records, 0);

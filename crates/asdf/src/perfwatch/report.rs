@@ -7,7 +7,6 @@
 
 use std::fmt::Write as _;
 
-use super::dogfood::DogfoodVerdict;
 use super::edivisive::ChangePoint;
 
 /// Change-point findings for one metric series.
@@ -32,24 +31,6 @@ impl MetricFinding {
     }
 }
 
-/// How the two independent detectors relate on this history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Agreement {
-    /// Neither detector found anything.
-    BothQuiet,
-    /// Both name exactly the same metrics.
-    Agree(Vec<String>),
-    /// The detectors name different metric sets.
-    Disagree {
-        /// Metrics with significant E-Divisive change points.
-        edivisive: Vec<String>,
-        /// Metrics the dogfood DAG fingerpointed.
-        dogfood: Vec<String>,
-    },
-    /// The dogfood replay could not run (reason recorded on the report).
-    DogfoodSkipped,
-}
-
 /// Everything one `asdf perfwatch` invocation concluded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfwatchReport {
@@ -62,12 +43,6 @@ pub struct PerfwatchReport {
     /// Per-metric change-point findings, metrics with the largest shifts
     /// first, quiet metrics alphabetical after them.
     pub findings: Vec<MetricFinding>,
-    /// Dogfood verdicts (empty when the replay was skipped).
-    pub dogfood_verdicts: Vec<DogfoodVerdict>,
-    /// Why the dogfood replay was skipped, if it was.
-    pub dogfood_skipped: Option<String>,
-    /// Cross-check between the two detectors.
-    pub agreement: Agreement,
 }
 
 impl PerfwatchReport {
@@ -77,15 +52,6 @@ impl PerfwatchReport {
             .iter()
             .filter(|f| !f.change_points.is_empty())
             .map(|f| f.metric.clone())
-            .collect()
-    }
-
-    /// Metrics the dogfood DAG fingerpointed.
-    pub fn dogfood_flagged(&self) -> Vec<String> {
-        self.dogfood_verdicts
-            .iter()
-            .filter(|v| v.flagged())
-            .map(|v| v.metric.clone())
             .collect()
     }
 }
@@ -132,70 +98,6 @@ pub fn render_markdown(r: &PerfwatchReport) -> String {
         }
         out.push('\n');
     }
-
-    match &r.dogfood_skipped {
-        Some(reason) => {
-            let _ = writeln!(out, "## Dogfood DAG: skipped ({reason})\n");
-        }
-        None => {
-            let flagged = r.dogfood_flagged();
-            if flagged.is_empty() {
-                out.push_str("## Dogfood DAG: no metric fingerpointed\n\n");
-            } else {
-                let _ = writeln!(
-                    out,
-                    "## Dogfood DAG: fingerpointed {}\n",
-                    flagged
-                        .iter()
-                        .map(|m| format!("`{m}`"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-            }
-            out.push_str("| metric | alarms/windows | first alarm @ | max L1 (thr) |\n");
-            out.push_str("|---|---|---|---|\n");
-            for v in &r.dogfood_verdicts {
-                let _ = writeln!(
-                    out,
-                    "| `{}` | {}/{} | {} | {:.1} ({:.1}) |",
-                    v.metric,
-                    v.alarm_windows,
-                    v.evaluations,
-                    v.first_alarm_secs
-                        .map_or_else(|| "-".to_owned(), |s| s.to_string()),
-                    v.max_dist,
-                    v.threshold
-                );
-            }
-            out.push('\n');
-        }
-    }
-
-    out.push_str("## Verdict: ");
-    match &r.agreement {
-        Agreement::BothQuiet => out.push_str("both detectors quiet — no regression evidence.\n"),
-        Agreement::Agree(ms) => {
-            let _ = writeln!(
-                out,
-                "detectors AGREE on {}.",
-                ms.iter()
-                    .map(|m| format!("`{m}`"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-        }
-        Agreement::Disagree { edivisive, dogfood } => {
-            let _ = writeln!(
-                out,
-                "detectors disagree — E-Divisive: [{}], dogfood: [{}]. Treat as weak evidence.",
-                edivisive.join(", "),
-                dogfood.join(", ")
-            );
-        }
-        Agreement::DogfoodSkipped => {
-            out.push_str("E-Divisive only (dogfood replay skipped).\n");
-        }
-    }
     out
 }
 
@@ -230,71 +132,7 @@ pub fn render_json(r: &PerfwatchReport) -> String {
         }
         out.push_str("]}");
     }
-    out.push_str("],\"dogfood\":{");
-    match &r.dogfood_skipped {
-        Some(reason) => {
-            out.push_str("\"ran\":false,\"skipped\":\"");
-            escape_json(reason, &mut out);
-            out.push('"');
-        }
-        None => {
-            out.push_str("\"ran\":true,\"verdicts\":[");
-            for (i, v) in r.dogfood_verdicts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"metric\":\"");
-                escape_json(&v.metric, &mut out);
-                let _ = write!(
-                    out,
-                    "\",\"flagged\":{},\"alarm_windows\":{},\"evaluations\":{},\"first_alarm_secs\":{},\"max_dist\":{:.3},\"threshold\":{:.3}}}",
-                    v.flagged(),
-                    v.alarm_windows,
-                    v.evaluations,
-                    v.first_alarm_secs
-                        .map_or_else(|| "null".to_owned(), |s| s.to_string()),
-                    v.max_dist,
-                    v.threshold
-                );
-            }
-            out.push(']');
-        }
-    }
-    out.push_str("},\"agreement\":");
-    match &r.agreement {
-        Agreement::BothQuiet => out.push_str("{\"kind\":\"both_quiet\"}"),
-        Agreement::Agree(ms) => {
-            out.push_str("{\"kind\":\"agree\",\"metrics\":[");
-            for (i, m) in ms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_json(m, &mut out);
-                out.push('"');
-            }
-            out.push_str("]}");
-        }
-        Agreement::Disagree { edivisive, dogfood } => {
-            let list = |items: &[String], out: &mut String| {
-                for (i, m) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_json(m, out);
-                    out.push('"');
-                }
-            };
-            out.push_str("{\"kind\":\"disagree\",\"edivisive\":[");
-            list(edivisive, &mut out);
-            out.push_str("],\"dogfood\":[");
-            list(dogfood, &mut out);
-            out.push_str("]}");
-        }
-        Agreement::DogfoodSkipped => out.push_str("{\"kind\":\"dogfood_skipped\"}"),
-    }
-    out.push('}');
+    out.push_str("]}");
     out
 }
 
@@ -326,26 +164,19 @@ mod tests {
                     change_points: vec![],
                 },
             ],
-            dogfood_verdicts: vec![DogfoodVerdict {
-                metric: "campaign_serial_secs".into(),
-                evaluations: 4,
-                alarm_windows: 2,
-                first_alarm_secs: Some(9),
-                max_dist: 14.0,
-                threshold: 8.0,
-            }],
-            dogfood_skipped: None,
-            agreement: Agreement::Agree(vec!["campaign_serial_secs".into()]),
         }
     }
 
     #[test]
     fn markdown_names_the_shifted_metric_and_the_verdict() {
         let md = render_markdown(&sample_report());
+        assert!(md.contains("1 metric(s) shifted"));
         assert!(md.contains("`campaign_serial_secs`"));
         assert!(md.contains("+20.0%"));
-        assert!(md.contains("detectors AGREE"));
-        assert!(md.contains("2/4"));
+        assert!(
+            !md.contains("`scan_speedup`"),
+            "quiet metrics are not listed"
+        );
     }
 
     #[test]
@@ -360,24 +191,5 @@ mod tests {
             .and_then(|v| v.as_array())
             .unwrap();
         assert_eq!(cp[0].get("index").and_then(|v| v.as_f64()), Some(6.0));
-        assert_eq!(
-            doc.get("agreement")
-                .and_then(|a| a.get("kind"))
-                .and_then(|v| v.as_str()),
-            Some("agree")
-        );
-    }
-
-    #[test]
-    fn skipped_dogfood_renders_in_both_formats() {
-        let mut r = sample_report();
-        r.dogfood_verdicts.clear();
-        r.dogfood_skipped = Some("only 2 records".into());
-        r.agreement = Agreement::DogfoodSkipped;
-        let md = render_markdown(&r);
-        assert!(md.contains("skipped (only 2 records)"));
-        let doc = asdf_obs::json::parse(&render_json(&r)).unwrap();
-        let ran = doc.get("dogfood").and_then(|d| d.get("ran")).unwrap();
-        assert!(format!("{ran:?}").contains("false"));
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! Usage: `cargo run -p bench --bin perfsuite --release [-- --threads N]`
 //!
-//! Unlike the Criterion benches (statistical, minutes-long), this suite is
-//! a quick regression tripwire: one warm run per measurement, wall-clock
-//! seconds, a single JSON artifact that diffs cleanly across commits.
+//! Unlike `asdfbench` (alternating pairs with quartiles, minutes-long),
+//! this suite is a quick regression tripwire: one warm run per
+//! measurement, wall-clock seconds, a single JSON artifact that diffs
+//! cleanly across commits.
 //!
 //! A breached performance gate does not stop the run: it is recorded as
 //! `false` in the artifact (and counted into the history row's
@@ -756,6 +757,22 @@ fn main() {
     // Kept here so the JSON shows the kernel speedup, not just a number.
     let naive_dist2 =
         |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum() };
+    // The scan row's baseline: one left-to-right accumulator over a ragged
+    // row, early exit checked every 16 components — the hot path before
+    // `CentroidBlock` and the 4-lane fold.
+    fn ragged_dist2_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
+        let mut acc = 0.0;
+        for (ca, cb) in a.chunks(16).zip(b.chunks(16)) {
+            for (x, y) in ca.iter().zip(cb) {
+                let d = x - y;
+                acc += d * d;
+            }
+            if acc >= bound {
+                return acc;
+            }
+        }
+        acc
+    }
     let naive_ns = time_ns(20_000, || {
         let x = asdf_modules::training::scale_log(std::hint::black_box(&sample), &model.stddev);
         let best = ragged
@@ -784,21 +801,21 @@ fn main() {
 
     // --- Scalar vs SIMD nearest-centroid scan -----------------------------
     // The gated comparison: the pre-`CentroidBlock` hot path (early-exit
-    // left-to-right `dist2_bounded` over ragged `Vec<Vec<f64>>` rows)
+    // left-to-right `ragged_dist2_bounded` over `Vec<Vec<f64>>` rows)
     // against the fused 4-lane `argmin_dist2` over the contiguous block,
     // on the same pre-scaled 120-dim query. Both sides are single-thread
     // and share the early-exit discipline, so the ratio isolates the lane
     // accumulators plus the contiguous row layout.
     eprintln!("[perfsuite] scalar vs SIMD {DIM}-dim centroid scan ...");
     let scaled_q = asdf_modules::training::scale_log(&sample, &model.stddev);
-    let aligned_q = kernel::AlignedVec::from_slice(&scaled_q);
+    let padded_q = kernel::PaddedVec::from_slice(&scaled_q);
     let measure_scan = || {
         let scalar_ns = time_ns(100_000, || {
             let q: &[f64] = std::hint::black_box(&scaled_q);
             let mut best = 0;
             let mut best_d = f64::INFINITY;
             for (i, c) in ragged.iter().enumerate() {
-                let d = asdf_modules::training::dist2_bounded(q, c, best_d);
+                let d = ragged_dist2_bounded(q, c, best_d);
                 if d < best_d {
                     best_d = d;
                     best = i;
@@ -807,10 +824,8 @@ fn main() {
             std::hint::black_box(best);
         });
         let simd_ns = time_ns(100_000, || {
-            let best = kernel::argmin_dist2(
-                std::hint::black_box(aligned_q.as_padded()),
-                &model.centroids,
-            );
+            let best =
+                kernel::argmin_dist2(std::hint::black_box(padded_q.as_padded()), &model.centroids);
             std::hint::black_box(best);
         });
         (scalar_ns, simd_ns)

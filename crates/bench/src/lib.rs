@@ -1,6 +1,8 @@
 //! Shared plumbing for the experiment harness binaries (`fig6`, `fig7`,
 //! `table3`, `table4`).
 
+#![forbid(unsafe_code)]
+
 use asdf::experiments::CampaignConfig;
 
 /// Builds the experiment campaign configuration from the process's

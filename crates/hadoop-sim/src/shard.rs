@@ -207,4 +207,37 @@ mod tests {
         });
         assert!(data.iter().all(|&v| v == 1));
     }
+
+    /// The lifetime erasure in `run_chunks` is sound only if it never
+    /// returns — or unwinds — while a worker can still touch `data`. Here
+    /// the calling thread's own chunk panics first and every worker writes
+    /// late, so an implementation that left before draining its
+    /// completions would be caught with the writes still missing.
+    #[test]
+    fn a_panic_on_the_calling_thread_still_waits_for_every_worker_write() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+
+        let pool = ShardPool::new(4);
+        let caller = std::thread::current().id();
+        let caller_unwinding = AtomicBool::new(false);
+        let mut data = vec![0u8; 8];
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_chunks(&mut data, &|_, chunk| {
+                if std::thread::current().id() == caller {
+                    caller_unwinding.store(true, Ordering::SeqCst);
+                    panic!("calling-thread boom");
+                }
+                while !caller_unwinding.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                chunk.fill(1);
+            });
+        }));
+        assert!(r.is_err(), "the local panic should propagate");
+        // Chunks of two: the three worker chunks are written, the
+        // calling thread's chunk is not.
+        assert_eq!(data, [1, 1, 1, 1, 1, 1, 0, 0]);
+    }
 }

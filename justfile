@@ -1,8 +1,9 @@
 # Developer entry points. `just verify` is the PR gate; everything it runs
 # is also available through `scripts/verify.sh` on machines without just.
 
-# Tier-1 recipe plus the sharded-engine differential suite, the kernel
-# property suites, and a warnings-denied doc build of first-party crates.
+# Tier-1 recipe plus the `unsafe` audit, the sharded-engine differential
+# suite, the kernel property suites, and a warnings-denied doc build of
+# first-party crates.
 verify:
     ./scripts/verify.sh
 
@@ -18,10 +19,10 @@ tier1:
 equivalence:
     cargo test -p integration-tests --test shard_equivalence --test golden_figures
 
-# The kernel property suites: SIMD distance kernels pinned bitwise to the
-# 4-lane scalar reference, plus the classification-path equivalences.
+# The kernel property suites: the 4-lane distance kernels pinned bitwise
+# to an independent reference, plus the classification-path equivalences.
 kernel-props:
-    cargo test -q -p asdf-modules --test kernel_prop --test dist2_prop --test classify_proptest
+    cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
 # The widened-fault-matrix suites: activation-model property tests, the
 # golden per-fault scenarios with the metric-rank accuracy gate, and the

@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
-# PR gate: the tier-1 recipe plus the sharded-engine differential suite,
-# the fleet suites, a smoke run of the benchmark binary, the kernel
-# property suites, and a warnings-denied doc build.
+# PR gate: the tier-1 recipe plus the `unsafe` audit, the sharded-engine
+# differential suite, the fleet suites, a smoke run of the benchmark
+# binary, the kernel property suites, and a warnings-denied doc build.
 #
 # The equivalence tests run the fingerpointing pipeline at engine thread
 # counts {1, 2, 4, 8} (a dedicated 4-thread pass included) and compare
 # every observable bitwise against the serial engine, so every PR
 # exercises the sharded scheduler even on single-core CI. The kernel
-# property suites pin the SIMD distance kernels bitwise to the 4-lane
-# scalar reference. The doc build covers first-party crates only (the
+# property suites pin the 4-lane distance kernels bitwise to an
+# independent reference. The doc build covers first-party crates only (the
 # vendored workspace members are not ours to lint).
 set -eu
 cd "$(dirname "$0")/.."
@@ -24,6 +24,9 @@ cargo test -q
 
 echo "[verify] tier-1: clippy -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "[verify] unsafe audit: one site, the ShardPool transmute" >&2
+./scripts/unsafe_audit.sh
 
 echo "[verify] differential equivalence suite (engine threads, batches, sim shards, racks)" >&2
 cargo test -p integration-tests --test shard_equivalence --test golden_figures
@@ -48,11 +51,11 @@ echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound, thread bu
 cargo test -p integration-tests --test serve_soak --test online_engine
 cargo test -p asdf-core --test online_semantics
 
-echo "[verify] kernel property suites (bitwise SIMD/scalar pinning)" >&2
-cargo test -q -p asdf-modules --test kernel_prop --test dist2_prop --test classify_proptest
+echo "[verify] kernel property suites (bitwise pinning to the lane-fold reference)" >&2
+cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
-echo "[verify] perfwatch suites (snapshot round-trip, E-Divisive, dogfood DAG)" >&2
-cargo test -q -p integration-tests --test obs_snapshot --test perfwatch_dogfood
+echo "[verify] perfwatch suites (snapshot round-trip, E-Divisive)" >&2
+cargo test -q -p integration-tests --test obs_snapshot --test perfwatch
 
 echo "[verify] rustdoc -D warnings (first-party crates)" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \

@@ -1,13 +1,13 @@
 //! End-to-end test of the perf-regression watchdog: a synthetic BENCH
-//! history with an injected 20% step must be flagged by *both* detectors
-//! (E-Divisive change-point and the dogfooded ASDF DAG), naming the same
-//! metric, and the rendered reports must carry the verdict. Also pins
-//! that the repository's real `BENCH_history.jsonl` stays parseable.
+//! history with an injected 20% step must be flagged by E-Divisive at the
+//! right metric and record, a healthy one must stay quiet, and the
+//! rendered reports must carry the finding. Also pins that the
+//! repository's real `BENCH_history.jsonl` stays parseable.
 
 use std::collections::BTreeMap;
 
 use asdf::perfwatch::{
-    analyze, history, render_record, utc_from_epoch, Agreement, AnalyzeOptions, HistoryRecord,
+    analyze, history, render_record, utc_from_epoch, AnalyzeOptions, HistoryRecord,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,7 @@ fn synthetic_history(n: usize, step_at: usize, seed: u64) -> String {
 }
 
 #[test]
-fn injected_regression_is_flagged_by_both_detectors() {
+fn injected_regression_is_flagged() {
     let text = synthetic_history(60, 30, 7);
     let rep = analyze(&text, &AnalyzeOptions::default()).expect("history analyzes");
 
@@ -70,28 +70,9 @@ fn injected_regression_is_flagged_by_both_detectors() {
     );
     assert!(cp.p_value < 0.05);
 
-    // Dogfood DAG: same single metric fingerpointed, and the alarm fires
-    // after the step, never before it.
-    assert_eq!(rep.dogfood_skipped, None);
-    assert_eq!(rep.dogfood_flagged(), ["campaign_serial_secs"]);
-    let verdict = rep
-        .dogfood_verdicts
-        .iter()
-        .find(|v| v.metric == "campaign_serial_secs")
-        .expect("verdict for the regressed metric");
-    assert!(verdict.flagged());
-    assert!(verdict.first_alarm_secs.expect("alarm fired") > 30);
-
-    // Cross-check recorded in the report.
-    assert_eq!(
-        rep.agreement,
-        Agreement::Agree(vec!["campaign_serial_secs".to_owned()])
-    );
-
-    // Both renderings carry the verdict; the JSON form is machine-valid.
+    // Both renderings carry the finding; the JSON form is machine-valid.
     let md = asdf::perfwatch::report::render_markdown(&rep);
     assert!(md.contains("campaign_serial_secs"));
-    assert!(md.contains("## Verdict"));
     let js = asdf::perfwatch::report::render_json(&rep);
     let doc = asdf_obs::json::parse(&js).expect("report JSON parses");
     assert_eq!(doc.get("n_records").and_then(|v| v.as_f64()), Some(60.0));
@@ -102,8 +83,6 @@ fn healthy_history_stays_quiet_end_to_end() {
     let text = synthetic_history(60, usize::MAX, 11);
     let rep = analyze(&text, &AnalyzeOptions::default()).expect("history analyzes");
     assert!(rep.shifted_metrics().is_empty(), "no E-Divisive findings");
-    assert!(rep.dogfood_flagged().is_empty(), "no dogfood alarms");
-    assert_eq!(rep.agreement, Agreement::BothQuiet);
 }
 
 #[test]
