@@ -69,7 +69,7 @@ use parking_lot::Mutex;
 
 use crate::dag::{Dag, DagNode};
 use crate::error::RunEngineError;
-use crate::module::{EmitRows, Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
+use crate::module::{EmitRows, Envelope, Heard, PortId, RowBlock, RowEmit, RunCtx, RunReason};
 use crate::time::{TickDuration, Timestamp};
 use crate::value::{Sample, Value};
 
@@ -759,6 +759,11 @@ fn run_module(
         n_outputs: rt.node.outputs.len(),
         emitted_rows: &mut rt.row_emit,
         row_backlog: &mut rt.row_backlog,
+        // Read per run, not at construction: `tap` attaches later.
+        heard: Heard {
+            tapped: !rt.taps.is_empty(),
+            routes: &rt.route_map,
+        },
     };
     let batch_size = rt.batch_size;
     let result = {
@@ -1654,6 +1659,33 @@ mod tests {
         }
     }
 
+    /// Emits one row per tick on `heard` and, unless `sibling = 0`, its
+    /// negation on `unheard` — a port the test configs wire to nothing.
+    struct TwoPorts {
+        heard: Option<PortId>,
+        unheard: Option<PortId>,
+        sibling: bool,
+        count: u64,
+    }
+    impl Module for TwoPorts {
+        fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+            self.heard = Some(ctx.declare_output("heard"));
+            self.unheard = Some(ctx.declare_output("unheard"));
+            self.sibling = ctx.parse_param_or("sibling", 1u8)? != 0;
+            ctx.request_periodic(TickDuration::SECOND);
+            Ok(())
+        }
+        fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
+            self.count += 1;
+            let x = self.count as f64;
+            ctx.emit_row(self.heard.unwrap(), &[x, x + 0.5]);
+            if self.sibling {
+                ctx.emit_row(self.unheard.unwrap(), &[-x, -x - 0.5]);
+            }
+            Ok(())
+        }
+    }
+
     struct FailAt {
         at: i64,
         count: i64,
@@ -1740,6 +1772,14 @@ mod tests {
         reg.register("mixed", || {
             Box::new(MixedEmit {
                 port: None,
+                count: 0,
+            })
+        });
+        reg.register("twoports", || {
+            Box::new(TwoPorts {
+                heard: None,
+                unheard: None,
+                sibling: true,
                 count: 0,
             })
         });
@@ -2351,5 +2391,67 @@ input[i] = join.total
             5,
             "one whole block per tick must arrive columnar, got {blocks:?}"
         );
+    }
+
+    #[test]
+    fn a_tap_attached_after_construction_sees_every_row_of_an_unrouted_port() {
+        // Nobody hears `unheard` while the engine is untapped, so its rows
+        // are never built; whether anybody does is read on every run, not
+        // once in `TickEngine::new`, so a tap attached three ticks in gets
+        // every row of both ports from the fourth on.
+        let cfg = "[twoports]\nid = p\n\n[rowfold]\nid = f\ninput[i] = p.heard\n";
+        for batch in [1usize, 64] {
+            for threads in [1usize, 2] {
+                let mut eng = engine_with_threads(cfg, threads);
+                eng.set_batch_size(batch);
+                eng.run_for(TickDuration::from_secs(3)).unwrap();
+                let tap = eng.tap("p").unwrap();
+                eng.run_for(TickDuration::from_secs(4)).unwrap();
+                let got: Vec<(String, u64, Vec<f64>)> = tap
+                    .drain()
+                    .into_iter()
+                    .map(|e| {
+                        let row = e.sample.value.as_vector().unwrap().to_vec();
+                        (e.source.name.clone(), e.sample.timestamp.as_secs(), row)
+                    })
+                    .collect();
+                let want: Vec<(String, u64, Vec<f64>)> = (3..7u64)
+                    .flat_map(|t| {
+                        let x = (t + 1) as f64;
+                        [
+                            ("heard".to_owned(), t, vec![x, x + 0.5]),
+                            ("unheard".to_owned(), t, vec![-x, -x - 0.5]),
+                        ]
+                    })
+                    .collect();
+                assert_eq!(got, want, "batch {batch}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unheard_sibling_port_changes_nothing_downstream() {
+        // The routed consumer's stream and the transport count are those
+        // of a producer that never touches its second port.
+        let with = "[twoports]\nid = p\n\n[rowfold]\nid = f\ninput[i] = p.heard\n";
+        let without = "[twoports]\nid = p\nsibling = 0\n\n[rowfold]\nid = f\ninput[i] = p.heard\n";
+        for batch in [1usize, 64] {
+            let run = |cfg: &str| {
+                let mut eng = engine(cfg);
+                eng.set_batch_size(batch);
+                let tap = eng.tap("f").unwrap();
+                eng.run_for(TickDuration::from_secs(9)).unwrap();
+                let stream: Vec<(u64, Value)> = tap
+                    .drain()
+                    .into_iter()
+                    .map(|e| (e.sample.timestamp.as_secs(), e.sample.value))
+                    .collect();
+                (stream, eng.envelopes_routed())
+            };
+            let (stream, routed) = run(with);
+            assert_eq!(stream.len(), 9);
+            assert_eq!(routed, 9, "one delivery per tick, p.heard -> f");
+            assert_eq!((stream, routed), run(without), "batch {batch}");
+        }
     }
 }

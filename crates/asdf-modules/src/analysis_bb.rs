@@ -84,16 +84,20 @@ impl Default for AnalysisBb {
     }
 }
 
+/// The order every peer median is taken in: numbers by value, NaNs (all
+/// equal) after every number.
+pub(crate) fn nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Component-wise median; for even counts, the mean of the middle pair.
 /// NaNs (a counter can arrive as one off the wire) sort after every
 /// number, so they shift the median instead of panicking the sort; it is
 /// NaN itself only once NaNs reach the middle of the column.
 pub(crate) fn median(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty(), "median of empty slice");
-    values.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
-    });
+    values.sort_by(nan_last);
     let n = values.len();
     if n % 2 == 1 {
         values[n / 2]

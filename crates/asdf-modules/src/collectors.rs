@@ -13,7 +13,15 @@
 //!   index range); optional input `clock`; one output per node, `output0`,
 //!   `output1`, … in node order = that node's flattened 120-metric vector,
 //!   origin = that node's hostname. One instance holds one `sadc_rpcd`
-//!   connection per node and polls them all under one cluster lock;
+//!   connection per node and polls them all under one cluster lock. With
+//!   `nodes`, one more output, `frame` = the whole range's second as one
+//!   row `[k, dim, node₀ metrics…, node₁ metrics…]` (the layout of
+//!   [`crate::rack::RackSummary`], samples where the means go), origin =
+//!   the first node's hostname: the edge a rack's `rack_agg` listens to.
+//!   A per-node port that nobody wires or taps costs nothing — the engine
+//!   drops its rows before they are built (`RunCtx::emit_row`) — so a
+//!   fleet deployment moves one row per rack per second, and a `knn` or a
+//!   tap on `output3` still gets exactly node 3's stream;
 //! * `hadoop_log` — params: `node`, `daemon` (`tasktracker`/`datanode`);
 //!   optional input `clock`; output `output0` = per-state count vector;
 //! * `strace` — params: `node`; optional input `clock`; output `output0` =
@@ -98,14 +106,21 @@ impl Module for ClusterDriver {
 ///
 /// Every node keeps what the paper's one-instance-per-node deployment gives
 /// it — its own connection, its own request and response on the wire, its
-/// own output port whose origin is its hostname — and the instance takes
-/// the cluster lock once per clock pulse for all of them.
+/// own byte accounting, its own output port whose origin is its hostname —
+/// and the instance takes the cluster lock once per clock pulse for all of
+/// them. A range also leaves as one row on the `frame` port (see the
+/// module docs); nothing is allocated per node per second either way.
 pub struct Sadc {
     cluster: ClusterHandle,
     /// One daemon and its output port per monitored node, in node order.
     daemons: Vec<(SadcRpcd, PortId)>,
-    /// Every poll decodes into this one buffer; `emit_row` copies it out.
+    /// Every poll decodes into this one buffer; `emit_row` copies it out
+    /// for whoever listens to the node's port.
     buf: Vec<f64>,
+    /// `nodes = lo..hi` only: the `frame` port.
+    frame_port: Option<PortId>,
+    /// The second's frame as it is assembled: `[k, dim, metrics…]`.
+    frame: Vec<f64>,
 }
 
 impl Sadc {
@@ -116,6 +131,8 @@ impl Sadc {
             cluster,
             daemons: Vec::new(),
             buf: Vec::new(),
+            frame_port: None,
+            frame: Vec::new(),
         }
     }
 
@@ -164,12 +181,19 @@ impl Sadc {
 
 impl Module for Sadc {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        for (j, node) in self.node_range(ctx)?.enumerate() {
+        let nodes = self.node_range(ctx)?;
+        let first = nodes.start;
+        for (j, node) in nodes.enumerate() {
             let daemon = SadcRpcd::connect(self.cluster.clone(), node)
                 .map_err(|e| ModuleError::Other(format!("sadc_rpcd connect failed: {e}")))?;
             let origin = self.cluster.slave_name(node);
             let port = ctx.declare_output_with_origin(format!("output{j}"), origin);
             self.daemons.push((daemon, port));
+        }
+        if ctx.param("nodes").is_some() {
+            // After the node ports, so `output{j}` stays port j.
+            let origin = self.cluster.slave_name(first);
+            self.frame_port = Some(ctx.declare_output_with_origin("frame", origin));
         }
         schedule_collector(ctx, "sadc")
     }
@@ -180,16 +204,35 @@ impl Module for Sadc {
             cluster,
             daemons,
             buf,
+            frame_port,
+            frame,
         } = self;
-        cluster.with(|c| {
-            for (daemon, port) in daemons {
-                let polled = daemon.poll_into_locked(c, buf);
-                if polled.map_err(|e| poll_failed("sadc", e))?.is_some() {
-                    ctx.emit_row(*port, buf);
+        let k = daemons.len();
+        frame.clear();
+        let polled = cluster.with(|c| {
+            let mut polled = 0;
+            for (daemon, port) in daemons.iter_mut() {
+                let sample = daemon.poll_into_locked(c, buf);
+                if sample.map_err(|e| poll_failed("sadc", e))?.is_none() {
+                    continue;
+                }
+                polled += 1;
+                ctx.emit_row(*port, buf);
+                if frame_port.is_some() {
+                    if frame.is_empty() {
+                        frame.extend([k as f64, buf.len() as f64]);
+                    }
+                    frame.extend_from_slice(buf);
                 }
             }
-            Ok(())
-        })
+            Ok(polled)
+        })?;
+        // Under the one lock every node has rendered its second or (before
+        // the first simulated one) none has: a frame is whole or absent.
+        if let Some(port) = frame_port.filter(|_| polled == k) {
+            ctx.emit_row(port, frame);
+        }
+        Ok(())
     }
 }
 
@@ -467,10 +510,64 @@ input[clock] = drv.tick
                             "port {j}, batch {batch}, threads {threads}"
                         );
                     }
-                    assert_eq!(rack_tap.len(), 3 * node_taps[0].len(), "no other port");
+                    let frames = port_stream(rack_tap, "frame").len();
+                    assert_eq!(frames, node_taps[0].len(), "one frame a second");
+                    assert_eq!(
+                        rack_tap.len() - frames,
+                        3 * node_taps[0].len(),
+                        "no other port but `frame`"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn node_range_frame_is_every_node_port_of_the_second_bitwise() {
+        // Clocked, and free-running ahead of the driver: there the run at
+        // t=0 polls `Ok(None)` from every node, and no frame may leave.
+        let clocked = "[cluster_driver]\nid = drv\n\n\
+                       [sadc]\nid = rack\nnodes = 1..4\ninput[clock] = drv.tick\n";
+        let ahead = "[sadc]\nid = rack\nnodes = 1..4\n\n[cluster_driver]\nid = drv\n";
+        for (cfg, first_second, thread_counts) in [(clocked, 0, &[1, 2][..]), (ahead, 1, &[1][..])]
+        {
+            for batch in [1, 64] {
+                for &threads in thread_counts {
+                    let h = handle(5);
+                    let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
+                    let mut eng = TickEngine::with_threads(dag, threads);
+                    eng.set_batch_size(batch);
+                    let tap = eng.tap("rack").unwrap();
+                    eng.run_for(TickDuration::from_secs(12)).unwrap();
+
+                    let frames = port_stream(&tap, "frame");
+                    let seconds: Vec<u64> = frames.iter().map(|(_, t, _)| *t).collect();
+                    assert_eq!(seconds, (first_second..12).collect::<Vec<_>>());
+                    let nodes: Vec<_> = (0..3)
+                        .map(|j| port_stream(&tap, &format!("output{j}")))
+                        .collect();
+                    for (i, (origin, t, frame)) in frames.iter().enumerate() {
+                        assert_eq!(origin, "slave01", "the range's first node");
+                        let mut want = vec![3f64.to_bits(), 120f64.to_bits()];
+                        for node in &nodes {
+                            assert_eq!(node[i].1, *t);
+                            want.extend_from_slice(&node[i].2);
+                        }
+                        assert_eq!(want.len(), 2 + 3 * 120);
+                        assert_eq!(*frame, want, "t={t}, batch {batch}, threads {threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_node_collector_declares_no_frame_port() {
+        let h = handle(3);
+        let cfg = "[sadc]\nid = s\nnode = 1\n\n[print]\nid = p\ninput[a] = s.frame\n";
+        assert!(Dag::build(&registry(&h), &cfg.parse().unwrap()).is_err());
+        let cfg = cfg.replace("node = 1", "nodes = 1..2");
+        assert!(Dag::build(&registry(&h), &cfg.parse().unwrap()).is_ok());
     }
 
     #[test]

@@ -51,18 +51,12 @@ use hadoop_logs::sync::Aligner;
 use crate::kernel::CentroidBlock;
 use crate::rack::{self, RackSummary, WindowSums};
 
-/// Fraction of the baseline magnitude used as the deviation
-/// denominator's floor (see the module docs' `dev` formula).
-const MAD_FLOOR_FRACTION: f64 = 0.01;
-
 /// One metric vector waiting in the aligner for its peers: an envelope's
 /// shared allocation or a zero-copy view into a columnar [`RowBlock`]
 /// (cf. `mavgvec`'s window rows — both paths are bitwise identical by
 /// construction). Dropped as soon as its aligned row has been summed.
-/// Shared with the `rack_agg` aggregator, which sits on the same
-/// collector edges.
 #[derive(Debug, Clone)]
-pub(crate) enum MetricRow {
+enum MetricRow {
     Owned(Arc<[f64]>),
     Block(Arc<RowBlock>, usize),
 }
@@ -177,7 +171,7 @@ impl MetricRank {
     fn process_aligned_flat(&mut self, emit: &mut Emitter<'_>) {
         while let Some((t, row)) = self.aligner.pop_aligned() {
             // The same running sums `rack_agg` keeps per rack.
-            let Some(means) = self.sums.push(&row) else {
+            let Some(means) = self.sums.push(row.iter().map(AsRef::as_ref)) else {
                 continue;
             };
             for node in 0..row.len() {
@@ -247,9 +241,7 @@ impl MetricRank {
             self.ranked.clear();
             let mean = self.means.row(node);
             for (d, m) in mean.iter().enumerate() {
-                let base = self.baseline[d];
-                let floor = MAD_FLOOR_FRACTION * (1.0 + base.abs());
-                let dev = (m - base).abs() / (self.mad[d] + floor);
+                let dev = rack::deviation(*m, self.baseline[d], self.mad[d]);
                 self.ranked.push((d, dev));
             }
             // Only `top` pairs leave, so select them and sort just those.
@@ -437,9 +429,34 @@ mod tests {
         }
     }
 
+    /// Stands in for a rack collector's `frame` port: packs the second's
+    /// vector of every input, in slot order, into `[k, dim, vectors…]`.
+    struct Framer {
+        port: Option<PortId>,
+    }
+    impl Module for Framer {
+        fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+            let origin = ctx.input_slots()[0].1[0].origin.clone();
+            self.port = Some(ctx.declare_output_with_origin("frame", origin));
+            ctx.set_input_trigger(ctx.input_slots().len());
+            Ok(())
+        }
+        fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
+            let vectors = ctx.take_all();
+            let dim = vectors[0].1.sample.value.as_vector().unwrap().len();
+            let mut frame = vec![vectors.len() as f64, dim as f64];
+            for (_, env) in &vectors {
+                frame.extend_from_slice(env.sample.value.as_vector().unwrap());
+            }
+            ctx.emit(self.port.unwrap(), frame);
+            Ok(())
+        }
+    }
+
     fn registry() -> ModuleRegistry {
         let mut reg = ModuleRegistry::new();
         crate::register_analysis_modules(&mut reg);
+        reg.register("framer", || Box::new(Framer { port: None }));
         reg.register("vecnode", || Box::new(VecNode { port: None, t: 0 }));
         reg.register("deviantvec", || {
             Box::new(DeviantVecNode {
@@ -543,8 +560,9 @@ input[m2] = n2.out
 
     #[test]
     fn rack_mode_is_bitwise_equal_to_flat() {
-        // Four nodes (one deviant), flat wiring vs two racks tree-reduced
-        // through rack_agg: the rank streams must match bitwise.
+        // Four nodes (one deviant), flat wiring vs two racks, each framed
+        // as its collector would and tree-reduced through rack_agg: the
+        // rank streams must match bitwise.
         let nodes = "\
 [vecnode]
 id = n0
@@ -576,17 +594,25 @@ input[m3] = n3.out
         );
         let rack = format!(
             "{nodes}
-[rack_agg]
-id = ra0
-window = 10
+[framer]
+id = f0
 input[m0] = n0.out
 input[m1] = n1.out
 
 [rack_agg]
-id = ra1
+id = ra0
 window = 10
+input[frame] = f0.frame
+
+[framer]
+id = f1
 input[m0] = n2.out
 input[m1] = n3.out
+
+[rack_agg]
+id = ra1
+window = 10
+input[frame] = f1.frame
 
 [metric_rank]
 id = mr

@@ -17,18 +17,26 @@
 //! median/MAD are computed by the exact same code on both paths
 //! ([`WindowSums`], [`peer_baseline_into`]).
 //!
-//! No sample is retained to form a mean: [`WindowSums`] adds each aligned
-//! row into the running sum of every window it belongs to and the row is
-//! dropped. The additions run in arrival order from `0.0` — the order
-//! [`windowed_mean_into`] sums a buffered window in — so the means are the
-//! same bits as recomputing from retained rows, which is what the
-//! `window_sums_prop` proptests pin down. It holds
-//! `ceil(window / slide) × nodes × dim × 8` bytes whatever the window
-//! length in samples.
+//! A rack travels as one flat row in both directions of the reduce, in one
+//! layout ([`RackSummary::shape`]): `[k, dim, …k × dim values…]`, node
+//! rows in ascending node order. Going in, the values are one second's
+//! samples — the rack collector's `frame` port, one row per rack per
+//! second where there used to be one per node; coming out of `rack_agg`,
+//! they are a closed window's means.
+//!
+//! No sample is retained to form a mean: [`WindowSums`] adds each second's
+//! node rows into the running sum of every window the second belongs to,
+//! straight from where they arrived (a slice of the rack's frame, or the
+//! flat path's aligned vectors), and nothing is kept. The additions run in
+//! arrival order from `0.0` — the order [`windowed_mean_into`] sums a
+//! buffered window in — so the means are the same bits as recomputing from
+//! retained rows, which is what the `window_sums_prop` proptests pin down.
+//! It holds `ceil(window / slide) × nodes × dim × 8` bytes whatever the
+//! window length in samples.
 
 use std::collections::VecDeque;
 
-use crate::analysis_bb::median;
+use crate::analysis_bb::nan_last;
 use crate::kernel::CentroidBlock;
 
 /// Accumulates `rows` (chronologically ordered window samples) into `out`
@@ -92,16 +100,23 @@ impl WindowSums {
         }
     }
 
-    /// Adds one aligned row — one metric vector per node, in node order —
-    /// to every open window. When the row completes a window, returns its
-    /// row-major `nodes × dim` mean matrix (valid until the next push).
+    /// Adds one second — one metric vector per node, in node order — to
+    /// every open window. When it completes a window, returns that
+    /// window's row-major `nodes × dim` mean matrix (valid until the next
+    /// push).
     ///
     /// # Panics
     ///
-    /// Panics if the vectors differ in length, or the row's shape differs
-    /// from the rows already in an open window.
-    pub fn push<R: AsRef<[f64]>>(&mut self, row: &[R]) -> Option<&[f64]> {
-        let dim = row.first().map_or(0, |v| v.as_ref().len());
+    /// Panics if the vectors differ in length, or their count or length
+    /// differs from the seconds already in an open window.
+    pub fn push<'a, I>(&mut self, node_rows: I) -> Option<&[f64]>
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut node_rows = node_rows.into_iter().peekable();
+        let nodes = node_rows.len();
+        let dim = node_rows.peek().map_or(0, |v| v.len());
         let seen = self.rows;
         self.rows += 1;
 
@@ -109,11 +124,10 @@ impl WindowSums {
         if seen >= lead && (seen - lead).is_multiple_of(self.slide) {
             let mut sums = std::mem::take(&mut self.closed);
             sums.clear();
-            sums.resize(row.len() * dim, 0.0);
+            sums.resize(nodes * dim, 0.0);
             self.open.push_back(sums);
         }
-        for (node, v) in row.iter().enumerate() {
-            let v = v.as_ref();
+        for (node, v) in node_rows.enumerate() {
             assert_eq!(v.len(), dim, "metric vectors of one row must agree");
             for sums in &mut self.open {
                 for (m, x) in sums[node * dim..][..dim].iter_mut().zip(v) {
@@ -135,9 +149,33 @@ impl WindowSums {
     }
 }
 
+/// Median of a peer column by selection, not a sort; for even counts the
+/// mean of the middle pair. Orders as `analysis_bb::median` does
+/// ([`nan_last`]: NaNs after every number, so they shift the median and it
+/// is NaN itself only once they reach the middle) and returns the same
+/// value. The one bit
+/// that can differ from that stable sort is the sign of a zero median
+/// (`0.0` and `-0.0` compare equal, and a selection does not keep them in
+/// input order), or of a NaN one; nothing downstream reads it:
+/// [`peer_baseline_into`]'s MAD column takes `|x − m|` and
+/// [`deviation`] `|x − m|` and `1 + |m|`, where `abs` clears the sign
+/// whichever zero or NaN was subtracted.
+fn select_median(values: &mut [f64]) -> f64 {
+    assert!(!values.is_empty(), "median of empty slice");
+    let n = values.len();
+    let (below, &mut upper, _) = values.select_nth_unstable_by(n / 2, nan_last);
+    if n % 2 == 1 {
+        return upper;
+    }
+    // The lower middle is the greatest of what was partitioned below.
+    let lower = below.iter().copied().max_by(nan_last);
+    (lower.expect("an even, non-empty column has a lower half") + upper) / 2.0
+}
+
 /// Component-wise peer baseline (median across node rows) and MAD (median
 /// absolute deviation from that baseline) over a mean matrix. `col` is
-/// reusable scratch.
+/// reusable scratch. The medians are selected, `O(nodes)` per metric
+/// (see `select_median` for why no output can tell them from sorted ones).
 pub fn peer_baseline_into(
     means: &CentroidBlock,
     baseline: &mut [f64],
@@ -148,12 +186,24 @@ pub fn peer_baseline_into(
     for d in 0..dim {
         col.clear();
         col.extend(means.rows().map(|r| r[d]));
-        baseline[d] = median(col);
+        baseline[d] = select_median(col);
         let base = baseline[d];
         col.clear();
         col.extend(means.rows().map(|r| (r[d] - base).abs()));
-        mad[d] = median(col);
+        mad[d] = select_median(col);
     }
+}
+
+/// Fraction of the baseline magnitude used as the floor of
+/// [`deviation`]'s denominator.
+const MAD_FLOOR_FRACTION: f64 = 0.01;
+
+/// How far one node's windowed `mean` of a metric sits from its peers:
+/// `|mean − baseline| / (mad + 0.01·(1 + |baseline|))`, the score
+/// `metric_rank` ranks by (its module docs say why the floor is relative).
+pub fn deviation(mean: f64, baseline: f64, mad: f64) -> f64 {
+    let floor = MAD_FLOOR_FRACTION * (1.0 + baseline.abs());
+    (mean - baseline).abs() / (mad + floor)
 }
 
 /// A rack's contribution to the global peer comparison: the windowed
@@ -185,29 +235,43 @@ impl RackSummary {
     /// Returns a description of the malformation when the header is
     /// missing, non-integral, or inconsistent with the payload length.
     pub fn decode(row: &[f64]) -> Result<RackSummary, String> {
-        if row.len() < 2 {
-            return Err(format!(
-                "rack summary needs [k, dim, …], got {} values",
-                row.len()
-            ));
-        }
-        let (k, dim) = (row[0], row[1]);
-        if k.fract() != 0.0 || dim.fract() != 0.0 || k < 1.0 || dim < 1.0 {
-            return Err(format!("bad rack summary header [k={k}, dim={dim}]"));
-        }
-        let (n_nodes, dim) = (k as usize, dim as usize);
-        let want = n_nodes * dim;
-        if row.len() - 2 != want {
-            return Err(format!(
-                "rack summary payload is {} values, header says {n_nodes}x{dim}",
-                row.len() - 2
-            ));
-        }
+        let (n_nodes, dim) = RackSummary::shape(row)?;
         Ok(RackSummary {
             n_nodes,
             dim,
             means: row[2..].to_vec(),
         })
+    }
+
+    /// Validates the `[k, dim]` header of a rack row — a summary, or a
+    /// rack collector's one-second frame, which carries samples in the same
+    /// layout — against its length, and returns `(k, dim)`. The values,
+    /// `row[2..]`, are then `k` node rows of `dim`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the malformation when the header is
+    /// missing, non-integral, below one, or inconsistent with the payload
+    /// length.
+    pub fn shape(row: &[f64]) -> Result<(usize, usize), String> {
+        let [k, dim, payload @ ..] = row else {
+            return Err(format!(
+                "rack row needs [k, dim, …], got {} values",
+                row.len()
+            ));
+        };
+        // Checked against the payload as floats: a header too large for
+        // `usize` (or not finite) is a mismatch, never an overflow.
+        if k.fract() != 0.0 || dim.fract() != 0.0 || *k < 1.0 || *dim < 1.0 {
+            return Err(format!("bad rack row header [k={k}, dim={dim}]"));
+        }
+        if k * dim != payload.len() as f64 {
+            return Err(format!(
+                "rack row payload is {} values, header says {k}x{dim}",
+                payload.len()
+            ));
+        }
+        Ok((*k as usize, *dim as usize))
     }
 
     /// Merges partials (each covering a contiguous node range, in global

@@ -1,43 +1,46 @@
 //! The `rack_agg` tree-reduce stage for fleet-scale peer comparison.
 //!
-//! One instance per rack, wired to the rack's per-node collector edges
-//! (`m0`, `m1`, …). Each aligned row of samples is added into the running
-//! sums of the open windows ([`crate::rack::WindowSums`], the same code
-//! and arithmetic as the flat `metric_rank` path) and dropped in the run
-//! that delivered it: a sample is held only while it waits in the aligner
-//! for its peers. Every `slide` aligned rows (the first time on row
-//! `max(window, slide)`) a window closes and its per-node means leave as
-//! one self-describing summary row `[k, dim, means…]`
-//! ([`crate::rack::RackSummary`]) on the `sum` port.
+//! One instance per rack, wired to one edge: the rack collector's `frame`
+//! port (`input[frame] = sadcr3.frame`), which carries the rack's second
+//! as one row `[k, dim, node₀ metrics…, node₁ metrics…]`. The frame's node
+//! rows are added into the running sums of the open windows
+//! ([`crate::rack::WindowSums`], the same code and arithmetic as the flat
+//! `metric_rank` path) straight from the frame, and the frame is dropped
+//! in the run that delivered it: there is no per-node edge, queue or
+//! aligner between a collector and its aggregator, and nothing is held
+//! per sample. Every `slide` frames (the first time on frame
+//! `max(window, slide)`) a window closes and its per-node means leave in
+//! the same layout, `[k, dim, means…]` ([`crate::rack::RackSummary`]), on
+//! the `sum` port, stamped like the frame that closed it.
+//!
+//! A frame is input from outside the module: a header that is missing,
+//! non-integral or at odds with the payload length, and a `k` or `dim`
+//! that changes mid-stream, are each a [`ModuleError`] that names the
+//! problem — never a panic, never a silently mis-shaped mean.
 //!
 //! A downstream `metric_rank` in rack mode (its `nodes` parameter set)
 //! concatenates the rack summaries back into the flat mean matrix and runs
 //! the identical baseline/MAD/deviation ranking — bitwise equal to the
-//! flat wiring, while the global DAG stage moves O(racks) rows instead of
-//! O(nodes) metric vectors per evaluation.
+//! flat wiring, while the DAG moves O(racks) rows per second ahead of the
+//! aggregators and O(racks) per evaluation behind them.
 //!
 //! Configuration parameters:
 //!
 //! * `window` — samples per window (default 60);
 //! * `slide` — samples between evaluations (default = `window`).
 
-use std::sync::Arc;
-
 use asdf_core::error::ModuleError;
-use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
+use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::value::Value;
-use hadoop_logs::sync::Aligner;
 
-use crate::metric_rank::MetricRow;
-use crate::rack::WindowSums;
+use crate::rack::{RackSummary, WindowSums};
 
 /// Per-rack windowed-mean summarizer (see the module docs).
 #[derive(Debug)]
 pub struct RackAgg {
-    aligner: Aligner<MetricRow>,
     sums: WindowSums,
-    /// Metric vector width, discovered from the first sample.
-    dim: usize,
+    /// `(k, dim)` of the first frame; every later frame must match.
+    shape: Option<(usize, usize)>,
     /// Emission scratch: `[k, dim, means…]`.
     out_row: Vec<f64>,
     out: Option<PortId>,
@@ -47,60 +50,10 @@ impl RackAgg {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         RackAgg {
-            aligner: Aligner::new(1),
             sums: WindowSums::new(1, 1),
-            dim: 0,
+            shape: None,
             out_row: Vec::new(),
             out: None,
-        }
-    }
-
-    fn push_envelope(
-        &mut self,
-        slot_idx: usize,
-        secs: u64,
-        value: &Value,
-    ) -> Result<(), ModuleError> {
-        let row = match value {
-            Value::Vector(v) => MetricRow::Owned(Arc::clone(v)),
-            other => {
-                return Err(ModuleError::Other(format!(
-                    "rack_agg expects vector samples, got {}",
-                    other.type_name()
-                )))
-            }
-        };
-        self.check_width(row.as_ref().len())?;
-        self.aligner.push(slot_idx, secs, row);
-        Ok(())
-    }
-
-    fn check_width(&mut self, width: usize) -> Result<(), ModuleError> {
-        if self.dim == 0 {
-            self.dim = width;
-        } else if width != self.dim {
-            return Err(ModuleError::Other(format!(
-                "inconsistent metric vector width: {} then {width}",
-                self.dim
-            )));
-        }
-        Ok(())
-    }
-
-    /// Drains aligned rows, emitting one rack summary per closed window —
-    /// the same cadence as the flat `metric_rank`, so the rack path
-    /// evaluates at identical timestamps.
-    fn process_aligned(&mut self, emit: &mut Emitter<'_>) {
-        while let Some((t, row)) = self.aligner.pop_aligned() {
-            let Some(means) = self.sums.push(&row) else {
-                continue;
-            };
-            self.out_row.clear();
-            self.out_row.push(row.len() as f64);
-            self.out_row.push(self.dim as f64);
-            self.out_row.extend_from_slice(means);
-            let ts = asdf_core::time::Timestamp::from_secs(t);
-            emit.emit_row_at(self.out.expect("initialized"), ts, &self.out_row);
         }
     }
 }
@@ -121,57 +74,56 @@ impl Module for RackAgg {
         if slide == 0 {
             return Err(ModuleError::invalid_parameter("slide", "must be positive"));
         }
-        let k = ctx.input_slots().len();
-        if k == 0 {
-            return Err(ModuleError::BadInputs(
-                "rack_agg needs at least one node input".to_owned(),
-            ));
-        }
-        // The summary's origin is the rack's first node — downstream
-        // rack-mode `metric_rank` re-labels per node from its own list.
-        let (slot, sources) = &ctx.input_slots()[0];
-        let origin = sources
-            .first()
-            .map(|m| m.origin.clone())
-            .unwrap_or_else(|| slot.clone());
+        let [(_, sources)] = ctx.input_slots() else {
+            return Err(ModuleError::BadInputs(format!(
+                "rack_agg takes one input, its rack's frame port, got {} slots",
+                ctx.input_slots().len()
+            )));
+        };
+        let [frame_port] = &sources[..] else {
+            return Err(ModuleError::BadInputs(format!(
+                "rack_agg's input takes one frame port, got {} connections",
+                sources.len()
+            )));
+        };
+        // The summary's origin is the frame's, the rack's first node —
+        // downstream rack-mode `metric_rank` re-labels per node from its
+        // own list.
+        let origin = frame_port.origin.clone();
         self.out = Some(ctx.declare_output_with_origin("sum", origin));
-        self.aligner = Aligner::new(k);
         self.sums = WindowSums::new(window, slide);
         Ok(())
     }
 
+    /// Adds every pending frame to the open windows and emits one rack
+    /// summary per window closed — the cadence of the flat `metric_rank`,
+    /// so the rack path evaluates at identical timestamps.
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let (drain, mut emit) = ctx.drain_and_emit();
-        for (slot_idx, env) in drain {
-            self.push_envelope(slot_idx, env.sample.timestamp.as_secs(), &env.sample.value)?;
-        }
-        self.process_aligned(&mut emit);
-        Ok(())
-    }
-
-    /// Columnar delivery: rack aggregators sit directly on the fleet's
-    /// highest-volume edges, so batch runs hand whole row blocks over.
-    fn accepts_row_blocks(&self) -> bool {
-        true
-    }
-
-    fn run_batch(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Queued envelopes are always older than backlog rows (engine
-        // invariant), so draining them first preserves arrival order.
-        let blocks = ctx.take_row_blocks();
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (slot_idx, env) in drain {
-            self.push_envelope(slot_idx, env.sample.timestamp.as_secs(), &env.sample.value)?;
-        }
-        for (slot_idx, block) in blocks {
-            for r in 0..block.len() {
-                let secs = block.stamps[r].as_secs();
-                self.check_width(block.row(r).len())?;
-                self.aligner
-                    .push(slot_idx, secs, MetricRow::Block(Arc::clone(&block), r));
+        for (_, env) in drain {
+            let Value::Vector(frame) = &env.sample.value else {
+                return Err(ModuleError::Other(format!(
+                    "rack_agg expects rack frames, got {}",
+                    env.sample.value.type_name()
+                )));
+            };
+            let shape = RackSummary::shape(frame).map_err(ModuleError::Other)?;
+            let (k, dim) = *self.shape.get_or_insert(shape);
+            if shape != (k, dim) {
+                return Err(ModuleError::Other(format!(
+                    "rack frame changed shape: {k}x{dim} then {}x{}",
+                    shape.0, shape.1
+                )));
             }
+            let Some(means) = self.sums.push(frame[2..].chunks_exact(dim)) else {
+                continue;
+            };
+            self.out_row.clear();
+            self.out_row.extend_from_slice(&frame[..2]);
+            self.out_row.extend_from_slice(means);
+            let port = self.out.expect("initialized");
+            emit.emit_row_at(port, env.sample.timestamp, &self.out_row);
         }
-        self.process_aligned(&mut emit);
         Ok(())
     }
 }
@@ -179,35 +131,72 @@ impl Module for RackAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rack::RackSummary;
     use asdf_core::config::Config;
     use asdf_core::dag::Dag;
     use asdf_core::engine::TickEngine;
+    use asdf_core::error::BuildDagError;
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
-    use std::sync::{Mutex, Weak};
+    use std::sync::{Arc, Mutex, Weak};
 
-    /// Every payload a `vecnode` has emitted, by weak reference.
+    /// Every payload a `framenode` has emitted, by weak reference.
     type Emitted = Arc<Mutex<Vec<Weak<[f64]>>>>;
 
-    /// Emits `[x, 2·x]` every second, `x = base + ramp·(seconds so far)`.
-    struct VecNode {
+    /// A two-node rack collector's `frame` port: every second
+    /// `[2, 2, x₀, 2·x₀, x₁, 2·x₁]`, `xᵢ = baseᵢ + rampᵢ·(seconds so far)`.
+    /// From second `bad_at` on (when set) the frame is broken as `bad`
+    /// names.
+    struct FrameNode {
         port: Option<PortId>,
-        base: f64,
-        ramp: f64,
+        base: [f64; 2],
+        ramp: [f64; 2],
+        bad: String,
+        bad_at: u64,
         emitted: Emitted,
     }
-    impl Module for VecNode {
+    impl Module for FrameNode {
         fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-            self.base = ctx.parse_param("base")?;
-            self.ramp = ctx.parse_param_or("ramp", 0.0)?;
-            self.port = Some(ctx.declare_output_with_origin("out", format!("n{}", self.base)));
+            self.base = [ctx.parse_param("base0")?, ctx.parse_param("base1")?];
+            self.ramp = [
+                ctx.parse_param_or("ramp0", 0.0)?,
+                ctx.parse_param_or("ramp1", 0.0)?,
+            ];
+            self.bad = ctx.param("bad").unwrap_or("").to_owned();
+            self.bad_at = ctx.parse_param_or("bad_at", u64::MAX)?;
+            self.port = Some(ctx.declare_output_with_origin("frame", "n0"));
+            // Silent; there so that `@rack` names two ports, as `@sadcr0`
+            // names the per-node ports beside the frame.
+            ctx.declare_output("output0");
             ctx.request_periodic(TickDuration::SECOND);
             Ok(())
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            let payload: Arc<[f64]> = Arc::from(vec![self.base, 2.0 * self.base]);
-            self.base += self.ramp;
+            let [x0, x1] = self.base;
+            let mut frame = vec![2.0, 2.0, x0, 2.0 * x0, x1, 2.0 * x1];
+            if ctx.now().as_secs() >= self.bad_at {
+                match self.bad.as_str() {
+                    "empty" => frame.clear(),
+                    "header" => frame[0] = 2.5,
+                    "nan" => frame[1] = f64::NAN,
+                    "huge" => frame[0] = 1e300,
+                    "short" => frame.truncate(5),
+                    "long" => frame.push(0.0),
+                    "third_node" => {
+                        frame[0] = 3.0;
+                        frame.extend([9.0, 18.0]);
+                    }
+                    "wider" => frame = vec![2.0, 3.0, x0, x0, x0, x1, x1, x1],
+                    "scalar" => {
+                        ctx.emit(self.port.unwrap(), 1.0);
+                        return Ok(());
+                    }
+                    other => panic!("unknown breakage `{other}`"),
+                }
+            }
+            for (x, ramp) in self.base.iter_mut().zip(self.ramp) {
+                *x += ramp;
+            }
+            let payload: Arc<[f64]> = Arc::from(frame);
             self.emitted.lock().unwrap().push(Arc::downgrade(&payload));
             ctx.emit(self.port.unwrap(), Value::Vector(payload));
             Ok(())
@@ -218,11 +207,13 @@ mod tests {
         let mut reg = ModuleRegistry::new();
         crate::register_analysis_modules(&mut reg);
         let emitted = Arc::clone(emitted);
-        reg.register("vecnode", move || {
-            Box::new(VecNode {
+        reg.register("framenode", move || {
+            Box::new(FrameNode {
                 port: None,
-                base: 0.0,
-                ramp: 0.0,
+                base: [0.0; 2],
+                ramp: [0.0; 2],
+                bad: String::new(),
+                bad_at: u64::MAX,
                 emitted: Arc::clone(&emitted),
             })
         });
@@ -236,19 +227,15 @@ mod tests {
     #[test]
     fn summaries_carry_per_node_windowed_means() {
         let cfg: Config = "\
-[vecnode]
-id = n0
-base = 1
-
-[vecnode]
-id = n1
-base = 3
+[framenode]
+id = rack
+base0 = 1
+base1 = 3
 
 [rack_agg]
 id = ra
 window = 4
-input[m0] = n0.out
-input[m1] = n1.out
+input[frame] = rack.frame
 "
         .parse()
         .unwrap();
@@ -259,6 +246,7 @@ input[m1] = n1.out
         let out = tap.drain();
         assert_eq!(out.len(), 2, "two non-overlapping 4-sample windows");
         for env in &out {
+            assert_eq!(env.source.origin, "n0", "the frame's origin");
             let row = env.sample.value.as_vector().unwrap();
             let s = RackSummary::decode(row).unwrap();
             assert_eq!((s.n_nodes, s.dim), (2, 2));
@@ -267,28 +255,24 @@ input[m1] = n1.out
         }
     }
 
-    /// Two ramping nodes into one `rack_agg` with window 4 and the given
-    /// slide, run for 13 s: `(closing second, summary)` per emission, and
-    /// the engine they came from, still holding whatever it holds.
+    /// A ramping two-node rack into one `rack_agg` with window 4 and the
+    /// given slide, run for 13 s: `(closing second, summary)` per emission,
+    /// and the engine they came from, still holding whatever it holds.
     fn ramp_summaries(slide: usize, emitted: &Emitted) -> (TickEngine, Vec<(u64, RackSummary)>) {
         let cfg: Config = format!(
             "\
-[vecnode]
-id = n0
-base = 1
-ramp = 1
-
-[vecnode]
-id = n1
-base = 3
-ramp = 0.5
+[framenode]
+id = rack
+base0 = 1
+ramp0 = 1
+base1 = 3
+ramp1 = 0.5
 
 [rack_agg]
 id = ra
 window = 4
 slide = {slide}
-input[m0] = n0.out
-input[m1] = n1.out
+input[frame] = rack.frame
 "
         )
         .parse()
@@ -332,9 +316,9 @@ input[m1] = n1.out
         }
     }
 
-    /// The memory claim: a sample is summed and dropped in the run that
-    /// delivered it, so once `run_for` returns nothing a source emitted is
-    /// still alive, whatever the window shape.
+    /// The memory claim: a frame is summed and dropped in the run that
+    /// delivered it, so once `run_for` returns nothing the collector
+    /// emitted is still alive, whatever the window shape.
     #[test]
     fn no_sample_outlives_the_run_that_delivered_it() {
         for slide in [4, 2, 6] {
@@ -342,7 +326,7 @@ input[m1] = n1.out
             let (engine, out) = ramp_summaries(slide, &emitted);
             assert!(!out.is_empty());
             let emitted = emitted.lock().unwrap();
-            assert_eq!(emitted.len(), 2 * 13, "every node emitted every second");
+            assert_eq!(emitted.len(), 13, "the rack emitted every second");
             let alive = emitted.iter().filter(|w| w.upgrade().is_some()).count();
             assert_eq!(alive, 0, "slide {slide}: payloads still referenced");
             drop(engine);
@@ -350,13 +334,72 @@ input[m1] = n1.out
     }
 
     #[test]
+    fn a_malformed_frame_is_a_module_error_never_a_panic() {
+        // From second 5 on the frame is broken — after two windows' worth
+        // of good ones, so a shape change lands on open accumulators.
+        for (bad, says) in [
+            ("empty", "needs [k, dim"),
+            ("header", "bad rack row header"),
+            ("nan", "bad rack row header"),
+            ("huge", "header says"),
+            ("short", "payload is 3 values, header says 2x2"),
+            ("long", "payload is 5 values, header says 2x2"),
+            ("third_node", "changed shape: 2x2 then 3x2"),
+            ("wider", "changed shape: 2x2 then 2x3"),
+            ("scalar", "expects rack frames, got float"),
+        ] {
+            let cfg: Config = format!(
+                "[framenode]\nid = rack\nbase0 = 1\nbase1 = 3\nbad = {bad}\nbad_at = 5\n\n\
+                 [rack_agg]\nid = ra\nwindow = 2\nslide = 1\ninput[frame] = rack.frame\n"
+            )
+            .parse()
+            .unwrap();
+            let mut eng = TickEngine::new(Dag::build(&registry(), &cfg).unwrap());
+            let tap = eng.tap("ra").unwrap();
+            let err = eng.run_for(TickDuration::from_secs(9)).unwrap_err();
+            assert_eq!((err.instance.as_str(), err.at_secs), ("ra", 5), "{bad}");
+            let ModuleError::Other(msg) = &err.source else {
+                panic!("{bad}: {:?}", err.source);
+            };
+            assert!(msg.contains(says), "{bad}: {msg}");
+            assert_eq!(tap.len(), 4, "{bad}: the windows closed before it stand");
+        }
+    }
+
+    #[test]
     fn config_validation() {
+        let rack = "[framenode]\nid = rack\nbase0 = 1\nbase1 = 3\n\n";
         for cfg in [
-            "[vecnode]\nid = n0\nbase = 1\n\n[rack_agg]\nid = ra\nwindow = 0\ninput[m0] = n0.out\n",
-            "[rack_agg]\nid = ra\n",
+            format!("{rack}[rack_agg]\nid = ra\nwindow = 0\ninput[frame] = rack.frame\n"),
+            format!("{rack}[rack_agg]\nid = ra\nslide = 0\ninput[frame] = rack.frame\n"),
         ] {
             let parsed: Config = cfg.parse().unwrap();
             assert!(Dag::build(&registry(), &parsed).is_err(), "should reject");
+        }
+        // One input, one connection: anything else is `BadInputs`.
+        let other = "[framenode]\nid = rack2\nbase0 = 1\nbase1 = 3\n\n";
+        for (cfg, why) in [
+            ("[rack_agg]\nid = ra\n".to_owned(), "no input"),
+            (
+                format!(
+                    "{rack}{other}[rack_agg]\nid = ra\n\
+                     input[m0] = rack.frame\ninput[m1] = rack2.frame\n"
+                ),
+                "two inputs",
+            ),
+            (
+                format!("{rack}[rack_agg]\nid = ra\ninput[frame] = @rack\n"),
+                "every port of the collector on the one input",
+            ),
+        ] {
+            let parsed: Config = cfg.parse().unwrap();
+            match Dag::build(&registry(), &parsed) {
+                Err(BuildDagError::ModuleInit {
+                    source: ModuleError::BadInputs(_),
+                    ..
+                }) => {}
+                other => panic!("{why}: expected BadInputs, got {:?}", other.err()),
+            }
         }
     }
 }

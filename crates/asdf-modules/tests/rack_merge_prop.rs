@@ -7,9 +7,14 @@
 //! `metric_rank` concatenates summaries back into the flat mean matrix,
 //! and the peer baseline/MAD it computes must match what the flat wiring
 //! would have produced, to the last bit.
+//!
+//! A second property holds the peer statistics themselves to a reference:
+//! [`peer_baseline_into`] *selects* its medians, and every median, MAD and
+//! deviation score it leads to must be what sorting each column gives —
+//! over columns with NaNs, both zeros, ties, and even and odd counts.
 
 use asdf_modules::kernel::CentroidBlock;
-use asdf_modules::rack::{peer_baseline_into, windowed_mean_into, RackSummary};
+use asdf_modules::rack::{deviation, peer_baseline_into, windowed_mean_into, RackSummary};
 use proptest::prelude::*;
 
 /// Per-node windowed means for a contiguous node range, with the shared
@@ -59,6 +64,56 @@ fn peer_stats(means: &CentroidBlock, dim: usize) -> (Vec<f64>, Vec<f64>) {
     (baseline, mad)
 }
 
+/// The sorted median `peer_baseline_into` used before it selected: a
+/// stable sort, NaNs after every number, the mean of the middle pair for
+/// even counts (`analysis_bb::median`, which the analyses still use).
+fn sorted_median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
+/// Peer statistics with every median sorted, not selected.
+fn sorted_peer_stats(rows: &[Vec<f64>], dim: usize) -> (Vec<f64>, Vec<f64>) {
+    (0..dim)
+        .map(|d| {
+            let base = sorted_median(rows.iter().map(|r| r[d]).collect());
+            let mad = sorted_median(rows.iter().map(|r| (r[d] - base).abs()).collect());
+            (base, mad)
+        })
+        .unzip()
+}
+
+/// Column values that make a selection and a stable sort disagree if
+/// anything can: few distinct numbers (ties), both zeros, NaNs of either
+/// sign, and an occasional spread-out value.
+fn arb_peer_value() -> impl Strategy<Value = f64> {
+    (0usize..8, -3i32..4, -1.0e6f64..1.0e6).prop_map(|(kind, small, wide)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => -f64::NAN,
+        4 => wide,
+        _ => f64::from(small),
+    })
+}
+
+/// `(dim, rows)`: 1–12 nodes (even and odd counts, a lone node included),
+/// 1–4 metrics.
+fn arb_peer_matrix() -> impl Strategy<Value = (usize, Vec<Vec<f64>>)> {
+    (1usize..13, 1usize..5).prop_flat_map(|(n, d)| {
+        let row = proptest::collection::vec(arb_peer_value(), d..d + 1);
+        (d..d + 1, proptest::collection::vec(row, n..n + 1))
+    })
+}
+
 /// Random fleet geometry + metric values: node count, metric width,
 /// window length, rack-size seeds, and a flat NaN-free value pool.
 fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<usize>, Vec<f64>)> {
@@ -71,6 +126,32 @@ fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<usize>, Vec<f64
             proptest::collection::vec(-1.0e6f64..1.0e6, n * w * d..n * w * d + 1),
         )
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn selected_medians_rank_exactly_as_sorted_ones((dim, rows) in arb_peer_matrix()) {
+        let (base, mad) = peer_stats(&CentroidBlock::from_rows(&rows), dim);
+        let (want_base, want_mad) = sorted_peer_stats(&rows, dim);
+        // `==`, not bits: the sign of a zero (or NaN) median is the one
+        // thing a selection may return differently.
+        let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+        for d in 0..dim {
+            prop_assert!(same(base[d], want_base[d]), "median {}: {} vs {}", d, base[d], want_base[d]);
+            // The MAD column is `abs`-ed, so even that sign is gone.
+            prop_assert_eq!(mad[d].to_bits(), want_mad[d].to_bits(), "MAD {}", d);
+        }
+        // And no score reads that sign: the rank rows are the same bits.
+        for row in &rows {
+            for d in 0..dim {
+                let got = deviation(row[d], base[d], mad[d]);
+                let want = deviation(row[d], want_base[d], want_mad[d]);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "metric {} of {:?}", d, row);
+            }
+        }
+    }
 }
 
 proptest! {

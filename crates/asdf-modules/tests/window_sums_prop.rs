@@ -85,7 +85,7 @@ proptest! {
         let mut sums = WindowSums::new(window, slide);
         let mut closed = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            if let Some(means) = sums.push(row) {
+            if let Some(means) = sums.push(row.iter().map(Vec::as_slice)) {
                 closed.push((i + 1, means.to_vec()));
             }
         }

@@ -191,8 +191,12 @@ impl MessageBuilder {
         self.buf.reserve(4 + 8 * vals.len());
         self.buf
             .extend_from_slice(&(vals.len() as u32).to_le_bytes());
-        for v in vals {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        // Grown once and filled in place: one capacity check for the
+        // array, not one per value, and a loop that compiles to a copy.
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * vals.len(), 0);
+        for (bytes, v) in self.buf[at..].chunks_exact_mut(8).zip(vals) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
         self
     }

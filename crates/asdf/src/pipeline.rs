@@ -65,10 +65,13 @@ pub struct AsdfOptions {
     /// through one `sadc` instance (one connection, one port per node; one
     /// cluster lock per rack per second) and tree-reduces the metric path
     /// through per-rack `rack_agg` summaries before a rack-mode
-    /// `metric_rank`, so the DAG holds O(racks) instances ahead of the
-    /// analyses and its global stage moves O(racks) rows instead of
-    /// O(nodes) metric vectors. Every output is bitwise identical to the
-    /// flat wiring. `0`/`1` = the paper's flat wiring, one `sadc` per node.
+    /// `metric_rank`. A `rack_agg` listens to its collector's `frame` port
+    /// — the rack's second as one row — so the DAG holds O(racks)
+    /// instances ahead of the analyses and moves O(racks) rows per second
+    /// and per evaluation; the per-node ports feed the `knn`s when the
+    /// black-box path is built and cost nothing when it is not. Every
+    /// output is bitwise identical to the flat wiring. `0`/`1` = the
+    /// paper's flat wiring, one `sadc` per node.
     pub racks: usize,
 }
 
@@ -149,8 +152,8 @@ impl AsdfBuilder {
 
         // Rack mode puts one `sadc` instance in front of each rack; the
         // flat wiring keeps the paper's one instance per node. Either way
-        // node `i`'s metric vectors leave on `sadc_port(i)`, so the
-        // consumers below are wired once for both. `per_rack` is the nodes
+        // node `i`'s metric vectors leave on `sadc_port(i)`, so the `knn`s
+        // below are wired once for both. `per_rack` is the nodes
         // per rack in rack mode; the last rack may hold fewer.
         let per_rack = {
             let n_racks = o.racks.min(n_nodes);
@@ -236,15 +239,15 @@ impl AsdfBuilder {
                 let mut mr = InstanceConfig::new("metric_rank", "mr")
                     .with_param("top", o.rank_top)
                     .with_param("nodes", names.join(","));
-                for (rack, nodes) in racks.iter().enumerate() {
-                    let mut ra = InstanceConfig::new("rack_agg", format!("ra{rack}"))
-                        .with_param("window", o.window)
-                        .with_param("slide", o.slide);
-                    for (local, i) in nodes.clone().enumerate() {
-                        let (sadc, port) = sadc_port(i);
-                        ra = ra.with_input(format!("m{local}"), sadc, port);
-                    }
-                    push(&mut cfg, ra);
+                for rack in 0..racks.len() {
+                    // One edge per rack: its collector's whole second.
+                    push(
+                        &mut cfg,
+                        InstanceConfig::new("rack_agg", format!("ra{rack}"))
+                            .with_param("window", o.window)
+                            .with_param("slide", o.slide)
+                            .with_input("frame", format!("sadcr{rack}"), "frame"),
+                    );
                     mr = mr.with_input(format!("r{rack}"), format!("ra{rack}"), "sum");
                 }
                 push(&mut cfg, mr);

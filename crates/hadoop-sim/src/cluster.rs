@@ -26,7 +26,7 @@ use crate::gridmix::{GridMix, GridMixConfig};
 use crate::hdfs::Hdfs;
 use crate::job::{JobSpec, JobState, RunningTask, TaskPhase, TaskStatus};
 use crate::logging::{LogEvent, NodeLogs};
-use crate::resources::{allocate_flows, fair_share, loss_goodput_factor, Flow};
+use crate::resources::{allocate_flows, fair_share_into, loss_goodput_factor, Flow};
 use crate::shard::ShardPool;
 use crate::types::{BlockId, JobId, TaskId, TaskKind};
 
@@ -242,6 +242,21 @@ impl NodeWork {
             net_cap: 0.0,
         }
     }
+}
+
+/// What [`node_demands`] needs only while it arbitrates one node: a shard
+/// keeps one of these for all its nodes, so the demand phase allocates
+/// nothing per node.
+#[derive(Default)]
+struct DemandScratch {
+    /// CPU demands: `(slave task index or a background marker, cores)`.
+    cpu_dem: Vec<(usize, f64)>,
+    /// Disk demands: `(who, KB, is a write)`.
+    disk_dem: Vec<(usize, f64, bool)>,
+    /// The amounts of one resource's demands, as `fair_share_into` takes them.
+    demands: Vec<f64>,
+    /// Its grants, index-aligned with `demands`.
+    grants: Vec<f64>,
 }
 
 /// The simulated Hadoop cluster.
@@ -505,14 +520,18 @@ impl Cluster {
         // receiving and killing fresh work (the classic lame-duck effect).
         let mut map_grants = vec![false; self.cfg.slaves];
         let mut reduce_grants = vec![false; self.cfg.slaves];
+        // Nothing the order reads (`schedule_offset`, `last_failure_at`,
+        // the clock) changes while tasks are being assigned, so it is
+        // computed once per tick, not once per pending task.
+        let order = self.scan_order();
         for job_idx in 0..self.jobs.len() {
             if self.jobs[job_idx].is_complete() {
                 continue;
             }
-            self.schedule_maps(job_idx, &mut map_grants);
-            self.schedule_reduces(job_idx, &mut reduce_grants);
+            self.schedule_maps(job_idx, &order, &mut map_grants);
+            self.schedule_reduces(job_idx, &order, &mut reduce_grants);
             if self.cfg.speculative_execution {
-                self.schedule_speculative(job_idx, &mut map_grants, &mut reduce_grants);
+                self.schedule_speculative(job_idx, &order, &mut map_grants, &mut reduce_grants);
             }
         }
     }
@@ -524,6 +543,7 @@ impl Cluster {
     fn schedule_speculative(
         &mut self,
         job_idx: usize,
+        order: &[usize],
         map_grants: &mut [bool],
         reduce_grants: &mut [bool],
     ) {
@@ -562,7 +582,7 @@ impl Cluster {
                 TaskKind::Map => map_grants,
                 TaskKind::Reduce => reduce_grants,
             };
-            let Some(target) = self.scan_order(task.kind).into_iter().find(|&n| {
+            let Some(target) = order.iter().copied().find(|&n| {
                 n != current
                     && !grants[n]
                     && !self.jobs[job_idx].banned_sources[n]
@@ -588,7 +608,7 @@ impl Cluster {
     /// comes first: it has just freed a slot and heartbeats immediately,
     /// so it receives the next pending task (the classic lame-duck
     /// magnetism of heartbeat-pull scheduling).
-    fn scan_order(&self, _kind: TaskKind) -> Vec<usize> {
+    fn scan_order(&self) -> Vec<usize> {
         let n = self.cfg.slaves;
         let now = self.now;
         let mut order: Vec<usize> = (0..n).map(|i| (i + self.schedule_offset) % n).collect();
@@ -601,14 +621,13 @@ impl Cluster {
         order
     }
 
-    fn schedule_maps(&mut self, job_idx: usize, grants: &mut [bool]) {
+    fn schedule_maps(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
         let n_maps = self.jobs[job_idx].map_status.len();
         for map_idx in 0..n_maps {
             if self.jobs[job_idx].map_status[map_idx] != TaskStatus::Pending {
                 continue;
             }
             let block = self.input_blocks[job_idx][map_idx];
-            let order = self.scan_order(TaskKind::Map);
             let usable = |n: usize, this: &Self| {
                 !this.jobs[job_idx].banned_sources[n]
                     && !grants[n]
@@ -686,7 +705,7 @@ impl Cluster {
         });
     }
 
-    fn schedule_reduces(&mut self, job_idx: usize, grants: &mut [bool]) {
+    fn schedule_reduces(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
         if self.jobs[job_idx].map_fraction_done() < self.cfg.reduce_launch_threshold {
             return;
         }
@@ -695,7 +714,7 @@ impl Cluster {
             if self.jobs[job_idx].reduce_status[red_idx] != TaskStatus::Pending {
                 continue;
             }
-            let Some(node) = self.scan_order(TaskKind::Reduce).into_iter().find(|&n| {
+            let Some(node) = order.iter().copied().find(|&n| {
                 !self.jobs[job_idx].banned_sources[n]
                     && !grants[n]
                     && self.free_slots(n, TaskKind::Reduce) > 0
@@ -785,9 +804,10 @@ impl Cluster {
             let jobs = &self.jobs;
             let emitted = &emitted_per_job;
             self.pool.run_chunks(&mut works, &|at, chunk| {
+                let mut scratch = DemandScratch::default();
                 for (i, work) in chunk.iter_mut().enumerate() {
                     let node = at + i;
-                    node_demands(jobs, emitted, now, node, &slaves[node], work);
+                    node_demands(jobs, emitted, now, node, &slaves[node], &mut scratch, work);
                 }
             });
         }
@@ -952,18 +972,20 @@ impl Cluster {
         // every job (current and future) blacklists it and re-executes the
         // map outputs it holds.
         const PAIR_STARVE_SECS: u32 = 30;
-        for src in 0..n {
-            if self.shuffle_sick[src] {
-                continue;
+        // One pass over the starving pairs — there are few, where probing
+        // every `(src, dst)` would be n² lookups a second. A count per
+        // source does not depend on the map's iteration order.
+        let mut starving_dsts: Vec<u32> = Vec::new();
+        if !self.pair_starve.is_empty() {
+            starving_dsts.resize(n, 0);
+            for (&(src, _), &secs) in &self.pair_starve {
+                if secs >= PAIR_STARVE_SECS {
+                    starving_dsts[src] += 1;
+                }
             }
-            let starving_dsts = (0..n)
-                .filter(|&d| {
-                    self.pair_starve
-                        .get(&(src, d))
-                        .is_some_and(|&t| t >= PAIR_STARVE_SECS)
-                })
-                .count();
-            if starving_dsts >= 2 {
+        }
+        for (src, &dsts) in starving_dsts.iter().enumerate() {
+            if dsts >= 2 && !self.shuffle_sick[src] {
                 self.shuffle_sick[src] = true;
                 for job in &mut self.jobs {
                     if job.completed_at.is_some() || job.banned_sources[src] {
@@ -1518,6 +1540,7 @@ fn node_demands(
     now: u64,
     node: usize,
     slave: &Slave,
+    scratch: &mut DemandScratch,
     out: &mut NodeWork,
 ) {
     // CPU and disk demands: (slave_task_index or BACKGROUND, amount).
@@ -1525,8 +1548,14 @@ fn node_demands(
     // Gray-failure kernel burn: contends like a hog but is accounted as
     // system time, so the deviation surfaces in `%system`, not `%user`.
     const BACKGROUND_SYS: usize = usize::MAX - 2;
-    let mut cpu_dem: Vec<(usize, f64)> = Vec::new();
-    let mut disk_dem: Vec<(usize, f64, bool)> = Vec::new(); // (who, kb, is_write)
+    let DemandScratch {
+        cpu_dem,
+        disk_dem,
+        demands,
+        grants,
+    } = scratch;
+    cpu_dem.clear();
+    disk_dem.clear();
 
     let (cores, disk_kbps) = {
         let spec = slave.sim.spec();
@@ -1663,19 +1692,17 @@ fn node_demands(
         }
     }
 
-    // --- Local max-min arbitration --------------------------------------
-    let cpu_demands: Vec<f64> = cpu_dem.iter().map(|&(_, d)| d).collect();
-    let cpu_grants = fair_share(cores, &cpu_demands);
-    let disk_demands: Vec<f64> = disk_dem.iter().map(|&(_, d, _)| d).collect();
-    let disk_grants = fair_share(disk_kbps, &disk_demands);
     // Effective line rate under packet loss.
     let loss = slave.fault.as_ref().map_or(0.0, |f| f.packet_loss(now));
     out.net_cap = slave.sim.spec().net_kbps * loss_goodput_factor(loss);
 
-    // --- Aggregate per-task grants ---------------------------------------
+    // --- Local max-min arbitration, aggregated per task: CPU, then disk ---
     out.task_cpu = vec![0.0; slave.running.len()];
     out.task_io = vec![0.0; slave.running.len()];
-    for (&(who, _), &grant) in cpu_dem.iter().zip(&cpu_grants) {
+    demands.clear();
+    demands.extend(cpu_dem.iter().map(|&(_, d)| d));
+    fair_share_into(cores, demands, grants);
+    for (&(who, _), &grant) in cpu_dem.iter().zip(grants.iter()) {
         if who < out.task_cpu.len() {
             out.task_cpu[who] += grant;
             out.tt.cpu_user += grant * 0.9;
@@ -1690,7 +1717,10 @@ fn node_demands(
             out.act.cpu_user += grant;
         }
     }
-    for (&(who, _demand, is_write), &grant) in disk_dem.iter().zip(&disk_grants) {
+    demands.clear();
+    demands.extend(disk_dem.iter().map(|&(_, d, _)| d));
+    fair_share_into(disk_kbps, demands, grants);
+    for (&(who, _demand, is_write), &grant) in disk_dem.iter().zip(grants.iter()) {
         if who < out.task_io.len() {
             out.task_io[who] += grant;
             if is_write {
@@ -1766,9 +1796,20 @@ fn render_node(
     tt.threads = 34.0 + 6.0 * slave.running.len() as f64;
     tt.fds = 90.0 + 10.0 * slave.running.len() as f64;
 
-    let frame = slave.sim.tick(&a, &[("datanode", dn), ("tasktracker", tt)]);
-    slave.last_frame = Some(frame);
-    slave.last_tt_syscalls = Some(slave.sim.syscall_rates(&tt));
+    // Rendered over last second's frame: nothing is allocated per node
+    // per second once the first tick has shaped the buffers.
+    let Slave {
+        sim,
+        last_frame,
+        last_tt_syscalls,
+        ..
+    } = slave;
+    sim.tick_into(
+        &a,
+        &[("datanode", dn), ("tasktracker", tt)],
+        last_frame.get_or_insert_with(MetricFrame::default),
+    );
+    sim.syscall_rates_into(&tt, last_tt_syscalls.get_or_insert_with(Vec::new));
 }
 
 #[cfg(test)]
@@ -1982,6 +2023,39 @@ mod tests {
         );
         assert!(faulty.fault_active(3));
         assert!(!faulty.fault_active(0));
+    }
+
+    #[test]
+    fn a_source_starving_two_destinations_is_shuffle_sick_one_is_not() {
+        // Thirty starved seconds on the books: source 1 towards two
+        // reducers' nodes, source 4 towards one. Nothing shuffles in the
+        // first second of a run, so the tick's health pass sees exactly
+        // these pairs.
+        let mut c = Cluster::new(ClusterConfig::new(6, 3), Vec::new());
+        c.pair_starve.insert((1, 2), 30);
+        c.pair_starve.insert((1, 3), 30);
+        c.pair_starve.insert((1, 5), 29); // not yet sustained
+        c.pair_starve.insert((4, 5), 45);
+        c.tick();
+        assert_eq!(
+            c.shuffle_sick,
+            [false, true, false, false, false, false],
+            "one destination may be a sick reducer; two convict the source"
+        );
+        // A second below the bar on either pair, and the source is spared.
+        let mut c = Cluster::new(ClusterConfig::new(6, 3), Vec::new());
+        c.pair_starve.insert((1, 2), 30);
+        c.pair_starve.insert((1, 3), 29);
+        c.tick();
+        assert!(!c.shuffle_sick.contains(&true));
+        // Jobs submitted from then on never place work behind the sick
+        // source's shuffle.
+        let mut c = Cluster::new(ClusterConfig::new(6, 3), Vec::new());
+        c.pair_starve.insert((1, 2), 30);
+        c.pair_starve.insert((1, 3), 30);
+        c.advance(120);
+        assert!(!c.jobs.is_empty());
+        assert!(c.jobs.iter().all(|j| j.banned_sources[1]));
     }
 
     #[test]

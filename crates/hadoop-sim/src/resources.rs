@@ -23,18 +23,30 @@
 /// assert_eq!(grants, vec![2.0, 4.0, 4.0]);
 /// ```
 pub fn fair_share(capacity: f64, demands: &[f64]) -> Vec<f64> {
+    let mut grants = Vec::new();
+    fair_share_into(capacity, demands, &mut grants);
+    grants
+}
+
+/// [`fair_share`] into `grants`, replacing its contents and reusing its
+/// allocation — for the simulator's per-node arbitration, which runs twice
+/// per node per second and allocates only when a node is oversubscribed.
+pub fn fair_share_into(capacity: f64, demands: &[f64], grants: &mut Vec<f64>) {
     let n = demands.len();
+    grants.clear();
     if n == 0 || capacity <= 0.0 {
-        return vec![0.0; n];
+        grants.resize(n, 0.0);
+        return;
     }
     let total: f64 = demands.iter().sum();
     if total <= capacity {
-        return demands.to_vec();
+        grants.extend_from_slice(demands);
+        return;
     }
     // Water-filling: process demands in ascending order.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).expect("finite demands"));
-    let mut grants = vec![0.0; n];
+    grants.resize(n, 0.0);
     let mut remaining = capacity;
     let mut left = n;
     for &i in &order {
@@ -44,7 +56,6 @@ pub fn fair_share(capacity: f64, demands: &[f64]) -> Vec<f64> {
         remaining -= g;
         left -= 1;
     }
-    grants
 }
 
 /// A point-to-point transfer demand for one second.

@@ -7,6 +7,12 @@
 //! deterministic for a given seed; measurement noise is multiplicative with
 //! a small configurable amplitude, mirroring the jitter of real `/proc`
 //! sampling.
+//!
+//! A caller that samples every second renders in place:
+//! [`NodeSim::tick_into`] and [`NodeSim::syscall_rates_into`] write the next
+//! second over the last one's storage, so a fleet of simulated nodes
+//! allocates nothing per node per second. [`NodeSim::tick`] and
+//! [`NodeSim::syscall_rates`] are the same code into a fresh frame.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +51,10 @@ impl NodeSpec {
 }
 
 /// One second's worth of rendered metrics for a node.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default frame is empty; [`NodeSim::tick_into`] shapes it on first
+/// use and writes every later second into the same four buffers.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricFrame {
     /// The 64 node-level metrics, ordered as [`crate::metrics::NODE_METRICS`].
     pub node: Vec<f64>,
@@ -180,17 +189,36 @@ impl NodeSim {
     /// Advances one second: renders the metric frame implied by `activity`
     /// plus the per-process frames for `procs`.
     pub fn tick(&mut self, activity: &Activity, procs: &[(&str, ProcessActivity)]) -> MetricFrame {
+        let mut frame = MetricFrame::default();
+        self.tick_into(activity, procs, &mut frame);
+        frame
+    }
+
+    /// [`NodeSim::tick`] into `frame`, replacing its contents and reusing
+    /// its storage: once `frame` has held one second for these `procs`, the
+    /// next is written over it without an allocation. The random draws are
+    /// the ones `tick` makes, in the same order, so the frame is the same
+    /// bits either way.
+    pub fn tick_into(
+        &mut self,
+        activity: &Activity,
+        procs: &[(&str, ProcessActivity)],
+        frame: &mut MetricFrame,
+    ) {
         self.tick_count += 1;
-        let node = self.render_node(activity);
-        let iface = self.render_iface(activity);
-        let proc_frames: Vec<(String, Vec<f64>)> = procs
-            .iter()
-            .map(|(name, pa)| ((*name).to_owned(), self.render_process(name, pa)))
-            .collect();
-        MetricFrame {
-            node,
-            ifaces: vec![("eth0".to_owned(), iface)],
-            procs: proc_frames,
+        frame.node.resize(NODE_METRIC_COUNT, 0.0);
+        self.render_node(activity, &mut frame.node);
+        frame.ifaces.truncate(1);
+        self.render_iface(
+            activity,
+            named_slot(&mut frame.ifaces, 0, "eth0", IFACE_METRIC_COUNT),
+        );
+        frame.procs.truncate(procs.len());
+        for (i, (name, pa)) in procs.iter().enumerate() {
+            self.render_process(
+                pa,
+                named_slot(&mut frame.procs, i, name, PROCESS_METRIC_COUNT),
+            );
         }
     }
 
@@ -199,6 +227,12 @@ impl NodeSim {
     /// (see [`crate::syscalls::syscall_rates`]).
     pub fn syscall_rates(&mut self, p: &ProcessActivity) -> Vec<f64> {
         crate::syscalls::syscall_rates(p, &mut self.sys_rng)
+    }
+
+    /// [`NodeSim::syscall_rates`] into `out`, replacing its contents and
+    /// reusing its allocation.
+    pub fn syscall_rates_into(&mut self, p: &ProcessActivity, out: &mut Vec<f64>) {
+        crate::syscalls::syscall_rates_into(p, &mut self.sys_rng, out);
     }
 
     /// Multiplicative jitter around `x`.
@@ -218,9 +252,9 @@ impl NodeSim {
         self.rng.gen::<f64>() * scale
     }
 
-    fn render_node(&mut self, a: &Activity) -> Vec<f64> {
+    fn render_node(&mut self, a: &Activity, m: &mut [f64]) {
         let cores = f64::from(self.spec.cores);
-        let mut m = vec![0.0; NODE_METRIC_COUNT];
+        m.fill(0.0);
 
         // --- CPU ---
         // Baseline OS hum of ~0.5% plus realized usage, clamped to capacity.
@@ -361,12 +395,10 @@ impl NodeSim {
                 + (a.disk_read_kb + a.disk_write_kb) / 48.0
                 + 800.0 * a.cpu_total(),
         );
-
-        m
     }
 
-    fn render_iface(&mut self, a: &Activity) -> Vec<f64> {
-        let mut m = vec![0.0; IFACE_METRIC_COUNT];
+    fn render_iface(&mut self, a: &Activity, m: &mut [f64]) {
+        m.fill(0.0);
         let rx_pkts = a.net_rx_kb / 1.4;
         let tx_pkts = a.net_tx_kb / 1.4;
         m[iface_idx::RXPCK] = self.noisy(4.0 + rx_pkts);
@@ -394,13 +426,12 @@ impl NodeSim {
         m[15] = 0.0; // rxfifo/s
         m[16] = 0.0; // txfifo/s
         m[iface_idx::IFUP] = 1.0;
-        m
     }
 
-    fn render_process(&mut self, name: &str, p: &ProcessActivity) -> Vec<f64> {
+    fn render_process(&mut self, p: &ProcessActivity, m: &mut [f64]) {
         let cores = f64::from(self.spec.cores);
         let total_kb = self.spec.mem_mb as f64 * 1024.0;
-        let mut m = vec![0.0; PROCESS_METRIC_COUNT];
+        m.fill(0.0);
         let usr_pct = (p.cpu_user / cores * 100.0).min(100.0);
         let sys_pct = (p.cpu_system / cores * 100.0).min(100.0);
         m[process_idx::PCT_USR] = self.noisy(usr_pct);
@@ -424,12 +455,31 @@ impl NodeSim {
                                 // Reported as a per-interval rate (CPU seconds consumed this
                                 // second), like sadc's per-interval deltas — a cumulative counter
                                 // would make samples time-dependent and unusable for clustering.
-        let _ = name;
         m[process_idx::CPU_SECS] = p.cpu_user + p.cpu_system;
         m[17] = self.noisy(p.read_kb / 48.0); // rd_ops/s
         m[18] = self.noisy(p.write_kb / 48.0); // wr_ops/s
-        m
     }
+}
+
+/// The `len`-value buffer of entry `i` of a frame's interface or process
+/// list, relabelled `name`: entry `i` is appended when the list ends there
+/// and reused — name and buffer — when it already exists.
+fn named_slot<'f>(
+    slots: &'f mut Vec<(String, Vec<f64>)>,
+    i: usize,
+    name: &str,
+    len: usize,
+) -> &'f mut [f64] {
+    if i == slots.len() {
+        slots.push((name.to_owned(), Vec::new()));
+    }
+    let (label, vals) = &mut slots[i];
+    if label != name {
+        label.clear();
+        label.push_str(name);
+    }
+    vals.resize(len, 0.0);
+    vals
 }
 
 #[cfg(test)]
@@ -460,6 +510,77 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.tick(&act, &[]), b.tick(&act, &[]));
         }
+    }
+
+    /// Every buffer of a frame under its label, every value as its bits.
+    fn frame_bits(f: &MetricFrame) -> Vec<(&str, Vec<u64>)> {
+        let node = std::iter::once(("node", &f.node));
+        let named = f.ifaces.iter().chain(&f.procs);
+        node.chain(named.map(|(label, v)| (label.as_str(), v)))
+            .map(|(label, v)| (label, v.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn tick_into_reuses_one_frame_and_equals_tick_bitwise() {
+        let spec = NodeSpec::ec2_large("n1");
+        let mut fresh = NodeSim::new(spec.clone(), 7);
+        let mut reused = NodeSim::new(spec, 7);
+        let mut frame = MetricFrame::default();
+        let mut syscalls = Vec::new();
+        let mut addrs = None;
+        for t in 0..200u32 {
+            // Activity that moves, with and without packet loss, so every
+            // branch of the renderers writes over the other's leftovers.
+            let mut act = busy_activity().with_cpu_user(f64::from(t % 5));
+            act.packet_loss = if t % 3 == 0 { 0.4 } else { 0.0 };
+            if t % 7 == 0 {
+                act = act.with_mem_used_mb(9_000.0);
+            }
+            let pa = ProcessActivity {
+                cpu_user: 0.1 * f64::from(t % 4),
+                read_kb: 100.0 * f64::from(t % 6),
+                rss_mb: 300.0,
+                threads: 40.0,
+                ..Default::default()
+            };
+            let procs = [("datanode", pa), ("tasktracker", pa)];
+            reused.tick_into(&act, &procs, &mut frame);
+            assert_eq!(
+                frame_bits(&frame),
+                frame_bits(&fresh.tick(&act, &procs)),
+                "t={t}"
+            );
+            reused.syscall_rates_into(&pa, &mut syscalls);
+            let want = fresh.syscall_rates(&pa);
+            assert_eq!(syscalls.len(), want.len());
+            for (got, want) in syscalls.iter().zip(&want) {
+                assert_eq!(got.to_bits(), want.to_bits(), "syscalls, t={t}");
+            }
+            // The four metric buffers and the syscall buffer stay where
+            // the first call put them.
+            let now = [
+                frame.node.as_ptr(),
+                frame.ifaces[0].1.as_ptr(),
+                frame.procs[0].1.as_ptr(),
+                frame.procs[1].1.as_ptr(),
+                syscalls.as_ptr(),
+            ];
+            assert_eq!(*addrs.get_or_insert(now), now, "t={t}");
+        }
+    }
+
+    #[test]
+    fn tick_into_reshapes_a_frame_rendered_for_other_processes() {
+        let mut a = NodeSim::new(NodeSpec::ec2_large("n1"), 7);
+        let mut b = NodeSim::new(NodeSpec::ec2_large("n1"), 7);
+        let act = busy_activity();
+        let pa = ProcessActivity::default();
+        let mut frame = MetricFrame::default();
+        a.tick_into(&act, &[("datanode", pa), ("tasktracker", pa)], &mut frame);
+        b.tick(&act, &[("datanode", pa), ("tasktracker", pa)]);
+        a.tick_into(&act, &[("jobtracker", pa)], &mut frame);
+        assert_eq!(frame, b.tick(&act, &[("jobtracker", pa)]));
     }
 
     #[test]

@@ -40,7 +40,17 @@ pub const SYSCALL_CATEGORY_COUNT: usize = SYSCALL_CATEGORIES.len();
 /// Deterministic given the rng state; callers that need reproducibility
 /// should use a dedicated seeded rng (as [`crate::node::NodeSim`] does).
 pub fn syscall_rates(p: &ProcessActivity, rng: &mut SmallRng) -> Vec<f64> {
-    let mut v = vec![0.0; SYSCALL_CATEGORY_COUNT];
+    let mut v = Vec::new();
+    syscall_rates_into(p, rng, &mut v);
+    v
+}
+
+/// [`syscall_rates`] into `out`, replacing its contents and reusing its
+/// allocation: a caller that traces every second keeps one buffer.
+pub fn syscall_rates_into(p: &ProcessActivity, rng: &mut SmallRng, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(SYSCALL_CATEGORY_COUNT, 0.0);
+    let v = out.as_mut_slice();
     let jitter = |rng: &mut SmallRng, x: f64| {
         if x <= 0.0 {
             0.0
@@ -65,7 +75,6 @@ pub fn syscall_rates(p: &ProcessActivity, rng: &mut SmallRng) -> Vec<f64> {
     v[7] = jitter(rng, 1.0 + p.write_kb / 8.0 * 0.2); // sendto
     v[8] = jitter(rng, p.write_kb / 1024.0); // fsync
     v[9] = jitter(rng, 3.0 + 0.5 * p.fds.max(1.0) / 10.0); // stat
-    v
 }
 
 #[cfg(test)]

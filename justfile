@@ -36,15 +36,21 @@ scenarios:
 # vs flat equivalence, the 500-node rack-path fingerpointing scenario (the
 # 5000-node row is measured by the perfsuite `fleet` block and by
 # asdfbench, not here), `sadc nodes = lo..hi` against one instance per
-# node, the running window sums against a buffered window (bitwise, any
-# window / slide), the collector wire accounting and decoder properties,
-# and the bound on un-tailed logs.
+# node and its `frame` port against its node ports, `rack_agg` over
+# frames (cadence, malformed input, no sample kept), the running window
+# sums against a buffered window (bitwise, any window / slide), a node's
+# second rendered over its last one (bitwise, no reallocation), a tap
+# attached after construction on a port nothing is wired to, the
+# collector wire accounting and decoder properties, and the bound on
+# un-tailed logs.
 fleet:
     cargo test -p integration-tests --test shard_equivalence -- sim_shards_compose rack_tree_reduce
     cargo test -p integration-tests --test scenario_matrix -- fleet_scale
     cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
-    cargo test -q -p asdf-modules --lib -- collectors::tests::node_
+    cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests
     cargo test -q -p asdf-modules --test window_sums_prop
+    cargo test -q -p procsim --lib -- node::tests::tick_into
+    cargo test -q -p asdf-core --lib -- engine::tests::a_tap_attached_after_construction
     cargo test -q -p asdf-rpc
     cargo test -q -p hadoop-sim --test invariants -- untailed_logs
 

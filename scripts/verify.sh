@@ -37,10 +37,12 @@ cargo test -p integration-tests --test scenario_matrix
 
 # (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
 # and the fleet_scale scenario; both suites ran whole just above.)
-echo "[verify] fleet: rack collector wiring, sadc node ranges, running window sums, wire accounting, log bound" >&2
+echo "[verify] fleet: rack collector wiring, sadc node ranges and frames, rack_agg, running window sums, in-place frames, late taps, wire accounting, log bound" >&2
 cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
-cargo test -q -p asdf-modules --lib -- collectors::tests::node_
+cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests
 cargo test -q -p asdf-modules --test window_sums_prop
+cargo test -q -p procsim --lib -- node::tests::tick_into
+cargo test -q -p asdf-core --lib -- engine::tests::a_tap_attached_after_construction
 cargo test -q -p asdf-rpc
 cargo test -q -p hadoop-sim --test invariants -- untailed_logs
 

@@ -446,7 +446,8 @@ fn sim_shards_compose_with_engine_threads_and_batches() {
 #[test]
 fn rack_tree_reduce_rankings_match_flat_wiring() {
     // The rack path changes the DAG shape (one `sadc` per rack feeding the
-    // per-node `knn`s and a per-rack rack_agg stage, plus a rack-mode
+    // per-node `knn`s from its node ports and a per-rack rack_agg from its
+    // `frame` port, plus a rack-mode
     // metric_rank) and nothing any tap sees: rankings and the analysis
     // streams behind the rack collectors must be bitwise equal to the flat
     // wiring at every rack count, including with sim sharding and
