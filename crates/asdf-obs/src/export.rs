@@ -16,23 +16,6 @@ use crate::metrics::HistogramSnapshot;
 use crate::registry::RegistrySnapshot;
 use crate::span::TraceEvent;
 
-/// Escapes a string for a JSON string literal (without the quotes).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders trace events as a Chrome `trace_event` JSON document.
 pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
     // ~120 bytes per rendered event.
@@ -43,9 +26,9 @@ pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
             out.push(',');
         }
         out.push_str("\n{\"name\":\"");
-        escape_json(&ev.name, &mut out);
+        json::escape_into(&ev.name, &mut out);
         out.push_str("\",\"cat\":\"");
-        escape_json(ev.cat, &mut out);
+        json::escape_into(ev.cat, &mut out);
         let _ = write!(
             out,
             "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",

@@ -1,10 +1,13 @@
-//! A minimal JSON reader, just enough to round-trip-check the traces this
-//! crate writes (the workspace is offline and dependency-free, so no
-//! serde). Supports the full JSON value grammar with `f64` numbers; not
-//! intended as a general-purpose parser.
+//! A minimal JSON reader and writer (the workspace is offline and
+//! dependency-free, so no serde): [`parse`] reads the full JSON value
+//! grammar with `f64` numbers, [`Value::render`] writes it back, and
+//! [`escape_into`] is the one string escaper every emitter in the
+//! workspace calls — the streaming ones in [`crate::export`] and
+//! [`crate::snapshot`] included. Not intended as a general-purpose
+//! library.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +58,109 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Renders the value as JSON text that [`parse`] reads back equal:
+    /// `None` is compact (no whitespace at all, one line), `Some(n)`
+    /// pretty-prints with `n` spaces per nesting level. Objects render in
+    /// key order, so equal values render to equal bytes and two documents
+    /// diff line by line. A non-finite number has no JSON spelling and
+    /// renders `null`.
+    pub fn render(&self, indent: Option<usize>) -> String {
+        let mut out = String::new();
+        self.render_into(indent, 0, &mut out);
+        out
+    }
+
+    fn render_into(&self, indent: Option<usize>, depth: usize, out: &mut String) {
+        // Line break plus indentation for `depth` when pretty-printing.
+        let newline = |out: &mut String, depth: usize| {
+            if let Some(n) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', n * depth));
+            }
+        };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Number(_) => out.push_str("null"),
+            Value::String(s) => push_string(s, out),
+            Value::Array(items) if items.is_empty() => out.push_str("[]"),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.render_into(indent, depth + 1, out);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            Value::Object(map) if map.is_empty() => out.push_str("{}"),
+            Value::Object(map) => {
+                out.push('{');
+                for (i, (key, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    push_string(key, out);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.render_into(indent, depth + 1, out);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Number(n)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_owned())
+    }
+}
+
+/// Builds a [`Value::Object`] from `(key, value)` pairs.
+pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Escapes `s` for a JSON string literal (without the quotes), appending
+/// to `out`: `"` and `\` are backslash-escaped, newline, carriage return
+/// and tab take their short forms, every other control character below
+/// U+0020 is `\u00XX`, and everything else — DEL, the C1 controls and
+/// non-BMP text included — passes through as UTF-8.
+pub fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+fn push_string(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -274,6 +380,10 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+
     use super::*;
 
     #[test]
@@ -313,5 +423,141 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Array(Vec::new()));
         assert_eq!(parse(" {} ").unwrap(), Value::Object(BTreeMap::new()));
+    }
+
+    /// Arbitrary `Value` trees up to four levels deep: hostile text in keys
+    /// and strings, empty containers at every level, finite numbers of
+    /// every magnitude.
+    struct ArbValue;
+
+    impl Strategy for ArbValue {
+        type Value = Value;
+
+        fn sample(&self, rng: &mut SmallRng) -> Value {
+            arb_value(rng, 3)
+        }
+    }
+
+    fn arb_string(rng: &mut SmallRng) -> String {
+        const POOL: [char; 19] = [
+            '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', '\u{85}',
+            'a', ' ', 'é', '\u{2028}', '\u{fffd}', '😀', '𝄞',
+        ];
+        (0..rng.gen_range(0..8))
+            .map(|_| {
+                if rng.gen() {
+                    POOL[rng.gen_range(0..POOL.len())]
+                } else {
+                    // Any scalar value; the surrogate gap maps to the top.
+                    char::from_u32(rng.gen_range(0..0x11_0000)).unwrap_or(char::MAX)
+                }
+            })
+            .collect()
+    }
+
+    fn arb_number(rng: &mut SmallRng) -> f64 {
+        match rng.gen_range(0..4) {
+            0 => f64::from(rng.gen::<i32>()),
+            1 => rng.gen_range(-1.0..1.0),
+            2 => [0.0, -0.0, f64::MAX, f64::MIN_POSITIVE, 5e-324, 1e21][rng.gen_range(0..6)],
+            _ => {
+                let any = f64::from_bits(rng.gen());
+                if any.is_finite() {
+                    any
+                } else {
+                    0.5
+                }
+            }
+        }
+    }
+
+    fn arb_value(rng: &mut SmallRng, depth: usize) -> Value {
+        match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen()),
+            2 => Value::Number(arb_number(rng)),
+            3 => Value::String(arb_string(rng)),
+            4 => Value::Array(
+                (0..rng.gen_range(0..4))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.gen_range(0..4))
+                    .map(|_| (arb_string(rng), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_round_trips_through_parse(v in ArbValue) {
+            for indent in [None, Some(2)] {
+                let text = v.render(indent);
+                prop_assert_eq!(parse(&text).as_ref(), Ok(&v), "rendered: {}", text);
+            }
+            // Every control character is escaped, so the compact form is
+            // safe as one line of a JSONL file whatever the strings hold.
+            prop_assert!(!v.render(None).contains('\n'));
+        }
+    }
+
+    #[test]
+    fn rendering_is_compact_or_indented_in_key_order() {
+        let v = object([
+            ("b", Value::Array(vec![1.0.into(), Value::Null])),
+            ("a", object([("x", "y".into())])),
+            ("c", Value::Array(Vec::new())),
+            ("d", Value::Object(BTreeMap::new())),
+        ]);
+        assert_eq!(
+            v.render(None),
+            r#"{"a":{"x":"y"},"b":[1,null],"c":[],"d":{}}"#
+        );
+        assert_eq!(
+            v.render(Some(2)),
+            "{\n  \"a\": {\n    \"x\": \"y\"\n  },\n  \"b\": [\n    1,\n    null\n  ],\n  \
+             \"c\": [],\n  \"d\": {}\n}"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_render_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Number(n).render(None), "null");
+        }
+        let v = Value::Array(vec![Value::Number(f64::NAN), Value::Number(1.5)]);
+        assert_eq!(v.render(None), "[null,1.5]");
+    }
+
+    /// The escaper's output on every `char` below U+0100, pinned as text.
+    /// This is what the copies in `export.rs` and `snapshot.rs` wrote, byte
+    /// for byte, so no trace and no snapshot digest moves. The two
+    /// `perfwatch` copies differed on three characters only — they spelled
+    /// tab, newline and carriage return `\u0009`, `\u000a`, `\u000d` — which
+    /// every reader resolves to the same characters, as the parse below
+    /// checks.
+    #[test]
+    fn escape_into_is_pinned_below_u0100() {
+        let all: String = (0..0x100).map(|c| char::from_u32(c).unwrap()).collect();
+        let mut expected = String::from(concat!(
+            r"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f",
+            r"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017",
+            r"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f",
+            r##" !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`"##,
+            r"abcdefghijklmnopqrstuvwxyz{|}~",
+        ));
+        // DEL, the C1 controls and Latin-1 pass through untouched.
+        expected.extend((0x7f..0x100).map(|c| char::from_u32(c).unwrap()));
+        let mut escaped = String::new();
+        escape_into(&all, &mut escaped);
+        assert_eq!(escaped, expected);
+        assert_eq!(
+            parse(&format!("\"{escaped}\"")).unwrap().as_str(),
+            Some(all.as_str())
+        );
     }
 }

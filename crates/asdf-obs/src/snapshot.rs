@@ -32,24 +32,6 @@ pub const SNAPSHOT_KIND: &str = "asdf-obs-snapshot";
 /// Largest integer magnitude a JSON number (an `f64`) represents exactly.
 const MAX_EXACT: u64 = 1 << 53;
 
-/// Escapes a string for a JSON string literal (without the quotes).
-fn push_escaped(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Writes a `u64` as a JSON number when exact in `f64`, else as a decimal
 /// string (lossless for the full range).
 fn push_u64(v: u64, out: &mut String) {
@@ -90,7 +72,7 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
             out.push(',');
         }
         out.push('"');
-        push_escaped(name, &mut out);
+        json::escape_into(name, &mut out);
         out.push_str("\":");
         push_u64(*v, &mut out);
     }
@@ -100,7 +82,7 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
             out.push(',');
         }
         out.push('"');
-        push_escaped(name, &mut out);
+        json::escape_into(name, &mut out);
         out.push_str("\":{\"value\":");
         push_i64(*v, &mut out);
         out.push_str(",\"high_water\":");
@@ -113,7 +95,7 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
             out.push(',');
         }
         out.push('"');
-        push_escaped(name, &mut out);
+        json::escape_into(name, &mut out);
         out.push_str("\":{\"count\":");
         push_u64(h.count, &mut out);
         out.push_str(",\"sum\":");

@@ -3,11 +3,15 @@
 //!
 //! * **Schema 1** (current): `{"schema":1,"suite":"perfsuite",
 //!   "ts_epoch_secs":…,"utc":"…Z","commit":"…","host":{"cores":…,
-//!   "simd":"avx2|scalar"},"workers":…,"metrics":{…},"obs_digest":"…"}`.
-//!   Every run carries its commit hash, UTC timestamp, host fingerprint
-//!   (core count + kernel SIMD dispatch), worker configuration, the full
-//!   flat map of section metrics, and the digest of the run's
-//!   observability snapshot ([`asdf_obs::snapshot::snapshot_digest`]).
+//!   "simd":"avx2|scalar"},"workers":…,"metrics":{…},"obs_digest":"…"}`
+//!   (written in key order; the lines recorded before the one JSON writer
+//!   keep the order shown, and no reader cares).
+//!   Every run carries its commit hash (`+dirty` when the tree it
+//!   measured was uncommitted), UTC timestamp, host fingerprint (core
+//!   count + kernel SIMD dispatch — one population for trend analysis),
+//!   worker configuration, the full flat map of section metrics, and the
+//!   digest of the run's observability snapshot
+//!   ([`asdf_obs::snapshot::snapshot_digest`]).
 //! * **Schema 0** (legacy): the flat one-line records PR 6 wrote —
 //!   `ts_epoch_secs`/`suite`/`workers` plus bare numeric metric fields,
 //!   no commit or host metadata. [`parse_history`] normalizes them so the
@@ -15,7 +19,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 
 use asdf_obs::json::{self, Value};
 
@@ -84,57 +87,42 @@ pub fn utc_from_epoch(secs: u64) -> String {
     format!("{year:04}-{month:02}-{day:02}T{h:02}:{m:02}:{s:02}Z")
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders a record as one schema-1 JSON line (no trailing newline).
+/// Renders a record as one JSON line (no trailing newline) in the layout
+/// of its own `schema`, keys in name order: a schema-0 record goes back
+/// to the flat legacy form [`parse_history`] normalized it from.
 /// Non-finite metric values are skipped — JSON has no spelling for them
 /// and a NaN section metric is a bug to surface elsewhere, not to poison
 /// the series with.
 pub fn render_record(r: &HistoryRecord) -> String {
-    let mut out = String::with_capacity(256 + 32 * r.metrics.len());
-    let _ = write!(
-        out,
-        "{{\"schema\":{HISTORY_SCHEMA},\"suite\":\"perfsuite\",\"ts_epoch_secs\":{},\"utc\":\"",
-        r.ts_epoch_secs
-    );
-    escape(&r.utc, &mut out);
-    out.push_str("\",\"commit\":\"");
-    escape(&r.commit, &mut out);
-    let _ = write!(out, "\",\"host\":{{\"cores\":{},\"simd\":\"", r.cores);
-    escape(&r.simd, &mut out);
-    let _ = write!(out, "\"}},\"workers\":{},\"metrics\":{{", r.workers);
-    let mut first = true;
-    for (name, v) in &r.metrics {
-        if !v.is_finite() {
-            continue;
+    let metrics = r
+        .metrics
+        .iter()
+        .filter(|(_, v)| v.is_finite())
+        .map(|(name, v)| (name.as_str(), Value::from(*v)));
+    let mut fields: Vec<(&str, Value)> = vec![
+        ("schema", f64::from(r.schema).into()),
+        ("suite", "perfsuite".into()),
+        ("ts_epoch_secs", (r.ts_epoch_secs as f64).into()),
+        ("workers", (r.workers as f64).into()),
+    ];
+    if r.schema == 0 {
+        fields.extend(metrics);
+    } else {
+        let host = [
+            ("cores", (r.cores as f64).into()),
+            ("simd", r.simd.as_str().into()),
+        ];
+        fields.extend([
+            ("utc", r.utc.as_str().into()),
+            ("commit", r.commit.as_str().into()),
+            ("host", json::object(host)),
+            ("metrics", json::object(metrics)),
+        ]);
+        if let Some(digest) = &r.obs_digest {
+            fields.push(("obs_digest", digest.as_str().into()));
         }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        escape(name, &mut out);
-        let _ = write!(out, "\":{v}");
     }
-    out.push('}');
-    if let Some(d) = &r.obs_digest {
-        out.push_str(",\"obs_digest\":\"");
-        escape(d, &mut out);
-        out.push('"');
-    }
-    out.push('}');
-    out
+    json::object(fields).render(None)
 }
 
 fn num(v: &Value) -> Option<f64> {
@@ -295,6 +283,37 @@ mod tests {
         // The NaN metric is dropped at render time, the rest survive.
         assert_eq!(back.metrics.len(), 2);
         assert_eq!(back.metrics["scan_speedup"], 1.985);
+    }
+
+    /// Every tracked line — the flat schema-0 seed included — survives
+    /// parse → render → parse, so the writer can rewrite the file it reads.
+    #[test]
+    fn tracked_history_round_trips_line_by_line() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+        let text = std::fs::read_to_string(path).expect("tracked BENCH history reads");
+        assert!(!text.is_empty(), "the tracked series is never empty");
+        for line in text.lines() {
+            let parsed = parse_history(line).expect("tracked line parses");
+            assert_eq!(parsed.len(), 1);
+            let again = parse_history(&render_record(&parsed[0])).expect("rendered line parses");
+            assert_eq!(again, parsed, "line: {line}");
+        }
+    }
+
+    #[test]
+    fn a_record_renders_in_the_layout_of_its_own_schema() {
+        let seed = &parse_history(SEED_LINE).unwrap()[0];
+        let line = render_record(seed);
+        assert!(line.starts_with(r#"{"batch_speedup_b64":2.054,"#), "{line}");
+        assert!(line.contains(r#""schema":0,"#), "{line}");
+        assert!(!line.contains("metrics"), "schema 0 is flat: {line}");
+        let current = HistoryRecord {
+            schema: HISTORY_SCHEMA,
+            ..seed.clone()
+        };
+        let line = render_record(&current);
+        assert!(line.contains(r#""schema":1,"#), "{line}");
+        assert!(line.contains(r#""metrics":{"batch_speedup_b64":2.054,"#));
     }
 
     #[test]

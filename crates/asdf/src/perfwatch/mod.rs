@@ -7,7 +7,9 @@
 //! nonparametric, needs no baseline labels, localizes *when* a metric's
 //! distribution shifted and by how much.
 //!
-//! [`analyze`] is parse → E-Divisive per metric → ranked findings in a
+//! [`analyze`] is parse → keep the records from the newest record's host
+//! (a different core count or vector width is a different population,
+//! not a regression) → E-Divisive per metric → ranked findings in a
 //! [`report::PerfwatchReport`]; the `asdf perfwatch` subcommand renders
 //! it as markdown or JSON. The watchdog is **advisory**: it ranks
 //! evidence and always exits cleanly, leaving gating decisions to humans
@@ -43,8 +45,9 @@ impl Default for AnalyzeOptions {
 }
 
 /// Runs the watchdog over a `BENCH_history.jsonl` document: parses the
-/// records (legacy schema-0 lines included), runs E-Divisive per metric,
-/// and ranks the findings.
+/// records (legacy schema-0 lines included), runs E-Divisive per metric
+/// over the records from the newest record's host, and ranks the
+/// findings.
 ///
 /// # Errors
 ///
@@ -61,11 +64,20 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
         _ => ("-".to_owned(), "-".to_owned()),
     };
 
+    // One host population per analysis: a row recorded on another core
+    // count or vector width steps every timing for a reason that is not a
+    // commit, so only rows from the newest row's host form the series.
+    let population = records
+        .last()
+        .map_or((0, "unknown".to_owned()), |r| (r.cores, r.simd.clone()));
+    let same_host = |r: &&HistoryRecord| r.cores == population.0 && r.simd == population.1;
+    let n_set_aside = n_records - records.iter().filter(same_host).count();
+
     // Per-metric series over the records that carry the metric (schemas
     // may add metrics over time; E-Divisive runs per metric on whatever
     // subsequence exists).
     let mut series: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for r in &records {
+    for r in records.iter().filter(same_host) {
         for (name, v) in &r.metrics {
             series.entry(name.clone()).or_default().push(*v);
         }
@@ -95,6 +107,8 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
         n_records,
         n_schema0,
         span_utc,
+        population,
+        n_set_aside,
         findings,
     })
 }
@@ -165,10 +179,47 @@ mod tests {
         let rep = analyze(&text, &AnalyzeOptions::default()).expect("mixed history analyzes");
         assert_eq!(rep.n_records, 11);
         assert_eq!(rep.n_schema0, 1);
-        // The seed-born metrics span all 11 records; the schema-1-only
-        // metric spans 10.
+        // The seed line carries no host, so it is a population of its own:
+        // set aside, and every series spans the 10 records that name one.
+        assert_eq!(rep.n_set_aside, 1);
         let by_name = |n: &str| rep.findings.iter().find(|f| f.metric == n).unwrap();
-        assert_eq!(by_name("campaign_serial_secs").n_points, 11);
+        assert_eq!(by_name("campaign_serial_secs").n_points, 10);
         assert_eq!(by_name("parser_lines_per_sec").n_points, 10);
+    }
+
+    /// Twelve one-core rows, then twelve two-core rows reading double on
+    /// every metric. Pooled, every metric steps at record 12 for a reason
+    /// that is no commit; analyzed per host, nothing moved.
+    #[test]
+    fn a_host_change_is_set_aside_not_reported_as_a_step() {
+        let two_cores: Vec<String> = parse_history(&synthetic_history(12, 999))
+            .unwrap()
+            .into_iter()
+            .map(|mut r| {
+                r.cores = 2;
+                r.ts_epoch_secs += 12 * 3600;
+                r.metrics.values_mut().for_each(|v| *v *= 2.0);
+                render_record(&r)
+            })
+            .collect();
+        let text = format!("{}\n{}", synthetic_history(12, 999), two_cores.join("\n"));
+        let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
+        assert_eq!(rep.n_records, 24);
+        assert_eq!(rep.n_set_aside, 12);
+        assert_eq!(rep.population, (2, "avx2".to_owned()));
+        assert!(rep.findings.iter().all(|f| f.n_points == 12));
+        assert_eq!(rep.shifted_metrics(), Vec::<String>::new());
+        let md = report::render_markdown(&rep);
+        assert!(md.contains("12 from other hosts set aside"), "{md}");
+
+        // The pooled analysis this replaces: the same rows with the host
+        // fingerprint erased read as one population that doubled.
+        let pooled = text.replace("\"cores\":4", "\"cores\":2");
+        let rep = analyze(&pooled, &AnalyzeOptions::default()).expect("analyzes");
+        assert_eq!(rep.n_set_aside, 0);
+        assert_eq!(rep.shifted_metrics().len(), 4);
+        for f in &rep.findings {
+            assert_eq!(f.change_points[0].index, 12, "{}", f.metric);
+        }
     }
 }

@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use asdf_obs::json::{self, Value};
+
 use super::edivisive::ChangePoint;
 
 /// Change-point findings for one metric series.
@@ -34,12 +36,17 @@ impl MetricFinding {
 /// Everything one `asdf perfwatch` invocation concluded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfwatchReport {
-    /// History records analyzed.
+    /// History records read (analyzed or set aside).
     pub n_records: usize,
     /// Of which legacy schema-0 lines.
     pub n_schema0: usize,
     /// UTC timestamps of the first and last record.
     pub span_utc: (String, String),
+    /// The host population analyzed: the newest record's `(cores, simd)`.
+    pub population: (usize, String),
+    /// Records recorded on any other host, set aside from every series
+    /// (still counted in [`n_records`](Self::n_records)).
+    pub n_set_aside: usize,
     /// Per-metric change-point findings, metrics with the largest shifts
     /// first, quiet metrics alphabetical after them.
     pub findings: Vec<MetricFinding>,
@@ -56,19 +63,6 @@ impl PerfwatchReport {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the report as markdown — the artifact the advisory CI job
 /// uploads and the default `asdf perfwatch` output.
 pub fn render_markdown(r: &PerfwatchReport) -> String {
@@ -78,6 +72,15 @@ pub fn render_markdown(r: &PerfwatchReport) -> String {
         out,
         "{} record(s) ({} legacy schema-0), {} .. {}\n",
         r.n_records, r.n_schema0, r.span_utc.0, r.span_utc.1
+    );
+    let _ = writeln!(
+        out,
+        "Analyzed: the {} from the newest record's host ({} core(s), simd {}); \
+         {} from other hosts set aside.\n",
+        r.n_records - r.n_set_aside,
+        r.population.0,
+        r.population.1,
+        r.n_set_aside
     );
 
     let shifted = r.shifted_metrics();
@@ -101,39 +104,43 @@ pub fn render_markdown(r: &PerfwatchReport) -> String {
     out
 }
 
-/// Renders the report as a deterministic single-document JSON object.
+/// Renders the report as a deterministic single-document JSON object
+/// (one line, keys in name order).
 pub fn render_json(r: &PerfwatchReport) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"n_records\":{},\"n_schema0\":{},\"first_utc\":\"",
-        r.n_records, r.n_schema0
-    );
-    escape_json(&r.span_utc.0, &mut out);
-    out.push_str("\",\"last_utc\":\"");
-    escape_json(&r.span_utc.1, &mut out);
-    out.push_str("\",\"metrics\":[");
-    for (i, f) in r.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"metric\":\"");
-        escape_json(&f.metric, &mut out);
-        let _ = write!(out, "\",\"n_points\":{},\"change_points\":[", f.n_points);
-        for (j, cp) in f.change_points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"qhat\":{:.6},\"p_value\":{:.6},\"before_mean\":{},\"after_mean\":{},\"shift_pct\":{:.3}}}",
-                cp.index, cp.qhat, cp.p_value, cp.before_mean, cp.after_mean, cp.shift_pct
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let count = |n: usize| Value::from(n as f64);
+    let metrics = r.findings.iter().map(|f| {
+        let change_points = f.change_points.iter().map(|cp| {
+            json::object([
+                ("index", count(cp.index)),
+                ("qhat", cp.qhat.into()),
+                ("p_value", cp.p_value.into()),
+                ("before_mean", cp.before_mean.into()),
+                ("after_mean", cp.after_mean.into()),
+                ("shift_pct", cp.shift_pct.into()),
+            ])
+        });
+        json::object([
+            ("metric", f.metric.as_str().into()),
+            ("n_points", count(f.n_points)),
+            ("change_points", Value::Array(change_points.collect())),
+        ])
+    });
+    json::object([
+        ("n_records", count(r.n_records)),
+        ("n_schema0", count(r.n_schema0)),
+        ("n_set_aside", count(r.n_set_aside)),
+        (
+            "host",
+            json::object([
+                ("cores", count(r.population.0)),
+                ("simd", r.population.1.as_str().into()),
+            ]),
+        ),
+        ("first_utc", r.span_utc.0.as_str().into()),
+        ("last_utc", r.span_utc.1.as_str().into()),
+        ("metrics", Value::Array(metrics.collect())),
+    ])
+    .render(None)
 }
 
 #[cfg(test)]
@@ -145,6 +152,8 @@ mod tests {
             n_records: 12,
             n_schema0: 1,
             span_utc: ("2026-08-01T00:00:00Z".into(), "2026-08-08T00:00:00Z".into()),
+            population: (2, "scalar".into()),
+            n_set_aside: 4,
             findings: vec![
                 MetricFinding {
                     metric: "campaign_serial_secs".into(),

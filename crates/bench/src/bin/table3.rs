@@ -7,19 +7,17 @@
 //! (paper reference values: `hadoop_log_rpcd` ≈ 0.02% CPU / 2.4 MB,
 //! `sadc_rpcd` ≈ 0.36% / 0.77 MB, `fpt-core` ≈ 0.81% / 5.1 MB).
 //!
-//! Usage: `cargo run -p bench --bin table3 --release [-- --secs S --threads N]`
+//! Usage: `cargo run -p bench --bin table3 --release [-- --secs S]`
 //!
-//! The CPU/memory meters themselves are single-threaded by design (they
-//! read per-process counters); `--threads` only affects campaign-layer
-//! work such as model training.
+//! What watching the framework costs the framework — the `asdf-obs`
+//! self-overhead — is `perfsuite`'s `obs_overhead_pct` row.
 
-use asdf::experiments::{self, CampaignConfig};
+use asdf::experiments;
 use asdf::report;
 use asdf_rpc::meter::{process_peak_rss_mb, process_rss_mb};
 
 fn main() {
-    let (secs, _threads) =
-        bench::secs_and_threads_from_iter("table3", 600, std::env::args().skip(1));
+    let secs = bench::secs_from_iter("table3", 600, std::env::args().skip(1));
     eprintln!("[table3] metering collectors over {secs} monitored seconds ...");
     let rows = experiments::table3(secs);
     println!("{}", report::render_table3(&rows));
@@ -43,25 +41,4 @@ fn main() {
     if let (Some(rss), Some(peak)) = (process_rss_mb(), process_peak_rss_mb()) {
         println!("  harness process RSS: {rss:.1} MB (peak {peak:.1} MB)");
     }
-
-    // ASDF-on-ASDF: what does watching the framework cost the framework?
-    // Same measurement the perfsuite gates at <1% of campaign wall-clock.
-    eprintln!("[table3] instrumentation self-overhead ...");
-    let cfg = CampaignConfig {
-        threads: 1,
-        ..CampaignConfig::smoke()
-    };
-    let ovh = experiments::self_overhead(&cfg, 10);
-    println!(
-        "  asdf-obs self-overhead: {:.3}% of campaign wall-clock \
-         (on {:.4}s / off {:.4}s, gate <1%) -> {}",
-        ovh.overhead_pct(),
-        ovh.on_secs,
-        ovh.off_secs,
-        if ovh.overhead_pct() < 1.0 {
-            "within gate"
-        } else {
-            "OVER GATE"
-        }
-    );
 }

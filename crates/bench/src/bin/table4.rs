@@ -7,18 +7,13 @@
 //! per-iteration bandwidth ≈ 1.85 kB/s total: sadc 1.22, hl-dn 0.31,
 //! hl-tt 0.32).
 //!
-//! Usage: `cargo run -p bench --bin table4 --release [-- --secs S --threads N]`
-//!
-//! Byte accounting is exact and independent of scheduling, so `--threads`
-//! is accepted for CLI uniformity with the campaign binaries but does not
-//! change the measurement.
+//! Usage: `cargo run -p bench --bin table4 --release [-- --secs S]`
 
 use asdf::experiments;
 use asdf::report;
 
 fn main() {
-    let (secs, _threads) =
-        bench::secs_and_threads_from_iter("table4", 600, std::env::args().skip(1));
+    let secs = bench::secs_from_iter("table4", 600, std::env::args().skip(1));
     eprintln!("[table4] accounting RPC bytes over {secs} collection iterations ...");
     let rows = experiments::table4(secs);
     println!("{}", report::render_table4(&rows));

@@ -64,37 +64,32 @@ pub fn campaign_from_iter(tool: &str, args: impl IntoIterator<Item = String>) ->
     cfg
 }
 
-/// Parses the `--secs S` / `--threads N` flags of the measurement binaries
-/// (`table3`, `table4`), returning `(secs, threads)`.
-///
-/// The overhead and bandwidth meters are inherently single-threaded —
-/// concurrent metering would corrupt the per-process CPU accounting — so
-/// `--threads` is accepted for CLI uniformity with the campaign binaries
-/// and forwarded to any campaign-layer work the tool performs.
+/// Parses the `--secs S` flag of the measurement binaries (`table3`,
+/// `table4`). Their meters read per-process counters and account exact
+/// bytes, so there is nothing for a thread count to change.
 ///
 /// # Panics
 ///
 /// Panics with a usage message on malformed flags.
-pub fn secs_and_threads_from_iter(
+pub fn secs_from_iter(
     tool: &str,
     default_secs: u64,
     args: impl IntoIterator<Item = String>,
-) -> (u64, usize) {
+) -> u64 {
     let mut secs = default_secs;
-    let mut threads = 0usize;
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
-        let mut next = |what: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{tool}: flag {what} needs a value"))
-        };
         match flag.as_str() {
-            "--secs" => secs = next("--secs").parse().expect("integer"),
-            "--threads" => threads = next("--threads").parse().expect("integer"),
+            "--secs" => {
+                let value = args
+                    .next()
+                    .unwrap_or_else(|| panic!("{tool}: flag --secs needs a value"));
+                secs = value.parse().expect("integer");
+            }
             other => panic!("{tool}: unknown flag `{other}`"),
         }
     }
-    (secs, threads)
+    secs
 }
 
 #[cfg(test)]
@@ -125,16 +120,15 @@ mod tests {
 
     #[test]
     fn measurement_flags_parse() {
-        let (secs, threads) = secs_and_threads_from_iter(
-            "test",
-            600,
-            ["--secs", "30", "--threads", "2"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!((secs, threads), (30, 2));
-        let (secs, threads) = secs_and_threads_from_iter("test", 600, std::iter::empty());
-        assert_eq!((secs, threads), (600, 0));
+        let flags = |flags: &[&str]| flags.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(secs_from_iter("test", 600, flags(&["--secs", "30"])), 30);
+        assert_eq!(secs_from_iter("test", 600, flags(&[])), 600);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag `--threads`")]
+    fn measurement_binaries_take_no_thread_count() {
+        secs_from_iter("test", 600, ["--threads".to_owned(), "2".to_owned()]);
     }
 
     #[test]

@@ -34,15 +34,14 @@ scenarios:
 # The fleet-scale suites on their own: the sim-shard x engine-thread x
 # batch bitwise sweep, the rack wiring (one `sadc` per rack + tree-reduce)
 # vs flat equivalence, the 500-node rack-path fingerpointing scenario (the
-# 5000-node row is measured by the perfsuite `fleet` block and by
-# asdfbench, not here), `sadc nodes = lo..hi` against one instance per
-# node and its `frame` port against its node ports, `rack_agg` over
-# frames (cadence, malformed input, no sample kept), the running window
-# sums against a buffered window (bitwise, any window / slide), a node's
-# second rendered over its last one (bitwise, no reallocation), a tap
-# attached after construction on a port nothing is wired to, the
-# collector wire accounting and decoder properties, and the bound on
-# un-tailed logs.
+# 5000-node row is measured by asdfbench's `fleet5000_rank`, not here),
+# `sadc nodes = lo..hi` against one instance per node and its `frame` port
+# against its node ports, `rack_agg` over frames (cadence, malformed input,
+# no sample kept), the running window sums against a buffered window
+# (bitwise, any window / slide), a node's second rendered over its last one
+# (bitwise, no reallocation), a tap attached after construction on a port
+# nothing is wired to, the collector wire accounting and decoder
+# properties, and the bound on un-tailed logs.
 fleet:
     cargo test -p integration-tests --test shard_equivalence -- sim_shards_compose rack_tree_reduce
     cargo test -p integration-tests --test scenario_matrix -- fleet_scale
@@ -81,16 +80,20 @@ docs:
 update-fixtures:
     UPDATE_FIXTURES=1 cargo test -p integration-tests --test golden_figures --test scenario_matrix
 
-# Refresh BENCH_campaign.json (campaign, self-overhead, engine speedup).
+# Refresh BENCH_campaign.json and append a BENCH_history.jsonl row: the
+# five quantities asdfbench cannot see (campaign pool, obs self-overhead,
+# batch-size sweep, extended-fault accuracy cells, micro-kernels), ~5 s on
+# every core the host has. Exits non-zero, both files written, only when
+# `scan_speedup` or `batch_speedup_b64` is under its bound.
 bench:
     cargo run -p bench --bin perfsuite --release
 
 # Run the perfsuite, append a schema-versioned record to the BENCH history,
-# then run the watchdog over the series (advisory: always exits 0 unless
-# the history itself is unreadable).
+# then run the watchdog over the rows from this host (advisory: always
+# exits 0 unless the history itself is unreadable) — also when the record
+# breached a bound, whose status then fails the recipe last.
 perfwatch:
-    ./scripts/bench_record.sh
-    cargo run --release -p asdf --bin asdf -- perfwatch
+    ./scripts/bench_record.sh; status=$?; cargo run --release -p asdf --bin asdf -- perfwatch; exit $status
 
 # The watchdog alone, over the already-recorded history.
 perfwatch-report:

@@ -13,7 +13,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "[bench_record] perfsuite -> ${BENCH_HISTORY:-BENCH_history.jsonl}" >&2
-cargo run --release -p bench --bin perfsuite -- "$@"
+# A breached bound exits non-zero only after the suite has written both
+# files: keep the status, let the log carry the row the watchdog is about
+# to read, and fail last — the run that breached is the one worth reading.
+status=0
+cargo run --release -p bench --bin perfsuite -- "$@" || status=$?
 
 # The suite appended the record itself; show the tail so logs carry it.
 tail -n 1 "${BENCH_HISTORY:-BENCH_history.jsonl}"
+exit "$status"

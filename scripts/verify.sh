@@ -1,7 +1,13 @@
 #!/usr/bin/env sh
 # PR gate: the tier-1 recipe plus the `unsafe` audit, the sharded-engine
 # differential suite, the fleet suites, a smoke run of the benchmark
-# binary, the kernel property suites, and a warnings-denied doc build.
+# binary, the serve soak, the kernel property suites, the perfwatch and
+# snapshot suites, and a warnings-denied doc build. Nothing here times
+# anything: engine threads, `serve` and the fleet are measured by asdfbench
+# alone, and their correctness — what perfsuite used to re-assert on its
+# timed runs — is these suites' (stream equality at threads {1, 2, 4, 8},
+# sharded = serial frames, every node ranked, lag bound, shed isolation,
+# exact flush counts).
 #
 # The equivalence tests run the fingerpointing pipeline at engine thread
 # counts {1, 2, 4, 8} (a dedicated 4-thread pass included) and compare
