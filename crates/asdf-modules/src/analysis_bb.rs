@@ -18,20 +18,27 @@
 //! * `window` — samples per window (default 60);
 //! * `slide` — samples between evaluations (default = `window`);
 //! * `threshold` — L1 alarm threshold (default 60);
-//! * `consecutive` — anomalous windows required before alarming (default 3).
+//! * `consecutive` — anomalous windows required before alarming (default 3);
+//! * `nodes` — comma-separated hostnames of every compared node, in node
+//!   order. Absent, each slot is one node, named by its source.
 //!
-//! Inputs: one slot per node (`l0`, `l1`, ...), each carrying per-second
-//! state indices. Outputs per node: `alarm<i>` (Bool) and `dist<i>`
-//! (Float, the raw L1 distance — lets threshold sweeps reuse one run).
+//! Inputs: slots (`l0`, `l1`, ...) each carrying the per-second state
+//! indices of one node (an `Int`) or of one rack (a `knn`'s row over the
+//! rack's frame); the slots' nodes, in slot order, are the compared nodes,
+//! so their widths must add up to `nodes`. Outputs per node: `alarm<i>`
+//! (Bool) and `dist<i>` (Float, the raw L1 distance — lets threshold
+//! sweeps reuse one run).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::Sample;
+use asdf_core::value::{Sample, Value};
 use hadoop_logs::sync::Aligner;
 
 use crate::kernel::CentroidBlock;
+use crate::rack;
 
 /// Black-box peer-comparison fingerpointer.
 #[derive(Debug)]
@@ -41,7 +48,10 @@ pub struct AnalysisBb {
     slide: usize,
     threshold: f64,
     consecutive: usize,
-    aligner: Aligner<usize>,
+    /// One stream per slot: a second's state indices of the slot's nodes,
+    /// in node order (a rack's row shares its envelope's allocation).
+    aligner: Aligner<Arc<[f64]>>,
+    /// Per node, the window's state indices.
     history: Vec<VecDeque<usize>>,
     anomalous_streak: Vec<usize>,
     rows_since_eval: usize,
@@ -132,24 +142,16 @@ impl Module for AnalysisBb {
             ));
         }
 
-        let n_nodes = ctx.input_slots().len();
-        if n_nodes < 3 {
-            return Err(ModuleError::BadInputs(format!(
-                "peer comparison needs >= 3 nodes, got {n_nodes}"
-            )));
-        }
-        for i in 0..n_nodes {
-            let (slot, sources) = &ctx.input_slots()[i];
-            let origin = sources
-                .first()
-                .map(|m| m.origin.clone())
-                .unwrap_or_else(|| slot.clone());
+        let n_slots = ctx.input_slots().len();
+        let origins = rack::peer_origins(ctx, rack::slot_origins(ctx))?;
+        let n_nodes = origins.len();
+        for (i, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{i}"), origin.clone());
             let dist = ctx.declare_output_with_origin(format!("dist{i}"), origin);
             self.alarm_ports.push(alarm);
             self.dist_ports.push(dist);
         }
-        self.aligner = Aligner::new(n_nodes);
+        self.aligner = Aligner::new(n_slots);
         self.history = vec![VecDeque::new(); n_nodes];
         self.anomalous_streak = vec![0; n_nodes];
         self.hists = CentroidBlock::zeroed(self.n_states, n_nodes);
@@ -165,27 +167,40 @@ impl Module for AnalysisBb {
         // engine) into the aligner without a per-run Vec; emissions happen
         // after the drain, once rows align.
         for (slot_idx, env) in ctx.drain_all() {
-            let idx = env.sample.value.as_int().ok_or_else(|| {
-                ModuleError::Other(format!(
-                    "analysis_bb expects integer state indices, got {}",
-                    env.sample.value.type_name()
-                ))
-            })?;
-            if idx < 0 || idx as usize >= self.n_states {
+            let states: Arc<[f64]> = match &env.sample.value {
+                Value::Int(idx) => Arc::from([*idx as f64]),
+                Value::Vector(row) => Arc::clone(row),
+                other => {
+                    return Err(ModuleError::Other(format!(
+                        "analysis_bb expects integer state indices, got {}",
+                        other.type_name()
+                    )))
+                }
+            };
+            // Also false for NaN, which is in no range.
+            let in_range = |x: &f64| x.fract() == 0.0 && (0.0..self.n_states as f64).contains(x);
+            if let Some(idx) = states.iter().find(|x| !in_range(x)) {
                 return Err(ModuleError::Other(format!(
                     "state index {idx} outside 0..{}",
                     self.n_states
                 )));
             }
             self.aligner
-                .push(slot_idx, env.sample.timestamp.as_secs(), idx as usize);
+                .push(slot_idx, env.sample.timestamp.as_secs(), states);
         }
 
         while let Some((t, row)) = self.aligner.pop_aligned() {
-            for (node, idx) in row.into_iter().enumerate() {
-                self.history[node].push_back(idx);
-                if self.history[node].len() > self.window {
-                    self.history[node].pop_front();
+            let width: usize = row.iter().map(|states| states.len()).sum();
+            if width != n_nodes {
+                return Err(ModuleError::Other(format!(
+                    "the slots' rows cover {width} nodes at t={t}, expected {n_nodes}"
+                )));
+            }
+            let indices = row.iter().flat_map(|states| states.iter());
+            for (history, idx) in self.history.iter_mut().zip(indices) {
+                history.push_back(*idx as usize);
+                if history.len() > self.window {
+                    history.pop_front();
                 }
             }
             self.rows_since_eval += 1;
@@ -301,6 +316,7 @@ mod tests {
                 deviate_after: 0,
             })
         });
+        crate::testutil::register_row_replay(&mut reg);
         reg
     }
 
@@ -393,6 +409,83 @@ input[l2] = n2.out
         // The same trace with consecutive = 1 does fire.
         let out = run(&three_peer_config(105, 5.0, 1), 120);
         assert!(alarms_of(&out, "alarm2").iter().any(|(_, a)| *a));
+    }
+
+    /// `secs` rows of what `three_peer_config`'s first `width` sources emit,
+    /// as a `rowreplay` parameter.
+    fn rack_rows(width: usize, deviant_after: u64, secs: u64) -> String {
+        let row = |t: u64| {
+            let deviant = if t > deviant_after { 3 } else { t % 3 };
+            let states = [t % 3, t % 3, deviant];
+            states[..width]
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        (1..=secs).map(row).collect::<Vec<_>>().join("|")
+    }
+
+    #[test]
+    fn rack_wide_slots_read_exactly_as_per_node_slots() {
+        let per_node = run(&three_peer_config(30, 5.0, 2), 100);
+        assert!(alarms_of(&per_node, "alarm2").iter().any(|(_, a)| *a));
+        let analysis = "[analysis_bb]\nid = bb\nn_states = 4\nwindow = 10\nthreshold = 5\n\
+                        consecutive = 2\nnodes = peer0, peer1, culprit\n";
+        // The three nodes as one rack; and as a rack of two beside a node.
+        let one_rack = format!(
+            "[rowreplay]\nid = rack\nrows = {}\n\n{analysis}input[l0] = rack.out\n",
+            rack_rows(3, 30, 100)
+        );
+        let rack_and_node = format!(
+            "[rowreplay]\nid = rack\nrows = {}\n\n[deviant]\nid = n2\nafter = 30\n\n\
+             {analysis}input[l0] = rack.out\ninput[l1] = n2.out\n",
+            rack_rows(2, 30, 100)
+        );
+        for cfg in [one_rack, rack_and_node] {
+            assert!(run(&cfg, 100) == per_node, "{cfg}");
+        }
+    }
+
+    #[test]
+    fn a_mis_sized_or_malformed_rack_row_is_a_module_error_never_a_panic() {
+        for (nodes, rows, says) in [
+            ("a,b,c", "0,1", "cover 2 nodes at t=0, expected 3"),
+            ("a,b,c", "0,1,2,0", "cover 4 nodes at t=0, expected 3"),
+            ("a,b,c", "0,1.5,2", "state index 1.5 outside 0..4"),
+            ("a,b,c", "0,nan,2", "state index NaN outside 0..4"),
+            ("a,b,c", "0,-1,2", "state index -1 outside 0..4"),
+            ("a,b,c", "0,4,2", "state index 4 outside 0..4"),
+            ("a,b,c", "0,1e300,2", "outside 0..4"),
+        ] {
+            let cfg: Config = format!(
+                "[rowreplay]\nid = rack\nrows = {rows}\n\n\
+                 [analysis_bb]\nid = bb\nn_states = 4\nnodes = {nodes}\ninput[l0] = rack.out\n"
+            )
+            .parse()
+            .unwrap();
+            let mut eng = TickEngine::new(Dag::build(&registry(), &cfg).unwrap());
+            let err = eng.run_for(TickDuration::from_secs(3)).unwrap_err();
+            assert_eq!(err.instance, "bb", "{rows}");
+            let ModuleError::Other(msg) = &err.source else {
+                panic!("{rows}: {:?}", err.source);
+            };
+            assert!(msg.contains(says), "{rows}: {msg}");
+        }
+        // More slots than named nodes, fewer than three names, no slot.
+        for analysis in [
+            "nodes = a,b,c\ninput[l0] = r0.out\ninput[l1] = r1.out\ninput[l2] = r2.out\ninput[l3] = r3.out\n",
+            "nodes = a,b\ninput[l0] = r0.out\n",
+            "nodes = a,b,c\n",
+        ] {
+            let racks: String = (0..4)
+                .map(|i| format!("[rowreplay]\nid = r{i}\nrows = 0\n\n"))
+                .collect();
+            let cfg: Config = format!("{racks}[analysis_bb]\nid = bb\nn_states = 4\n{analysis}")
+                .parse()
+                .unwrap();
+            assert!(Dag::build(&registry(), &cfg).is_err(), "{analysis}");
+        }
     }
 
     #[test]

@@ -10,39 +10,57 @@
 //! nodes", making the median σ zero and a bare `k·σ` threshold a
 //! false-positive machine.
 //!
-//! Inputs: per node, a windowed-mean vector on slot `a<i>` and a windowed
-//! standard-deviation vector on slot `d<i>` (produced by `mavgvec` with
-//! `emit = both`). Outputs per node: `alarm<i>` (Bool) and `kcrit<i>`
-//! (Float — the smallest `k` at which the node would *stop* being flagged,
-//! `+inf` when a deviating metric has zero median-σ; lets k sweeps reuse
-//! one run).
+//! Inputs: slot pairs `a<i>` / `d<i>`, the windowed-mean and -stddev rows of
+//! one `mavgvec` with `emit = both`: one node's two vectors, or with
+//! `nodes` one rack's — the `mavgvec` ran over the rack collector's `frame`
+//! rows, whose statistics are the per-node statistics bit for bit
+//! ([`crate::rack::window_stats`] reads them); the pairs' nodes, in slot
+//! order, are the compared nodes, so their widths must add up to `nodes`.
+//! Outputs per node: `alarm<i>` (Bool) and `kcrit<i>` (Float — the smallest
+//! `k` at which the node would *stop* being flagged, `+inf` when a
+//! deviating metric has zero median-σ; lets k sweeps reuse one run).
 //!
 //! Configuration parameters:
 //!
 //! * `k` — threshold multiplier (default 3, the paper's choice);
 //! * `consecutive` — anomalous windows required before alarming
-//!   (default 3, matching the black-box confirmation depth).
+//!   (default 3, matching the black-box confirmation depth);
+//! * `nodes` — comma-separated hostnames of every compared node, in node
+//!   order. Absent, each slot pair is one node, named by its source.
+
+use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::Sample;
+use asdf_core::value::{Sample, Value};
 use hadoop_logs::sync::Aligner;
 
 use crate::analysis_bb::median;
+use crate::rack;
 
 /// White-box peer-comparison fingerpointer.
 #[derive(Debug)]
 pub struct AnalysisWb {
     k: f64,
     consecutive: usize,
-    n_nodes: usize,
-    /// Streams 0..n are means, n..2n are stddevs.
-    aligner: Aligner<Vec<f64>>,
+    /// Whether the slots carry rack rows (`nodes` was given).
+    rack_rows: bool,
+    /// Streams 0..s are the slots' means, s..2s their stddevs; a row shares
+    /// its envelope's allocation.
+    aligner: Aligner<Arc<[f64]>>,
+    /// Per node.
     anomalous_streak: Vec<usize>,
     alarm_ports: Vec<PortId>,
     kcrit_ports: Vec<PortId>,
     /// Maps envelope slot index -> aligner stream index.
     slot_to_stream: Vec<usize>,
+    /// Row-major `nodes × dim` windowed means and stddevs of the row being
+    /// evaluated, and the median scratch: all reused every evaluation.
+    means: Vec<f64>,
+    sds: Vec<f64>,
+    col: Vec<f64>,
+    median_mean: Vec<f64>,
+    median_sd: Vec<f64>,
 }
 
 impl AnalysisWb {
@@ -51,13 +69,29 @@ impl AnalysisWb {
         AnalysisWb {
             k: 0.0,
             consecutive: 0,
-            n_nodes: 0,
+            rack_rows: false,
             aligner: Aligner::new(1),
             anomalous_streak: Vec::new(),
             alarm_ports: Vec::new(),
             kcrit_ports: Vec::new(),
             slot_to_stream: Vec::new(),
+            means: Vec::new(),
+            sds: Vec::new(),
+            col: Vec::new(),
+            median_mean: Vec::new(),
+            median_sd: Vec::new(),
         }
+    }
+}
+
+/// The median across nodes of every metric of a row-major `nodes × dim`
+/// matrix, into `medians`; `col` is scratch.
+fn column_medians(matrix: &[f64], dim: usize, col: &mut Vec<f64>, medians: &mut Vec<f64>) {
+    medians.clear();
+    for m in 0..dim {
+        col.clear();
+        col.extend(matrix.iter().skip(m).step_by(dim));
+        medians.push(median(col));
     }
 }
 
@@ -81,73 +115,53 @@ impl Module for AnalysisWb {
             ));
         }
 
-        // Slots: a<i> carry means, d<i> carry stddevs; indices must tile
-        // 0..n completely.
+        // Slot `a<i>` (means) is aligner stream i, `d<i>` (stddevs) stream
+        // s + i; the indices must tile 0..s, each once.
         let slots = ctx.input_slots();
-        let mut mean_slots: Vec<(usize, usize, String)> = Vec::new(); // (node, slot idx, origin)
-        let mut sd_slots: Vec<(usize, usize)> = Vec::new();
-        for (slot_idx, (name, sources)) in slots.iter().enumerate() {
-            let origin = sources
-                .first()
-                .map(|m| m.origin.clone())
-                .unwrap_or_default();
-            if let Some(rest) = name.strip_prefix('a') {
-                let node: usize = rest
-                    .parse()
-                    .map_err(|_| ModuleError::BadInputs(format!("bad mean slot name `{name}`")))?;
-                mean_slots.push((node, slot_idx, origin));
-            } else if let Some(rest) = name.strip_prefix('d') {
-                let node: usize = rest.parse().map_err(|_| {
-                    ModuleError::BadInputs(format!("bad stddev slot name `{name}`"))
-                })?;
-                sd_slots.push((node, slot_idx));
+        let n_slots = slots.len() / 2;
+        let mut slot_origins = vec![String::new(); n_slots];
+        self.slot_to_stream.clear();
+        for (name, sources) in slots {
+            let index = |rest: &str| rest.parse().ok().filter(|i| *i < n_slots);
+            let stream = if let Some(i) = name.strip_prefix('a').and_then(index) {
+                slot_origins[i] = sources.first().map_or(String::new(), |m| m.origin.clone());
+                i
+            } else if let Some(i) = name.strip_prefix('d').and_then(index) {
+                n_slots + i
             } else {
                 return Err(ModuleError::BadInputs(format!(
-                    "analysis_wb slots must be a<i> (means) or d<i> (stddevs), got `{name}`"
+                    "analysis_wb slots must be a<i> (means) or d<i> (stddevs), \
+                     i < {n_slots}, got `{name}`"
                 )));
-            }
+            };
+            self.slot_to_stream.push(stream);
         }
-        mean_slots.sort_by_key(|&(node, _, _)| node);
-        sd_slots.sort_by_key(|&(node, _)| node);
-        let n = mean_slots.len();
-        if n < 3 {
-            return Err(ModuleError::BadInputs(format!(
-                "peer comparison needs >= 3 nodes, got {n}"
-            )));
-        }
-        if sd_slots.len() != n
-            || mean_slots
-                .iter()
-                .enumerate()
-                .any(|(i, &(node, _, _))| node != i)
-            || sd_slots.iter().enumerate().any(|(i, &(node, _))| node != i)
-        {
+        let mut streams = self.slot_to_stream.clone();
+        streams.sort_unstable();
+        if streams.iter().enumerate().any(|(i, s)| *s != i) {
             return Err(ModuleError::BadInputs(
                 "mean slots a0..aN-1 and stddev slots d0..dN-1 must pair up".into(),
             ));
         }
-
-        self.n_nodes = n;
-        self.slot_to_stream = vec![0; slots.len()];
-        for (node, slot_idx, origin) in &mean_slots {
-            self.slot_to_stream[*slot_idx] = *node;
+        self.rack_rows = ctx.param("nodes").is_some();
+        let origins = rack::peer_origins(ctx, slot_origins)?;
+        let n = origins.len();
+        for (node, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{node}"), origin.clone());
-            let kcrit = ctx.declare_output_with_origin(format!("kcrit{node}"), origin.clone());
+            let kcrit = ctx.declare_output_with_origin(format!("kcrit{node}"), origin);
             self.alarm_ports.push(alarm);
             self.kcrit_ports.push(kcrit);
         }
-        for (node, slot_idx) in &sd_slots {
-            self.slot_to_stream[*slot_idx] = n + *node;
-        }
-        self.aligner = Aligner::new(2 * n);
+        self.aligner = Aligner::new(2 * n_slots);
         self.anomalous_streak = vec![0; n];
+        self.col = Vec::with_capacity(n);
         Ok(())
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        let n = self.n_nodes;
-        for (slot_idx, env) in ctx.take_all() {
-            let Some(v) = env.sample.value.as_vector() else {
+        let n = self.anomalous_streak.len();
+        for (slot_idx, env) in ctx.drain_all() {
+            let Value::Vector(v) = &env.sample.value else {
                 return Err(ModuleError::Other(format!(
                     "analysis_wb expects vector samples, got {}",
                     env.sample.value.type_name()
@@ -156,27 +170,37 @@ impl Module for AnalysisWb {
             self.aligner.push(
                 self.slot_to_stream[slot_idx],
                 env.sample.timestamp.as_secs(),
-                v.to_vec(),
+                Arc::clone(v),
             );
         }
 
         while let Some((t, row)) = self.aligner.pop_aligned() {
-            let (means, sds) = row.split_at(n);
-            let dim = means[0].len();
-            if means.iter().chain(sds.iter()).any(|v| v.len() != dim) {
-                return Err(ModuleError::Other(
-                    "inconsistent metric dimensions across nodes".into(),
-                ));
+            // The slots' node rows, concatenated: the `n × dim` matrices.
+            let (slot_means, slot_sds) = row.split_at(row.len() / 2);
+            self.means.clear();
+            self.sds.clear();
+            let mut dim = 0;
+            for (mean, sd) in slot_means.iter().zip(slot_sds) {
+                let (d, means, sds) =
+                    rack::window_stats(mean, sd, self.rack_rows).map_err(ModuleError::Other)?;
+                if dim != 0 && d != dim {
+                    return Err(ModuleError::Other(
+                        "inconsistent metric dimensions across nodes".into(),
+                    ));
+                }
+                dim = d;
+                self.means.extend_from_slice(means);
+                self.sds.extend_from_slice(sds);
             }
-            // Medians per metric: of means and of stddevs.
-            let mut median_mean = vec![0.0; dim];
-            let mut median_sd = vec![0.0; dim];
-            for m in 0..dim {
-                let mut col: Vec<f64> = means.iter().map(|v| v[m]).collect();
-                median_mean[m] = median(&mut col);
-                let mut col: Vec<f64> = sds.iter().map(|v| v[m]).collect();
-                median_sd[m] = median(&mut col);
+            if self.means.len() != n * dim {
+                return Err(ModuleError::Other(format!(
+                    "the slots' rows cover {} nodes at t={t}, expected {n}",
+                    self.means.len() / dim
+                )));
             }
+            column_medians(&self.means, dim, &mut self.col, &mut self.median_mean);
+            column_medians(&self.sds, dim, &mut self.col, &mut self.median_sd);
+            let (means, median_mean, median_sd) = (&self.means, &self.median_mean, &self.median_sd);
             let ts = asdf_core::time::Timestamp::from_secs(t);
             #[allow(clippy::needless_range_loop)] // several parallel per-node arrays
             for node in 0..n {
@@ -186,7 +210,7 @@ impl Module for AnalysisWb {
                 // k < |diff|/σ_med.
                 let mut kcrit: f64 = 0.0;
                 for m in 0..dim {
-                    let diff = (means[node][m] - median_mean[m]).abs();
+                    let diff = (means[node * dim + m] - median_mean[m]).abs();
                     if diff <= 1.0 {
                         continue;
                     }
@@ -265,6 +289,7 @@ mod tests {
                 sd: 0.5,
             })
         });
+        crate::testutil::register_row_replay(&mut reg);
         reg
     }
 
@@ -379,6 +404,93 @@ input[d2] = n2.stddev
             .map(|e| e.sample.value.as_float().unwrap())
             .collect();
         assert!(kcrits.iter().any(|k| (k - 10.0).abs() < 1e-9), "{kcrits:?}");
+    }
+
+    /// Two `rowreplay`s, `m<id>` and `s<id>`: `secs` seconds of the mean and
+    /// stddev rows a `mavgvec` would emit over a rack holding the sources
+    /// `nodes` of `config`, under the frame's `[width, 2]` header and what
+    /// its variance leaves of it, `[0, 0]`.
+    fn rack_stats(id: usize, nodes: std::ops::Range<usize>, bias: f64, after: u64) -> String {
+        let width = nodes.len();
+        let mean = |t: u64| {
+            let culprit = if t > after { 10.0 + bias } else { 10.0 };
+            let of_nodes = [10.0, 10.0, culprit].map(|m| format!("{m},2"));
+            format!("{width},2,{}", of_nodes[nodes.clone()].join(","))
+        };
+        let means: Vec<String> = (1..=40).map(mean).collect();
+        let sd = format!("0,0{}", ",0.5,0".repeat(width));
+        format!(
+            "[rowreplay]\nid = m{id}\nrows = {}\n\n[rowreplay]\nid = s{id}\nrows = {}\n\n",
+            means.join("|"),
+            vec![sd; 40].join("|")
+        )
+    }
+
+    #[test]
+    fn rack_wide_slots_read_exactly_as_per_node_slots() {
+        let per_node = run(&config(5.0, 10, 3.0, 2), 40);
+        assert!(alarms(&per_node, "alarm2").iter().any(|a| *a));
+        let analysis = "[analysis_wb]\nid = wb\nk = 3\nconsecutive = 2\n\
+                        nodes = peer0, peer1, culprit\ninput[a0] = m0.out\ninput[d0] = s0.out\n";
+        // The three nodes as one rack; and as a rack of two beside a rack
+        // of one.
+        let one_rack = format!("{}{analysis}", rack_stats(0, 0..3, 5.0, 10));
+        let two_racks = format!(
+            "{}{}{analysis}input[a1] = m1.out\ninput[d1] = s1.out\n",
+            rack_stats(0, 0..2, 5.0, 10),
+            rack_stats(1, 2..3, 5.0, 10)
+        );
+        for cfg in [one_rack, two_racks] {
+            assert!(run(&cfg, 40) == per_node, "{cfg}");
+        }
+    }
+
+    #[test]
+    fn a_mis_sized_or_malformed_rack_row_is_a_module_error_never_a_panic() {
+        for (mean, sd, says) in [
+            (
+                "2,2, 10,2, 10,2",
+                "0,0, 1,0, 1,0",
+                "cover 2 nodes at t=0, expected 3",
+            ),
+            (
+                "4,1, 1,1,1,1",
+                "0,0, 1,1,1,1",
+                "cover 4 nodes at t=0, expected 3",
+            ),
+            ("3,2, 10,2, 10,2", "0,0, 1,0, 1,0", "header says 3x2"),
+            ("3,1, 1,1,1", "0,0, 1,1", "against a stddev row of 4"),
+            ("1.5,2, 10,2, 10,2", "0,0, 1,0, 1,0", "bad rack row header"),
+            ("nan,1, 1,1,1", "0,0, 1,1,1", "bad rack row header"),
+            ("7", "7", "rack row needs [k, dim"),
+        ] {
+            let cfg: Config = format!(
+                "[rowreplay]\nid = m\nrows = {mean}\n\n[rowreplay]\nid = s\nrows = {sd}\n\n\
+                 [analysis_wb]\nid = wb\nnodes = a,b,c\ninput[a0] = m.out\ninput[d0] = s.out\n"
+            )
+            .parse()
+            .unwrap();
+            let mut eng = TickEngine::new(Dag::build(&registry(), &cfg).unwrap());
+            let err = eng.run_for(TickDuration::from_secs(3)).unwrap_err();
+            assert_eq!(err.instance, "wb", "{mean}");
+            let ModuleError::Other(msg) = &err.source else {
+                panic!("{mean}: {:?}", err.source);
+            };
+            assert!(msg.contains(says), "{mean}: {msg}");
+        }
+        // Fewer than three names; no slot pair at all.
+        for analysis in [
+            "nodes = a,b\ninput[a0] = m.out\ninput[d0] = s.out\n",
+            "nodes = a,b,c\n",
+        ] {
+            let cfg: Config = format!(
+                "[rowreplay]\nid = m\nrows = 1\n\n[rowreplay]\nid = s\nrows = 1\n\n\
+                 [analysis_wb]\nid = wb\n{analysis}"
+            )
+            .parse()
+            .unwrap();
+            assert!(Dag::build(&registry(), &cfg).is_err(), "{analysis}");
+        }
     }
 
     #[test]

@@ -8,48 +8,85 @@
 //! centroid is computed. The indices of the k nearest centroids to s′ ...
 //! are output."
 //!
+//! A sample is one node's vector, as wide as the model, or a rack's second:
+//! a collector's `frame` row `[n, dim, node₀…, node₁…]`
+//! ([`crate::rack::RackSummary::shape`]). Its node rows go through the same
+//! scale and nearest-centroid scan either way, so one instance per rack —
+//! one parse of the model text, one [`Classifier`] — reads exactly what
+//! `n` per-node instances would.
+//!
 //! Configuration parameters:
 //!
 //! * `centroids` — clusters separated by `|`, components by `,`
 //!   (as rendered by [`crate::training::BlackBoxModel::centroids_param`]);
 //! * `stddev` — comma-separated scaling vector;
-//! * `k` — neighbors to output (default 1; `output0` carries the nearest
-//!   index as an `Int`, and for `k > 1` a `Vector` of indices instead).
+//! * `k` — neighbors to output (default 1).
+//!
+//! Output `output0`: per sample, the `k` nearest indices of each of its
+//! node rows, node-major, as one row — except that a bare vector at `k = 1`
+//! is answered with the nearest index as an `Int`, the paper's form.
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
-use asdf_core::value::{Sample, Value};
+use asdf_core::value::Sample;
 
 use crate::kernel::CentroidBlock;
+use crate::rack::RackSummary;
 use crate::training::{BlackBoxModel, Classifier};
 
 /// 1-NN / k-NN workload-state classifier.
 ///
-/// Holds a [`Classifier`] context so the per-tick path reuses its scaling
-/// and ranking buffers instead of allocating per sample. Under a batched
-/// engine, [`Module::run_batch`] packs the whole pending tick-range into a
-/// columnar [`CentroidBlock`] and feeds full query rows to the
-/// `argmin_dist2` kernel scan — bitwise identical to the per-sample path.
+/// Every pending sample — from the envelope queue or, under a batched
+/// engine, from columnar row blocks — is packed into one [`CentroidBlock`]
+/// of query rows and classified back to back by the `argmin_dist2` kernel
+/// scan; nothing is allocated per sample.
 #[derive(Debug, Default)]
 pub struct Knn {
     classifier: Option<Classifier>,
     k: usize,
     out: Option<PortId>,
-    /// Reused across ticks by `classify_k_into`.
-    ranked: Vec<usize>,
-    /// Columnar batch scratch: one padded query row per pending sample.
-    batch_rows: CentroidBlock,
-    /// Per-row timestamps matching `batch_rows`.
-    batch_stamps: Vec<Timestamp>,
-    /// Per-row 1-NN states from `classify_block_into`.
-    batch_states: Vec<usize>,
+    /// Nearest-centroid scratch: the 1-NN state of every row of `rows`, or
+    /// one row's `k` nearest.
+    nearest: Vec<usize>,
+    /// One padded query row per pending node row.
+    rows: CentroidBlock,
+    /// Per pending sample: its timestamp and the node rows it holds in
+    /// `rows` — `None` for a bare vector, which holds one.
+    samples: Vec<(Timestamp, Option<usize>)>,
+    /// The `k` indices of every row of `rows`, row-major.
+    indices: Vec<f64>,
 }
 
 impl Knn {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         Knn::default()
+    }
+
+    /// Packs one sample's node rows for the scan: the one place a
+    /// sample's width is checked.
+    fn pack(&mut self, ts: Timestamp, sample: &[f64]) -> Result<(), ModuleError> {
+        let dim = self.rows.dim();
+        let (width, node_rows) = if sample.len() == dim {
+            (None, sample)
+        } else {
+            match RackSummary::shape(sample) {
+                Ok((n, d)) if d == dim => (Some(n), &sample[2..]),
+                shape => {
+                    return Err(ModuleError::Other(format!(
+                        "knn dimension mismatch: sample {} vs model {dim}, \
+                         and as a rack frame: {shape:?}",
+                        sample.len()
+                    )))
+                }
+            }
+        };
+        for row in node_rows.chunks_exact(dim) {
+            self.rows.push_row(row);
+        }
+        self.samples.push((ts, width));
+        Ok(())
     }
 }
 
@@ -69,62 +106,26 @@ impl Module for Knn {
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
         self.out = Some(ctx.declare_output_with_origin("output0", origin));
-        self.batch_rows = CentroidBlock::with_dim(model.stddev.len());
+        self.rows = CentroidBlock::with_dim(model.stddev.len());
         self.classifier = Some(model.into_classifier());
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        let classifier = self.classifier.as_mut().expect("initialized");
-        let out = self.out.expect("initialized");
-        let k = self.k;
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
-            let Some(raw) = env.sample.value.as_vector() else {
-                return Err(ModuleError::Other(format!(
-                    "knn expects vector samples, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            if raw.len() != classifier.dim() {
-                return Err(ModuleError::Other(format!(
-                    "knn dimension mismatch: sample {} vs model {}",
-                    raw.len(),
-                    classifier.dim()
-                )));
-            }
-            let ts = env.sample.timestamp;
-            if k == 1 {
-                let idx = classifier.classify(raw) as i64;
-                emit.emit_sample(out, Sample::new(ts, idx));
-            } else {
-                classifier.classify_k_into(raw, k, &mut self.ranked);
-                let idxs: Vec<f64> = self.ranked.iter().map(|&i| i as f64).collect();
-                emit.emit_sample(out, Sample::new(ts, Value::from(idxs)));
-            }
-        }
-        Ok(())
-    }
-
     /// Opt into columnar delivery: upstream row batches arrive as shared
-    /// [`asdf_core::module::RowBlock`]s instead of per-sample envelopes,
-    /// and `run_batch` feeds their rows straight into the kernel scan.
+    /// [`asdf_core::module::RowBlock`]s instead of per-sample envelopes.
     fn accepts_row_blocks(&self) -> bool {
         true
     }
 
-    fn run_batch(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
+    /// Also `run_batch` (the trait's default forwards here): without a
+    /// batching engine there are simply no row blocks to take.
+    fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         // Queued envelopes first, then row blocks: the engine's per-slot
         // invariant is that backlog rows are always newer than anything in
         // the queue, so this is exactly the per-sample arrival order.
         let blocks = ctx.take_row_blocks();
-        let classifier = self.classifier.as_mut().expect("initialized");
-        let out = self.out.expect("initialized");
-        // Pack the whole pending tick-range into the columnar scratch,
-        // validating each sample exactly as the per-sample path does (the
-        // first offending envelope raises the same error).
-        self.batch_rows.clear();
-        self.batch_stamps.clear();
+        self.rows.clear();
+        self.samples.clear();
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
             let Some(raw) = env.sample.value.as_vector() else {
@@ -133,42 +134,35 @@ impl Module for Knn {
                     env.sample.value.type_name()
                 )));
             };
-            if raw.len() != classifier.dim() {
-                return Err(ModuleError::Other(format!(
-                    "knn dimension mismatch: sample {} vs model {}",
-                    raw.len(),
-                    classifier.dim()
-                )));
-            }
-            self.batch_rows.push_row(raw);
-            self.batch_stamps.push(env.sample.timestamp);
+            self.pack(env.sample.timestamp, raw)?;
         }
         for (_, block) in &blocks {
-            if block.dim != classifier.dim() {
-                return Err(ModuleError::Other(format!(
-                    "knn dimension mismatch: sample {} vs model {}",
-                    block.dim,
-                    classifier.dim()
-                )));
-            }
             for (ts, row) in block.rows() {
-                self.batch_rows.push_row(row);
-                self.batch_stamps.push(ts);
+                self.pack(ts, row)?;
             }
         }
-        if self.k == 1 {
-            // Full query rows through the fused kernel scan, back to back;
-            // per row this is the same scale + argmin as `classify`, so
-            // the emitted stream is bitwise identical to `run`'s.
-            classifier.classify_block_into(&self.batch_rows, &mut self.batch_states);
-            for (&ts, &idx) in self.batch_stamps.iter().zip(&self.batch_states) {
-                emit.emit_sample(out, Sample::new(ts, idx as i64));
-            }
+
+        let classifier = self.classifier.as_mut().expect("initialized");
+        let (out, k) = (self.out.expect("initialized"), self.k);
+        self.indices.clear();
+        if k == 1 {
+            // The fused kernel scan; per row the same scale + argmin as
+            // `Classifier::classify`.
+            classifier.classify_block_into(&self.rows, &mut self.nearest);
+            self.indices.extend(self.nearest.iter().map(|&i| i as f64));
         } else {
-            for (r, &ts) in self.batch_stamps.iter().enumerate() {
-                classifier.classify_k_into(self.batch_rows.row(r), self.k, &mut self.ranked);
-                let idxs: Vec<f64> = self.ranked.iter().map(|&i| i as f64).collect();
-                emit.emit_sample(out, Sample::new(ts, Value::from(idxs)));
+            for row in self.rows.rows() {
+                classifier.classify_k_into(row, k, &mut self.nearest);
+                self.indices.extend(self.nearest.iter().map(|&i| i as f64));
+            }
+        }
+        let mut rest = &self.indices[..];
+        for &(ts, width) in &self.samples {
+            let (mine, later) = rest.split_at(width.unwrap_or(1) * k);
+            rest = later;
+            match (width, mine) {
+                (None, &[idx]) => emit.emit_sample(out, Sample::new(ts, idx as i64)),
+                _ => emit.emit_row_at(out, ts, mine),
             }
         }
         Ok(())
@@ -179,6 +173,7 @@ impl Module for Knn {
 mod tests {
     use super::*;
     use crate::testutil::{run_source_pipeline, vector_source_registry};
+    use asdf_core::value::Value;
 
     /// Model with centroids near log-scaled [1,2] and [8,16] streams.
     fn model_params() -> (String, String) {
@@ -216,6 +211,75 @@ mod tests {
         let v = out[0].sample.value.as_vector().unwrap();
         assert_eq!(v.len(), 2);
         assert_ne!(v[0], v[1]);
+    }
+
+    /// A `knn` with `params` over a replayed stream of `rows`.
+    fn over_rows(params: &str, rows: &str) -> String {
+        format!(
+            "[rowreplay]\nid = src\nrows = {rows}\n\n\
+             [knn]\nid = nn\n{params}centroids = 0,0|3,3|9,9\nstddev = 1,1\ninput[input] = src.out\n"
+        )
+    }
+
+    #[test]
+    fn a_frame_is_answered_with_one_row_of_its_nodes_neighbours() {
+        let reg = vector_source_registry();
+        // Three nodes, dim 2: near centroids 0, 2 and 1 (log-scaled).
+        let frame = "3,2, 0,0, 9000,9000, 20,20";
+        let bare = "0,0 | 9000,9000 | 20,20";
+        for (k, params) in [(1, ""), (2, "k = 2\n")] {
+            let rack = run_source_pipeline(&reg, &over_rows(params, frame), "nn", 2);
+            assert_eq!(rack.len(), 1);
+            let got = rack[0].sample.value.as_vector().unwrap();
+            // What three per-node samples are answered with, node-major.
+            let per_node = run_source_pipeline(&reg, &over_rows(params, bare), "nn", 4);
+            let want: Vec<f64> = per_node
+                .iter()
+                .flat_map(|e| match &e.sample.value {
+                    Value::Int(i) => vec![*i as f64],
+                    other => other.as_vector().unwrap().to_vec(),
+                })
+                .collect();
+            assert_eq!(want.len(), 3 * k);
+            assert_eq!(got, &want[..], "k = {k}");
+            assert_eq!(rack[0].source.origin, "test-rack");
+            assert_eq!(
+                [got[0], got[k], got[2 * k]],
+                [0.0, 2.0, 1.0],
+                "nearest first"
+            );
+        }
+        assert!(matches!(
+            run_source_pipeline(&reg, &over_rows("", bare), "nn", 1)[0]
+                .sample
+                .value,
+            Value::Int(0)
+        ));
+    }
+
+    #[test]
+    fn a_malformed_frame_is_a_module_error_never_a_panic() {
+        use asdf_core::dag::Dag;
+        use asdf_core::engine::TickEngine;
+        use asdf_core::time::TickDuration;
+        for (rows, why) in [
+            ("2,2, 1,1, 2", "short payload"),
+            ("2,2, 1,1, 2,2, 3", "long payload"),
+            ("1.5,2, 1,1, 2", "fractional node count"),
+            ("nan,2, 1,1", "NaN node count"),
+            ("0,2, 1", "no nodes"),
+            ("2,3, 1,1,1, 2,2,2", "a frame of another width"),
+            ("1e300,2, 1,1", "a header no payload can match"),
+            ("7", "one value"),
+        ] {
+            let cfg = over_rows("", &format!("1,1 | {rows}"));
+            let dag = Dag::build(&vector_source_registry(), &cfg.parse().unwrap()).unwrap();
+            let mut engine = TickEngine::new(dag);
+            let tap = engine.tap("nn").unwrap();
+            let err = engine.run_for(TickDuration::from_secs(3)).unwrap_err();
+            assert_eq!((err.instance.as_str(), err.at_secs), ("nn", 1), "{why}");
+            assert_eq!(tap.len(), 1, "{why}: the good sample before it stands");
+        }
     }
 
     #[test]

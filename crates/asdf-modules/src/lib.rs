@@ -8,7 +8,9 @@
 //! **Data collection** ([`collectors`]):
 //! `cluster_driver` (ticks the simulated cluster), `sadc` (black-box
 //! `/proc` metric vectors via `sadc_rpcd`), `hadoop_log` (white-box state
-//! counts via `hadoop_log_rpcd`).
+//! counts via `hadoop_log_rpcd`), `strace` (syscall counts via
+//! `strace_rpcd`) — three daemon kinds behind one collector body, each
+//! instance holding one node or a rack of them.
 //!
 //! **Analysis**: [`mavgvec`] (windowed mean/variance), [`knn`]
 //! (`log(1+x)/σ`-scaled 1-NN workload classification), [`ibuffer`]

@@ -286,56 +286,22 @@ impl Module for MetricRank {
             return Err(ModuleError::invalid_parameter("top", "must be positive"));
         }
 
+        // With `nodes` (every fleet node's name, for the rank ports), rack
+        // mode: inputs are `rack_agg` summaries covering contiguous node
+        // ranges in ascending global order. Without, one node per slot.
         let n_slots = ctx.input_slots().len();
-        if let Some(nodes) = ctx.param("nodes") {
-            // Rack mode: inputs are `rack_agg` summaries covering
-            // contiguous node ranges in ascending global order; `nodes`
-            // names every fleet node so the per-node rank ports keep
-            // their origins.
-            let names: Vec<String> = nodes
-                .split(',')
-                .map(|s| s.trim().to_owned())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if names.len() < 3 {
-                return Err(ModuleError::BadInputs(format!(
-                    "peer baseline needs >= 3 nodes, got {}",
-                    names.len()
-                )));
-            }
-            if n_slots == 0 {
-                return Err(ModuleError::BadInputs(
-                    "rack mode needs at least one rack summary input".to_owned(),
-                ));
-            }
-            self.rack_nodes = names.len();
-            for (i, name) in names.into_iter().enumerate() {
-                self.rank_ports
-                    .push(ctx.declare_output_with_origin(format!("rank{i}"), name));
-            }
-            self.aligner = Aligner::new(n_slots);
-            self.col = Vec::with_capacity(self.rack_nodes);
-            return Ok(());
+        let origins = rack::peer_origins(ctx, rack::slot_origins(ctx))?;
+        if ctx.param("nodes").is_some() {
+            self.rack_nodes = origins.len();
+        } else {
+            self.sums = WindowSums::new(window, slide);
         }
-
-        let n_nodes = n_slots;
-        if n_nodes < 3 {
-            return Err(ModuleError::BadInputs(format!(
-                "peer baseline needs >= 3 nodes, got {n_nodes}"
-            )));
-        }
-        for i in 0..n_nodes {
-            let (slot, sources) = &ctx.input_slots()[i];
-            let origin = sources
-                .first()
-                .map(|m| m.origin.clone())
-                .unwrap_or_else(|| slot.clone());
+        self.col = Vec::with_capacity(origins.len());
+        for (i, origin) in origins.into_iter().enumerate() {
             self.rank_ports
                 .push(ctx.declare_output_with_origin(format!("rank{i}"), origin));
         }
-        self.aligner = Aligner::new(n_nodes);
-        self.sums = WindowSums::new(window, slide);
-        self.col = Vec::with_capacity(n_nodes);
+        self.aligner = Aligner::new(n_slots);
         Ok(())
     }
 

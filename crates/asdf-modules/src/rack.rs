@@ -24,6 +24,11 @@
 //! second where there used to be one per node; coming out of `rack_agg`,
 //! they are a closed window's means.
 //!
+//! The paper's own analyses read the same rows: `knn` answers a frame with
+//! the rack's `k` state indices, and `mavgvec` needs no rack mode — mean
+//! and variance are component-wise, so its statistics over frames *are*
+//! the per-node statistics, header included ([`window_stats`]).
+//!
 //! No sample is retained to form a mean: [`WindowSums`] adds each second's
 //! node rows into the running sum of every window the second belongs to,
 //! straight from where they arrived (a slice of the rack's frame, or the
@@ -35,6 +40,9 @@
 //! window length in samples.
 
 use std::collections::VecDeque;
+
+use asdf_core::error::ModuleError;
+use asdf_core::module::InitCtx;
 
 use crate::analysis_bb::nan_last;
 use crate::kernel::CentroidBlock;
@@ -147,6 +155,73 @@ impl WindowSums {
         }
         Some(&self.closed)
     }
+}
+
+/// The hostnames of a `nodes = a,b,c` parameter, in node order: it tells a
+/// peer comparison that its slots are rack-wide, and names its node ports.
+pub fn node_names(param: &str) -> Vec<String> {
+    let names = param.split(',').map(|s| s.trim().to_owned());
+    names.filter(|s| !s.is_empty()).collect()
+}
+
+/// What every slot's node is called when a slot is a node: its source's
+/// origin, or failing that the slot's name.
+pub(crate) fn slot_origins(ctx: &InitCtx<'_>) -> Vec<String> {
+    let slots = ctx.input_slots().iter();
+    slots
+        .map(|(slot, sources)| sources.first().map_or(slot, |m| &m.origin).clone())
+        .collect()
+}
+
+/// The hostnames a peer comparison labels its per-node ports with: its
+/// `nodes` parameter's, else `slot_origins`, a node a slot. `BadInputs`
+/// below three nodes, without a slot, or with more slots than nodes.
+pub(crate) fn peer_origins(
+    ctx: &InitCtx<'_>,
+    slot_origins: Vec<String>,
+) -> Result<Vec<String>, ModuleError> {
+    let n_slots = slot_origins.len();
+    let origins = ctx.param("nodes").map_or(slot_origins, node_names);
+    let n = origins.len();
+    if n < 3 {
+        return Err(ModuleError::BadInputs(format!(
+            "peer comparison needs >= 3 nodes, got {n}"
+        )));
+    }
+    if n_slots == 0 || n_slots > n {
+        return Err(ModuleError::BadInputs(format!(
+            "{n} nodes need between 1 and {n} input slots, got {n_slots}"
+        )));
+    }
+    Ok(origins)
+}
+
+/// One slot's window statistics as node rows, `(dim, means, stddevs)`: with
+/// `rack`, `mavgvec`'s rows over a rack's frames (the mean carried the
+/// `[k, dim]` header through exactly, the stddev left `[0, 0]` of it);
+/// without, one node's bare vectors.
+///
+/// # Errors
+///
+/// A bad rack header, an empty vector, or rows of two lengths, described.
+pub fn window_stats<'a>(
+    mean: &'a [f64],
+    stddev: &'a [f64],
+    rack: bool,
+) -> Result<(usize, &'a [f64], &'a [f64]), String> {
+    let (dim, header) = if rack {
+        (RackSummary::shape(mean)?.1, 2)
+    } else {
+        (mean.len(), 0)
+    };
+    if dim == 0 || stddev.len() != mean.len() {
+        return Err(format!(
+            "a mean row of {} values against a stddev row of {}",
+            mean.len(),
+            stddev.len()
+        ));
+    }
+    Ok((dim, &mean[header..], &stddev[header..]))
 }
 
 /// Median of a peer column by selection, not a sort; for even counts the

@@ -74,10 +74,53 @@ impl Module for BurstRowSource {
     }
 }
 
+/// A periodic source replaying its `rows` parameter — rows separated by
+/// `|`, components by `,`, anything `f64` parses (`nan`, `inf`) — one row
+/// a second on `out`, origin `test-rack`, then silent. What a rack
+/// collector's `frame` port, or a `knn` / `mavgvec` over one, hands on.
+pub struct RowReplay {
+    port: Option<PortId>,
+    rows: std::vec::IntoIter<Vec<f64>>,
+}
+
+impl Module for RowReplay {
+    fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+        let rows: Vec<Vec<f64>> = ctx
+            .require_param("rows")?
+            .split('|')
+            .map(|row| {
+                let components = row.split(',').map(str::trim).filter(|c| !c.is_empty());
+                components.map(|c| c.parse().expect("a number")).collect()
+            })
+            .collect();
+        self.rows = rows.into_iter();
+        self.port = Some(ctx.declare_output_with_origin("out", "test-rack"));
+        ctx.request_periodic(TickDuration::SECOND);
+        Ok(())
+    }
+    fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
+        if let Some(row) = self.rows.next() {
+            ctx.emit(self.port.unwrap(), row);
+        }
+        Ok(())
+    }
+}
+
+/// Registers `rowreplay` ([`RowReplay`]) on `reg`.
+pub fn register_row_replay(reg: &mut ModuleRegistry) {
+    reg.register("rowreplay", || {
+        Box::new(RowReplay {
+            port: None,
+            rows: Vec::new().into_iter(),
+        })
+    });
+}
+
 /// Registry with every standard module plus `vecsource`.
 pub fn vector_source_registry() -> ModuleRegistry {
     let mut reg = base_registry();
     reg.register("vecsource", || Box::new(VectorSource { port: None, n: 0 }));
+    register_row_replay(&mut reg);
     reg
 }
 

@@ -12,9 +12,9 @@
 //! A poll allocates nothing once its buffers have grown: the request and
 //! the response are encoded into one byte buffer the connection keeps, and
 //! decoded straight into the caller's `Vec<f64>`
-//! ([`Collector::poll_into`]). Each daemon also has a `poll_into_locked`
-//! form for a caller that already holds the cluster, so one collector
-//! polling many nodes takes the lock once per second, not once per node.
+//! ([`Collector::poll_into`]). [`Collector::poll_into_locked`] is the form
+//! for a caller that already holds the cluster, so one collector polling
+//! many nodes takes the lock once per second, not once per node.
 
 use std::sync::{Arc, OnceLock};
 
@@ -127,6 +127,18 @@ pub trait Collector {
     ///
     /// Returns a [`WireError`] if the response fails to decode.
     fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError>;
+
+    /// [`Collector::poll_into`] for a caller that already holds the
+    /// cluster lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the response fails to decode.
+    fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError>;
 
     /// [`Collector::poll_into`] into a fresh vector, for callers that want
     /// an owned sample per poll.
@@ -317,29 +329,6 @@ impl SadcRpcd {
         &self.metric_names
     }
 
-    /// [`Collector::poll_into`] for a caller that already holds the
-    /// cluster lock.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll_into_locked(
-        &mut self,
-        cluster: &mut Cluster,
-        out: &mut Vec<f64>,
-    ) -> Result<Option<u64>, WireError> {
-        let _timer = self.span.enter();
-        let Some(frame) = cluster.latest_frame(self.session.node) else {
-            return Ok(None);
-        };
-        // `out` first holds what the daemon sampled, then what the control
-        // node decoded from the wire.
-        frame.flatten_into(out);
-        self.session
-            .exchange(0x01, cluster.now().saturating_sub(1), out, |_| {});
-        self.session.decode_into(out).map(Some)
-    }
-
     /// Polls one second of metrics. Returns `None` before the first
     /// simulation tick (no frame rendered yet).
     ///
@@ -490,20 +479,6 @@ impl HadoopLogRpcd {
         self.session.decode_into(out)
     }
 
-    /// [`Collector::poll_into`] for a caller that already holds the
-    /// cluster lock.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll_into_locked(
-        &mut self,
-        cluster: &mut Cluster,
-        out: &mut Vec<f64>,
-    ) -> Result<Option<u64>, WireError> {
-        self.poll_via(Some(cluster), out).map(Some)
-    }
-
     /// Polls one second of state counts: drains new log lines, feeds the
     /// parser, samples, and ships the counts over the accounted wire.
     ///
@@ -568,26 +543,6 @@ impl StraceRpcd {
         })
     }
 
-    /// [`Collector::poll_into`] for a caller that already holds the
-    /// cluster lock.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll_into_locked(
-        &mut self,
-        cluster: &mut Cluster,
-        out: &mut Vec<f64>,
-    ) -> Result<Option<u64>, WireError> {
-        let _timer = self.span.enter();
-        let Some(counts) = cluster.latest_tt_syscalls(self.session.node) else {
-            return Ok(None);
-        };
-        self.session
-            .exchange(0x03, cluster.now().saturating_sub(1), counts, |_| {});
-        self.session.decode_into(out).map(Some)
-    }
-
     /// Polls one second of syscall counts. Returns `None` before the first
     /// simulation tick.
     ///
@@ -626,6 +581,23 @@ impl Collector for SadcRpcd {
         cluster.with(|c| self.poll_into_locked(c, out))
     }
 
+    fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        let _timer = self.span.enter();
+        let Some(frame) = cluster.latest_frame(self.session.node) else {
+            return Ok(None);
+        };
+        // `out` first holds what the daemon sampled, then what the control
+        // node decoded from the wire.
+        frame.flatten_into(out);
+        self.session
+            .exchange(0x01, cluster.now().saturating_sub(1), out, |_| {});
+        self.session.decode_into(out).map(Some)
+    }
+
     fn bandwidth(&self) -> BandwidthStats {
         SadcRpcd::bandwidth(self)
     }
@@ -650,6 +622,14 @@ impl Collector for HadoopLogRpcd {
         self.poll_via(None, out).map(Some)
     }
 
+    fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        self.poll_via(Some(cluster), out).map(Some)
+    }
+
     fn bandwidth(&self) -> BandwidthStats {
         HadoopLogRpcd::bandwidth(self)
     }
@@ -671,6 +651,20 @@ impl Collector for StraceRpcd {
     fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
         let cluster = self.cluster.clone();
         cluster.with(|c| self.poll_into_locked(c, out))
+    }
+
+    fn poll_into_locked(
+        &mut self,
+        cluster: &mut Cluster,
+        out: &mut Vec<f64>,
+    ) -> Result<Option<u64>, WireError> {
+        let _timer = self.span.enter();
+        let Some(counts) = cluster.latest_tt_syscalls(self.session.node) else {
+            return Ok(None);
+        };
+        self.session
+            .exchange(0x03, cluster.now().saturating_sub(1), counts, |_| {});
+        self.session.decode_into(out).map(Some)
     }
 
     fn bandwidth(&self) -> BandwidthStats {

@@ -82,7 +82,8 @@ fn usage() -> ! {
          analyzes BENCH_history.jsonl for perf regressions (advisory);\n\
          --workload trace:PATH replays a cluster-trace CSV instead of GridMix;\n\
          --sim-shards parallelizes each simulated cluster's tick loop and\n\
-         --racks tree-reduces metric ranking per rack (both bit-identical)\n\
+         --racks collects and analyses the nodes in R racks, one row per rack\n\
+         per second (0/1 = one collector for the cluster; both bit-identical)\n\
          \n\
          faults: CPUHog DiskHog HADOOP-1036 HADOOP-1152 HADOOP-2080 PacketLoss\n\
          \x20       Straggler MemLeak FlakyLink GrayFailure"

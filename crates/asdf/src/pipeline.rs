@@ -2,14 +2,20 @@
 //!
 //! [`AsdfBuilder`] generates an `fpt-core` configuration (in the paper's
 //! own config dialect — it can be dumped with
-//! [`Deployment::config_text`]) wiring, per slave node:
+//! [`Deployment::config_text`]) wiring, per rack of slave nodes:
 //!
-//! * **black-box**: `sadc` (one instance per node, or per rack when
-//!   [`AsdfOptions::racks`] is set) → `knn` (1-NN against trained centroids) →
+//! * **black-box**: `sadc` → `knn` (1-NN against trained centroids) →
 //!   `analysis_bb` (state-histogram L1 peer comparison);
 //! * **white-box**: `hadoop_log` (TaskTracker and DataNode) → `mavgvec`
 //!   (windowed mean + stddev) → `analysis_wb` (median peer comparison
 //!   with the `max(1, k·σ_median)` threshold).
+//!
+//! There is one wiring: a collector holds a rack (`nodes = lo..hi`) and
+//! hands its second to the analyses as one `frame` row; the paper's flat
+//! deployment is [`AsdfOptions::racks`] `≤ 1`, one rack holding every node.
+//! The analysis half is written once, `push_analyses`, behind a seam of
+//! *sources* (an output port per slot); the `serve` daemon generates its
+//! tenants' DAGs with it, over its ingest module's per-node ports.
 //!
 //! One `cluster_driver` instance advances the simulated cluster and clocks
 //! every collector, standing in for wall-clock scheduling on a live
@@ -61,17 +67,16 @@ pub struct AsdfOptions {
     /// (`1` = per-sample delivery). Purely a transport knob: outputs are
     /// bitwise identical at any setting.
     pub batch_size: usize,
-    /// Rack count for the fleet-scale wiring: `> 1` collects each rack
-    /// through one `sadc` instance (one connection, one port per node; one
-    /// cluster lock per rack per second) and tree-reduces the metric path
-    /// through per-rack `rack_agg` summaries before a rack-mode
-    /// `metric_rank`. A `rack_agg` listens to its collector's `frame` port
-    /// — the rack's second as one row — so the DAG holds O(racks)
-    /// instances ahead of the analyses and moves O(racks) rows per second
-    /// and per evaluation; the per-node ports feed the `knn`s when the
-    /// black-box path is built and cost nothing when it is not. Every
-    /// output is bitwise identical to the flat wiring. `0`/`1` = the
-    /// paper's flat wiring, one `sadc` per node.
+    /// Rack count: the nodes are split into this many contiguous ranges,
+    /// each collected by one `sadc` and one `hadoop_log` per daemon (one
+    /// connection and one port per node; one cluster lock per rack per
+    /// second) whose `frame` port carries the rack's second as one row to
+    /// one `knn` / `mavgvec`: O(racks) instances and rows per second ahead
+    /// of the peer comparisons. `0`/`1` = one collector for the cluster.
+    /// With `metric_rank`, `> 1` also tree-reduces the metric path through
+    /// per-rack `rack_agg` summaries; at `≤ 1` the ranker reads the one
+    /// collector's per-node ports. Outputs are bitwise identical at any
+    /// setting.
     pub racks: usize,
 }
 
@@ -90,6 +95,88 @@ impl Default for AsdfOptions {
             engine_threads: 1,
             batch_size: 64,
             racks: 0,
+        }
+    }
+}
+
+fn push(cfg: &mut Config, inst: InstanceConfig) {
+    cfg.push(inst).expect("generated ids are unique");
+}
+
+/// Where one slot of an analysis reads its samples: `(instance, port)`.
+pub(crate) type Source = (String, String);
+
+/// Generates the analysis half of Figure 4 onto `cfg`: with `o.black_box`
+/// a `knn` per `sadc` source (`onenn<s>`) into `analysis_bb` (`bb`), with
+/// `o.white_box` per stream `(tag, sources)` a `mavgvec` per source
+/// (`avg_<tag>_<s>`) into `analysis_wb` (`wb_<tag>`). The sources are rack
+/// collectors' `frame` ports and `rack_names` every covered node's
+/// hostname, in order; or one node's own port each and `None`.
+///
+/// # Panics
+///
+/// Panics if the black-box path is requested without a model.
+pub(crate) fn push_analyses(
+    cfg: &mut Config,
+    o: &AsdfOptions,
+    model: Option<&BlackBoxModel>,
+    rack_names: Option<&[String]>,
+    sadc: &[Source],
+    white_box: &[(&str, Vec<Source>)],
+) {
+    let nodes = rack_names.map(|names| names.join(","));
+    let over_nodes = |analysis: InstanceConfig| match &nodes {
+        Some(nodes) => analysis.with_param("nodes", nodes),
+        None => analysis,
+    };
+    if o.black_box {
+        let model = model.expect("black-box pipeline requires a trained model");
+        // Rendering the centroid matrix to text is O(n_states × dim);
+        // do it once, not once per source.
+        let centroids_text = model.centroids_param();
+        let stddev_text = model.stddev_param();
+        let mut bb = over_nodes(
+            InstanceConfig::new("analysis_bb", "bb")
+                .with_param("n_states", model.n_states())
+                .with_param("window", o.window)
+                .with_param("slide", o.slide)
+                .with_param("threshold", o.bb_threshold)
+                .with_param("consecutive", o.consecutive),
+        );
+        for (s, (instance, port)) in sadc.iter().enumerate() {
+            push(
+                cfg,
+                InstanceConfig::new("knn", format!("onenn{s}"))
+                    .with_param("centroids", &centroids_text)
+                    .with_param("stddev", &stddev_text)
+                    .with_param("k", 1)
+                    .with_input("input", instance, port),
+            );
+            bb = bb.with_input(format!("l{s}"), format!("onenn{s}"), "output0");
+        }
+        push(cfg, bb);
+    }
+    if o.white_box {
+        for (tag, sources) in white_box {
+            let mut wb = over_nodes(
+                InstanceConfig::new("analysis_wb", format!("wb_{tag}"))
+                    .with_param("k", o.wb_k)
+                    .with_param("consecutive", o.consecutive),
+            );
+            for (s, (instance, port)) in sources.iter().enumerate() {
+                push(
+                    cfg,
+                    InstanceConfig::new("mavgvec", format!("avg_{tag}_{s}"))
+                        .with_param("window", o.window)
+                        .with_param("slide", o.slide)
+                        .with_param("emit", "both")
+                        .with_input("input", instance, port),
+                );
+                wb = wb
+                    .with_input(format!("a{s}"), format!("avg_{tag}_{s}"), "mean")
+                    .with_input(format!("d{s}"), format!("avg_{tag}_{s}"), "stddev");
+            }
+            push(cfg, wb);
         }
     }
 }
@@ -144,161 +231,91 @@ impl AsdfBuilder {
         let n_nodes = names.len();
         let o = &self.options;
         let mut cfg = Config::new();
-        let push = |cfg: &mut Config, inst: InstanceConfig| {
-            cfg.push(inst).expect("generated ids are unique");
-        };
-
         push(&mut cfg, InstanceConfig::new("cluster_driver", "drv"));
 
-        // Rack mode puts one `sadc` instance in front of each rack; the
-        // flat wiring keeps the paper's one instance per node. Either way
-        // node `i`'s metric vectors leave on `sadc_port(i)`, so the `knn`s
-        // below are wired once for both. `per_rack` is the nodes
-        // per rack in rack mode; the last rack may hold fewer.
-        let per_rack = {
-            let n_racks = o.racks.min(n_nodes);
-            (n_racks > 1).then(|| n_nodes.div_ceil(n_racks))
-        };
-        let racks: Vec<std::ops::Range<usize>> = per_rack.map_or_else(Vec::new, |k| {
-            (0..n_nodes)
-                .step_by(k)
-                .map(|lo| lo..(lo + k).min(n_nodes))
-                .collect()
-        });
-        let sadc_port = |i: usize| match per_rack {
-            Some(k) => (format!("sadcr{}", i / k), format!("output{}", i % k)),
-            None => (format!("sadc{i}"), "output0".to_owned()),
-        };
-        let node_sadc = |i: usize| {
-            InstanceConfig::new("sadc", format!("sadc{i}"))
-                .with_param("node", i)
-                .with_input("clock", "drv", "tick")
-        };
-        if o.black_box || o.metric_rank {
+        // One collector of each kind in front of each rack, clocked by the
+        // driver; its `frame` port is the rack's source.
+        let per_rack = n_nodes.div_ceil(o.racks.clamp(1, n_nodes.max(1))).max(1);
+        let racks: Vec<std::ops::Range<usize>> = (0..n_nodes)
+            .step_by(per_rack)
+            .map(|lo| lo..(lo + per_rack).min(n_nodes))
+            .collect();
+        let collectors = |cfg: &mut Config, kind: &str, id: &str, daemon: Option<&str>| {
+            let mut sources = Vec::new();
             for (rack, nodes) in racks.iter().enumerate() {
-                push(
-                    &mut cfg,
-                    InstanceConfig::new("sadc", format!("sadcr{rack}"))
-                        .with_param("nodes", format!("{}..{}", nodes.start, nodes.end))
-                        .with_input("clock", "drv", "tick"),
-                );
-            }
-        }
-
-        if o.black_box {
-            let model = self
-                .model
-                .as_ref()
-                .expect("black-box pipeline requires a trained model");
-            // Rendering the centroid matrix to text is O(n_states × dim);
-            // do it once, not once per node.
-            let centroids_text = model.centroids_param();
-            let stddev_text = model.stddev_param();
-            for i in 0..n_nodes {
-                if per_rack.is_none() {
-                    push(&mut cfg, node_sadc(i));
+                let mut inst = InstanceConfig::new(kind, format!("{id}{rack}"))
+                    .with_param("nodes", format!("{}..{}", nodes.start, nodes.end))
+                    .with_input("clock", "drv", "tick");
+                if let Some(daemon) = daemon {
+                    inst = inst.with_param("daemon", daemon);
                 }
-                let (sadc, port) = sadc_port(i);
-                push(
-                    &mut cfg,
-                    InstanceConfig::new("knn", format!("onenn{i}"))
-                        .with_param("centroids", centroids_text.clone())
-                        .with_param("stddev", stddev_text.clone())
-                        .with_param("k", 1)
-                        .with_input("input", sadc, port),
-                );
+                push(cfg, inst);
+                sources.push((format!("{id}{rack}"), "frame".to_owned()));
             }
-            let mut bb = InstanceConfig::new("analysis_bb", "bb")
-                .with_param("n_states", model.n_states())
-                .with_param("window", o.window)
-                .with_param("slide", o.slide)
-                .with_param("threshold", o.bb_threshold)
-                .with_param("consecutive", o.consecutive);
-            for i in 0..n_nodes {
-                bb = bb.with_input(format!("l{i}"), format!("onenn{i}"), "output0");
-            }
-            push(&mut cfg, bb);
-            push(
-                &mut cfg,
-                InstanceConfig::new("print", "BlackBoxAlarm").with_input_all("a", "bb"),
-            );
-        } else if o.metric_rank && per_rack.is_none() {
-            // Metric ranking without the classifier still needs the
-            // per-node collector edges.
-            for i in 0..n_nodes {
-                push(&mut cfg, node_sadc(i));
-            }
-        }
+            sources
+        };
+        let sadc = if o.black_box || o.metric_rank {
+            collectors(&mut cfg, "sadc", "sadcr", None)
+        } else {
+            Vec::new()
+        };
 
         if o.metric_rank {
-            // Rank metric deviations on the same collector edges the
-            // classifier consumes — no extra collection cost.
-            if per_rack.is_some() {
-                // Fleet wiring: per-rack tree-reduce, then a rack-mode
-                // global ranker over O(racks) summary rows.
-                let mut mr = InstanceConfig::new("metric_rank", "mr")
-                    .with_param("top", o.rank_top)
-                    .with_param("nodes", names.join(","));
-                for rack in 0..racks.len() {
-                    // One edge per rack: its collector's whole second.
+            // Rank metric deviations on the collectors the classifier
+            // reads — no extra collection cost.
+            let mut mr = InstanceConfig::new("metric_rank", "mr").with_param("top", o.rank_top);
+            if racks.len() > 1 {
+                // Per-rack tree-reduce, then a rack-mode global ranker
+                // over O(racks) summary rows.
+                mr = mr.with_param("nodes", names.join(","));
+                for (rack, (collector, frame)) in sadc.iter().enumerate() {
                     push(
                         &mut cfg,
                         InstanceConfig::new("rack_agg", format!("ra{rack}"))
                             .with_param("window", o.window)
                             .with_param("slide", o.slide)
-                            .with_input("frame", format!("sadcr{rack}"), "frame"),
+                            .with_input("frame", collector, frame),
                     );
                     mr = mr.with_input(format!("r{rack}"), format!("ra{rack}"), "sum");
                 }
-                push(&mut cfg, mr);
             } else {
-                let mut mr = InstanceConfig::new("metric_rank", "mr")
+                mr = mr
                     .with_param("window", o.window)
-                    .with_param("slide", o.slide)
-                    .with_param("top", o.rank_top);
+                    .with_param("slide", o.slide);
                 for i in 0..n_nodes {
-                    mr = mr.with_input(format!("m{i}"), format!("sadc{i}"), "output0");
+                    mr = mr.with_input(format!("m{i}"), "sadcr0", format!("output{i}"));
                 }
-                push(&mut cfg, mr);
             }
+            push(&mut cfg, mr);
         }
 
+        let mut white_box = Vec::new();
         if o.white_box {
             for (daemon, tag) in [("tasktracker", "tt"), ("datanode", "dn")] {
-                for i in 0..n_nodes {
-                    push(
-                        &mut cfg,
-                        InstanceConfig::new("hadoop_log", format!("hl_{tag}_{i}"))
-                            .with_param("node", i)
-                            .with_param("daemon", daemon)
-                            .with_input("clock", "drv", "tick"),
-                    );
-                    push(
-                        &mut cfg,
-                        InstanceConfig::new("mavgvec", format!("avg_{tag}_{i}"))
-                            .with_param("window", o.window)
-                            .with_param("slide", o.slide)
-                            .with_param("emit", "both")
-                            .with_input("input", format!("hl_{tag}_{i}"), "output0"),
-                    );
-                }
-                let mut wb = InstanceConfig::new("analysis_wb", format!("wb_{tag}"))
-                    .with_param("k", o.wb_k)
-                    .with_param("consecutive", o.consecutive);
-                for i in 0..n_nodes {
-                    wb = wb
-                        .with_input(format!("a{i}"), format!("avg_{tag}_{i}"), "mean")
-                        .with_input(format!("d{i}"), format!("avg_{tag}_{i}"), "stddev");
-                }
-                push(&mut cfg, wb);
+                let id = format!("hl_{tag}_");
+                white_box.push((tag, collectors(&mut cfg, "hadoop_log", &id, Some(daemon))));
+            }
+        }
+        push_analyses(
+            &mut cfg,
+            o,
+            self.model.as_deref(),
+            Some(names),
+            &sadc,
+            &white_box,
+        );
+        for (sink, analysis) in [
+            ("BlackBoxAlarm", "bb"),
+            ("WhiteBoxAlarm_tt", "wb_tt"),
+            ("WhiteBoxAlarm_dn", "wb_dn"),
+        ] {
+            if cfg.instance(analysis).is_some() {
                 push(
                     &mut cfg,
-                    InstanceConfig::new("print", format!("WhiteBoxAlarm_{tag}"))
-                        .with_input_all("a", format!("wb_{tag}")),
+                    InstanceConfig::new("print", sink).with_input_all("a", analysis),
                 );
             }
         }
-
         cfg
     }
 
@@ -420,12 +437,33 @@ mod tests {
         let reparsed: Config = text.parse().expect("generated config parses");
         assert_eq!(cfg, reparsed);
         // Spot-check the paper's structure.
-        assert!(cfg.instance("drv").is_some());
-        assert!(cfg.instance("onenn2").is_some());
-        assert!(cfg.instance("bb").is_some());
-        assert!(cfg.instance("wb_tt").is_some());
-        assert!(cfg.instance("hl_dn_3").is_some());
+        for id in [
+            "drv", "sadcr0", "onenn0", "bb", "hl_dn_0", "avg_tt_0", "wb_tt",
+        ] {
+            assert!(cfg.instance(id).is_some(), "{id}");
+        }
         assert!(cfg.instance("BlackBoxAlarm").is_some());
+    }
+
+    #[test]
+    fn the_generated_dag_is_o_racks_whatever_the_node_count() {
+        // The per-node shape (six instances a node) cannot grow back
+        // unnoticed: the counts below are the whole deployment's.
+        let instances = |racks: usize| {
+            let options = AsdfOptions {
+                racks,
+                ..AsdfOptions::default()
+            };
+            let cfg = AsdfBuilder::new(options)
+                .with_model(tiny_model())
+                .config(500);
+            let reparsed: Config = cfg.render().parse().expect("generated config parses");
+            assert_eq!(cfg, reparsed, "racks = {racks}");
+            cfg.instances().len()
+        };
+        assert!(instances(0) <= 16, "{}", instances(0));
+        assert_eq!(instances(0), instances(1), "0 and 1 are both one rack");
+        assert!(instances(25) <= 6 * 25 + 10, "{}", instances(25));
     }
 
     #[test]
@@ -531,36 +569,136 @@ mod tests {
         }
     }
 
+    /// The paper's Figure 4 written out literally, one instance of
+    /// everything per node, in its own dialect: the per-node DAG every
+    /// generated deployment has to reproduce. Test code only — nothing
+    /// generates this shape any more.
+    fn figure4_per_node(o: &AsdfOptions, model: &BlackBoxModel, n_nodes: usize) -> Config {
+        let windowed = format!("window = {}\nslide = {}\n", o.window, o.slide);
+        let (centroids, stddev) = (model.centroids_param(), model.stddev_param());
+        let mut text = String::from("[cluster_driver]\nid = drv\n\n");
+        let mut bb = format!(
+            "[analysis_bb]\nid = bb\nn_states = {}\n{windowed}threshold = {}\nconsecutive = {}\n",
+            model.n_states(),
+            o.bb_threshold,
+            o.consecutive
+        );
+        let mut mr = format!("[metric_rank]\nid = mr\n{windowed}top = {}\n", o.rank_top);
+        for i in 0..n_nodes {
+            text += &format!(
+                "[sadc]\nid = sadc{i}\nnode = {i}\ninput[clock] = drv.tick\n\n\
+                 [knn]\nid = onenn{i}\ncentroids = {centroids}\nstddev = {stddev}\nk = 1\n\
+                 input[input] = sadc{i}.output0\n\n"
+            );
+            bb += &format!("input[l{i}] = onenn{i}.output0\n");
+            mr += &format!("input[m{i}] = sadc{i}.output0\n");
+        }
+        text += &format!("{bb}\n{mr}\n");
+        for (daemon, tag) in [("tasktracker", "tt"), ("datanode", "dn")] {
+            let mut wb = format!(
+                "[analysis_wb]\nid = wb_{tag}\nk = {}\nconsecutive = {}\n",
+                o.wb_k, o.consecutive
+            );
+            for i in 0..n_nodes {
+                text += &format!(
+                    "[hadoop_log]\nid = hl_{tag}_{i}\nnode = {i}\ndaemon = {daemon}\n\
+                     input[clock] = drv.tick\n\n\
+                     [mavgvec]\nid = avg_{tag}_{i}\n{windowed}emit = both\n\
+                     input[input] = hl_{tag}_{i}.output0\n\n"
+                );
+                wb += &format!(
+                    "input[a{i}] = avg_{tag}_{i}.mean\ninput[d{i}] = avg_{tag}_{i}.stddev\n"
+                );
+            }
+            text += &format!("{wb}\n");
+        }
+        text.parse().expect("Figure 4 parses")
+    }
+
+    /// One envelope, every field that can differ: instance, port name,
+    /// origin, timestamp and the value's bits.
+    type EnvelopeBits = (String, String, String, u64, Vec<u64>);
+
+    fn envelope_bits(tap: &TapHandle) -> Vec<EnvelopeBits> {
+        use asdf_core::value::Value;
+        tap.drain()
+            .iter()
+            .map(|e| {
+                let bits = match &e.sample.value {
+                    Value::Vector(v) => v.iter().map(|x| x.to_bits()).collect(),
+                    Value::Float(x) => vec![x.to_bits()],
+                    Value::Bool(b) => vec![u64::from(*b)],
+                    other => panic!("no analysis emits {}", other.type_name()),
+                };
+                (
+                    e.source.instance.clone(),
+                    e.source.name.clone(),
+                    e.source.origin.clone(),
+                    e.sample.timestamp.as_secs(),
+                    bits,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn rack_wiring_is_bitwise_equal_to_flat() {
-        // The fleet path (per-rack sadc + rack_agg tree-reduce + rack-mode
-        // metric_rank) must reproduce the flat wiring's rankings exactly,
-        // at any rack count that leaves >= 3 nodes' worth of summaries —
-        // and the black-box verdicts of the `knn`s now fed from rack
-        // collector ports.
-        let run = |racks: usize| {
-            let cluster = Cluster::new(ClusterConfig::new(7, 9), Vec::new());
-            let mut dep = AsdfBuilder::new(AsdfOptions {
-                window: 5,
-                slide: 5,
-                metric_rank: true,
-                rank_top: 3,
-                racks,
-                ..AsdfOptions::default()
-            })
-            .with_model(tiny_model())
-            .deploy(cluster)
-            .expect("deploys");
-            dep.run_for(25);
-            ["mr", "bb"].map(|id| dep.tap(id).unwrap().drain())
+        // Whatever the rack count — one collector for the cluster, a few
+        // racks, a rack per node — the generated deployment's four taps
+        // hold what the paper's per-node DAG leaves in them, envelope for
+        // envelope, with a fault running so the values are not all alike.
+        const NODES: usize = 7;
+        let model = crate::experiments::train_model(&crate::experiments::CampaignConfig {
+            slaves: NODES,
+            training_secs: 200,
+            n_states: 6,
+            ..crate::experiments::CampaignConfig::smoke()
+        });
+        let options = |racks| AsdfOptions {
+            window: 20,
+            slide: 10,
+            bb_threshold: 10.0,
+            consecutive: 2,
+            metric_rank: true,
+            rank_top: 3,
+            racks,
+            ..AsdfOptions::default()
         };
-        let flat = run(0);
-        assert!(
-            flat.iter().all(|tap| !tap.is_empty()),
-            "flat wiring should emit rankings and verdicts"
-        );
-        for racks in [2, 3, 7] {
-            assert_eq!(flat, run(racks), "racks={racks}");
+        let run = |config: &dyn Fn(&[String]) -> Config| {
+            use hadoop_sim::faults::{FaultKind, FaultSpec};
+            // One fault for each path to see.
+            let faults =
+                [(4, FaultKind::DiskHog), (2, FaultKind::Hadoop1036)].map(|(node, kind)| {
+                    FaultSpec {
+                        node,
+                        kind,
+                        start_at: 60,
+                    }
+                });
+            let cluster = Cluster::new(ClusterConfig::new(NODES, 9), faults.to_vec());
+            let names: Vec<String> = (0..NODES)
+                .map(|i| cluster.slave_name(i).to_owned())
+                .collect();
+            let mut registry = ModuleRegistry::new();
+            asdf_modules::register_all(&mut registry, ClusterHandle::new(cluster));
+            let dag = Dag::build(&registry, &config(&names)).expect("builds");
+            let mut engine = TickEngine::new(dag);
+            let taps = ["bb", "wb_tt", "wb_dn", "mr"].map(|id| engine.tap(id).expect(id));
+            engine.run_for(TickDuration::from_secs(400)).expect("runs");
+            taps.map(|tap| envelope_bits(&tap))
+        };
+        let reference = run(&|_| figure4_per_node(&options(0), &model, NODES));
+        for (tap, id) in reference.iter().zip(["bb", "wb_tt", "wb_dn", "mr"]) {
+            let distinct: std::collections::BTreeSet<_> = tap.iter().map(|e| &e.4).collect();
+            assert!(distinct.len() > 2, "`{id}` says the same thing all run");
+        }
+        for racks in [0, 1, 2, 3, 7] {
+            let generated = run(&|names| {
+                AsdfBuilder::new(options(racks))
+                    .with_model(Arc::clone(&model))
+                    .config_with_names(names)
+            });
+            assert!(generated == reference, "racks = {racks}");
         }
     }
 

@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::pipeline::{push_analyses, AsdfOptions, Source};
 use asdf_core::config::{Config, InstanceConfig};
 use asdf_core::dag::Dag;
 use asdf_core::engine::TapHandle;
@@ -187,12 +188,16 @@ impl std::error::Error for ServeError {
 /// `push` never blocks: at capacity the *oldest* frame is dropped (the
 /// freshest observation is the valuable one for online diagnosis) and the
 /// drop is counted — locally for test isolation and on the global
-/// `rpc.shed_total.<tenant>` counter for operators.
+/// `rpc.shed_total.<tenant>` counter for operators. A frame the ingest
+/// module could not decode is counted the same way, on
+/// `rpc.bad_frames_total.<tenant>`.
 pub struct IngressQueue {
     inner: Mutex<VecDeque<Bytes>>,
     capacity: usize,
     shed: AtomicU64,
     shed_counter: Arc<asdf_obs::Counter>,
+    bad: AtomicU64,
+    bad_counter: Arc<asdf_obs::Counter>,
     depth_gauge: Arc<asdf_obs::Gauge>,
 }
 
@@ -205,6 +210,8 @@ impl IngressQueue {
             capacity: capacity.max(1),
             shed: AtomicU64::new(0),
             shed_counter: reg.counter(&format!("rpc.shed_total.{tenant}")),
+            bad: AtomicU64::new(0),
+            bad_counter: reg.counter(&format!("rpc.bad_frames_total.{tenant}")),
             depth_gauge: reg.gauge(&format!("rpc.queue_depth.{tenant}")),
         }
     }
@@ -242,6 +249,16 @@ impl IngressQueue {
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
+
+    /// Frames drained and then skipped as undecodable since creation.
+    pub fn bad_frame_count(&self) -> u64 {
+        self.bad.load(Ordering::Relaxed)
+    }
+
+    fn count_bad_frame(&self) {
+        self.bad.fetch_add(1, Ordering::Relaxed);
+        self.bad_counter.inc();
+    }
 }
 
 /// Encodes one collector frame for the ingress queue: stream tag, node
@@ -267,37 +284,28 @@ struct ServeIngest {
     queue: Arc<IngressQueue>,
     origins: Vec<String>,
     white_box: bool,
-    sadc_ports: Vec<PortId>,
-    tt_ports: Vec<PortId>,
-    st_ports: Vec<PortId>,
+    /// The per-node ports of each of [`STREAMS`].
+    ports: [Vec<PortId>; 3],
     buf: Vec<Bytes>,
 }
 
-impl ServeIngest {
-    fn new(queue: Arc<IngressQueue>, origins: Vec<String>, white_box: bool) -> Self {
-        ServeIngest {
-            queue,
-            origins,
-            white_box,
-            sadc_ports: Vec::new(),
-            tt_ports: Vec::new(),
-            st_ports: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-}
+/// The stream tags and the port-name prefix of each; the first is the
+/// black-box stream, the others are wired only with `white_box`.
+const STREAMS: [(u8, &str); 3] = [
+    (STREAM_SADC, "sadc"),
+    (STREAM_LOG, "tt"),
+    (STREAM_STRACE, "st"),
+];
 
 impl Module for ServeIngest {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         ctx.expect_input_count(0)?;
-        for (i, origin) in self.origins.clone().into_iter().enumerate() {
-            self.sadc_ports
-                .push(ctx.declare_output_with_origin(format!("sadc{i}"), origin.clone()));
-            if self.white_box {
-                self.tt_ports
-                    .push(ctx.declare_output_with_origin(format!("tt{i}"), origin.clone()));
-                self.st_ports
-                    .push(ctx.declare_output_with_origin(format!("st{i}"), origin));
+        for (i, origin) in self.origins.iter().enumerate() {
+            for (stream, (_, name)) in STREAMS.iter().enumerate() {
+                if stream == 0 || self.white_box {
+                    let port = ctx.declare_output_with_origin(format!("{name}{i}"), origin.clone());
+                    self.ports[stream].push(port);
+                }
             }
         }
         ctx.request_periodic(TickDuration::SECOND);
@@ -308,25 +316,19 @@ impl Module for ServeIngest {
         self.buf.clear();
         self.queue.drain_into(&mut self.buf);
         for frame in self.buf.drain(..) {
-            let mut r = MessageReader::new(frame)
-                .map_err(|e| ModuleError::Other(format!("bad ingress frame: {e}")))?;
-            let (stream, node, ts, values) = (|| -> Result<_, WireError> {
-                let stream = r.get_u8()?;
-                let node = r.get_u32()? as usize;
-                let ts = r.get_u64()?;
-                let values = r.get_f64_slice()?;
-                Ok((stream, node, ts, values))
-            })()
-            .map_err(|e| ModuleError::Other(format!("bad ingress frame: {e}")))?;
-            let ports = match stream {
-                STREAM_SADC => &self.sadc_ports,
-                STREAM_LOG => &self.tt_ports,
-                STREAM_STRACE => &self.st_ports,
-                other => {
-                    return Err(ModuleError::Other(format!(
-                        "unknown ingress stream tag {other}"
-                    )))
-                }
+            let decoded = (|| {
+                let mut r = MessageReader::new(frame).ok()?;
+                let tag = r.get_u8().ok()?;
+                let ports = &self.ports[STREAMS.iter().position(|(t, _)| *t == tag)?];
+                let node = r.get_u32().ok()? as usize;
+                Some((ports, node, r.get_u64().ok()?, r.get_f64_slice().ok()?))
+            })();
+            let Some((ports, node, ts, values)) = decoded else {
+                // Truncated, garbled, or a stream tag nobody speaks: one bad
+                // frame says nothing about the frames queued behind it, so
+                // it is counted and skipped, not the end of the tenant.
+                self.queue.count_bad_frame();
+                continue;
             };
             let Some(&port) = ports.get(node) else {
                 // White-box streams of a black-box-only tenant, or a node
@@ -362,6 +364,8 @@ pub struct TenantReport {
     pub wb_st_alarms: Vec<Envelope>,
     /// Frames shed from the tenant's ingress queue.
     pub shed: u64,
+    /// Frames that reached the tenant's engine undecodable and were skipped.
+    pub bad_frames: u64,
     /// Worst scheduler lag the tenant's engine ever observed, in ticks.
     pub lag_watermark: i64,
     /// Envelopes routed through the tenant's engine — a pure function of
@@ -400,64 +404,9 @@ impl ServeDaemon {
         self.tenants.keys().cloned().collect()
     }
 
-    /// Generates the per-tenant analysis configuration (the Figure-4
-    /// shape, fed by `serve_ingest` instead of in-process collectors).
-    fn config(&self) -> Config {
-        let o = &self.opts;
-        let mut cfg = Config::new();
-        let push = |cfg: &mut Config, inst: InstanceConfig| {
-            cfg.push(inst).expect("generated ids are unique");
-        };
-        push(&mut cfg, InstanceConfig::new("serve_ingest", "ingest"));
-        let centroids_text = self.model.centroids_param();
-        let stddev_text = self.model.stddev_param();
-        for i in 0..o.slaves {
-            push(
-                &mut cfg,
-                InstanceConfig::new("knn", format!("onenn{i}"))
-                    .with_param("centroids", centroids_text.clone())
-                    .with_param("stddev", stddev_text.clone())
-                    .with_param("k", 1)
-                    .with_input("input", "ingest", format!("sadc{i}")),
-            );
-        }
-        let mut bb = InstanceConfig::new("analysis_bb", "bb")
-            .with_param("n_states", self.model.n_states())
-            .with_param("window", o.window)
-            .with_param("slide", o.slide)
-            .with_param("threshold", o.threshold)
-            .with_param("consecutive", o.consecutive);
-        for i in 0..o.slaves {
-            bb = bb.with_input(format!("l{i}"), format!("onenn{i}"), "output0");
-        }
-        push(&mut cfg, bb);
-        if o.white_box {
-            for (tag, port) in [("tt", "tt"), ("st", "st")] {
-                for i in 0..o.slaves {
-                    push(
-                        &mut cfg,
-                        InstanceConfig::new("mavgvec", format!("avg_{tag}_{i}"))
-                            .with_param("window", o.window)
-                            .with_param("slide", o.slide)
-                            .with_param("emit", "both")
-                            .with_input("input", "ingest", format!("{port}{i}")),
-                    );
-                }
-                let mut wb = InstanceConfig::new("analysis_wb", format!("wb_{tag}"))
-                    .with_param("k", o.wb_k)
-                    .with_param("consecutive", o.consecutive);
-                for i in 0..o.slaves {
-                    wb = wb
-                        .with_input(format!("a{i}"), format!("avg_{tag}_{i}"), "mean")
-                        .with_input(format!("d{i}"), format!("avg_{tag}_{i}"), "stddev");
-                }
-                push(&mut cfg, wb);
-            }
-        }
-        cfg
-    }
-
-    /// Builds one tenant's analysis DAG, its `serve_ingest` reading `queue`.
+    /// Builds one tenant's analysis DAG — the Figure-4 analysis half
+    /// ([`push_analyses`]) over the per-node ports of a `serve_ingest`
+    /// reading `queue`.
     fn tenant_dag(
         &self,
         queue: &Arc<IngressQueue>,
@@ -468,13 +417,40 @@ impl ServeDaemon {
         let queue = Arc::clone(queue);
         let white_box = self.opts.white_box;
         registry.register("serve_ingest", move || {
-            Box::new(ServeIngest::new(
-                Arc::clone(&queue),
-                origins.clone(),
+            Box::new(ServeIngest {
+                queue: Arc::clone(&queue),
+                origins: origins.clone(),
                 white_box,
-            ))
+                ports: Default::default(),
+                buf: Vec::new(),
+            })
         });
-        Dag::build(&registry, &self.config()).map_err(ServeError::Build)
+        let o = &self.opts;
+        let node_ports = |stream: &str| -> Vec<Source> {
+            (0..o.slaves)
+                .map(|i| ("ingest".to_owned(), format!("{stream}{i}")))
+                .collect()
+        };
+        let mut cfg = Config::new();
+        cfg.push(InstanceConfig::new("serve_ingest", "ingest"))
+            .expect("the first instance");
+        push_analyses(
+            &mut cfg,
+            &AsdfOptions {
+                window: o.window,
+                slide: o.slide,
+                bb_threshold: o.threshold,
+                wb_k: o.wb_k,
+                consecutive: o.consecutive,
+                white_box: o.white_box,
+                ..AsdfOptions::default()
+            },
+            Some(&self.model),
+            None,
+            &node_ports("sadc"),
+            &[("tt", node_ports("tt")), ("st", node_ports("st"))],
+        );
+        Dag::build(&registry, &cfg).map_err(ServeError::Build)
     }
 
     /// Admits a tenant: validates its wire handshake, builds its analysis
@@ -628,6 +604,7 @@ impl ServeDaemon {
             wb_tt_alarms: drain("wb_tt").unwrap_or_default(),
             wb_st_alarms: drain("wb_st").unwrap_or_default(),
             shed: t.queue.shed_count(),
+            bad_frames: t.queue.bad_frame_count(),
             lag_watermark: t.engine.scheduler_lag_watermark(),
             delivered: t.engine.envelopes_delivered(),
         })
@@ -935,16 +912,9 @@ mod tests {
         (taps.map(|tap| tap.drain()), engine.envelopes_routed())
     }
 
-    #[test]
-    fn serve_alarms_equal_the_offline_engine_on_the_same_frames_however_split() {
-        let (seed, steps) = (7, 60);
-        let opts = ServeOptions {
-            white_box: true,
-            ..fast_opts()
-        };
-        let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
-
-        // One tenant's frame sequence, captured from the feeder itself.
+    /// One white-box tenant's hostnames and frame sequence, captured from
+    /// the feeder itself.
+    fn captured_frames(opts: &ServeOptions, seed: u64, steps: u64) -> (Vec<String>, Vec<Bytes>) {
         let cluster = Cluster::new(ClusterConfig::new(opts.slaves, seed), Vec::new());
         let origins: Vec<String> = (0..opts.slaves)
             .map(|i| cluster.slave_name(i).to_owned())
@@ -963,6 +933,54 @@ mod tests {
         );
         let mut frames = Vec::new();
         captured.drain_into(&mut frames);
+        (origins, frames)
+    }
+
+    #[test]
+    fn a_bad_frame_is_counted_and_skipped_and_the_tenant_lives() {
+        let opts = ServeOptions {
+            white_box: true,
+            ..fast_opts()
+        };
+        let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
+        let (origins, good) = captured_frames(&opts, 7, 40);
+        let (reference, _) = offline_run(&daemon, &origins, &good, &[good.len()]);
+        assert!(reference.iter().all(|tap| !tap.is_empty()));
+
+        // The same sequence with three frames nobody can read in it: cut
+        // short, noise, and a stream tag that does not exist.
+        let truncated = Bytes::from(good[5][..good[5].len() - 3].to_vec());
+        let noise = Bytes::from(vec![0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a, 0x7c, 0x15, 0xf3]);
+        let mut dirty = good.clone();
+        dirty.insert(200, encode_frame(9, 0, 20, &[1.0]));
+        dirty.insert(90, noise);
+        dirty.insert(6, truncated);
+
+        // A tenant that streams nothing itself; its queue is fed by hand.
+        let hello = Handshake::new("dirty").encode();
+        daemon.join_tenant(hello, TenantSpec::paced(7, 0)).unwrap();
+        let tenant = &daemon.tenants["dirty"];
+        dirty.into_iter().for_each(|f| tenant.queue.push(f));
+        assert!(daemon.wait_idle("dirty", Duration::from_secs(30)));
+        assert!(!daemon.tenants["dirty"].engine.has_failed());
+        let report = daemon.leave_tenant("dirty").unwrap();
+        assert_eq!(report.bad_frames, 3);
+        assert_eq!(report.shed, 0);
+        assert!(report.bb_alarms == reference[0], "bb diverged");
+        assert!(report.wb_tt_alarms == reference[1], "wb_tt diverged");
+        assert!(report.wb_st_alarms == reference[2], "wb_st diverged");
+    }
+
+    #[test]
+    fn serve_alarms_equal_the_offline_engine_on_the_same_frames_however_split() {
+        let (seed, steps) = (7, 60);
+        let opts = ServeOptions {
+            white_box: true,
+            ..fast_opts()
+        };
+        let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
+
+        let (origins, frames) = captured_frames(&opts, seed, steps);
 
         let mut bounds: Vec<usize> = (0..frames.len())
             .filter(|&i| opens_a_step(&frames[i]))

@@ -42,11 +42,13 @@ cargo test -q -p integration-tests --test fault_props
 cargo test -p integration-tests --test scenario_matrix
 
 # (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
-# and the fleet_scale scenario; both suites ran whole just above.)
-echo "[verify] fleet: rack collector wiring, sadc node ranges and frames, rack_agg, running window sums, in-place frames, late taps, wire accounting, log bound" >&2
-cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring
-cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests
-cargo test -q -p asdf-modules --test window_sums_prop
+# and the fleet_scale scenario; both suites ran whole just above, bar the
+# ignored 5000-node cell, which needs --release.)
+echo "[verify] fleet: one wiring vs the per-node Figure 4 and its instance count, 5000-node full pipeline (--release), collector node ranges and frames, knn / analysis_* over rack rows, rack_agg, running window sums, in-place frames, late taps, wire accounting, log bound" >&2
+cargo test --release -p integration-tests --test scenario_matrix -- --ignored --nocapture fleet_scale_full_pipeline
+cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring pipeline::tests::the_generated_dag
+cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests rack_wide rack_row frame
+cargo test -q -p asdf-modules --test window_sums_prop --test knn_frame_prop
 cargo test -q -p procsim --lib -- node::tests::tick_into
 cargo test -q -p asdf-core --lib -- engine::tests::a_tap_attached_after_construction
 cargo test -q -p asdf-rpc

@@ -57,9 +57,9 @@ fn rendered_pipeline_config_rebuilds_the_same_dag() {
     let mut registry = ModuleRegistry::new();
     asdf_modules::register_all(&mut registry, handle);
     let dag = Dag::build(&registry, &reparsed).expect("reparsed config builds");
-    // 1 driver + per node (sadc + knn + 2×hadoop_log + 2×mavgvec) + 2×wb
+    // 1 driver + one rack of (sadc + knn + 2×hadoop_log + 2×mavgvec) + 2×wb
     // analysis + bb analysis + 3 print sinks.
-    assert_eq!(dag.len(), 1 + cfg.slaves * 6 + 3 + 3);
+    assert_eq!(dag.len(), 1 + 6 + 3 + 3);
 }
 
 #[test]

@@ -193,6 +193,97 @@ fn fleet_scale_rack_path_fingers_the_straggler() {
 }
 
 #[test]
+#[ignore = "5000 nodes: minutes in a debug build; `just fleet` runs it with --release"]
+fn fleet_scale_full_pipeline() {
+    // The paper's own fingerpointing — `knn → analysis_bb`, `hadoop_log →
+    // mavgvec → analysis_wb` on both logs — at 5000 nodes in 250 racks with
+    // one DiskHog: the DAG is O(racks), the culprit is fingered, and the
+    // deployment keeps up with every slide in well under a second. Sized as
+    // asdfbench's `fleet500_full`, ten times the nodes. Prints the reading
+    // DESIGN §5g records.
+    use asdf::eval::{AnalysisTrace, GroundTruth};
+    const NODES: usize = 5000;
+    const RACKS: usize = 250;
+    const FAULT_NODE: usize = 137;
+    const FAULT_AT: u64 = 300;
+    const SECS: u64 = 900;
+    const SLIDE: u64 = 60;
+    let model = experiments::train_model(&CampaignConfig {
+        slaves: 50,
+        training_secs: 900,
+        n_states: 12,
+        base_seed: 1,
+        ..CampaignConfig::default()
+    });
+    let cluster = Cluster::new(
+        ClusterConfig::new(NODES, 1),
+        vec![FaultSpec {
+            node: FAULT_NODE,
+            kind: FaultKind::DiskHog,
+            start_at: FAULT_AT,
+        }],
+    );
+    let builder = AsdfBuilder::new(AsdfOptions {
+        window: SLIDE as usize,
+        slide: SLIDE as usize,
+        bb_threshold: SLIDE as f64,
+        racks: RACKS,
+        ..AsdfOptions::default()
+    })
+    .with_model(model);
+    let instances = builder.config(NODES).instances().len();
+    assert!(instances <= 6 * RACKS + 10, "{instances} instances");
+    let mut dep = builder.deploy(cluster).expect("fleet deployment builds");
+
+    // The last second of a slide is its verdict tick: the second on which
+    // every analysis evaluates the window, timed on its own.
+    let started = std::time::Instant::now();
+    let mut worst_verdict = std::time::Duration::ZERO;
+    for _ in 0..SECS / SLIDE {
+        dep.run_for(SLIDE - 1);
+        let verdict = std::time::Instant::now();
+        dep.run_for(1);
+        worst_verdict = worst_verdict.max(verdict.elapsed());
+    }
+    let wall = started.elapsed();
+    assert!(
+        worst_verdict < std::time::Duration::from_secs(1),
+        "evaluating a slide took {worst_verdict:?}"
+    );
+
+    let trace = |id, score| {
+        let envelopes = dep.tap(id).expect("analysis tap").drain();
+        assert_eq!(
+            envelopes.len() as u64,
+            2 * NODES as u64 * (SECS / SLIDE),
+            "{id}"
+        );
+        AnalysisTrace::from_envelopes(&envelopes, NODES, score)
+    };
+    let traces = experiments::RunTraces {
+        bb: trace("bb", "dist"),
+        wb: trace("wb_tt", "kcrit").merge_max(&trace("wb_dn", "kcrit")),
+        truth: GroundTruth {
+            culprit: Some(FAULT_NODE),
+            injected_at: FAULT_AT,
+        },
+        metric_ranks: None,
+    };
+    let scored = experiments::score_run(&traces, FaultKind::DiskHog);
+    assert!(scored.lat_combined.is_some(), "culprit never fingered");
+    eprintln!(
+        "[fleet_scale_full_pipeline] {NODES} nodes, {RACKS} racks: {instances} instances, \
+         {:.2} ms wall per monitored second, worst verdict tick {:.0} ms, peak RSS {:.0} MB, \
+         DiskHog fingered after {} s, balanced accuracy {:.1}%",
+        wall.as_secs_f64() * 1e3 / SECS as f64,
+        worst_verdict.as_secs_f64() * 1e3,
+        asdf_rpc::meter::process_peak_rss_mb().unwrap_or(f64::NAN),
+        scored.lat_combined.unwrap_or_default(),
+        scored.ba_combined,
+    );
+}
+
+#[test]
 fn trace_workload_scenario_matches_fixture() {
     // The same golden treatment over the replayed sample trace (model
     // trained on the trace workload too): pins the whole trace →
