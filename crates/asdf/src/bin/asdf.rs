@@ -20,10 +20,12 @@
 //!   [--tick-ms MS] [--speed F] [--queue-cap N] [--window W]
 //!   [--threshold T] [--k K] [--batch-size B]` — the long-lived
 //!   multi-tenant diagnosis daemon: trains a workload model, then serves
-//!   `N` monitored clusters streaming collector frames concurrently
-//!   (`F` of them flooding at max rate) until every tenant finishes its
-//!   `--secs` collection steps; prints the per-tenant soak report
-//!   (alarms, shed frames, scheduler-lag watermark).
+//!   `N` monitored clusters concurrently (`F` of them flooding at max
+//!   rate), each streaming one frame per stream per second with every
+//!   node's row in it, until every tenant finishes its `--secs` collection
+//!   steps; prints the per-tenant soak report (alarms, shed frames,
+//!   scheduler-lag watermark). `--queue-cap` bounds each tenant's ingress
+//!   queue in node-samples (default 4096; a frame of `k` nodes weighs `k`).
 //! * `perfwatch [--history PATH] [--report PATH] [--json PATH]
 //!   [--permutations N] [--pvalue P] [--min-segment N]` — the
 //!   perf-regression watchdog: loads the BENCH history (default
@@ -83,7 +85,9 @@ fn usage() -> ! {
          --workload trace:PATH replays a cluster-trace CSV instead of GridMix;\n\
          --sim-shards parallelizes each simulated cluster's tick loop and\n\
          --racks collects and analyses the nodes in R racks, one row per rack\n\
-         per second (0/1 = one collector for the cluster; both bit-identical)\n\
+         per second (0/1 = one collector for the cluster; both bit-identical);\n\
+         serve --queue-cap bounds each tenant's ingress queue in node-samples\n\
+         (default 4096; a frame, one stream-second of k nodes, weighs k)\n\
          \n\
          faults: CPUHog DiskHog HADOOP-1036 HADOOP-1152 HADOOP-2080 PacketLoss\n\
          \x20       Straggler MemLeak FlakyLink GrayFailure"

@@ -14,8 +14,9 @@
 //! hands its second to the analyses as one `frame` row; the paper's flat
 //! deployment is [`AsdfOptions::racks`] `≤ 1`, one rack holding every node.
 //! The analysis half is written once, `push_analyses`, behind a seam of
-//! *sources* (an output port per slot); the `serve` daemon generates its
-//! tenants' DAGs with it, over its ingest module's per-node ports.
+//! *sources* (a frame port per slot); the `serve` daemon generates its
+//! tenants' DAGs with it as one rack, over its ingest module's one port per
+//! stream.
 //!
 //! One `cluster_driver` instance advances the simulated cluster and clocks
 //! every collector, standing in for wall-clock scheduling on a live
@@ -109,9 +110,10 @@ pub(crate) type Source = (String, String);
 /// Generates the analysis half of Figure 4 onto `cfg`: with `o.black_box`
 /// a `knn` per `sadc` source (`onenn<s>`) into `analysis_bb` (`bb`), with
 /// `o.white_box` per stream `(tag, sources)` a `mavgvec` per source
-/// (`avg_<tag>_<s>`) into `analysis_wb` (`wb_<tag>`). The sources are rack
-/// collectors' `frame` ports and `rack_names` every covered node's
-/// hostname, in order; or one node's own port each and `None`.
+/// (`avg_<tag>_<s>`) into `analysis_wb` (`wb_<tag>`). Every source is a
+/// frame port — a rack collector's, or a `serve` tenant's one stream
+/// holding the whole cluster — and `names` every covered node's hostname,
+/// in order.
 ///
 /// # Panics
 ///
@@ -120,29 +122,24 @@ pub(crate) fn push_analyses(
     cfg: &mut Config,
     o: &AsdfOptions,
     model: Option<&BlackBoxModel>,
-    rack_names: Option<&[String]>,
+    names: &[String],
     sadc: &[Source],
     white_box: &[(&str, Vec<Source>)],
 ) {
-    let nodes = rack_names.map(|names| names.join(","));
-    let over_nodes = |analysis: InstanceConfig| match &nodes {
-        Some(nodes) => analysis.with_param("nodes", nodes),
-        None => analysis,
-    };
+    let nodes = names.join(",");
     if o.black_box {
         let model = model.expect("black-box pipeline requires a trained model");
         // Rendering the centroid matrix to text is O(n_states × dim);
         // do it once, not once per source.
         let centroids_text = model.centroids_param();
         let stddev_text = model.stddev_param();
-        let mut bb = over_nodes(
-            InstanceConfig::new("analysis_bb", "bb")
-                .with_param("n_states", model.n_states())
-                .with_param("window", o.window)
-                .with_param("slide", o.slide)
-                .with_param("threshold", o.bb_threshold)
-                .with_param("consecutive", o.consecutive),
-        );
+        let mut bb = InstanceConfig::new("analysis_bb", "bb")
+            .with_param("n_states", model.n_states())
+            .with_param("window", o.window)
+            .with_param("slide", o.slide)
+            .with_param("threshold", o.bb_threshold)
+            .with_param("consecutive", o.consecutive)
+            .with_param("nodes", &nodes);
         for (s, (instance, port)) in sadc.iter().enumerate() {
             push(
                 cfg,
@@ -158,11 +155,10 @@ pub(crate) fn push_analyses(
     }
     if o.white_box {
         for (tag, sources) in white_box {
-            let mut wb = over_nodes(
-                InstanceConfig::new("analysis_wb", format!("wb_{tag}"))
-                    .with_param("k", o.wb_k)
-                    .with_param("consecutive", o.consecutive),
-            );
+            let mut wb = InstanceConfig::new("analysis_wb", format!("wb_{tag}"))
+                .with_param("k", o.wb_k)
+                .with_param("consecutive", o.consecutive)
+                .with_param("nodes", &nodes);
             for (s, (instance, port)) in sources.iter().enumerate() {
                 push(
                     cfg,
@@ -296,14 +292,7 @@ impl AsdfBuilder {
                 white_box.push((tag, collectors(&mut cfg, "hadoop_log", &id, Some(daemon))));
             }
         }
-        push_analyses(
-            &mut cfg,
-            o,
-            self.model.as_deref(),
-            Some(names),
-            &sadc,
-            &white_box,
-        );
+        push_analyses(&mut cfg, o, self.model.as_deref(), names, &sadc, &white_box);
         for (sink, analysis) in [
             ("BlackBoxAlarm", "bb"),
             ("WhiteBoxAlarm_tt", "wb_tt"),
@@ -412,8 +401,9 @@ impl std::fmt::Debug for Deployment {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use asdf_core::module::Envelope;
     use hadoop_sim::cluster::ClusterConfig;
 
     fn tiny_model() -> BlackBoxModel {
@@ -574,37 +564,68 @@ mod tests {
     /// generated deployment has to reproduce. Test code only — nothing
     /// generates this shape any more.
     fn figure4_per_node(o: &AsdfOptions, model: &BlackBoxModel, n_nodes: usize) -> Config {
+        let daemons = [("tasktracker", "tt"), ("datanode", "dn")];
+        let mut text = String::from("[cluster_driver]\nid = drv\n\n");
+        let mut mr = format!(
+            "[metric_rank]\nid = mr\nwindow = {}\nslide = {}\ntop = {}\n",
+            o.window, o.slide, o.rank_top
+        );
+        for i in 0..n_nodes {
+            text += &format!("[sadc]\nid = sadc{i}\nnode = {i}\ninput[clock] = drv.tick\n\n");
+            mr += &format!("input[m{i}] = sadc{i}.output0\n");
+            for (daemon, tag) in daemons {
+                text += &format!(
+                    "[hadoop_log]\nid = hl_{tag}_{i}\nnode = {i}\ndaemon = {daemon}\n\
+                     input[clock] = drv.tick\n\n"
+                );
+            }
+        }
+        text += &figure4_analyses(o, model, n_nodes, &daemons.map(|d| d.1), |s, i| match s {
+            "sadc" => format!("sadc{i}.output0"),
+            tag => format!("hl_{tag}_{i}.output0"),
+        });
+        text += &format!("{mr}\n");
+        text.parse().expect("Figure 4 parses")
+    }
+
+    /// Figure 4's analysis half, per node: a `knn` per node into `bb`, and a
+    /// `mavgvec` per node per white-box `tag` into `wb_{tag}`, node `i`'s
+    /// `sadc` or `tag` rows read from the port `port(stream, i)` names.
+    pub(crate) fn figure4_analyses(
+        o: &AsdfOptions,
+        model: &BlackBoxModel,
+        n_nodes: usize,
+        tags: &[&str],
+        port: impl Fn(&str, usize) -> String,
+    ) -> String {
         let windowed = format!("window = {}\nslide = {}\n", o.window, o.slide);
         let (centroids, stddev) = (model.centroids_param(), model.stddev_param());
-        let mut text = String::from("[cluster_driver]\nid = drv\n\n");
+        let mut text = String::new();
         let mut bb = format!(
             "[analysis_bb]\nid = bb\nn_states = {}\n{windowed}threshold = {}\nconsecutive = {}\n",
             model.n_states(),
             o.bb_threshold,
             o.consecutive
         );
-        let mut mr = format!("[metric_rank]\nid = mr\n{windowed}top = {}\n", o.rank_top);
         for i in 0..n_nodes {
             text += &format!(
-                "[sadc]\nid = sadc{i}\nnode = {i}\ninput[clock] = drv.tick\n\n\
-                 [knn]\nid = onenn{i}\ncentroids = {centroids}\nstddev = {stddev}\nk = 1\n\
-                 input[input] = sadc{i}.output0\n\n"
+                "[knn]\nid = onenn{i}\ncentroids = {centroids}\nstddev = {stddev}\nk = 1\n\
+                 input[input] = {}\n\n",
+                port("sadc", i)
             );
             bb += &format!("input[l{i}] = onenn{i}.output0\n");
-            mr += &format!("input[m{i}] = sadc{i}.output0\n");
         }
-        text += &format!("{bb}\n{mr}\n");
-        for (daemon, tag) in [("tasktracker", "tt"), ("datanode", "dn")] {
+        text += &format!("{bb}\n");
+        for tag in tags {
             let mut wb = format!(
                 "[analysis_wb]\nid = wb_{tag}\nk = {}\nconsecutive = {}\n",
                 o.wb_k, o.consecutive
             );
             for i in 0..n_nodes {
                 text += &format!(
-                    "[hadoop_log]\nid = hl_{tag}_{i}\nnode = {i}\ndaemon = {daemon}\n\
-                     input[clock] = drv.tick\n\n\
-                     [mavgvec]\nid = avg_{tag}_{i}\n{windowed}emit = both\n\
-                     input[input] = hl_{tag}_{i}.output0\n\n"
+                    "[mavgvec]\nid = avg_{tag}_{i}\n{windowed}emit = both\n\
+                     input[input] = {}\n\n",
+                    port(tag, i)
                 );
                 wb += &format!(
                     "input[a{i}] = avg_{tag}_{i}.mean\ninput[d{i}] = avg_{tag}_{i}.stddev\n"
@@ -612,16 +633,16 @@ mod tests {
             }
             text += &format!("{wb}\n");
         }
-        text.parse().expect("Figure 4 parses")
+        text
     }
 
     /// One envelope, every field that can differ: instance, port name,
     /// origin, timestamp and the value's bits.
-    type EnvelopeBits = (String, String, String, u64, Vec<u64>);
+    pub(crate) type EnvelopeBits = (String, String, String, u64, Vec<u64>);
 
-    fn envelope_bits(tap: &TapHandle) -> Vec<EnvelopeBits> {
+    pub(crate) fn envelope_bits(envelopes: &[Envelope]) -> Vec<EnvelopeBits> {
         use asdf_core::value::Value;
-        tap.drain()
+        envelopes
             .iter()
             .map(|e| {
                 let bits = match &e.sample.value {
@@ -685,7 +706,7 @@ mod tests {
             let mut engine = TickEngine::new(dag);
             let taps = ["bb", "wb_tt", "wb_dn", "mr"].map(|id| engine.tap(id).expect(id));
             engine.run_for(TickDuration::from_secs(400)).expect("runs");
-            taps.map(|tap| envelope_bits(&tap))
+            taps.map(|tap| envelope_bits(&tap.drain()))
         };
         let reference = run(&|_| figure4_per_node(&options(0), &model, NODES));
         for (tap, id) in reference.iter().zip(["bb", "wb_tt", "wb_dn", "mr"]) {

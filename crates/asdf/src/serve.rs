@@ -4,18 +4,21 @@
 //! deployment model is the opposite — a control node that keeps running
 //! while many monitored clusters stream samples at it. [`ServeDaemon`]
 //! reproduces that: each monitored cluster is a **tenant** that joins with
-//! a versioned wire [`Handshake`], streams `sadc` / `hadoop_log` / `strace`
-//! frames over the length-prefixed wire format into a bounded per-tenant
-//! ingress queue, and is diagnosed by its own [`OnlineEngine`] (per-tenant
-//! DAG on the batched tick scheduler, one pacer thread) — all inside one
-//! process.
+//! a versioned wire [`Handshake`], streams a `sadc` / `hadoop_log` /
+//! `strace` frame a second — a **stream-second**, every node's row in a rack
+//! collector's layout, whole or absent — over the length-prefixed wire
+//! format into a bounded per-tenant ingress queue, and is diagnosed by its
+//! own [`OnlineEngine`] (`AsdfBuilder`'s DAG for one rack, seven instances
+//! at any size, on the batched tick scheduler, one pacer thread) — all
+//! inside one process.
 //!
 //! The serve model handles the messy parts a batch run never sees:
 //!
-//! * **Backpressure** — each tenant's ingress queue is bounded; a flooding
-//!   tenant sheds its *oldest* frames (freshest data wins, per the paper's
-//!   online bias) with the drop counted on `rpc.shed_total.<tenant>`.
-//!   Queues are per tenant, so one tenant flooding never blocks another.
+//! * **Backpressure** — each tenant's ingress queue is bounded in
+//!   node-samples; a flooding tenant sheds its *oldest* frames (freshest
+//!   data wins, per the paper's online bias; a second lost to every peer at
+//!   once) with the drop counted on `rpc.shed_total.<tenant>`. Queues are
+//!   per tenant, so one tenant flooding never blocks another.
 //! * **Pacing** — tenants replay at `wall_per_tick / speed`; the engine's
 //!   pacer tracks its own drift and warns when it has to catch up.
 //! * **Join/leave without restart** — tenants are added and removed while
@@ -32,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::pipeline::{push_analyses, AsdfOptions, Source};
+use crate::pipeline::{push_analyses, AsdfOptions};
 use asdf_core::config::{Config, InstanceConfig};
 use asdf_core::dag::Dag;
 use asdf_core::engine::TapHandle;
@@ -41,9 +44,10 @@ use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::online::OnlineEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
+use asdf_modules::rack::RackSummary;
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
-use asdf_rpc::wire::{Bytes, Handshake, MessageBuilder, MessageReader, WireError};
+use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageBuilder, WireError};
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 
 /// Stream tag for black-box `sadc` frames.
@@ -63,7 +67,8 @@ pub struct ServeOptions {
     pub wall_per_tick: Duration,
     /// Real-time pacing multiplier (1.0 = real time, 2.0 = twice as fast).
     pub speed: f64,
-    /// Default ingress-queue capacity, in frames, before shed-oldest.
+    /// Default ingress-queue capacity, in node-samples, before shed-oldest:
+    /// a tenant queues as many whole frames of `slaves` nodes as fit.
     pub queue_capacity: usize,
     /// Analysis window, in samples.
     pub window: usize,
@@ -97,6 +102,21 @@ impl Default for ServeOptions {
             consecutive: 3,
             batch_size: 64,
             white_box: true,
+        }
+    }
+}
+
+impl ServeOptions {
+    /// The analysis half's options, as `AsdfBuilder` would take them.
+    fn analyses(&self) -> AsdfOptions {
+        AsdfOptions {
+            window: self.window,
+            slide: self.slide,
+            bb_threshold: self.threshold,
+            wb_k: self.wb_k,
+            consecutive: self.consecutive,
+            white_box: self.white_box,
+            ..AsdfOptions::default()
         }
     }
 }
@@ -193,7 +213,10 @@ impl std::error::Error for ServeError {
 /// `rpc.bad_frames_total.<tenant>`.
 pub struct IngressQueue {
     inner: Mutex<VecDeque<Bytes>>,
+    /// In frames.
     capacity: usize,
+    /// Node-samples in each frame, the unit of `rpc.queue_depth.<tenant>`.
+    frame_rows: usize,
     shed: AtomicU64,
     shed_counter: Arc<asdf_obs::Counter>,
     bad: AtomicU64,
@@ -202,12 +225,15 @@ pub struct IngressQueue {
 }
 
 impl IngressQueue {
-    /// Creates a queue for `tenant` holding at most `capacity` frames.
-    pub fn new(tenant: &str, capacity: usize) -> Self {
+    /// Creates a queue for `tenant` bounded at `rows` node-samples, for
+    /// frames of `frame_rows` each: as many whole frames as fit, and at
+    /// least the newest one.
+    pub fn new(tenant: &str, rows: usize, frame_rows: usize) -> Self {
         let reg = asdf_obs::registry();
         IngressQueue {
             inner: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
+            capacity: (rows / frame_rows.max(1)).max(1),
+            frame_rows,
             shed: AtomicU64::new(0),
             shed_counter: reg.counter(&format!("rpc.shed_total.{tenant}")),
             bad: AtomicU64::new(0),
@@ -225,7 +251,7 @@ impl IngressQueue {
             self.shed_counter.inc();
         }
         q.push_back(frame);
-        self.depth_gauge.set(q.len() as i64);
+        self.depth_gauge.set((q.len() * self.frame_rows) as i64);
     }
 
     /// Moves every queued frame into `out`, preserving order.
@@ -245,7 +271,7 @@ impl IngressQueue {
         self.len() == 0
     }
 
-    /// Frames shed (dropped oldest-first) since creation.
+    /// Frames (stream-seconds) shed oldest-first since creation.
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
@@ -261,8 +287,9 @@ impl IngressQueue {
     }
 }
 
-/// Encodes one collector frame for the ingress queue: stream tag, node
-/// index, collection timestamp, and the value vector.
+/// Encodes one frame for the ingress queue: stream tag, the index of the
+/// frame's first node, collection timestamp, and the values — a tenant's
+/// feeder sends node 0 and the whole stream-second `[n, dim, node₀…, …]`.
 pub fn encode_frame(stream: u8, node: u32, timestamp: u64, values: &[f64]) -> Bytes {
     let mut b = MessageBuilder::new();
     b.put_u8(stream)
@@ -273,8 +300,9 @@ pub fn encode_frame(stream: u8, node: u32, timestamp: u64, values: &[f64]) -> By
 }
 
 /// The per-tenant ingest module: drains the tenant's ingress queue once
-/// per engine tick and re-emits each frame on the per-node port of its
-/// stream, stamped with the frame's *collection* timestamp.
+/// per engine tick and re-emits each frame as one row on its stream's port
+/// (origin node 0, like a rack collector's `frame`), stamped with the
+/// frame's *collection* timestamp.
 ///
 /// Emitting with the original timestamps (via `emit_row_at`) is what makes
 /// the downstream analyses a pure function of the frame sequence: `knn`
@@ -282,15 +310,19 @@ pub fn encode_frame(stream: u8, node: u32, timestamp: u64, values: &[f64]) -> By
 /// varies with wall-clock scheduling — cannot change any alarm.
 struct ServeIngest {
     queue: Arc<IngressQueue>,
+    /// The tenant's hostnames, in node order.
     origins: Vec<String>,
-    white_box: bool,
-    /// The per-node ports of each of [`STREAMS`].
-    ports: [Vec<PortId>; 3],
+    /// Each of [`STREAMS`]' port (a black-box tenant hears only the first).
+    ports: Vec<PortId>,
+    /// Each stream's row width: the model's for `sadc`, the first good
+    /// frame's for the others.
+    widths: [Option<usize>; 3],
     buf: Vec<Bytes>,
+    /// Every frame decodes into this one buffer.
+    values: Vec<f64>,
 }
 
-/// The stream tags and the port-name prefix of each; the first is the
-/// black-box stream, the others are wired only with `white_box`.
+/// The stream tags and port names; only the first is wired without `white_box`.
 const STREAMS: [(u8, &str); 3] = [
     (STREAM_SADC, "sadc"),
     (STREAM_LOG, "tt"),
@@ -300,45 +332,49 @@ const STREAMS: [(u8, &str); 3] = [
 impl Module for ServeIngest {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         ctx.expect_input_count(0)?;
-        for (i, origin) in self.origins.iter().enumerate() {
-            for (stream, (_, name)) in STREAMS.iter().enumerate() {
-                if stream == 0 || self.white_box {
-                    let port = ctx.declare_output_with_origin(format!("{name}{i}"), origin.clone());
-                    self.ports[stream].push(port);
-                }
-            }
+        let origin = self.origins.first().cloned().unwrap_or_default();
+        for (_, name) in STREAMS {
+            self.ports
+                .push(ctx.declare_output_with_origin(name, origin.clone()));
         }
         ctx.request_periodic(TickDuration::SECOND);
         Ok(())
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        self.buf.clear();
         self.queue.drain_into(&mut self.buf);
+        let n = self.origins.len();
         for frame in self.buf.drain(..) {
-            let decoded = (|| {
-                let mut r = MessageReader::new(frame).ok()?;
-                let tag = r.get_u8().ok()?;
-                let ports = &self.ports[STREAMS.iter().position(|(t, _)| *t == tag)?];
-                let node = r.get_u32().ok()? as usize;
-                Some((ports, node, r.get_u64().ok()?, r.get_f64_slice().ok()?))
-            })();
-            let Some((ports, node, ts, values)) = decoded else {
-                // Truncated, garbled, or a stream tag nobody speaks: one bad
-                // frame says nothing about the frames queued behind it, so
-                // it is counted and skipped, not the end of the tenant.
+            let Some((stream, ts)) = decode_frame(&frame, n, &mut self.widths, &mut self.values)
+            else {
+                // One bad frame says nothing about the frames queued behind
+                // it, so it is counted and skipped, not the end of the tenant.
                 self.queue.count_bad_frame();
                 continue;
             };
-            let Some(&port) = ports.get(node) else {
-                // White-box streams of a black-box-only tenant, or a node
-                // index beyond the cluster: not wired, drop silently.
-                continue;
-            };
-            ctx.emit_row_at(port, Timestamp::from_secs(ts), &values);
+            ctx.emit_row_at(self.ports[stream], Timestamp::from_secs(ts), &self.values);
         }
         Ok(())
     }
+}
+
+/// Decodes a frame into `values`: its index in [`STREAMS`] and timestamp,
+/// or `None` unless it is one whole second of all `slaves` nodes from node 0
+/// in its stream's width, which an unset `widths` entry takes from it.
+fn decode_frame(
+    frame: &[u8],
+    slaves: usize,
+    widths: &mut [Option<usize>; 3],
+    values: &mut Vec<f64>,
+) -> Option<(usize, u64)> {
+    let mut r = FrameReader::new(frame).ok()?;
+    let tag = r.get_u8().ok()?;
+    let stream = STREAMS.iter().position(|(t, _)| *t == tag)?;
+    let (first, ts) = (r.get_u32().ok()?, r.get_u64().ok()?);
+    r.get_f64_slice_into(values).ok()?;
+    let (k, dim) = RackSummary::shape(values).ok()?;
+    let whole = first == 0 && k == slaves;
+    (whole && *widths[stream].get_or_insert(dim) == dim).then_some((stream, ts))
 }
 
 /// Everything the daemon tracks for one joined tenant.
@@ -362,7 +398,7 @@ pub struct TenantReport {
     pub wb_tt_alarms: Vec<Envelope>,
     /// White-box (strace) envelopes from the `wb_st` tap.
     pub wb_st_alarms: Vec<Envelope>,
-    /// Frames shed from the tenant's ingress queue.
+    /// Frames (stream-seconds) shed from the tenant's ingress queue.
     pub shed: u64,
     /// Frames that reached the tenant's engine undecodable and were skipped.
     pub bad_frames: u64,
@@ -404,51 +440,34 @@ impl ServeDaemon {
         self.tenants.keys().cloned().collect()
     }
 
-    /// Builds one tenant's analysis DAG — the Figure-4 analysis half
-    /// ([`push_analyses`]) over the per-node ports of a `serve_ingest`
-    /// reading `queue`.
-    fn tenant_dag(
-        &self,
-        queue: &Arc<IngressQueue>,
-        origins: Vec<String>,
-    ) -> Result<Dag, ServeError> {
+    /// Builds one tenant's analysis DAG: [`push_analyses`] over one rack,
+    /// the stream ports of a `serve_ingest` reading `queue`.
+    fn tenant_dag(&self, queue: &Arc<IngressQueue>, origins: &[String]) -> Result<Dag, ServeError> {
         let mut registry = ModuleRegistry::new();
         asdf_modules::register_analysis_modules(&mut registry);
-        let queue = Arc::clone(queue);
-        let white_box = self.opts.white_box;
+        let (queue, nodes) = (Arc::clone(queue), origins.to_vec());
+        let sadc_width = self.model.stddev.len();
         registry.register("serve_ingest", move || {
             Box::new(ServeIngest {
                 queue: Arc::clone(&queue),
-                origins: origins.clone(),
-                white_box,
-                ports: Default::default(),
+                origins: nodes.clone(),
+                ports: Vec::new(),
+                widths: [Some(sadc_width), None, None],
                 buf: Vec::new(),
+                values: Vec::new(),
             })
         });
-        let o = &self.opts;
-        let node_ports = |stream: &str| -> Vec<Source> {
-            (0..o.slaves)
-                .map(|i| ("ingest".to_owned(), format!("{stream}{i}")))
-                .collect()
-        };
+        let stream = |port: &str| vec![("ingest".to_owned(), port.to_owned())];
         let mut cfg = Config::new();
         cfg.push(InstanceConfig::new("serve_ingest", "ingest"))
             .expect("the first instance");
         push_analyses(
             &mut cfg,
-            &AsdfOptions {
-                window: o.window,
-                slide: o.slide,
-                bb_threshold: o.threshold,
-                wb_k: o.wb_k,
-                consecutive: o.consecutive,
-                white_box: o.white_box,
-                ..AsdfOptions::default()
-            },
+            &self.opts.analyses(),
             Some(&self.model),
-            None,
-            &node_ports("sadc"),
-            &[("tt", node_ports("tt")), ("st", node_ports("st"))],
+            origins,
+            &stream("sadc"),
+            &[("tt", stream("tt")), ("st", stream("st"))],
         );
         Dag::build(&registry, &cfg).map_err(ServeError::Build)
     }
@@ -478,9 +497,9 @@ impl ServeDaemon {
             .map_err(ServeError::Collector)?;
 
         let capacity = spec.queue_capacity.unwrap_or(self.opts.queue_capacity);
-        let queue = Arc::new(IngressQueue::new(&tenant, capacity));
+        let queue = Arc::new(IngressQueue::new(&tenant, capacity, self.opts.slaves));
 
-        let dag = self.tenant_dag(&queue, origins)?;
+        let dag = self.tenant_dag(&queue, &origins)?;
         let mut builder = OnlineEngine::builder(dag)
             .wall_per_tick(self.opts.wall_per_tick)
             .speed(self.opts.speed)
@@ -636,67 +655,81 @@ impl std::fmt::Debug for ServeDaemon {
     }
 }
 
-/// A collector daemon and the stream tag its frames carry.
-type TaggedCollector = (u8, Box<dyn Collector + Send>);
+/// A stream's tag and its collector daemons, one per slave in node order.
+type Stream = (u8, Vec<Box<dyn Collector + Send>>);
 
-/// One `sadc` daemon per slave, plus a TaskTracker `hadoop_log` and an
-/// `strace` daemon when `white_box`, each tagged with its stream, in the
-/// order a feeder polls them.
+/// The `sadc` stream, plus the TaskTracker `hadoop_log` and the `strace`
+/// streams when `white_box`, in the order a feeder polls them.
 fn connect_collectors(
-    handle: &ClusterHandle,
+    h: &ClusterHandle,
     slaves: usize,
     white_box: bool,
-) -> Result<Vec<TaggedCollector>, WireError> {
-    let mut collectors: Vec<TaggedCollector> = Vec::new();
-    for node in 0..slaves {
-        let sadc = SadcRpcd::connect(handle.clone(), node)?;
-        collectors.push((STREAM_SADC, Box::new(sadc)));
-        if white_box {
-            let log = HadoopLogRpcd::connect(handle.clone(), node, LogDaemon::TaskTracker)?;
-            collectors.push((STREAM_LOG, Box::new(log)));
-            let strace = StraceRpcd::connect(handle.clone(), node)?;
-            collectors.push((STREAM_STRACE, Box::new(strace)));
+) -> Result<Vec<Stream>, WireError> {
+    let wired = if white_box { STREAMS.len() } else { 1 };
+    let mut streams: Vec<Stream> = STREAMS[..wired].iter().map(|s| (s.0, vec![])).collect();
+    for (tag, daemons) in &mut streams {
+        for node in 0..slaves {
+            let h = h.clone();
+            daemons.push(match *tag {
+                STREAM_SADC => Box::new(SadcRpcd::connect(h, node)?),
+                STREAM_LOG => Box::new(HadoopLogRpcd::connect(h, node, LogDaemon::TaskTracker)?),
+                _ => Box::new(StraceRpcd::connect(h, node)?),
+            });
         }
     }
-    Ok(collectors)
+    Ok(streams)
+}
+
+/// Polls every daemon of a stream under the one cluster lock into `frame`,
+/// `[n, dim, node₀…, node₁…]`, and returns the second's timestamp; `None`
+/// when a node has nothing, for a stream-second is whole or absent.
+fn poll_frame(
+    cluster: &mut Cluster,
+    daemons: &mut [Box<dyn Collector + Send>],
+    values: &mut Vec<f64>,
+    frame: &mut Vec<f64>,
+) -> Result<Option<u64>, WireError> {
+    frame.clear();
+    frame.extend([daemons.len() as f64, 0.0]);
+    let mut second = None;
+    for daemon in daemons {
+        let Some(ts) = daemon.poll_into_locked(cluster, values)? else {
+            return Ok(None);
+        };
+        frame[1] = values.len() as f64;
+        frame.extend_from_slice(values);
+        second = Some(ts);
+    }
+    Ok(second)
 }
 
 /// One tenant's collector feeder: ticks the monitored cluster once per
-/// step, polls every collector over the accounted wire, and pushes the
-/// encoded frames into the ingress queue — paced to `pace` per step (see
+/// step, polls every node's daemons over the accounted wire and queues each
+/// stream's second as one frame — paced to `pace` per step (see
 /// [`pace_step`]), or flat out when `pace` is `None` (a flooding tenant).
 fn feeder_loop(
     handle: ClusterHandle,
-    mut collectors: Vec<TaggedCollector>,
+    mut streams: Vec<Stream>,
     queue: Arc<IngressQueue>,
     stop: Arc<AtomicBool>,
     steps: u64,
     pace: Option<Duration>,
 ) {
     let mut deadline = Instant::now() + pace.unwrap_or_default();
-    // Every collector polls into this one buffer; the frame copies it out.
-    let mut values = Vec::new();
+    // A daemon's row and a stream's second, reused every step.
+    let (mut values, mut frame) = (Vec::new(), Vec::new());
     for _ in 0..steps {
         if stop.load(Ordering::Relaxed) {
             break;
         }
         handle.tick();
-        for (stream, collector) in &mut collectors {
-            match collector.poll_into(&mut values) {
-                Ok(Some(timestamp)) => {
-                    queue.push(encode_frame(
-                        *stream,
-                        collector.node() as u32,
-                        timestamp,
-                        &values,
-                    ));
-                }
+        for (tag, daemons) in &mut streams {
+            match handle.with(|c| poll_frame(c, daemons, &mut values, &mut frame)) {
+                Ok(Some(ts)) => queue.push(encode_frame(*tag, 0, ts, &frame)),
                 Ok(None) => {}
                 Err(e) => {
-                    eprintln!(
-                        "warning: [serve] {} collector poll failed, tenant stream ends: {e}",
-                        collector.kind()
-                    );
+                    let kind = daemons[0].kind();
+                    eprintln!("warning: [serve] {kind} poll failed, tenant stream ends: {e}");
                     return;
                 }
             }
@@ -727,8 +760,11 @@ fn pace_step(deadline: Instant, now: Instant, tick: Duration) -> (Duration, Inst
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::{envelope_bits, figure4_analyses};
     use asdf_core::engine::TickEngine;
     use asdf_modules::kernel::CentroidBlock;
+    use asdf_rpc::wire::MessageReader;
+    use hadoop_sim::faults::{FaultKind, FaultSpec};
 
     fn tiny_model() -> Arc<BlackBoxModel> {
         let dim = 120;
@@ -750,12 +786,29 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_the_ingress_encoding() {
-        let frame = encode_frame(STREAM_SADC, 3, 41, &[1.0, 2.5]);
-        let mut r = MessageReader::new(frame).unwrap();
-        assert_eq!(r.get_u8().unwrap(), STREAM_SADC);
+        // One stream-second of two nodes, one value each.
+        let second = [2.0, 1.0, 1.0, 2.5];
+        let from_node_3 = encode_frame(STREAM_LOG, 3, 41, &second);
+        let mut r = MessageReader::new(from_node_3.clone()).unwrap();
+        assert_eq!(r.get_u8().unwrap(), STREAM_LOG);
         assert_eq!(r.get_u32().unwrap(), 3);
         assert_eq!(r.get_u64().unwrap(), 41);
-        assert_eq!(r.get_f64_slice().unwrap(), vec![1.0, 2.5]);
+        assert_eq!(r.get_f64_slice().unwrap(), second);
+        let (mut widths, mut values) = ([None; 3], Vec::new());
+        assert_eq!(
+            decode_frame(&from_node_3, 2, &mut widths, &mut values),
+            None
+        );
+        assert_eq!(widths, [None; 3], "a bad frame sets no width");
+        let frame = encode_frame(STREAM_LOG, 0, 41, &second);
+        assert_eq!(
+            decode_frame(&frame, 2, &mut widths, &mut values),
+            Some((1, 41))
+        );
+        assert_eq!(
+            (values.as_slice(), widths),
+            (&second[..], [None, Some(1), None])
+        );
     }
 
     #[test]
@@ -775,28 +828,57 @@ mod tests {
         assert_eq!(pace_step(due, late, tick), (Duration::ZERO, late + tick));
     }
 
+    /// Drains `q` and returns the timestamps of the frames it held.
+    fn drained_stamps(q: &IngressQueue) -> Vec<u64> {
+        let mut out = Vec::new();
+        q.drain_into(&mut out);
+        let stamp = |f: &Bytes| {
+            let mut r = FrameReader::new(f).unwrap();
+            r.get_u8().unwrap();
+            r.get_u32().unwrap();
+            r.get_u64().unwrap()
+        };
+        out.iter().map(stamp).collect()
+    }
+
     #[test]
     fn ingress_queue_sheds_oldest_when_full() {
-        let q = IngressQueue::new("shedtest", 3);
+        let q = IngressQueue::new("shedtest", 3, 1);
         for i in 0..5u8 {
             q.push(encode_frame(STREAM_SADC, 0, i as u64, &[f64::from(i)]));
         }
         assert_eq!(q.len(), 3);
         assert_eq!(q.shed_count(), 2);
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
         // Oldest two (timestamps 0, 1) were shed; 2..5 survive in order.
-        let stamps: Vec<u64> = out
-            .into_iter()
-            .map(|f| {
-                let mut r = MessageReader::new(f).unwrap();
-                r.get_u8().unwrap();
-                r.get_u32().unwrap();
-                r.get_u64().unwrap()
-            })
-            .collect();
-        assert_eq!(stamps, [2, 3, 4]);
+        assert_eq!(drained_stamps(&q), [2, 3, 4]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ingress_queue_weighs_a_frame_by_its_rows() {
+        let second = |t| encode_frame(STREAM_SADC, 0, t, &[]);
+        // A 40-row queue of 20-node frames.
+        let q = IngressQueue::new("rowtest", 40, 20);
+        let depth = asdf_obs::registry().gauge("rpc.queue_depth.rowtest");
+        q.push(second(0));
+        q.push(second(1));
+        assert_eq!((q.len(), q.shed_count(), depth.get()), (2, 0, 40));
+        q.push(second(2));
+        assert_eq!(
+            (q.len(), q.shed_count()),
+            (2, 1),
+            "the third sheds the first"
+        );
+        assert_eq!(drained_stamps(&q), [1, 2]);
+        assert_eq!(depth.get(), 0);
+        // A frame the queue cannot hold is kept, on its own.
+        let q = IngressQueue::new("widetest", 40, 50);
+        let depth = asdf_obs::registry().gauge("rpc.queue_depth.widetest");
+        q.push(second(3));
+        assert_eq!((q.len(), q.shed_count(), depth.get()), (1, 0, 50));
+        q.push(second(4));
+        assert_eq!((q.len(), q.shed_count()), (1, 1));
+        assert_eq!(drained_stamps(&q), [4]);
     }
 
     #[test]
@@ -880,26 +962,23 @@ mod tests {
         assert_eq!(report.bb_alarms.len(), 32, "queued frames were discarded");
     }
 
-    /// Whether `frame` opens a collection step: the feeder polls node 0's
-    /// `sadc` first, and `sadc` answers every second.
+    /// Whether `frame` opens a collection step: the feeder sends the
+    /// `sadc` stream's second first, and `sadc` answers every second.
     fn opens_a_step(frame: &Bytes) -> bool {
-        let mut r = MessageReader::new(frame.clone()).unwrap();
-        r.get_u8().unwrap() == STREAM_SADC && r.get_u32().unwrap() == 0
+        FrameReader::new(frame).unwrap().get_u8().unwrap() == STREAM_SADC
     }
 
     /// The tap contents and routed-envelope count of a plain `TickEngine`
-    /// on a tenant's DAG, handed `frames` in chunks of `chunks` frames with
-    /// one tick after each chunk.
+    /// on the DAG `dag` builds over a queue, handed `frames` in chunks of
+    /// `chunks` frames with one tick after each chunk.
     fn offline_run(
-        daemon: &ServeDaemon,
-        origins: &[String],
+        dag: impl FnOnce(&Arc<IngressQueue>) -> Dag,
         frames: &[Bytes],
         chunks: &[usize],
     ) -> ([Vec<Envelope>; 3], u64) {
-        let queue = Arc::new(IngressQueue::new("offline", usize::MAX));
-        let dag = daemon.tenant_dag(&queue, origins.to_vec()).unwrap();
-        let mut engine = TickEngine::new(dag);
-        engine.set_batch_size(daemon.opts.batch_size);
+        let queue = Arc::new(IngressQueue::new("offline", usize::MAX, 1));
+        let mut engine = TickEngine::new(dag(&queue));
+        engine.set_batch_size(ServeOptions::default().batch_size);
         let taps = ["bb", "wb_tt", "wb_st"].map(|id| engine.tap(id).unwrap());
         let mut rest = frames;
         for &n in chunks {
@@ -912,16 +991,31 @@ mod tests {
         (taps.map(|tap| tap.drain()), engine.envelopes_routed())
     }
 
+    /// [`offline_run`] on the tenant DAG `daemon` generates.
+    fn tenant_run(
+        daemon: &ServeDaemon,
+        origins: &[String],
+        frames: &[Bytes],
+        chunks: &[usize],
+    ) -> ([Vec<Envelope>; 3], u64) {
+        offline_run(|q| daemon.tenant_dag(q, origins).unwrap(), frames, chunks)
+    }
+
     /// One white-box tenant's hostnames and frame sequence, captured from
-    /// the feeder itself.
-    fn captured_frames(opts: &ServeOptions, seed: u64, steps: u64) -> (Vec<String>, Vec<Bytes>) {
-        let cluster = Cluster::new(ClusterConfig::new(opts.slaves, seed), Vec::new());
+    /// the feeder itself, with `faults` injected into its cluster.
+    fn captured_frames(
+        opts: &ServeOptions,
+        seed: u64,
+        faults: &[FaultSpec],
+        steps: u64,
+    ) -> (Vec<String>, Vec<Bytes>) {
+        let cluster = Cluster::new(ClusterConfig::new(opts.slaves, seed), faults.to_vec());
         let origins: Vec<String> = (0..opts.slaves)
             .map(|i| cluster.slave_name(i).to_owned())
             .collect();
         let handle = ClusterHandle::new(cluster);
         let collectors = connect_collectors(&handle, opts.slaves, true).unwrap();
-        let captured = Arc::new(IngressQueue::new("capture", usize::MAX));
+        let captured = Arc::new(IngressQueue::new("capture", usize::MAX, 1));
         let never = Arc::new(AtomicBool::new(false));
         feeder_loop(
             handle,
@@ -943,18 +1037,52 @@ mod tests {
             ..fast_opts()
         };
         let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
-        let (origins, good) = captured_frames(&opts, 7, 40);
-        let (reference, _) = offline_run(&daemon, &origins, &good, &[good.len()]);
+        let (origins, good) = captured_frames(&opts, 7, &[], 40);
+        let (reference, _) = tenant_run(&daemon, &origins, &good, &[good.len()]);
         assert!(reference.iter().all(|tap| !tap.is_empty()));
 
-        // The same sequence with three frames nobody can read in it: cut
-        // short, noise, and a stream tag that does not exist.
-        let truncated = Bytes::from(good[5][..good[5].len() - 3].to_vec());
-        let noise = Bytes::from(vec![0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a, 0x7c, 0x15, 0xf3]);
+        // Step 20's `sadc` second, to build readable-looking frames from.
+        let mut r = MessageReader::new(good[3 * 20].clone()).unwrap();
+        assert_eq!(
+            (r.get_u8().unwrap(), r.get_u32().unwrap()),
+            (STREAM_SADC, 0)
+        );
+        let (ts, second) = (r.get_u64().unwrap(), r.get_f64_slice().unwrap());
+        let (n, dim) = (opts.slaves, second[1] as usize);
+        let short_of_a_node: Vec<f64> = [(n - 1) as f64, dim as f64]
+            .into_iter()
+            .chain(second[2 + dim..].iter().copied())
+            .collect();
+        let mut nan_header = second.clone();
+        nan_header[0] = f64::NAN;
+        // Every node's row a value short: whole, but not the model's width.
+        let narrow: Vec<f64> = [n as f64, (dim - 1) as f64]
+            .into_iter()
+            .chain(
+                second[2..]
+                    .chunks_exact(dim)
+                    .flat_map(|row| &row[1..])
+                    .copied(),
+            )
+            .collect();
+        // The same sequence with eight frames nobody can read in it: cut
+        // short, noise, a stream tag that does not exist, a second missing
+        // a node, a header its payload falls short of, a NaN header, a
+        // second that does not start at node 0, and one too narrow.
+        let bad = [
+            Bytes::from(good[5][..good[5].len() - 3].to_vec()),
+            Bytes::from(vec![0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a, 0x7c, 0x15, 0xf3]),
+            encode_frame(9, 0, ts, &second),
+            encode_frame(STREAM_SADC, 0, ts, &short_of_a_node),
+            encode_frame(STREAM_SADC, 0, ts, &[20.0, 120.0, 1.0, 2.0]),
+            encode_frame(STREAM_SADC, 0, ts, &nan_header),
+            encode_frame(STREAM_SADC, 1, ts, &second),
+            encode_frame(STREAM_SADC, 0, ts, &narrow),
+        ];
         let mut dirty = good.clone();
-        dirty.insert(200, encode_frame(9, 0, 20, &[1.0]));
-        dirty.insert(90, noise);
-        dirty.insert(6, truncated);
+        for (i, frame) in bad.into_iter().enumerate() {
+            dirty.insert(6 + 17 * i, frame);
+        }
 
         // A tenant that streams nothing itself; its queue is fed by hand.
         let hello = Handshake::new("dirty").encode();
@@ -964,7 +1092,7 @@ mod tests {
         assert!(daemon.wait_idle("dirty", Duration::from_secs(30)));
         assert!(!daemon.tenants["dirty"].engine.has_failed());
         let report = daemon.leave_tenant("dirty").unwrap();
-        assert_eq!(report.bad_frames, 3);
+        assert_eq!(report.bad_frames, 8);
         assert_eq!(report.shed, 0);
         assert!(report.bb_alarms == reference[0], "bb diverged");
         assert!(report.wb_tt_alarms == reference[1], "wb_tt diverged");
@@ -980,7 +1108,7 @@ mod tests {
         };
         let mut daemon = ServeDaemon::new(tiny_model(), opts.clone());
 
-        let (origins, frames) = captured_frames(&opts, seed, steps);
+        let (origins, frames) = captured_frames(&opts, seed, &[], steps);
 
         let mut bounds: Vec<usize> = (0..frames.len())
             .filter(|&i| opens_a_step(&frames[i]))
@@ -999,11 +1127,11 @@ mod tests {
             }
         }
 
-        let (at_once, routed) = offline_run(&daemon, &origins, &frames, &[frames.len()]);
+        let (at_once, routed) = tenant_run(&daemon, &origins, &frames, &[frames.len()]);
         assert_eq!(at_once[0].len() as u64, steps / 10 * 4 * 2);
         assert!(!at_once[1].is_empty() && !at_once[2].is_empty());
         for chunks in [per_step, ragged] {
-            let (taps, n) = offline_run(&daemon, &origins, &frames, &chunks);
+            let (taps, n) = tenant_run(&daemon, &origins, &frames, &chunks);
             assert!(
                 taps == at_once,
                 "the split of frames over ticks changed an alarm"
@@ -1032,6 +1160,152 @@ mod tests {
                 "{tenant}: wb_st diverged"
             );
             assert_eq!(report.delivered, routed, "{tenant}: delivered");
+        }
+    }
+
+    #[test]
+    fn a_tenant_dag_is_seven_instances_at_any_cluster_size() {
+        for slaves in [3, 20, 200] {
+            let origins: Vec<String> = (0..slaves).map(|i| format!("slave{i:02}")).collect();
+            for (white_box, instances) in [(true, 7), (false, 3)] {
+                let opts = ServeOptions {
+                    slaves,
+                    white_box,
+                    ..fast_opts()
+                };
+                let daemon = ServeDaemon::new(tiny_model(), opts);
+                let queue = Arc::new(IngressQueue::new("shape", 1, 1));
+                let dag = daemon.tenant_dag(&queue, &origins).unwrap();
+                assert_eq!(
+                    dag.len(),
+                    instances,
+                    "{slaves} slaves, white box {white_box}"
+                );
+            }
+        }
+    }
+
+    /// The tenant front end before frames, kept as the reference the one-rack
+    /// DAG is held to: drains the same queue and splits every stream-second
+    /// onto per-node ports `sadc{i}` / `tt{i}` / `st{i}`, origin node i's
+    /// hostname.
+    struct SplitIngest {
+        queue: Arc<IngressQueue>,
+        origins: Vec<String>,
+        ports: [Vec<PortId>; 3],
+    }
+
+    impl Module for SplitIngest {
+        fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+            for (ports, (_, name)) in self.ports.iter_mut().zip(STREAMS) {
+                for (i, origin) in self.origins.iter().enumerate() {
+                    ports
+                        .push(ctx.declare_output_with_origin(format!("{name}{i}"), origin.clone()));
+                }
+            }
+            ctx.request_periodic(TickDuration::SECOND);
+            Ok(())
+        }
+
+        fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
+            let (mut frames, mut values) = (Vec::new(), Vec::new());
+            self.queue.drain_into(&mut frames);
+            for frame in frames {
+                let (stream, ts) =
+                    decode_frame(&frame, self.origins.len(), &mut [None; 3], &mut values)
+                        .expect("a captured frame");
+                let dim = values[1] as usize;
+                for (&port, row) in self.ports[stream].iter().zip(values[2..].chunks_exact(dim)) {
+                    ctx.emit_row_at(port, Timestamp::from_secs(ts), row);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The per-node tenant DAG behind [`SplitIngest`]: Figure 4's analysis
+    /// half per node on its `sadc{i}` / `tt{i}` / `st{i}` ports.
+    fn tenant_per_node(o: &ServeOptions, model: &BlackBoxModel) -> Config {
+        let analyses = figure4_analyses(&o.analyses(), model, o.slaves, &["tt", "st"], |s, i| {
+            format!("ingest.{s}{i}")
+        });
+        format!("[split_ingest]\nid = ingest\n\n{analyses}")
+            .parse()
+            .expect("the per-node tenant parses")
+    }
+
+    #[test]
+    fn the_frame_dag_equals_the_per_node_tenant_dag_bitwise() {
+        let opts = |slaves| ServeOptions {
+            slaves,
+            window: 10,
+            slide: 5,
+            threshold: 4.0,
+            consecutive: 1,
+            white_box: true,
+            ..fast_opts()
+        };
+        // A model fitted to the tenants' own `sadc` rows, so that the nodes
+        // fall into several states.
+        let (_, frames) = captured_frames(&opts(4), 3, &[], 150);
+        let mut rows = Vec::new();
+        for frame in frames.iter().filter(|f| opens_a_step(f)) {
+            let mut values = Vec::new();
+            decode_frame(frame, 4, &mut [None; 3], &mut values).unwrap();
+            rows.extend(
+                values[2..]
+                    .chunks_exact(values[1] as usize)
+                    .map(<[f64]>::to_vec),
+            );
+        }
+        let model = Arc::new(BlackBoxModel::fit(&rows, 6, 1));
+        for slaves in [3, 4, 7] {
+            let o = opts(slaves);
+            let daemon = ServeDaemon::new(Arc::clone(&model), o.clone());
+            for seed in [7, 8] {
+                // One fault for each path to see.
+                let faults = [(0, FaultKind::DiskHog), (slaves - 1, FaultKind::Hadoop1036)].map(
+                    |(node, kind)| FaultSpec {
+                        node,
+                        kind,
+                        start_at: 30,
+                    },
+                );
+                let (origins, frames) = captured_frames(&o, seed, &faults, 400);
+                let all = [frames.len()];
+                let (generated, _) = tenant_run(&daemon, &origins, &frames, &all);
+                let per_node = |queue: &Arc<IngressQueue>| {
+                    let mut registry = ModuleRegistry::new();
+                    asdf_modules::register_analysis_modules(&mut registry);
+                    let (queue, origins) = (Arc::clone(queue), origins.clone());
+                    registry.register("split_ingest", move || {
+                        Box::new(SplitIngest {
+                            queue: Arc::clone(&queue),
+                            origins: origins.clone(),
+                            ports: Default::default(),
+                        })
+                    });
+                    Dag::build(&registry, &tenant_per_node(&o, &model)).unwrap()
+                };
+                let (reference, _) = offline_run(per_node, &frames, &all);
+                for ((want, got), id) in reference
+                    .iter()
+                    .zip(&generated)
+                    .zip(["bb", "wb_tt", "wb_st"])
+                {
+                    let want = envelope_bits(want);
+                    let distinct: std::collections::BTreeSet<_> =
+                        want.iter().map(|e| &e.4).collect();
+                    assert!(
+                        distinct.len() > 2,
+                        "{slaves} slaves, seed {seed}: `{id}` says one thing all run"
+                    );
+                    assert!(
+                        envelope_bits(got) == want,
+                        "{slaves} slaves, seed {seed}: `{id}`"
+                    );
+                }
+            }
         }
     }
 }

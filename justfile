@@ -68,10 +68,13 @@ bench-smoke:
 # The N-tenant serve soak: healthy tenants bitwise-identical to their
 # solo runs while a flooding tenant sheds, join/leave mid-run, graceful
 # shutdown flush, the 8-tenant scheduler-lag bound and the two-thread
-# tenant budget; then the suites that guard the one online path (online
-# == run_for, lifecycle, stop latency).
+# tenant budget; the daemon's own suite (the one-rack tenant DAG bitwise
+# equal to the per-node one, 7 instances at any size, bad frames skipped,
+# the queue bounded in node-samples); then the suites that guard
+# the one online path (online == run_for, lifecycle, stop latency).
 serve-soak:
     cargo test -p integration-tests --test serve_soak --test online_engine
+    cargo test -p asdf --lib -- serve::tests
     cargo test -p asdf-core --test online_semantics
 
 # Warnings-denied rustdoc build of the first-party crates (the vendored

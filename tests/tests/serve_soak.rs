@@ -72,7 +72,8 @@ fn healthy_tenants_match_their_solo_runs_while_a_flooder_sheds() {
         .collect();
 
     // Same three tenants again, now sharing the process with a flooding
-    // tenant whose tiny queue forces shed-oldest under max-rate streaming.
+    // tenant whose tiny queue (four stream-seconds of four nodes) forces
+    // shed-oldest under max-rate streaming.
     let mut daemon = ServeDaemon::new(tiny_model(), opts);
     for seed in 1..=3u64 {
         join(
@@ -90,7 +91,7 @@ fn healthy_tenants_match_their_solo_runs_while_a_flooder_sheds() {
     let flood_report = drain(&mut daemon, "flooder");
     assert!(
         flood_report.shed > 0,
-        "a max-rate tenant behind a 16-frame queue must shed"
+        "a max-rate tenant behind a 16-row queue must shed"
     );
 
     for (seed, solo) in (1..=3u64).zip(solos) {
@@ -224,7 +225,7 @@ fn thread_budget_measured_alone() {
     let joined = threads();
     assert!(
         joined <= idle + 2,
-        "a 20-slave white-box tenant (62 module instances) should cost a pacer and a \
+        "a 20-slave white-box tenant (7 module instances) should cost a pacer and a \
          feeder, not {} threads",
         joined - idle
     );
