@@ -69,7 +69,7 @@ use parking_lot::Mutex;
 
 use crate::dag::{Dag, DagNode};
 use crate::error::RunEngineError;
-use crate::module::{EmitRows, Envelope, Heard, PortId, RowBlock, RowEmit, RunCtx, RunReason};
+use crate::module::{EmitRows, Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
 use crate::time::{TickDuration, Timestamp};
 use crate::value::{Sample, Value};
 
@@ -759,11 +759,6 @@ fn run_module(
         n_outputs: rt.node.outputs.len(),
         emitted_rows: &mut rt.row_emit,
         row_backlog: &mut rt.row_backlog,
-        // Read per run, not at construction: `tap` attaches later.
-        heard: Heard {
-            tapped: !rt.taps.is_empty(),
-            routes: &rt.route_map,
-        },
     };
     let batch_size = rt.batch_size;
     let result = {
@@ -2395,10 +2390,9 @@ input[i] = join.total
 
     #[test]
     fn a_tap_attached_after_construction_sees_every_row_of_an_unrouted_port() {
-        // Nobody hears `unheard` while the engine is untapped, so its rows
-        // are never built; whether anybody does is read on every run, not
-        // once in `TickEngine::new`, so a tap attached three ticks in gets
-        // every row of both ports from the fourth on.
+        // Nothing is wired to `unheard`, so until a tap is attached its rows
+        // go nowhere; a tap attached three ticks in gets every row of both
+        // ports from the fourth on.
         let cfg = "[twoports]\nid = p\n\n[rowfold]\nid = f\ninput[i] = p.heard\n";
         for batch in [1usize, 64] {
             for threads in [1usize, 2] {

@@ -461,32 +461,16 @@ pub struct RunCtx<'a> {
     pub(crate) emitted_rows: &'a mut Vec<RowEmit>,
     pub(crate) row_backlog: &'a mut Vec<(usize, Arc<RowBlock>)>,
     pub(crate) n_outputs: usize,
-    pub(crate) heard: Heard<'a>,
 }
 
-/// Who can observe what an instance emits, read when its module runs (a
-/// tap may have been attached since the engine was built): with a tap,
-/// every port; without one, the ports an edge leaves from.
-#[derive(Clone, Copy)]
-pub(crate) struct Heard<'a> {
-    /// Whether the instance has a tap.
-    pub(crate) tapped: bool,
-    /// Per output port, its `(edge, destination slot)` routes.
-    pub(crate) routes: &'a [Vec<(usize, usize)>],
-}
-
-impl Heard<'_> {
-    /// Checks that `port` was declared, and returns whether a row emitted
-    /// on it would reach a tap or a consumer.
-    fn port(self, port: PortId, n_outputs: usize) -> bool {
-        assert!(
-            port.0 < n_outputs,
-            "emit on undeclared port {} (instance has {} outputs)",
-            port.0,
-            n_outputs
-        );
-        self.tapped || !self.routes[port.0].is_empty()
-    }
+/// Panics unless `port` is one of an instance's `n_outputs` declared ports.
+fn check_declared(port: PortId, n_outputs: usize) {
+    assert!(
+        port.0 < n_outputs,
+        "emit on undeclared port {} (instance has {} outputs)",
+        port.0,
+        n_outputs
+    );
 }
 
 impl<'a> RunCtx<'a> {
@@ -563,7 +547,6 @@ impl<'a> RunCtx<'a> {
                 emitted: &mut *self.emitted,
                 emitted_rows: &mut *self.emitted_rows,
                 n_outputs: self.n_outputs,
-                heard: self.heard,
             },
         )
     }
@@ -609,14 +592,6 @@ impl<'a> RunCtx<'a> {
     /// [`RowBlock`] with no per-sample allocation. Rows are routed after
     /// the run's scalar `emit` calls.
     ///
-    /// A row nobody can observe costs nothing: when no edge leaves `port`
-    /// and the instance has no tap, the call returns before the payload is
-    /// built. That is what lets a collector keep one origin-labelled port
-    /// per node — there for whoever wires or taps it — while a fleet
-    /// deployment listens only to its per-rack port. Whether anyone is
-    /// listening is read when the module runs, so a tap attached after the
-    /// engine was built sees every row from then on.
-    ///
     /// # Panics
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
@@ -631,9 +606,8 @@ impl<'a> RunCtx<'a> {
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
     pub fn emit_row_at(&mut self, port: PortId, ts: Timestamp, row: &[f64]) {
-        if self.heard.port(port, self.n_outputs) {
-            push_row(self.emitted_rows, port, ts, row);
-        }
+        check_declared(port, self.n_outputs);
+        push_row(self.emitted_rows, port, ts, row);
     }
 
     /// Emits a value on `port`, stamped with the current engine time.
@@ -652,12 +626,7 @@ impl<'a> RunCtx<'a> {
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
     pub fn emit_sample(&mut self, port: PortId, sample: Sample) {
-        assert!(
-            port.0 < self.n_outputs,
-            "emit on undeclared port {} (instance has {} outputs)",
-            port.0,
-            self.n_outputs
-        );
+        check_declared(port, self.n_outputs);
         self.emitted.push((port, sample));
     }
 }
@@ -703,7 +672,6 @@ pub struct Emitter<'a> {
     emitted: &'a mut Vec<(PortId, Sample)>,
     emitted_rows: &'a mut Vec<RowEmit>,
     n_outputs: usize,
-    heard: Heard<'a>,
 }
 
 impl Emitter<'_> {
@@ -727,12 +695,7 @@ impl Emitter<'_> {
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
     pub fn emit_sample(&mut self, port: PortId, sample: Sample) {
-        assert!(
-            port.0 < self.n_outputs,
-            "emit on undeclared port {} (instance has {} outputs)",
-            port.0,
-            self.n_outputs
-        );
+        check_declared(port, self.n_outputs);
         self.emitted.push((port, sample));
     }
 
@@ -753,9 +716,8 @@ impl Emitter<'_> {
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
     pub fn emit_row_at(&mut self, port: PortId, ts: Timestamp, row: &[f64]) {
-        if self.heard.port(port, self.n_outputs) {
-            push_row(self.emitted_rows, port, ts, row);
-        }
+        check_declared(port, self.n_outputs);
+        push_row(self.emitted_rows, port, ts, row);
     }
 }
 
@@ -768,12 +730,6 @@ mod tests {
         Vec<Arc<OutputMeta>>,
         ScheduleSpec,
     );
-
-    /// A tapped instance: every port is heard, whatever its routes.
-    const TAPPED: Heard<'static> = Heard {
-        tapped: true,
-        routes: &[],
-    };
 
     fn ctx_fixture(_cfg: &InstanceConfig) -> CtxParts {
         (Vec::new(), Vec::new(), ScheduleSpec::default())
@@ -873,7 +829,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 1,
-            heard: TAPPED,
         };
         assert_eq!(ctx.pending(), 2);
         let got = ctx.take_slot("in");
@@ -913,7 +868,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 1,
-            heard: TAPPED,
         };
         let drained: Vec<(usize, Envelope)> = ctx.drain_all().collect();
         assert_eq!(ctx.pending(), 0);
@@ -928,7 +882,6 @@ mod tests {
             emitted_rows: &mut rows2,
             row_backlog: &mut backlog2,
             n_outputs: 1,
-            heard: TAPPED,
         };
         assert_eq!(drained, ref_ctx.take_all());
     }
@@ -962,7 +915,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 1,
-            heard: TAPPED,
         };
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
@@ -1001,7 +953,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 0,
-            heard: TAPPED,
         };
         assert_eq!(ctx.discard_pending(), 3);
         assert_eq!(ctx.pending(), 0);
@@ -1023,7 +974,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 2,
-            heard: TAPPED,
         };
         ctx.emit_row(PortId(0), &[1.0, 2.0]);
         ctx.emit_row_at(PortId(0), Timestamp::from_secs(4), &[3.0, 4.0]);
@@ -1049,45 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_row_builds_nothing_for_a_port_nobody_hears() {
-        let slot_names: Vec<String> = Vec::new();
-        let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
-        let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
-        // Port 0 has no route, port 1 has one; no tap.
-        let routes = [Vec::new(), vec![(0, 0)]];
-        let mut ctx = RunCtx {
-            now: Timestamp::from_secs(3),
-            slot_names: &slot_names,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
-            n_outputs: 2,
-            heard: Heard {
-                tapped: false,
-                routes: &routes,
-            },
-        };
-        ctx.emit_row(PortId(0), &[1.0, 2.0]);
-        ctx.emit_row(PortId(1), &[3.0]);
-        let (_, mut emit) = ctx.drain_and_emit();
-        emit.emit_row(PortId(0), &[4.0]);
-        emit.emit_row_at(PortId(1), Timestamp::from_secs(9), &[5.0]);
-        // A scalar is staged either way; the engine drops it unrouted.
-        emit.emit(PortId(0), 7.0);
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(rows.len(), 1, "only port 1's rows were staged");
-        assert_eq!(rows[0].port, PortId(1));
-        let EmitRows::Many { stamps, data, .. } = &rows[0].rows else {
-            panic!("both rows of port 1 staged");
-        };
-        assert_eq!(*data, vec![3.0, 5.0]);
-        assert_eq!(stamps[1], Timestamp::from_secs(9));
-    }
-
-    #[test]
     #[should_panic(expected = "undeclared port")]
     fn emit_row_on_undeclared_port_panics_even_when_unheard() {
         let slot_names: Vec<String> = Vec::new();
@@ -1095,7 +1006,6 @@ mod tests {
         let mut emitted = Vec::new();
         let mut rows = Vec::new();
         let mut backlog = Vec::new();
-        let routes = [Vec::new()];
         let mut ctx = RunCtx {
             now: Timestamp::EPOCH,
             slot_names: &slot_names,
@@ -1104,10 +1014,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 1,
-            heard: Heard {
-                tapped: false,
-                routes: &routes,
-            },
         };
         ctx.emit_row(PortId(1), &[1.0]);
     }
@@ -1141,7 +1047,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 0,
-            heard: TAPPED,
         };
         assert_eq!(ctx.pending(), 3);
         let taken = ctx.take_row_blocks();
@@ -1172,7 +1077,6 @@ mod tests {
             emitted_rows: &mut rows,
             row_backlog: &mut backlog,
             n_outputs: 0,
-            heard: TAPPED,
         };
         ctx.emit(PortId(0), 1.0);
     }

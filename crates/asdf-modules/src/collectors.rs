@@ -17,19 +17,17 @@
 //! * `strace` — per-category syscall counts of the node's tasktracker
 //!   process tree from `strace_rpcd` (the paper's §5 future-work module).
 //!
-//! Each takes `node = i` (the paper's Figure 3 dialect: the one-element
-//! range) or `nodes = lo..hi` (a half-open index range), and an optional
-//! input `clock`. One instance holds one daemon connection per node and
-//! polls them all under one cluster lock per pulse. Outputs: one per node,
-//! `output0`, `output1`, … in node order = that node's vector, origin =
-//! that node's hostname. With `nodes`, one more output, `frame` = the whole
-//! range's second as one row `[k, dim, node₀ values…, node₁ values…]` (the
-//! layout of [`crate::rack::RackSummary`], samples where the means go),
-//! origin = the first node's hostname: the edge a rack's `knn`, `mavgvec`
-//! or `rack_agg` listens to. A per-node port that nobody wires or taps
-//! costs nothing — the engine drops its rows before they are built
-//! (`RunCtx::emit_row`) — so a deployment moves one row per rack per
-//! second, and a tap on `output3` still gets exactly node 3's stream.
+//! Each takes `node = i` (the paper's Figure 3 dialect) or `nodes = lo..hi`
+//! (a half-open index range, a rack), and an optional input `clock`. One
+//! instance holds one daemon connection per node and polls them all under
+//! one cluster lock per pulse ([`poll_frame`]) into the second's frame,
+//! `[k, dim, node₀ values…, node₁ values…]` (the layout of
+//! [`crate::rack::RackSummary`], samples where the means go) — whole, or
+//! absent when some node has nothing for the second. A range emits it on
+//! its one output, `frame`, origin = the first node's hostname: the edge a
+//! rack's `knn`, `mavgvec`, `rack_agg` or `metric_rank` listens to. A
+//! single node emits the frame's values, its bare vector, on its one
+//! output, `output0`, origin = its hostname.
 
 use std::ops::Range;
 
@@ -38,6 +36,7 @@ use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::TickDuration;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
 use asdf_rpc::wire::WireError;
+use hadoop_sim::cluster::Cluster;
 
 /// Advances the simulated cluster one second per engine tick and emits a
 /// clock pulse that downstream collectors trigger on.
@@ -77,21 +76,20 @@ type Connect<D> = fn(&InitCtx<'_>, ClusterHandle, usize) -> Result<D, ModuleErro
 ///
 /// Every node keeps what the paper's one-instance-per-node deployment gives
 /// it — its own connection, its own request and response on the wire, its
-/// own byte accounting, its own output port whose origin is its hostname —
-/// and the instance takes the cluster lock once per clock pulse for all of
-/// them. A range also leaves as one row on the `frame` port (see the
-/// module docs); nothing is allocated per node per second either way, and
-/// the per-node poll is a static call on `D`.
+/// own byte accounting — and the instance takes the cluster lock once per
+/// clock pulse for all of them. The second leaves as one row (see the
+/// module docs); nothing is allocated per node per second, and the
+/// per-node poll is a static call on `D`.
 pub struct RangeCollector<D> {
     cluster: ClusterHandle,
     connect: Connect<D>,
-    /// One daemon and its output port per monitored node, in node order.
-    daemons: Vec<(D, PortId)>,
-    /// Every poll decodes into this one buffer; `emit_row` copies it out
-    /// for whoever listens to the node's port.
+    /// One daemon per monitored node, in node order.
+    daemons: Vec<D>,
+    /// The one output and where its row starts in `frame`: `frame` from
+    /// the header for a range, `output0` past it for one node.
+    port: Option<(PortId, usize)>,
+    /// Every poll decodes into this one buffer.
     buf: Vec<f64>,
-    /// `nodes = lo..hi` only: the `frame` port.
-    frame_port: Option<PortId>,
     /// The second's frame as it is assembled: `[k, dim, values…]`.
     frame: Vec<f64>,
 }
@@ -154,8 +152,8 @@ impl<D> RangeCollector<D> {
             cluster,
             connect,
             daemons: Vec::new(),
+            port: None,
             buf: Vec::new(),
-            frame_port: None,
             frame: Vec::new(),
         }
     }
@@ -203,20 +201,45 @@ impl<D> RangeCollector<D> {
     }
 }
 
+/// Polls every daemon, in node order, under the held cluster lock into
+/// `frame`, the second's `[k, dim, node₀ values…, node₁ values…]`, each
+/// row decoded into `buf` on the way. Returns the second's timestamp only
+/// when every node answered (`frame` is unspecified otherwise): a second
+/// is whole or absent, so its peers share a time point (paper §3.7).
+///
+/// # Errors
+///
+/// The first response that fails to decode.
+pub fn poll_frame<'a, D: Collector + ?Sized + 'a>(
+    cluster: &mut Cluster,
+    daemons: impl ExactSizeIterator<Item = &'a mut D>,
+    buf: &mut Vec<f64>,
+    frame: &mut Vec<f64>,
+) -> Result<Option<u64>, WireError> {
+    frame.clear();
+    frame.extend([daemons.len() as f64, 0.0]);
+    let mut second = Some(0);
+    for daemon in daemons {
+        // Polled whatever its peers answered: a node's bytes are its own.
+        second = second.and(daemon.poll_into_locked(cluster, buf)?);
+        frame[1] = buf.len() as f64;
+        frame.extend_from_slice(buf);
+    }
+    Ok(second)
+}
+
 impl<D: Collector + Send> Module for RangeCollector<D> {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         let nodes = self.node_range(ctx)?;
-        let first = nodes.start;
-        for (j, node) in nodes.enumerate() {
-            let daemon = (self.connect)(ctx, self.cluster.clone(), node)?;
-            let origin = self.cluster.slave_name(node);
-            let port = ctx.declare_output_with_origin(format!("output{j}"), origin);
-            self.daemons.push((daemon, port));
-        }
-        if ctx.param("nodes").is_some() {
-            // After the node ports, so `output{j}` stays port j.
-            let origin = self.cluster.slave_name(first);
-            self.frame_port = Some(ctx.declare_output_with_origin("frame", origin));
+        let origin = self.cluster.slave_name(nodes.start);
+        let (name, skip) = match ctx.param("nodes") {
+            Some(_) => ("frame", 0),
+            None => ("output0", 2),
+        };
+        self.port = Some((ctx.declare_output_with_origin(name, origin), skip));
+        for node in nodes {
+            self.daemons
+                .push((self.connect)(ctx, self.cluster.clone(), node)?);
         }
         // Free-run once per second without a clock input, trigger per
         // pulse with one.
@@ -226,7 +249,7 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
             n => {
                 return Err(ModuleError::BadInputs(format!(
                     "{} takes at most one clock input, got {n}",
-                    self.daemons[0].0.kind()
+                    self.daemons[0].kind()
                 )))
             }
         }
@@ -235,40 +258,15 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         ctx.discard_pending();
-        let RangeCollector {
-            cluster,
-            daemons,
-            buf,
-            frame_port,
-            frame,
-            ..
-        } = self;
-        let k = daemons.len();
-        frame.clear();
-        let polled = cluster.with(|c| {
-            let mut polled = 0;
-            for (daemon, port) in daemons.iter_mut() {
-                let sample = daemon.poll_into_locked(c, buf).map_err(|e| {
-                    ModuleError::Other(format!("{}_rpcd poll failed: {e}", daemon.kind()))
-                })?;
-                if sample.is_none() {
-                    continue;
-                }
-                polled += 1;
-                ctx.emit_row(*port, buf);
-                if frame_port.is_some() {
-                    if frame.is_empty() {
-                        frame.extend([k as f64, buf.len() as f64]);
-                    }
-                    frame.extend_from_slice(buf);
-                }
-            }
-            Ok(polled)
-        })?;
-        // Under the one lock every node has rendered its second or (before
-        // the first simulated one) none has: a frame is whole or absent.
-        if let Some(port) = frame_port.filter(|_| polled == k) {
-            ctx.emit_row(port, frame);
+        let (daemons, buf, frame) = (&mut self.daemons, &mut self.buf, &mut self.frame);
+        let polled = self
+            .cluster
+            .with(|c| poll_frame(c, daemons.iter_mut(), buf, frame));
+        let kind = self.daemons[0].kind();
+        let polled =
+            polled.map_err(|e| ModuleError::Other(format!("{kind}_rpcd poll failed: {e}")))?;
+        if let (Some(_), Some((port, skip))) = (polled, self.port) {
+            ctx.emit_row(port, &self.frame[skip..]);
         }
         Ok(())
     }
@@ -431,7 +429,7 @@ input[clock] = drv.tick
             "",
         );
         let ahead = ("", "", "\n[cluster_driver]\nid = drv\n");
-        for (kind, params, _, silent_at_first) in kinds() {
+        for (kind, params, dim, silent_at_first) in kinds() {
             for (head, clock, tail) in [clocked, ahead] {
                 let rack =
                     format!("{head}[{kind}]\nid = rack\n{params}nodes = 1..4\n{clock}{tail}");
@@ -439,6 +437,11 @@ input[clock] = drv.tick
                     .map(|i| format!("[{kind}]\nid = s{i}\n{params}node = {i}\n{clock}\n"))
                     .collect::<String>();
                 let per_node = format!("{head}{per_node}{tail}");
+                // A range declares one port, its frame.
+                let dag = Dag::build(&registry(&handle(5)), &rack.parse().unwrap()).unwrap();
+                let ports = &dag.node("rack").unwrap().outputs;
+                assert_eq!(ports.len(), 1, "{kind}");
+                assert_eq!(ports[0].name, "frame");
                 // Without the clock edge nothing orders collectors and driver
                 // on a sharded engine, so only the serial one runs that form.
                 let thread_counts: &[usize] = if clock.is_empty() { &[1] } else { &[1, 2] };
@@ -456,24 +459,24 @@ input[clock] = drv.tick
                         };
                         let rack_tap = &run(&rack, &["rack"])[0];
                         let node_taps = run(&per_node, &["s1", "s2", "s3"]);
+                        let frames = port_stream(rack_tap, "frame");
+                        assert_eq!(frames.len(), rack_tap.len(), "nothing but frames leave");
                         for (j, node_tap) in node_taps.iter().enumerate() {
                             let expected = port_stream(node_tap, "output0");
                             let skipped = u64::from(clock.is_empty() && silent_at_first);
                             assert_eq!(expected.len() as u64, SECS - skipped, "{kind}");
                             assert_eq!(expected[0].0, format!("slave{:02}", j + 1));
+                            let node_j = |(_, t, bits): &(String, u64, Vec<u64>), at: usize| {
+                                (*t, bits[at..][..dim].to_vec())
+                            };
+                            let expected: Vec<_> = expected.iter().map(|e| node_j(e, 0)).collect();
+                            let in_frames: Vec<_> =
+                                frames.iter().map(|f| node_j(f, 2 + j * dim)).collect();
                             assert_eq!(
-                                port_stream(rack_tap, &format!("output{j}")),
-                                expected,
-                                "{kind} port {j}, batch {batch}, threads {threads}"
+                                in_frames, expected,
+                                "{kind} node {j}, batch {batch}, threads {threads}"
                             );
                         }
-                        let frames = port_stream(rack_tap, "frame").len();
-                        assert_eq!(frames, node_taps[0].len(), "one frame a second");
-                        assert_eq!(
-                            rack_tap.len() - frames,
-                            3 * node_taps[0].len(),
-                            "no other port but `frame`"
-                        );
                     }
                 }
             }
@@ -484,47 +487,56 @@ input[clock] = drv.tick
     fn node_range_frame_is_every_node_port_of_the_second_bitwise() {
         // Clocked, and free-running ahead of the driver: there the run at
         // t=0 polls `Ok(None)` from every `sadc` or `strace` node, and no
-        // frame may leave.
+        // frame may leave. Beside the rack, node 2 alone in both forms, each
+        // on a cluster of its own (log daemons drain what they read):
+        // `node = 2` emits the values of `nodes = 2..3`'s frame.
         for (kind, params, dim, silent_at_first) in kinds() {
-            let clocked = format!(
-                "[cluster_driver]\nid = drv\n\n\
-                 [{kind}]\nid = rack\n{params}nodes = 1..4\ninput[clock] = drv.tick\n"
-            );
-            let ahead = format!(
-                "[{kind}]\nid = rack\n{params}nodes = 1..4\n\n[cluster_driver]\nid = drv\n"
-            );
-            for (cfg, first_second, thread_counts) in [
-                (clocked, 0, &[1, 2][..]),
-                (ahead, u64::from(silent_at_first), &[1][..]),
+            let driver = "[cluster_driver]\nid = drv\n\n";
+            for (clock, first_second, thread_counts) in [
+                ("input[clock] = drv.tick\n", 0, &[1, 2][..]),
+                ("", u64::from(silent_at_first), &[1][..]),
             ] {
                 for batch in [1, 64] {
                     for &threads in thread_counts {
-                        let h = handle(5);
-                        let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
-                        let mut eng = TickEngine::with_threads(dag, threads);
-                        eng.set_batch_size(batch);
-                        let tap = eng.tap("rack").unwrap();
-                        eng.run_for(TickDuration::from_secs(SECS)).unwrap();
+                        let run = |nodes: &str, port: &str| {
+                            let collector = format!("[{kind}]\nid = c\n{params}{nodes}\n{clock}\n");
+                            let cfg = if clock.is_empty() {
+                                format!("{collector}{driver}")
+                            } else {
+                                format!("{driver}{collector}")
+                            };
+                            let h = handle(5);
+                            let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
+                            let mut eng = TickEngine::with_threads(dag, threads);
+                            eng.set_batch_size(batch);
+                            let tap = eng.tap("c").unwrap();
+                            eng.run_for(TickDuration::from_secs(SECS)).unwrap();
+                            port_stream(&tap, port)
+                        };
 
-                        let frames = port_stream(&tap, "frame");
+                        let frames = run("nodes = 1..4", "frame");
                         let seconds: Vec<u64> = frames.iter().map(|(_, t, _)| *t).collect();
                         assert_eq!(seconds, (first_second..SECS).collect::<Vec<_>>());
-                        let nodes: Vec<_> = (0..3)
-                            .map(|j| port_stream(&tap, &format!("output{j}")))
-                            .collect();
-                        for (i, (origin, t, frame)) in frames.iter().enumerate() {
+                        let header = [3f64.to_bits(), (dim as f64).to_bits()];
+                        for (origin, t, frame) in &frames {
                             assert_eq!(origin, "slave01", "the range's first node");
-                            let mut want = vec![3f64.to_bits(), (dim as f64).to_bits()];
-                            for node in &nodes {
-                                assert_eq!(node[i].1, *t);
-                                want.extend_from_slice(&node[i].2);
-                            }
-                            assert_eq!(want.len(), 2 + 3 * dim);
-                            assert_eq!(
-                                *frame, want,
-                                "{kind} t={t}, batch {batch}, threads {threads}"
-                            );
+                            assert_eq!(frame[..2], header, "{kind} t={t}");
+                            assert_eq!(frame.len(), 2 + 3 * dim);
                         }
+
+                        let one = run("node = 2", "output0");
+                        let range = run("nodes = 2..3", "frame");
+                        assert_eq!(one.len(), frames.len());
+                        let header = [1f64.to_bits(), (dim as f64).to_bits()];
+                        let unframed: Vec<_> = range
+                            .iter()
+                            .map(|(origin, t, frame)| {
+                                assert_eq!(frame[..2], header);
+                                (origin.clone(), *t, frame[2..].to_vec())
+                            })
+                            .collect();
+                        assert_eq!(one[0].0, "slave02");
+                        assert_eq!(one, unframed, "{kind}, batch {batch}, threads {threads}");
                     }
                 }
             }

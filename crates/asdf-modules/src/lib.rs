@@ -17,7 +17,7 @@
 //! (rate-matching batches), [`analysis_bb`] (state-histogram L1 peer
 //! comparison), [`analysis_wb`] (windowed-mean median comparison with the
 //! `max(1, k·σ_median)` threshold), [`rack_agg`] (fleet-scale rack
-//! tree-reduce feeding rack-mode [`metric_rank`]), [`print`](mod@print)
+//! tree-reduce feeding [`metric_rank`]), [`print`](mod@print)
 //! (alarm sink).
 //!
 //! **Offline training** ([`training`]): k-means centroid fitting on

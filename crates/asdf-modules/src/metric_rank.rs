@@ -26,16 +26,24 @@
 //!
 //! Configuration parameters:
 //!
+//! * `nodes` — every ranked node's hostname, in node order (required): it
+//!   names the `rank<i>` ports;
 //! * `window` — samples per window (default 60);
 //! * `slide` — samples between evaluations (default = `window`);
 //! * `top` — how many metrics to report per node (default 5).
 //!
-//! Inputs: one slot per node (`m0`, `m1`, ...), each carrying per-second
-//! metric vectors (the same edges `knn` consumes). The windowed means are
-//! running sums ([`crate::rack::WindowSums`], shared with `rack_agg`): a
-//! vector is added to every open window when its aligned row is complete
-//! and dropped, so the module holds `ceil(window / slide)` mean matrices
-//! and whatever still waits in the aligner, never a window of samples.
+//! Inputs are rack rows ([`crate::rack`]), in one of two shapes:
+//!
+//! * **with `window` or `slide`**, one slot: a rack collector's `frame`
+//!   port, every node's second as one `[k, dim, …]` row (`k` = the number
+//!   of `nodes`). The frames are windowed by the code `rack_agg` runs,
+//!   [`crate::rack::FrameWindows`]: a frame's node rows are added to every
+//!   open window's running sums and the frame is dropped, so the module
+//!   holds `ceil(window / slide)` mean matrices, never a window of samples;
+//! * **without**, one slot per rack: `rack_agg` summaries, windowed
+//!   already, aligned by second and concatenated back into the mean matrix
+//!   in node order.
+//!
 //! Output per node:
 //! `rank<i>`, a vector of `2·top` values `[idx0, score0, idx1, score1, …]`
 //! — metric indices into the collector's flattened frame, most deviant
@@ -44,40 +52,28 @@
 use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
-use asdf_core::module::{Emitter, InitCtx, Module, PortId, RowBlock, RunCtx, RunReason};
+use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
+use asdf_core::time::Timestamp;
 use asdf_core::value::Value;
 use hadoop_logs::sync::Aligner;
 
 use crate::kernel::CentroidBlock;
-use crate::rack::{self, RackSummary, WindowSums};
+use crate::rack::{self, FrameWindows, RackSummary};
 
-/// One metric vector waiting in the aligner for its peers: an envelope's
-/// shared allocation or a zero-copy view into a columnar [`RowBlock`]
-/// (cf. `mavgvec`'s window rows — both paths are bitwise identical by
-/// construction). Dropped as soon as its aligned row has been summed.
-#[derive(Debug, Clone)]
-enum MetricRow {
-    Owned(Arc<[f64]>),
-    Block(Arc<RowBlock>, usize),
-}
-
-impl AsRef<[f64]> for MetricRow {
-    fn as_ref(&self) -> &[f64] {
-        match self {
-            MetricRow::Owned(v) => v,
-            MetricRow::Block(block, r) => block.row(*r),
-        }
-    }
-}
-
-/// Peer-baseline metric deviation ranker.
+/// Where the windowed means come from.
 #[derive(Debug)]
-pub struct MetricRank {
+enum Input {
+    /// A rack frame a second, windowed here.
+    Frames(FrameWindows),
+    /// `rack_agg` summaries, one slot per rack, aligned by second.
+    Summaries(Aligner<Arc<[f64]>>),
+}
+
+/// The mean matrix and the ranking over it, whichever [`Input`] fills it.
+#[derive(Debug)]
+struct Ranker {
     top: usize,
-    aligner: Aligner<MetricRow>,
-    /// Flat mode's open windows (rack mode receives closed ones).
-    sums: WindowSums,
-    /// Metric vector width, discovered from the first sample.
+    /// Metric vector width, fixed by the first means loaded.
     dim: usize,
     /// Per-node windowed means, one contiguous row per node, overwritten
     /// every evaluation.
@@ -93,142 +89,66 @@ pub struct MetricRank {
     /// Emission scratch: `[idx, score, ...]` pairs.
     out_row: Vec<f64>,
     rank_ports: Vec<PortId>,
-    /// Rack mode: total fleet nodes reconstructed from `rack_agg`
-    /// summaries (`0` = flat per-node inputs). See [`crate::rack`].
-    rack_nodes: usize,
+}
+
+/// Peer-baseline metric deviation ranker.
+#[derive(Debug)]
+pub struct MetricRank {
+    input: Input,
+    ranker: Ranker,
 }
 
 impl MetricRank {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         MetricRank {
-            top: 0,
-            aligner: Aligner::new(1),
-            sums: WindowSums::new(1, 1),
-            dim: 0,
-            means: CentroidBlock::default(),
-            baseline: Vec::new(),
-            mad: Vec::new(),
-            col: Vec::new(),
-            ranked: Vec::new(),
-            out_row: Vec::new(),
-            rank_ports: Vec::new(),
-            rack_nodes: 0,
+            input: Input::Summaries(Aligner::new(1)),
+            ranker: Ranker {
+                top: 0,
+                dim: 0,
+                means: CentroidBlock::default(),
+                baseline: Vec::new(),
+                mad: Vec::new(),
+                col: Vec::new(),
+                ranked: Vec::new(),
+                out_row: Vec::new(),
+                rank_ports: Vec::new(),
+            },
         }
     }
+}
 
-    /// Funnels one envelope into the aligner — shared by the per-sample
-    /// and row-block paths.
-    fn push_envelope(
-        &mut self,
-        slot_idx: usize,
-        secs: u64,
-        value: &Value,
-    ) -> Result<(), ModuleError> {
-        let row = match value {
-            Value::Vector(v) => MetricRow::Owned(Arc::clone(v)),
-            other => {
-                return Err(ModuleError::Other(format!(
-                    "metric_rank expects vector samples, got {}",
-                    other.type_name()
-                )))
-            }
-        };
-        if self.rack_nodes == 0 {
-            self.check_width(row.as_ref().len())?;
-        }
-        self.aligner.push(slot_idx, secs, row);
-        Ok(())
-    }
-
-    fn check_width(&mut self, width: usize) -> Result<(), ModuleError> {
+impl Ranker {
+    /// Copies `rows`, node rows of `dim` metrics, into the mean matrix from
+    /// node `at` on, and returns the node after the last. The first call
+    /// fixes `dim`.
+    fn load(&mut self, at: usize, dim: usize, rows: &[f64]) -> Result<usize, ModuleError> {
+        let nodes = self.rank_ports.len();
         if self.dim == 0 {
-            self.dim = width;
-            self.means = CentroidBlock::zeroed(width, self.rank_ports.len());
-            self.baseline = vec![0.0; width];
-            self.mad = vec![0.0; width];
-        } else if width != self.dim {
+            self.dim = dim;
+            self.means = CentroidBlock::zeroed(dim, nodes);
+            self.baseline = vec![0.0; dim];
+            self.mad = vec![0.0; dim];
+        } else if dim != self.dim {
             return Err(ModuleError::Other(format!(
-                "inconsistent metric vector width: {} then {width}",
+                "inconsistent rack metric width: {} then {dim}",
                 self.dim
             )));
         }
-        Ok(())
-    }
-
-    /// Drains aligned rows, ranking every window they close (flat mode)
-    /// or re-ranking on every aligned set of rack summaries (rack
-    /// mode — the rack aggregators already windowed).
-    fn process_aligned(&mut self, emit: &mut Emitter<'_>) -> Result<(), ModuleError> {
-        if self.rack_nodes > 0 {
-            self.process_aligned_rack(emit)
-        } else {
-            self.process_aligned_flat(emit);
-            Ok(())
+        let end = at + rows.len() / dim;
+        if end > nodes {
+            return Err(ModuleError::Other(format!(
+                "rack summaries cover more than the declared {nodes} nodes"
+            )));
         }
-    }
-
-    fn process_aligned_flat(&mut self, emit: &mut Emitter<'_>) {
-        while let Some((t, row)) = self.aligner.pop_aligned() {
-            // The same running sums `rack_agg` keeps per rack.
-            let Some(means) = self.sums.push(row.iter().map(AsRef::as_ref)) else {
-                continue;
-            };
-            for node in 0..row.len() {
-                self.means
-                    .row_mut(node)
-                    .copy_from_slice(&means[node * self.dim..][..self.dim]);
-            }
-            self.rank_and_emit(t, emit);
+        for (node, row) in (at..end).zip(rows.chunks_exact(dim)) {
+            self.means.row_mut(node).copy_from_slice(row);
         }
+        Ok(end)
     }
 
-    /// Rack mode: every aligned set of rack summaries is one already-
-    /// windowed evaluation. Summaries cover contiguous node ranges in
-    /// ascending global order, so concatenating them rebuilds the flat
-    /// mean matrix bitwise (see [`crate::rack`]).
-    fn process_aligned_rack(&mut self, emit: &mut Emitter<'_>) -> Result<(), ModuleError> {
-        while let Some((t, row)) = self.aligner.pop_aligned() {
-            let mut at = 0;
-            for rack_row in &row {
-                let summary = RackSummary::decode(rack_row.as_ref()).map_err(ModuleError::Other)?;
-                if self.dim == 0 {
-                    self.dim = summary.dim;
-                    self.means = CentroidBlock::zeroed(summary.dim, self.rack_nodes);
-                    self.baseline = vec![0.0; summary.dim];
-                    self.mad = vec![0.0; summary.dim];
-                } else if summary.dim != self.dim {
-                    return Err(ModuleError::Other(format!(
-                        "inconsistent rack metric width: {} then {}",
-                        self.dim, summary.dim
-                    )));
-                }
-                if at + summary.n_nodes > self.rack_nodes {
-                    return Err(ModuleError::Other(format!(
-                        "rack summaries cover more than the declared {} nodes",
-                        self.rack_nodes
-                    )));
-                }
-                for local in 0..summary.n_nodes {
-                    self.means
-                        .row_mut(at + local)
-                        .copy_from_slice(&summary.means[local * self.dim..][..self.dim]);
-                }
-                at += summary.n_nodes;
-            }
-            if at != self.rack_nodes {
-                return Err(ModuleError::Other(format!(
-                    "rack summaries cover {at} nodes, expected {}",
-                    self.rack_nodes
-                )));
-            }
-            self.rank_and_emit(t, emit);
-        }
-        Ok(())
-    }
-
-    /// Peer baseline + MAD + deviation ranking over the mean matrix —
-    /// identical on the flat and rack paths.
+    /// Peer baseline + MAD + deviation ranking over the mean matrix, one
+    /// `rank<i>` row per node stamped `t`.
     fn rank_and_emit(&mut self, t: u64, emit: &mut Emitter<'_>) {
         rack::peer_baseline_into(
             &self.means,
@@ -236,7 +156,7 @@ impl MetricRank {
             &mut self.mad,
             &mut self.col,
         );
-        let ts = asdf_core::time::Timestamp::from_secs(t);
+        let ts = Timestamp::from_secs(t);
         for node in 0..self.rank_ports.len() {
             self.ranked.clear();
             let mean = self.means.row(node);
@@ -273,71 +193,71 @@ impl Default for MetricRank {
 
 impl Module for MetricRank {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        let window = ctx.parse_param_or("window", 60usize)?;
-        if window == 0 {
-            return Err(ModuleError::invalid_parameter("window", "must be positive"));
-        }
-        let slide = ctx.parse_param_or("slide", window)?;
-        if slide == 0 {
-            return Err(ModuleError::invalid_parameter("slide", "must be positive"));
-        }
-        self.top = ctx.parse_param_or("top", 5usize)?;
-        if self.top == 0 {
+        let ranker = &mut self.ranker;
+        ranker.top = ctx.parse_param_or("top", 5usize)?;
+        if ranker.top == 0 {
             return Err(ModuleError::invalid_parameter("top", "must be positive"));
         }
-
-        // With `nodes` (every fleet node's name, for the rank ports), rack
-        // mode: inputs are `rack_agg` summaries covering contiguous node
-        // ranges in ascending global order. Without, one node per slot.
-        let n_slots = ctx.input_slots().len();
+        ctx.require_param("nodes")?;
         let origins = rack::peer_origins(ctx, rack::slot_origins(ctx))?;
-        if ctx.param("nodes").is_some() {
-            self.rack_nodes = origins.len();
+        let nodes = origins.len();
+        self.input = if ctx.param("window").is_some() || ctx.param("slide").is_some() {
+            Input::Frames(FrameWindows::init(ctx, "metric_rank", Some(nodes))?.0)
         } else {
-            self.sums = WindowSums::new(window, slide);
-        }
-        self.col = Vec::with_capacity(origins.len());
+            Input::Summaries(Aligner::new(ctx.input_slots().len()))
+        };
+        ranker.col = Vec::with_capacity(nodes);
         for (i, origin) in origins.into_iter().enumerate() {
-            self.rank_ports
-                .push(ctx.declare_output_with_origin(format!("rank{i}"), origin));
+            let port = ctx.declare_output_with_origin(format!("rank{i}"), origin);
+            ranker.rank_ports.push(port);
         }
-        self.aligner = Aligner::new(n_slots);
         Ok(())
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
+        let ranker = &mut self.ranker;
         let (drain, mut emit) = ctx.drain_and_emit();
-        for (slot_idx, env) in drain {
-            self.push_envelope(slot_idx, env.sample.timestamp.as_secs(), &env.sample.value)?;
-        }
-        self.process_aligned(&mut emit)
-    }
-
-    /// Columnar delivery: the per-node collector edges are the campaign's
-    /// highest-volume edges, so batch runs hand whole [`RowBlock`]s over.
-    fn accepts_row_blocks(&self) -> bool {
-        true
-    }
-
-    fn run_batch(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Queued envelopes are always older than backlog rows (engine
-        // invariant), so draining them first preserves arrival order.
-        let blocks = ctx.take_row_blocks();
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (slot_idx, env) in drain {
-            self.push_envelope(slot_idx, env.sample.timestamp.as_secs(), &env.sample.value)?;
-        }
-        for (slot_idx, block) in blocks {
-            for r in 0..block.len() {
-                let secs = block.stamps[r].as_secs();
-                if self.rack_nodes == 0 {
-                    self.check_width(block.row(r).len())?;
+        for (slot, env) in drain {
+            let Value::Vector(row) = &env.sample.value else {
+                return Err(ModuleError::Other(format!(
+                    "metric_rank expects rack frames, got {}",
+                    env.sample.value.type_name()
+                )));
+            };
+            let t = env.sample.timestamp.as_secs();
+            match &mut self.input {
+                Input::Frames(frames) => {
+                    if let Some(means) = frames.push(row)? {
+                        // `push` held the frame to `k` = nodes.
+                        let dim = means.len() / ranker.rank_ports.len();
+                        ranker.load(0, dim, means)?;
+                        ranker.rank_and_emit(t, &mut emit);
+                    }
                 }
-                self.aligner
-                    .push(slot_idx, secs, MetricRow::Block(Arc::clone(&block), r));
+                Input::Summaries(aligner) => aligner.push(slot, t, Arc::clone(row)),
             }
         }
-        self.process_aligned(&mut emit)
+        // Every aligned set of rack summaries is one evaluation: they
+        // cover contiguous node ranges in ascending global order, so
+        // concatenating them rebuilds the whole mean matrix bitwise.
+        let Input::Summaries(aligner) = &mut self.input else {
+            return Ok(());
+        };
+        while let Some((t, racks)) = aligner.pop_aligned() {
+            let mut at = 0;
+            for row in &racks {
+                let (_, dim) = RackSummary::shape(row).map_err(ModuleError::Other)?;
+                at = ranker.load(at, dim, &row[2..])?;
+            }
+            if at != ranker.rank_ports.len() {
+                return Err(ModuleError::Other(format!(
+                    "rack summaries cover {at} nodes, expected {}",
+                    ranker.rank_ports.len()
+                )));
+            }
+            ranker.rank_and_emit(t, &mut emit);
+        }
+        Ok(())
     }
 }
 
@@ -349,6 +269,8 @@ mod tests {
     use asdf_core::engine::TickEngine;
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
+
+    use crate::testutil::{assert_bad_frames_are_module_errors, frame_node_registry, Emitted};
 
     /// Per-node vector source: every node emits [1, 2, 3, 4]; the culprit
     /// adds `bump` to metric 2 after `after` seconds.
@@ -450,13 +372,18 @@ origin = peer1
 id = n2
 after = {after}
 
+[framer]
+id = f
+input[m0] = n0.out
+input[m1] = n1.out
+input[m2] = n2.out
+
 [metric_rank]
 id = mr
 window = 10
 top = {top}
-input[m0] = n0.out
-input[m1] = n1.out
-input[m2] = n2.out
+nodes = peer0,peer1,culprit
+input[frame] = f.frame
 "
         )
     }
@@ -526,9 +453,10 @@ input[m2] = n2.out
 
     #[test]
     fn rack_mode_is_bitwise_equal_to_flat() {
-        // Four nodes (one deviant), flat wiring vs two racks, each framed
-        // as its collector would and tree-reduced through rack_agg: the
-        // rank streams must match bitwise.
+        // Four nodes (one deviant), one frame of all four windowed by
+        // `metric_rank` itself vs two racks, each framed as its collector
+        // would and tree-reduced through rack_agg: the rank streams must
+        // match bitwise.
         let nodes = "\
 [vecnode]
 id = n0
@@ -548,14 +476,19 @@ after = 5
 ";
         let flat = format!(
             "{nodes}
-[metric_rank]
-id = mr
-window = 10
-top = 3
+[framer]
+id = f
 input[m0] = n0.out
 input[m1] = n1.out
 input[m2] = n2.out
 input[m3] = n3.out
+
+[metric_rank]
+id = mr
+window = 10
+top = 3
+nodes = peer0,peer1,peer2,culprit
+input[frame] = f.frame
 "
         );
         let rack = format!(
@@ -646,45 +579,65 @@ input[r1] = ra1.sum
 
     #[test]
     fn config_validation() {
-        for cfg in [
-            // too few peers
-            "[vecnode]\nid = n0\norigin = a\n\n[vecnode]\nid = n1\norigin = b\n\n[metric_rank]\nid = mr\ninput[m0] = n0.out\ninput[m1] = n1.out\n".to_owned(),
-            // zero window / top
-            three_node_config(0, 1).replace("window = 10", "window = 0"),
-            three_node_config(0, 1).replace("top = 1", "top = 0"),
+        let framed = three_node_config(0, 1);
+        for (cfg, why) in [
+            (
+                "[vecnode]\nid = n0\norigin = a\n\n[vecnode]\nid = n1\norigin = b\n\n\
+                 [framer]\nid = f\ninput[m0] = n0.out\ninput[m1] = n1.out\n\n\
+                 [metric_rank]\nid = mr\nwindow = 10\nnodes = a,b\ninput[frame] = f.frame\n"
+                    .to_owned(),
+                "too few peers",
+            ),
+            (framed.replace("window = 10", "window = 0"), "zero window"),
+            (framed.replace("window = 10", "slide = 0"), "zero slide"),
+            (framed.replace("top = 1", "top = 0"), "zero top"),
+            (
+                framed.replace("nodes = peer0,peer1,culprit\n", ""),
+                "no `nodes`",
+            ),
+            (
+                framed.replace(
+                    "input[frame] = f.frame",
+                    "input[frame] = f.frame\ninput[other] = n0.out",
+                ),
+                "`window` with two slots",
+            ),
         ] {
             let parsed: Config = cfg.parse().unwrap();
-            assert!(Dag::build(&registry(), &parsed).is_err(), "should reject");
+            assert!(Dag::build(&registry(), &parsed).is_err(), "{why}");
         }
     }
 
     #[test]
     fn scalar_inputs_are_rejected_at_runtime() {
-        let cfg = three_node_config(0, 1).replace(
-            "[vecnode]\nid = n0\norigin = peer0",
-            "[scalarnode]\nid = n0\norigin = peer0",
-        );
-        let mut reg = registry();
-        struct ScalarNode {
-            port: Option<PortId>,
-        }
-        impl Module for ScalarNode {
-            fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-                let origin: String = ctx.require_param("origin")?.to_owned();
-                self.port = Some(ctx.declare_output_with_origin("out", origin));
-                ctx.request_periodic(TickDuration::SECOND);
-                Ok(())
-            }
-            fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-                ctx.emit(self.port.unwrap(), 1.0);
-                Ok(())
-            }
-        }
-        reg.register("scalarnode", || Box::new(ScalarNode { port: None }));
-        let parsed: Config = cfg.parse().unwrap();
-        let dag = Dag::build(&reg, &parsed).unwrap();
+        let cfg = "[scalarsource]\nid = s\n\n\
+                   [metric_rank]\nid = mr\nwindow = 2\nnodes = a,b,c\ninput[frame] = s.out\n";
+        let reg = crate::testutil::scalar_source_registry();
+        let dag = Dag::build(&reg, &cfg.parse().unwrap()).unwrap();
         let mut eng = TickEngine::new(dag);
         let err = eng.run_for(TickDuration::from_secs(5)).unwrap_err();
         assert_eq!(err.instance, "mr");
+    }
+
+    #[test]
+    fn a_malformed_frame_is_a_module_error_never_a_panic() {
+        // Window 2, slide 1: the five good frames close four windows, each
+        // ranked on the three nodes' ports.
+        let mr = "[metric_rank]\nid = mr\nwindow = 2\nslide = 1\nnodes = n0,n1,n2\n\
+                  input[frame] = rack.frame\n";
+        assert_bad_frames_are_module_errors(3, mr, "mr", 12);
+        // A frame of other than the named nodes fails on the first one.
+        let cfg: Config = format!("[framenode]\nid = rack\nbase = 1,3,5\n\n{mr}")
+            .replace("nodes = n0,n1,n2", "nodes = n0,n1,n2,n3")
+            .parse()
+            .unwrap();
+        let reg = frame_node_registry(&Emitted::default());
+        let mut eng = TickEngine::new(Dag::build(&reg, &cfg).unwrap());
+        let err = eng.run_for(TickDuration::from_secs(3)).unwrap_err();
+        assert_eq!((err.instance.as_str(), err.at_secs), ("mr", 0));
+        let ModuleError::Other(msg) = &err.source else {
+            panic!("{:?}", err.source);
+        };
+        assert!(msg.contains("holds 3 nodes, `nodes` names 4"), "{msg}");
     }
 }

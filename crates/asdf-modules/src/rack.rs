@@ -1,13 +1,13 @@
 //! Rack-level tree-reduce math for fleet-scale peer comparison.
 //!
-//! Diagnosing a 5000-node fleet with the flat `metric_rank` wiring pushes
-//! every node's metric vectors through one global DAG stage. The fleet
-//! path instead tree-reduces **per-rack summaries**: each rack computes
-//! its nodes' windowed per-metric means locally (`rack_agg`), and the
-//! global stage merges rack summaries before running the identical peer
-//! baseline + MAD + deviation ranking. The global stage then costs
-//! O(racks) *data* while the fleet still pays O(nodes) *work*, spread
-//! across the rack aggregators.
+//! A peer comparison needs every node's windowed per-metric means in one
+//! place. With one rack, `metric_rank` windows its collector's frames
+//! itself; a fleet of racks instead tree-reduces **per-rack summaries**:
+//! each rack computes its nodes' windowed means locally (`rack_agg`, the
+//! same [`FrameWindows`]), and the global stage merges rack summaries
+//! before running the identical peer baseline + MAD + deviation ranking.
+//! The global stage then costs O(racks) *data* while the fleet still pays
+//! O(nodes) *work*, spread across the rack aggregators.
 //!
 //! The merge is exact by construction: a rack summary carries the per-node
 //! windowed means themselves (a sufficient statistic for the peer
@@ -29,10 +29,10 @@
 //! and variance are component-wise, so its statistics over frames *are*
 //! the per-node statistics, header included ([`window_stats`]).
 //!
-//! No sample is retained to form a mean: [`WindowSums`] adds each second's
-//! node rows into the running sum of every window the second belongs to,
-//! straight from where they arrived (a slice of the rack's frame, or the
-//! flat path's aligned vectors), and nothing is kept. The additions run in
+//! No sample is retained to form a mean: [`FrameWindows`] checks a frame's
+//! shape and [`WindowSums`] adds its node rows, slices of the frame, into
+//! the running sum of every window the second belongs to; nothing is
+//! kept. The additions run in
 //! arrival order from `0.0` — the order [`windowed_mean_into`] sums a
 //! buffered window in — so the means are the same bits as recomputing from
 //! retained rows, which is what the `window_sums_prop` proptests pin down.
@@ -154,6 +154,92 @@ impl WindowSums {
             *m *= inv_n;
         }
         Some(&self.closed)
+    }
+}
+
+/// A stream of rack frames `[k, dim, node rows…]` summed into windows:
+/// the input side of both `rack_agg` and one-rack `metric_rank`.
+///
+/// A frame is input from outside the module, so it is checked before any
+/// of it is summed: a header that is missing, non-integral or at odds with
+/// the payload length, a `k` or `dim` other than the first frame's, and a
+/// `k` other than the consumer's node count are each a [`ModuleError`]
+/// that names the problem — never a panic, never a mis-shaped mean.
+#[derive(Debug)]
+pub struct FrameWindows {
+    sums: WindowSums,
+    /// The `k` every frame must hold, when the consumer knows it.
+    nodes: Option<usize>,
+    /// `(k, dim)` of the first frame; every later frame must match.
+    shape: Option<(usize, usize)>,
+}
+
+impl FrameWindows {
+    /// Reads `window` (default 60) and `slide` (default `window`), and
+    /// checks that `module`'s one input slot holds one frame port. Returns
+    /// the windows, for frames of `nodes` nodes when given, and that
+    /// port's origin.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidParameter` for a zero or unparsable `window` / `slide`,
+    /// `BadInputs` for any other number of slots or connections.
+    pub fn init(
+        ctx: &InitCtx<'_>,
+        module: &str,
+        nodes: Option<usize>,
+    ) -> Result<(FrameWindows, String), ModuleError> {
+        let window = ctx.parse_param_or("window", 60usize)?;
+        if window == 0 {
+            return Err(ModuleError::invalid_parameter("window", "must be positive"));
+        }
+        let slide = ctx.parse_param_or("slide", window)?;
+        if slide == 0 {
+            return Err(ModuleError::invalid_parameter("slide", "must be positive"));
+        }
+        let [(_, sources)] = ctx.input_slots() else {
+            return Err(ModuleError::BadInputs(format!(
+                "{module} takes one input, its rack's frame port, got {} slots",
+                ctx.input_slots().len()
+            )));
+        };
+        let [frame_port] = &sources[..] else {
+            return Err(ModuleError::BadInputs(format!(
+                "{module}'s input takes one frame port, got {} connections",
+                sources.len()
+            )));
+        };
+        let frames = FrameWindows {
+            sums: WindowSums::new(window, slide),
+            nodes,
+            shape: None,
+        };
+        Ok((frames, frame_port.origin.clone()))
+    }
+
+    /// Adds one frame to the open windows. When it completes a window,
+    /// returns that window's row-major `k × dim` mean matrix (valid until
+    /// the next push).
+    ///
+    /// # Errors
+    ///
+    /// A malformed frame, described (see the type docs); nothing of it has
+    /// been summed.
+    pub fn push(&mut self, frame: &[f64]) -> Result<Option<&[f64]>, ModuleError> {
+        let shape = RackSummary::shape(frame).map_err(ModuleError::Other)?;
+        let (k, dim) = *self.shape.get_or_insert(shape);
+        if shape != (k, dim) {
+            return Err(ModuleError::Other(format!(
+                "rack frame changed shape: {k}x{dim} then {}x{}",
+                shape.0, shape.1
+            )));
+        }
+        if let Some(n) = self.nodes.filter(|&n| n != k) {
+            return Err(ModuleError::Other(format!(
+                "rack frame holds {k} nodes, `nodes` names {n}"
+            )));
+        }
+        Ok(self.sums.push(frame[2..].chunks_exact(dim)))
     }
 }
 

@@ -4,10 +4,10 @@
 //! port (`input[frame] = sadcr3.frame`), which carries the rack's second
 //! as one row `[k, dim, node₀ metrics…, node₁ metrics…]`. The frame's node
 //! rows are added into the running sums of the open windows
-//! ([`crate::rack::WindowSums`], the same code and arithmetic as the flat
-//! `metric_rank` path) straight from the frame, and the frame is dropped
-//! in the run that delivered it: there is no per-node edge, queue or
-//! aligner between a collector and its aggregator, and nothing is held
+//! ([`crate::rack::FrameWindows`], the same code and arithmetic as a
+//! one-rack `metric_rank`) straight from the frame, and the frame is
+//! dropped in the run that delivered it: there is no per-node edge, queue
+//! or aligner between a collector and its aggregator, and nothing is held
 //! per sample. Every `slide` frames (the first time on frame
 //! `max(window, slide)`) a window closes and its per-node means leave in
 //! the same layout, `[k, dim, means…]` ([`crate::rack::RackSummary`]), on
@@ -18,11 +18,12 @@
 //! that changes mid-stream, are each a [`ModuleError`] that names the
 //! problem — never a panic, never a silently mis-shaped mean.
 //!
-//! A downstream `metric_rank` in rack mode (its `nodes` parameter set)
-//! concatenates the rack summaries back into the flat mean matrix and runs
-//! the identical baseline/MAD/deviation ranking — bitwise equal to the
-//! flat wiring, while the DAG moves O(racks) rows per second ahead of the
-//! aggregators and O(racks) per evaluation behind them.
+//! A downstream `metric_rank` without a `window` of its own reads the rack
+//! summaries, concatenates them back into the fleet's mean matrix and runs
+//! the identical baseline/MAD/deviation ranking — bitwise equal to one
+//! `metric_rank` windowing one frame of every node, while the DAG moves
+//! O(racks) rows per second ahead of the aggregators and O(racks) per
+//! evaluation behind them.
 //!
 //! Configuration parameters:
 //!
@@ -33,14 +34,12 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::value::Value;
 
-use crate::rack::{RackSummary, WindowSums};
+use crate::rack::FrameWindows;
 
 /// Per-rack windowed-mean summarizer (see the module docs).
 #[derive(Debug)]
 pub struct RackAgg {
-    sums: WindowSums,
-    /// `(k, dim)` of the first frame; every later frame must match.
-    shape: Option<(usize, usize)>,
+    frames: Option<FrameWindows>,
     /// Emission scratch: `[k, dim, means…]`.
     out_row: Vec<f64>,
     out: Option<PortId>,
@@ -50,8 +49,7 @@ impl RackAgg {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         RackAgg {
-            sums: WindowSums::new(1, 1),
-            shape: None,
+            frames: None,
             out_row: Vec::new(),
             out: None,
         }
@@ -66,39 +64,20 @@ impl Default for RackAgg {
 
 impl Module for RackAgg {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        let window = ctx.parse_param_or("window", 60usize)?;
-        if window == 0 {
-            return Err(ModuleError::invalid_parameter("window", "must be positive"));
-        }
-        let slide = ctx.parse_param_or("slide", window)?;
-        if slide == 0 {
-            return Err(ModuleError::invalid_parameter("slide", "must be positive"));
-        }
-        let [(_, sources)] = ctx.input_slots() else {
-            return Err(ModuleError::BadInputs(format!(
-                "rack_agg takes one input, its rack's frame port, got {} slots",
-                ctx.input_slots().len()
-            )));
-        };
-        let [frame_port] = &sources[..] else {
-            return Err(ModuleError::BadInputs(format!(
-                "rack_agg's input takes one frame port, got {} connections",
-                sources.len()
-            )));
-        };
         // The summary's origin is the frame's, the rack's first node —
-        // downstream rack-mode `metric_rank` re-labels per node from its
-        // own list.
-        let origin = frame_port.origin.clone();
+        // downstream `metric_rank` re-labels per node from its own list.
+        let (frames, origin) = FrameWindows::init(ctx, "rack_agg", None)?;
+        self.frames = Some(frames);
         self.out = Some(ctx.declare_output_with_origin("sum", origin));
-        self.sums = WindowSums::new(window, slide);
         Ok(())
     }
 
     /// Adds every pending frame to the open windows and emits one rack
-    /// summary per window closed — the cadence of the flat `metric_rank`,
-    /// so the rack path evaluates at identical timestamps.
+    /// summary per window closed — the cadence of a one-rack `metric_rank`,
+    /// so the two wirings evaluate at identical timestamps.
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
+        let frames = self.frames.as_mut().expect("initialized");
+        let port = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
             let Value::Vector(frame) = &env.sample.value else {
@@ -107,21 +86,12 @@ impl Module for RackAgg {
                     env.sample.value.type_name()
                 )));
             };
-            let shape = RackSummary::shape(frame).map_err(ModuleError::Other)?;
-            let (k, dim) = *self.shape.get_or_insert(shape);
-            if shape != (k, dim) {
-                return Err(ModuleError::Other(format!(
-                    "rack frame changed shape: {k}x{dim} then {}x{}",
-                    shape.0, shape.1
-                )));
-            }
-            let Some(means) = self.sums.push(frame[2..].chunks_exact(dim)) else {
+            let Some(means) = frames.push(frame)? else {
                 continue;
             };
             self.out_row.clear();
             self.out_row.extend_from_slice(&frame[..2]);
             self.out_row.extend_from_slice(means);
-            let port = self.out.expect("initialized");
             emit.emit_row_at(port, env.sample.timestamp, &self.out_row);
         }
         Ok(())
@@ -137,91 +107,12 @@ mod tests {
     use asdf_core::error::BuildDagError;
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
-    use std::sync::{Arc, Mutex, Weak};
 
-    /// Every payload a `framenode` has emitted, by weak reference.
-    type Emitted = Arc<Mutex<Vec<Weak<[f64]>>>>;
-
-    /// A two-node rack collector's `frame` port: every second
-    /// `[2, 2, x₀, 2·x₀, x₁, 2·x₁]`, `xᵢ = baseᵢ + rampᵢ·(seconds so far)`.
-    /// From second `bad_at` on (when set) the frame is broken as `bad`
-    /// names.
-    struct FrameNode {
-        port: Option<PortId>,
-        base: [f64; 2],
-        ramp: [f64; 2],
-        bad: String,
-        bad_at: u64,
-        emitted: Emitted,
-    }
-    impl Module for FrameNode {
-        fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-            self.base = [ctx.parse_param("base0")?, ctx.parse_param("base1")?];
-            self.ramp = [
-                ctx.parse_param_or("ramp0", 0.0)?,
-                ctx.parse_param_or("ramp1", 0.0)?,
-            ];
-            self.bad = ctx.param("bad").unwrap_or("").to_owned();
-            self.bad_at = ctx.parse_param_or("bad_at", u64::MAX)?;
-            self.port = Some(ctx.declare_output_with_origin("frame", "n0"));
-            // Silent; there so that `@rack` names two ports, as `@sadcr0`
-            // names the per-node ports beside the frame.
-            ctx.declare_output("output0");
-            ctx.request_periodic(TickDuration::SECOND);
-            Ok(())
-        }
-        fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            let [x0, x1] = self.base;
-            let mut frame = vec![2.0, 2.0, x0, 2.0 * x0, x1, 2.0 * x1];
-            if ctx.now().as_secs() >= self.bad_at {
-                match self.bad.as_str() {
-                    "empty" => frame.clear(),
-                    "header" => frame[0] = 2.5,
-                    "nan" => frame[1] = f64::NAN,
-                    "huge" => frame[0] = 1e300,
-                    "short" => frame.truncate(5),
-                    "long" => frame.push(0.0),
-                    "third_node" => {
-                        frame[0] = 3.0;
-                        frame.extend([9.0, 18.0]);
-                    }
-                    "wider" => frame = vec![2.0, 3.0, x0, x0, x0, x1, x1, x1],
-                    "scalar" => {
-                        ctx.emit(self.port.unwrap(), 1.0);
-                        return Ok(());
-                    }
-                    other => panic!("unknown breakage `{other}`"),
-                }
-            }
-            for (x, ramp) in self.base.iter_mut().zip(self.ramp) {
-                *x += ramp;
-            }
-            let payload: Arc<[f64]> = Arc::from(frame);
-            self.emitted.lock().unwrap().push(Arc::downgrade(&payload));
-            ctx.emit(self.port.unwrap(), Value::Vector(payload));
-            Ok(())
-        }
-    }
-
-    fn registry_recording(emitted: &Emitted) -> ModuleRegistry {
-        let mut reg = ModuleRegistry::new();
-        crate::register_analysis_modules(&mut reg);
-        let emitted = Arc::clone(emitted);
-        reg.register("framenode", move || {
-            Box::new(FrameNode {
-                port: None,
-                base: [0.0; 2],
-                ramp: [0.0; 2],
-                bad: String::new(),
-                bad_at: u64::MAX,
-                emitted: Arc::clone(&emitted),
-            })
-        });
-        reg
-    }
+    use crate::rack::RackSummary;
+    use crate::testutil::{assert_bad_frames_are_module_errors, frame_node_registry, Emitted};
 
     fn registry() -> ModuleRegistry {
-        registry_recording(&Emitted::default())
+        frame_node_registry(&Emitted::default())
     }
 
     #[test]
@@ -229,8 +120,7 @@ mod tests {
         let cfg: Config = "\
 [framenode]
 id = rack
-base0 = 1
-base1 = 3
+base = 1,3
 
 [rack_agg]
 id = ra
@@ -263,10 +153,8 @@ input[frame] = rack.frame
             "\
 [framenode]
 id = rack
-base0 = 1
-ramp0 = 1
-base1 = 3
-ramp1 = 0.5
+base = 1,3
+ramp = 1,0.5
 
 [rack_agg]
 id = ra
@@ -277,7 +165,7 @@ input[frame] = rack.frame
         )
         .parse()
         .unwrap();
-        let dag = Dag::build(&registry_recording(emitted), &cfg).unwrap();
+        let dag = Dag::build(&frame_node_registry(emitted), &cfg).unwrap();
         let mut eng = TickEngine::new(dag);
         let tap = eng.tap("ra").unwrap();
         eng.run_for(TickDuration::from_secs(13)).unwrap();
@@ -335,40 +223,14 @@ input[frame] = rack.frame
 
     #[test]
     fn a_malformed_frame_is_a_module_error_never_a_panic() {
-        // From second 5 on the frame is broken — after two windows' worth
-        // of good ones, so a shape change lands on open accumulators.
-        for (bad, says) in [
-            ("empty", "needs [k, dim"),
-            ("header", "bad rack row header"),
-            ("nan", "bad rack row header"),
-            ("huge", "header says"),
-            ("short", "payload is 3 values, header says 2x2"),
-            ("long", "payload is 5 values, header says 2x2"),
-            ("third_node", "changed shape: 2x2 then 3x2"),
-            ("wider", "changed shape: 2x2 then 2x3"),
-            ("scalar", "expects rack frames, got float"),
-        ] {
-            let cfg: Config = format!(
-                "[framenode]\nid = rack\nbase0 = 1\nbase1 = 3\nbad = {bad}\nbad_at = 5\n\n\
-                 [rack_agg]\nid = ra\nwindow = 2\nslide = 1\ninput[frame] = rack.frame\n"
-            )
-            .parse()
-            .unwrap();
-            let mut eng = TickEngine::new(Dag::build(&registry(), &cfg).unwrap());
-            let tap = eng.tap("ra").unwrap();
-            let err = eng.run_for(TickDuration::from_secs(9)).unwrap_err();
-            assert_eq!((err.instance.as_str(), err.at_secs), ("ra", 5), "{bad}");
-            let ModuleError::Other(msg) = &err.source else {
-                panic!("{bad}: {:?}", err.source);
-            };
-            assert!(msg.contains(says), "{bad}: {msg}");
-            assert_eq!(tap.len(), 4, "{bad}: the windows closed before it stand");
-        }
+        // Window 2, slide 1: the five good frames close four windows.
+        let ra = "[rack_agg]\nid = ra\nwindow = 2\nslide = 1\ninput[frame] = rack.frame\n";
+        assert_bad_frames_are_module_errors(2, ra, "ra", 4);
     }
 
     #[test]
     fn config_validation() {
-        let rack = "[framenode]\nid = rack\nbase0 = 1\nbase1 = 3\n\n";
+        let rack = "[framenode]\nid = rack\nbase = 1,3\n\n";
         for cfg in [
             format!("{rack}[rack_agg]\nid = ra\nwindow = 0\ninput[frame] = rack.frame\n"),
             format!("{rack}[rack_agg]\nid = ra\nslide = 0\ninput[frame] = rack.frame\n"),
@@ -377,7 +239,7 @@ input[frame] = rack.frame
             assert!(Dag::build(&registry(), &parsed).is_err(), "should reject");
         }
         // One input, one connection: anything else is `BadInputs`.
-        let other = "[framenode]\nid = rack2\nbase0 = 1\nbase1 = 3\n\n";
+        let other = "[framenode]\nid = rack2\nbase = 1,3\n\n";
         for (cfg, why) in [
             ("[rack_agg]\nid = ra\n".to_owned(), "no input"),
             (

@@ -1,5 +1,7 @@
 //! Shared test fixtures for module unit tests.
 
+use std::sync::{Arc, Mutex, Weak};
+
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
 use asdf_core::engine::TickEngine;
@@ -7,6 +9,7 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
+use asdf_core::value::Value;
 
 /// A periodic source emitting the vector `[t+1, 2(t+1)]` each second, with
 /// origin `test-node`.
@@ -114,6 +117,161 @@ pub fn register_row_replay(reg: &mut ModuleRegistry) {
             rows: Vec::new().into_iter(),
         })
     });
+}
+
+/// Every payload a `framenode` has emitted, by weak reference.
+pub type Emitted = Arc<Mutex<Vec<Weak<[f64]>>>>;
+
+/// A rack collector's `frame` port over `k` nodes, one per entry of its
+/// `base` parameter (a comma list; `ramp`, the same length, defaults to
+/// zeros): every second `[k, 2, x₀, 2·x₀, x₁, 2·x₁, …]`,
+/// `xᵢ = baseᵢ + rampᵢ·(seconds so far)`, origin `n0`. From second `bad_at`
+/// on (when set) the frame is broken as `bad` names, one of
+/// [`frame_breakages`].
+pub struct FrameNode {
+    port: Option<PortId>,
+    base: Vec<f64>,
+    ramp: Vec<f64>,
+    bad: String,
+    bad_at: u64,
+    emitted: Emitted,
+}
+
+impl Module for FrameNode {
+    fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
+        let list = |key: &str| -> Vec<f64> {
+            let values = ctx.param(key).unwrap_or("").split(',').map(str::trim);
+            values
+                .filter(|v| !v.is_empty())
+                .map(|v| v.parse().expect("a number"))
+                .collect()
+        };
+        self.base = list("base");
+        self.ramp = list("ramp");
+        self.ramp.resize(self.base.len(), 0.0);
+        self.bad = ctx.param("bad").unwrap_or("").to_owned();
+        self.bad_at = ctx.parse_param_or("bad_at", u64::MAX)?;
+        self.port = Some(ctx.declare_output_with_origin("frame", "n0"));
+        // Silent; there so that `@rack` names two ports.
+        ctx.declare_output("output0");
+        ctx.request_periodic(TickDuration::SECOND);
+        Ok(())
+    }
+    fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
+        let k = self.base.len() as f64;
+        let mut frame = vec![k, 2.0];
+        frame.extend(self.base.iter().flat_map(|&x| [x, 2.0 * x]));
+        if ctx.now().as_secs() >= self.bad_at {
+            match self.bad.as_str() {
+                "empty" => frame.clear(),
+                "header" => frame[0] = k + 0.5,
+                "nan" => frame[1] = f64::NAN,
+                "huge" => frame[0] = 1e300,
+                "short" => {
+                    frame.pop();
+                }
+                "long" => frame.push(0.0),
+                "extra_node" => {
+                    frame[0] = k + 1.0;
+                    frame.extend([9.0, 18.0]);
+                }
+                "wider" => {
+                    frame = vec![k, 3.0];
+                    frame.extend(self.base.iter().flat_map(|&x| [x; 3]));
+                }
+                "scalar" => {
+                    ctx.emit(self.port.unwrap(), 1.0);
+                    return Ok(());
+                }
+                other => panic!("unknown breakage `{other}`"),
+            }
+        }
+        for (x, ramp) in self.base.iter_mut().zip(&self.ramp) {
+            *x += ramp;
+        }
+        let payload: Arc<[f64]> = Arc::from(frame);
+        self.emitted.lock().unwrap().push(Arc::downgrade(&payload));
+        ctx.emit(self.port.unwrap(), Value::Vector(payload));
+        Ok(())
+    }
+}
+
+/// Registry with every standard module plus `framenode` ([`FrameNode`]),
+/// whose payloads are recorded in `emitted`.
+pub fn frame_node_registry(emitted: &Emitted) -> ModuleRegistry {
+    let mut reg = base_registry();
+    let emitted = Arc::clone(emitted);
+    reg.register("framenode", move || {
+        Box::new(FrameNode {
+            port: None,
+            base: Vec::new(),
+            ramp: Vec::new(),
+            bad: String::new(),
+            bad_at: u64::MAX,
+            emitted: Arc::clone(&emitted),
+        })
+    });
+    reg
+}
+
+/// Every way a [`FrameNode`] of `k` nodes breaks its frame (its `bad`
+/// parameter), each with a phrase of the error a frame consumer must
+/// answer it with.
+pub fn frame_breakages(k: usize) -> [(&'static str, String); 9] {
+    let (short, long) = (2 * k - 1, 2 * k + 1);
+    [
+        ("empty", "needs [k, dim".to_owned()),
+        ("header", "bad rack row header".to_owned()),
+        ("nan", "bad rack row header".to_owned()),
+        ("huge", "header says".to_owned()),
+        (
+            "short",
+            format!("payload is {short} values, header says {k}x2"),
+        ),
+        (
+            "long",
+            format!("payload is {long} values, header says {k}x2"),
+        ),
+        (
+            "extra_node",
+            format!("changed shape: {k}x2 then {}x2", k + 1),
+        ),
+        ("wider", format!("changed shape: {k}x2 then {k}x3")),
+        ("scalar", "expects rack frames, got float".to_owned()),
+    ]
+}
+
+/// Runs `consumer`, the configuration of an instance `id` reading
+/// `rack.frame`, behind a `k`-node [`FrameNode`] broken from second 5 on
+/// in each of the [`frame_breakages`] ways (after two windows' worth of
+/// good frames, so a shape change lands on open accumulators). Each run
+/// must end in a [`ModuleError::Other`] of `id` at second 5 that names the
+/// problem, with the `before` envelopes `id` emitted on the good frames
+/// still in its tap.
+pub fn assert_bad_frames_are_module_errors(k: usize, consumer: &str, id: &str, before: usize) {
+    let base: Vec<String> = (0..k).map(|i| (1 + 2 * i).to_string()).collect();
+    for (bad, says) in frame_breakages(k) {
+        let cfg: Config = format!(
+            "[framenode]\nid = rack\nbase = {}\nbad = {bad}\nbad_at = 5\n\n{consumer}",
+            base.join(",")
+        )
+        .parse()
+        .unwrap();
+        let dag = Dag::build(&frame_node_registry(&Emitted::default()), &cfg).unwrap();
+        let mut eng = TickEngine::new(dag);
+        let tap = eng.tap(id).unwrap();
+        let err = eng.run_for(TickDuration::from_secs(9)).unwrap_err();
+        assert_eq!((err.instance.as_str(), err.at_secs), (id, 5), "{bad}");
+        let ModuleError::Other(msg) = &err.source else {
+            panic!("{bad}: {:?}", err.source);
+        };
+        assert!(msg.contains(&says), "{bad}: {msg}");
+        assert_eq!(
+            tap.len(),
+            before,
+            "{bad}: what the good frames closed stands"
+        );
+    }
 }
 
 /// Registry with every standard module plus `vecsource`.

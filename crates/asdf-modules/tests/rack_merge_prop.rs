@@ -3,8 +3,8 @@
 //! merge tree shape, window geometry, and NaN-free metric values.
 //!
 //! This is the contract the fleet diagnosis path rests on: `rack_agg`
-//! computes per-node windowed means rack-locally, the rack-mode
-//! `metric_rank` concatenates summaries back into the flat mean matrix,
+//! computes per-node windowed means rack-locally, `metric_rank` over rack
+//! summaries concatenates them back into the flat mean matrix,
 //! and the peer baseline/MAD it computes must match what the flat wiring
 //! would have produced, to the last bit.
 //!

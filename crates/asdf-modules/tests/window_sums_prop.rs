@@ -2,12 +2,12 @@
 //! closes the same windows with the same means, bit for bit, as buffering
 //! the last `window` rows per node and recomputing with
 //! `rack::windowed_mean_into` at every slide, which is what `rack_agg` and
-//! flat `metric_rank` did before they shared it.
+//! `metric_rank` did before they shared it.
 //!
-//! Both modules now run this one piece of code, so their rack-vs-flat
-//! equality tests no longer say anything about how a mean is formed; this
-//! file does, for any node count, metric width, window, slide (below,
-//! equal to and above the window) and stream length.
+//! Both modules run this one piece of code (through `rack::FrameWindows`),
+//! so their rack-vs-one-rack equality tests say nothing about how a mean
+//! is formed; this file does, for any node count, metric width, window,
+//! slide (below, equal to and above the window) and stream length.
 
 use asdf_modules::rack::{windowed_mean_into, WindowSums};
 use proptest::prelude::*;

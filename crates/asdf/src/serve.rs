@@ -44,6 +44,7 @@ use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::online::OnlineEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
+use asdf_modules::collectors::poll_frame;
 use asdf_modules::rack::RackSummary;
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
@@ -312,11 +313,12 @@ struct ServeIngest {
     queue: Arc<IngressQueue>,
     /// The tenant's hostnames, in node order.
     origins: Vec<String>,
-    /// Each of [`STREAMS`]' port (a black-box tenant hears only the first).
+    /// The port of each wired stream, a prefix of [`STREAMS`] (a black-box
+    /// tenant wires only the first).
     ports: Vec<PortId>,
-    /// Each stream's row width: the model's for `sadc`, the first good
-    /// frame's for the others.
-    widths: [Option<usize>; 3],
+    /// Each wired stream's row width: the model's for `sadc`, the first
+    /// good frame's for the others.
+    widths: Vec<Option<usize>>,
     buf: Vec<Bytes>,
     /// Every frame decodes into this one buffer.
     values: Vec<f64>,
@@ -333,9 +335,9 @@ impl Module for ServeIngest {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         ctx.expect_input_count(0)?;
         let origin = self.origins.first().cloned().unwrap_or_default();
-        for (_, name) in STREAMS {
+        for (_, name) in &STREAMS[..self.widths.len()] {
             self.ports
-                .push(ctx.declare_output_with_origin(name, origin.clone()));
+                .push(ctx.declare_output_with_origin(*name, origin.clone()));
         }
         ctx.request_periodic(TickDuration::SECOND);
         Ok(())
@@ -360,16 +362,18 @@ impl Module for ServeIngest {
 
 /// Decodes a frame into `values`: its index in [`STREAMS`] and timestamp,
 /// or `None` unless it is one whole second of all `slaves` nodes from node 0
-/// in its stream's width, which an unset `widths` entry takes from it.
+/// of a wired stream (one `widths` has an entry for) in that stream's
+/// width, which an unset entry takes from it.
 fn decode_frame(
     frame: &[u8],
     slaves: usize,
-    widths: &mut [Option<usize>; 3],
+    widths: &mut [Option<usize>],
     values: &mut Vec<f64>,
 ) -> Option<(usize, u64)> {
     let mut r = FrameReader::new(frame).ok()?;
     let tag = r.get_u8().ok()?;
-    let stream = STREAMS.iter().position(|(t, _)| *t == tag)?;
+    let wired = &STREAMS[..widths.len()];
+    let stream = wired.iter().position(|(t, _)| *t == tag)?;
     let (first, ts) = (r.get_u32().ok()?, r.get_u64().ok()?);
     r.get_f64_slice_into(values).ok()?;
     let (k, dim) = RackSummary::shape(values).ok()?;
@@ -446,13 +450,16 @@ impl ServeDaemon {
         let mut registry = ModuleRegistry::new();
         asdf_modules::register_analysis_modules(&mut registry);
         let (queue, nodes) = (Arc::clone(queue), origins.to_vec());
-        let sadc_width = self.model.stddev.len();
+        let mut widths = vec![Some(self.model.stddev.len())];
+        if self.opts.white_box {
+            widths.resize(STREAMS.len(), None);
+        }
         registry.register("serve_ingest", move || {
             Box::new(ServeIngest {
                 queue: Arc::clone(&queue),
                 origins: nodes.clone(),
                 ports: Vec::new(),
-                widths: [Some(sadc_width), None, None],
+                widths: widths.clone(),
                 buf: Vec::new(),
                 values: Vec::new(),
             })
@@ -680,29 +687,6 @@ fn connect_collectors(
     Ok(streams)
 }
 
-/// Polls every daemon of a stream under the one cluster lock into `frame`,
-/// `[n, dim, node₀…, node₁…]`, and returns the second's timestamp; `None`
-/// when a node has nothing, for a stream-second is whole or absent.
-fn poll_frame(
-    cluster: &mut Cluster,
-    daemons: &mut [Box<dyn Collector + Send>],
-    values: &mut Vec<f64>,
-    frame: &mut Vec<f64>,
-) -> Result<Option<u64>, WireError> {
-    frame.clear();
-    frame.extend([daemons.len() as f64, 0.0]);
-    let mut second = None;
-    for daemon in daemons {
-        let Some(ts) = daemon.poll_into_locked(cluster, values)? else {
-            return Ok(None);
-        };
-        frame[1] = values.len() as f64;
-        frame.extend_from_slice(values);
-        second = Some(ts);
-    }
-    Ok(second)
-}
-
 /// One tenant's collector feeder: ticks the monitored cluster once per
 /// step, polls every node's daemons over the accounted wire and queues each
 /// stream's second as one frame — paced to `pace` per step (see
@@ -724,7 +708,11 @@ fn feeder_loop(
         }
         handle.tick();
         for (tag, daemons) in &mut streams {
-            match handle.with(|c| poll_frame(c, daemons, &mut values, &mut frame)) {
+            let polled = handle.with(|c| {
+                let daemons = daemons.iter_mut().map(|d| &mut **d);
+                poll_frame(c, daemons, &mut values, &mut frame)
+            });
+            match polled {
                 Ok(Some(ts)) => queue.push(encode_frame(*tag, 0, ts, &frame)),
                 Ok(None) => {}
                 Err(e) => {
@@ -760,7 +748,9 @@ fn pace_step(deadline: Instant, now: Instant, tick: Duration) -> (Duration, Inst
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::{envelope_bits, figure4_analyses};
+    use crate::pipeline::tests::{
+        assert_every_port_is_routed_or_tapped, envelope_bits, figure4_analyses,
+    };
     use asdf_core::engine::TickEngine;
     use asdf_modules::kernel::CentroidBlock;
     use asdf_rpc::wire::MessageReader;
@@ -809,6 +799,8 @@ mod tests {
             (values.as_slice(), widths),
             (&second[..], [None, Some(1), None])
         );
+        // A black-box tenant wires the `sadc` stream alone.
+        assert_eq!(decode_frame(&frame, 2, &mut [None], &mut values), None);
     }
 
     #[test]
@@ -1165,6 +1157,7 @@ mod tests {
 
     #[test]
     fn a_tenant_dag_is_seven_instances_at_any_cluster_size() {
+        // Seven (three without the white box), every port wired or tapped.
         for slaves in [3, 20, 200] {
             let origins: Vec<String> = (0..slaves).map(|i| format!("slave{i:02}")).collect();
             for (white_box, instances) in [(true, 7), (false, 3)] {
@@ -1176,11 +1169,9 @@ mod tests {
                 let daemon = ServeDaemon::new(tiny_model(), opts);
                 let queue = Arc::new(IngressQueue::new("shape", 1, 1));
                 let dag = daemon.tenant_dag(&queue, &origins).unwrap();
-                assert_eq!(
-                    dag.len(),
-                    instances,
-                    "{slaves} slaves, white box {white_box}"
-                );
+                let what = format!("{slaves} slaves, white box {white_box}");
+                assert_eq!(dag.len(), instances, "{what}");
+                assert_every_port_is_routed_or_tapped(&dag, &["bb", "wb_tt", "wb_st"], &what);
             }
         }
     }

@@ -32,32 +32,14 @@ scenarios:
     cargo test -p integration-tests --test scenario_matrix
 
 # The fleet-scale suites on their own: the sim-shard x engine-thread x
-# batch bitwise sweep, the generated wiring at racks {0, 1, 2, 3, 7}
-# against the paper's per-node Figure 4 on all four taps and its instance
-# count at 500 nodes, the 500-node rack-path fingerpointing scenario and
-# (--release) the 5000-node full-pipeline cell that prints DESIGN 5g's
-# reading (the 5000-node rank row is asdfbench's `fleet5000_rank`), every
-# collector kind's `nodes = lo..hi` against one instance per node and its
-# `frame` port against its node ports, `knn` over frames against one `knn`
-# per node, `analysis_bb` / `analysis_wb` over rack-wide slots (equal to
-# per-node slots; mis-sized and malformed rows), `rack_agg` over frames
-# (cadence, malformed input, no sample kept), the running window sums
-# against a buffered window
-# (bitwise, any window / slide), a node's second rendered over its last one
-# (bitwise, no reallocation), a tap attached after construction on a port
-# nothing is wired to, the collector wire accounting and decoder
-# properties, and the bound on un-tailed logs.
+# batch bitwise sweep and the rack tree-reduce rankings, the 500-node
+# rack-path fingerpointing scenario, then the fleet test list
+# (scripts/fleet.sh, which says what it covers and fails when a filter in
+# it matches no test).
 fleet:
     cargo test -p integration-tests --test shard_equivalence -- sim_shards_compose rack_tree_reduce
     cargo test -p integration-tests --test scenario_matrix -- fleet_scale
-    cargo test --release -p integration-tests --test scenario_matrix -- --ignored --nocapture fleet_scale_full_pipeline
-    cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring pipeline::tests::the_generated_dag
-    cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests rack_wide rack_row frame
-    cargo test -q -p asdf-modules --test window_sums_prop --test knn_frame_prop
-    cargo test -q -p procsim --lib -- node::tests::tick_into
-    cargo test -q -p asdf-core --lib -- engine::tests::a_tap_attached_after_construction
-    cargo test -q -p asdf-rpc
-    cargo test -q -p hadoop-sim --test invariants -- untailed_logs
+    ./scripts/fleet.sh
 
 # The benchmark binary (asdfbench, unchanged) at --smoke size on every
 # workload BENCHMARK.json lists, untraced and traced: fails unless each

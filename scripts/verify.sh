@@ -43,16 +43,9 @@ cargo test -p integration-tests --test scenario_matrix
 
 # (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
 # and the fleet_scale scenario; both suites ran whole just above, bar the
-# ignored 5000-node cell, which needs --release.)
-echo "[verify] fleet: one wiring vs the per-node Figure 4 and its instance count, 5000-node full pipeline (--release), collector node ranges and frames, knn / analysis_* over rack rows, rack_agg, running window sums, in-place frames, late taps, wire accounting, log bound" >&2
-cargo test --release -p integration-tests --test scenario_matrix -- --ignored --nocapture fleet_scale_full_pipeline
-cargo test -q -p asdf --lib -- pipeline::tests::rack_wiring pipeline::tests::the_generated_dag
-cargo test -q -p asdf-modules --lib -- collectors::tests::node_ rack_agg::tests rack_wide rack_row frame
-cargo test -q -p asdf-modules --test window_sums_prop --test knn_frame_prop
-cargo test -q -p procsim --lib -- node::tests::tick_into
-cargo test -q -p asdf-core --lib -- engine::tests::a_tap_attached_after_construction
-cargo test -q -p asdf-rpc
-cargo test -q -p hadoop-sim --test invariants -- untailed_logs
+# ignored 5000-node cell, which the fleet list runs in --release.)
+echo "[verify] fleet: the one fleet test list (scripts/fleet.sh)" >&2
+./scripts/fleet.sh
 
 echo "[verify] bench-smoke: the benchmark binary passes its own checks, untraced and traced" >&2
 ./scripts/bench_smoke.sh

@@ -113,7 +113,7 @@ fn extended_fault_scenarios_match_fixtures_and_rank_the_culprit_metric() {
 fn fleet_scale_rack_path_fingers_the_straggler() {
     // Fleet-scale accuracy floor: 500 nodes, one Straggler, the
     // rack-aggregated ranking path (sharded simulator, per-rack
-    // tree-reduce, rack-mode metric_rank). The node whose top metric
+    // tree-reduce, metric_rank over rack summaries). The node whose top metric
     // deviates most from the fleet baseline must be the faulty one, and
     // that metric must belong to the Straggler's culprit family — i.e.
     // compressing the global stage to O(racks) rows loses no diagnosis.

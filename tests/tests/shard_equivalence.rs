@@ -445,13 +445,12 @@ fn sim_shards_compose_with_engine_threads_and_batches() {
 
 #[test]
 fn rack_tree_reduce_rankings_match_flat_wiring() {
-    // The rack path changes the DAG shape (one `sadc` per rack feeding the
-    // per-node `knn`s from its node ports and a per-rack rack_agg from its
-    // `frame` port, plus a rack-mode
-    // metric_rank) and nothing any tap sees: rankings and the analysis
-    // streams behind the rack collectors must be bitwise equal to the flat
-    // wiring at every rack count, including with sim sharding and
-    // batching stacked on top.
+    // The rack path changes the DAG shape (one `sadc` per rack whose
+    // `frame` feeds the rack's `knn` and a per-rack rack_agg, and a
+    // metric_rank over the rack summaries) and nothing any tap sees:
+    // rankings and the analysis streams behind the rack collectors must be
+    // bitwise equal to the one-rack wiring at every rack count, including
+    // with sim sharding and batching stacked on top.
     let flat = matrix_campaign(1, 1);
     let model = support::small_model(&flat);
     let reference = support::pipeline_streams(&flat, &model, Some(FaultKind::CpuHog), 29);
