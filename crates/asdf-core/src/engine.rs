@@ -47,11 +47,12 @@
 //! [`TickEngine::set_batch_size`] raises the lane hand-off granularity:
 //! above 1, a producing visit accumulates its deliveries per edge and
 //! flushes whole `EnvBatch::Many` batches when the flush watermark (the
-//! batch size) is hit and again at end of run, and modules are entered
-//! through [`crate::module::Module::run_batch`] so migrated hot paths can
-//! process their whole backlog columnarly. Batch contents unpack in
-//! emission order on the consumer side, so every observable stays bitwise
-//! identical to the per-envelope path at any batch size and thread count;
+//! batch size) is hit and again at end of run. That is the only thing the
+//! knob changes: every emission is one [`Envelope`], routed in the order
+//! the module emitted it, and every module is entered through
+//! [`crate::module::Module::run`]. Batch contents unpack in emission order
+//! on the consumer side, so every observable stays bitwise identical to the
+//! per-envelope path at any batch size and thread count;
 //! `engine.batch_len.<id>` histograms and `engine.batch_flush_total`
 //! expose the batch-size distribution actually achieved.
 //!
@@ -69,9 +70,9 @@ use parking_lot::Mutex;
 
 use crate::dag::{Dag, DagNode};
 use crate::error::RunEngineError;
-use crate::module::{EmitRows, Envelope, PortId, RowBlock, RowEmit, RunCtx, RunReason};
+use crate::module::{Envelope, PortId, RunCtx, RunReason};
 use crate::time::{TickDuration, Timestamp};
-use crate::value::{Sample, Value};
+use crate::value::Sample;
 
 /// Whole ticks the coordinator must complete alone (no worker visits)
 /// before it stops waking the pool on every tick.
@@ -146,26 +147,18 @@ impl TapHandle {
 ///
 /// With the engine's batch size at 1 (the default), every emission takes
 /// the allocation-free [`EnvBatch::One`] path and the engine behaves
-/// exactly like the historical per-envelope lanes. With a batch size
-/// above 1, the producing visit accumulates
-/// deliveries per edge and flushes them as [`EnvBatch::Many`] when the
-/// flush watermark (the batch size) is reached and at the end of the run,
-/// so a batch never spans two runs. Consumers unpack batches in emission
-/// order, which keeps the merged queue contents — and therefore every
-/// observable — bitwise identical at any batch size.
+/// exactly like the historical per-envelope lanes. With a batch size above
+/// 1, the producing visit accumulates deliveries per edge and flushes them
+/// as [`EnvBatch::Many`] when the flush watermark (the batch size) is
+/// reached and at the end of the run, so a batch never spans two runs.
+/// Consumers unpack batches in emission order, which keeps the merged queue
+/// contents — and therefore every observable — bitwise identical at any
+/// batch size.
 enum EnvBatch {
     /// A single `(destination slot, envelope)` delivery.
     One(usize, Envelope),
     /// A flushed batch of deliveries for one edge, in emission order.
     Many(Vec<(usize, Envelope)>),
-    /// A columnar [`RowBlock`] for one destination slot: a whole tick-range
-    /// of same-port vector rows sharing one allocation. Pushed only on
-    /// edges whose consumer opted in via
-    /// [`crate::module::Module::accepts_row_blocks`] and only when the
-    /// block holds more than one row; every other edge receives the
-    /// materialized per-sample envelopes instead, so observables never
-    /// depend on which representation travelled.
-    Rows(usize, Arc<RowBlock>),
 }
 
 /// The per-edge envelope lane, carrying single deliveries or whole batches
@@ -232,20 +225,6 @@ struct RuntimeNode {
     /// Envelope deliveries routed into edge lanes by this node — the
     /// transport volume behind [`TickEngine::envelopes_routed`].
     routed: u64,
-    /// Whether this node's module consumes whole [`RowBlock`]s (set once
-    /// from [`crate::module::Module::accepts_row_blocks`]).
-    accepts_rows: bool,
-    /// Per outgoing lane: does the edge's consumer accept row blocks?
-    /// Indexed like `batch_bufs` (`edge - first_edge`).
-    edge_accepts: Vec<bool>,
-    /// Undelivered [`RowBlock`]s per input slot, in arrival order. The
-    /// merge invariant: a slot never has rows here *and* envelopes in its
-    /// queue — an arriving envelope settles (materializes) the slot's
-    /// blocks into the queue first, so per-slot order is always total.
-    row_backlog: Vec<(usize, Arc<RowBlock>)>,
-    /// Reusable scratch for the module's `emit_row` accumulation, routed
-    /// after the scalar emissions of the same run.
-    row_emit: Vec<RowEmit>,
 }
 
 /// Deterministic simulated-time executor for a module [`Dag`].
@@ -385,11 +364,6 @@ impl TickEngine {
         let lanes: Box<[EnvLane]> = (0..edge_count).map(|_| Mutex::new(Vec::new())).collect();
 
         let flush_count = reg.counter("engine.batch_flush_total");
-        let accepts: Vec<bool> = dag
-            .nodes
-            .iter()
-            .map(|n| n.module.accepts_row_blocks())
-            .collect();
         let nodes = dag
             .nodes
             .into_iter()
@@ -421,10 +395,6 @@ impl TickEngine {
                     batch_hist,
                     flush_count: Arc::clone(&flush_count),
                     routed: 0,
-                    accepts_rows: accepts[idx],
-                    edge_accepts: p.downstreams.iter().map(|&d| accepts[d]).collect(),
-                    row_backlog: Vec::new(),
-                    row_emit: Vec::new(),
                 })
             })
             .collect();
@@ -466,8 +436,7 @@ impl TickEngine {
 
     /// Changes the lane hand-off granularity: with `batch_size > 1` each
     /// producing run accumulates per-edge batches and flushes them at this
-    /// watermark (and at end of run), and modules are entered through
-    /// [`crate::module::Module::run_batch`]. Observables — envelope
+    /// watermark (and at end of run). Observables — envelope
     /// streams, tap contents, error attribution — are bitwise identical at
     /// any setting and any thread count; the knob only changes hand-off
     /// amortization. `0` is treated as `1`.
@@ -677,24 +646,18 @@ fn resolve_engine_threads(requested: usize) -> usize {
 /// serially, by the wavefront when sharded — so nobody is producing into
 /// these lanes while they drain.
 fn deliver_inbox(dst: &mut RuntimeNode, merge: &[(usize, usize)], lanes: &[EnvLane]) {
-    let accepts = dst.accepts_rows;
     for &(_u, edge) in merge {
         for batch in lanes[edge].lock().drain(..) {
             match batch {
                 EnvBatch::One(slot, env) => {
-                    if !dst.row_backlog.is_empty() {
-                        settle_backlog(&mut dst.queues, &mut dst.row_backlog, slot);
-                    }
                     dst.queues[slot].push_back(env);
                     dst.pending += 1;
                 }
                 EnvBatch::Many(items) => {
                     dst.pending += items.len();
-                    deliver_many(&mut dst.queues, &mut dst.row_backlog, items);
-                }
-                EnvBatch::Rows(slot, block) => {
-                    dst.pending += block.len();
-                    deliver_rows(&mut dst.queues, &mut dst.row_backlog, accepts, slot, block);
+                    for (slot, env) in items {
+                        dst.queues[slot].push_back(env);
+                    }
                 }
             }
         }
@@ -757,23 +720,14 @@ fn run_module(
         queues: &mut rt.queues,
         emitted,
         n_outputs: rt.node.outputs.len(),
-        emitted_rows: &mut rt.row_emit,
-        row_backlog: &mut rt.row_backlog,
     };
-    let batch_size = rt.batch_size;
     let result = {
         let _timer = obs.then(|| rt.span.enter_forced());
-        if batch_size > 1 {
-            rt.node.module.run_batch(&mut ctx, reason)
-        } else {
-            rt.node.module.run(&mut ctx, reason)
-        }
+        rt.node.module.run(&mut ctx, reason)
     };
-    rt.pending = rt.queues.iter().map(VecDeque::len).sum::<usize>()
-        + rt.row_backlog.iter().map(|(_, b)| b.len()).sum::<usize>();
+    rt.pending = rt.queues.iter().map(VecDeque::len).sum();
     if let Err(source) = result {
         emitted.clear();
-        rt.row_emit.clear();
         return Err(RunEngineError {
             instance: rt.node.id.clone(),
             at_secs: now.as_secs(),
@@ -797,44 +751,7 @@ fn run_module(
         }
         // No routes and no taps: the envelope is dropped without a clone.
     }
-    // Row emissions route after the scalar ones of the same run — on every
-    // engine configuration, so the two paths order identically. A lone row
-    // already is its envelope's payload. A multi-row entry becomes one
-    // shared columnar block on edges whose consumer opted in (batching
-    // engines only), and materializes into the exact per-sample envelopes
-    // everywhere else (taps included).
-    if !rt.row_emit.is_empty() {
-        let mut entries = std::mem::take(&mut rt.row_emit);
-        for entry in entries.drain(..) {
-            let port = entry.port.index();
-            let source = Arc::clone(&rt.node.outputs[port]);
-            match entry.rows {
-                EmitRows::One(timestamp, row) => {
-                    let sample = Sample {
-                        timestamp,
-                        value: Value::Vector(row),
-                    };
-                    tap_and_route(rt, lanes, port, Envelope { source, sample }, &mut tally);
-                }
-                EmitRows::Many { dim, stamps, data } => {
-                    let block = RowBlock {
-                        source,
-                        dim,
-                        stamps,
-                        data,
-                    };
-                    if batch_size > 1 {
-                        route_block(rt, lanes, port, block, &mut tally);
-                    } else {
-                        for r in 0..block.len() {
-                            tap_and_route(rt, lanes, port, block.envelope(r), &mut tally);
-                        }
-                    }
-                }
-            }
-        }
-        rt.row_emit = entries;
-    }
+    let batch_size = rt.batch_size;
     if batch_size > 1 {
         // End-of-run flush: whatever accumulated below the watermark goes
         // out now, so a batch never spans two runs and downstream visits
@@ -885,10 +802,14 @@ fn tap_and_route(
     tally.clones += rest.len() as u64;
     let batch_size = rt.batch_size;
     if batch_size > 1 {
+        // Whatever stays below the watermark goes out at end of run.
         let mut stage = |edge: usize, slot: usize, env: Envelope| {
             let buf = &mut rt.batch_bufs[edge - rt.first_edge];
-            let hist = &rt.batch_hist;
-            stage_delivery(lanes, edge, buf, (slot, env), batch_size, hist, tally);
+            buf.push((slot, env));
+            if buf.len() >= batch_size {
+                flush_batch(lanes, edge, buf, batch_size, &rt.batch_hist);
+                tally.flushes += 1;
+            }
         };
         for &(edge, slot) in rest {
             stage(edge, slot, env.clone());
@@ -899,154 +820,6 @@ fn tap_and_route(
             lanes[edge].lock().push(EnvBatch::One(slot, env.clone()));
         }
         lanes[last_edge].lock().push(EnvBatch::One(last_slot, env));
-    }
-}
-
-/// Adds one delivery to an edge's accumulation buffer under a batching
-/// engine, and flushes the buffer when it reaches the watermark (whatever
-/// stays below it goes out at end of run).
-fn stage_delivery(
-    lanes: &[EnvLane],
-    edge: usize,
-    buf: &mut Vec<(usize, Envelope)>,
-    delivery: (usize, Envelope),
-    batch_size: usize,
-    hist: &Histogram,
-    tally: &mut RouteTally,
-) {
-    buf.push(delivery);
-    if buf.len() >= batch_size {
-        flush_batch(lanes, edge, buf, batch_size, hist);
-        tally.flushes += 1;
-    }
-}
-
-/// Routes a multi-row block of output `port` under a batching engine: whole
-/// to consumers that accept row blocks, as per-sample envelopes through
-/// the ordinary batched accumulation to the rest and to taps.
-fn route_block(
-    rt: &mut RuntimeNode,
-    lanes: &[EnvLane],
-    port: usize,
-    block: RowBlock,
-    tally: &mut RouteTally,
-) {
-    let batch_size = rt.batch_size;
-    let n_rows = block.len();
-    for r in 0..n_rows {
-        for tap in &rt.taps {
-            tap.push(block.envelope(r));
-            tally.clones += 1;
-        }
-    }
-    let routes = &rt.route_map[port];
-    if routes.is_empty() {
-        return;
-    }
-    rt.routed += (n_rows * routes.len()) as u64;
-    let block = Arc::new(block);
-    for (i, &(edge, slot)) in routes.iter().enumerate() {
-        let buf = &mut rt.batch_bufs[edge - rt.first_edge];
-        if rt.edge_accepts[edge - rt.first_edge] {
-            // Edge FIFO: scalars accumulated for this edge earlier in the
-            // run must leave before the block.
-            if !buf.is_empty() {
-                flush_batch(lanes, edge, buf, batch_size, &rt.batch_hist);
-                tally.flushes += 1;
-            }
-            rt.batch_hist.record(n_rows as u64);
-            lanes[edge]
-                .lock()
-                .push(EnvBatch::Rows(slot, Arc::clone(&block)));
-            tally.flushes += 1;
-            if i > 0 {
-                tally.clones += 1;
-            }
-        } else {
-            for r in 0..n_rows {
-                let delivery = (slot, block.envelope(r));
-                let hist = &rt.batch_hist;
-                stage_delivery(lanes, edge, buf, delivery, batch_size, hist, tally);
-            }
-            if i > 0 {
-                tally.clones += n_rows as u64;
-            }
-        }
-    }
-}
-
-/// Unpacks a [`EnvBatch::Many`] into a consumer's slot queues in emission
-/// order. Consecutive same-slot runs (the common case: most batches come
-/// from a single output port) share one queue borrow and one bulk
-/// reservation instead of a fresh indexed lookup per envelope. Any row
-/// blocks pending for a touched slot settle into the queue first, so the
-/// slot's total order matches the per-sample path's exactly.
-fn deliver_many(
-    queues: &mut [VecDeque<Envelope>],
-    backlog: &mut Vec<(usize, Arc<RowBlock>)>,
-    items: Vec<(usize, Envelope)>,
-) {
-    let mut iter = items.into_iter().peekable();
-    while let Some((slot, env)) = iter.next() {
-        if !backlog.is_empty() {
-            settle_backlog(queues, backlog, slot);
-        }
-        let q = &mut queues[slot];
-        q.push_back(env);
-        while let Some((next_slot, _)) = iter.peek() {
-            if *next_slot != slot {
-                break;
-            }
-            let (_, env) = iter.next().expect("peeked");
-            q.push_back(env);
-        }
-    }
-}
-
-/// Delivers a columnar block to one input slot.
-///
-/// The block stays whole — appended to the row backlog for a zero-copy
-/// [`crate::module::RunCtx::take_row_blocks`] — only when the consumer
-/// opted in *and* the slot's queue is empty; otherwise it materializes
-/// behind the queued envelopes. Together with [`settle_backlog`] on the
-/// envelope arms this keeps the per-slot invariant: rows in the backlog
-/// are always newer than everything in the slot's queue.
-fn deliver_rows(
-    queues: &mut [VecDeque<Envelope>],
-    backlog: &mut Vec<(usize, Arc<RowBlock>)>,
-    accepts: bool,
-    slot: usize,
-    block: Arc<RowBlock>,
-) {
-    if accepts && queues[slot].is_empty() {
-        backlog.push((slot, block));
-    } else {
-        materialize_block(&mut queues[slot], &block);
-    }
-}
-
-/// Materializes every pending block of `slot` into its queue, in arrival
-/// order, ahead of an incoming per-sample envelope.
-fn settle_backlog(
-    queues: &mut [VecDeque<Envelope>],
-    backlog: &mut Vec<(usize, Arc<RowBlock>)>,
-    slot: usize,
-) {
-    backlog.retain(|&(s, ref block)| {
-        if s != slot {
-            return true;
-        }
-        materialize_block(&mut queues[slot], block);
-        false
-    });
-}
-
-/// Appends a block's rows to a queue as the exact envelopes the per-sample
-/// path would have delivered.
-fn materialize_block(q: &mut VecDeque<Envelope>, block: &RowBlock) {
-    q.reserve(block.len());
-    for r in 0..block.len() {
-        q.push_back(block.envelope(r));
     }
 }
 
@@ -1489,8 +1262,7 @@ mod tests {
         }
     }
 
-    /// Emits `burst` deterministic vector rows per tick through
-    /// [`RunCtx::emit_row`] — the columnar producer fixture.
+    /// Emits `burst` deterministic vector rows per tick.
     struct RowBurst {
         port: Option<PortId>,
         burst: usize,
@@ -1512,7 +1284,7 @@ mod tests {
                 for (j, x) in row.iter_mut().enumerate() {
                     *x = (self.count * 31 + j as u64) as f64 * 0.5;
                 }
-                ctx.emit_row(self.port.unwrap(), &row);
+                ctx.emit(self.port.unwrap(), row.as_slice());
             }
             Ok(())
         }
@@ -1520,86 +1292,37 @@ mod tests {
 
     /// Order-sensitive fold over numeric samples: each component feeds a
     /// non-commutative accumulator, so any reordering, loss, or duplication
-    /// anywhere upstream changes every digest after it. Opts into row
-    /// blocks via the `accept` parameter; `report = 1` additionally emits
-    /// the cumulative count of whole blocks received (port `blocks`).
+    /// anywhere upstream changes every digest after it.
     struct RowFold {
         digest: Option<PortId>,
-        blocks: Option<PortId>,
         acc: f64,
-        accept: bool,
-        report: bool,
-        blocks_seen: u64,
-    }
-    impl RowFold {
-        fn fold(&mut self, ts: Timestamp, value: &Value) {
-            let t = ts.as_secs() as f64;
-            match value {
-                Value::Vector(v) => {
-                    for &x in v.iter() {
-                        self.acc = self.acc.mul_add(1.000_000_1, x + t);
-                    }
-                }
-                Value::Int(x) => self.acc = self.acc.mul_add(1.000_000_1, *x as f64 + t),
-                Value::Float(x) => self.acc = self.acc.mul_add(1.000_000_1, x + t),
-                _ => {}
-            }
-        }
-        fn fold_row(&mut self, ts: Timestamp, row: &[f64]) {
-            let t = ts.as_secs() as f64;
-            for &x in row {
-                self.acc = self.acc.mul_add(1.000_000_1, x + t);
-            }
-        }
     }
     impl Module for RowFold {
         fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
             self.digest = Some(ctx.declare_output("digest"));
-            self.accept = ctx.parse_param_or("accept", 1u8)? != 0;
-            self.report = ctx.parse_param_or("report", 0u8)? != 0;
-            if self.report {
-                self.blocks = Some(ctx.declare_output("blocks"));
-            }
             let trigger = ctx.parse_param_or("trigger", 1usize)?;
             ctx.set_input_trigger(trigger);
             Ok(())
         }
-        fn accepts_row_blocks(&self) -> bool {
-            self.accept
-        }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             for (_, env) in ctx.drain_all() {
-                self.fold(env.sample.timestamp, &env.sample.value);
-            }
-            ctx.emit(self.digest.unwrap(), self.acc);
-            if self.report {
-                ctx.emit(self.blocks.unwrap(), self.blocks_seen as i64);
-            }
-            Ok(())
-        }
-        fn run_batch(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            // Queue first, then blocks: the engine's per-slot invariant is
-            // that backlog rows are newer than every queued envelope.
-            let blocks = ctx.take_row_blocks();
-            for (_, env) in ctx.drain_all() {
-                self.fold(env.sample.timestamp, &env.sample.value);
-            }
-            for (_, block) in &blocks {
-                for (ts, row) in block.rows() {
-                    self.fold_row(ts, row);
+                let t = env.sample.timestamp.as_secs() as f64;
+                let mut fold = |x: f64| self.acc = self.acc.mul_add(1.000_000_1, x + t);
+                match &env.sample.value {
+                    Value::Vector(v) => v.iter().copied().for_each(fold),
+                    Value::Int(x) => fold(*x as f64),
+                    Value::Float(x) => fold(*x),
+                    _ => {}
                 }
             }
-            self.blocks_seen += blocks.len() as u64;
             ctx.emit(self.digest.unwrap(), self.acc);
-            if self.report {
-                ctx.emit(self.blocks.unwrap(), self.blocks_seen as i64);
-            }
             Ok(())
         }
     }
 
-    /// Interleaves scalar `emit` and columnar `emit_row` in one run, so the
-    /// scalars-before-rows routing order is observable downstream.
+    /// Emits `Int, vector, Int, vector, vector` on one port every tick: a
+    /// run's emissions leave in the order the module made them, scalars and
+    /// rows alike.
     struct MixedEmit {
         port: Option<PortId>,
         count: u64,
@@ -1612,21 +1335,22 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             let port = self.port.unwrap();
-            for _ in 0..2 {
+            for scalar in [true, false, true, false, false] {
                 self.count += 1;
-                ctx.emit(port, self.count as i64);
-            }
-            for _ in 0..3 {
-                self.count += 1;
-                ctx.emit_row(port, &[self.count as f64, -(self.count as f64)]);
+                let x = self.count as f64;
+                if scalar {
+                    ctx.emit(port, self.count as i64);
+                } else {
+                    ctx.emit(port, vec![x, -x]);
+                }
             }
             Ok(())
         }
     }
 
-    /// Alternates rows-only and scalar-only ticks on one port: a pending
-    /// row block must settle into the queue when the later scalar arrives
-    /// (the consumer's trigger spans both ticks).
+    /// Alternates rows-only and scalar-only ticks on one port, so a
+    /// consumer whose trigger spans both sees rows queued ahead of a later
+    /// scalar.
     struct PhasedEmit {
         port: Option<PortId>,
         count: u64,
@@ -1644,7 +1368,7 @@ mod tests {
             if self.tick % 2 == 1 {
                 for _ in 0..3 {
                     self.count += 1;
-                    ctx.emit_row(port, &[self.count as f64 * 0.25, self.count as f64]);
+                    ctx.emit(port, vec![self.count as f64 * 0.25, self.count as f64]);
                 }
             } else {
                 self.count += 1;
@@ -1673,9 +1397,9 @@ mod tests {
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.count += 1;
             let x = self.count as f64;
-            ctx.emit_row(self.heard.unwrap(), &[x, x + 0.5]);
+            ctx.emit(self.heard.unwrap(), vec![x, x + 0.5]);
             if self.sibling {
-                ctx.emit_row(self.unheard.unwrap(), &[-x, -x - 0.5]);
+                ctx.emit(self.unheard.unwrap(), vec![-x, -x - 0.5]);
             }
             Ok(())
         }
@@ -1757,11 +1481,7 @@ mod tests {
         reg.register("rowfold", || {
             Box::new(RowFold {
                 digest: None,
-                blocks: None,
                 acc: 0.0,
-                accept: true,
-                report: false,
-                blocks_seen: 0,
             })
         });
         reg.register("mixed", || {
@@ -2278,114 +1998,115 @@ input[i] = join.total
             .collect()
     }
 
+    /// Asserts that the sink's stream is the same at batch {1, 2, 7, 64} x
+    /// threads {1, 4} — 7 covers the non-power-of-two and partial-final-
+    /// batch cases, 64 exceeds any per-tick emission volume — and returns
+    /// the per-envelope serial reference.
+    fn assert_batch_invariant(cfg: &str, sink: &str, ticks: u64) -> Vec<(u64, Value)> {
+        let reference = tapped_stream(cfg, sink, ticks, 1, 1);
+        assert!(!reference.is_empty());
+        for batch in [1usize, 2, 7, 64] {
+            for threads in [1usize, 4] {
+                let got = tapped_stream(cfg, sink, ticks, threads, batch);
+                assert_eq!(reference, got, "batch {batch}, threads {threads}");
+            }
+        }
+        reference
+    }
+
     #[test]
-    fn row_blocks_match_per_sample_for_accepting_consumer() {
-        // Bursty columnar producer into an opted-in consumer whose fold is
-        // order-sensitive: the per-sample serial stream is the reference,
-        // and every batch size (including non-power-of-two bursts and
-        // watermarks) and thread count must reproduce it bitwise.
+    fn row_bursts_match_per_sample_at_any_batch_and_thread_count() {
+        // Bursty vector producer into an order-sensitive fold, including
+        // non-power-of-two bursts against every watermark.
         for (burst, dim) in [(1usize, 4usize), (5, 3), (16, 2)] {
             let cfg = format!(
                 "[rowburst]\nid = rb\nburst = {burst}\ndim = {dim}\n\n\
                  [rowfold]\nid = f\ninput[i] = rb.rows\n\n"
             );
-            let reference = tapped_stream(&cfg, "f", 12, 1, 1);
-            assert!(!reference.is_empty());
-            for batch in [2usize, 7, 64] {
-                for threads in [1usize, 4] {
-                    let got = tapped_stream(&cfg, "f", 12, threads, batch);
-                    assert_eq!(
-                        reference, got,
-                        "diverged: burst {burst}, dim {dim}, batch {batch}, threads {threads}"
-                    );
-                }
-            }
+            assert_batch_invariant(&cfg, "f", 12);
         }
     }
 
     #[test]
     fn row_emissions_materialize_for_non_accepting_consumer() {
-        // Same producer, consumer with the opt-in turned off: the engine
-        // must fall back to per-sample envelopes and the streams still
-        // match the per-sample reference at any batch size.
+        // Six rows of width 3 a tick: every row reaches the fold as its
+        // own envelope, at any batch size.
         let cfg = "[rowburst]\nid = rb\nburst = 6\ndim = 3\n\n\
-                   [rowfold]\nid = f\naccept = 0\ninput[i] = rb.rows\n\n";
-        let reference = tapped_stream(cfg, "f", 10, 1, 1);
-        for batch in [7usize, 64] {
-            for threads in [1usize, 2] {
-                let got = tapped_stream(cfg, "f", 10, threads, batch);
-                assert_eq!(reference, got, "batch {batch}, threads {threads}");
-            }
-        }
+                   [rowfold]\nid = f\ninput[i] = rb.rows\n\n";
+        assert_batch_invariant(cfg, "f", 10);
     }
 
     #[test]
     fn row_producer_taps_see_per_sample_envelopes() {
-        // Taps materialize each row: the tapped stream of the producer
-        // itself must be identical whether rows travel columnar or not.
+        // The tapped stream of the producer itself is one envelope per row
+        // at any batch size.
         let cfg = "[rowburst]\nid = rb\nburst = 4\ndim = 2\n\n\
                    [rowfold]\nid = f\ninput[i] = rb.rows\n\n";
-        let reference = tapped_stream(cfg, "rb", 8, 1, 1);
-        assert_eq!(reference.len(), 8 * 4);
-        let batched = tapped_stream(cfg, "rb", 8, 1, 64);
-        assert_eq!(reference, batched);
+        assert_eq!(assert_batch_invariant(cfg, "rb", 8).len(), 8 * 4);
     }
 
     #[test]
     fn mixed_scalar_and_row_emissions_keep_one_order() {
-        // A module interleaving scalar emits with row emits: both engine
-        // paths route the run's scalars first, then its rows, so the
-        // digest streams must agree bitwise.
+        // One list, routed in emission order: every tick the producer's tap
+        // reads `Int, vector, Int, vector, vector` (scalars first would read
+        // `Int, Int, vector, vector, vector`), and the order-sensitive fold
+        // downstream digests exactly that sequence.
         let cfg = "[mixed]\nid = m\n\n[rowfold]\nid = f\ninput[i] = m.out\n\n";
-        let reference = tapped_stream(cfg, "f", 10, 1, 1);
-        for batch in [2usize, 7, 64] {
-            let got = tapped_stream(cfg, "f", 10, 1, batch);
-            assert_eq!(reference, got, "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn row_backlog_settles_behind_queued_envelopes() {
-        // Rows-only ticks followed by scalar-only ticks on one slot, with
-        // the consumer's trigger spanning both: the pending block parks in
-        // the backlog across a tick, and the later scalar envelope must
-        // settle it into the queue ahead of itself. Order-sensitive digest
-        // turns any settle mistake into a different stream.
-        let cfg = "[phased]\nid = p\n\n\
-                   [rowfold]\nid = f\ntrigger = 4\ninput[i] = p.out\n\n";
-        let reference = tapped_stream(cfg, "f", 12, 1, 1);
-        assert!(!reference.is_empty());
-        for batch in [7usize, 64] {
-            for threads in [1usize, 4] {
-                let got = tapped_stream(cfg, "f", 12, threads, batch);
-                assert_eq!(reference, got, "batch {batch}, threads {threads}");
+        let ticks = 6u64;
+        let want: Vec<(u64, Value)> = (0..ticks)
+            .flat_map(|t| {
+                let c = |i: u64| (5 * t + i) as f64;
+                [
+                    (t, Value::Int(5 * t as i64 + 1)),
+                    (t, Value::from(vec![c(2), -c(2)])),
+                    (t, Value::Int(5 * t as i64 + 3)),
+                    (t, Value::from(vec![c(4), -c(4)])),
+                    (t, Value::from(vec![c(5), -c(5)])),
+                ]
+            })
+            .collect();
+        let mut acc = 0.0f64;
+        let digests: Vec<(u64, Value)> = want
+            .chunks(5)
+            .map(|tick| {
+                for (t, v) in tick {
+                    let xs = match v {
+                        Value::Int(x) => vec![*x as f64],
+                        other => other.as_vector().unwrap().to_vec(),
+                    };
+                    for x in xs {
+                        acc = acc.mul_add(1.000_000_1, x + *t as f64);
+                    }
+                }
+                (tick[0].0, Value::Float(acc))
+            })
+            .collect();
+        for batch in [1usize, 64] {
+            for threads in [1usize, 2] {
+                let shape = format!("batch {batch}, threads {threads}");
+                assert_eq!(
+                    tapped_stream(cfg, "m", ticks, threads, batch),
+                    want,
+                    "{shape}"
+                );
+                assert_eq!(
+                    tapped_stream(cfg, "f", ticks, threads, batch),
+                    digests,
+                    "{shape}"
+                );
             }
         }
     }
 
     #[test]
-    fn whole_blocks_reach_an_accepting_consumer() {
-        // Proof the columnar hand-off is actually live: the consumer
-        // reports how many whole blocks it received, and under a batched
-        // engine with a multi-row burst that count must grow.
-        let cfg = "[rowburst]\nid = rb\nburst = 8\ndim = 4\n\n\
-                   [rowfold]\nid = fblk\nreport = 1\ninput[i] = rb.rows\n\n";
-        let mut eng = engine(cfg);
-        eng.set_batch_size(64);
-        let tap = eng.tap("fblk").unwrap();
-        eng.run_for(TickDuration::from_secs(5)).unwrap();
-        let blocks: Vec<i64> = tap
-            .drain()
-            .into_iter()
-            .filter(|e| e.source.name == "blocks")
-            .map(|e| e.sample.value.as_int().unwrap())
-            .collect();
-        assert_eq!(blocks.len(), 5);
-        assert_eq!(
-            *blocks.last().unwrap(),
-            5,
-            "one whole block per tick must arrive columnar, got {blocks:?}"
-        );
+    fn rows_and_scalars_alternating_across_ticks_keep_slot_order() {
+        // Rows-only ticks followed by scalar-only ticks on one slot, with
+        // the consumer's trigger spanning both: the queued rows stay ahead
+        // of the later scalar, and the order-sensitive digest turns any
+        // reordering into a different stream.
+        let cfg = "[phased]\nid = p\n\n\
+                   [rowfold]\nid = f\ntrigger = 4\ninput[i] = p.out\n\n";
+        assert_batch_invariant(cfg, "f", 12);
     }
 
     #[test]

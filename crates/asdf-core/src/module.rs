@@ -86,117 +86,6 @@ pub struct Envelope {
     pub sample: Sample,
 }
 
-/// A tick-range of same-port vector samples in columnar `f64` storage.
-///
-/// Produced by [`RunCtx::emit_row`] under a batching engine: instead of one
-/// `Vec`-allocating [`Envelope`] per sample, a whole batch travels as one
-/// block — `stamps[r]` and `data[r*dim .. (r+1)*dim]` are row `r`. The rows
-/// are laid out contiguously and row-major, so a consumer can hand them to
-/// columnar kernels (`CentroidBlock`-style row scans) without per-sample
-/// unwrapping. Consumers that don't opt in via
-/// [`Module::accepts_row_blocks`] receive the materialized per-sample
-/// envelopes instead; [`RowBlock::envelope`] defines that materialization,
-/// which is bitwise identical to what the per-sample path emits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowBlock {
-    /// The emitting port (every row shares it).
-    pub source: Arc<OutputMeta>,
-    /// Components per row.
-    pub dim: usize,
-    /// Per-row timestamps, in emission order.
-    pub stamps: Vec<Timestamp>,
-    /// Row-major `stamps.len() * dim` storage.
-    pub data: Vec<f64>,
-}
-
-impl RowBlock {
-    /// Number of rows in the block.
-    pub fn len(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Whether the block holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
-    }
-
-    /// Row `r` as a contiguous `f64` slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// Iterates `(timestamp, row)` pairs in emission order.
-    pub fn rows(&self) -> impl Iterator<Item = (Timestamp, &[f64])> {
-        self.stamps
-            .iter()
-            .copied()
-            .zip(self.data.chunks_exact(self.dim.max(1)))
-    }
-
-    /// Materializes row `r` as the envelope the per-sample path would have
-    /// produced: same source, same timestamp, a `Vector` sample with the
-    /// row's exact bits.
-    pub fn envelope(&self, r: usize) -> Envelope {
-        Envelope {
-            source: Arc::clone(&self.source),
-            sample: Sample::new(self.stamps[r], self.row(r)),
-        }
-    }
-}
-
-/// One `emit_row` run of consecutive same-port rows, accumulated during a
-/// module run and routed by the engine afterwards.
-pub(crate) struct RowEmit {
-    pub(crate) port: PortId,
-    pub(crate) rows: EmitRows,
-}
-
-/// The rows of one [`RowEmit`].
-pub(crate) enum EmitRows {
-    /// A lone row, held as the `Vector` payload its envelope will carry: a
-    /// module that emits one row per port per run (every collector does)
-    /// pays one copy of the row, into the `Arc` the consumers share.
-    One(Timestamp, Arc<[f64]>),
-    /// Two or more same-dimension rows in columnar storage, converted into
-    /// a [`RowBlock`] (or materialized per sample) by the engine.
-    Many {
-        dim: usize,
-        stamps: Vec<Timestamp>,
-        data: Vec<f64>,
-    },
-}
-
-/// Appends one row to the accumulated emissions, extending the last entry
-/// when port and dimension match (the columnar fast path) and starting a
-/// fresh entry otherwise.
-fn push_row(emitted_rows: &mut Vec<RowEmit>, port: PortId, ts: Timestamp, row: &[f64]) {
-    if let Some(last) = emitted_rows.last_mut().filter(|last| last.port == port) {
-        match &mut last.rows {
-            EmitRows::Many { dim, stamps, data } if *dim == row.len() => {
-                stamps.push(ts);
-                data.extend_from_slice(row);
-                return;
-            }
-            EmitRows::One(first_ts, first) if first.len() == row.len() => {
-                let mut data = Vec::with_capacity(2 * row.len());
-                data.extend_from_slice(first);
-                data.extend_from_slice(row);
-                last.rows = EmitRows::Many {
-                    dim: row.len(),
-                    stamps: vec![*first_ts, ts],
-                    data,
-                };
-                return;
-            }
-            _ => {}
-        }
-    }
-    emitted_rows.push(RowEmit {
-        port,
-        rows: EmitRows::One(ts, Arc::from(row)),
-    });
-}
-
 /// Why the scheduler invoked [`Module::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunReason {
@@ -283,40 +172,21 @@ pub trait Module: Send {
     /// (see [`crate::error::RunEngineError`]).
     fn run(&mut self, ctx: &mut RunCtx<'_>, reason: RunReason) -> Result<(), ModuleError>;
 
-    /// Called instead of [`Module::run`] when the engine delivers inputs in
-    /// multi-envelope batches (engine batch size > 1).
-    ///
-    /// The input queues then hold a whole tick-range of samples per slot —
-    /// everything a flush watermark's worth of upstream runs produced — so
-    /// migrated modules can process columnar rows (e.g. pack the pending
-    /// vector samples into `CentroidBlock`-compatible storage and hand full
-    /// query rows to a fused kernel) instead of paying per-sample dispatch.
-    ///
-    /// The default implementation is the per-sample adapter: it forwards to
-    /// [`Module::run`], which is sound for any module that drains its whole
-    /// backlog per run (all built-in modules do). Implementations MUST be
-    /// observably identical to `run` on the same queue contents — the
-    /// engine's differential harness compares the two paths bitwise.
+    /// Inert: the engine never calls it, and enters every module through
+    /// [`Module::run`] at any batch size. It survives only because
+    /// `asdfbench`'s `Timed` wrapper still forwards it; ROADMAP's benchmark
+    /// slice A deletes it together with that override.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Module::run`].
+    /// Same contract as [`Module::run`], to which the default forwards.
     fn run_batch(&mut self, ctx: &mut RunCtx<'_>, reason: RunReason) -> Result<(), ModuleError> {
         self.run(ctx, reason)
     }
 
-    /// Whether this module consumes whole [`RowBlock`]s (drained via
-    /// [`RunCtx::take_row_blocks`]) instead of per-sample envelopes.
-    ///
-    /// Under a batching engine, row batches emitted upstream via
-    /// [`RunCtx::emit_row`] are then handed over as single columnar blocks
-    /// — no per-sample envelope is materialized on the edge. Opting in
-    /// obliges [`Module::run_batch`] to drain *both* the envelope queues
-    /// and the row backlog: the engine guarantees that, per input slot, at
-    /// most one of the two is non-empty (mixed-mode slots fall back to
-    /// FIFO-preserving envelope materialization), and a single-slot module
-    /// that processes queued envelopes before row blocks observes exactly
-    /// the per-sample order.
+    /// Inert: the engine never asks. Every module receives its input as
+    /// envelopes in its queues; this survives, like [`Module::run_batch`],
+    /// only until ROADMAP's benchmark slice A drops its last override.
     fn accepts_row_blocks(&self) -> bool {
         false
     }
@@ -458,8 +328,6 @@ pub struct RunCtx<'a> {
     pub(crate) slot_names: &'a [String],
     pub(crate) queues: &'a mut [VecDeque<Envelope>],
     pub(crate) emitted: &'a mut Vec<(PortId, Sample)>,
-    pub(crate) emitted_rows: &'a mut Vec<RowEmit>,
-    pub(crate) row_backlog: &'a mut Vec<(usize, Arc<RowBlock>)>,
     pub(crate) n_outputs: usize,
 }
 
@@ -545,7 +413,6 @@ impl<'a> RunCtx<'a> {
             Emitter {
                 now: self.now,
                 emitted: &mut *self.emitted,
-                emitted_rows: &mut *self.emitted_rows,
                 n_outputs: self.n_outputs,
             },
         )
@@ -553,61 +420,18 @@ impl<'a> RunCtx<'a> {
 
     /// Clears every input queue without inspecting the envelopes, returning
     /// how many were discarded. For modules that only consume a clock pulse.
-    /// Pending row blocks are discarded (and counted per row) too.
     pub fn discard_pending(&mut self) -> usize {
         let mut n = 0;
         for q in self.queues.iter_mut() {
             n += q.len();
             q.clear();
         }
-        for (_, block) in self.row_backlog.drain(..) {
-            n += block.len();
-        }
         n
     }
 
-    /// Number of pending input samples across all slots: queued envelopes
-    /// plus rows held in undelivered [`RowBlock`]s.
+    /// Number of queued input envelopes across all slots.
     pub fn pending(&self) -> usize {
-        let envs: usize = self.queues.iter().map(VecDeque::len).sum();
-        let rows: usize = self.row_backlog.iter().map(|(_, b)| b.len()).sum();
-        envs + rows
-    }
-
-    /// Takes the pending columnar row blocks, `(slot_index, block)` in
-    /// arrival order. Only populated for modules that opted in via
-    /// [`Module::accepts_row_blocks`]; everyone else receives materialized
-    /// envelopes through the regular queues.
-    pub fn take_row_blocks(&mut self) -> Vec<(usize, Arc<RowBlock>)> {
-        std::mem::take(self.row_backlog)
-    }
-
-    /// Emits one vector sample as a columnar row on `port`, stamped with
-    /// the current engine time.
-    ///
-    /// Semantically identical to `emit(port, Value::from(row.to_vec()))` —
-    /// downstream observables are bitwise the same — but consecutive rows
-    /// of one run are packed into shared columnar storage, so a batching
-    /// engine can hand the whole tick-range to a row-block consumer as one
-    /// [`RowBlock`] with no per-sample allocation. Rows are routed after
-    /// the run's scalar `emit` calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit_row(&mut self, port: PortId, row: &[f64]) {
-        self.emit_row_at(port, self.now, row);
-    }
-
-    /// Emits a pre-stamped columnar row on `port`
-    /// (the [`RunCtx::emit_sample`] counterpart of [`RunCtx::emit_row`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit_row_at(&mut self, port: PortId, ts: Timestamp, row: &[f64]) {
-        check_declared(port, self.n_outputs);
-        push_row(self.emitted_rows, port, ts, row);
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Emits a value on `port`, stamped with the current engine time.
@@ -670,7 +494,6 @@ impl Iterator for DrainAll<'_> {
 pub struct Emitter<'a> {
     now: Timestamp,
     emitted: &'a mut Vec<(PortId, Sample)>,
-    emitted_rows: &'a mut Vec<RowEmit>,
     n_outputs: usize,
 }
 
@@ -697,27 +520,6 @@ impl Emitter<'_> {
     pub fn emit_sample(&mut self, port: PortId, sample: Sample) {
         check_declared(port, self.n_outputs);
         self.emitted.push((port, sample));
-    }
-
-    /// Emits one vector sample as a columnar row on `port`, stamped with
-    /// the current engine time (see [`RunCtx::emit_row`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit_row(&mut self, port: PortId, row: &[f64]) {
-        self.emit_row_at(port, self.now, row);
-    }
-
-    /// Emits a pre-stamped columnar row on `port` (the
-    /// [`Emitter::emit_sample`] counterpart of [`Emitter::emit_row`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit_row_at(&mut self, port: PortId, ts: Timestamp, row: &[f64]) {
-        check_declared(port, self.n_outputs);
-        push_row(self.emitted_rows, port, ts, row);
     }
 }
 
@@ -819,15 +621,11 @@ mod tests {
             },
         ])];
         let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(2),
             slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
             n_outputs: 1,
         };
         assert_eq!(ctx.pending(), 2);
@@ -858,29 +656,21 @@ mod tests {
         ];
         let mut reference = queues.clone();
         let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(2),
             slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
             n_outputs: 1,
         };
         let drained: Vec<(usize, Envelope)> = ctx.drain_all().collect();
         assert_eq!(ctx.pending(), 0);
         let mut emitted2 = Vec::new();
-        let mut rows2 = Vec::new();
-        let mut backlog2 = Vec::new();
         let mut ref_ctx = RunCtx {
             now: Timestamp::from_secs(2),
             slot_names: &slot_names,
             queues: &mut reference,
             emitted: &mut emitted2,
-            emitted_rows: &mut rows2,
-            row_backlog: &mut backlog2,
             n_outputs: 1,
         };
         assert_eq!(drained, ref_ctx.take_all());
@@ -905,15 +695,11 @@ mod tests {
             },
         ])];
         let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(5),
             slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
             n_outputs: 1,
         };
         let (drain, mut emit) = ctx.drain_and_emit();
@@ -943,15 +729,11 @@ mod tests {
             VecDeque::from(vec![env]),
         ];
         let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::EPOCH,
             slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
             n_outputs: 0,
         };
         assert_eq!(ctx.discard_pending(), 3);
@@ -960,122 +742,16 @@ mod tests {
     }
 
     #[test]
-    fn emit_row_groups_consecutive_same_port_rows() {
-        let slot_names: Vec<String> = Vec::new();
-        let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
-        let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::from_secs(3),
-            slot_names: &slot_names,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
-            n_outputs: 2,
-        };
-        ctx.emit_row(PortId(0), &[1.0, 2.0]);
-        ctx.emit_row_at(PortId(0), Timestamp::from_secs(4), &[3.0, 4.0]);
-        // Port change breaks the run; so does a dimension change.
-        ctx.emit_row(PortId(1), &[5.0, 6.0]);
-        ctx.emit_row(PortId(1), &[7.0]);
-        assert_eq!(rows.len(), 3);
-        let EmitRows::Many { dim, stamps, data } = &rows[0].rows else {
-            panic!("two same-port rows share columnar storage");
-        };
-        assert_eq!((*dim, stamps.len()), (2, 2));
-        assert_eq!(*data, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(stamps[1], Timestamp::from_secs(4));
-        // A lone row is held as the payload its envelope will carry.
-        for (entry, expected) in [(&rows[1], &[5.0, 6.0][..]), (&rows[2], &[7.0][..])] {
-            assert_eq!(entry.port, PortId(1));
-            let EmitRows::One(ts, row) = &entry.rows else {
-                panic!("a lone row is not staged in columnar storage");
-            };
-            assert_eq!(*ts, Timestamp::from_secs(3));
-            assert_eq!(&row[..], expected);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "undeclared port")]
-    fn emit_row_on_undeclared_port_panics_even_when_unheard() {
-        let slot_names: Vec<String> = Vec::new();
-        let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
-        let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::EPOCH,
-            slot_names: &slot_names,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
-            n_outputs: 1,
-        };
-        ctx.emit_row(PortId(1), &[1.0]);
-    }
-
-    #[test]
-    fn row_blocks_count_as_pending_and_discard() {
-        let meta = Arc::new(OutputMeta {
-            instance: "up".into(),
-            name: "o".into(),
-            origin: "up".into(),
-        });
-        let block = Arc::new(RowBlock {
-            source: Arc::clone(&meta),
-            dim: 2,
-            stamps: vec![Timestamp::from_secs(1), Timestamp::from_secs(2)],
-            data: vec![1.0, 2.0, 3.0, 4.0],
-        });
-        let slot_names = vec!["in".to_owned()];
-        let mut queues = vec![VecDeque::from(vec![Envelope {
-            source: meta,
-            sample: Sample::new(Timestamp::from_secs(1), 1.0),
-        }])];
-        let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = vec![(0usize, Arc::clone(&block))];
-        let mut ctx = RunCtx {
-            now: Timestamp::EPOCH,
-            slot_names: &slot_names,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
-            n_outputs: 0,
-        };
-        assert_eq!(ctx.pending(), 3);
-        let taken = ctx.take_row_blocks();
-        assert_eq!(taken.len(), 1);
-        assert_eq!(taken[0].1.len(), 2);
-        assert_eq!(ctx.pending(), 1);
-        // Materialization reproduces the per-sample envelope bitwise.
-        let env = taken[0].1.envelope(1);
-        assert_eq!(env.sample.timestamp, Timestamp::from_secs(2));
-        assert_eq!(env.sample.value, Value::from(vec![3.0, 4.0]));
-        assert_eq!(ctx.discard_pending(), 1);
-        assert_eq!(ctx.pending(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "undeclared port")]
     fn run_ctx_emit_on_undeclared_port_panics() {
         let slot_names: Vec<String> = Vec::new();
         let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
         let mut emitted = Vec::new();
-        let mut rows = Vec::new();
-        let mut backlog = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::EPOCH,
             slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
-            emitted_rows: &mut rows,
-            row_backlog: &mut backlog,
             n_outputs: 0,
         };
         ctx.emit(PortId(0), 1.0);

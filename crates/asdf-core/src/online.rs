@@ -229,10 +229,11 @@ impl Builder {
 
     /// Sets the lane hand-off granularity of the tick engine underneath
     /// ([`TickEngine::set_batch_size`]; default 1 = per-envelope hand-off).
-    /// Above 1, modules are entered through
-    /// [`crate::module::Module::run_batch`], so a backlog — a source handed
-    /// many frames at once — is consumed columnarly by one batched run.
-    /// Observables are identical at any setting. `0` is treated as `1`.
+    /// Above 1, the envelopes one run sends down an edge — a source handed
+    /// many frames at once emits many — cross the lane in batches of up to
+    /// this size. Modules are entered through
+    /// [`crate::module::Module::run`] either way, and observables are
+    /// identical at any setting. `0` is treated as `1`.
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);

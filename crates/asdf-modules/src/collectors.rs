@@ -266,7 +266,7 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
         let polled =
             polled.map_err(|e| ModuleError::Other(format!("{kind}_rpcd poll failed: {e}")))?;
         if let (Some(_), Some((port, skip))) = (polled, self.port) {
-            ctx.emit_row(port, &self.frame[skip..]);
+            ctx.emit(port, &self.frame[skip..]);
         }
         Ok(())
     }

@@ -61,8 +61,7 @@ impl Module for IBuffer {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         // Borrowing drain: the rate-matching hot path consumes its whole
-        // backlog (a full tick-range under a batched engine) without a
-        // per-run Vec allocation.
+        // queue without a per-run Vec allocation.
         let out = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {

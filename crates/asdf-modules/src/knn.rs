@@ -37,10 +37,9 @@ use crate::training::{BlackBoxModel, Classifier};
 
 /// 1-NN / k-NN workload-state classifier.
 ///
-/// Every pending sample — from the envelope queue or, under a batched
-/// engine, from columnar row blocks — is packed into one [`CentroidBlock`]
-/// of query rows and classified back to back by the `argmin_dist2` kernel
-/// scan; nothing is allocated per sample.
+/// Every pending sample is packed into one [`CentroidBlock`] of query rows
+/// and classified back to back by the `argmin_dist2` kernel scan; nothing
+/// is allocated per sample but the output row.
 #[derive(Debug, Default)]
 pub struct Knn {
     classifier: Option<Classifier>,
@@ -111,19 +110,7 @@ impl Module for Knn {
         Ok(())
     }
 
-    /// Opt into columnar delivery: upstream row batches arrive as shared
-    /// [`asdf_core::module::RowBlock`]s instead of per-sample envelopes.
-    fn accepts_row_blocks(&self) -> bool {
-        true
-    }
-
-    /// Also `run_batch` (the trait's default forwards here): without a
-    /// batching engine there are simply no row blocks to take.
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Queued envelopes first, then row blocks: the engine's per-slot
-        // invariant is that backlog rows are always newer than anything in
-        // the queue, so this is exactly the per-sample arrival order.
-        let blocks = ctx.take_row_blocks();
         self.rows.clear();
         self.samples.clear();
         let (drain, mut emit) = ctx.drain_and_emit();
@@ -135,11 +122,6 @@ impl Module for Knn {
                 )));
             };
             self.pack(env.sample.timestamp, raw)?;
-        }
-        for (_, block) in &blocks {
-            for (ts, row) in block.rows() {
-                self.pack(ts, row)?;
-            }
         }
 
         let classifier = self.classifier.as_mut().expect("initialized");
@@ -160,10 +142,11 @@ impl Module for Knn {
         for &(ts, width) in &self.samples {
             let (mine, later) = rest.split_at(width.unwrap_or(1) * k);
             rest = later;
-            match (width, mine) {
-                (None, &[idx]) => emit.emit_sample(out, Sample::new(ts, idx as i64)),
-                _ => emit.emit_row_at(out, ts, mine),
-            }
+            let sample = match (width, mine) {
+                (None, &[idx]) => Sample::new(ts, idx as i64),
+                _ => Sample::new(ts, mine),
+            };
+            emit.emit_sample(out, sample);
         }
         Ok(())
     }
@@ -283,28 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn row_block_batches_match_per_sample_outputs() {
-        use crate::testutil::{burst_source_registry, run_source_pipeline_batched};
+    fn row_bursts_match_per_sample_outputs_at_any_batch() {
+        use crate::testutil::{assert_batch_invariant, burst_source_registry};
         let (cents, sd) = model_params();
-        // 9 rows per tick at batch 4: blocks of non-power-of-two lengths
-        // reach the classifier's columnar path.
+        // 9 rows per tick: at batch 2 and 7 the queue is handed over in
+        // several batches of non-power-of-two lengths.
         let cfg = format!(
             "[burstrows]\nid = src\nburst = 9\n\n\
              [knn]\nid = nn\ncentroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n"
         );
-        let reg = burst_source_registry();
-        let reference: Vec<_> = run_source_pipeline_batched(&reg, &cfg, "nn", 5, 1)
-            .into_iter()
-            .map(|e| (e.sample.timestamp, e.sample.value))
-            .collect();
-        assert_eq!(reference.len(), 45);
-        for batch in [4, 64] {
-            let got: Vec<_> = run_source_pipeline_batched(&reg, &cfg, "nn", 5, batch)
-                .into_iter()
-                .map(|e| (e.sample.timestamp, e.sample.value))
-                .collect();
-            assert_eq!(got, reference, "batch {batch} diverged from per-sample");
-        }
+        let out = assert_batch_invariant(&burst_source_registry(), &cfg, "nn", 5);
+        assert_eq!(out.len(), 45);
     }
 
     #[test]

@@ -17,8 +17,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
-use asdf_core::module::{Emitter, InitCtx, Module, PortId, RowBlock, RunCtx, RunReason};
-use asdf_core::value::Value;
+use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
+use asdf_core::time::Timestamp;
+use asdf_core::value::{Sample, Value};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Emit {
@@ -28,44 +29,17 @@ enum Emit {
     Both,
 }
 
-/// One buffered window sample: either a per-envelope vector sharing the
-/// engine's `Arc<[f64]>` allocation, or a zero-copy view into one row of a
-/// shared columnar [`RowBlock`] — both representations hold the producer's
-/// bytes without a per-sample copy, so the window statistics are bitwise
-/// identical either way.
-#[derive(Debug, Clone)]
-enum WindowRow {
-    Owned(Arc<[f64]>),
-    Block(Arc<RowBlock>, usize),
-}
-
-impl WindowRow {
-    fn as_slice(&self) -> &[f64] {
-        match self {
-            WindowRow::Owned(v) => v,
-            WindowRow::Block(block, r) => block.row(*r),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-}
-
 /// Moving mean/variance over a sliding window of vector samples.
 ///
 /// Vector samples are buffered by sharing the engine's `Arc<[f64]>`
 /// allocation (no per-sample copy); the per-emission statistics are
-/// accumulated in reusable scratch buffers. Under a batched engine the
-/// module consumes whole [`RowBlock`]s — the campaign's collector edges
-/// carry hundreds of rows per tick — buffering zero-copy row views instead
-/// of materialized envelopes.
+/// accumulated in reusable scratch buffers.
 #[derive(Debug, Default)]
 pub struct MavgVec {
     window: usize,
     slide: usize,
     emit: Option<Emit>,
-    buf: VecDeque<(asdf_core::time::Timestamp, WindowRow)>,
+    buf: VecDeque<(Timestamp, Arc<[f64]>)>,
     since_emit: usize,
     /// Per-emission mean scratch.
     mean: Vec<f64>,
@@ -83,13 +57,11 @@ impl MavgVec {
     }
 
     /// Buffers one sample and emits window statistics when a window
-    /// completes — the single per-sample step both the envelope and the
-    /// row-block paths funnel through, so their outputs are bitwise
-    /// identical by construction.
+    /// completes.
     fn ingest(
         &mut self,
-        ts: asdf_core::time::Timestamp,
-        row: WindowRow,
+        ts: Timestamp,
+        row: Arc<[f64]>,
         emit: &mut Emitter<'_>,
     ) -> Result<(), ModuleError> {
         if let Some((_, first)) = self.buf.front() {
@@ -111,7 +83,7 @@ impl MavgVec {
             self.mean.clear();
             self.mean.resize(dim, 0.0);
             for (_, v) in self.buf.iter().rev().take(self.window) {
-                for (m, x) in self.mean.iter_mut().zip(v.as_slice()) {
+                for (m, x) in self.mean.iter_mut().zip(v.iter()) {
                     *m += x;
                 }
             }
@@ -121,7 +93,7 @@ impl MavgVec {
             self.var.clear();
             self.var.resize(dim, 0.0);
             for (_, v) in self.buf.iter().rev().take(self.window) {
-                for ((s, m), x) in self.var.iter_mut().zip(&self.mean).zip(v.as_slice()) {
+                for ((s, m), x) in self.var.iter_mut().zip(&self.mean).zip(v.iter()) {
                     let d = x - m;
                     *s += d * d;
                 }
@@ -130,30 +102,26 @@ impl MavgVec {
                 *s /= n;
             }
             // Stamp outputs with the window-end sample's timestamp so
-            // cross-node alignment sees matching times. Emitting as
-            // columnar rows lets a batching engine pack a run's
-            // consecutive window outputs into one shared block for
-            // row-block consumers like `knn`.
+            // cross-node alignment sees matching times.
             let ts = self.buf.back().expect("non-empty").0;
+            let mut out = |port: Option<PortId>, row: &[f64]| {
+                emit.emit_sample(port.expect("configured in init"), Sample::new(ts, row));
+            };
             match self.emit.expect("configured in init") {
-                Emit::Mean => {
-                    emit.emit_row_at(self.out_a.unwrap(), ts, &self.mean);
-                }
-                Emit::Var => {
-                    emit.emit_row_at(self.out_a.unwrap(), ts, &self.var);
-                }
+                Emit::Mean => out(self.out_a, &self.mean),
+                Emit::Var => out(self.out_a, &self.var),
                 Emit::StdDev => {
                     for s in &mut self.var {
                         *s = s.sqrt();
                     }
-                    emit.emit_row_at(self.out_a.unwrap(), ts, &self.var);
+                    out(self.out_a, &self.var);
                 }
                 Emit::Both => {
-                    emit.emit_row_at(self.out_a.unwrap(), ts, &self.mean);
+                    out(self.out_a, &self.mean);
                     for s in &mut self.var {
                         *s = s.sqrt();
                     }
-                    emit.emit_row_at(self.out_b.unwrap(), ts, &self.var);
+                    out(self.out_b, &self.var);
                 }
             }
             // Trim history we can never need again.
@@ -164,13 +132,13 @@ impl MavgVec {
         Ok(())
     }
 
-    /// Converts one envelope's payload into a buffered window row,
-    /// validating the sample type exactly as before.
-    fn envelope_row(value: &Value) -> Result<WindowRow, ModuleError> {
+    /// Converts one envelope's payload into a buffered window row: a vector
+    /// shares its allocation, a scalar is promoted to a 1-D vector.
+    fn envelope_row(value: &Value) -> Result<Arc<[f64]>, ModuleError> {
         match value {
-            Value::Vector(v) => Ok(WindowRow::Owned(Arc::clone(v))),
-            Value::Float(x) => Ok(WindowRow::Owned(Arc::from(vec![*x]))),
-            Value::Int(x) => Ok(WindowRow::Owned(Arc::from(vec![*x as f64]))),
+            Value::Vector(v) => Ok(Arc::clone(v)),
+            Value::Float(x) => Ok(Arc::from([*x])),
+            Value::Int(x) => Ok(Arc::from([*x as f64])),
             other => Err(ModuleError::Other(format!(
                 "mavgvec expects numeric samples, got {}",
                 other.type_name()
@@ -219,42 +187,14 @@ impl Module for MavgVec {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Borrowing drain: a whole tick-range (one envelope per run at
-        // batch size 1, the full backlog under a batched engine) streams
-        // through without a per-run Vec allocation.
+        // Borrowing drain: the whole pending queue streams through without
+        // a per-run Vec allocation.
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
             // Vector samples share the engine's allocation; only scalar
             // promotions copy (one element).
             let row = Self::envelope_row(&env.sample.value)?;
             self.ingest(env.sample.timestamp, row, &mut emit)?;
-        }
-        Ok(())
-    }
-
-    /// Opt into columnar delivery: collector bursts arrive as shared
-    /// [`RowBlock`]s and are buffered as zero-copy row views, skipping the
-    /// per-sample envelope materialization on the campaign's highest-volume
-    /// edges.
-    fn accepts_row_blocks(&self) -> bool {
-        true
-    }
-
-    fn run_batch(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Queued envelopes first, then row blocks: the engine's per-slot
-        // invariant is that backlog rows are always newer than anything in
-        // the queue, so this is exactly the per-sample arrival order.
-        let blocks = ctx.take_row_blocks();
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
-            let row = Self::envelope_row(&env.sample.value)?;
-            self.ingest(env.sample.timestamp, row, &mut emit)?;
-        }
-        for (_, block) in blocks {
-            for r in 0..block.len() {
-                let ts = block.stamps[r];
-                self.ingest(ts, WindowRow::Block(Arc::clone(&block), r), &mut emit)?;
-            }
         }
         Ok(())
     }
@@ -379,11 +319,11 @@ input[input] = src.out
     }
 
     #[test]
-    fn row_block_batches_match_per_sample_outputs() {
-        use crate::testutil::{burst_source_registry, run_source_pipeline_batched};
+    fn row_bursts_match_per_sample_outputs_at_any_batch() {
+        use crate::testutil::{assert_batch_invariant, burst_source_registry};
         // Bursts of 7 rows per tick with window 5 / slide 3: windows cross
-        // block boundaries, several windows complete inside one block, and
-        // the trailing rows of a block carry over to the next tick.
+        // tick boundaries, several windows complete inside one run, and the
+        // trailing rows of a burst carry over to the next tick.
         let cfg = "\
 [burstrows]
 id = src
@@ -395,19 +335,7 @@ window = 5
 slide = 3
 input[input] = src.out
 ";
-        let reg = burst_source_registry();
-        let reference: Vec<_> = run_source_pipeline_batched(&reg, cfg, "avg", 6, 1)
-            .into_iter()
-            .map(|e| (e.sample.timestamp, e.sample.value, e.source.name.clone()))
-            .collect();
-        assert!(!reference.is_empty());
-        for batch in [2, 64] {
-            let got: Vec<_> = run_source_pipeline_batched(&reg, cfg, "avg", 6, batch)
-                .into_iter()
-                .map(|e| (e.sample.timestamp, e.sample.value, e.source.name.clone()))
-                .collect();
-            assert_eq!(got, reference, "batch {batch} diverged from per-sample");
-        }
+        assert!(!assert_batch_invariant(&burst_source_registry(), cfg, "avg", 6).is_empty());
     }
 
     #[test]

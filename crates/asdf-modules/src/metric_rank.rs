@@ -54,7 +54,7 @@ use std::sync::Arc;
 use asdf_core::error::ModuleError;
 use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
-use asdf_core::value::Value;
+use asdf_core::value::{Sample, Value};
 use hadoop_logs::sync::Aligner;
 
 use crate::kernel::CentroidBlock;
@@ -180,7 +180,7 @@ impl Ranker {
                 self.out_row.push(d as f64);
                 self.out_row.push(dev);
             }
-            emit.emit_row_at(self.rank_ports[node], ts, &self.out_row);
+            emit.emit_sample(self.rank_ports[node], Sample::new(ts, &self.out_row[..]));
         }
     }
 }

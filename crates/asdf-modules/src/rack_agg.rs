@@ -32,7 +32,7 @@
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::Value;
+use asdf_core::value::{Sample, Value};
 
 use crate::rack::FrameWindows;
 
@@ -92,7 +92,7 @@ impl Module for RackAgg {
             self.out_row.clear();
             self.out_row.extend_from_slice(&frame[..2]);
             self.out_row.extend_from_slice(means);
-            emit.emit_row_at(port, env.sample.timestamp, &self.out_row);
+            emit.emit_sample(port, Sample::new(env.sample.timestamp, &self.out_row[..]));
         }
         Ok(())
     }

@@ -51,9 +51,8 @@ impl Module for ScalarSource {
     }
 }
 
-/// A periodic source emitting `burst` two-component rows per second
-/// through `emit_row` — the columnar entry point — so batched engines
-/// deliver multi-row [`asdf_core::module::RowBlock`]s downstream.
+/// A periodic source emitting `burst` two-component rows per second, so a
+/// batching engine has more than one envelope per edge to batch.
 pub struct BurstRowSource {
     port: Option<PortId>,
     burst: usize,
@@ -71,7 +70,7 @@ impl Module for BurstRowSource {
         for _ in 0..self.burst {
             self.n += 1;
             let x = self.n as f64;
-            ctx.emit_row(self.port.unwrap(), &[x, 2.0 * x]);
+            ctx.emit(self.port.unwrap(), vec![x, 2.0 * x]);
         }
         Ok(())
     }
@@ -318,22 +317,39 @@ pub fn run_source_pipeline(
     tap_id: &str,
     ticks: u64,
 ) -> Vec<Envelope> {
-    run_source_pipeline_batched(registry, cfg, tap_id, ticks, 1)
+    run_at(registry, cfg, tap_id, ticks, 1, 1)
 }
 
-/// [`run_source_pipeline`] with an explicit engine batch size, for
-/// comparing a module's batched (row-block) path against the per-sample
-/// reference.
-pub fn run_source_pipeline_batched(
+/// [`run_source_pipeline`], asserting that the tapped stream is the same at
+/// engine batch {1, 2, 7, 64} x threads {1, 4}; returns the per-envelope
+/// serial one.
+pub fn assert_batch_invariant(
     registry: &ModuleRegistry,
     cfg: &str,
     tap_id: &str,
     ticks: u64,
+) -> Vec<Envelope> {
+    let reference = run_source_pipeline(registry, cfg, tap_id, ticks);
+    for batch in [1, 2, 7, 64] {
+        for threads in [1, 4] {
+            let got = run_at(registry, cfg, tap_id, ticks, threads, batch);
+            assert_eq!(got, reference, "batch {batch}, threads {threads}");
+        }
+    }
+    reference
+}
+
+fn run_at(
+    registry: &ModuleRegistry,
+    cfg: &str,
+    tap_id: &str,
+    ticks: u64,
+    threads: usize,
     batch: usize,
 ) -> Vec<Envelope> {
     let parsed: Config = cfg.parse().expect("test config parses");
     let dag = Dag::build(registry, &parsed).expect("test config builds");
-    let mut engine = TickEngine::new(dag);
+    let mut engine = TickEngine::with_threads(dag, threads);
     engine.set_batch_size(batch);
     let tap = engine.tap(tap_id).expect("tap target exists");
     engine

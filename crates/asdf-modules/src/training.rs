@@ -387,12 +387,12 @@ impl Classifier {
     /// Classifies every row of a packed query block (1-NN), appending one
     /// nearest-centroid index per row to `out` (cleared first).
     ///
-    /// This is the columnar entry point for the batched `knn` path: a
-    /// whole tick-range of raw queries, packed one per [`CentroidBlock`]
-    /// row, flows through the [`kernel::argmin_dist2`] scan back to back.
-    /// Row `r`'s result runs the exact same `scale_into` + `argmin_dist2`
-    /// sequence as [`Classifier::classify`] on `queries.row(r)`, so
-    /// batched classification is bitwise identical to per-sample — the
+    /// This is `knn`'s entry point: every node row of every pending
+    /// sample, packed one per [`CentroidBlock`] row, flows through the
+    /// [`kernel::argmin_dist2`] scan back to back. Row `r`'s result runs
+    /// the exact same `scale_into` + `argmin_dist2` sequence as
+    /// [`Classifier::classify`] on `queries.row(r)`, so block
+    /// classification is bitwise identical to per-sample — the
     /// differential harness depends on that.
     ///
     /// # Panics

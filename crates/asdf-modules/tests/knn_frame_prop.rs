@@ -1,7 +1,7 @@
 //! Property test: one `knn` over a rack's frames answers exactly what one
 //! `knn` per node answers over the frames' rows — at any rack size, vector
-//! width and engine batch size, on any values a counter can arrive as
-//! (NaN, infinities and negatives included).
+//! width, engine batch size and thread count, on any values a counter can
+//! arrive as (NaN, infinities and negatives included).
 
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
@@ -41,10 +41,10 @@ impl Module for Rack {
         for second in self.seconds.iter().skip(self.at).take(self.burst) {
             let mut frame = vec![second.len() as f64, second[0].len() as f64];
             for (row, port) in second.iter().zip(&self.nodes) {
-                ctx.emit_row(*port, row);
+                ctx.emit(*port, row.as_slice());
                 frame.extend_from_slice(row);
             }
-            ctx.emit_row(self.frame.unwrap(), &frame);
+            ctx.emit(self.frame.unwrap(), frame);
         }
         self.at += self.burst;
         Ok(())
@@ -96,7 +96,8 @@ proptest! {
         }
         let cfg: Config = cfg.parse().expect("parses");
 
-        for batch in [1, 4, 64] {
+        let shapes = [1, 2, 7, 64].into_iter().flat_map(|batch| [(batch, 1), (batch, 4)]);
+        for (batch, threads) in shapes {
             let mut reg = ModuleRegistry::new();
             asdf_modules::register_analysis_modules(&mut reg);
             let data = seconds.clone();
@@ -109,7 +110,7 @@ proptest! {
                     nodes: Vec::new(),
                 })
             });
-            let mut engine = TickEngine::new(Dag::build(&reg, &cfg).expect("builds"));
+            let mut engine = TickEngine::with_threads(Dag::build(&reg, &cfg).expect("builds"), threads);
             engine.set_batch_size(batch);
             let rack = engine.tap("rack").unwrap();
             let nodes: Vec<_> = (0..n)
@@ -135,11 +136,11 @@ proptest! {
                 })
                 .collect();
             let rows = rack.drain();
-            prop_assert_eq!(rows.len(), seconds.len(), "batch {}", batch);
+            prop_assert_eq!(rows.len(), seconds.len(), "batch {}, threads {}", batch, threads);
             for (s, env) in rows.iter().enumerate() {
                 let got = env.sample.value.as_vector().expect("a frame is answered with a row");
                 let want: Vec<f64> = per_node.iter().map(|node| node[s].1).collect();
-                prop_assert_eq!(got, &want[..], "second {}, batch {}", s, batch);
+                prop_assert_eq!(got, &want[..], "second {}, batch {}, threads {}", s, batch, threads);
                 prop_assert_eq!(env.sample.timestamp.as_secs(), per_node[0][s].0);
             }
         }

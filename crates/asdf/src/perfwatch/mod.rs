@@ -9,8 +9,9 @@
 //!
 //! [`analyze`] is parse → keep the records from the newest record's host
 //! (a different core count or vector width is a different population,
-//! not a regression) → E-Divisive per metric → ranked findings in a
-//! [`report::PerfwatchReport`]; the `asdf perfwatch` subcommand renders
+//! not a regression) → E-Divisive per metric the newest record still
+//! carries (the others are retired series, counted and named but not
+//! re-judged) → ranked findings in a [`report::PerfwatchReport`]; the `asdf perfwatch` subcommand renders
 //! it as markdown or JSON. The watchdog is **advisory**: it ranks
 //! evidence and always exits cleanly, leaving gating decisions to humans
 //! (see DESIGN.md §Perfwatch).
@@ -19,7 +20,7 @@ pub mod edivisive;
 pub mod history;
 pub mod report;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 pub use edivisive::{detect, ChangePoint, DetectorConfig};
 pub use history::{parse_history, render_record, utc_from_epoch, HistoryError, HistoryRecord};
@@ -46,8 +47,8 @@ impl Default for AnalyzeOptions {
 
 /// Runs the watchdog over a `BENCH_history.jsonl` document: parses the
 /// records (legacy schema-0 lines included), runs E-Divisive per metric
-/// over the records from the newest record's host, and ranks the
-/// findings.
+/// the newest record carries over the records from its host, and ranks
+/// the findings.
 ///
 /// # Errors
 ///
@@ -75,11 +76,19 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
 
     // Per-metric series over the records that carry the metric (schemas
     // may add metrics over time; E-Divisive runs per metric on whatever
-    // subsequence exists).
+    // subsequence exists). A metric the newest record no longer carries is
+    // a retired series: its frozen history is named, not ranked again on
+    // every run.
+    let current = records.last().map(|r| &r.metrics);
     let mut series: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    let mut retired: BTreeSet<String> = BTreeSet::new();
     for r in records.iter().filter(same_host) {
         for (name, v) in &r.metrics {
-            series.entry(name.clone()).or_default().push(*v);
+            if current.is_some_and(|m| m.contains_key(name)) {
+                series.entry(name.clone()).or_default().push(*v);
+            } else {
+                retired.insert(name.clone());
+            }
         }
     }
 
@@ -109,6 +118,7 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
         span_utc,
         population,
         n_set_aside,
+        retired: retired.into_iter().collect(),
         findings,
     })
 }
@@ -221,5 +231,42 @@ mod tests {
         for f in &rep.findings {
             assert_eq!(f.change_points[0].index, 12, "{}", f.metric);
         }
+    }
+
+    /// Twenty rows carry `envelopes_per_sec_b64`, stepping by half at row
+    /// ten; the last four do not. The series is retired: named, counted,
+    /// and not ranked, however loudly its history stepped.
+    #[test]
+    fn a_metric_the_newest_rows_drop_is_retired_not_ranked() {
+        let rows: Vec<String> = parse_history(&synthetic_history(24, 999))
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                match i {
+                    0..10 => {}
+                    10..20 => *r.metrics.get_mut("envelopes_per_sec_b64").unwrap() *= 0.5,
+                    _ => {
+                        r.metrics.remove("envelopes_per_sec_b64");
+                    }
+                }
+                render_record(&r)
+            })
+            .collect();
+        let rep = analyze(&rows.join("\n"), &AnalyzeOptions::default()).expect("analyzes");
+        assert_eq!(rep.retired, ["envelopes_per_sec_b64"]);
+        assert_eq!(rep.n_retired(), 1);
+        assert!(rep
+            .findings
+            .iter()
+            .all(|f| f.metric != "envelopes_per_sec_b64"));
+        assert_eq!(rep.findings.len(), 3);
+        assert!(rep.shifted_metrics().is_empty());
+        let md = report::render_markdown(&rep);
+        assert!(md.contains("Retired series (absent from the newest record, not ranked): 1 — `envelopes_per_sec_b64`"), "{md}");
+        let doc = asdf_obs::json::parse(&report::render_json(&rep)).expect("parses");
+        assert_eq!(doc.get("n_retired").and_then(|v| v.as_f64()), Some(1.0));
+        let names = doc.get("retired").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(names[0].as_str(), Some("envelopes_per_sec_b64"));
     }
 }

@@ -47,12 +47,20 @@ pub struct PerfwatchReport {
     /// Records recorded on any other host, set aside from every series
     /// (still counted in [`n_records`](Self::n_records)).
     pub n_set_aside: usize,
+    /// Metrics some analyzed record carries but the newest one does not,
+    /// in name order: retired series, whose frozen history is not ranked.
+    pub retired: Vec<String>,
     /// Per-metric change-point findings, metrics with the largest shifts
     /// first, quiet metrics alphabetical after them.
     pub findings: Vec<MetricFinding>,
 }
 
 impl PerfwatchReport {
+    /// How many retired series were left out of the analysis.
+    pub fn n_retired(&self) -> usize {
+        self.retired.len()
+    }
+
     /// Metrics with at least one significant change point.
     pub fn shifted_metrics(&self) -> Vec<String> {
         self.findings
@@ -81,6 +89,17 @@ pub fn render_markdown(r: &PerfwatchReport) -> String {
         r.population.0,
         r.population.1,
         r.n_set_aside
+    );
+    let names: Vec<String> = r.retired.iter().map(|m| format!("`{m}`")).collect();
+    let _ = writeln!(
+        out,
+        "Retired series (absent from the newest record, not ranked): {}{}\n",
+        r.n_retired(),
+        if names.is_empty() {
+            String::new()
+        } else {
+            format!(" — {}", names.join(", "))
+        }
     );
 
     let shifted = r.shifted_metrics();
@@ -129,6 +148,11 @@ pub fn render_json(r: &PerfwatchReport) -> String {
         ("n_records", count(r.n_records)),
         ("n_schema0", count(r.n_schema0)),
         ("n_set_aside", count(r.n_set_aside)),
+        ("n_retired", count(r.n_retired())),
+        (
+            "retired",
+            Value::Array(r.retired.iter().map(|m| m.as_str().into()).collect()),
+        ),
         (
             "host",
             json::object([
@@ -154,6 +178,7 @@ mod tests {
             span_utc: ("2026-08-01T00:00:00Z".into(), "2026-08-08T00:00:00Z".into()),
             population: (2, "scalar".into()),
             n_set_aside: 4,
+            retired: vec!["batch_speedup_b64".into()],
             findings: vec![
                 MetricFinding {
                     metric: "campaign_serial_secs".into(),

@@ -44,6 +44,7 @@ use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::online::OnlineEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
+use asdf_core::value::Sample;
 use asdf_modules::collectors::poll_frame;
 use asdf_modules::rack::RackSummary;
 use asdf_modules::training::BlackBoxModel;
@@ -305,7 +306,7 @@ pub fn encode_frame(stream: u8, node: u32, timestamp: u64, values: &[f64]) -> By
 /// (origin node 0, like a rack collector's `frame`), stamped with the
 /// frame's *collection* timestamp.
 ///
-/// Emitting with the original timestamps (via `emit_row_at`) is what makes
+/// Emitting with the original timestamps (via `emit_sample`) is what makes
 /// the downstream analyses a pure function of the frame sequence: `knn`
 /// and the aligners key on sample timestamps, so queue batching — which
 /// varies with wall-clock scheduling — cannot change any alarm.
@@ -354,7 +355,8 @@ impl Module for ServeIngest {
                 self.queue.count_bad_frame();
                 continue;
             };
-            ctx.emit_row_at(self.ports[stream], Timestamp::from_secs(ts), &self.values);
+            let sample = Sample::new(Timestamp::from_secs(ts), &self.values[..]);
+            ctx.emit_sample(self.ports[stream], sample);
         }
         Ok(())
     }
@@ -1207,7 +1209,7 @@ mod tests {
                         .expect("a captured frame");
                 let dim = values[1] as usize;
                 for (&port, row) in self.ports[stream].iter().zip(values[2..].chunks_exact(dim)) {
-                    ctx.emit_row_at(port, Timestamp::from_secs(ts), row);
+                    ctx.emit_sample(port, Sample::new(Timestamp::from_secs(ts), row));
                 }
             }
             Ok(())

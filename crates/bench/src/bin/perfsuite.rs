@@ -1,26 +1,25 @@
 //! One-shot performance suite for the quantities `asdfbench` cannot see:
 //! the campaign worker pool, the observability layer's self-overhead, the
-//! batch-size sweep (`asdfbench` fixes batch 64), the extended-fault
-//! accuracy cells and the analysis micro-kernels. What the benchmark of
-//! record reports — engine threads, `serve`, fleet scale, the log parser —
-//! is measured there and only there (DESIGN.md §5b: "quantity → harness →
-//! metric → correctness guard").
+//! extended-fault accuracy cells and the analysis micro-kernels. What the
+//! benchmark of record reports — engine threads, `serve`, fleet scale, the
+//! log parser — is measured there and only there (DESIGN.md §5b: "quantity
+//! → harness → metric → correctness guard").
 //!
 //! Usage: `cargo run -p bench --bin perfsuite --release [-- --threads N]`
 //!
-//! `main` runs five section functions; each returns a [`Section`] of named
+//! `main` runs four section functions; each returns a [`Section`] of named
 //! rows, measured once, and [`render`] turns that one row list into both
 //! outputs, so a metric is named once: `BENCH_campaign.json` at the
 //! repository root (overwritten every run, pretty-printed in key order so
 //! it diffs) and one appended line of `BENCH_history.jsonl`, the series
 //! `asdf perfwatch` judges.
 //!
-//! Two rows carry a bound, because every recorded reading of unchanged code
-//! clears it: the centroid-scan and batch-64 speedups. A breach is recorded
+//! One row carries a bound, because every recorded reading of unchanged
+//! code clears it: the centroid-scan speedup. A breach is recorded
 //! (`gates.<row>.held` and a count), both files are written, and only then
 //! does the suite exit non-zero. Every other row is `perfwatch`'s to watch.
-//! Correctness checks (pool determinism, routed-envelope counts) panic on
-//! the spot — a run that computed the wrong thing has nothing worth keeping.
+//! A correctness check (pool determinism) panics on the spot — a run that
+//! computed the wrong thing has nothing worth keeping.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -29,13 +28,6 @@ use std::time::Instant;
 
 use asdf::experiments::{self, CampaignConfig, Workload};
 use asdf::perfwatch::history::{self, HistoryRecord};
-use asdf_core::config::Config;
-use asdf_core::dag::Dag;
-use asdf_core::engine::TickEngine;
-use asdf_core::error::ModuleError;
-use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::registry::ModuleRegistry;
-use asdf_core::time::TickDuration;
 use asdf_modules::kernel;
 use asdf_modules::training::BlackBoxModel;
 use asdf_obs::json::{self, Value};
@@ -45,14 +37,6 @@ use rand::{Rng, SeedableRng};
 
 const DIM: usize = 120;
 const N_STATES: usize = 12;
-
-/// Columnar-lane workload shape: one collector-scale burst of `BATCH_BURST`
-/// rows x `DIM` columns per tick, `BATCH_TICKS` ticks per run. 120 columns
-/// is the real `sadc` snapshot width (64 CPU + 18 I/O + 2x19 network
-/// fields), so each row is byte-for-byte the shape the campaign's hottest
-/// edges carry.
-const BATCH_BURST: usize = 256;
-const BATCH_TICKS: u64 = 400;
 
 /// One block of the artifact: named rows, of which at most one is bounded.
 struct Section {
@@ -135,134 +119,6 @@ fn observability_section() -> Section {
     s.row("obs_on_secs", ovh.on_secs);
     s.row("obs_off_secs", ovh.off_secs);
     s.row("obs_overhead_pct", ovh.overhead_pct());
-    s
-}
-
-/// Bursty row producer for the batching sweep: each tick emits
-/// `BATCH_BURST` deterministic sadc-shaped rows through `emit_row`, the
-/// same columnar entry point the collectors use.
-struct RowSource {
-    out: Option<PortId>,
-    count: u64,
-    row: Vec<f64>,
-}
-
-impl Module for RowSource {
-    fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        self.out = Some(ctx.declare_output("out"));
-        ctx.request_periodic(TickDuration::SECOND);
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        for _ in 0..BATCH_BURST {
-            // Deterministic drift: one field moves per sample, like a
-            // mostly-steady sadc snapshot. Generation stays a few ns/row
-            // so the sweep times the engine and the analysis modules, not
-            // the synthetic load.
-            self.count += 1;
-            let j = (self.count % DIM as u64) as usize;
-            self.row[j] = (self.count.wrapping_mul(31) % 997) as f64 * 0.25;
-            ctx.emit_row(self.out.unwrap(), &self.row);
-        }
-        Ok(())
-    }
-}
-
-/// Terminal consumer of the classifier stream (keeps the `knn` output edge
-/// live without accumulating envelopes).
-struct DiscardSink;
-
-impl Module for DiscardSink {
-    fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        ctx.set_input_trigger(1);
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        ctx.discard_pending();
-        Ok(())
-    }
-}
-
-fn batch_registry() -> ModuleRegistry {
-    let mut reg = ModuleRegistry::new();
-    asdf_modules::register_analysis_modules(&mut reg);
-    reg.register("rowsrc", || {
-        Box::new(RowSource {
-            out: None,
-            count: 0,
-            row: vec![0.0; DIM],
-        })
-    });
-    reg.register("rowsink", || Box::new(DiscardSink));
-    reg
-}
-
-/// One timed run of the row workload at the given batch size; returns
-/// (envelopes/sec through the source edge, envelopes routed). The routed
-/// count is batch-invariant — a row counts as one envelope whether it
-/// travels materialized or in a shared block — so the sweep cross-checks it
-/// as a cheap workload-identity assert (the differential suite owns the
-/// bitwise stream comparison).
-fn batched_rows_per_sec(cfg_text: &str, batch: usize) -> (f64, u64) {
-    let cfg: Config = cfg_text.parse().expect("row workload config parses");
-    let dag = Dag::build(&batch_registry(), &cfg).expect("row workload builds");
-    let mut engine = TickEngine::new(dag);
-    engine.set_batch_size(batch);
-    let start = Instant::now();
-    engine
-        .run_for(TickDuration::from_secs(BATCH_TICKS))
-        .expect("row workload runs");
-    let secs = start.elapsed().as_secs_f64();
-    let routed = engine.envelopes_routed();
-    assert!(routed > 0, "row workload routed nothing");
-    let rows = BATCH_BURST as u64 * BATCH_TICKS;
-    (rows as f64 / secs.max(1e-9), routed)
-}
-
-/// Batched columnar lanes, envelopes/sec at batch {1, 16, 64, 256}: the
-/// campaign's analysis chain at collector scale — bursts of 256 sadc-width
-/// rows per tick through `emit_row` into `mavgvec` windows whose means feed
-/// `knn`. At batch 1 every row materializes into its own envelope (one
-/// 120-f64 allocation, one queue op, one dispatch per sample); at larger
-/// sizes whole row blocks travel each lane as one shared allocation. The
-/// differential suite proves the paths bitwise identical; this times them.
-fn batching_section() -> Section {
-    const BATCHES: [usize; 4] = [1, 16, 64, 256];
-    eprintln!("[perfsuite] batched columnar lanes, batch {BATCHES:?} ...");
-    let model = BlackBoxModel::fit(&training_set(1_000), N_STATES, 1);
-    let cfg = format!(
-        "[rowsrc]\nid = src\n\n\
-         [mavgvec]\nid = avg\nwindow = 60\nemit = mean\ninput[input] = src.out\n\n\
-         [knn]\nid = nn\ncentroids = {}\nstddev = {}\ninput[input] = avg.mean\n\n\
-         [rowsink]\nid = sink\ninput[input] = nn.output0\n",
-        model.centroids_param(),
-        model.stddev_param()
-    );
-    let (_, routed_expect) = batched_rows_per_sec(&cfg, 64); // warm
-    let mut rates = [0f64; 4];
-    // Four interleaved rounds, per-batch maximum: background load only ever
-    // subtracts throughput, and interleaving spreads a burst over all four
-    // batch sizes instead of charging it to one.
-    for _ in 0..4 {
-        for (best, &batch) in rates.iter_mut().zip(&BATCHES) {
-            let (rate, routed) = batched_rows_per_sec(&cfg, batch);
-            assert_eq!(
-                routed, routed_expect,
-                "batch size {batch} changed the routed-envelope count"
-            );
-            *best = best.max(rate);
-        }
-    }
-    let mut s = Section::new("batching");
-    for (rate, batch) in rates.iter().zip(BATCHES) {
-        s.row(format!("envelopes_per_sec_b{batch}"), rate.round());
-    }
-    // Batch 64 (what campaigns and `asdfbench` run) against per-sample. The
-    // bound fails if batching stops paying for itself; both absolute rates
-    // are recorded beside the ratio.
-    s.gated_row("batch_speedup_b64", rates[2] / rates[0].max(1e-9), 1.5);
     s
 }
 
@@ -509,7 +365,6 @@ fn main() {
     let sections = [
         campaign_section(threads),
         observability_section(),
-        batching_section(),
         scenarios_section(),
         kernels_section(),
     ];

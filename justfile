@@ -59,12 +59,10 @@ serve-soak:
     cargo test -p asdf --lib -- serve::tests
     cargo test -p asdf-core --test online_semantics
 
-# Warnings-denied rustdoc build of the first-party crates (the vendored
-# workspace members are excluded; they are not ours to lint).
+# Warnings-denied rustdoc build of the first-party packages: the one list
+# in scripts/docs.sh, which verify.sh and CI's tier1 job run too.
 docs:
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
-        -p asdf-core -p asdf-modules -p asdf -p asdf-obs -p bench \
-        -p integration-tests -p asdf-examples
+    ./scripts/docs.sh
 
 # Regenerate the golden campaign and scenario fixtures after an intended
 # result change.
@@ -72,10 +70,10 @@ update-fixtures:
     UPDATE_FIXTURES=1 cargo test -p integration-tests --test golden_figures --test scenario_matrix
 
 # Refresh BENCH_campaign.json and append a BENCH_history.jsonl row: the
-# five quantities asdfbench cannot see (campaign pool, obs self-overhead,
-# batch-size sweep, extended-fault accuracy cells, micro-kernels), ~5 s on
-# every core the host has. Exits non-zero, both files written, only when
-# `scan_speedup` or `batch_speedup_b64` is under its bound.
+# four quantities asdfbench cannot see (campaign pool, obs self-overhead,
+# extended-fault accuracy cells, micro-kernels), a few seconds on every
+# core the host has. Exits non-zero, both files written, only when
+# `scan_speedup` is under its bound.
 bench:
     cargo run -p bench --bin perfsuite --release
 

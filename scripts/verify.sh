@@ -14,8 +14,9 @@
 # every observable bitwise against the serial engine, so every PR
 # exercises the sharded scheduler even on single-core CI. The kernel
 # property suites pin the 4-lane distance kernels bitwise to an
-# independent reference. The doc build covers first-party crates only (the
-# vendored workspace members are not ours to lint).
+# independent reference. The doc build is scripts/docs.sh, the one list of
+# first-party packages (the vendored workspace members are not ours to
+# lint).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,9 +62,7 @@ cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 echo "[verify] perfwatch suites (snapshot round-trip, E-Divisive)" >&2
 cargo test -q -p integration-tests --test obs_snapshot --test perfwatch
 
-echo "[verify] rustdoc -D warnings (first-party crates)" >&2
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
-    -p asdf-core -p asdf-modules -p asdf -p asdf-obs -p bench \
-    -p integration-tests -p asdf-examples
+echo "[verify] rustdoc -D warnings (scripts/docs.sh, every first-party package)" >&2
+./scripts/docs.sh
 
 echo "[verify] OK" >&2
