@@ -105,10 +105,9 @@ pub struct CollectorSample {
 /// monitored system, encode the response onto the accounted wire, account
 /// the bytes, decode it back — and differs only in *what* it samples. The
 /// trait lets the serve loop and the batch pipeline drive any kind
-/// generically; [`SadcRpcd`], [`HadoopLogRpcd`], and [`StraceRpcd`] remain
-/// the concrete types (their inherent `poll` methods wrap
-/// [`Collector::poll_into`] in the kind-specific snapshot types for
-/// callers that want them).
+/// generically, and it is the only way to poll one: [`SadcRpcd`],
+/// [`HadoopLogRpcd`], and [`StraceRpcd`] add only their constructors and
+/// schema accessors.
 pub trait Collector {
     /// Short kind name (`sadc`, `hadoop_log`, `strace`) for metric names
     /// and error messages.
@@ -270,28 +269,19 @@ fn sadc_schema() -> Result<&'static SadcSchema, WireError> {
         .map_err(Clone::clone)
 }
 
-/// One second of black-box samples from a `sadc_rpcd` poll.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SadcSnapshot {
-    /// Simulation time of the sample.
-    pub timestamp: u64,
-    /// The flattened metric vector (64 node + 18 iface + 19 per process).
-    pub values: Vec<f64>,
-}
-
 /// The black-box collector daemon for one slave node.
 ///
 /// # Examples
 ///
 /// ```
-/// use asdf_rpc::daemons::{ClusterHandle, SadcRpcd};
+/// use asdf_rpc::daemons::{ClusterHandle, Collector, SadcRpcd};
 /// use hadoop_sim::cluster::{Cluster, ClusterConfig};
 ///
 /// let handle = ClusterHandle::new(Cluster::new(ClusterConfig::new(3, 1), Vec::new()));
 /// let mut daemon = SadcRpcd::connect(handle.clone(), 0)?;
 /// handle.tick();
-/// let snap = daemon.poll()?.expect("frame exists after a tick");
-/// assert_eq!(snap.values.len(), daemon.metric_names().len());
+/// let sample = daemon.poll_sample()?.expect("frame exists after a tick");
+/// assert_eq!(sample.values.len(), daemon.metric_names().len());
 /// # Ok::<(), asdf_rpc::wire::WireError>(())
 /// ```
 #[derive(Debug)]
@@ -328,29 +318,6 @@ impl SadcRpcd {
     pub fn metric_names(&self) -> &[String] {
         &self.metric_names
     }
-
-    /// Polls one second of metrics. Returns `None` before the first
-    /// simulation tick (no frame rendered yet).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll(&mut self) -> Result<Option<SadcSnapshot>, WireError> {
-        Ok(self.poll_sample()?.map(|s| SadcSnapshot {
-            timestamp: s.timestamp,
-            values: s.values,
-        }))
-    }
-
-    /// Bandwidth accounting for Table 4.
-    pub fn bandwidth(&self) -> BandwidthStats {
-        self.session.conn.stats()
-    }
-
-    /// Closes the connection.
-    pub fn close(&mut self) {
-        self.session.conn.close();
-    }
 }
 
 /// Which daemon's log a `hadoop_log_rpcd` instance tails.
@@ -379,15 +346,6 @@ impl LogDaemon {
             LogDaemon::DataNode => "dn",
         }
     }
-}
-
-/// One second of white-box state counts from a `hadoop_log_rpcd` poll.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogSnapshot {
-    /// Simulation time of the sample.
-    pub timestamp: u64,
-    /// Per-state counts, in the daemon's [`LogDaemon::states`] order.
-    pub counts: Vec<f64>,
 }
 
 /// The white-box collector daemon: tails one Hadoop log on one node,
@@ -478,38 +436,6 @@ impl HadoopLogRpcd {
         });
         self.session.decode_into(out)
     }
-
-    /// Polls one second of state counts: drains new log lines, feeds the
-    /// parser, samples, and ships the counts over the accounted wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll(&mut self) -> Result<LogSnapshot, WireError> {
-        let mut counts = Vec::new();
-        let timestamp = self.poll_via(None, &mut counts)?;
-        Ok(LogSnapshot { timestamp, counts })
-    }
-
-    /// Bandwidth accounting for Table 4.
-    pub fn bandwidth(&self) -> BandwidthStats {
-        self.session.conn.stats()
-    }
-
-    /// Closes the connection.
-    pub fn close(&mut self) {
-        self.session.conn.close();
-    }
-}
-
-/// One second of syscall-trace counts from a `strace_rpcd` poll.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StraceSnapshot {
-    /// Simulation time of the sample.
-    pub timestamp: u64,
-    /// Per-category call counts, ordered as
-    /// [`procsim::syscalls::SYSCALL_CATEGORIES`].
-    pub counts: Vec<f64>,
 }
 
 /// The syscall-trace collector daemon — the paper's future-work strace
@@ -541,29 +467,6 @@ impl StraceRpcd {
             session: Session::open(node, hello, 0)?,
             span: poll_span("strace"),
         })
-    }
-
-    /// Polls one second of syscall counts. Returns `None` before the first
-    /// simulation tick.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    pub fn poll(&mut self) -> Result<Option<StraceSnapshot>, WireError> {
-        Ok(self.poll_sample()?.map(|s| StraceSnapshot {
-            timestamp: s.timestamp,
-            counts: s.values,
-        }))
-    }
-
-    /// Bandwidth accounting (same shape as Table 4's rows).
-    pub fn bandwidth(&self) -> BandwidthStats {
-        self.session.conn.stats()
-    }
-
-    /// Closes the connection.
-    pub fn close(&mut self) {
-        self.session.conn.close();
     }
 }
 
@@ -599,11 +502,11 @@ impl Collector for SadcRpcd {
     }
 
     fn bandwidth(&self) -> BandwidthStats {
-        SadcRpcd::bandwidth(self)
+        self.session.conn.stats()
     }
 
     fn close(&mut self) {
-        SadcRpcd::close(self);
+        self.session.conn.close();
     }
 }
 
@@ -631,11 +534,11 @@ impl Collector for HadoopLogRpcd {
     }
 
     fn bandwidth(&self) -> BandwidthStats {
-        HadoopLogRpcd::bandwidth(self)
+        self.session.conn.stats()
     }
 
     fn close(&mut self) {
-        HadoopLogRpcd::close(self);
+        self.session.conn.close();
     }
 }
 
@@ -668,11 +571,11 @@ impl Collector for StraceRpcd {
     }
 
     fn bandwidth(&self) -> BandwidthStats {
-        StraceRpcd::bandwidth(self)
+        self.session.conn.stats()
     }
 
     fn close(&mut self) {
-        StraceRpcd::close(self);
+        self.session.conn.close();
     }
 }
 
@@ -689,9 +592,12 @@ mod tests {
     fn sadc_poll_returns_full_metric_vector() {
         let h = handle(3, 1);
         let mut d = SadcRpcd::connect(h.clone(), 1).unwrap();
-        assert!(d.poll().unwrap().is_none(), "no frame before first tick");
+        assert!(
+            d.poll_sample().unwrap().is_none(),
+            "no frame before first tick"
+        );
         h.tick();
-        let snap = d.poll().unwrap().unwrap();
+        let snap = d.poll_sample().unwrap().unwrap();
         assert_eq!(snap.values.len(), 64 + 18 + 2 * 19);
         assert_eq!(snap.timestamp, 0);
         assert_eq!(d.metric_names().len(), snap.values.len());
@@ -704,7 +610,7 @@ mod tests {
         let mut d = SadcRpcd::connect(h.clone(), 0).unwrap();
         for _ in 0..30 {
             h.tick();
-            d.poll().unwrap();
+            d.poll_sample().unwrap();
         }
         let bw = d.bandwidth();
         assert_eq!(bw.iterations, 30);
@@ -731,12 +637,12 @@ mod tests {
         let mut dn_any = 0.0;
         for _ in 0..240 {
             h.tick();
-            let s = tt.poll().unwrap();
-            assert_eq!(s.counts.len(), 6);
-            tt_any += s.counts.iter().sum::<f64>();
-            let s = dn.poll().unwrap();
-            assert_eq!(s.counts.len(), 3);
-            dn_any += s.counts.iter().sum::<f64>();
+            let s = tt.poll_sample().unwrap().unwrap();
+            assert_eq!(s.values.len(), 6);
+            tt_any += s.values.iter().sum::<f64>();
+            let s = dn.poll_sample().unwrap().unwrap();
+            assert_eq!(s.values.len(), 3);
+            dn_any += s.values.iter().sum::<f64>();
         }
         assert!(tt_any > 0.0, "tasktracker states should be active");
         assert!(dn_any > 0.0, "datanode states should be active");
@@ -749,8 +655,8 @@ mod tests {
         let mut hl = HadoopLogRpcd::connect(h.clone(), 0, LogDaemon::DataNode).unwrap();
         for _ in 0..60 {
             h.tick();
-            sadc.poll().unwrap();
-            hl.poll().unwrap();
+            sadc.poll_sample().unwrap();
+            hl.poll_sample().unwrap();
         }
         // Paper Table 4: sadc 1.22 kB/s vs hl-dn 0.31 kB/s.
         assert!(
@@ -768,12 +674,10 @@ mod tests {
         let mut tt = HadoopLogRpcd::connect(h.clone(), 0, LogDaemon::TaskTracker).unwrap();
         let mut dn = HadoopLogRpcd::connect(h.clone(), 0, LogDaemon::DataNode).unwrap();
         h.with(|c| c.advance(120));
-        tt.poll().unwrap();
-        let dn_snapshot = dn.poll().unwrap();
+        tt.poll_sample().unwrap();
+        let dn_sample = dn.poll_sample().unwrap().unwrap();
         // DataNode lines were still there for the dn daemon.
-        let (seen, _) = (0, 0);
-        let _ = seen;
-        assert_eq!(dn_snapshot.counts.len(), 3);
+        assert_eq!(dn_sample.values.len(), 3);
     }
 
     #[test]
@@ -789,8 +693,7 @@ mod tests {
 
     #[test]
     fn every_daemon_kind_drives_through_the_collector_trait() {
-        // The generic contract: all three kinds poll through one vtable
-        // and their samples agree with the kind-specific inherent polls.
+        // The generic contract: all three kinds poll through one vtable.
         let h = handle(3, 7);
         let mut collectors: Vec<Box<dyn Collector + Send>> = vec![
             Box::new(SadcRpcd::connect(h.clone(), 1).unwrap()),
@@ -813,33 +716,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_poll_matches_inherent_poll() {
-        let h = handle(2, 11);
-        let mut a = SadcRpcd::connect(h.clone(), 0).unwrap();
-        let mut b = SadcRpcd::connect(h.clone(), 0).unwrap();
-        h.tick();
-        let inherent = a.poll().unwrap().unwrap();
-        let generic = (&mut b as &mut dyn Collector)
-            .poll_sample()
-            .unwrap()
-            .unwrap();
-        assert_eq!(inherent.timestamp, generic.timestamp);
-        assert_eq!(inherent.values, generic.values);
-    }
-
-    #[test]
     fn strace_polls_syscall_category_counts() {
         let h = handle(2, 41);
         let mut d = StraceRpcd::connect(h.clone(), 0).unwrap();
-        assert!(d.poll().unwrap().is_none(), "no trace before first tick");
+        assert!(
+            d.poll_sample().unwrap().is_none(),
+            "no trace before first tick"
+        );
         h.with(|c| c.advance(90));
-        let snap = d.poll().unwrap().unwrap();
-        assert_eq!(snap.counts.len(), procsim::syscalls::SYSCALL_CATEGORY_COUNT);
+        let snap = d.poll_sample().unwrap().unwrap();
+        assert_eq!(snap.values.len(), procsim::syscalls::SYSCALL_CATEGORY_COUNT);
         // The tasktracker event loop polls even when idle.
         assert!(
-            snap.counts[3] > 0.0,
+            snap.values[3] > 0.0,
             "epoll_wait baseline: {:?}",
-            snap.counts
+            snap.values
         );
         assert!(d.bandwidth().per_iteration_kb() > 0.0);
     }
@@ -890,9 +781,9 @@ mod tests {
         let mut dn = HadoopLogRpcd::connect(h.clone(), 1, LogDaemon::DataNode).unwrap();
         for _ in 0..5 {
             h.tick();
-            sadc.poll().unwrap();
-            tt.poll().unwrap();
-            dn.poll().unwrap();
+            sadc.poll_sample().unwrap();
+            tt.poll_sample().unwrap();
+            dn.poll_sample().unwrap();
         }
         let per_iter = |bw: BandwidthStats| (bw.iterations, bw.call_bytes / bw.iterations);
         assert_eq!(per_iter(sadc.bandwidth()), (5, 1117));

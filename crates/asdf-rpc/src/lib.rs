@@ -11,7 +11,7 @@
 //!   Table 4);
 //! * [`daemons`] — [`daemons::SadcRpcd`], [`daemons::HadoopLogRpcd`], and
 //!   [`daemons::StraceRpcd`], which fully encode and decode every poll
-//!   over the accounted wire, all driven generically through the
+//!   over the accounted wire, and are polled only through the
 //!   [`daemons::Collector`] trait (poll → encode → account → decode);
 //! * [`meter`] — process CPU/RSS measurement for the Table 3 overhead
 //!   experiment.
@@ -19,14 +19,14 @@
 //! # Examples
 //!
 //! ```
-//! use asdf_rpc::daemons::{ClusterHandle, SadcRpcd};
+//! use asdf_rpc::daemons::{ClusterHandle, Collector, SadcRpcd};
 //! use hadoop_sim::cluster::{Cluster, ClusterConfig};
 //!
 //! let handle = ClusterHandle::new(Cluster::new(ClusterConfig::new(2, 1), Vec::new()));
 //! let mut sadc = SadcRpcd::connect(handle.clone(), 0)?;
 //! handle.tick();
-//! let snapshot = sadc.poll()?.unwrap();
-//! assert_eq!(snapshot.values.len(), 120);
+//! let sample = sadc.poll_sample()?.unwrap();
+//! assert_eq!(sample.values.len(), 120);
 //! println!("static overhead: {:.2} kB", sadc.bandwidth().static_kb());
 //! # Ok::<(), asdf_rpc::wire::WireError>(())
 //! ```
@@ -41,8 +41,7 @@ pub mod transport;
 pub mod wire;
 
 pub use daemons::{
-    ClusterHandle, Collector, CollectorSample, HadoopLogRpcd, LogDaemon, LogSnapshot, SadcRpcd,
-    SadcSnapshot, StraceRpcd, StraceSnapshot,
+    ClusterHandle, Collector, CollectorSample, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd,
 };
 pub use transport::{BandwidthStats, Connection};
 pub use wire::{Handshake, WireError, WIRE_VERSION};

@@ -10,12 +10,19 @@
 //! * `run-config <FILE> [--slaves N] [--secs S] [--fault NAME]` — execute
 //!   a user-supplied configuration file against a simulated cluster and
 //!   print everything the `print` sinks render.
-//! * `fig7` / `fig6` / `ablate` — run the corresponding evaluation
-//!   campaign at smoke scale (overridable with the campaign flags below).
-//!   With `--trace-out PATH`, every module run, RPC poll, and campaign job
-//!   is captured as a span and written as Chrome `trace_event` JSON —
+//! * `fig6` / `fig7` / `ablate` — reproduce Figure 6(a)/(b), Figure
+//!   7(a)/(b), or the window / consecutive / n_states ablation, each with
+//!   the paper's qualitative claims checked on the spot. Defaults are the
+//!   campaign scale EXPERIMENTS.md records (20 slaves, 1800 s runs, three
+//!   runs, seed 1), overridable with the campaign flags below. With
+//!   `--trace-out PATH`, every module run, RPC poll, and campaign job is
+//!   captured as a span and written as Chrome `trace_event` JSON —
 //!   loadable in `chrome://tracing` or Perfetto. Each campaign subcommand
 //!   ends with the instrumentation summary table on stderr.
+//! * `table3 [--secs S]` / `table4 [--secs S]` — measure collection
+//!   overhead (Table 3) or RPC bandwidth (Table 4) over `S` monitored
+//!   seconds (default 600). Their meters read per-process counters and
+//!   account exact bytes, so they take no thread count.
 //! * `serve [--tenants N] [--flood F] [--slaves N] [--secs S] [--seed X]
 //!   [--tick-ms MS] [--speed F] [--queue-cap N] [--window W]
 //!   [--threshold T] [--k K] [--batch-size B]` — the long-lived
@@ -36,21 +43,26 @@
 //!
 //! Campaign flags: `--slaves N --secs S --seed X --runs R --window W
 //! --threshold T --k K --threads N --engine-threads N --batch-size B
-//! --workload gridmix|trace:PATH --metric-rank --trace-out PATH`.
-//! `--threads` fans independent runs across campaign workers;
-//! `--engine-threads` shards each tick *within* a run across engine
-//! workers; `--batch-size` sets how many envelopes accumulate per edge
-//! before a lane hand-off (results are identical at any setting of any of
-//! the three). `--workload trace:PATH` replays a cluster-trace CSV (see
-//! `hadoop_sim::trace` for the schema) instead of synthesizing GridMix;
-//! `--metric-rank` adds the Orion+-style per-metric deviation ranking
-//! stage.
+//! --sim-shards N --racks R --workload gridmix|trace:PATH --metric-rank
+//! --trace-out PATH`. `--threads` fans independent runs across campaign
+//! workers; `--engine-threads` shards each tick *within* a run across
+//! engine workers; `--batch-size` sets how many envelopes accumulate per
+//! edge before a lane hand-off (results are identical at any setting of
+//! any of the three). `--workload trace:PATH` replays a cluster-trace CSV
+//! (see `hadoop_sim::trace` for the schema) instead of synthesizing
+//! GridMix; `--metric-rank` adds the Orion+-style per-metric deviation
+//! ranking stage.
+//!
+//! A subcommand reads only the flags listed for it; any other flag, a
+//! missing or malformed value, or a stray argument prints the usage and
+//! exits 2.
 //!
 //! Fault names: CPUHog, DiskHog, HADOOP-1036, HADOOP-1152, HADOOP-2080,
 //! PacketLoss, Straggler, MemLeak, FlakyLink, GrayFailure.
 
-use asdf::experiments::{self, CampaignConfig};
+use asdf::experiments::{self, AblationKnob, CampaignConfig};
 use asdf::pipeline::{AsdfBuilder, AsdfOptions};
+use asdf::report;
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
 use asdf_core::engine::TickEngine;
@@ -62,16 +74,18 @@ use hadoop_sim::faults::{FaultKind, FaultSpec};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdf <demo|dump-config|run-config|fig7|fig6|ablate|serve> [options]\n\
+        "usage: asdf <demo|dump-config|run-config|fig6|fig7|ablate|table3|table4|serve|perfwatch> \
+         [options]\n\
          \n\
          asdf demo        [--fault NAME] [--slaves N] [--secs S] [--seed X]\n\
          asdf dump-config [--slaves N]\n\
          asdf run-config FILE [--slaves N] [--secs S] [--fault NAME] [--seed X]\n\
-         asdf fig7|fig6|ablate [--slaves N] [--secs S] [--seed X] [--runs R]\n\
+         asdf fig6|fig7|ablate [--slaves N] [--secs S] [--seed X] [--runs R]\n\
          \x20                     [--window W] [--threshold T] [--k K] [--threads N]\n\
          \x20                     [--engine-threads N] [--batch-size B] [--trace-out PATH]\n\
          \x20                     [--workload gridmix|trace:PATH] [--metric-rank]\n\
          \x20                     [--sim-shards N] [--racks R]\n\
+         asdf table3|table4 [--secs S]\n\
          asdf serve       [--tenants N] [--flood F] [--slaves N] [--secs S]\n\
          \x20                [--seed X] [--tick-ms MS] [--speed F] [--queue-cap N]\n\
          \x20                [--window W] [--threshold T] [--k K] [--batch-size B]\n\
@@ -79,7 +93,9 @@ fn usage() -> ! {
          \x20                [--permutations N] [--pvalue P] [--min-segment N]\n\
          \x20                [--seed X]\n\
          \n\
-         campaign subcommands default to smoke scale; --trace-out writes a\n\
+         a flag the subcommand does not list is an error (exit 2);\n\
+         campaign subcommands default to the paper-scale campaign (20 slaves,\n\
+         1800 s runs, 3 runs) and table3/table4 to 600 s; --trace-out writes a\n\
          Chrome trace_event JSON (chrome://tracing / Perfetto); perfwatch\n\
          analyzes BENCH_history.jsonl for perf regressions (advisory);\n\
          --workload trace:PATH replays a cluster-trace CSV instead of GridMix;\n\
@@ -95,14 +111,72 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_fault(name: &str) -> FaultKind {
+/// Monitored seconds of the `table3` / `table4` measurements.
+const TABLE_SECS: u64 = 600;
+
+/// The flags each subcommand reads, or `None` for an unknown subcommand.
+/// Any other flag is a usage error, so none is silently ignored.
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "demo" => &["--fault", "--slaves", "--secs", "--seed"],
+        "dump-config" => &["--slaves"],
+        "run-config" => &["--slaves", "--secs", "--fault", "--seed"],
+        "fig7" | "fig6" | "ablate" => &[
+            "--slaves",
+            "--secs",
+            "--seed",
+            "--runs",
+            "--window",
+            "--threshold",
+            "--k",
+            "--threads",
+            "--engine-threads",
+            "--batch-size",
+            "--workload",
+            "--metric-rank",
+            "--sim-shards",
+            "--racks",
+            "--trace-out",
+        ],
+        "table3" | "table4" => &["--secs"],
+        "serve" => &[
+            "--tenants",
+            "--flood",
+            "--slaves",
+            "--secs",
+            "--seed",
+            "--tick-ms",
+            "--speed",
+            "--queue-cap",
+            "--window",
+            "--threshold",
+            "--k",
+            "--batch-size",
+        ],
+        "perfwatch" => &[
+            "--history",
+            "--report",
+            "--json",
+            "--permutations",
+            "--pvalue",
+            "--min-segment",
+            "--seed",
+        ],
+        _ => return None,
+    })
+}
+
+fn parse_fault(name: &str) -> Result<FaultKind, String> {
     FaultKind::ALL
         .into_iter()
         .find(|k| k.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown fault `{name}`");
-            usage()
-        })
+        .ok_or_else(|| format!("unknown fault `{name}`"))
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("flag {flag}: cannot parse `{value}`"))
 }
 
 struct Opts {
@@ -136,7 +210,15 @@ struct Opts {
     queue_cap: Option<usize>,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// Parses the arguments after the subcommand `cmd`.
+///
+/// # Errors
+///
+/// Returns what is wrong with them: an unknown subcommand, a flag `cmd`
+/// does not read, a missing or malformed value, or a stray argument (only
+/// `run-config` takes one, its `FILE`).
+fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
+    let accepted = flags_of(cmd).ok_or_else(|| format!("unknown subcommand `{cmd}`"))?;
     let mut o = Opts {
         fault: None,
         slaves: None,
@@ -168,75 +250,72 @@ fn parse_opts(args: &[String]) -> Opts {
         queue_cap: None,
     };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("flag {what} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--fault" => o.fault = Some(parse_fault(val("--fault"))),
-            "--slaves" => o.slaves = Some(val("--slaves").parse().unwrap_or_else(|_| usage())),
-            "--secs" => o.secs = Some(val("--secs").parse().unwrap_or_else(|_| usage())),
-            "--seed" => o.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--runs" => o.runs = Some(val("--runs").parse().unwrap_or_else(|_| usage())),
-            "--window" => o.window = Some(val("--window").parse().unwrap_or_else(|_| usage())),
-            "--threshold" => {
-                o.threshold = Some(val("--threshold").parse().unwrap_or_else(|_| usage()));
+    while let Some(flag) = it.next() {
+        if !flag.starts_with("--") {
+            if cmd == "run-config" && o.file.is_none() {
+                o.file = Some(flag.clone());
+                continue;
             }
-            "--k" => o.k = Some(val("--k").parse().unwrap_or_else(|_| usage())),
-            "--threads" => o.threads = val("--threads").parse().unwrap_or_else(|_| usage()),
-            "--engine-threads" => {
-                o.engine_threads = val("--engine-threads").parse().unwrap_or_else(|_| usage());
-            }
-            "--batch-size" => {
-                o.batch_size = Some(val("--batch-size").parse().unwrap_or_else(|_| usage()));
-            }
-            "--workload" => o.workload = Some(val("--workload").clone()),
-            "--metric-rank" => o.metric_rank = true,
-            "--sim-shards" => {
-                o.sim_shards = val("--sim-shards").parse().unwrap_or_else(|_| usage());
-            }
-            "--racks" => o.racks = val("--racks").parse().unwrap_or_else(|_| usage()),
-            "--trace-out" => o.trace_out = Some(val("--trace-out").clone()),
-            "--history" => o.history = Some(val("--history").clone()),
-            "--report" => o.report_out = Some(val("--report").clone()),
-            "--json" => o.json_out = Some(val("--json").clone()),
-            "--permutations" => {
-                o.permutations = Some(val("--permutations").parse().unwrap_or_else(|_| usage()));
-            }
-            "--pvalue" => o.pvalue = Some(val("--pvalue").parse().unwrap_or_else(|_| usage())),
-            "--min-segment" => {
-                o.min_segment = Some(val("--min-segment").parse().unwrap_or_else(|_| usage()));
-            }
-            "--tenants" => o.tenants = val("--tenants").parse().unwrap_or_else(|_| usage()),
-            "--flood" => o.flood = val("--flood").parse().unwrap_or_else(|_| usage()),
-            "--tick-ms" => o.tick_ms = val("--tick-ms").parse().unwrap_or_else(|_| usage()),
-            "--speed" => o.speed = val("--speed").parse().unwrap_or_else(|_| usage()),
-            "--queue-cap" => {
-                o.queue_cap = Some(val("--queue-cap").parse().unwrap_or_else(|_| usage()));
-            }
-            other if !other.starts_with("--") && o.file.is_none() => {
-                o.file = Some(other.to_owned());
-            }
-            _ => usage(),
+            return Err(format!("unexpected argument `{flag}`"));
+        }
+        if !accepted.contains(&flag.as_str()) {
+            return Err(format!("`asdf {cmd}` takes no flag {flag}"));
+        }
+        if flag == "--metric-rank" {
+            o.metric_rank = true;
+            continue;
+        }
+        let v = it
+            .next()
+            .ok_or_else(|| format!("flag {flag} needs a value"))?;
+        match flag.as_str() {
+            "--fault" => o.fault = Some(parse_fault(v)?),
+            "--slaves" => o.slaves = Some(parse_value(flag, v)?),
+            "--secs" => o.secs = Some(parse_value(flag, v)?),
+            "--seed" => o.seed = parse_value(flag, v)?,
+            "--runs" => o.runs = Some(parse_value(flag, v)?),
+            "--window" => o.window = Some(parse_value(flag, v)?),
+            "--threshold" => o.threshold = Some(parse_value(flag, v)?),
+            "--k" => o.k = Some(parse_value(flag, v)?),
+            "--threads" => o.threads = parse_value(flag, v)?,
+            "--engine-threads" => o.engine_threads = parse_value(flag, v)?,
+            "--batch-size" => o.batch_size = Some(parse_value(flag, v)?),
+            "--workload" => o.workload = Some(v.clone()),
+            "--sim-shards" => o.sim_shards = parse_value(flag, v)?,
+            "--racks" => o.racks = parse_value(flag, v)?,
+            "--trace-out" => o.trace_out = Some(v.clone()),
+            "--history" => o.history = Some(v.clone()),
+            "--report" => o.report_out = Some(v.clone()),
+            "--json" => o.json_out = Some(v.clone()),
+            "--permutations" => o.permutations = Some(parse_value(flag, v)?),
+            "--pvalue" => o.pvalue = Some(parse_value(flag, v)?),
+            "--min-segment" => o.min_segment = Some(parse_value(flag, v)?),
+            "--tenants" => o.tenants = parse_value(flag, v)?,
+            "--flood" => o.flood = parse_value(flag, v)?,
+            "--tick-ms" => o.tick_ms = parse_value(flag, v)?,
+            "--speed" => o.speed = parse_value(flag, v)?,
+            "--queue-cap" => o.queue_cap = Some(parse_value(flag, v)?),
+            other => unreachable!("{other} is listed in flags_of but not parsed"),
         }
     }
-    o
+    Ok(o)
 }
 
 impl Opts {
     /// The campaign configuration for the `fig7`/`fig6`/`ablate`
-    /// subcommands: smoke scale by default (this is an interactive CLI,
-    /// not the harness), with every knob overridable.
+    /// subcommands: the paper-scale campaign by default, with every knob
+    /// overridable.
     fn campaign(&self) -> CampaignConfig {
-        let mut cfg = CampaignConfig::smoke();
-        cfg.base_seed = self.seed;
-        cfg.threads = self.threads;
-        cfg.engine_threads = self.engine_threads;
-        cfg.sim_shards = self.sim_shards;
-        cfg.racks = self.racks;
+        let mut cfg = CampaignConfig {
+            base_seed: self.seed,
+            threads: self.threads,
+            engine_threads: self.engine_threads,
+            sim_shards: self.sim_shards,
+            racks: self.racks,
+            workload: self.parse_workload(),
+            metric_rank: self.metric_rank,
+            ..CampaignConfig::default()
+        };
         if let Some(b) = self.batch_size {
             cfg.batch_size = b;
         }
@@ -259,8 +338,6 @@ impl Opts {
         if let Some(k) = self.k {
             cfg.wb_k = k;
         }
-        cfg.workload = self.parse_workload();
-        cfg.metric_rank = self.metric_rank;
         // Keep the fault node and injection point inside the run.
         cfg.fault_node = cfg.fault_node.min(cfg.slaves.saturating_sub(1));
         cfg.injection_at = cfg.injection_at.min(cfg.run_secs / 3);
@@ -470,7 +547,31 @@ fn cmd_fig7(cfg: &CampaignConfig) {
     );
     let model = experiments::train_model(cfg);
     let rows = experiments::fig7(cfg, &model);
-    println!("{}", asdf::report::render_fig7(&rows));
+    println!("{}", report::render_fig7(&rows));
+
+    // The paper's qualitative claims, checked on the spot over the faults
+    // it evaluated.
+    let bb = report::paper_mean(&rows, |r| r.ba_black_box);
+    let wb = report::paper_mean(&rows, |r| r.ba_white_box);
+    let all = report::paper_mean(&rows, |r| r.ba_combined);
+    println!("shape checks, paper's six faults (paper: bb 71%, wb 78%, combined 80%):");
+    println!("  mean balanced accuracy: bb {bb:.1}%  wb {wb:.1}%  combined {all:.1}%");
+    println!(
+        "  white box >= black box overall: {}",
+        if wb >= bb - 1.0 { "yes" } else { "NO" }
+    );
+    println!(
+        "  combining helps or ties:        {}",
+        if all + 1.0 >= bb.max(wb) { "yes" } else { "NO" }
+    );
+    let wb_beats_bb_on_hangs = rows
+        .iter()
+        .filter(|r| FaultKind::PAPER.contains(&r.fault) && r.fault.is_dormant())
+        .all(|r| r.ba_white_box > r.ba_black_box);
+    println!(
+        "  wb beats bb on reduce hangs (HADOOP-1152/2080): {}",
+        if wb_beats_bb_on_hangs { "yes" } else { "NO" }
+    );
 }
 
 fn cmd_fig6(cfg: &CampaignConfig) {
@@ -480,48 +581,142 @@ fn cmd_fig6(cfg: &CampaignConfig) {
     );
     let model = experiments::train_model(cfg);
     let thresholds: Vec<f64> = (0..=14).map(|i| i as f64 * 5.0).collect();
+    let sweep_a = experiments::fig6a(cfg, &model, &thresholds);
     println!(
         "{}",
-        asdf::report::render_sweep(
+        report::render_sweep(
             "Figure 6(a): black-box false-positive rate vs L1 threshold",
             "threshold",
-            &experiments::fig6a(cfg, &model, &thresholds)
+            &sweep_a
         )
     );
     let ks: Vec<f64> = (0..=10).map(|i| i as f64 * 0.5).collect();
+    let sweep_b = experiments::fig6b(cfg, &model, &ks);
     println!(
         "{}",
-        asdf::report::render_sweep(
+        report::render_sweep(
             "Figure 6(b): white-box false-positive rate vs k",
             "k",
-            &experiments::fig6b(cfg, &model, &ks)
+            &sweep_b
         )
+    );
+
+    // The paper's qualitative claims, checked on the spot.
+    let fp_at = |rows: &[(f64, f64)], x: f64| {
+        rows.iter()
+            .find(|(v, _)| (*v - x).abs() < 1e-9)
+            .map(|(_, fp)| *fp)
+            .unwrap_or(f64::NAN)
+    };
+    println!("shape checks:");
+    println!(
+        "  bb FP falls steeply then flattens: fp(0)={:.1}%  fp(40)={:.2}%  fp(70)={:.2}%",
+        fp_at(&sweep_a, 0.0),
+        fp_at(&sweep_a, 40.0),
+        fp_at(&sweep_a, 70.0)
+    );
+    println!(
+        "  wb FP low and flat beyond k=3:     fp(k=0)={:.2}%  fp(k=3)={:.2}%  fp(k=5)={:.2}%",
+        fp_at(&sweep_b, 0.0),
+        fp_at(&sweep_b, 3.0),
+        fp_at(&sweep_b, 5.0)
     );
 }
 
+/// The ablation: each design knob swept on HADOOP-1036 (the
+/// strongest-manifesting fault, so the knob effect dominates run noise)
+/// plus a fault-free control run per value.
 fn cmd_ablate(cfg: &CampaignConfig) {
-    use asdf::experiments::AblationKnob;
     let fault = FaultKind::Hadoop1036;
     eprintln!(
-        "[ablate] {} nodes, {} s runs, fault {fault}; sweeping window / consecutive ...",
+        "[ablate] {} nodes, {} s runs, fault {fault}; sweeping window / consecutive / n_states ...",
         cfg.slaves, cfg.run_secs
     );
-    for (knob, values) in [
-        (AblationKnob::Window, &[30.0, 60.0, 120.0][..]),
-        (AblationKnob::Consecutive, &[1.0, 2.0, 3.0][..]),
-    ] {
-        println!("=== {} ===", knob.name());
-        for r in experiments::ablate(cfg, knob, values, fault) {
-            let lat = r
-                .latency
-                .map(|s| format!("{s}s"))
-                .unwrap_or_else(|| "--".to_owned());
-            println!(
-                "{:>12} | BA {:>5.1}% | latency {:>6} | FP {:>5.2}%",
-                r.value, r.ba_combined, lat, r.fp_rate
-            );
-        }
+    let sweeps = [
+        (
+            AblationKnob::Window,
+            [15.0, 30.0, 60.0, 120.0],
+            "window size (paper: 60)",
+            "expected trade-off: small windows detect faster but with noisier histograms\n\
+             (higher FP); large windows smooth noise but stretch the latency floor.\n",
+        ),
+        (
+            AblationKnob::Consecutive,
+            [1.0, 2.0, 3.0, 4.0],
+            "consecutive-window confirmation (paper: 3)",
+            "expected trade-off: each extra confirmation window adds ~windowSize seconds\n\
+             of latency and suppresses one-window false positives.\n",
+        ),
+        (
+            AblationKnob::NStates,
+            [4.0, 8.0, 12.0, 24.0],
+            "black-box workload states / k-means k (reproduction default: 12)",
+            "expected trade-off: too few states quantize faulty and healthy behaviour into\n\
+             the same cell; too many states fragment healthy behaviour and add FP noise.",
+        ),
+    ];
+    for (knob, values, title, trade_off) in sweeps {
+        println!("=== {title} ===");
+        let rows = experiments::ablate(cfg, knob, &values, fault);
+        println!("{}", report::render_ablation(&rows));
+        println!("{trade_off}");
     }
+}
+
+fn cmd_table3(secs: u64) {
+    use asdf_rpc::meter::{process_peak_rss_mb, process_rss_mb};
+    eprintln!("[table3] metering collectors over {secs} monitored seconds ...");
+    let rows = experiments::table3(secs);
+    println!("{}", report::render_table3(&rows));
+    println!("shape check (paper: every collection component << 1% CPU per node):");
+    for r in &rows {
+        println!(
+            "  {:<32} {:.4}% CPU -> {}",
+            r.process,
+            r.cpu_percent,
+            if r.cpu_percent < 1.0 {
+                "negligible"
+            } else {
+                "HIGH"
+            }
+        );
+    }
+    let total: f64 = rows.iter().map(|r| r.cpu_percent).sum();
+    println!("  total monitoring overhead: {total:.3}% CPU per monitored node");
+
+    // Whole-process footprint, same /proc meters the rows are built from.
+    if let (Some(rss), Some(peak)) = (process_rss_mb(), process_peak_rss_mb()) {
+        println!("  harness process RSS: {rss:.1} MB (peak {peak:.1} MB)");
+    }
+}
+
+fn cmd_table4(secs: u64) {
+    eprintln!("[table4] accounting RPC bytes over {secs} collection iterations ...");
+    let rows = experiments::table4(secs);
+    println!("{}", report::render_table4(&rows));
+
+    println!("shape checks:");
+    let (sadc, dn, tt, sum) = (&rows[0], &rows[1], &rows[2], &rows[3]);
+    println!(
+        "  sadc dominates per-iteration bandwidth: {} ({:.2} vs {:.2}/{:.2} kB/s)",
+        if sadc.per_iter_kb > dn.per_iter_kb && sadc.per_iter_kb > tt.per_iter_kb {
+            "yes"
+        } else {
+            "NO"
+        },
+        sadc.per_iter_kb,
+        dn.per_iter_kb,
+        tt.per_iter_kb
+    );
+    println!(
+        "  single-node monitoring cost is negligible: {:.2} kB/s total, {:.2} kB static",
+        sum.per_iter_kb, sum.static_kb
+    );
+    println!(
+        "  100-node aggregate would be ~{:.1} kB/s (paper: \"on the order of 1 MB/s even \
+         when monitoring hundreds of nodes\")",
+        sum.per_iter_kb * 100.0
+    );
 }
 
 fn cmd_serve(o: Opts) {
@@ -695,23 +890,124 @@ fn with_exporters(trace_out: Option<&str>, body: impl FnOnce()) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let opts = parse_opts(&args[1..]);
+    let opts = parse_opts(cmd, &args[1..]).unwrap_or_else(|e| {
+        eprintln!("asdf: {e}");
+        usage()
+    });
     match cmd.as_str() {
         "demo" => cmd_demo(opts),
         "dump-config" => cmd_dump_config(opts),
         "run-config" => cmd_run_config(opts),
         "serve" => cmd_serve(opts),
         "perfwatch" => cmd_perfwatch(opts),
+        "table3" => cmd_table3(opts.secs.unwrap_or(TABLE_SECS)),
+        "table4" => cmd_table4(opts.secs.unwrap_or(TABLE_SECS)),
         "fig7" | "fig6" | "ablate" => {
-            let cfg = opts.campaign();
-            let trace_out = opts.trace_out.clone();
-            let run: Box<dyn FnOnce()> = match cmd.as_str() {
-                "fig7" => Box::new(move || cmd_fig7(&cfg)),
-                "fig6" => Box::new(move || cmd_fig6(&cfg)),
-                _ => Box::new(move || cmd_ablate(&cfg)),
+            let run: fn(&CampaignConfig) = match cmd.as_str() {
+                "fig7" => cmd_fig7,
+                "fig6" => cmd_fig6,
+                _ => cmd_ablate,
             };
-            with_exporters(trace_out.as_deref(), run);
+            let cfg = opts.campaign();
+            with_exporters(opts.trace_out.as_deref(), || run(&cfg));
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, flags: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+        parse_opts(cmd, &args)
+    }
+
+    #[test]
+    fn defaults_are_paper_scale() {
+        let cfg = parse("fig7", &[]).unwrap().campaign();
+        let paper = CampaignConfig::default();
+        assert_eq!((cfg.slaves, cfg.run_secs), (paper.slaves, paper.run_secs));
+        assert_eq!((cfg.fault_runs, cfg.fault_free_runs), (3, 3));
+        assert_eq!(cfg.base_seed, 1);
+        assert_eq!(cfg.window, 60);
+        assert_eq!(cfg.consecutive, 3);
+        assert!((cfg.wb_k - 3.0).abs() < 1e-12);
+        assert_eq!(cfg.threads, 0, "default = all available parallelism");
+    }
+
+    #[test]
+    fn flags_override_defaults() {
+        let cfg = parse("fig6", &["--slaves", "8", "--threads", "3", "--runs", "2"])
+            .unwrap()
+            .campaign();
+        assert_eq!(cfg.slaves, 8);
+        assert_eq!(cfg.threads, 3);
+        assert_eq!(cfg.fault_runs, 2);
+        assert_eq!(cfg.fault_free_runs, 2);
+        // The fault node stays inside the smaller cluster.
+        assert!(cfg.fault_node < 8);
+    }
+
+    #[test]
+    fn measurement_flags_parse() {
+        assert_eq!(parse("table4", &["--secs", "30"]).unwrap().secs, Some(30));
+        assert_eq!(parse("table3", &[]).unwrap().secs, None);
+    }
+
+    #[test]
+    fn measurement_binaries_take_no_thread_count() {
+        for cmd in ["table3", "table4"] {
+            let err = parse(cmd, &["--threads", "2"]).err().expect("rejected");
+            assert!(err.contains("takes no flag --threads"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert!(parse("fig7", &["--bogus"]).is_err());
+        // A flag another subcommand reads is no more welcome.
+        assert!(parse("demo", &["--threshold", "30"]).is_err());
+        assert!(parse("serve", &["--racks", "4"]).is_err());
+        assert!(parse("dump-config", &["--secs", "30"]).is_err());
+        // So are a stray argument, a missing value and a malformed one.
+        assert!(parse("fig6", &["extra"]).is_err());
+        assert!(parse("fig6", &["--slaves"]).is_err());
+        assert!(parse("fig6", &["--slaves", "many"]).is_err());
+        assert!(parse("demo", &["--fault", "NoSuchFault"]).is_err());
+        assert!(parse("frobnicate", &[]).is_err());
+        // Only run-config takes a positional FILE, and only one.
+        assert_eq!(
+            parse("run-config", &["pipeline.conf"])
+                .unwrap()
+                .file
+                .as_deref(),
+            Some("pipeline.conf")
+        );
+        assert!(parse("run-config", &["a.conf", "b.conf"]).is_err());
+    }
+
+    #[test]
+    fn every_listed_flag_parses() {
+        for cmd in [
+            "demo",
+            "dump-config",
+            "run-config",
+            "fig6",
+            "table3",
+            "serve",
+            "perfwatch",
+        ] {
+            for &flag in flags_of(cmd).unwrap() {
+                let args: &[&str] = match flag {
+                    "--metric-rank" => &[flag],
+                    "--fault" => &[flag, "HADOOP-1036"],
+                    "--workload" => &[flag, "gridmix"],
+                    _ => &[flag, "1"],
+                };
+                assert!(parse(cmd, args).is_ok(), "asdf {cmd} {args:?}");
+            }
+        }
     }
 }

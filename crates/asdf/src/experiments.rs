@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use asdf_modules::training::BlackBoxModel;
-use asdf_rpc::daemons::{ClusterHandle, HadoopLogRpcd, LogDaemon, SadcRpcd};
+use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd};
 use asdf_rpc::meter::CpuMeter;
 use asdf_rpc::BandwidthStats;
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
@@ -576,7 +576,7 @@ pub fn table3(seconds: u64) -> Vec<OverheadRow> {
             handle.tick();
             for d in &mut daemons {
                 for _ in 0..REPS {
-                    d.poll().expect("poll");
+                    d.poll_sample().expect("poll");
                 }
             }
         }
@@ -603,8 +603,8 @@ pub fn table3(seconds: u64) -> Vec<OverheadRow> {
                 // log lines; the repetitions re-measure the sample/encode
                 // path, which dominates.
                 for _ in 0..REPS {
-                    tt.poll().expect("poll");
-                    dn.poll().expect("poll");
+                    tt.poll_sample().expect("poll");
+                    dn.poll_sample().expect("poll");
                 }
             }
         }
@@ -787,9 +787,9 @@ pub fn table4(seconds: u64) -> Vec<BandwidthRow> {
         HadoopLogRpcd::connect(handle.clone(), 0, LogDaemon::TaskTracker).expect("connect");
     for _ in 0..seconds {
         handle.tick();
-        sadc.poll().expect("poll");
-        hl_dn.poll().expect("poll");
-        hl_tt.poll().expect("poll");
+        sadc.poll_sample().expect("poll");
+        hl_dn.poll_sample().expect("poll");
+        hl_tt.poll_sample().expect("poll");
     }
     let row = |name, bw: BandwidthStats| BandwidthRow {
         rpc_type: name,
@@ -839,7 +839,7 @@ mod tests {
         // HADOOP-1036 is the most strongly-manifesting fault; it must be
         // localized even at the small smoke scale. (The subtler faults —
         // CPUHog and friends — are evaluated at full scale by the fig7
-        // campaign binaries.)
+        // campaign, `asdf fig7`.)
         let cfg = CampaignConfig::smoke();
         let model = train_model(&cfg);
         let tr = run_once(
