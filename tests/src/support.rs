@@ -27,6 +27,7 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
+use asdf_core::value::Value;
 use asdf_modules::training::BlackBoxModel;
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 use hadoop_sim::faults::FaultKind;
@@ -296,6 +297,51 @@ pub fn pipeline_streams(
     taps.iter()
         .map(|id| dep.tap(id).expect("tapped stage built").drain())
         .collect()
+}
+
+/// FNV-1a (64 bit) over every field of `streams`, stream by stream: each
+/// stream's length, then per envelope its instance, port and origin, its
+/// timestamp, and its value's type and bits. A pinned constant of this
+/// fold holds a stream to the bit without a second engine to compare with.
+pub fn fnv1a(streams: &[Vec<Envelope>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for stream in streams {
+        eat(&(stream.len() as u64).to_le_bytes());
+        for env in stream {
+            for s in [&env.source.instance, &env.source.name, &env.source.origin] {
+                eat(s.as_bytes());
+                eat(&[0]);
+            }
+            eat(&env.sample.timestamp.as_secs().to_le_bytes());
+            match &env.sample.value {
+                Value::Float(x) => {
+                    eat(b"f");
+                    eat(&x.to_bits().to_le_bytes());
+                }
+                Value::Int(x) => {
+                    eat(b"i");
+                    eat(&x.to_le_bytes());
+                }
+                Value::Bool(x) => eat(if *x { b"T" } else { b"F" }),
+                Value::Text(s) => {
+                    eat(b"t");
+                    eat(&(s.len() as u64).to_le_bytes());
+                    eat(s.as_bytes());
+                }
+                Value::Vector(v) => {
+                    eat(b"v");
+                    eat(&(v.len() as u64).to_le_bytes());
+                    v.iter().for_each(|x| eat(&x.to_bits().to_le_bytes()));
+                }
+            }
+        }
+    }
+    h
 }
 
 /// Loads the checked-in sample job trace

@@ -244,10 +244,11 @@ fn degenerate_and_stress_shapes_are_schedule_invariant() {
     // (the engine clamps workers to nodes, so oversubscription exercises
     // the clamp plus idle-worker parking). 16 includes "more threads than
     // any of these DAGs has nodes".
-    let shapes: [(&str, String); 3] = [
+    let shapes: [(&str, String, u64); 3] = [
         (
             "single-node",
             "[pulse]\nid = solo\nperiod = 1\nburst = 2\n\n".to_owned(),
+            0x8a31_33cd_7911_c4d1,
         ),
         (
             "zero-edge",
@@ -255,15 +256,22 @@ fn degenerate_and_stress_shapes_are_schedule_invariant() {
              [pulse]\nid = b\nperiod = 2\nburst = 3\n\n\
              [pulse]\nid = c\nperiod = 3\nburst = 2\n\n"
                 .to_owned(),
+            0x4da2_78e1_1a2d_001e,
         ),
-        ("deep-trigger", support::random_dag_config(424_242)),
+        (
+            "deep-trigger",
+            support::random_dag_config(424_242),
+            0x1923_43fd_3aa5_9d81,
+        ),
     ];
-    for (name, config) in &shapes {
+    for (name, config, digest) in &shapes {
         let reference = support::run_synthetic(config, 12, 1);
         assert!(
             reference.iter().any(|s| !s.is_empty()),
             "{name}: reference run must emit"
         );
+        let got = support::fnv1a(&reference);
+        assert_eq!(got, *digest, "{name}: serial stream digest {got:#018x}");
         for threads in [2, 4, 8, 16] {
             let got = support::run_synthetic(config, 12, threads);
             assert_eq!(&reference, &got, "{name} diverged at {threads} threads");
@@ -277,10 +285,16 @@ fn broadcast_heavy_fanout_is_schedule_invariant() {
     // across 16 edge lanes. Seeds vary period/burst/trigger so lane
     // occupancy differs per case; threads {2,4,8,16} cover partial pools
     // through full oversubscription (17 nodes).
-    for seed in [1u64, 7, 23] {
+    for (seed, digest) in [
+        (1u64, 0xa92c_98d3_88da_24c2),
+        (7, 0xc61b_8479_804e_97d8),
+        (23, 0xa856_7072_e0ad_9bcf),
+    ] {
         let config = support::broadcast_config(16, seed);
         let reference = support::run_synthetic(&config, 15, 1);
         assert!(reference.iter().all(|s| !s.is_empty()), "seed {seed}");
+        let got = support::fnv1a(&reference);
+        assert_eq!(got, digest, "seed {seed}: serial stream digest {got:#018x}");
         for threads in [2, 4, 8, 16] {
             let got = support::run_synthetic(&config, 15, threads);
             assert_eq!(
@@ -304,6 +318,16 @@ fn matrix_campaign(engine_threads: usize, batch_size: usize) -> CampaignConfig {
     }
 }
 
+/// FNV-1a of the serial engine's four analysis streams per
+/// `FaultKind::EXTENDED` kind (Straggler, MemLeak, FlakyLink, GrayFailure),
+/// the metric_rank tap included.
+const EXTENDED_FAULT_FNV: [u64; 4] = [
+    0x5adc_39c4_5fac_11cc,
+    0x644d_cb03_57fc_5b5d,
+    0x169f_9713_7179_d06c,
+    0x127c_67d2_6df7_bfd6,
+];
+
 #[test]
 fn extended_fault_streams_identical_across_threads_and_batches() {
     // The widened fault matrix rides the same contract: for each new
@@ -312,13 +336,15 @@ fn extended_fault_streams_identical_across_threads_and_batches() {
     // analysis stream — the metric_rank tap included — bitwise.
     let base = matrix_campaign(1, 1);
     let model = support::small_model(&base);
-    for fault in FaultKind::EXTENDED {
+    for (fault, digest) in FaultKind::EXTENDED.into_iter().zip(EXTENDED_FAULT_FNV) {
         let reference = support::pipeline_streams(&base, &model, Some(fault), 31);
         assert_eq!(reference.len(), 4, "metric_rank tap must be present");
         assert!(
             reference.iter().all(|s| !s.is_empty()),
             "reference run must produce output on every tap ({fault:?})"
         );
+        let got = support::fnv1a(&reference);
+        assert_eq!(got, digest, "{fault:?}: serial stream digest {got:#018x}");
         for threads in [1, 2, 4, 8] {
             for batch_size in BATCHES {
                 if threads == 1 && batch_size == 1 {
@@ -347,12 +373,17 @@ fn trace_workload_streams_identical_across_threads_and_batches() {
     };
     let base = with_trace(matrix_campaign(1, 1));
     let model = support::small_model(&base);
-    for fault in [None, Some(FaultKind::FlakyLink)] {
+    for (fault, digest) in [
+        (None, 0xa4d3_ccd8_a240_b171),
+        (Some(FaultKind::FlakyLink), 0x5def_fd97_afff_aa99),
+    ] {
         let reference = support::pipeline_streams(&base, &model, fault, 47);
         assert!(
             reference.iter().all(|s| !s.is_empty()),
             "trace-replay reference must produce output on every tap ({fault:?})"
         );
+        let got = support::fnv1a(&reference);
+        assert_eq!(got, digest, "{fault:?}: serial stream digest {got:#018x}");
         for threads in [1, 2, 4, 8] {
             for batch_size in BATCHES {
                 if threads == 1 && batch_size == 1 {
@@ -472,6 +503,57 @@ fn rack_tree_reduce_rankings_match_flat_wiring() {
                  threads {threads}, batch {batch_size}"
             );
         }
+    }
+}
+
+/// A fixed list of 32 `random_dag_config` seeds, each with the FNV-1a of
+/// every node's serial stream over `3 + seed % 37` ticks.
+const RANDOM_DAGS: [(u64, u64); 32] = [
+    (13, 0xce13_f18f_132f_8648),
+    (7932, 0xcc99_9c34_c1e8_547a),
+    (15851, 0xb14a_6942_7eca_8a47),
+    (23770, 0xe6a8_3f08_f053_462a),
+    (31689, 0x6686_864b_f61a_1c8c),
+    (39608, 0xf775_37d5_242c_38de),
+    (47527, 0x84fa_8d08_3ace_4f72),
+    (55446, 0xf1e3_9e75_622a_6355),
+    (63365, 0x51fa_2789_bd07_b052),
+    (71284, 0x3884_af8d_7ab2_5f7c),
+    (79203, 0x6518_0525_5067_09c6),
+    (87122, 0x01fc_db8d_77c7_46de),
+    (95041, 0x70c3_9ddf_a718_56ee),
+    (102960, 0x935a_4c9d_cc0b_ad4b),
+    (110879, 0x594e_e1a3_8924_f39c),
+    (118798, 0x7ab3_a366_9256_e734),
+    (126717, 0x2dc3_b604_f576_68be),
+    (134636, 0xf596_f5e2_11a4_d9cd),
+    (142555, 0x7685_49ce_53b5_7c95),
+    (150474, 0x21d6_56e3_c3f0_5fe7),
+    (158393, 0x4758_02da_1c8f_5654),
+    (166312, 0x7e0c_583a_c6e8_636d),
+    (174231, 0xba5f_568b_9fd4_421d),
+    (182150, 0x365b_4e0a_4a41_e5f2),
+    (190069, 0xe8cb_2b48_bb90_d5ca),
+    (197988, 0x5e15_4a4c_3c2a_e60e),
+    (205907, 0xd88a_7b5b_ed89_8b27),
+    (213826, 0x4dfd_e8b8_670d_6119),
+    (221745, 0x32d3_ffe1_d0c1_b3fa),
+    (229664, 0xcaf0_1a3a_0ca3_9be8),
+    (237583, 0xd009_191f_309b_feb1),
+    (245502, 0x2844_312a_e35d_79d3),
+];
+
+#[test]
+fn random_dags_hold_their_pinned_digests() {
+    for (seed, digest) in RANDOM_DAGS {
+        let config = support::random_dag_config(seed);
+        let streams = support::run_synthetic(&config, 3 + seed % 37, 1);
+        assert!(streams.iter().any(|s| !s.is_empty()), "seed {seed}");
+        let got = support::fnv1a(&streams);
+        assert_eq!(
+            got, digest,
+            "seed {seed}: serial stream digest {got:#018x}\n{config}"
+        );
     }
 }
 
