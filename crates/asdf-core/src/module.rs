@@ -118,8 +118,7 @@ impl Default for ScheduleSpec {
 /// An fpt-core plug-in module.
 ///
 /// Implementations must be [`Send`]: the online engine moves the whole DAG
-/// onto its pacer thread, and the sharded tick engine visits an instance
-/// from whichever worker claims it.
+/// onto its pacer thread.
 ///
 /// # Examples
 ///
@@ -173,7 +172,7 @@ pub trait Module: Send {
     fn run(&mut self, ctx: &mut RunCtx<'_>, reason: RunReason) -> Result<(), ModuleError>;
 
     /// Inert: the engine never calls it, and enters every module through
-    /// [`Module::run`] at any batch size. It survives only because
+    /// [`Module::run`]. It survives only because
     /// `asdfbench`'s `Timed` wrapper still forwards it; ROADMAP's benchmark
     /// slice A deletes it together with that override.
     ///

@@ -1,10 +1,10 @@
 //! The wall-clock online engine: one pacer thread over the tick scheduler.
 //!
-//! [`OnlineEngine`] owns a serial [`TickEngine`] on a single *pacer* thread
-//! and calls [`TickEngine::tick`] at absolute wall-clock deadlines. Who
-//! runs when — periodic timers, input triggers, routing, batching — is
-//! decided by `engine.rs` alone; this module only decides *when the next
-//! logical second happens*. The tick sequence a DAG sees online is
+//! [`OnlineEngine`] owns a [`TickEngine`] on a single *pacer* thread and
+//! calls [`TickEngine::tick`] at absolute wall-clock deadlines. Who runs
+//! when — periodic timers, input triggers, routing — is decided by
+//! `engine.rs` alone; this module only decides *when the next logical
+//! second happens*. The tick sequence a DAG sees online is
 //! therefore exactly the one [`TickEngine::run_for`] gives it offline, and
 //! nothing is "in flight" between two ticks. (The paper spawns a thread
 //! per module instance; DESIGN.md §1 records the deviation.)
@@ -196,7 +196,6 @@ pub struct Builder {
     dag: Dag,
     wall_per_tick: Duration,
     taps: Vec<String>,
-    batch_size: usize,
     label: String,
     speed: f64,
 }
@@ -224,19 +223,6 @@ impl Builder {
     #[must_use]
     pub fn speed(mut self, speed: f64) -> Self {
         self.speed = speed;
-        self
-    }
-
-    /// Sets the lane hand-off granularity of the tick engine underneath
-    /// ([`TickEngine::set_batch_size`]; default 1 = per-envelope hand-off).
-    /// Above 1, the envelopes one run sends down an edge — a source handed
-    /// many frames at once emits many — cross the lane in batches of up to
-    /// this size. Modules are entered through
-    /// [`crate::module::Module::run`] either way, and observables are
-    /// identical at any setting. `0` is treated as `1`.
-    #[must_use]
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -272,7 +258,6 @@ impl Builder {
         }
 
         let mut engine = TickEngine::new(dag);
-        engine.set_batch_size(self.batch_size);
         // Duplicate tap ids coalesce onto one handle (and one delivery).
         let mut tap_handles: HashMap<String, TapHandle> = HashMap::new();
         for id in self.taps {
@@ -327,7 +312,6 @@ impl OnlineEngine {
             dag,
             wall_per_tick: Duration::from_secs(1),
             taps: Vec::new(),
-            batch_size: 1,
             label: String::new(),
             speed: 1.0,
         }
@@ -566,38 +550,6 @@ mod tests {
             "expected several samples, got {values:?}"
         );
         // Doubler preserves order and doubles the source counter.
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(*v, 2 * (i as i64 + 1));
-        }
-    }
-
-    #[test]
-    fn batched_mailbox_coalescing_preserves_the_stream() {
-        // Same pipeline as above but with an 8-delivery tick-range window:
-        // the doubler consumes whole coalesced ranges per run, and the
-        // output sequence must be indistinguishable from per-sample runs.
-        let engine = OnlineEngine::builder(dag(
-            "[source]\nid = s\n\n[doubler]\nid = d\ninput[i] = s.out\n",
-        ))
-        .wall_per_tick(Duration::from_millis(5))
-        .batch_size(8)
-        .tap("d")
-        .start()
-        .unwrap();
-
-        std::thread::sleep(Duration::from_millis(100));
-        let tap = engine.tap_handle("d").unwrap().clone();
-        engine.stop().unwrap();
-
-        let values: Vec<i64> = tap
-            .drain()
-            .iter()
-            .map(|e| e.sample.value.as_int().unwrap())
-            .collect();
-        assert!(
-            values.len() >= 5,
-            "expected several samples, got {values:?}"
-        );
         for (i, v) in values.iter().enumerate() {
             assert_eq!(*v, 2 * (i as i64 + 1));
         }

@@ -162,10 +162,10 @@ impl Module for AnalysisBb {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let n_nodes = self.history.len();
-        // Borrowing drain: the fan-in hot path ingests a whole tick-range
-        // (one sample per node per tick, a full batch under a batched
-        // engine) into the aligner without a per-run Vec; emissions happen
-        // after the drain, once rows align.
+        // Borrowing drain: the fan-in hot path ingests everything queued
+        // since the last run (one row per slot per tick) into the aligner
+        // without a per-run Vec; emissions happen after the drain, once
+        // rows align.
         for (slot_idx, env) in ctx.drain_all() {
             let states: Arc<[f64]> = match &env.sample.value {
                 Value::Int(idx) => Arc::from([*idx as f64]),

@@ -442,42 +442,29 @@ input[clock] = drv.tick
                 let ports = &dag.node("rack").unwrap().outputs;
                 assert_eq!(ports.len(), 1, "{kind}");
                 assert_eq!(ports[0].name, "frame");
-                // Without the clock edge nothing orders collectors and driver
-                // on a sharded engine, so only the serial one runs that form.
-                let thread_counts: &[usize] = if clock.is_empty() { &[1] } else { &[1, 2] };
-                for batch in [1, 64] {
-                    for &threads in thread_counts {
-                        let run = |cfg: &str, ids: &[&str]| {
-                            let h = handle(5);
-                            let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
-                            let mut eng = TickEngine::with_threads(dag, threads);
-                            eng.set_batch_size(batch);
-                            let taps: Vec<TapHandle> =
-                                ids.iter().map(|id| eng.tap(id).unwrap()).collect();
-                            eng.run_for(TickDuration::from_secs(SECS)).unwrap();
-                            taps
-                        };
-                        let rack_tap = &run(&rack, &["rack"])[0];
-                        let node_taps = run(&per_node, &["s1", "s2", "s3"]);
-                        let frames = port_stream(rack_tap, "frame");
-                        assert_eq!(frames.len(), rack_tap.len(), "nothing but frames leave");
-                        for (j, node_tap) in node_taps.iter().enumerate() {
-                            let expected = port_stream(node_tap, "output0");
-                            let skipped = u64::from(clock.is_empty() && silent_at_first);
-                            assert_eq!(expected.len() as u64, SECS - skipped, "{kind}");
-                            assert_eq!(expected[0].0, format!("slave{:02}", j + 1));
-                            let node_j = |(_, t, bits): &(String, u64, Vec<u64>), at: usize| {
-                                (*t, bits[at..][..dim].to_vec())
-                            };
-                            let expected: Vec<_> = expected.iter().map(|e| node_j(e, 0)).collect();
-                            let in_frames: Vec<_> =
-                                frames.iter().map(|f| node_j(f, 2 + j * dim)).collect();
-                            assert_eq!(
-                                in_frames, expected,
-                                "{kind} node {j}, batch {batch}, threads {threads}"
-                            );
-                        }
-                    }
+                let run = |cfg: &str, ids: &[&str]| {
+                    let h = handle(5);
+                    let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
+                    let mut eng = TickEngine::new(dag);
+                    let taps: Vec<TapHandle> = ids.iter().map(|id| eng.tap(id).unwrap()).collect();
+                    eng.run_for(TickDuration::from_secs(SECS)).unwrap();
+                    taps
+                };
+                let rack_tap = &run(&rack, &["rack"])[0];
+                let node_taps = run(&per_node, &["s1", "s2", "s3"]);
+                let frames = port_stream(rack_tap, "frame");
+                assert_eq!(frames.len(), rack_tap.len(), "nothing but frames leave");
+                for (j, node_tap) in node_taps.iter().enumerate() {
+                    let expected = port_stream(node_tap, "output0");
+                    let skipped = u64::from(clock.is_empty() && silent_at_first);
+                    assert_eq!(expected.len() as u64, SECS - skipped, "{kind}");
+                    assert_eq!(expected[0].0, format!("slave{:02}", j + 1));
+                    let node_j = |(_, t, bits): &(String, u64, Vec<u64>), at: usize| {
+                        (*t, bits[at..][..dim].to_vec())
+                    };
+                    let expected: Vec<_> = expected.iter().map(|e| node_j(e, 0)).collect();
+                    let in_frames: Vec<_> = frames.iter().map(|f| node_j(f, 2 + j * dim)).collect();
+                    assert_eq!(in_frames, expected, "{kind} node {j}");
                 }
             }
         }
@@ -492,53 +479,48 @@ input[clock] = drv.tick
         // `node = 2` emits the values of `nodes = 2..3`'s frame.
         for (kind, params, dim, silent_at_first) in kinds() {
             let driver = "[cluster_driver]\nid = drv\n\n";
-            for (clock, first_second, thread_counts) in [
-                ("input[clock] = drv.tick\n", 0, &[1, 2][..]),
-                ("", u64::from(silent_at_first), &[1][..]),
+            for (clock, first_second) in [
+                ("input[clock] = drv.tick\n", 0),
+                ("", u64::from(silent_at_first)),
             ] {
-                for batch in [1, 64] {
-                    for &threads in thread_counts {
-                        let run = |nodes: &str, port: &str| {
-                            let collector = format!("[{kind}]\nid = c\n{params}{nodes}\n{clock}\n");
-                            let cfg = if clock.is_empty() {
-                                format!("{collector}{driver}")
-                            } else {
-                                format!("{driver}{collector}")
-                            };
-                            let h = handle(5);
-                            let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
-                            let mut eng = TickEngine::with_threads(dag, threads);
-                            eng.set_batch_size(batch);
-                            let tap = eng.tap("c").unwrap();
-                            eng.run_for(TickDuration::from_secs(SECS)).unwrap();
-                            port_stream(&tap, port)
-                        };
+                let run = |nodes: &str, port: &str| {
+                    let collector = format!("[{kind}]\nid = c\n{params}{nodes}\n{clock}\n");
+                    let cfg = if clock.is_empty() {
+                        format!("{collector}{driver}")
+                    } else {
+                        format!("{driver}{collector}")
+                    };
+                    let h = handle(5);
+                    let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
+                    let mut eng = TickEngine::new(dag);
+                    let tap = eng.tap("c").unwrap();
+                    eng.run_for(TickDuration::from_secs(SECS)).unwrap();
+                    port_stream(&tap, port)
+                };
 
-                        let frames = run("nodes = 1..4", "frame");
-                        let seconds: Vec<u64> = frames.iter().map(|(_, t, _)| *t).collect();
-                        assert_eq!(seconds, (first_second..SECS).collect::<Vec<_>>());
-                        let header = [3f64.to_bits(), (dim as f64).to_bits()];
-                        for (origin, t, frame) in &frames {
-                            assert_eq!(origin, "slave01", "the range's first node");
-                            assert_eq!(frame[..2], header, "{kind} t={t}");
-                            assert_eq!(frame.len(), 2 + 3 * dim);
-                        }
-
-                        let one = run("node = 2", "output0");
-                        let range = run("nodes = 2..3", "frame");
-                        assert_eq!(one.len(), frames.len());
-                        let header = [1f64.to_bits(), (dim as f64).to_bits()];
-                        let unframed: Vec<_> = range
-                            .iter()
-                            .map(|(origin, t, frame)| {
-                                assert_eq!(frame[..2], header);
-                                (origin.clone(), *t, frame[2..].to_vec())
-                            })
-                            .collect();
-                        assert_eq!(one[0].0, "slave02");
-                        assert_eq!(one, unframed, "{kind}, batch {batch}, threads {threads}");
-                    }
+                let frames = run("nodes = 1..4", "frame");
+                let seconds: Vec<u64> = frames.iter().map(|(_, t, _)| *t).collect();
+                assert_eq!(seconds, (first_second..SECS).collect::<Vec<_>>());
+                let header = [3f64.to_bits(), (dim as f64).to_bits()];
+                for (origin, t, frame) in &frames {
+                    assert_eq!(origin, "slave01", "the range's first node");
+                    assert_eq!(frame[..2], header, "{kind} t={t}");
+                    assert_eq!(frame.len(), 2 + 3 * dim);
                 }
+
+                let one = run("node = 2", "output0");
+                let range = run("nodes = 2..3", "frame");
+                assert_eq!(one.len(), frames.len());
+                let header = [1f64.to_bits(), (dim as f64).to_bits()];
+                let unframed: Vec<_> = range
+                    .iter()
+                    .map(|(origin, t, frame)| {
+                        assert_eq!(frame[..2], header);
+                        (origin.clone(), *t, frame[2..].to_vec())
+                    })
+                    .collect();
+                assert_eq!(one[0].0, "slave02");
+                assert_eq!(one, unframed, "{kind}");
             }
         }
     }

@@ -267,15 +267,16 @@ mod tests {
 
     #[test]
     fn row_bursts_match_per_sample_outputs_at_any_batch() {
-        use crate::testutil::{assert_batch_invariant, burst_source_registry};
+        // 45 rows, handed over one, 2, 7 or 9 to a run: every row is
+        // answered, in order, with the state it alone decides.
         let (cents, sd) = model_params();
-        // 9 rows per tick: at batch 2 and 7 the queue is handed over in
-        // several batches of non-power-of-two lengths.
-        let cfg = format!(
-            "[burstrows]\nid = src\nburst = 9\n\n\
-             [knn]\nid = nn\ncentroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n"
-        );
-        let out = assert_batch_invariant(&burst_source_registry(), &cfg, "nn", 5);
+        let cfg = |burst: usize| {
+            format!(
+                "[burstrows]\nid = src\nburst = {burst}\n\n\
+                 [knn]\nid = nn\ncentroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n"
+            )
+        };
+        let out = crate::testutil::assert_burst_invariant(cfg, "nn", 45);
         assert_eq!(out.len(), 45);
     }
 

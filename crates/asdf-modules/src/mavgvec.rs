@@ -320,22 +320,17 @@ input[input] = src.out
 
     #[test]
     fn row_bursts_match_per_sample_outputs_at_any_batch() {
-        use crate::testutil::{assert_batch_invariant, burst_source_registry};
-        // Bursts of 7 rows per tick with window 5 / slide 3: windows cross
-        // tick boundaries, several windows complete inside one run, and the
-        // trailing rows of a burst carry over to the next tick.
-        let cfg = "\
-[burstrows]
-id = src
-burst = 7
-
-[mavgvec]
-id = avg
-window = 5
-slide = 3
-input[input] = src.out
-";
-        assert!(!assert_batch_invariant(&burst_source_registry(), cfg, "avg", 6).is_empty());
+        // Window 5 / slide 3 over 42 rows handed over one, 2, 7 or 9 to a
+        // run: windows cross tick boundaries, several windows complete
+        // inside one run, and the trailing rows of a burst carry over to the
+        // next tick, yet every window holds what one row a second gives.
+        let cfg = |burst: usize| {
+            format!(
+                "[burstrows]\nid = src\nburst = {burst}\n\n\
+                 [mavgvec]\nid = avg\nwindow = 5\nslide = 3\ninput[input] = src.out\n"
+            )
+        };
+        assert!(!crate::testutil::assert_burst_invariant(cfg, "avg", 42).is_empty());
     }
 
     #[test]

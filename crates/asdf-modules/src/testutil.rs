@@ -51,8 +51,9 @@ impl Module for ScalarSource {
     }
 }
 
-/// A periodic source emitting `burst` two-component rows per second, so a
-/// batching engine has more than one envelope per edge to batch.
+/// A periodic source emitting `burst` two-component rows per second — the
+/// `n`-th row ever `[n, 2n]` — so one run of its consumer can be handed
+/// several rows.
 pub struct BurstRowSource {
     port: Option<PortId>,
     burst: usize,
@@ -317,43 +318,37 @@ pub fn run_source_pipeline(
     tap_id: &str,
     ticks: u64,
 ) -> Vec<Envelope> {
-    run_at(registry, cfg, tap_id, ticks, 1, 1)
-}
-
-/// [`run_source_pipeline`], asserting that the tapped stream is the same at
-/// engine batch {1, 2, 7, 64} x threads {1, 4}; returns the per-envelope
-/// serial one.
-pub fn assert_batch_invariant(
-    registry: &ModuleRegistry,
-    cfg: &str,
-    tap_id: &str,
-    ticks: u64,
-) -> Vec<Envelope> {
-    let reference = run_source_pipeline(registry, cfg, tap_id, ticks);
-    for batch in [1, 2, 7, 64] {
-        for threads in [1, 4] {
-            let got = run_at(registry, cfg, tap_id, ticks, threads, batch);
-            assert_eq!(got, reference, "batch {batch}, threads {threads}");
-        }
-    }
-    reference
-}
-
-fn run_at(
-    registry: &ModuleRegistry,
-    cfg: &str,
-    tap_id: &str,
-    ticks: u64,
-    threads: usize,
-    batch: usize,
-) -> Vec<Envelope> {
     let parsed: Config = cfg.parse().expect("test config parses");
     let dag = Dag::build(registry, &parsed).expect("test config builds");
-    let mut engine = TickEngine::with_threads(dag, threads);
-    engine.set_batch_size(batch);
+    let mut engine = TickEngine::new(dag);
     let tap = engine.tap(tap_id).expect("tap target exists");
     engine
         .run_for(TickDuration::from_secs(ticks))
         .expect("test pipeline runs");
     tap.drain()
+}
+
+/// Feeds `rows` rows of a `burstrows` source to the module under test —
+/// `cfg(burst)` is the config with the source emitting `burst` rows a
+/// second — and asserts that the values `tap_id` emits do not depend on how
+/// many rows one run is handed: at bursts {2, 7, 9} they are those of one
+/// row a second. Returns the one-row-a-second values.
+pub fn assert_burst_invariant(
+    cfg: impl Fn(usize) -> String,
+    tap_id: &str,
+    rows: usize,
+) -> Vec<Value> {
+    let registry = burst_source_registry();
+    let values = |burst: usize| -> Vec<Value> {
+        let ticks = rows.div_ceil(burst) as u64;
+        let out = run_source_pipeline(&registry, &cfg(burst), tap_id, ticks);
+        out.into_iter().map(|e| e.sample.value).collect()
+    };
+    let reference = values(1);
+    for burst in [2, 7, 9] {
+        let got = values(burst);
+        assert!(got.len() >= reference.len(), "burst {burst}");
+        assert_eq!(got[..reference.len()], reference[..], "burst {burst}");
+    }
+    reference
 }

@@ -1,7 +1,7 @@
 //! Property test: one `knn` over a rack's frames answers exactly what one
 //! `knn` per node answers over the frames' rows — at any rack size, vector
-//! width, engine batch size and thread count, on any values a counter can
-//! arrive as (NaN, infinities and negatives included).
+//! width and burst, on any values a counter can arrive as (NaN, infinities
+//! and negatives included).
 
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
@@ -96,53 +96,49 @@ proptest! {
         }
         let cfg: Config = cfg.parse().expect("parses");
 
-        let shapes = [1, 2, 7, 64].into_iter().flat_map(|batch| [(batch, 1), (batch, 4)]);
-        for (batch, threads) in shapes {
-            let mut reg = ModuleRegistry::new();
-            asdf_modules::register_analysis_modules(&mut reg);
-            let data = seconds.clone();
-            reg.register("rack", move || {
-                Box::new(Rack {
-                    seconds: data.clone(),
-                    burst,
-                    at: 0,
-                    frame: None,
-                    nodes: Vec::new(),
-                })
-            });
-            let mut engine = TickEngine::with_threads(Dag::build(&reg, &cfg).expect("builds"), threads);
-            engine.set_batch_size(batch);
-            let rack = engine.tap("rack").unwrap();
-            let nodes: Vec<_> = (0..n)
-                .map(|j| engine.tap(&format!("node{j}")).unwrap())
-                .collect();
-            engine
-                .run_for(TickDuration::from_secs(seconds.len() as u64 + 1))
-                .expect("runs");
+        let mut reg = ModuleRegistry::new();
+        asdf_modules::register_analysis_modules(&mut reg);
+        let data = seconds.clone();
+        reg.register("rack", move || {
+            Box::new(Rack {
+                seconds: data.clone(),
+                burst,
+                at: 0,
+                frame: None,
+                nodes: Vec::new(),
+            })
+        });
+        let mut engine = TickEngine::new(Dag::build(&reg, &cfg).expect("builds"));
+        let rack = engine.tap("rack").unwrap();
+        let nodes: Vec<_> = (0..n)
+            .map(|j| engine.tap(&format!("node{j}")).unwrap())
+            .collect();
+        engine
+            .run_for(TickDuration::from_secs(seconds.len() as u64 + 1))
+            .expect("runs");
 
-            // Per node, the per-second `Int` states with their timestamps.
-            let per_node: Vec<Vec<(u64, f64)>> = nodes
-                .iter()
-                .map(|tap| {
-                    tap.drain()
-                        .iter()
-                        .map(|e| {
-                            let Value::Int(state) = e.sample.value else {
-                                panic!("a bare vector is answered with an Int");
-                            };
-                            (e.sample.timestamp.as_secs(), state as f64)
-                        })
-                        .collect()
-                })
-                .collect();
-            let rows = rack.drain();
-            prop_assert_eq!(rows.len(), seconds.len(), "batch {}, threads {}", batch, threads);
-            for (s, env) in rows.iter().enumerate() {
-                let got = env.sample.value.as_vector().expect("a frame is answered with a row");
-                let want: Vec<f64> = per_node.iter().map(|node| node[s].1).collect();
-                prop_assert_eq!(got, &want[..], "second {}, batch {}, threads {}", s, batch, threads);
-                prop_assert_eq!(env.sample.timestamp.as_secs(), per_node[0][s].0);
-            }
+        // Per node, the per-second `Int` states with their timestamps.
+        let per_node: Vec<Vec<(u64, f64)>> = nodes
+            .iter()
+            .map(|tap| {
+                tap.drain()
+                    .iter()
+                    .map(|e| {
+                        let Value::Int(state) = e.sample.value else {
+                            panic!("a bare vector is answered with an Int");
+                        };
+                        (e.sample.timestamp.as_secs(), state as f64)
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows = rack.drain();
+        prop_assert_eq!(rows.len(), seconds.len());
+        for (s, env) in rows.iter().enumerate() {
+            let got = env.sample.value.as_vector().expect("a frame is answered with a row");
+            let want: Vec<f64> = per_node.iter().map(|node| node[s].1).collect();
+            prop_assert_eq!(got, &want[..], "second {}", s);
+            prop_assert_eq!(env.sample.timestamp.as_secs(), per_node[0][s].0);
         }
     }
 }

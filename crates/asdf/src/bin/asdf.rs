@@ -25,12 +25,13 @@
 //!   account exact bytes, so they take no thread count.
 //! * `serve [--tenants N] [--flood F] [--slaves N] [--secs S] [--seed X]
 //!   [--tick-ms MS] [--speed F] [--queue-cap N] [--window W]
-//!   [--threshold T] [--k K] [--batch-size B]` — the long-lived
-//!   multi-tenant diagnosis daemon: trains a workload model, then serves
-//!   `N` monitored clusters concurrently (`F` of them flooding at max
-//!   rate), each streaming one frame per stream per second with every
-//!   node's row in it, until every tenant finishes its `--secs` collection
-//!   steps; prints the per-tenant soak report (alarms, shed frames,
+//!   [--threshold T] [--k K]` — the long-lived multi-tenant diagnosis
+//!   daemon: trains a workload model, then serves `N` monitored clusters
+//!   concurrently (`F` of them flooding at max rate), each streaming one
+//!   frame per stream per second with every node's row in it, until every
+//!   tenant finishes its `--secs` collection steps (waiting at most twice
+//!   their paced streaming time, `--tick-ms / --speed` a step, plus a
+//!   minute); prints the per-tenant soak report (alarms, shed frames,
 //!   scheduler-lag watermark). `--queue-cap` bounds each tenant's ingress
 //!   queue in node-samples (default 4096; a frame of `k` nodes weighs `k`).
 //! * `perfwatch [--history PATH] [--report PATH] [--json PATH]
@@ -42,16 +43,15 @@
 //!   unless the history itself is unreadable.
 //!
 //! Campaign flags: `--slaves N --secs S --seed X --runs R --window W
-//! --threshold T --k K --threads N --engine-threads N --batch-size B
-//! --sim-shards N --racks R --workload gridmix|trace:PATH --metric-rank
-//! --trace-out PATH`. `--threads` fans independent runs across campaign
-//! workers; `--engine-threads` shards each tick *within* a run across
-//! engine workers; `--batch-size` sets how many envelopes accumulate per
-//! edge before a lane hand-off (results are identical at any setting of
-//! any of the three). `--workload trace:PATH` replays a cluster-trace CSV
-//! (see `hadoop_sim::trace` for the schema) instead of synthesizing
-//! GridMix; `--metric-rank` adds the Orion+-style per-metric deviation
-//! ranking stage.
+//! --threshold T --k K --threads N --racks R --workload gridmix|trace:PATH
+//! --metric-rank --trace-out PATH`. `--threads` fans independent runs
+//! across campaign workers (results are identical at any setting); each
+//! run ticks its DAG on one serial engine. `--racks R` collects and
+//! analyses the nodes in `R` racks (also identical at any setting).
+//! `--workload trace:PATH` replays a cluster-trace CSV (see
+//! `hadoop_sim::trace` for the schema) instead of synthesizing GridMix;
+//! `--metric-rank` adds the Orion+-style per-metric deviation ranking
+//! stage.
 //!
 //! A subcommand reads only the flags listed for it; any other flag, a
 //! missing or malformed value, or a stray argument prints the usage and
@@ -82,13 +82,12 @@ fn usage() -> ! {
          asdf run-config FILE [--slaves N] [--secs S] [--fault NAME] [--seed X]\n\
          asdf fig6|fig7|ablate [--slaves N] [--secs S] [--seed X] [--runs R]\n\
          \x20                     [--window W] [--threshold T] [--k K] [--threads N]\n\
-         \x20                     [--engine-threads N] [--batch-size B] [--trace-out PATH]\n\
-         \x20                     [--workload gridmix|trace:PATH] [--metric-rank]\n\
-         \x20                     [--sim-shards N] [--racks R]\n\
+         \x20                     [--trace-out PATH] [--workload gridmix|trace:PATH]\n\
+         \x20                     [--metric-rank] [--racks R]\n\
          asdf table3|table4 [--secs S]\n\
          asdf serve       [--tenants N] [--flood F] [--slaves N] [--secs S]\n\
          \x20                [--seed X] [--tick-ms MS] [--speed F] [--queue-cap N]\n\
-         \x20                [--window W] [--threshold T] [--k K] [--batch-size B]\n\
+         \x20                [--window W] [--threshold T] [--k K]\n\
          asdf perfwatch   [--history PATH] [--report PATH] [--json PATH]\n\
          \x20                [--permutations N] [--pvalue P] [--min-segment N]\n\
          \x20                [--seed X]\n\
@@ -99,7 +98,6 @@ fn usage() -> ! {
          Chrome trace_event JSON (chrome://tracing / Perfetto); perfwatch\n\
          analyzes BENCH_history.jsonl for perf regressions (advisory);\n\
          --workload trace:PATH replays a cluster-trace CSV instead of GridMix;\n\
-         --sim-shards parallelizes each simulated cluster's tick loop and\n\
          --racks collects and analyses the nodes in R racks, one row per rack\n\
          per second (0/1 = one collector for the cluster; both bit-identical);\n\
          serve --queue-cap bounds each tenant's ingress queue in node-samples\n\
@@ -130,11 +128,8 @@ fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
             "--threshold",
             "--k",
             "--threads",
-            "--engine-threads",
-            "--batch-size",
             "--workload",
             "--metric-rank",
-            "--sim-shards",
             "--racks",
             "--trace-out",
         ],
@@ -151,7 +146,6 @@ fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
             "--window",
             "--threshold",
             "--k",
-            "--batch-size",
         ],
         "perfwatch" => &[
             "--history",
@@ -190,11 +184,8 @@ struct Opts {
     threshold: Option<f64>,
     k: Option<f64>,
     threads: usize,
-    engine_threads: usize,
-    batch_size: Option<usize>,
     workload: Option<String>,
     metric_rank: bool,
-    sim_shards: usize,
     racks: usize,
     trace_out: Option<String>,
     history: Option<String>,
@@ -230,11 +221,8 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
         threshold: None,
         k: None,
         threads: 0,
-        engine_threads: 1,
-        batch_size: None,
         workload: None,
         metric_rank: false,
-        sim_shards: 1,
         racks: 0,
         trace_out: None,
         history: None,
@@ -278,10 +266,7 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
             "--threshold" => o.threshold = Some(parse_value(flag, v)?),
             "--k" => o.k = Some(parse_value(flag, v)?),
             "--threads" => o.threads = parse_value(flag, v)?,
-            "--engine-threads" => o.engine_threads = parse_value(flag, v)?,
-            "--batch-size" => o.batch_size = Some(parse_value(flag, v)?),
             "--workload" => o.workload = Some(v.clone()),
-            "--sim-shards" => o.sim_shards = parse_value(flag, v)?,
             "--racks" => o.racks = parse_value(flag, v)?,
             "--trace-out" => o.trace_out = Some(v.clone()),
             "--history" => o.history = Some(v.clone()),
@@ -309,16 +294,11 @@ impl Opts {
         let mut cfg = CampaignConfig {
             base_seed: self.seed,
             threads: self.threads,
-            engine_threads: self.engine_threads,
-            sim_shards: self.sim_shards,
             racks: self.racks,
             workload: self.parse_workload(),
             metric_rank: self.metric_rank,
             ..CampaignConfig::default()
         };
-        if let Some(b) = self.batch_size {
-            cfg.batch_size = b;
-        }
         if let Some(n) = self.slaves {
             cfg.slaves = n;
         }
@@ -719,6 +699,14 @@ fn cmd_table4(secs: u64) {
     );
 }
 
+/// How long `serve` waits for a tenant to go idle: twice the time its
+/// `steps` take to stream at `tick_ms / speed` each, plus a minute.
+fn idle_timeout(steps: u64, tick_ms: u64, speed: f64) -> std::time::Duration {
+    let streaming_s = steps as f64 * tick_ms as f64 / 1000.0 / speed;
+    std::time::Duration::try_from_secs_f64(2.0 * streaming_s + 60.0)
+        .unwrap_or(std::time::Duration::MAX)
+}
+
 fn cmd_serve(o: Opts) {
     use asdf::serve::{ServeDaemon, ServeOptions, TenantSpec};
     use asdf_rpc::wire::Handshake;
@@ -746,7 +734,6 @@ fn cmd_serve(o: Opts) {
         slide: window,
         threshold: o.threshold.unwrap_or(60.0),
         wb_k: o.k.unwrap_or(3.0),
-        batch_size: o.batch_size.unwrap_or(64),
         ..ServeOptions::default()
     };
     let opts = match o.queue_cap {
@@ -777,8 +764,9 @@ fn cmd_serve(o: Opts) {
         }
         names.push(name);
     }
+    let timeout = idle_timeout(steps, o.tick_ms, o.speed);
     for name in &names {
-        if !daemon.wait_idle(name, Duration::from_secs(steps * o.tick_ms / 500 + 60)) {
+        if !daemon.wait_idle(name, timeout) {
             eprintln!("warning: [serve] tenant {name} did not go idle; flushing anyway");
         }
     }
@@ -986,6 +974,16 @@ mod tests {
             Some("pipeline.conf")
         );
         assert!(parse("run-config", &["a.conf", "b.conf"]).is_err());
+    }
+
+    #[test]
+    fn a_paced_tenant_waits_twice_its_stream_time_plus_a_minute() {
+        // 240 one-second steps stream for 960 s at a quarter speed, 240 s
+        // in real time and 60 s at four times.
+        for (speed, streaming_s) in [(0.25, 960), (1.0, 240), (4.0, 60)] {
+            let want = std::time::Duration::from_secs(2 * streaming_s + 60);
+            assert_eq!(idle_timeout(240, 1000, speed), want, "speed {speed}");
+        }
     }
 
     #[test]

@@ -64,24 +64,12 @@ pub struct CampaignConfig {
     /// available parallelism). Campaign output is byte-identical at any
     /// setting; this only changes wall-clock time.
     pub threads: usize,
-    /// Engine worker threads sharding each tick *within* a run (`1` =
-    /// serial, `0` = all available parallelism). Also byte-identical at
-    /// any setting.
-    pub engine_threads: usize,
-    /// Envelopes accumulated per edge before a batched lane hand-off
-    /// within each run (`1` = per-sample). Also byte-identical at any
-    /// setting.
-    pub batch_size: usize,
     /// The workload driving every cluster in the campaign (training and
     /// evaluation alike).
     pub workload: Workload,
     /// Also run the Orion+-style `metric_rank` stage, populating
     /// [`RunTraces::metric_ranks`].
     pub metric_rank: bool,
-    /// Simulator worker shards per cluster (`1` = serial tick loop,
-    /// `0` = all available parallelism). Frames and logs are bitwise
-    /// identical at any setting; this only changes wall-clock time.
-    pub sim_shards: usize,
     /// Rack count for the fleet-scale `metric_rank` path (`0`/`1` = flat
     /// per-node wiring). Rankings are bitwise identical at any setting.
     pub racks: usize,
@@ -125,11 +113,8 @@ impl Default for CampaignConfig {
             consecutive: 3,
             base_seed: 1,
             threads: 0,
-            engine_threads: 1,
-            batch_size: 64,
             workload: Workload::GridMix,
             metric_rank: false,
-            sim_shards: 1,
             racks: 0,
         }
     }
@@ -153,11 +138,8 @@ impl CampaignConfig {
             consecutive: 2,
             base_seed: 11,
             threads: 0,
-            engine_threads: 1,
-            batch_size: 64,
             workload: Workload::GridMix,
             metric_rank: false,
-            sim_shards: 1,
             racks: 0,
         }
     }
@@ -173,9 +155,8 @@ impl CampaignConfig {
             white_box: true,
             metric_rank: self.metric_rank,
             rank_top: 5,
-            engine_threads: self.engine_threads,
-            batch_size: self.batch_size,
             racks: self.racks,
+            ..AsdfOptions::default()
         }
     }
 
@@ -183,7 +164,6 @@ impl CampaignConfig {
     /// `self.slaves` nodes, seeded by `seed`.
     fn cluster_config(&self, seed: u64) -> ClusterConfig {
         let mut cc = ClusterConfig::new(self.slaves, seed);
-        cc.sim_shards = self.sim_shards;
         if let Workload::Trace(trace) = &self.workload {
             cc.trace = Some(Arc::clone(trace));
         }

@@ -9,8 +9,8 @@
 //! collector's layout, whole or absent — over the length-prefixed wire
 //! format into a bounded per-tenant ingress queue, and is diagnosed by its
 //! own [`OnlineEngine`] (`AsdfBuilder`'s DAG for one rack, seven instances
-//! at any size, on the batched tick scheduler, one pacer thread) — all
-//! inside one process.
+//! at any size, on the tick engine behind one pacer thread) — all inside
+//! one process.
 //!
 //! The serve model handles the messy parts a batch run never sees:
 //!
@@ -82,9 +82,6 @@ pub struct ServeOptions {
     pub wb_k: f64,
     /// Consecutive anomalous windows required before an alarm.
     pub consecutive: usize,
-    /// Lane hand-off granularity of each tenant's tick engine
-    /// ([`asdf_core::online::Builder::batch_size`]).
-    pub batch_size: usize,
     /// Build the white-box paths (`hadoop_log` and `strace` streams feed
     /// `mavgvec → analysis_wb`) in addition to the black-box path.
     pub white_box: bool,
@@ -102,7 +99,6 @@ impl Default for ServeOptions {
             threshold: 60.0,
             wb_k: 3.0,
             consecutive: 3,
-            batch_size: 64,
             white_box: true,
         }
     }
@@ -512,7 +508,6 @@ impl ServeDaemon {
         let mut builder = OnlineEngine::builder(dag)
             .wall_per_tick(self.opts.wall_per_tick)
             .speed(self.opts.speed)
-            .batch_size(self.opts.batch_size)
             .label(tenant.clone())
             .tap("bb");
         if self.opts.white_box {
@@ -585,12 +580,13 @@ impl ServeDaemon {
 
     /// Blocks until `tenant` has streamed all its steps and its queue is
     /// drained (or `timeout` passes / its engine fails). Returns whether
-    /// the tenant actually went idle.
+    /// the tenant actually went idle. A timeout past what the clock can
+    /// represent never passes.
     pub fn wait_idle(&self, tenant: &str, timeout: Duration) -> bool {
         let Some(t) = self.tenants.get(tenant) else {
             return false;
         };
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if t.engine.has_failed() {
                 return false;
@@ -598,7 +594,7 @@ impl ServeDaemon {
             if t.feeder_done.load(Ordering::Relaxed) && t.queue.is_empty() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -972,7 +968,6 @@ mod tests {
     ) -> ([Vec<Envelope>; 3], u64) {
         let queue = Arc::new(IngressQueue::new("offline", usize::MAX, 1));
         let mut engine = TickEngine::new(dag(&queue));
-        engine.set_batch_size(ServeOptions::default().batch_size);
         let taps = ["bb", "wb_tt", "wb_st"].map(|id| engine.tap(id).unwrap());
         let mut rest = frames;
         for &n in chunks {

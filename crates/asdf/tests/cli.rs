@@ -53,3 +53,20 @@ fn table4_refuses_a_thread_count() {
     assert!(out.stdout.is_empty());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
 }
+
+#[test]
+fn the_deleted_engine_flags_exit_2() {
+    for args in [
+        ["fig6", "--engine-threads", "2"],
+        ["serve", "--batch-size", "8"],
+        ["fig7", "--sim-shards", "2"],
+    ] {
+        let out = asdf(&args);
+        assert_eq!(out.status.code(), Some(2), "asdf {args:?}");
+        assert!(out.stdout.is_empty(), "asdf {args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(args[1]),
+            "asdf {args:?}"
+        );
+    }
+}

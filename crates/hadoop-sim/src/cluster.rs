@@ -27,7 +27,6 @@ use crate::hdfs::Hdfs;
 use crate::job::{JobSpec, JobState, RunningTask, TaskPhase, TaskStatus};
 use crate::logging::{LogEvent, NodeLogs};
 use crate::resources::{allocate_flows, fair_share_into, loss_goodput_factor, Flow};
-use crate::shard::ShardPool;
 use crate::types::{BlockId, JobId, TaskId, TaskKind};
 
 /// Per-task rate caps (KB/s) — a single stream does not saturate a device.
@@ -83,10 +82,9 @@ pub struct ClusterConfig {
     /// When set, jobs are replayed from this trace instead of being
     /// synthesized by GridMix (see [`crate::trace`]).
     pub trace: Option<std::sync::Arc<crate::trace::Trace>>,
-    /// Worker shards for node-local simulation phases (demand gathering
-    /// and metric rendering). `1` is the serial path, `0` = all available
-    /// parallelism; any count produces bitwise-identical frames and logs
-    /// (see [`crate::shard`]).
+    /// Read by nothing.
+    // Inert: kept only because `asdfbench` names it; ROADMAP's benchmark slice A (v) deletes it.
+    #[doc(hidden)]
     pub sim_shards: usize,
 }
 
@@ -204,9 +202,7 @@ enum FlowKind {
 }
 
 /// Everything one node's demand-gathering phase produces, collected
-/// node-locally on a shard and merged on the coordinating thread in
-/// ascending node order — the exact accumulation order of the serial loop,
-/// so f64 sums are bitwise identical at any shard count.
+/// node-locally and then merged in ascending node order.
 struct NodeWork {
     /// Network flows this node's tasks want: `(task index, kind, flow)`.
     flows: Vec<(usize, FlowKind, Flow)>,
@@ -244,9 +240,8 @@ impl NodeWork {
     }
 }
 
-/// What [`node_demands`] needs only while it arbitrates one node: a shard
-/// keeps one of these for all its nodes, so the demand phase allocates
-/// nothing per node.
+/// What [`node_demands`] needs only while it arbitrates one node: one of
+/// these serves every node, so the demand phase allocates nothing per node.
 #[derive(Default)]
 struct DemandScratch {
     /// CPU demands: `(slave task index or a background marker, cores)`.
@@ -278,8 +273,6 @@ pub struct Cluster {
     slaves: Vec<Slave>,
     /// Cached slave hostnames (`slave_name` is on hot paths).
     names: Vec<String>,
-    /// Worker shards for the node-local phases of `execute_second`.
-    pool: ShardPool,
     jobs: Vec<JobState>,
     queue: VecDeque<(u64, JobSpec)>,
     workload: Workload,
@@ -337,17 +330,10 @@ impl Cluster {
         let next_submission = workload.next_job();
         let hdfs = Hdfs::new(cfg.slaves, cfg.replication, cfg.seed);
         let names = slaves.iter().map(|s| s.sim.spec().name.clone()).collect();
-        let shards = if cfg.sim_shards == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            cfg.sim_shards
-        };
-        let pool = ShardPool::new(shards.min(cfg.slaves));
         Cluster {
             now: 0,
             slaves,
             names,
-            pool,
             jobs: Vec::new(),
             queue: VecDeque::new(),
             workload,
@@ -791,25 +777,25 @@ impl Cluster {
             .collect();
 
         // --- Node-local phase: demand gathering + local arbitration --------
-        // Each shard owns a contiguous range of nodes and computes their
-        // resource demands, max-min fair CPU/disk grants, and local
-        // activity accounting independently — nothing here crosses nodes.
-        // Only genuinely cross-node traffic (the flows) leaves this phase,
-        // and it is merged below in ascending node order, reproducing the
-        // serial loop's accumulation order bitwise.
+        // Each node's resource demands, max-min fair CPU/disk grants, and
+        // local activity accounting — nothing here crosses nodes. Only
+        // genuinely cross-node traffic (the flows) leaves this phase, and it
+        // is merged below in ascending node order.
+        let mut scratch = DemandScratch::default();
         let mut works: Vec<NodeWork> = Vec::with_capacity(n);
-        works.resize_with(n, NodeWork::empty);
-        {
-            let slaves = &self.slaves;
-            let jobs = &self.jobs;
+        for (node, slave) in self.slaves.iter().enumerate() {
+            let mut work = NodeWork::empty();
             let emitted = &emitted_per_job;
-            self.pool.run_chunks(&mut works, &|at, chunk| {
-                let mut scratch = DemandScratch::default();
-                for (i, work) in chunk.iter_mut().enumerate() {
-                    let node = at + i;
-                    node_demands(jobs, emitted, now, node, &slaves[node], &mut scratch, work);
-                }
-            });
+            node_demands(
+                &self.jobs,
+                emitted,
+                now,
+                node,
+                slave,
+                &mut scratch,
+                &mut work,
+            );
+            works.push(work);
         }
 
         // --- Coordination barrier: merge node-local outputs ----------------
@@ -1130,20 +1116,11 @@ impl Cluster {
         // Losing speculative attempts are killed once their sibling wins.
         self.apply_kills(&kills);
 
-        // --- Render metrics (node-local, sharded) ------------------------------
+        // --- Render metrics (node-local) -------------------------------------
         // Each node's frame depends only on its own accumulated activity;
         // the per-node `procsim` instances never share state.
-        {
-            let pool = &self.pool;
-            let acts_ref = &acts;
-            let dn_ref = &dn_proc;
-            let tt_ref = &tt_proc;
-            pool.run_chunks(&mut self.slaves, &|at, chunk| {
-                for (i, slave) in chunk.iter_mut().enumerate() {
-                    let node = at + i;
-                    render_node(now, slave, acts_ref[node], dn_ref[node], tt_ref[node]);
-                }
-            });
+        for (node, slave) in self.slaves.iter_mut().enumerate() {
+            render_node(now, slave, acts[node], dn_proc[node], tt_proc[node]);
         }
 
         // --- Job completion bookkeeping ---------------------------------------
@@ -1530,10 +1507,8 @@ fn job_index_in(jobs: &[JobState], id: JobId) -> Option<usize> {
     jobs.iter().position(|j| j.spec.id == id)
 }
 
-/// One node's share of `execute_second`'s demand phase, shard-safe: reads
-/// the shared job table and this node's state, writes only `out`. The
-/// arithmetic and push order match the old serial loop line-for-line — that
-/// is what keeps sharded runs bitwise identical to serial ones.
+/// One node's share of `execute_second`'s demand phase: reads the shared
+/// job table and this node's state, writes only `out`.
 fn node_demands(
     jobs: &[JobState],
     emitted_per_job: &[f64],
@@ -1739,7 +1714,7 @@ fn node_demands(
 }
 
 /// Renders one node's OS + daemon metric frame from its accumulated
-/// activity — entirely node-local, so shards can render concurrently.
+/// activity — entirely node-local.
 fn render_node(
     now: u64,
     slave: &mut Slave,
@@ -1848,34 +1823,6 @@ mod tests {
             );
         }
         assert_eq!(a.drain_logs(0), b.drain_logs(0));
-    }
-
-    #[test]
-    fn shard_counts_are_bitwise_equivalent() {
-        // The sharded node-local phases must reproduce the serial path
-        // bitwise: frames, logs, and job stats at every shard count.
-        let n = 13;
-        let fault = FaultSpec {
-            node: 4,
-            kind: FaultKind::DiskHog,
-            start_at: 120,
-        };
-        let run = |shards: usize| {
-            let mut cfg = ClusterConfig::new(n, 33);
-            cfg.sim_shards = shards;
-            let mut c = Cluster::new(cfg, vec![fault]);
-            c.advance(420);
-            let frames: Vec<_> = (0..n).map(|i| c.latest_frame(i).unwrap().clone()).collect();
-            let logs: Vec<_> = (0..n).map(|i| c.drain_logs(i)).collect();
-            (frames, logs, c.stats())
-        };
-        let serial = run(1);
-        for shards in [2, 4, 8] {
-            let sharded = run(shards);
-            assert_eq!(serial.0, sharded.0, "frames differ at {shards} shards");
-            assert_eq!(serial.1, sharded.1, "logs differ at {shards} shards");
-            assert_eq!(serial.2, sharded.2, "stats differ at {shards} shards");
-        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! assert!(!cluster.fault_active(2)); // not yet injected
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -40,7 +41,6 @@ pub mod hdfs;
 pub mod job;
 pub mod logging;
 pub mod resources;
-pub mod shard;
 pub mod trace;
 pub mod types;
 

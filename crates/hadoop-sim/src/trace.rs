@@ -5,8 +5,7 @@
 //! public traces like Google's cluster data that BiDAl-style analyses
 //! consume: one row per job with its arrival time and task-shape columns.
 //! Replay is fully deterministic: the same file produces the same job
-//! sequence on every run, which is exactly what the differential
-//! (serial-vs-sharded, batch-vs-unbatched) harnesses need.
+//! sequence on every run, which is what the pinned-stream tests need.
 //!
 //! # Schema
 //!

@@ -53,9 +53,8 @@ fn main() {
         white_box: true,
         metric_rank: false,
         rank_top: 5,
-        engine_threads: 1,
-        batch_size: cfg.batch_size,
         racks: 0,
+        ..asdf::pipeline::AsdfOptions::default()
     })
     .with_model(model);
     let config = builder.config(cfg.slaves);
@@ -68,7 +67,6 @@ fn main() {
     );
     let engine = OnlineEngine::builder(dag)
         .wall_per_tick(Duration::from_millis(25))
-        .batch_size(cfg.batch_size)
         .tap("bb")
         .tap("wb_tt")
         .tap("wb_dn")

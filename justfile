@@ -1,7 +1,7 @@
 # Developer entry points. `just verify` is the PR gate; everything it runs
 # is also available through `scripts/verify.sh` on machines without just.
 
-# Tier-1 recipe plus the `unsafe` audit, the sharded-engine differential
+# Tier-1 recipe plus the `unsafe` audit, the pinned-stream equivalence
 # suite, the kernel property suites, and a warnings-denied doc build of
 # first-party crates.
 verify:
@@ -14,10 +14,11 @@ tier1:
     cargo test -q
     cargo clippy --workspace --all-targets -- -D warnings
 
-# The differential equivalence suite on its own (serial vs sharded engine,
-# including a 4-thread pipeline pass and the golden figure fixtures).
+# The equivalence suite on its own (streams pinned as FNV-1a constants,
+# rack counts and campaign threads that must not show) and the golden
+# figure fixtures.
 equivalence:
-    cargo test -p integration-tests --test shard_equivalence --test golden_figures
+    cargo test -p integration-tests --test stream_equivalence --test golden_figures
 
 # The kernel property suites: the 4-lane distance kernels pinned bitwise
 # to an independent reference, plus the classification-path equivalences.
@@ -31,13 +32,11 @@ scenarios:
     cargo test -q -p integration-tests --test fault_props
     cargo test -p integration-tests --test scenario_matrix
 
-# The fleet-scale suites on their own: the sim-shard x engine-thread x
-# batch bitwise sweep and the rack tree-reduce rankings, the 500-node
-# rack-path fingerpointing scenario, then the fleet test list
-# (scripts/fleet.sh, which says what it covers and fails when a filter in
-# it matches no test).
+# The fleet-scale suites on their own: the 500-node rack-path
+# fingerpointing scenario, then the fleet test list (scripts/fleet.sh,
+# which says what it covers, the rack tree-reduce rankings included, and
+# fails when a filter in it matches no test).
 fleet:
-    cargo test -p integration-tests --test shard_equivalence -- sim_shards_compose rack_tree_reduce
     cargo test -p integration-tests --test scenario_matrix -- fleet_scale
     ./scripts/fleet.sh
 

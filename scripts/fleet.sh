@@ -6,7 +6,8 @@
 # reading), the generated wiring at racks {0, 1, 2, 3, 7} against the
 # paper's per-node Figure 4 and the pinned per-node `metric_rank` stream,
 # its instance count and one-frame edges, every generated port routed or
-# tapped, every collector kind's `nodes = lo..hi` frame against one
+# tapped, a campaign's streams and rankings at racks {1, 2, 3, 7} against
+# its one-rack wiring, every collector kind's `nodes = lo..hi` frame against one
 # instance per node, `knn` / `analysis_*` / `rack_agg` / `metric_rank` over
 # rack rows (malformed frames included), the running window sums against
 # a buffered window, a node's second rendered over its last one, a tap
@@ -39,6 +40,7 @@ while IFS='|' read -r args flags filters; do
 done <<'EOF'
 --release -p integration-tests --test scenario_matrix|--ignored --nocapture|fleet_scale_full_pipeline
 -q -p asdf --lib||pipeline::tests::rack_wiring pipeline::tests::the_generated_dag pipeline::tests::every_generated_port
+-q -p integration-tests --test stream_equivalence||rack_tree_reduce
 -q -p asdf-modules --lib||collectors::tests::node_ rack_agg::tests metric_rank::tests rack_wide rack_row frame
 -q -p asdf-modules --test window_sums_prop --test knn_frame_prop||
 -q -p procsim --lib||node::tests::tick_into

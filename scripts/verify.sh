@@ -1,20 +1,16 @@
 #!/usr/bin/env sh
-# PR gate: the tier-1 recipe plus the `unsafe` audit, the sharded-engine
-# differential suite, the fleet suites, a smoke run of the benchmark
+# PR gate: the tier-1 recipe plus the `unsafe` audit, the pinned-stream
+# equivalence suite, the fleet suites, a smoke run of the benchmark
 # binary, the serve soak, the kernel property suites, the perfwatch and
 # snapshot suites, and a warnings-denied doc build. Nothing here times
-# anything: engine threads, `serve` and the fleet are measured by asdfbench
-# alone, and their correctness — what perfsuite used to re-assert on its
-# timed runs — is these suites' (stream equality at threads {1, 2, 4, 8},
-# sharded = serial frames, every node ranked, lag bound, shed isolation,
-# exact flush counts).
+# anything: `serve` and the fleet are measured by asdfbench alone, and
+# their correctness is these suites' (pinned streams, every node ranked,
+# lag bound, shed isolation, exact flush counts).
 #
-# The equivalence tests run the fingerpointing pipeline at engine thread
-# counts {1, 2, 4, 8} (a dedicated 4-thread pass included) and compare
-# every observable bitwise against the serial engine, so every PR
-# exercises the sharded scheduler even on single-core CI. The kernel
-# property suites pin the 4-lane distance kernels bitwise to an
-# independent reference. The doc build is scripts/docs.sh, the one list of
+# The equivalence tests hold synthetic DAGs and campaign streams to FNV-1a
+# constants and compare every observable bitwise across rack counts and
+# campaign threads. The kernel property suites pin the 4-lane distance
+# kernels bitwise to an independent reference. The doc build is scripts/docs.sh, the one list of
 # first-party packages (the vendored workspace members are not ours to
 # lint).
 set -eu
@@ -32,19 +28,18 @@ cargo test -q
 echo "[verify] tier-1: clippy -D warnings" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "[verify] unsafe audit: one site, the ShardPool transmute" >&2
+echo "[verify] unsafe audit: no site" >&2
 ./scripts/unsafe_audit.sh
 
-echo "[verify] differential equivalence suite (engine threads, batches, sim shards, racks)" >&2
-cargo test -p integration-tests --test shard_equivalence --test golden_figures
+echo "[verify] equivalence suite (pinned streams, racks, campaign threads) + golden figures" >&2
+cargo test -p integration-tests --test stream_equivalence --test golden_figures
 
 echo "[verify] fault matrix: activation properties + golden scenarios + 500-node fleet path" >&2
 cargo test -q -p integration-tests --test fault_props
 cargo test -p integration-tests --test scenario_matrix
 
-# (`just fleet` also runs the sim-shard / rack sweeps of shard_equivalence
-# and the fleet_scale scenario; both suites ran whole just above, bar the
-# ignored 5000-node cell, which the fleet list runs in --release.)
+# (`just fleet` also runs the fleet_scale scenario, which ran whole just
+# above; the fleet list adds the ignored 5000-node cell in --release.)
 echo "[verify] fleet: the one fleet test list (scripts/fleet.sh)" >&2
 ./scripts/fleet.sh
 

@@ -1,18 +1,16 @@
-//! The differential test harness behind `shard_equivalence` and
-//! `golden_figures`.
+//! The test harness behind `stream_equivalence` and `golden_figures`.
 //!
 //! Three layers of helpers:
 //!
 //! * **synthetic DAGs** — order-sensitive [`Module`] implementations
-//!   (`pulse`, `mix`) plus a seeded random layered-DAG generator, so a
-//!   proptest can throw arbitrary shapes at serial-vs-sharded execution.
+//!   (`pulse`, `mix`) plus a seeded random layered-DAG generator, so pinned
+//!   digests hold the engine to its streams over arbitrary shapes.
 //!   The `mix` module folds everything it receives through a
 //!   non-commutative hash of (slot, value, timestamp, source instance):
 //!   *any* reordering, duplication, or loss anywhere upstream changes
 //!   every downstream value.
-//! * **pipeline capture** — deploy the paper's full fingerpointing DAG at
-//!   a chosen engine thread count and return every analysis tap's raw
-//!   envelope stream.
+//! * **pipeline capture** — deploy the paper's full fingerpointing DAG and
+//!   return every analysis tap's raw envelope stream.
 //! * **stable JSON** — render fig6/fig7 campaign summaries with explicit,
 //!   locale-free formatting so golden fixtures compare byte-for-byte.
 
@@ -35,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Periodic source: every `period` seconds emits `burst` consecutive
-/// counter values, so outbox lanes carry multi-envelope batches.
+/// counter values, so one run hands its consumers several envelopes.
 struct Pulse {
     port: Option<PortId>,
     count: i64,
@@ -120,7 +118,7 @@ pub fn synthetic_registry() -> ModuleRegistry {
 /// further layers of 1–3 `mix` nodes, each wired to 1–3 distinct nodes
 /// from any earlier layer with a random input trigger. Everything about
 /// the result — fan-out, fan-in width, trigger batching, multi-envelope
-/// lanes — varies with the seed.
+/// runs — varies with the seed.
 pub fn random_dag_config(seed: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut text = String::new();
@@ -167,7 +165,7 @@ pub fn random_dag_config(seed: u64) -> String {
 }
 
 /// A broadcast-heavy synthetic DAG: one `pulse` root fanning out to
-/// `consumers` independent `mix` nodes (each on its own edge lane), with
+/// `consumers` independent `mix` nodes (each on its own edge), with
 /// seed-varied period/burst/trigger parameters. This is the shape that
 /// maximizes single-producer fan-out — every emission is routed once per
 /// consumer — and the worst case for envelope-snapshot broadcasting.
@@ -193,25 +191,12 @@ pub fn instance_ids(config_text: &str) -> Vec<String> {
     cfg.instances().iter().map(|i| i.id.clone()).collect()
 }
 
-/// Runs a synthetic config for `ticks` seconds at `threads` engine
-/// workers, with every instance tapped; returns the per-instance envelope
-/// streams in declaration order.
-pub fn run_synthetic(config_text: &str, ticks: u64, threads: usize) -> Vec<Vec<Envelope>> {
-    run_synthetic_batched(config_text, ticks, threads, 1)
-}
-
-/// [`run_synthetic`] with an explicit envelope batch size, for sweeping
-/// the batched lane hand-off against the per-sample reference.
-pub fn run_synthetic_batched(
-    config_text: &str,
-    ticks: u64,
-    threads: usize,
-    batch_size: usize,
-) -> Vec<Vec<Envelope>> {
+/// Runs a synthetic config for `ticks` seconds with every instance tapped;
+/// returns the per-instance envelope streams in declaration order.
+pub fn run_synthetic(config_text: &str, ticks: u64) -> Vec<Vec<Envelope>> {
     let cfg: Config = config_text.parse().expect("harness config parses");
     let dag = Dag::build(&synthetic_registry(), &cfg).expect("harness DAG builds");
-    let mut engine = TickEngine::with_threads(dag, threads);
-    engine.set_batch_size(batch_size);
+    let mut engine = TickEngine::new(dag);
     let taps: Vec<TapHandle> = instance_ids(config_text)
         .iter()
         .map(|id| engine.tap(id).expect("every declared instance exists"))
@@ -225,7 +210,7 @@ pub fn run_synthetic_batched(
 /// A campaign configuration small enough for differential and golden
 /// tests (5 slaves, 8 minutes), still large enough that both analysis
 /// paths produce multiple windows and real alarms.
-pub fn small_campaign(engine_threads: usize) -> CampaignConfig {
+pub fn small_campaign() -> CampaignConfig {
     CampaignConfig {
         slaves: 5,
         run_secs: 480,
@@ -238,7 +223,6 @@ pub fn small_campaign(engine_threads: usize) -> CampaignConfig {
         consecutive: 2,
         bb_threshold: 50.0,
         base_seed: 11,
-        engine_threads,
         ..CampaignConfig::default()
     }
 }
@@ -247,8 +231,8 @@ pub fn small_campaign(engine_threads: usize) -> CampaignConfig {
 pub const ANALYSIS_TAPS: [&str; 3] = ["bb", "wb_tt", "wb_dn"];
 
 /// Deploys the full fingerpointing pipeline over a fresh simulated
-/// cluster and returns each analysis tap's raw envelope stream — the
-/// bitwise ground truth the sharded engine is compared on.
+/// cluster and returns each analysis tap's raw envelope stream — what the
+/// equivalence suite pins and compares bitwise.
 ///
 /// Honors the campaign's workload (GridMix or trace replay) and, when
 /// [`CampaignConfig::metric_rank`] is set, appends the `mr` tap's stream
@@ -269,7 +253,6 @@ pub fn pipeline_streams(
         })
         .unwrap_or_default();
     let mut cc = ClusterConfig::new(cfg.slaves, seed);
-    cc.sim_shards = cfg.sim_shards;
     if let Workload::Trace(trace) = &cfg.workload {
         cc.trace = Some(Arc::clone(trace));
     }
@@ -280,8 +263,6 @@ pub fn pipeline_streams(
         bb_threshold: cfg.bb_threshold,
         wb_k: cfg.wb_k,
         consecutive: cfg.consecutive,
-        engine_threads: cfg.engine_threads,
-        batch_size: cfg.batch_size,
         metric_rank: cfg.metric_rank,
         racks: cfg.racks,
         ..AsdfOptions::default()

@@ -6,17 +6,13 @@
 //! the fixture is deliberately regenerated (`UPDATE_FIXTURES=1 cargo test
 //! -p integration-tests --test golden_figures`), making result drift a
 //! reviewed artifact instead of a silent one.
-//!
-//! The campaign runs with 4 engine threads, so the fixtures also pin the
-//! sharded engine to the exact numbers the serial engine produced when
-//! the fixtures were generated.
 
 use asdf::experiments;
 use integration_tests::support;
 
 #[test]
 fn fig7_summary_matches_fixture() {
-    let cfg = support::small_campaign(4);
+    let cfg = support::small_campaign();
     let model = support::small_model(&cfg);
     let rows = experiments::fig7(&cfg, &model);
     support::assert_matches_fixture("fig7_small.json", &support::render_fig7_json(&rows));
@@ -24,7 +20,7 @@ fn fig7_summary_matches_fixture() {
 
 #[test]
 fn fig6_summaries_match_fixtures() {
-    let cfg = support::small_campaign(4);
+    let cfg = support::small_campaign();
     let model = support::small_model(&cfg);
     let thresholds: Vec<f64> = (0..=7).map(|i| f64::from(i) * 10.0).collect();
     support::assert_matches_fixture(

@@ -109,45 +109,41 @@ fn online_tap_streams_equal_run_for_over_the_same_ticks() {
         ..CampaignConfig::smoke()
     };
     let model = experiments::train_model(&cfg);
-    for batch_size in [1, 64] {
-        let (dag, handle) = figure4(&cfg, &model);
-        let engine = OnlineEngine::builder(dag)
-            .wall_per_tick(Duration::from_millis(2))
-            .batch_size(batch_size)
-            .tap("bb")
-            .tap("wb_tt")
-            .start()
-            .expect("starts");
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while engine.now().as_secs() < 70 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let seen = engine.now().as_secs();
-        assert!(seen >= 70, "engine too slow");
-        let online = ["bb", "wb_tt"].map(|id| engine.tap_handle(id).unwrap().clone());
-        engine.flush_and_stop().expect("clean flush");
-        // `cluster_driver` advances the cluster one second per tick, so the
-        // cluster's clock is the number of ticks the engine ran in all:
-        // those seen above, any since, and the flush's final one.
-        let ticks = handle.now();
-        assert!(ticks > seen, "{ticks} ticks, {seen} seen before the flush");
+    let (dag, handle) = figure4(&cfg, &model);
+    let engine = OnlineEngine::builder(dag)
+        .wall_per_tick(Duration::from_millis(2))
+        .tap("bb")
+        .tap("wb_tt")
+        .start()
+        .expect("starts");
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while engine.now().as_secs() < 70 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let seen = engine.now().as_secs();
+    assert!(seen >= 70, "engine too slow");
+    let online = ["bb", "wb_tt"].map(|id| engine.tap_handle(id).unwrap().clone());
+    engine.flush_and_stop().expect("clean flush");
+    // `cluster_driver` advances the cluster one second per tick, so the
+    // cluster's clock is the number of ticks the engine ran in all:
+    // those seen above, any since, and the flush's final one.
+    let ticks = handle.now();
+    assert!(ticks > seen, "{ticks} ticks, {seen} seen before the flush");
 
-        let (dag, handle) = figure4(&cfg, &model);
-        let mut engine = TickEngine::new(dag);
-        engine.set_batch_size(batch_size);
-        let offline = ["bb", "wb_tt"].map(|id| engine.tap(id).unwrap());
-        engine.run_for(TickDuration::from_secs(ticks)).unwrap();
-        assert_eq!(handle.now(), ticks);
+    let (dag, handle) = figure4(&cfg, &model);
+    let mut engine = TickEngine::new(dag);
+    let offline = ["bb", "wb_tt"].map(|id| engine.tap(id).unwrap());
+    engine.run_for(TickDuration::from_secs(ticks)).unwrap();
+    assert_eq!(handle.now(), ticks);
 
-        for ((id, online), offline) in ["bb", "wb_tt"].into_iter().zip(online).zip(offline) {
-            let (online, offline) = (online.drain(), offline.drain());
-            assert!(!online.is_empty(), "`{id}` should have evaluated windows");
-            assert!(
-                online == offline,
-                "`{id}` at batch size {batch_size}: {} envelopes online, {} from run_for({ticks})",
-                online.len(),
-                offline.len()
-            );
-        }
+    for ((id, online), offline) in ["bb", "wb_tt"].into_iter().zip(online).zip(offline) {
+        let (online, offline) = (online.drain(), offline.drain());
+        assert!(!online.is_empty(), "`{id}` should have evaluated windows");
+        assert!(
+            online == offline,
+            "`{id}`: {} envelopes online, {} from run_for({ticks})",
+            online.len(),
+            offline.len()
+        );
     }
 }

@@ -84,7 +84,7 @@ fn scenario(
 fn extended_fault_scenarios_match_fixtures_and_rank_the_culprit_metric() {
     let cfg = CampaignConfig {
         metric_rank: true,
-        ..support::small_campaign(1)
+        ..support::small_campaign()
     };
     let names = support::metric_names();
     let mut hits = 0;
@@ -112,8 +112,8 @@ fn extended_fault_scenarios_match_fixtures_and_rank_the_culprit_metric() {
 #[test]
 fn fleet_scale_rack_path_fingers_the_straggler() {
     // Fleet-scale accuracy floor: 500 nodes, one Straggler, the
-    // rack-aggregated ranking path (sharded simulator, per-rack
-    // tree-reduce, metric_rank over rack summaries). The node whose top metric
+    // rack-aggregated ranking path (per-rack tree-reduce, metric_rank over
+    // rack summaries). The node whose top metric
     // deviates most from the fleet baseline must be the faulty one, and
     // that metric must belong to the Straggler's culprit family — i.e.
     // compressing the global stage to O(racks) rows loses no diagnosis.
@@ -121,10 +121,9 @@ fn fleet_scale_rack_path_fingers_the_straggler() {
     const FAULT_NODE: usize = 137;
     const FAULT_AT: u64 = 90;
     let mut cc = ClusterConfig::new(NODES, 71);
-    cc.sim_shards = 0; // all available parallelism; results are bitwise-fixed
-                       // The stock interarrival clamp floors at 8s to bound simulation cost,
-                       // which leaves a 500-node fleet mostly idle; keep per-node occupancy
-                       // scale-independent instead (the paper's comparably-loaded premise).
+    // The stock interarrival clamp floors at 8s to bound simulation cost,
+    // which leaves a 500-node fleet mostly idle; keep per-node occupancy
+    // scale-independent instead (the paper's comparably-loaded premise).
     cc.gridmix.mean_interarrival_secs = 400.0 / NODES as f64;
     let cluster = Cluster::new(
         cc,
@@ -291,7 +290,7 @@ fn trace_workload_scenario_matches_fixture() {
     let cfg = CampaignConfig {
         metric_rank: true,
         workload: Workload::Trace(support::sample_trace()),
-        ..support::small_campaign(1)
+        ..support::small_campaign()
     };
     let names = support::metric_names();
     let (result, top) = scenario(&cfg, FaultKind::Straggler, &names);
@@ -380,7 +379,7 @@ fn trace_replay_campaign_detects_faults_too() {
     // fingerpoint a classic fault.
     let cfg = CampaignConfig {
         workload: Workload::Trace(support::sample_trace()),
-        ..support::small_campaign(1)
+        ..support::small_campaign()
     };
     let model = support::small_model(&cfg);
     let tr = experiments::run_once(&cfg, &model, Some(FaultKind::Hadoop1036), cfg.base_seed + 9);
