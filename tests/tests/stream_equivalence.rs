@@ -8,7 +8,8 @@
 //!   fold, and the extended-fault and trace-workload campaigns. Any
 //!   reordering, loss or duplication changes the digest.
 //! * **Knobs that must not show.** The rack count of the generated wiring
-//!   and the campaign pool's worker count change nothing any tap sees.
+//!   and the campaign pool's worker count change nothing any tap sees,
+//!   with or without the metric_rank tap.
 
 use asdf::experiments::{self, CampaignConfig, Workload};
 use hadoop_sim::faults::FaultKind;
@@ -35,6 +36,22 @@ fn figure_outputs_identical_across_campaign_threads() {
     for threads in [2, 4] {
         assert!(figures(&cfg(threads)) == reference, "threads {threads}");
     }
+}
+
+#[test]
+fn campaign_threads_compose_with_the_metric_rank_tap() {
+    // The pool's workers each deploy the four-tap wiring (metric_rank
+    // included); running them side by side must not change the sweep.
+    let cfg = |threads| CampaignConfig {
+        threads,
+        ..matrix_campaign()
+    };
+    let model = support::small_model(&cfg(1));
+    let thresholds = [0.0, 50.0];
+    assert_eq!(
+        experiments::fig6a(&cfg(1), &model, &thresholds),
+        experiments::fig6a(&cfg(4), &model, &thresholds),
+    );
 }
 
 #[test]
