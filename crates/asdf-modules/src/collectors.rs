@@ -23,17 +23,21 @@
 //! one cluster lock per pulse ([`poll_frame`]) into the second's frame,
 //! `[k, dim, node₀ values…, node₁ values…]` (the layout of
 //! [`crate::rack::RackSummary`], samples where the means go) — whole, or
-//! absent when some node has nothing for the second. A range emits it on
-//! its one output, `frame`, origin = the first node's hostname: the edge a
-//! rack's `knn`, `mavgvec`, `rack_agg` or `metric_rank` listens to. A
-//! single node emits the frame's values, its bare vector, on its one
-//! output, `output0`, origin = its hostname.
+//! absent when some node has nothing for the second. The frame is the
+//! payload that leaves: each node's response is decoded straight into its
+//! row of it, so a node-second is copied once on its way from the wire to
+//! the consumer. A range emits it on its one output, `frame`, origin = the
+//! first node's hostname: the edge a rack's `knn`, `mavgvec`, `rack_agg`
+//! or `metric_rank` listens to. A single node emits the frame's values, its
+//! bare vector, on its one output, `output0`, origin = its hostname.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::TickDuration;
+use asdf_core::value::Value;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
 use asdf_rpc::wire::WireError;
 use hadoop_sim::cluster::Cluster;
@@ -78,20 +82,16 @@ type Connect<D> = fn(&InitCtx<'_>, ClusterHandle, usize) -> Result<D, ModuleErro
 /// it — its own connection, its own request and response on the wire, its
 /// own byte accounting — and the instance takes the cluster lock once per
 /// clock pulse for all of them. The second leaves as one row (see the
-/// module docs); nothing is allocated per node per second, and the
-/// per-node poll is a static call on `D`.
+/// module docs), allocated once per second for the whole range and
+/// emitted as it was filled; the per-node poll is a static call on `D`.
 pub struct RangeCollector<D> {
     cluster: ClusterHandle,
     connect: Connect<D>,
     /// One daemon per monitored node, in node order.
     daemons: Vec<D>,
-    /// The one output and where its row starts in `frame`: `frame` from
-    /// the header for a range, `output0` past it for one node.
-    port: Option<(PortId, usize)>,
-    /// Every poll decodes into this one buffer.
-    buf: Vec<f64>,
-    /// The second's frame as it is assembled: `[k, dim, values…]`.
-    frame: Vec<f64>,
+    /// The one output, and whether it carries the whole frame (`frame`, a
+    /// range) or only its values (`output0`, one node).
+    port: Option<(PortId, bool)>,
 }
 
 /// The black-box collector: `sadc_rpcd` metric vectors.
@@ -153,8 +153,6 @@ impl<D> RangeCollector<D> {
             connect,
             daemons: Vec::new(),
             port: None,
-            buf: Vec::new(),
-            frame: Vec::new(),
         }
     }
 
@@ -201,29 +199,45 @@ impl<D> RangeCollector<D> {
     }
 }
 
-/// Polls every daemon, in node order, under the held cluster lock into
-/// `frame`, the second's `[k, dim, node₀ values…, node₁ values…]`, each
-/// row decoded into `buf` on the way. Returns the second's timestamp only
-/// when every node answered (`frame` is unspecified otherwise): a second
-/// is whole or absent, so its peers share a time point (paper §3.7).
+/// A zeroed frame for `k` nodes of `dim` values each, `2 + k × dim` long,
+/// in the one allocation the emitted payload lives in.
+fn new_frame(k: usize, dim: usize) -> Arc<[f64]> {
+    std::iter::repeat_n(0.0, 2 + k * dim).collect()
+}
+
+/// Polls every daemon, in node order, under the held cluster lock, each
+/// straight into its row of `frame`, the second's `[k, dim, node₀ values…,
+/// node₁ values…]`: `frame` is `2 + k × dim` long for `k` daemons of
+/// [`Collector::width`] `dim`. Returns the second's timestamp only when
+/// every node answered (`frame` is unspecified otherwise): a second is
+/// whole or absent, so its peers share a time point (paper §3.7).
 ///
 /// # Errors
 ///
-/// The first response that fails to decode.
+/// The first response that fails to decode, or holds other than `dim`
+/// values.
+///
+/// # Panics
+///
+/// Panics if there is no daemon, or `frame` is not `2 + k × dim` long.
 pub fn poll_frame<'a, D: Collector + ?Sized + 'a>(
     cluster: &mut Cluster,
     daemons: impl ExactSizeIterator<Item = &'a mut D>,
-    buf: &mut Vec<f64>,
-    frame: &mut Vec<f64>,
+    frame: &mut [f64],
 ) -> Result<Option<u64>, WireError> {
-    frame.clear();
-    frame.extend([daemons.len() as f64, 0.0]);
+    let k = daemons.len();
+    let (header, rows) = frame.split_at_mut(2);
+    let dim = rows.len() / k;
+    assert!(
+        dim > 0 && rows.len() == k * dim,
+        "a frame of {k} rows, not {} values",
+        rows.len()
+    );
+    header.copy_from_slice(&[k as f64, dim as f64]);
     let mut second = Some(0);
-    for daemon in daemons {
+    for (daemon, row) in daemons.zip(rows.chunks_exact_mut(dim)) {
         // Polled whatever its peers answered: a node's bytes are its own.
-        second = second.and(daemon.poll_into_locked(cluster, buf)?);
-        frame[1] = buf.len() as f64;
-        frame.extend_from_slice(buf);
+        second = second.and(daemon.poll_into_locked(cluster, row)?);
     }
     Ok(second)
 }
@@ -232,11 +246,11 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         let nodes = self.node_range(ctx)?;
         let origin = self.cluster.slave_name(nodes.start);
-        let (name, skip) = match ctx.param("nodes") {
-            Some(_) => ("frame", 0),
-            None => ("output0", 2),
+        let (name, framed) = match ctx.param("nodes") {
+            Some(_) => ("frame", true),
+            None => ("output0", false),
         };
-        self.port = Some((ctx.declare_output_with_origin(name, origin), skip));
+        self.port = Some((ctx.declare_output_with_origin(name, origin), framed));
         for node in nodes {
             self.daemons
                 .push((self.connect)(ctx, self.cluster.clone(), node)?);
@@ -258,15 +272,19 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         ctx.discard_pending();
-        let (daemons, buf, frame) = (&mut self.daemons, &mut self.buf, &mut self.frame);
+        let mut frame = new_frame(self.daemons.len(), self.daemons[0].width());
+        let rows = Arc::get_mut(&mut frame).expect("a new frame is unshared");
+        let daemons = &mut self.daemons;
         let polled = self
             .cluster
-            .with(|c| poll_frame(c, daemons.iter_mut(), buf, frame));
+            .with(|c| poll_frame(c, daemons.iter_mut(), rows));
         let kind = self.daemons[0].kind();
         let polled =
             polled.map_err(|e| ModuleError::Other(format!("{kind}_rpcd poll failed: {e}")))?;
-        if let (Some(_), Some((port, skip))) = (polled, self.port) {
-            ctx.emit(port, &self.frame[skip..]);
+        match (polled, self.port) {
+            (Some(_), Some((port, true))) => ctx.emit(port, Value::Vector(frame)),
+            (Some(_), Some((port, false))) => ctx.emit(port, &frame[2..]),
+            _ => {}
         }
         Ok(())
     }

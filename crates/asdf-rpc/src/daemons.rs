@@ -9,13 +9,16 @@
 //! 4's bandwidth numbers are measured on bytes that are actually moved and
 //! parsed.
 //!
-//! A poll allocates nothing once its buffers have grown: the request and
-//! the response are encoded into one byte buffer the connection keeps, and
-//! decoded straight into the caller's `Vec<f64>`
-//! ([`Collector::poll_into`]). [`Collector::poll_into_locked`] is the form
-//! for a caller that already holds the cluster, so one collector polling
-//! many nodes takes the lock once per second, not once per node.
+//! A poll allocates nothing once its buffers have grown, and stages
+//! nothing: the request and the response are encoded into one byte buffer
+//! the connection keeps — `sadc`'s straight from the node's rendered
+//! metric frame — and the response is decoded straight into the caller's
+//! row ([`Collector::poll_into_locked`]), which a rack collector points at
+//! the node's place in the second's frame. The caller holds the cluster,
+//! so one collector polling many nodes takes the lock once per second, not
+//! once per node.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use asdf_obs::SpanHandle;
@@ -116,40 +119,40 @@ pub trait Collector {
     /// The slave node index this daemon monitors.
     fn node(&self) -> usize;
 
-    /// Polls one second of data into `out`, replacing its contents and
-    /// reusing its allocation, and returns the sample's simulation
-    /// timestamp. Returns `Ok(None)`, leaving `out` unspecified, when the
-    /// monitored source has produced nothing yet (e.g. before the first
-    /// simulation tick).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the response fails to decode.
-    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError>;
+    /// The cluster this daemon samples.
+    fn cluster(&self) -> &ClusterHandle;
 
-    /// [`Collector::poll_into`] for a caller that already holds the
-    /// cluster lock.
+    /// Values in every sample: the width of the schema the daemon
+    /// announced at handshake.
+    fn width(&self) -> usize;
+
+    /// Polls one second of data under the caller's cluster lock, decoding
+    /// the values straight into `out`, which is [`Collector::width`] long,
+    /// and returns the sample's simulation timestamp. Returns `Ok(None)`,
+    /// leaving `out` unspecified, when the monitored source has produced
+    /// nothing yet (e.g. before the first simulation tick).
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] if the response fails to decode.
+    /// Returns a [`WireError`] if the response fails to decode, or holds
+    /// other than `out.len()` values.
     fn poll_into_locked(
         &mut self,
         cluster: &mut Cluster,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> Result<Option<u64>, WireError>;
 
-    /// [`Collector::poll_into`] into a fresh vector, for callers that want
-    /// an owned sample per poll.
+    /// One poll into a fresh vector, taking the cluster lock: for callers
+    /// that want an owned sample per poll.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the response fails to decode.
     fn poll_sample(&mut self) -> Result<Option<CollectorSample>, WireError> {
-        let mut values = Vec::new();
-        Ok(self
-            .poll_into(&mut values)?
-            .map(|timestamp| CollectorSample { timestamp, values }))
+        let cluster = self.cluster().clone();
+        let mut values = vec![0.0; self.width()];
+        let timestamp = cluster.with(|c| self.poll_into_locked(c, &mut values))?;
+        Ok(timestamp.map(|timestamp| CollectorSample { timestamp, values }))
     }
 
     /// Bandwidth accounting for Table 4.
@@ -159,15 +162,20 @@ pub trait Collector {
     fn close(&mut self);
 }
 
+thread_local! {
+    /// The bytes of the message in flight. A message lives here from its
+    /// encode to its decode and no connection keeps bytes between polls,
+    /// so one buffer per polling thread serves every connection, and a
+    /// fleet's polls run through the same cache lines.
+    static WIRE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// What every daemon kind keeps per monitored node: its own accounted
-/// connection and the byte buffer its messages are encoded into.
+/// connection.
 #[derive(Debug)]
 struct Session {
     node: usize,
     conn: Connection,
-    /// The last message sent, in wire form. Reused by every poll for the
-    /// request and then the response.
-    wire: Vec<u8>,
 }
 
 impl Session {
@@ -181,38 +189,37 @@ impl Session {
         let wire = hello.into_frame();
         conn.send_handshake(wire.len() + shared_len);
         FrameReader::new(&wire)?.get_str()?;
-        Ok(Session { node, conn, wire })
+        Ok(Session { node, conn })
     }
 
-    /// One poll's request and response over the accounted wire: the
-    /// request (`opcode`, node), then the response (`t`, `values`, and
-    /// whatever `trailer` appends) are encoded into the reused buffer and
-    /// the connection is charged for both.
-    fn exchange(
+    /// One poll's request and response over the accounted wire, as the
+    /// control node sees them: the request (`opcode`, node) and then the
+    /// response (`t`, `values`, and whatever `trailer` appends) are
+    /// encoded, the connection is charged for both, and the response is
+    /// decoded back — its timestamp returned, its values into `out`.
+    fn round_trip(
         &mut self,
         opcode: u8,
         t: u64,
         values: &[f64],
         trailer: impl FnOnce(&mut MessageBuilder),
-    ) {
-        let mut req = MessageBuilder::reusing(std::mem::take(&mut self.wire));
-        req.put_u8(opcode).put_u32(self.node as u32);
-        let req = req.into_frame();
-        let req_len = req.len();
-        let mut resp = MessageBuilder::reusing(req);
-        resp.put_u64(t).put_f64_slice(values);
-        trailer(&mut resp);
-        self.wire = resp.into_frame();
-        self.conn.exchange(req_len, self.wire.len());
-    }
-
-    /// Decodes the response of the last [`Session::exchange`] as the
-    /// control node would: the timestamp, and the values into `out`.
-    fn decode_into(&self, out: &mut Vec<f64>) -> Result<u64, WireError> {
-        let mut r = FrameReader::new(&self.wire)?;
-        let timestamp = r.get_u64()?;
-        r.get_f64_slice_into(out)?;
-        Ok(timestamp)
+        out: &mut [f64],
+    ) -> Result<u64, WireError> {
+        WIRE.with_borrow_mut(|wire| {
+            let mut req = MessageBuilder::reusing(std::mem::take(wire));
+            req.put_u8(opcode).put_u32(self.node as u32);
+            let req = req.into_frame();
+            let req_len = req.len();
+            let mut resp = MessageBuilder::reusing(req);
+            resp.put_u64(t).put_f64_slice(values);
+            trailer(&mut resp);
+            *wire = resp.into_frame();
+            self.conn.exchange(req_len, wire.len());
+            let mut r = FrameReader::new(wire)?;
+            let timestamp = r.get_u64()?;
+            r.get_f64_slice_to(out)?;
+            Ok(timestamp)
+        })
     }
 }
 
@@ -356,6 +363,8 @@ pub struct HadoopLogRpcd {
     session: Session,
     daemon: LogDaemon,
     parser: LogParser,
+    /// The second's state counts, as the daemon sends them.
+    counts: Vec<f64>,
     span: SpanHandle,
 }
 
@@ -392,6 +401,7 @@ impl HadoopLogRpcd {
             // a shorter horizon lets the count drop to zero between
             // bursts, resetting the analysis's confirmation streak.
             parser: LogParser::with_instant_horizon(120),
+            counts: Vec::new(),
             span: poll_span("hadoop_log"),
         })
     }
@@ -399,42 +409,6 @@ impl HadoopLogRpcd {
     /// The daemon variant (TaskTracker or DataNode).
     pub fn daemon(&self) -> LogDaemon {
         self.daemon
-    }
-
-    /// One poll, through `locked` when the caller already holds the
-    /// cluster and through the handle otherwise. Only the drain touches
-    /// the cluster, so without `locked` the lock is released before the
-    /// parser runs and log daemons on different engine threads parse in
-    /// parallel.
-    fn poll_via(
-        &mut self,
-        locked: Option<&mut Cluster>,
-        out: &mut Vec<f64>,
-    ) -> Result<u64, WireError> {
-        let _timer = self.span.enter();
-        let (node, daemon) = (self.session.node, self.daemon);
-        let drain = |c: &mut Cluster| {
-            let lines = match daemon {
-                LogDaemon::TaskTracker => c.drain_tasktracker_log(node),
-                LogDaemon::DataNode => c.drain_datanode_log(node),
-            };
-            (c.now().saturating_sub(1), lines)
-        };
-        let (t, lines) = match locked {
-            Some(c) => drain(c),
-            None => self.cluster.with(drain),
-        };
-        self.parser.feed_lines(lines.iter().map(String::as_str));
-        let v = self.parser.sample(t);
-        out.clear();
-        out.extend(daemon.states().iter().map(|s| v[*s]));
-        // Diagnostics a real daemon ships along: live instances, line stats.
-        let live = self.parser.live_instances() as u32;
-        let (seen, parsed) = self.parser.line_stats();
-        self.session.exchange(0x02, t, out, |resp| {
-            resp.put_u32(live).put_u64(seen).put_u64(parsed);
-        });
-        self.session.decode_into(out)
     }
 }
 
@@ -479,26 +453,29 @@ impl Collector for SadcRpcd {
         self.session.node
     }
 
-    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
-        let cluster = self.cluster.clone();
-        cluster.with(|c| self.poll_into_locked(c, out))
+    fn cluster(&self) -> &ClusterHandle {
+        &self.cluster
+    }
+
+    fn width(&self) -> usize {
+        self.metric_names.len()
     }
 
     fn poll_into_locked(
         &mut self,
         cluster: &mut Cluster,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> Result<Option<u64>, WireError> {
         let _timer = self.span.enter();
+        let t = cluster.now().saturating_sub(1);
         let Some(frame) = cluster.latest_frame(self.session.node) else {
             return Ok(None);
         };
-        // `out` first holds what the daemon sampled, then what the control
-        // node decoded from the wire.
-        frame.flatten_into(out);
+        // Encoded from the node's frame, decoded into the caller's row.
+        let values = frame.values();
         self.session
-            .exchange(0x01, cluster.now().saturating_sub(1), out, |_| {});
-        self.session.decode_into(out).map(Some)
+            .round_trip(0x01, t, values, |_| {}, out)
+            .map(Some)
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -519,18 +496,43 @@ impl Collector for HadoopLogRpcd {
         self.session.node
     }
 
-    /// The log daemon always has a sample: an idle second is a vector of
-    /// zero counts, not an absence of data.
-    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
-        self.poll_via(None, out).map(Some)
+    fn cluster(&self) -> &ClusterHandle {
+        &self.cluster
     }
 
+    fn width(&self) -> usize {
+        self.daemon.states().len()
+    }
+
+    /// The log daemon always has a sample: an idle second is a vector of
+    /// zero counts, not an absence of data.
     fn poll_into_locked(
         &mut self,
         cluster: &mut Cluster,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> Result<Option<u64>, WireError> {
-        self.poll_via(Some(cluster), out).map(Some)
+        let _timer = self.span.enter();
+        let node = self.session.node;
+        let lines = match self.daemon {
+            LogDaemon::TaskTracker => cluster.drain_tasktracker_log(node),
+            LogDaemon::DataNode => cluster.drain_datanode_log(node),
+        };
+        let t = cluster.now().saturating_sub(1);
+        self.parser.feed_lines(lines.iter().map(String::as_str));
+        let v = self.parser.sample(t);
+        self.counts.clear();
+        self.counts
+            .extend(self.daemon.states().iter().map(|s| v[*s]));
+        // Diagnostics a real daemon ships along: live instances, line stats.
+        let live = self.parser.live_instances() as u32;
+        let (seen, parsed) = self.parser.line_stats();
+        let trailer = |resp: &mut MessageBuilder| {
+            resp.put_u32(live).put_u64(seen).put_u64(parsed);
+        };
+        let counts = &self.counts;
+        self.session
+            .round_trip(0x02, t, counts, trailer, out)
+            .map(Some)
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -551,23 +553,27 @@ impl Collector for StraceRpcd {
         self.session.node
     }
 
-    fn poll_into(&mut self, out: &mut Vec<f64>) -> Result<Option<u64>, WireError> {
-        let cluster = self.cluster.clone();
-        cluster.with(|c| self.poll_into_locked(c, out))
+    fn cluster(&self) -> &ClusterHandle {
+        &self.cluster
+    }
+
+    fn width(&self) -> usize {
+        procsim::syscalls::SYSCALL_CATEGORY_COUNT
     }
 
     fn poll_into_locked(
         &mut self,
         cluster: &mut Cluster,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> Result<Option<u64>, WireError> {
         let _timer = self.span.enter();
+        let t = cluster.now().saturating_sub(1);
         let Some(counts) = cluster.latest_tt_syscalls(self.session.node) else {
             return Ok(None);
         };
         self.session
-            .exchange(0x03, cluster.now().saturating_sub(1), counts, |_| {});
-        self.session.decode_into(out).map(Some)
+            .round_trip(0x03, t, counts, |_| {}, out)
+            .map(Some)
     }
 
     fn bandwidth(&self) -> BandwidthStats {
@@ -795,8 +801,8 @@ mod tests {
     fn every_poll_form_moves_the_same_bytes_and_values() {
         // Two same-seed clusters, one polled through `poll_sample` (a fresh
         // vector per poll, the lock per poll), one through
-        // `poll_into_locked` (one reused vector, the lock held by the
-        // caller): same samples, same per-node accounting, every kind.
+        // `poll_into_locked` into the rows of one frame (the lock held by
+        // the caller): same samples, same per-node accounting, every kind.
         let (ha, hb) = (handle(3, 14), handle(3, 14));
         let mut a: Vec<Box<dyn Collector>> = Vec::new();
         let mut sadc = Vec::new();
@@ -812,7 +818,12 @@ mod tests {
             logs.push(HadoopLogRpcd::connect(hb.clone(), node, LogDaemon::TaskTracker).unwrap());
             strace.push(StraceRpcd::connect(hb.clone(), node).unwrap());
         }
-        let mut buf = vec![f64::NAN; 7];
+        let widths = [sadc[0].width(), logs[0].width(), strace[0].width()];
+        assert_eq!(widths, [120, 6, procsim::syscalls::SYSCALL_CATEGORY_COUNT]);
+        // The three kinds' rows of all three nodes side by side, in node
+        // order, so a row that spilled would overwrite its neighbour.
+        let stride: usize = widths.iter().sum();
+        let mut frame = vec![f64::NAN; 3 * stride];
         // Step 0 polls before the first tick: sadc and strace have nothing.
         for step in 0..40 {
             if step > 0 {
@@ -820,23 +831,30 @@ mod tests {
                 hb.tick();
             }
             let owned: Vec<_> = a.iter_mut().map(|c| c.poll_sample().unwrap()).collect();
-            hb.with(|c| {
+            let polled = hb.with(|c| {
+                let mut polled = Vec::new();
                 for node in 0..3 {
-                    let check = |kind: usize, t: Option<u64>, values: &[f64]| {
-                        let expected = &owned[node * 3 + kind];
-                        assert_eq!(t, expected.as_ref().map(|s| s.timestamp));
-                        if let Some(s) = expected {
-                            assert_eq!(values, s.values, "kind {kind} at step {step}");
-                        }
-                    };
-                    let t = sadc[node].poll_into_locked(c, &mut buf).unwrap();
-                    check(0, t, &buf);
-                    let t = logs[node].poll_into_locked(c, &mut buf).unwrap();
-                    check(1, t, &buf);
-                    let t = strace[node].poll_into_locked(c, &mut buf).unwrap();
-                    check(2, t, &buf);
+                    let mut at = node * stride;
+                    for (kind, width) in widths.iter().enumerate() {
+                        let range = at..at + width;
+                        let row = &mut frame[range.clone()];
+                        let t = match kind {
+                            0 => sadc[node].poll_into_locked(c, row),
+                            1 => logs[node].poll_into_locked(c, row),
+                            _ => strace[node].poll_into_locked(c, row),
+                        };
+                        polled.push((t.unwrap(), range));
+                        at += width;
+                    }
                 }
+                polled
             });
+            for ((t, range), expected) in polled.into_iter().zip(&owned) {
+                assert_eq!(t, expected.as_ref().map(|s| s.timestamp), "step {step}");
+                if let Some(s) = expected {
+                    assert_eq!(frame[range], s.values, "step {step}");
+                }
+            }
         }
         for node in 0..3 {
             assert_eq!(a[node * 3].bandwidth(), sadc[node].bandwidth());
@@ -845,5 +863,23 @@ mod tests {
             assert_eq!(sadc[node].bandwidth().iterations, 39);
             assert_eq!(logs[node].bandwidth().iterations, 40);
         }
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_width_is_a_decode_error() {
+        let h = handle(2, 15);
+        h.tick();
+        let mut sadc = SadcRpcd::connect(h.clone(), 0).unwrap();
+        let mut row = vec![0.0; sadc.width() - 1];
+        let err = h.with(|c| sadc.poll_into_locked(c, &mut row)).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::ArrayLength {
+                expected: 119,
+                got: 120
+            }
+        );
+        // The bytes went over the wire all the same.
+        assert_eq!(sadc.bandwidth().iterations, 1);
     }
 }

@@ -31,6 +31,14 @@ pub enum WireError {
         /// Bytes actually present.
         available: usize,
     },
+    /// A float array held other than the number of values its reader
+    /// expected (the width of a schema announced at handshake).
+    ArrayLength {
+        /// Values the reader expected.
+        expected: usize,
+        /// Values the array held.
+        got: usize,
+    },
     /// A session handshake announced a protocol version this build does
     /// not speak.
     VersionMismatch {
@@ -53,6 +61,9 @@ impl std::fmt::Display for WireError {
                 f,
                 "message length prefix promised {expected} bytes but {available} are available"
             ),
+            WireError::ArrayLength { expected, got } => {
+                write!(f, "array holds {got} values, {expected} expected")
+            }
             WireError::VersionMismatch { ours, theirs } => write!(
                 f,
                 "peer speaks wire version {theirs} but this build speaks version {ours}"
@@ -302,17 +313,39 @@ impl<'a> FrameReader<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| WireError::InvalidUtf8)
     }
 
-    /// Reads a `u32`-length-prefixed array of `f64` into `out`, replacing
-    /// its contents and reusing its allocation. The announced length is
-    /// checked against the bytes present before `out` grows.
-    pub fn get_f64_slice_into(&mut self, out: &mut Vec<f64>) -> Result<(), WireError> {
+    /// Consumes a `u32`-length-prefixed array of `f64`: its bytes, once
+    /// they are checked to be present.
+    fn take_f64s(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u32()? as usize;
-        let raw = self.take(len.checked_mul(8).ok_or(WireError::UnexpectedEof)?)?;
-        out.clear();
-        out.extend(
-            raw.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("chunks of 8"))),
-        );
+        self.take(len.checked_mul(8).ok_or(WireError::UnexpectedEof)?)
+    }
+
+    /// Reads a `u32`-length-prefixed array of `f64` into a new collection,
+    /// the announced length checked against the bytes present first. An
+    /// `Arc<[f64]>`, the payload a sample carries, is allocated once at its
+    /// final size and filled straight from the wire.
+    pub fn get_f64s<C: FromIterator<f64>>(&mut self) -> Result<C, WireError> {
+        Ok(self.take_f64s()?.chunks_exact(8).map(f64_of).collect())
+    }
+
+    /// Reads a `u32`-length-prefixed array of exactly `out.len()` values
+    /// into `out`: a decode with no buffer of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::ArrayLength`] for an array of any other length, and
+    /// `out` is left alone; [`WireError::UnexpectedEof`] as for any field.
+    pub fn get_f64_slice_to(&mut self, out: &mut [f64]) -> Result<(), WireError> {
+        let raw = self.take_f64s()?;
+        if raw.len() / 8 != out.len() {
+            return Err(WireError::ArrayLength {
+                expected: out.len(),
+                got: raw.len() / 8,
+            });
+        }
+        for (x, bytes) in out.iter_mut().zip(raw.chunks_exact(8)) {
+            *x = f64_of(bytes);
+        }
         Ok(())
     }
 
@@ -320,6 +353,11 @@ impl<'a> FrameReader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
+}
+
+/// The little-endian `f64` in an 8-byte chunk.
+fn f64_of(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes.try_into().expect("chunks of 8"))
 }
 
 /// Reads one framed wire message it owns: [`FrameReader`] plus the buffer.
@@ -386,9 +424,7 @@ impl MessageReader {
 
     /// Reads a `u32`-length-prefixed array of `f64`.
     pub fn get_f64_slice(&mut self) -> Result<Vec<f64>, WireError> {
-        let mut out = Vec::new();
-        self.read(|r| r.get_f64_slice_into(&mut out))?;
-        Ok(out)
+        self.read(|r| r.get_f64s())
     }
 
     /// Bytes left unread in the payload.
@@ -543,15 +579,47 @@ mod tests {
     fn frame_reader_decodes_into_a_reused_vector() {
         let mut b = MessageBuilder::new();
         b.put_u8(7).put_str("slave03").put_f64_slice(&[1.0, -2.0]);
+        b.put_f64_slice(&[0.5, 4.0]);
         let frame = b.into_frame();
         let mut r = FrameReader::new(&frame).unwrap();
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_str().unwrap(), "slave03");
-        let mut out = vec![9.0; 5];
-        r.get_f64_slice_into(&mut out).unwrap();
-        assert_eq!(out, [1.0, -2.0]);
+        let mut row = [9.0; 2];
+        r.get_f64_slice_to(&mut row).unwrap();
+        assert_eq!(row, [1.0, -2.0]);
+        let shared: std::sync::Arc<[f64]> = r.get_f64s().unwrap();
+        assert_eq!(*shared, [0.5, 4.0]);
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.get_u8().unwrap_err(), WireError::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_array_decodes_into_a_row_of_its_width_and_nothing_else() {
+        let mut b = MessageBuilder::new();
+        b.put_f64_slice(&[1.0, -2.0, 3.5]);
+        let frame = b.into_frame();
+        let mut frame_row = [9.0; 5];
+        FrameReader::new(&frame)
+            .unwrap()
+            .get_f64_slice_to(&mut frame_row[1..4])
+            .unwrap();
+        assert_eq!(frame_row, [9.0, 1.0, -2.0, 3.5, 9.0]);
+        for width in [2, 4] {
+            let mut row = vec![7.0; width];
+            let err = FrameReader::new(&frame)
+                .unwrap()
+                .get_f64_slice_to(&mut row)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                WireError::ArrayLength {
+                    expected: width,
+                    got: 3
+                }
+            );
+            assert!(err.to_string().contains(&format!("{width} expected")));
+            assert_eq!(row, vec![7.0; width], "a mismatch writes nothing");
+        }
     }
 
     #[test]
@@ -560,13 +628,17 @@ mod tests {
         let mut frame = vec![8, 0, 0, 0];
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         frame.extend_from_slice(&[0; 4]);
-        let mut out = vec![1.0];
+        let mut out = [1.0];
         let mut r = FrameReader::new(&frame).unwrap();
         assert_eq!(
-            r.get_f64_slice_into(&mut out).unwrap_err(),
+            r.get_f64_slice_to(&mut out).unwrap_err(),
             WireError::UnexpectedEof
         );
         assert_eq!(out, [1.0]);
-        assert_eq!(out.capacity(), 1);
+        let mut r = FrameReader::new(&frame).unwrap();
+        assert_eq!(
+            r.get_f64s::<Vec<f64>>().unwrap_err(),
+            WireError::UnexpectedEof
+        );
     }
 }

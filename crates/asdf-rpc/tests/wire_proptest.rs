@@ -64,7 +64,6 @@ fn read_both(frame: &[u8], fields: &[Field]) -> Result<(), WireError> {
         (o, b) => panic!("readers disagree on the frame: {o:?} vs {b:?}"),
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let mut floats = vec![f64::NAN; 3];
     for f in fields {
         match f {
             Field::U8(v) => {
@@ -93,13 +92,9 @@ fn read_both(frame: &[u8], fields: &[Field]) -> Result<(), WireError> {
                 assert_eq!(got?, v);
             }
             Field::Floats(v) => {
-                let got = borrowed.get_f64_slice_into(&mut floats);
-                assert_eq!(
-                    owned.get_f64_slice().map(|o| bits(&o)),
-                    got.clone().map(|()| bits(&floats))
-                );
-                got?;
-                assert_eq!(bits(&floats), bits(v));
+                let got = borrowed.get_f64s::<Vec<f64>>().map(|f| bits(&f));
+                assert_eq!(owned.get_f64_slice().map(|o| bits(&o)), got);
+                assert_eq!(got?, bits(v));
             }
         }
         assert_eq!(owned.remaining(), borrowed.remaining());
@@ -159,7 +154,7 @@ proptest! {
             let t = r.get_u64();
             assert_eq!(t, owned.get_u64());
             t?;
-            let got = r.get_f64_slice_into(&mut out);
+            let got = r.get_f64s::<Vec<f64>>().map(|floats| out = floats);
             assert_eq!(got.is_ok(), owned.get_f64_slice().is_ok());
             got
         })();

@@ -183,7 +183,7 @@ pub fn train_model(cfg: &CampaignConfig) -> Arc<BlackBoxModel> {
         cluster.tick();
         for node in 0..cfg.slaves {
             if let Some(frame) = cluster.latest_frame(node) {
-                samples.push(frame.flatten());
+                samples.push(frame.values().to_vec());
             }
         }
     }

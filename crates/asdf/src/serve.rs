@@ -44,7 +44,7 @@ use asdf_core::module::{Envelope, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::online::OnlineEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
-use asdf_core::value::Sample;
+use asdf_core::value::{Sample, Value};
 use asdf_modules::collectors::poll_frame;
 use asdf_modules::rack::RackSummary;
 use asdf_modules::training::BlackBoxModel;
@@ -317,8 +317,6 @@ struct ServeIngest {
     /// good frame's for the others.
     widths: Vec<Option<usize>>,
     buf: Vec<Bytes>,
-    /// Every frame decodes into this one buffer.
-    values: Vec<f64>,
 }
 
 /// The stream tags and port names; only the first is wired without `white_box`.
@@ -344,39 +342,38 @@ impl Module for ServeIngest {
         self.queue.drain_into(&mut self.buf);
         let n = self.origins.len();
         for frame in self.buf.drain(..) {
-            let Some((stream, ts)) = decode_frame(&frame, n, &mut self.widths, &mut self.values)
-            else {
+            let Some((stream, ts, values)) = decode_frame(&frame, n, &mut self.widths) else {
                 // One bad frame says nothing about the frames queued behind
                 // it, so it is counted and skipped, not the end of the tenant.
                 self.queue.count_bad_frame();
                 continue;
             };
-            let sample = Sample::new(Timestamp::from_secs(ts), &self.values[..]);
+            let sample = Sample::new(Timestamp::from_secs(ts), Value::Vector(values));
             ctx.emit_sample(self.ports[stream], sample);
         }
         Ok(())
     }
 }
 
-/// Decodes a frame into `values`: its index in [`STREAMS`] and timestamp,
-/// or `None` unless it is one whole second of all `slaves` nodes from node 0
-/// of a wired stream (one `widths` has an entry for) in that stream's
-/// width, which an unset entry takes from it.
+/// Decodes a frame: its index in [`STREAMS`], its timestamp, and its
+/// values, decoded straight into the payload the row is emitted in. `None`
+/// unless it is one whole second of all `slaves` nodes from node 0 of a
+/// wired stream (one `widths` has an entry for) in that stream's width,
+/// which an unset entry takes from it.
 fn decode_frame(
     frame: &[u8],
     slaves: usize,
     widths: &mut [Option<usize>],
-    values: &mut Vec<f64>,
-) -> Option<(usize, u64)> {
+) -> Option<(usize, u64, Arc<[f64]>)> {
     let mut r = FrameReader::new(frame).ok()?;
     let tag = r.get_u8().ok()?;
     let wired = &STREAMS[..widths.len()];
     let stream = wired.iter().position(|(t, _)| *t == tag)?;
     let (first, ts) = (r.get_u32().ok()?, r.get_u64().ok()?);
-    r.get_f64_slice_into(values).ok()?;
-    let (k, dim) = RackSummary::shape(values).ok()?;
+    let values: Arc<[f64]> = r.get_f64s().ok()?;
+    let (k, dim) = RackSummary::shape(&values).ok()?;
     let whole = first == 0 && k == slaves;
-    (whole && *widths[stream].get_or_insert(dim) == dim).then_some((stream, ts))
+    (whole && *widths[stream].get_or_insert(dim) == dim).then_some((stream, ts, values))
 }
 
 /// Everything the daemon tracks for one joined tenant.
@@ -459,7 +456,6 @@ impl ServeDaemon {
                 ports: Vec::new(),
                 widths: widths.clone(),
                 buf: Vec::new(),
-                values: Vec::new(),
             })
         });
         let stream = |port: &str| vec![("ingest".to_owned(), port.to_owned())];
@@ -698,20 +694,23 @@ fn feeder_loop(
     pace: Option<Duration>,
 ) {
     let mut deadline = Instant::now() + pace.unwrap_or_default();
-    // A daemon's row and a stream's second, reused every step.
-    let (mut values, mut frame) = (Vec::new(), Vec::new());
+    // Each stream's second, reused every step.
+    let mut frames: Vec<Vec<f64>> = streams
+        .iter()
+        .map(|(_, daemons)| vec![0.0; 2 + daemons.len() * daemons[0].width()])
+        .collect();
     for _ in 0..steps {
         if stop.load(Ordering::Relaxed) {
             break;
         }
         handle.tick();
-        for (tag, daemons) in &mut streams {
+        for ((tag, daemons), frame) in streams.iter_mut().zip(&mut frames) {
             let polled = handle.with(|c| {
                 let daemons = daemons.iter_mut().map(|d| &mut **d);
-                poll_frame(c, daemons, &mut values, &mut frame)
+                poll_frame(c, daemons, frame)
             });
             match polled {
-                Ok(Some(ts)) => queue.push(encode_frame(*tag, 0, ts, &frame)),
+                Ok(Some(ts)) => queue.push(encode_frame(*tag, 0, ts, frame)),
                 Ok(None) => {}
                 Err(e) => {
                     let kind = daemons[0].kind();
@@ -782,23 +781,17 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 3);
         assert_eq!(r.get_u64().unwrap(), 41);
         assert_eq!(r.get_f64_slice().unwrap(), second);
-        let (mut widths, mut values) = ([None; 3], Vec::new());
-        assert_eq!(
-            decode_frame(&from_node_3, 2, &mut widths, &mut values),
-            None
-        );
+        let mut widths = [None; 3];
+        assert_eq!(decode_frame(&from_node_3, 2, &mut widths), None);
         assert_eq!(widths, [None; 3], "a bad frame sets no width");
         let frame = encode_frame(STREAM_LOG, 0, 41, &second);
         assert_eq!(
-            decode_frame(&frame, 2, &mut widths, &mut values),
-            Some((1, 41))
+            decode_frame(&frame, 2, &mut widths),
+            Some((1, 41, Arc::from(&second[..])))
         );
-        assert_eq!(
-            (values.as_slice(), widths),
-            (&second[..], [None, Some(1), None])
-        );
+        assert_eq!(widths, [None, Some(1), None]);
         // A black-box tenant wires the `sadc` stream alone.
-        assert_eq!(decode_frame(&frame, 2, &mut [None], &mut values), None);
+        assert_eq!(decode_frame(&frame, 2, &mut [None]), None);
     }
 
     #[test]
@@ -1196,12 +1189,11 @@ mod tests {
         }
 
         fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-            let (mut frames, mut values) = (Vec::new(), Vec::new());
+            let mut frames = Vec::new();
             self.queue.drain_into(&mut frames);
             for frame in frames {
-                let (stream, ts) =
-                    decode_frame(&frame, self.origins.len(), &mut [None; 3], &mut values)
-                        .expect("a captured frame");
+                let (stream, ts, values) = decode_frame(&frame, self.origins.len(), &mut [None; 3])
+                    .expect("a captured frame");
                 let dim = values[1] as usize;
                 for (&port, row) in self.ports[stream].iter().zip(values[2..].chunks_exact(dim)) {
                     ctx.emit_sample(port, Sample::new(Timestamp::from_secs(ts), row));
@@ -1238,8 +1230,7 @@ mod tests {
         let (_, frames) = captured_frames(&opts(4), 3, &[], 150);
         let mut rows = Vec::new();
         for frame in frames.iter().filter(|f| opens_a_step(f)) {
-            let mut values = Vec::new();
-            decode_frame(frame, 4, &mut [None; 3], &mut values).unwrap();
+            let (_, _, values) = decode_frame(frame, 4, &mut [None; 3]).unwrap();
             rows.extend(
                 values[2..]
                     .chunks_exact(values[1] as usize)

@@ -201,8 +201,9 @@ enum FlowKind {
     },
 }
 
-/// Everything one node's demand-gathering phase produces, collected
-/// node-locally and then merged in ascending node order.
+/// Everything one node's second accumulates: its demand-gathering phase's
+/// output, collected node-locally, and then the cross-node traffic that
+/// the flows grant it.
 struct NodeWork {
     /// Network flows this node's tasks want: `(task index, kind, flow)`.
     flows: Vec<(usize, FlowKind, Flow)>,
@@ -212,11 +213,13 @@ struct NodeWork {
     reduce_wanted: Vec<(usize, f64)>,
     /// Granted CPU seconds per running task.
     task_cpu: Vec<f64>,
-    /// Granted IO KB per running task (before flow contributions).
+    /// Granted IO KB per running task.
     task_io: Vec<f64>,
-    /// Node activity from local grants (flow traffic is added later).
+    /// Node activity: local grants, then flow traffic.
     act: Activity,
-    /// Tasktracker process activity from local grants.
+    /// Datanode process activity (flow traffic only).
+    dn: ProcessActivity,
+    /// Tasktracker process activity: local grants, then shuffle serving.
     tt: ProcessActivity,
     /// Disk-hog bytes actually written this second.
     bg_disk_written: f64,
@@ -233,10 +236,25 @@ impl NodeWork {
             task_cpu: Vec::new(),
             task_io: Vec::new(),
             act: Activity::idle(),
+            dn: ProcessActivity::default(),
             tt: ProcessActivity::default(),
             bg_disk_written: 0.0,
             net_cap: 0.0,
         }
+    }
+
+    /// Starts a new second: every list emptied with its allocation kept.
+    fn reset(&mut self) {
+        self.flows.clear();
+        self.shuffle_wanted.clear();
+        self.reduce_wanted.clear();
+        self.task_cpu.clear();
+        self.task_io.clear();
+        self.act = Activity::idle();
+        self.dn = ProcessActivity::default();
+        self.tt = ProcessActivity::default();
+        self.bg_disk_written = 0.0;
+        self.net_cap = 0.0;
     }
 }
 
@@ -252,6 +270,21 @@ struct DemandScratch {
     demands: Vec<f64>,
     /// Its grants, index-aligned with `demands`.
     grants: Vec<f64>,
+}
+
+/// `execute_second`'s working state, kept between seconds: a tick writes
+/// over the last one's per-node buffers instead of allocating its own.
+#[derive(Default)]
+struct TickScratch {
+    demand: DemandScratch,
+    /// One per slave, in node order.
+    works: Vec<NodeWork>,
+    /// Every node's flows, in ascending node order: `(node, task, kind, flow)`.
+    flows: Vec<(usize, usize, FlowKind, Flow)>,
+    /// The flows alone, as `allocate_flows` takes them.
+    raw_flows: Vec<Flow>,
+    /// Every node's effective line rate.
+    net_caps: Vec<f64>,
 }
 
 /// The simulated Hadoop cluster.
@@ -293,6 +326,7 @@ pub struct Cluster {
     /// Nodes judged globally shuffle-sick: starving ≥2 distinct
     /// destinations. New jobs blacklist them at submission.
     shuffle_sick: Vec<bool>,
+    scratch: TickScratch,
 }
 
 impl Cluster {
@@ -345,6 +379,7 @@ impl Cluster {
             decommissioned: vec![false; cfg.slaves],
             pair_starve: std::collections::HashMap::new(),
             shuffle_sick: vec![false; cfg.slaves],
+            scratch: TickScratch::default(),
             cfg,
         }
     }
@@ -781,25 +816,23 @@ impl Cluster {
         // local activity accounting — nothing here crosses nodes. Only
         // genuinely cross-node traffic (the flows) leaves this phase, and it
         // is merged below in ascending node order.
-        let mut scratch = DemandScratch::default();
-        let mut works: Vec<NodeWork> = Vec::with_capacity(n);
-        for (node, slave) in self.slaves.iter().enumerate() {
-            let mut work = NodeWork::empty();
-            let emitted = &emitted_per_job;
-            node_demands(
-                &self.jobs,
-                emitted,
-                now,
-                node,
-                slave,
-                &mut scratch,
-                &mut work,
-            );
-            works.push(work);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let TickScratch {
+            demand,
+            works,
+            flows,
+            raw_flows,
+            net_caps,
+        } = &mut scratch;
+        works.resize_with(n, NodeWork::empty);
+        for (node, (slave, work)) in self.slaves.iter().zip(works.iter_mut()).enumerate() {
+            work.reset();
+            node_demands(&self.jobs, &emitted_per_job, now, node, slave, demand, work);
         }
 
         // --- Coordination barrier: merge node-local outputs ----------------
-        let mut flows: Vec<(usize, usize, FlowKind, Flow)> = Vec::new();
+        flows.clear();
+        net_caps.clear();
         // Shuffle demand/grant accounting per (job index, source node), for
         // fetch-stall detection.
         let mut shuffle_wanted: std::collections::HashMap<(usize, usize), f64> =
@@ -809,13 +842,6 @@ impl Cluster {
         // Per consuming reduce attempt: (wanted, granted) shuffle totals.
         let mut reduce_rx: std::collections::HashMap<(usize, usize), (f64, f64)> =
             std::collections::HashMap::new();
-        let mut net_caps: Vec<f64> = Vec::with_capacity(n);
-        let mut task_cpu: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut task_io: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut acts: Vec<Activity> = Vec::with_capacity(n);
-        let mut dn_proc: Vec<ProcessActivity> = vec![ProcessActivity::default(); n];
-        let mut tt_proc: Vec<ProcessActivity> = Vec::with_capacity(n);
-        let mut bg_disk_written: Vec<f64> = Vec::with_capacity(n);
         for (node, work) in works.iter_mut().enumerate() {
             for (t_idx, kind, flow) in work.flows.drain(..) {
                 flows.push((node, t_idx, kind, flow));
@@ -827,17 +853,12 @@ impl Cluster {
                 reduce_rx.entry((node, t_idx)).or_insert((0.0, 0.0)).0 += kb;
             }
             net_caps.push(work.net_cap);
-            task_cpu.push(std::mem::take(&mut work.task_cpu));
-            task_io.push(std::mem::take(&mut work.task_io));
-            acts.push(work.act);
-            tt_proc.push(work.tt);
-            bg_disk_written.push(work.bg_disk_written);
         }
-        drop(works);
 
         // --- Allocate cross-node flows (global) ----------------------------
-        let raw_flows: Vec<Flow> = flows.iter().map(|&(_, _, _, f)| f).collect();
-        let flow_rates = allocate_flows(&raw_flows, &net_caps, &net_caps);
+        raw_flows.clear();
+        raw_flows.extend(flows.iter().map(|&(_, _, _, f)| f));
+        let flow_rates = allocate_flows(raw_flows, net_caps, net_caps);
 
         // Pipeline hops are aggregated per writer-task as the *minimum*
         // hop rate (the pipeline advances at its slowest link).
@@ -847,19 +868,19 @@ impl Cluster {
         for (&(consumer_node, t_idx, kind, flow), &rate) in flows.iter().zip(&flow_rates) {
             match kind {
                 FlowKind::MapRemoteRead => {
-                    task_io[consumer_node][t_idx] += rate;
-                    acts[consumer_node].net_rx_kb += rate;
-                    acts[flow.src].net_tx_kb += rate;
-                    acts[flow.src].disk_read_kb += rate; // replica holder reads
-                    dn_proc[flow.src].read_kb += rate;
-                    dn_proc[consumer_node].cpu_system += rate / 400_000.0;
+                    works[consumer_node].task_io[t_idx] += rate;
+                    works[consumer_node].act.net_rx_kb += rate;
+                    works[flow.src].act.net_tx_kb += rate;
+                    works[flow.src].act.disk_read_kb += rate; // replica holder reads
+                    works[flow.src].dn.read_kb += rate;
+                    works[consumer_node].dn.cpu_system += rate / 400_000.0;
                 }
                 FlowKind::ShufflePull => {
-                    task_io[consumer_node][t_idx] += rate;
-                    acts[consumer_node].net_rx_kb += rate;
-                    acts[flow.src].net_tx_kb += rate;
-                    acts[flow.src].disk_read_kb += rate * 0.5; // serve from page cache half the time
-                    tt_proc[flow.src].read_kb += rate * 0.5;
+                    works[consumer_node].task_io[t_idx] += rate;
+                    works[consumer_node].act.net_rx_kb += rate;
+                    works[flow.src].act.net_tx_kb += rate;
+                    works[flow.src].act.disk_read_kb += rate * 0.5; // serve from page cache half the time
+                    works[flow.src].tt.read_kb += rate * 0.5;
                     let job_idx = self
                         .job_index(
                             self.slaves[consumer_node].running[t_idx]
@@ -892,18 +913,18 @@ impl Cluster {
                         .entry((writer_node, writer_task))
                         .or_insert(f64::INFINITY);
                     *e = e.min(rate);
-                    acts[flow.src].net_tx_kb += rate;
-                    acts[flow.dst].net_rx_kb += rate;
-                    acts[flow.dst].disk_write_kb += rate;
-                    dn_proc[flow.dst].write_kb += rate;
+                    works[flow.src].act.net_tx_kb += rate;
+                    works[flow.dst].act.net_rx_kb += rate;
+                    works[flow.dst].act.disk_write_kb += rate;
+                    works[flow.dst].dn.write_kb += rate;
                 }
             }
         }
 
         // Pipeline progress = min(local disk grant, slowest hop).
         for ((node, t_idx), hop_rate) in pipeline_min {
-            let local = task_io[node][t_idx];
-            task_io[node][t_idx] = local.min(hop_rate);
+            let io = &mut works[node].task_io[t_idx];
+            *io = io.min(hop_rate);
         }
 
         // Fetch-stall detection: a source that starves a job's shuffle for
@@ -1044,7 +1065,7 @@ impl Cluster {
                     self.slaves[node].running[t_idx].write_starved_secs = 0;
                     continue;
                 }
-                let granted = task_io[node][t_idx];
+                let granted = works[node].task_io[t_idx];
                 let starved = wanted > 64.0 && granted < (0.02 * wanted).max(256.0).min(wanted);
                 let rebuild = {
                     let ext = &mut self.slaves[node].running[t_idx];
@@ -1095,23 +1116,24 @@ impl Cluster {
         }
 
         // Disk hog byte accounting.
-        for (slave, &written) in self.slaves.iter_mut().zip(&bg_disk_written) {
-            if written > 0.0 {
+        for (slave, work) in self.slaves.iter_mut().zip(works.iter()) {
+            if work.bg_disk_written > 0.0 {
                 if let Some(fault) = &mut slave.fault {
-                    fault.consume_disk(written);
+                    fault.consume_disk(work.bg_disk_written);
                 }
             }
         }
 
         // --- Advance tasks ---------------------------------------------------
         let mut kills: Vec<(TaskId, usize)> = Vec::new();
-        for node in 0..n {
-            kills.extend(self.advance_tasks(
-                node,
-                &task_cpu[node],
-                &task_io[node],
-                &mut acts[node],
-            ));
+        for (node, work) in works.iter_mut().enumerate() {
+            let NodeWork {
+                task_cpu,
+                task_io,
+                act,
+                ..
+            } = work;
+            kills.extend(self.advance_tasks(node, task_cpu, task_io, act));
         }
         // Losing speculative attempts are killed once their sibling wins.
         self.apply_kills(&kills);
@@ -1119,9 +1141,10 @@ impl Cluster {
         // --- Render metrics (node-local) -------------------------------------
         // Each node's frame depends only on its own accumulated activity;
         // the per-node `procsim` instances never share state.
-        for (node, slave) in self.slaves.iter_mut().enumerate() {
-            render_node(now, slave, acts[node], dn_proc[node], tt_proc[node]);
+        for (slave, work) in self.slaves.iter_mut().zip(works.iter()) {
+            render_node(now, slave, work.act, work.dn, work.tt);
         }
+        self.scratch = scratch;
 
         // --- Job completion bookkeeping ---------------------------------------
         for job_idx in 0..self.jobs.len() {
@@ -1206,13 +1229,13 @@ impl Cluster {
             let cpu = cpu_grants.get(t_idx).copied().unwrap_or(0.0) * progress;
             let io = io_grants.get(t_idx).copied().unwrap_or(0.0) * progress;
             let mut done = false;
-            let mut failed: Option<&'static str> = None;
-            let mut blame: Vec<usize> = vec![node];
-            if let Some((reason, blamed)) = self.slaves[node].running[t_idx].pending_failure.take()
-            {
-                failed = Some(reason);
-                blame = blamed; // may be empty: a no-fault kill-and-retry
-            }
+            let pending = self.slaves[node].running[t_idx].pending_failure.take();
+            let mut failed = pending.as_ref().map(|(reason, _)| *reason);
+            // The failing tracker itself, unless the failure named whom to
+            // blame (maybe nobody: a no-fault kill-and-retry).
+            let blame = pending
+                .as_ref()
+                .map_or(std::slice::from_ref(&node), |(_, blamed)| blamed);
 
             match &mut phase {
                 TaskPhase::MapRead { remaining_kb, .. } => {
@@ -1387,7 +1410,7 @@ impl Cluster {
                 // failing tracker itself, or the shuffle sources that
                 // starved a fetch-failed reduce — stop receiving (and, for
                 // sources, serving) this job's work.
-                for &b in &blame {
+                for &b in blame {
                     self.jobs[job_idx].failures_by_node[b] += 1;
                     if self.jobs[job_idx].failures_by_node[b] >= self.cfg.tracker_failures_to_ban
                         && !self.jobs[job_idx].banned_sources[b]
@@ -1672,8 +1695,8 @@ fn node_demands(
     out.net_cap = slave.sim.spec().net_kbps * loss_goodput_factor(loss);
 
     // --- Local max-min arbitration, aggregated per task: CPU, then disk ---
-    out.task_cpu = vec![0.0; slave.running.len()];
-    out.task_io = vec![0.0; slave.running.len()];
+    out.task_cpu.resize(slave.running.len(), 0.0);
+    out.task_io.resize(slave.running.len(), 0.0);
     demands.clear();
     demands.extend(cpu_dem.iter().map(|&(_, d)| d));
     fair_share_into(cores, demands, grants);
@@ -1818,8 +1841,8 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         for node in 0..4 {
             assert_eq!(
-                a.latest_frame(node).unwrap().node,
-                b.latest_frame(node).unwrap().node
+                a.latest_frame(node).unwrap().node(),
+                b.latest_frame(node).unwrap().node()
             );
         }
         assert_eq!(a.drain_logs(0), b.drain_logs(0));
@@ -1861,7 +1884,7 @@ mod tests {
         let busy: Vec<f64> = (0..5)
             .map(|i| {
                 let f = c.latest_frame(i).unwrap();
-                f.node[node_idx::CPU_USER]
+                f.node()[node_idx::CPU_USER]
             })
             .collect();
         // The hog adds a constant 70% load; healthy nodes idle between jobs.
@@ -1890,9 +1913,9 @@ mod tests {
         let c = run_cluster(4, 9, 120, vec![fault]);
         let f = c.latest_frame(1).unwrap();
         assert!(
-            f.node[node_idx::BWRTN] > 60_000.0,
+            f.node()[node_idx::BWRTN] > 60_000.0,
             "disk hog should drive bwrtn/s high, got {}",
-            f.node[node_idx::BWRTN]
+            f.node()[node_idx::BWRTN]
         );
     }
 
@@ -2012,8 +2035,11 @@ mod tests {
         c.tick();
         for i in 0..3 {
             let f = c.latest_frame(i).unwrap();
-            assert_eq!(f.node.len(), 64);
-            assert_eq!(f.procs.len(), 2, "datanode + tasktracker");
+            assert_eq!(f.node().len(), 64);
+            let names = f.flat_names();
+            assert_eq!(names.len(), f.values().len());
+            assert_eq!(names[64 + 18], "datanode.%usr");
+            assert_eq!(names[64 + 18 + 19], "tasktracker.%usr");
         }
         assert_eq!(c.slave_name(0), "slave00");
         assert_eq!(c.now(), 1);

@@ -3,6 +3,7 @@
 
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 use hadoop_sim::faults::{FaultKind, FaultSpec};
+use procsim::MetricFrame;
 use proptest::prelude::*;
 
 fn fault_kind(i: u8) -> FaultKind {
@@ -38,8 +39,8 @@ proptest! {
         prop_assert_eq!(a.stats(), b.stats());
         for node in 0..slaves {
             prop_assert_eq!(
-                a.latest_frame(node).map(|f| f.flatten()),
-                b.latest_frame(node).map(|f| f.flatten())
+                a.latest_frame(node).map(MetricFrame::values),
+                b.latest_frame(node).map(MetricFrame::values)
             );
             prop_assert_eq!(a.drain_logs(node), b.drain_logs(node));
             prop_assert_eq!(a.latest_tt_syscalls(node), b.latest_tt_syscalls(node));
@@ -68,7 +69,7 @@ proptest! {
             cluster.advance(60);
             for node in 0..slaves {
                 let frame = cluster.latest_frame(node).unwrap();
-                for &x in &frame.flatten() {
+                for &x in frame.values() {
                     prop_assert!(x.is_finite() && x >= 0.0, "insane metric {x}");
                 }
             }

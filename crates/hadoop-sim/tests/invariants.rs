@@ -10,20 +10,20 @@ fn check_frames_sane(cluster: &Cluster, n: usize, label: &str) {
         let Some(frame) = cluster.latest_frame(node) else {
             continue;
         };
-        let flat = frame.flatten();
+        let flat = frame.values();
         for (i, &x) in flat.iter().enumerate() {
             assert!(
                 x.is_finite() && x >= 0.0,
                 "{label}: node {node} metric {i} is insane: {x}"
             );
         }
-        let cpu_sum: f64 = frame.node[0..6].iter().sum();
+        let cpu_sum: f64 = frame.node()[0..6].iter().sum();
         assert!(
             (50.0..=160.0).contains(&cpu_sum),
             "{label}: node {node} cpu percentages sum to {cpu_sum}"
         );
         assert!(
-            frame.node[node_idx::PCT_MEMUSED] <= 100.0,
+            frame.node()[node_idx::PCT_MEMUSED] <= 100.0,
             "{label}: memory over 100%"
         );
     }
@@ -115,7 +115,10 @@ fn decommissioned_cluster_still_renders_metrics() {
     cluster.advance(120);
     // Monitoring continues on the decommissioned node.
     let frame = cluster.latest_frame(0).unwrap();
-    assert!(frame.node[node_idx::CPU_IDLE] > 50.0, "node 0 should idle");
+    assert!(
+        frame.node()[node_idx::CPU_IDLE] > 50.0,
+        "node 0 should idle"
+    );
     assert!(cluster.latest_tt_syscalls(0).is_some());
     cluster.recommission(0);
     assert!(!cluster.is_decommissioned(0));

@@ -154,8 +154,8 @@ fn disk_hog_eventually_finishes_its_20_gb() {
     use procsim::metrics::node_idx;
     let f = cluster.latest_frame(0).unwrap();
     assert!(
-        f.node[node_idx::BWRTN] < 60_000.0,
+        f.node()[node_idx::BWRTN] < 60_000.0,
         "write traffic should subside after the hog finishes: {}",
-        f.node[node_idx::BWRTN]
+        f.node()[node_idx::BWRTN]
     );
 }

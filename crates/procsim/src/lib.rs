@@ -20,8 +20,8 @@
 //!
 //! let mut node = NodeSim::new(NodeSpec::ec2_large("slave-1"), 1);
 //! let frame = node.tick(&Activity::idle().with_cpu_user(1.5), &[]);
-//! assert_eq!(frame.node.len(), 64);
-//! assert_eq!(frame.ifaces[0].1.len(), 18);
+//! assert_eq!(frame.node().len(), 64);
+//! assert_eq!(frame.iface(0).len(), 18);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -50,66 +50,72 @@ impl NodeSpec {
     }
 }
 
-/// One second's worth of rendered metrics for a node.
+/// One second's worth of rendered metrics for a node, in one buffer.
+///
+/// The values are the flat vector the black-box `sadc` collector ships to
+/// analysis: the 64 node-level metrics, then 18 per network interface, then
+/// 19 per tracked process, each block ordered as its inventory in
+/// [`crate::metrics`]. [`MetricFrame::node`], [`MetricFrame::iface`] and
+/// [`MetricFrame::process`] are views into it, and
+/// [`MetricFrame::flat_names`] labels it.
 ///
 /// The default frame is empty; [`NodeSim::tick_into`] shapes it on first
-/// use and writes every later second into the same four buffers.
+/// use and writes every later second over the same buffer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricFrame {
-    /// The 64 node-level metrics, ordered as [`crate::metrics::NODE_METRICS`].
-    pub node: Vec<f64>,
-    /// Per-interface metric vectors (18 each), ordered as
-    /// [`crate::metrics::IFACE_METRICS`].
-    pub ifaces: Vec<(String, Vec<f64>)>,
-    /// Per-process metric vectors (19 each), ordered as
-    /// [`crate::metrics::PROCESS_METRICS`].
-    pub procs: Vec<(String, Vec<f64>)>,
+    values: Vec<f64>,
+    /// Interface names, in block order.
+    ifaces: Vec<String>,
+    /// Tracked process names, in block order.
+    procs: Vec<String>,
 }
 
 impl MetricFrame {
-    /// Concatenates node, interface, and process metrics into one flat
-    /// vector — the form the black-box `sadc` collector ships to analysis.
-    pub fn flatten(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.flatten_into(&mut out);
-        out
+    /// Every metric, node, interface and process blocks in order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
-    /// [`MetricFrame::flatten`] into `out`, replacing its contents and
-    /// reusing its allocation — what a collector polling every second into
-    /// one buffer calls.
-    pub fn flatten_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.flat_len());
-        out.extend_from_slice(&self.node);
-        for (_, vals) in &self.ifaces {
-            out.extend_from_slice(vals);
-        }
-        for (_, vals) in &self.procs {
-            out.extend_from_slice(vals);
-        }
+    /// The 64 node-level metrics, ordered as [`crate::metrics::NODE_METRICS`].
+    pub fn node(&self) -> &[f64] {
+        &self.values[..NODE_METRIC_COUNT]
     }
 
-    /// Length of [`MetricFrame::flatten`]'s output.
-    pub fn flat_len(&self) -> usize {
-        NODE_METRIC_COUNT
-            + self.ifaces.len() * IFACE_METRIC_COUNT
-            + self.procs.len() * PROCESS_METRIC_COUNT
+    /// Interface `i`'s 18 metrics, ordered as [`crate::metrics::IFACE_METRICS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame has no interface `i`.
+    pub fn iface(&self, i: usize) -> &[f64] {
+        assert!(i < self.ifaces.len(), "no interface {i}");
+        &self.values[NODE_METRIC_COUNT + i * IFACE_METRIC_COUNT..][..IFACE_METRIC_COUNT]
     }
 
-    /// Names matching [`MetricFrame::flatten`], qualified by interface and
+    /// Process `i`'s 19 metrics, ordered as
+    /// [`crate::metrics::PROCESS_METRICS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame tracks no process `i`.
+    pub fn process(&self, i: usize) -> &[f64] {
+        assert!(i < self.procs.len(), "no process {i}");
+        let start = NODE_METRIC_COUNT + self.ifaces.len() * IFACE_METRIC_COUNT;
+        &self.values[start + i * PROCESS_METRIC_COUNT..][..PROCESS_METRIC_COUNT]
+    }
+
+    /// Names matching [`MetricFrame::values`], qualified by interface and
     /// process (e.g. `eth0.rxkB/s`, `tasktracker.%CPU`).
     pub fn flat_names(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.flat_len());
+        let mut out = Vec::with_capacity(self.values.len());
         out.extend(crate::metrics::NODE_METRICS.iter().map(|s| (*s).to_owned()));
-        for (iface, _) in &self.ifaces {
+        for iface in &self.ifaces {
             out.extend(
                 crate::metrics::IFACE_METRICS
                     .iter()
                     .map(|s| format!("{iface}.{s}")),
             );
         }
-        for (proc_name, _) in &self.procs {
+        for proc_name in &self.procs {
             out.extend(
                 crate::metrics::PROCESS_METRICS
                     .iter()
@@ -132,7 +138,7 @@ impl MetricFrame {
 /// let mut node = NodeSim::new(NodeSpec::ec2_large("node1"), 42);
 /// let busy = Activity::idle().with_cpu_user(3.0); // 3 of 4 cores busy
 /// let frame = node.tick(&busy, &[]);
-/// assert!(frame.node[node_idx::CPU_USER] > 50.0);
+/// assert!(frame.node()[node_idx::CPU_USER] > 50.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct NodeSim {
@@ -206,20 +212,20 @@ impl NodeSim {
         frame: &mut MetricFrame,
     ) {
         self.tick_count += 1;
-        frame.node.resize(NODE_METRIC_COUNT, 0.0);
-        self.render_node(activity, &mut frame.node);
-        frame.ifaces.truncate(1);
-        self.render_iface(
-            activity,
-            named_slot(&mut frame.ifaces, 0, "eth0", IFACE_METRIC_COUNT),
-        );
-        frame.procs.truncate(procs.len());
-        for (i, (name, pa)) in procs.iter().enumerate() {
-            self.render_process(
-                pa,
-                named_slot(&mut frame.procs, i, name, PROCESS_METRIC_COUNT),
-            );
+        let len = NODE_METRIC_COUNT + IFACE_METRIC_COUNT + procs.len() * PROCESS_METRIC_COUNT;
+        frame.values.resize(len, 0.0);
+        let (node, rest) = frame.values.split_at_mut(NODE_METRIC_COUNT);
+        let (iface, proc_blocks) = rest.split_at_mut(IFACE_METRIC_COUNT);
+        self.render_node(activity, node);
+        self.render_iface(activity, iface);
+        for ((_, pa), m) in procs
+            .iter()
+            .zip(proc_blocks.chunks_exact_mut(PROCESS_METRIC_COUNT))
+        {
+            self.render_process(pa, m);
         }
+        relabel(&mut frame.ifaces, ["eth0"]);
+        relabel(&mut frame.procs, procs.iter().map(|(name, _)| *name));
     }
 
     /// Synthesizes one second of per-category syscall counts for a
@@ -461,25 +467,21 @@ impl NodeSim {
     }
 }
 
-/// The `len`-value buffer of entry `i` of a frame's interface or process
-/// list, relabelled `name`: entry `i` is appended when the list ends there
-/// and reused — name and buffer — when it already exists.
-fn named_slot<'f>(
-    slots: &'f mut Vec<(String, Vec<f64>)>,
-    i: usize,
-    name: &str,
-    len: usize,
-) -> &'f mut [f64] {
-    if i == slots.len() {
-        slots.push((name.to_owned(), Vec::new()));
+/// Makes `labels` read `names`, reusing every label it already holds.
+fn relabel<'a>(labels: &mut Vec<String>, names: impl IntoIterator<Item = &'a str>) {
+    let mut n = 0;
+    for name in names {
+        match labels.get_mut(n) {
+            Some(label) if label == name => {}
+            Some(label) => {
+                label.clear();
+                label.push_str(name);
+            }
+            None => labels.push(name.to_owned()),
+        }
+        n += 1;
     }
-    let (label, vals) = &mut slots[i];
-    if label != name {
-        label.clear();
-        label.push_str(name);
-    }
-    vals.resize(len, 0.0);
-    vals
+    labels.truncate(n);
 }
 
 #[cfg(test)]
@@ -512,13 +514,11 @@ mod tests {
         }
     }
 
-    /// Every buffer of a frame under its label, every value as its bits.
-    fn frame_bits(f: &MetricFrame) -> Vec<(&str, Vec<u64>)> {
-        let node = std::iter::once(("node", &f.node));
-        let named = f.ifaces.iter().chain(&f.procs);
-        node.chain(named.map(|(label, v)| (label.as_str(), v)))
-            .map(|(label, v)| (label, v.iter().map(|x| x.to_bits()).collect()))
-            .collect()
+    /// A frame's labels, and every value as its bits.
+    fn frame_bits(f: &MetricFrame) -> (Vec<&str>, Vec<u64>) {
+        let labels = f.ifaces.iter().chain(&f.procs);
+        let bits = f.values().iter().map(|x| x.to_bits()).collect();
+        (labels.map(String::as_str).collect(), bits)
     }
 
     #[test]
@@ -557,15 +557,13 @@ mod tests {
             for (got, want) in syscalls.iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits(), "syscalls, t={t}");
             }
-            // The four metric buffers and the syscall buffer stay where
-            // the first call put them.
-            let now = [
-                frame.node.as_ptr(),
-                frame.ifaces[0].1.as_ptr(),
-                frame.procs[0].1.as_ptr(),
-                frame.procs[1].1.as_ptr(),
+            // The metric buffer, its labels and the syscall buffer stay
+            // where the first call put them.
+            let now = (
+                frame.values().as_ptr(),
+                frame.procs[1].as_ptr(),
                 syscalls.as_ptr(),
-            ];
+            );
             assert_eq!(*addrs.get_or_insert(now), now, "t={t}");
         }
     }
@@ -581,6 +579,7 @@ mod tests {
         b.tick(&act, &[("datanode", pa), ("tasktracker", pa)]);
         a.tick_into(&act, &[("jobtracker", pa)], &mut frame);
         assert_eq!(frame, b.tick(&act, &[("jobtracker", pa)]));
+        assert_eq!(frame.values().len(), 64 + 18 + 19);
     }
 
     #[test]
@@ -597,7 +596,7 @@ mod tests {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         for _ in 0..50 {
             let f = node.tick(&busy_activity(), &[]);
-            let sum: f64 = f.node[0..6].iter().sum();
+            let sum: f64 = f.node()[0..6].iter().sum();
             assert!((85.0..=115.0).contains(&sum), "cpu sum {sum}");
         }
     }
@@ -606,18 +605,18 @@ mod tests {
     fn idle_node_is_mostly_idle() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         let f = node.tick(&Activity::idle(), &[]);
-        assert!(f.node[node_idx::CPU_IDLE] > 95.0);
-        assert!(f.node[node_idx::CPU_USER] < 3.0);
-        assert_eq!(f.ifaces[0].1[iface_idx::IFUP], 1.0);
+        assert!(f.node()[node_idx::CPU_IDLE] > 95.0);
+        assert!(f.node()[node_idx::CPU_USER] < 3.0);
+        assert_eq!(f.iface(0)[iface_idx::IFUP], 1.0);
     }
 
     #[test]
     fn disk_metrics_track_activity() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3).with_noise(0.0);
         let f = node.tick(&busy_activity(), &[]);
-        assert_eq!(f.node[node_idx::BREAD], 8_000.0);
-        assert_eq!(f.node[node_idx::BWRTN], 4_000.0);
-        assert_eq!(f.node[node_idx::PGPGIN], 4_000.0);
+        assert_eq!(f.node()[node_idx::BREAD], 8_000.0);
+        assert_eq!(f.node()[node_idx::BWRTN], 4_000.0);
+        assert_eq!(f.node()[node_idx::PGPGIN], 4_000.0);
     }
 
     #[test]
@@ -629,22 +628,22 @@ mod tests {
         lossy_act.packet_loss = 0.5;
         let hf = healthy.tick(&act, &[]);
         let lf = lossy.tick(&lossy_act, &[]);
-        assert!(lf.ifaces[0].1[iface_idx::RXDROP] > 100.0 * hf.ifaces[0].1[iface_idx::RXDROP]);
+        assert!(lf.iface(0)[iface_idx::RXDROP] > 100.0 * hf.iface(0)[iface_idx::RXDROP]);
     }
 
     #[test]
     fn load_average_rises_under_sustained_load_and_lags() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         let act = busy_activity();
-        let first = node.tick(&act, &[]).node[node_idx::LDAVG_1];
+        let first = node.tick(&act, &[]).node()[node_idx::LDAVG_1];
         let mut last = first;
         for _ in 0..120 {
-            last = node.tick(&act, &[]).node[node_idx::LDAVG_1];
+            last = node.tick(&act, &[]).node()[node_idx::LDAVG_1];
         }
         assert!(last > first, "load1 should climb: {first} -> {last}");
         // 15-minute average must lag the 1-minute average.
         let f = node.tick(&act, &[]);
-        assert!(f.node[node_idx::LDAVG_15] < f.node[node_idx::LDAVG_1]);
+        assert!(f.node()[node_idx::LDAVG_15] < f.node()[node_idx::LDAVG_1]);
     }
 
     #[test]
@@ -671,7 +670,9 @@ mod tests {
             ),
         ];
         let f = node.tick(&busy_activity(), &procs);
-        let flat = f.flatten();
+        let flat = f.values();
+        let blocks = [f.node(), f.iface(0), f.process(0), f.process(1)];
+        assert_eq!(blocks.concat(), flat, "one buffer, blocks in order");
         let names = f.flat_names();
         assert_eq!(flat.len(), 64 + 18 + 2 * 19);
         assert_eq!(names.len(), flat.len());
@@ -692,19 +693,19 @@ mod tests {
         let f1 = node.tick(&Activity::idle(), &[("dn", pa)]);
         let f2 = node.tick(&Activity::idle(), &[("dn", pa)]);
         // Identical activity ⇒ identical sample: no time dependence.
-        assert_eq!(f1.procs[0].1[process_idx::CPU_SECS], 1.0);
-        assert_eq!(f2.procs[0].1[process_idx::CPU_SECS], 1.0);
+        assert_eq!(f1.process(0)[process_idx::CPU_SECS], 1.0);
+        assert_eq!(f2.process(0)[process_idx::CPU_SECS], 1.0);
     }
 
     #[test]
     fn memory_pressure_triggers_swap_activity() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3).with_noise(0.0);
         let calm = node.tick(&busy_activity(), &[]);
-        assert_eq!(calm.node[39], 0.0, "no swapping when memory fits");
+        assert_eq!(calm.node()[39], 0.0, "no swapping when memory fits");
         let hog = Activity::idle().with_mem_used_mb(9_000.0);
         let pressured = node.tick(&hog, &[]);
-        assert!(pressured.node[39] > 0.0, "pswpout under pressure");
-        assert!(pressured.node[25] > 0.0, "kbswpused under pressure");
+        assert!(pressured.node()[39] > 0.0, "pswpout under pressure");
+        assert!(pressured.node()[25] > 0.0, "kbswpused under pressure");
     }
 
     #[test]
@@ -712,7 +713,7 @@ mod tests {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         let over = Activity::idle().with_cpu_user(40.0);
         let f = node.tick(&over, &[]);
-        assert!(f.node[node_idx::CPU_USER] <= 103.1); // noise margin
-        assert!(f.node[node_idx::CPU_IDLE] >= 0.0);
+        assert!(f.node()[node_idx::CPU_USER] <= 103.1); // noise margin
+        assert!(f.node()[node_idx::CPU_IDLE] >= 0.0);
     }
 }

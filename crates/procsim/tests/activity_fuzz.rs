@@ -55,14 +55,14 @@ proptest! {
         };
         for a in &activities {
             let frame = node.tick(a, &[("p", pa)]);
-            for (i, &x) in frame.flatten().iter().enumerate() {
+            for (i, &x) in frame.values().iter().enumerate() {
                 prop_assert!(x.is_finite(), "metric {i} not finite: {x}");
                 prop_assert!(x >= 0.0, "metric {i} negative: {x}");
             }
             for c in 0..6 {
-                prop_assert!(frame.node[c] <= 110.0, "cpu pct {c} out of range");
+                prop_assert!(frame.node()[c] <= 110.0, "cpu pct {c} out of range");
             }
-            prop_assert!(frame.node[procsim::metrics::node_idx::PCT_MEMUSED] <= 100.0);
+            prop_assert!(frame.node()[procsim::metrics::node_idx::PCT_MEMUSED] <= 100.0);
             // Syscall synthesis is also total.
             let sys = node.syscall_rates(&pa);
             prop_assert!(sys.iter().all(|&x| x.is_finite() && x >= 0.0));
@@ -74,10 +74,8 @@ proptest! {
     fn flatten_and_names_always_align(seed in 0u64..100, a in arb_activity()) {
         let mut node = NodeSim::new(NodeSpec::ec2_large("fuzz"), seed);
         let frame = node.tick(&a, &[("dn", ProcessActivity::default())]);
-        prop_assert_eq!(frame.flatten().len(), frame.flat_names().len());
-        prop_assert_eq!(frame.flat_len(), frame.flatten().len());
-        let mut reused = vec![f64::NAN; 3];
-        frame.flatten_into(&mut reused);
-        prop_assert_eq!(reused, frame.flatten());
+        prop_assert_eq!(frame.values().len(), frame.flat_names().len());
+        let blocks = [frame.node(), frame.iface(0), frame.process(0)];
+        prop_assert_eq!(blocks.concat(), frame.values());
     }
 }

@@ -14,11 +14,11 @@ tier1:
     cargo test -q
     cargo clippy --workspace --all-targets -- -D warnings
 
-# The equivalence suite on its own (streams pinned as FNV-1a constants,
-# rack counts and campaign threads that must not show) and the golden
-# figure fixtures.
+# The equivalence suite on its own (streams and simulated node-seconds
+# pinned as FNV-1a constants, rack counts and campaign threads that must
+# not show) and the golden figure fixtures.
 equivalence:
-    cargo test -p integration-tests --test stream_equivalence --test golden_figures
+    cargo test -p integration-tests --test stream_equivalence --test collection_streams --test golden_figures
 
 # The kernel property suites: the 4-lane distance kernels pinned bitwise
 # to an independent reference, plus the classification-path equivalences.

@@ -31,8 +31,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "[verify] unsafe audit: no site" >&2
 ./scripts/unsafe_audit.sh
 
-echo "[verify] equivalence suite (pinned streams, racks, campaign threads) + golden figures" >&2
-cargo test -p integration-tests --test stream_equivalence --test golden_figures
+echo "[verify] equivalence suite (pinned streams and node-seconds, racks, campaign threads) + golden figures" >&2
+cargo test -p integration-tests --test stream_equivalence --test collection_streams --test golden_figures
 
 echo "[verify] fault matrix: activation properties + golden scenarios + 500-node fleet path" >&2
 cargo test -q -p integration-tests --test fault_props
