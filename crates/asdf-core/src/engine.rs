@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use asdf_obs::{Counter, Gauge, SpanHandle};
+use asdf_obs::{Counter, SpanHandle};
 use parking_lot::Mutex;
 
 use crate::dag::{Dag, DagNode};
@@ -106,15 +106,9 @@ struct RuntimeNode {
     pending: usize,
     next_periodic: Option<Timestamp>,
     taps: Vec<TapHandle>,
-    /// Slot names, precomputed once so `RunCtx` borrows them instead of
-    /// cloning a `Vec<String>` on every run.
-    slot_names: Vec<String>,
     /// Times every `Module::run` into `engine.run_ns.<id>` (and the trace
     /// recorder while capture is on).
     span: SpanHandle,
-    /// Pre-run pending input depth, `engine.lane_depth.<id>` (current +
-    /// high-water): the backlog upstream runs queued since the last run.
-    depth_gauge: Arc<Gauge>,
     /// `engine.env_clones.<id>`: `Envelope` clones made while routing this
     /// node's emissions (all shallow `Arc` snapshots). Zero on an untapped
     /// single-consumer chain — the moved-envelope fast path.
@@ -196,13 +190,11 @@ impl TickEngine {
                     queues: vec![VecDeque::new(); node.slots.len()],
                     pending: 0,
                     taps: Vec::new(),
-                    slot_names: node.slots.iter().map(|s| s.name.clone()).collect(),
                     span: SpanHandle::new(
                         "engine",
                         node.id.as_str(),
                         reg.histogram(&format!("engine.run_ns.{}", node.id)),
                     ),
-                    depth_gauge: reg.gauge(&format!("engine.lane_depth.{}", node.id)),
                     clone_count: reg.counter(&format!("engine.env_clones.{}", node.id)),
                     routed: 0,
                     node,
@@ -366,15 +358,8 @@ fn run_module(
     emitted: &mut Vec<(PortId, Sample)>,
 ) -> Result<(), RunEngineError> {
     debug_assert!(emitted.is_empty());
-    // Input depth peaks right before a run consumes the backlog, so one
-    // set here captures the high-water mark without a gauge write on
-    // every single delivery.
-    if obs {
-        rt.depth_gauge.set(rt.pending as i64);
-    }
     let mut ctx = RunCtx {
         now,
-        slot_names: &rt.slot_names,
         queues: &mut rt.queues,
         emitted,
         n_outputs: rt.node.outputs.len(),
@@ -850,9 +835,6 @@ mod tests {
         // The periodic source ran every tick; each run was timed.
         assert!(reg.histogram("engine.run_ns.obs_probe_src").count() >= 6);
         assert!(reg.histogram("engine.tick_ns").count() >= 6);
-        // The accumulator's merged backlog reached depth 3 when its
-        // trigger fired, and that high-water mark was captured.
-        assert!(reg.gauge("engine.lane_depth.obs_probe_acc").high_water() >= 2);
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub trait Module: Send {
     /// Called by the engine scheduler.
     ///
     /// Modules with inputs should drain them via [`RunCtx::drain_all`] /
-    /// [`RunCtx::take_slot`] / [`RunCtx::take_all`] and perform their
+    /// [`RunCtx::drain_and_emit`] / [`RunCtx::take_all`] and perform their
     /// processing; modules with outputs should emit via [`RunCtx::emit`].
     ///
     /// # Errors
@@ -261,14 +261,6 @@ impl<'a> InitCtx<'a> {
         self.resolved_inputs
     }
 
-    /// The upstream ports connected to a named slot, if the slot exists.
-    pub fn input_slot(&self, name: &str) -> Option<&[Arc<OutputMeta>]> {
-        self.resolved_inputs
-            .iter()
-            .find(|(slot, _)| slot == name)
-            .map(|(_, conns)| conns.as_slice())
-    }
-
     /// Requires that exactly `n` input slots are wired.
     ///
     /// # Errors
@@ -324,7 +316,6 @@ impl<'a> InitCtx<'a> {
 /// drain its input queues, and emit output samples.
 pub struct RunCtx<'a> {
     pub(crate) now: Timestamp,
-    pub(crate) slot_names: &'a [String],
     pub(crate) queues: &'a mut [VecDeque<Envelope>],
     pub(crate) emitted: &'a mut Vec<(PortId, Sample)>,
     pub(crate) n_outputs: usize,
@@ -344,32 +335,6 @@ impl<'a> RunCtx<'a> {
     /// The current engine time.
     pub fn now(&self) -> Timestamp {
         self.now
-    }
-
-    /// The wired input slot names, in configuration order.
-    pub fn slot_names(&self) -> &[String] {
-        self.slot_names
-    }
-
-    /// Drains and returns all pending envelopes on the named slot.
-    ///
-    /// Returns an empty vector for unknown slot names, so modules that
-    /// tolerate optional inputs need no special casing.
-    pub fn take_slot(&mut self, name: &str) -> Vec<Envelope> {
-        match self.slot_names.iter().position(|s| s == name) {
-            Some(idx) => self.queues[idx].drain(..).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains and returns all pending envelopes on the slot at `index`
-    /// (configuration order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn take_slot_at(&mut self, index: usize) -> Vec<Envelope> {
-        self.queues[index].drain(..).collect()
     }
 
     /// Drains every slot, returning `(slot_index, envelope)` pairs in slot
@@ -608,7 +573,6 @@ mod tests {
             name: "o".into(),
             origin: "up".into(),
         });
-        let slot_names = vec!["in".to_owned()];
         let mut queues = vec![VecDeque::from(vec![
             Envelope {
                 source: Arc::clone(&meta),
@@ -622,16 +586,15 @@ mod tests {
         let mut emitted = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(2),
-            slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
             n_outputs: 1,
         };
         assert_eq!(ctx.pending(), 2);
-        let got = ctx.take_slot("in");
+        let got = ctx.take_all();
         assert_eq!(got.len(), 2);
         assert_eq!(ctx.pending(), 0);
-        assert!(ctx.take_slot("nonexistent").is_empty());
+        assert!(ctx.take_all().is_empty());
         ctx.emit(PortId(0), 9.0);
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].1.timestamp, Timestamp::from_secs(2));
@@ -648,7 +611,6 @@ mod tests {
             source: Arc::clone(&meta),
             sample: Sample::new(Timestamp::from_secs(secs), v),
         };
-        let slot_names = vec!["a".to_owned(), "b".to_owned()];
         let mut queues = vec![
             VecDeque::from(vec![env(1, 1.0), env(2, 2.0)]),
             VecDeque::from(vec![env(1, 3.0)]),
@@ -657,7 +619,6 @@ mod tests {
         let mut emitted = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(2),
-            slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
             n_outputs: 1,
@@ -667,7 +628,6 @@ mod tests {
         let mut emitted2 = Vec::new();
         let mut ref_ctx = RunCtx {
             now: Timestamp::from_secs(2),
-            slot_names: &slot_names,
             queues: &mut reference,
             emitted: &mut emitted2,
             n_outputs: 1,
@@ -682,7 +642,6 @@ mod tests {
             name: "o".into(),
             origin: "up".into(),
         });
-        let slot_names = vec!["in".to_owned()];
         let mut queues = vec![VecDeque::from(vec![
             Envelope {
                 source: Arc::clone(&meta),
@@ -696,7 +655,6 @@ mod tests {
         let mut emitted = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::from_secs(5),
-            slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
             n_outputs: 1,
@@ -722,7 +680,6 @@ mod tests {
             source: meta,
             sample: Sample::new(Timestamp::from_secs(1), 1.0),
         };
-        let slot_names = vec!["a".to_owned(), "b".to_owned()];
         let mut queues = vec![
             VecDeque::from(vec![env.clone(), env.clone()]),
             VecDeque::from(vec![env]),
@@ -730,7 +687,6 @@ mod tests {
         let mut emitted = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::EPOCH,
-            slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
             n_outputs: 0,
@@ -743,12 +699,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "undeclared port")]
     fn run_ctx_emit_on_undeclared_port_panics() {
-        let slot_names: Vec<String> = Vec::new();
         let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
         let mut emitted = Vec::new();
         let mut ctx = RunCtx {
             now: Timestamp::EPOCH,
-            slot_names: &slot_names,
             queues: &mut queues,
             emitted: &mut emitted,
             n_outputs: 0,

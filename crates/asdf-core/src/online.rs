@@ -33,14 +33,15 @@ use crate::engine::{TapHandle, TickEngine};
 use crate::error::{OnlineStartError, RunEngineError};
 use crate::time::Timestamp;
 
-/// Scheduler-health telemetry of one engine's pacer.
+/// Scheduler-health telemetry of one engine's pacer, read through the
+/// [`OnlineEngine`] accessors (and, for a serve tenant, its
+/// `TenantReport`).
 ///
 /// An online deployment falls behind in exactly one place: a tick that
-/// starts after its deadline. Two causes, two metrics (global registry,
-/// mirrored into per-engine atomics for the [`OnlineEngine`] accessors):
-/// the ticks before it overran — `online.scheduler_lag_ticks`, counted in
-/// `online.tick_overruns_total` — or the host woke the pacer late —
-/// `online.ticker_drift_ticks`, counted in `online.ticker_catchup_total`.
+/// starts after its deadline. Two causes, two counts: the ticks before it
+/// overran ([`OnlineEngine::scheduler_lag_ticks`], counted in
+/// [`OnlineEngine::tick_overruns`]), or the host woke the pacer late
+/// (drift, counted only to pace the warning it logs).
 struct SchedulerStats {
     /// `[online]` for an unlabeled engine, `[online:tenant]` otherwise —
     /// prefixes every warning so multi-tenant logs stay attributable.
@@ -50,22 +51,13 @@ struct SchedulerStats {
     overruns: AtomicU64,
     delivered: AtomicU64,
     catchups: AtomicU64,
-    lag_gauge: Arc<asdf_obs::Gauge>,
-    watermark_gauge: Arc<asdf_obs::Gauge>,
-    overrun_counter: Arc<asdf_obs::Counter>,
-    delivered_counter: Arc<asdf_obs::Counter>,
-    drift_gauge: Arc<asdf_obs::Gauge>,
-    catchup_counter: Arc<asdf_obs::Counter>,
 }
 
 impl SchedulerStats {
-    /// Registers this engine's metric family: unsuffixed for an empty
-    /// `label`, else `.<label>` on every metric so N engines stay apart.
     fn new(label: &str) -> Self {
-        let reg = asdf_obs::registry();
-        let (suffix, tag) = match label {
-            "" => (String::new(), "online".to_owned()),
-            _ => (format!(".{label}"), format!("online:{label}")),
+        let tag = match label {
+            "" => "online".to_owned(),
+            _ => format!("online:{label}"),
         };
         SchedulerStats {
             tag,
@@ -74,12 +66,6 @@ impl SchedulerStats {
             overruns: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             catchups: AtomicU64::new(0),
-            lag_gauge: reg.gauge(&format!("online.scheduler_lag_ticks{suffix}")),
-            watermark_gauge: reg.gauge(&format!("online.scheduler_lag_ticks_watermark{suffix}")),
-            overrun_counter: reg.counter(&format!("online.tick_overruns_total{suffix}")),
-            delivered_counter: reg.counter(&format!("online.delivered_total{suffix}")),
-            drift_gauge: reg.gauge(&format!("online.ticker_drift_ticks{suffix}")),
-            catchup_counter: reg.counter(&format!("online.ticker_catchup_total{suffix}")),
         }
     }
 
@@ -88,12 +74,9 @@ impl SchedulerStats {
     /// (log volume is bounded: only power-of-two occurrence counts log).
     fn observe_lag(&self, at: Timestamp, lag_ticks: i64) {
         self.last_lag_ticks.store(lag_ticks, Ordering::Relaxed);
-        self.lag_gauge.set(lag_ticks);
-        let seen = self.lag_watermark.fetch_max(lag_ticks, Ordering::Relaxed);
-        self.watermark_gauge.set(seen.max(lag_ticks));
+        self.lag_watermark.fetch_max(lag_ticks, Ordering::Relaxed);
         if lag_ticks >= 1 {
             let n = self.overruns.fetch_add(1, Ordering::Relaxed) + 1;
-            self.overrun_counter.inc();
             if n.is_power_of_two() {
                 eprintln!(
                     "warning: [{}] tick {} started {lag_ticks} tick(s) late ({n} overrun(s) \
@@ -109,10 +92,8 @@ impl SchedulerStats {
     /// 1 or more it slept through whole ticks — an overloaded host, or a
     /// tick shorter than the OS can schedule — and now runs them back to back.
     fn observe_drift(&self, drift_ticks: i64) {
-        self.drift_gauge.set(drift_ticks);
         if drift_ticks >= 1 {
             let n = self.catchups.fetch_add(1, Ordering::Relaxed) + 1;
-            self.catchup_counter.inc();
             if n.is_power_of_two() {
                 eprintln!(
                     "warning: [{}] pacer woke {drift_ticks} tick(s) behind wall time \
@@ -146,13 +127,11 @@ struct Shared {
 /// at absolute deadlines, until told to stop or a module fails.
 fn pace(mut engine: TickEngine, tick: Duration, shared: &Shared) -> Result<(), RunEngineError> {
     let sched = &shared.sched;
-    let mut routed = 0;
-    let mut run_tick = |engine: &mut TickEngine| {
+    let run_tick = |engine: &mut TickEngine| {
         engine.tick()?;
-        let total = engine.envelopes_routed();
-        sched.delivered.store(total, Ordering::Relaxed);
-        sched.delivered_counter.add(total - routed);
-        routed = total;
+        sched
+            .delivered
+            .store(engine.envelopes_routed(), Ordering::Relaxed);
         shared.now.store(engine.now().as_secs(), Ordering::Release);
         Ok(())
     };
@@ -208,9 +187,9 @@ impl Builder {
         self
     }
 
-    /// Labels this engine's scheduler metrics (`online.*.<label>`) and log
-    /// warnings. The empty default keeps the unsuffixed metric names; a
-    /// serve daemon labels each tenant's engine with the tenant id.
+    /// Labels this engine's pacer thread (`asdf-pacer-<label>`) and log
+    /// warnings (`[online:<label>]`); a serve daemon labels each tenant's
+    /// engine with the tenant id.
     #[must_use]
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
@@ -348,21 +327,14 @@ impl OnlineEngine {
     }
 
     /// The worst scheduler lag over this engine's lifetime, in ticks — the
-    /// soak gate's number (`online.scheduler_lag_ticks_watermark[.<label>]`).
+    /// soak gate's number.
     pub fn scheduler_lag_watermark(&self) -> i64 {
         self.shared.sched.lag_watermark.load(Ordering::Relaxed)
     }
 
-    /// How many pacer wake-ups found that whole ticks had been slept
-    /// through (wall-time drift the pacer then caught up on).
-    pub fn ticker_catchups(&self) -> u64 {
-        self.shared.sched.catchups.load(Ordering::Relaxed)
-    }
-
     /// Envelopes routed between module instances so far
     /// ([`TickEngine::envelopes_routed`], published after every tick): the
-    /// online throughput figure, and a pure function of the ticks run. (The
-    /// global `online.delivered_total` counter sums it across engines.)
+    /// online throughput figure, and a pure function of the ticks run.
     pub fn envelopes_delivered(&self) -> u64 {
         self.shared.sched.delivered.load(Ordering::Relaxed)
     }

@@ -103,11 +103,6 @@ impl TickDuration {
     pub const fn as_secs(self) -> u64 {
         self.0
     }
-
-    /// Returns true for the zero-length span.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for TickDuration {
@@ -161,8 +156,7 @@ mod tests {
 
     #[test]
     fn duration_sum_and_zero() {
-        assert!(TickDuration::default().is_zero());
-        assert!(!TickDuration::SECOND.is_zero());
+        assert_eq!(TickDuration::default(), TickDuration::from_secs(0));
         assert_eq!(
             TickDuration::from_secs(2) + TickDuration::from_secs(3),
             TickDuration::from_secs(5)

@@ -141,11 +141,6 @@ impl Histogram {
         (63 - v.max(1).leading_zeros()) as usize
     }
 
-    /// Lower bound of bucket `i` (inclusive).
-    pub fn bucket_lower(i: usize) -> u64 {
-        1u64 << i
-    }
-
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -233,20 +228,6 @@ impl HistogramSnapshot {
         }
         u64::MAX
     }
-
-    /// Upper bound of the highest non-empty bucket (0 when empty).
-    pub fn max_bound(&self) -> u64 {
-        for i in (0..N_BUCKETS).rev() {
-            if self.buckets[i] > 0 {
-                return if i == 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        0
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +277,6 @@ mod tests {
         let _guard = crate::tests::flag_lock();
         let h = Histogram::new();
         assert_eq!(h.snapshot().quantile(0.5), 0);
-        assert_eq!(h.snapshot().max_bound(), 0);
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -304,7 +284,6 @@ mod tests {
         assert!((s.mean() - 50.5).abs() < 1e-9);
         // Median of 1..=100 is ~50; bucket upper bound 63 covers [32, 64).
         assert_eq!(s.quantile(0.5), 63);
-        assert_eq!(s.max_bound(), 127);
         // q is clamped.
         assert_eq!(s.quantile(2.0), 127);
     }

@@ -299,7 +299,7 @@ mod tests {
         let reg = Registry::default();
         reg.counter("engine.ticks_total").add(41);
         reg.counter("rpc.bytes_total").add(1 << 30);
-        reg.gauge("engine.lane_depth.a").set(7);
+        reg.gauge("engine.pending.a").set(7);
         reg.gauge("pool.workers").set(-3);
         let h = reg.histogram("engine.tick_ns");
         h.record(0);

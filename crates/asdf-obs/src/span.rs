@@ -67,13 +67,10 @@ pub(crate) fn tick_site(ticker: &AtomicU64) -> bool {
     t & SAMPLE_MASK.load(Ordering::Relaxed) == 0
 }
 
-/// A standalone per-site sampling ticker for hot non-span recordings
-/// (e.g. per-message histogram records in the RPC transport), honoring
-/// the same global period as span timing ([`crate::span_sample_period`]).
-///
-/// Exact totals belong in [`crate::Counter`]s; a `Sampler` gates only the
-/// *distribution* recording that would otherwise cost several locked
-/// read-modify-writes per event.
+/// A standalone sampling ticker for a decision that spans several span
+/// sites (the tick engine decides once per tick whether that tick's module
+/// runs are timed), honoring the same global period as span timing
+/// ([`crate::span_sample_period`]).
 #[derive(Debug, Default)]
 pub struct Sampler(AtomicU64);
 

@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use asdf_obs::SpanHandle;
+use asdf_obs::{Histogram, SpanHandle};
 use parking_lot::Mutex;
 
 use hadoop_logs::parser::LogParser;
@@ -31,16 +31,40 @@ use hadoop_sim::cluster::Cluster;
 use crate::transport::{BandwidthStats, Connection};
 use crate::wire::{FrameReader, MessageBuilder, WireError};
 
-/// Builds the latency span for one daemon kind's `poll` calls: every poll
-/// (cluster access + encode + wire accounting + decode) is timed into the
-/// shared `rpc.poll_ns.<kind>` histogram.
-fn poll_span(kind: &'static str) -> SpanHandle {
-    SpanHandle::new(
-        "rpc",
-        format!("{kind}.poll"),
-        asdf_obs::registry().histogram(&format!("rpc.poll_ns.{kind}")),
-    )
+/// One daemon kind's poll-latency site: every poll (cluster access +
+/// encode + wire accounting + decode) is timed into the shared
+/// `rpc.poll_ns.<kind>` histogram.
+///
+/// The span name and the histogram are resolved once per kind per process,
+/// not once per connect; [`PollSite::span`] gives each connection its own
+/// sampling ticker over them, so daemons polled from different threads
+/// write no shared cache line.
+struct PollSite {
+    kind: &'static str,
+    resolved: OnceLock<(Arc<str>, Arc<Histogram>)>,
 }
+
+impl PollSite {
+    const fn new(kind: &'static str) -> Self {
+        PollSite {
+            kind,
+            resolved: OnceLock::new(),
+        }
+    }
+
+    /// A fresh span for one connection.
+    fn span(&self) -> SpanHandle {
+        let (name, hist) = self.resolved.get_or_init(|| {
+            let hist = asdf_obs::registry().histogram(&format!("rpc.poll_ns.{}", self.kind));
+            (Arc::from(format!("{}.poll", self.kind)), hist)
+        });
+        SpanHandle::new("rpc", Arc::clone(name), Arc::clone(hist))
+    }
+}
+
+static SADC_POLL: PollSite = PollSite::new("sadc");
+static HADOOP_LOG_POLL: PollSite = PollSite::new("hadoop_log");
+static STRACE_POLL: PollSite = PollSite::new("strace");
 
 /// Shared, thread-safe handle to the simulated cluster.
 ///
@@ -317,7 +341,7 @@ impl SadcRpcd {
             cluster,
             session: Session::open(node, hello, schema.wire_len)?,
             metric_names: Arc::clone(&schema.names),
-            span: poll_span("sadc"),
+            span: SADC_POLL.span(),
         })
     }
 
@@ -402,7 +426,7 @@ impl HadoopLogRpcd {
             // bursts, resetting the analysis's confirmation streak.
             parser: LogParser::with_instant_horizon(120),
             counts: Vec::new(),
-            span: poll_span("hadoop_log"),
+            span: HADOOP_LOG_POLL.span(),
         })
     }
 
@@ -439,7 +463,7 @@ impl StraceRpcd {
         Ok(StraceRpcd {
             cluster,
             session: Session::open(node, hello, 0)?,
-            span: poll_span("strace"),
+            span: STRACE_POLL.span(),
         })
     }
 }

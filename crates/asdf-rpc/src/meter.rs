@@ -72,47 +72,6 @@ pub fn process_peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Snapshot-based resident-memory meter, the memory-side companion of
-/// [`CpuMeter`] for the Table 3 overhead harness.
-///
-/// Records the RSS at [`MemMeter::start`] and reports growth since then.
-/// On systems without `/proc` every reading is `None` and the growth is
-/// reported as 0 — a portable no-op rather than an error, mirroring
-/// [`CpuMeter`]'s fallback philosophy.
-#[derive(Debug, Clone)]
-pub struct MemMeter {
-    start_rss_mb: Option<f64>,
-}
-
-impl MemMeter {
-    /// Starts measuring from the current resident set size.
-    pub fn start() -> Self {
-        MemMeter {
-            start_rss_mb: process_rss_mb(),
-        }
-    }
-
-    /// Current RSS in MB, or `None` off-Linux.
-    pub fn current_mb(&self) -> Option<f64> {
-        process_rss_mb()
-    }
-
-    /// RSS growth in MB since [`MemMeter::start`], clamped at zero
-    /// (memory returned to the OS does not count as negative overhead).
-    /// Returns 0 when RSS is unmeasurable.
-    pub fn grown_mb(&self) -> f64 {
-        match (self.start_rss_mb, process_rss_mb()) {
-            (Some(a), Some(b)) => (b - a).max(0.0),
-            _ => 0.0,
-        }
-    }
-
-    /// The kernel's peak-RSS high-water mark in MB, if measurable.
-    pub fn peak_mb(&self) -> Option<f64> {
-        process_peak_rss_mb()
-    }
-}
-
 fn clock_ticks_per_second() -> f64 {
     // _SC_CLK_TCK is 100 on every mainstream Linux configuration.
     100.0
@@ -153,22 +112,5 @@ mod tests {
                 "peak {peak} rss {rss}"
             );
         }
-    }
-
-    #[test]
-    fn mem_meter_observes_a_large_allocation() {
-        let meter = MemMeter::start();
-        // Touch every page so the allocation is actually resident.
-        let big = vec![1u8; 32 * 1024 * 1024];
-        std::hint::black_box(&big);
-        let grown = meter.grown_mb();
-        drop(big);
-        if meter.current_mb().is_some() {
-            assert!(grown >= 16.0, "expected ≥16 MB growth, saw {grown}");
-        } else {
-            assert_eq!(grown, 0.0, "portable fallback reports zero");
-        }
-        // grown_mb clamps: after the drop it cannot be negative.
-        assert!(meter.grown_mb() >= 0.0);
     }
 }

@@ -8,20 +8,14 @@
 
 use std::sync::{Arc, OnceLock};
 
-/// Process-wide RPC traffic instrumentation, shared by every connection.
+/// Process-wide RPC traffic totals, shared by every connection.
 ///
 /// [`BandwidthStats`] stays per-connection (it is what Table 4 reports);
-/// these registry-backed handles aggregate the same traffic across all
-/// connections so the observability layer can expose totals and a
-/// message-size distribution.
+/// these registry-backed counters aggregate the same traffic across all
+/// connections for the exporters' summary table.
 struct RpcObs {
     messages: Arc<asdf_obs::Counter>,
     bytes: Arc<asdf_obs::Counter>,
-    message_bytes: Arc<asdf_obs::Histogram>,
-    /// Message/byte totals stay exact; the size *distribution* is sampled
-    /// (one message in [`asdf_obs::span_sample_period`]) because exchanges
-    /// run tens of thousands of times per simulated campaign second.
-    size_sampler: asdf_obs::Sampler,
 }
 
 fn rpc_obs() -> &'static RpcObs {
@@ -31,8 +25,6 @@ fn rpc_obs() -> &'static RpcObs {
         RpcObs {
             messages: reg.counter("rpc.messages_total"),
             bytes: reg.counter("rpc.bytes_total"),
-            message_bytes: reg.histogram("rpc.message_bytes"),
-            size_sampler: asdf_obs::Sampler::new(),
         }
     })
 }
@@ -140,10 +132,6 @@ impl Connection {
         self.stats.static_bytes += wire;
         self.pending_msgs += 1;
         self.pending_bytes += wire;
-        let obs = rpc_obs();
-        if obs.size_sampler.sample() {
-            obs.message_bytes.record(msg_len as u64);
-        }
         if self.pending_msgs >= OBS_FLUSH_EVERY {
             self.flush_obs();
         }
@@ -163,11 +151,6 @@ impl Connection {
         self.stats.iterations += 1;
         self.pending_msgs += 2;
         self.pending_bytes += wire;
-        let obs = rpc_obs();
-        if obs.size_sampler.sample() {
-            obs.message_bytes.record(request_len as u64);
-            obs.message_bytes.record(response_len as u64);
-        }
         if self.pending_msgs >= OBS_FLUSH_EVERY {
             self.flush_obs();
         }
@@ -253,25 +236,19 @@ mod tests {
         let reg = asdf_obs::registry();
         let msgs0 = reg.counter("rpc.messages_total").get();
         let bytes0 = reg.counter("rpc.bytes_total").get();
-        let sized0 = reg.histogram("rpc.message_bytes").count();
 
-        // Totals are exact but batched (flushed on close); the size
-        // distribution is sampled, so force the period to 1 for an exact
-        // histogram-count delta too.
-        let was = asdf_obs::set_span_sample_period(1);
+        // Totals are exact but batched (flushed on close).
         let mut c = Connection::open();
         let hello = msg(10);
         c.send_handshake(hello);
         c.exchange(msg(0), msg(20));
         c.close();
-        asdf_obs::set_span_sample_period(was);
 
         assert!(reg.counter("rpc.messages_total").get() >= msgs0 + 3);
         assert!(
             reg.counter("rpc.bytes_total").get()
                 >= bytes0 + hello as u64 + DEFAULT_PER_MESSAGE_OVERHEAD
         );
-        assert!(reg.histogram("rpc.message_bytes").count() >= sized0 + 3);
     }
 
     #[test]

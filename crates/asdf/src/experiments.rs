@@ -798,7 +798,9 @@ mod tests {
         assert_eq!(model.n_states(), cfg.n_states);
         assert_eq!(model.stddev.len(), 120);
         // The model classifies an arbitrary frame without panicking.
-        let idx = model.classify(&vec![1.0; 120]);
+        let idx = BlackBoxModel::clone(&model)
+            .into_classifier()
+            .classify(&vec![1.0; 120]);
         assert!(idx < cfg.n_states);
     }
 

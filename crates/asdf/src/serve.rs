@@ -17,17 +17,19 @@
 //! * **Backpressure** — each tenant's ingress queue is bounded in
 //!   node-samples; a flooding tenant sheds its *oldest* frames (freshest
 //!   data wins, per the paper's online bias; a second lost to every peer at
-//!   once) with the drop counted on `rpc.shed_total.<tenant>`. Queues are
-//!   per tenant, so one tenant flooding never blocks another.
+//!   once) and counts the drop ([`TenantReport::shed`]). Queues are per
+//!   tenant, so one tenant flooding never blocks another.
 //! * **Pacing** — tenants replay at `wall_per_tick / speed`; the engine's
 //!   pacer tracks its own drift and warns when it has to catch up.
 //! * **Join/leave without restart** — tenants are added and removed while
 //!   the daemon runs; leaving consumes whatever is still queued through
 //!   [`OnlineEngine::flush_and_stop`]'s final tick before reporting.
-//! * **Isolation** — analysis state, scheduler metrics
-//!   (`online.*.<tenant>`), and queue metrics are all per tenant, so a
+//! * **Isolation** — analysis state, the scheduler's counts and the
+//!   queue's counts all belong to the tenant's own engine and queue, so a
 //!   healthy tenant's alarm stream is bitwise identical to a solo run of
-//!   the same frame sequence.
+//!   the same frame sequence. The daemon writes nothing per tenant into
+//!   the process-wide metric registry: a tenant's numbers are
+//!   [`ServeDaemon`]'s `tenant_*` accessors and its [`TenantReport`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,38 +207,27 @@ impl std::error::Error for ServeError {
 ///
 /// `push` never blocks: at capacity the *oldest* frame is dropped (the
 /// freshest observation is the valuable one for online diagnosis) and the
-/// drop is counted — locally for test isolation and on the global
-/// `rpc.shed_total.<tenant>` counter for operators. A frame the ingest
-/// module could not decode is counted the same way, on
-/// `rpc.bad_frames_total.<tenant>`.
+/// drop is counted ([`IngressQueue::shed_count`]). A frame the ingest
+/// module could not decode is counted the same way
+/// ([`IngressQueue::bad_frame_count`]).
 pub struct IngressQueue {
     inner: Mutex<VecDeque<Bytes>>,
     /// In frames.
     capacity: usize,
-    /// Node-samples in each frame, the unit of `rpc.queue_depth.<tenant>`.
-    frame_rows: usize,
     shed: AtomicU64,
-    shed_counter: Arc<asdf_obs::Counter>,
     bad: AtomicU64,
-    bad_counter: Arc<asdf_obs::Counter>,
-    depth_gauge: Arc<asdf_obs::Gauge>,
 }
 
 impl IngressQueue {
-    /// Creates a queue for `tenant` bounded at `rows` node-samples, for
-    /// frames of `frame_rows` each: as many whole frames as fit, and at
-    /// least the newest one.
-    pub fn new(tenant: &str, rows: usize, frame_rows: usize) -> Self {
-        let reg = asdf_obs::registry();
+    /// Creates a queue bounded at `rows` node-samples, for frames of
+    /// `frame_rows` each: as many whole frames as fit, and at least the
+    /// newest one.
+    pub fn new(rows: usize, frame_rows: usize) -> Self {
         IngressQueue {
             inner: Mutex::new(VecDeque::new()),
             capacity: (rows / frame_rows.max(1)).max(1),
-            frame_rows,
             shed: AtomicU64::new(0),
-            shed_counter: reg.counter(&format!("rpc.shed_total.{tenant}")),
             bad: AtomicU64::new(0),
-            bad_counter: reg.counter(&format!("rpc.bad_frames_total.{tenant}")),
-            depth_gauge: reg.gauge(&format!("rpc.queue_depth.{tenant}")),
         }
     }
 
@@ -246,17 +237,14 @@ impl IngressQueue {
         if q.len() >= self.capacity {
             q.pop_front();
             self.shed.fetch_add(1, Ordering::Relaxed);
-            self.shed_counter.inc();
         }
         q.push_back(frame);
-        self.depth_gauge.set((q.len() * self.frame_rows) as i64);
     }
 
     /// Moves every queued frame into `out`, preserving order.
     pub fn drain_into(&self, out: &mut Vec<Bytes>) {
         let mut q = self.inner.lock().expect("ingress queue lock");
         out.extend(q.drain(..));
-        self.depth_gauge.set(0);
     }
 
     /// Frames currently queued.
@@ -281,7 +269,6 @@ impl IngressQueue {
 
     fn count_bad_frame(&self) {
         self.bad.fetch_add(1, Ordering::Relaxed);
-        self.bad_counter.inc();
     }
 }
 
@@ -380,9 +367,8 @@ fn decode_frame(
 struct Tenant {
     engine: OnlineEngine,
     queue: Arc<IngressQueue>,
-    feeder: Option<JoinHandle<()>>,
+    feeder: JoinHandle<()>,
     feeder_stop: Arc<AtomicBool>,
-    feeder_done: Arc<AtomicBool>,
 }
 
 /// What a tenant leaves behind: its drained alarm streams and the
@@ -498,7 +484,7 @@ impl ServeDaemon {
             .map_err(ServeError::Collector)?;
 
         let capacity = spec.queue_capacity.unwrap_or(self.opts.queue_capacity);
-        let queue = Arc::new(IngressQueue::new(&tenant, capacity, self.opts.slaves));
+        let queue = Arc::new(IngressQueue::new(capacity, self.opts.slaves));
 
         let dag = self.tenant_dag(&queue, &origins)?;
         let mut builder = OnlineEngine::builder(dag)
@@ -512,7 +498,6 @@ impl ServeDaemon {
         let engine = builder.start().map_err(ServeError::Start)?;
 
         let feeder_stop = Arc::new(AtomicBool::new(false));
-        let feeder_done = Arc::new(AtomicBool::new(false));
         let pace = if spec.flood {
             None
         } else {
@@ -521,14 +506,10 @@ impl ServeDaemon {
         let feeder = {
             let queue = Arc::clone(&queue);
             let stop = Arc::clone(&feeder_stop);
-            let done = Arc::clone(&feeder_done);
             let steps = spec.steps;
             std::thread::Builder::new()
                 .name(format!("asdf-feed-{tenant}"))
-                .spawn(move || {
-                    feeder_loop(handle, collectors, queue, stop, steps, pace);
-                    done.store(true, Ordering::Relaxed);
-                })
+                .spawn(move || feeder_loop(handle, collectors, queue, stop, steps, pace))
                 .map_err(|source| {
                     ServeError::Start(OnlineStartError::Spawn {
                         thread: format!("feed-{tenant}"),
@@ -542,9 +523,8 @@ impl ServeDaemon {
             Tenant {
                 engine,
                 queue,
-                feeder: Some(feeder),
+                feeder,
                 feeder_stop,
-                feeder_done,
             },
         );
         Ok(tenant)
@@ -554,7 +534,7 @@ impl ServeDaemon {
     pub fn tenant_done_streaming(&self, tenant: &str) -> bool {
         self.tenants
             .get(tenant)
-            .is_some_and(|t| t.feeder_done.load(Ordering::Relaxed))
+            .is_some_and(|t| t.feeder.is_finished())
     }
 
     /// Frames currently queued for a tenant.
@@ -587,7 +567,7 @@ impl ServeDaemon {
             if t.engine.has_failed() {
                 return false;
             }
-            if t.feeder_done.load(Ordering::Relaxed) && t.queue.is_empty() {
+            if t.feeder.is_finished() && t.queue.is_empty() {
                 return true;
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -611,9 +591,7 @@ impl ServeDaemon {
             .remove(tenant)
             .ok_or_else(|| ServeError::UnknownTenant(tenant.to_owned()))?;
         t.feeder_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = t.feeder.take() {
-            let _ = handle.join();
-        }
+        let _ = t.feeder.join();
         // Already-queued frames still belong to the tenant: with the feeder
         // quiet, the flush's final tick has the ingest drain all of them.
         t.engine.flush().map_err(ServeError::Engine)?;
@@ -826,7 +804,7 @@ mod tests {
 
     #[test]
     fn ingress_queue_sheds_oldest_when_full() {
-        let q = IngressQueue::new("shedtest", 3, 1);
+        let q = IngressQueue::new(3, 1);
         for i in 0..5u8 {
             q.push(encode_frame(STREAM_SADC, 0, i as u64, &[f64::from(i)]));
         }
@@ -841,11 +819,10 @@ mod tests {
     fn ingress_queue_weighs_a_frame_by_its_rows() {
         let second = |t| encode_frame(STREAM_SADC, 0, t, &[]);
         // A 40-row queue of 20-node frames.
-        let q = IngressQueue::new("rowtest", 40, 20);
-        let depth = asdf_obs::registry().gauge("rpc.queue_depth.rowtest");
+        let q = IngressQueue::new(40, 20);
         q.push(second(0));
         q.push(second(1));
-        assert_eq!((q.len(), q.shed_count(), depth.get()), (2, 0, 40));
+        assert_eq!((q.len(), q.shed_count()), (2, 0));
         q.push(second(2));
         assert_eq!(
             (q.len(), q.shed_count()),
@@ -853,12 +830,10 @@ mod tests {
             "the third sheds the first"
         );
         assert_eq!(drained_stamps(&q), [1, 2]);
-        assert_eq!(depth.get(), 0);
         // A frame the queue cannot hold is kept, on its own.
-        let q = IngressQueue::new("widetest", 40, 50);
-        let depth = asdf_obs::registry().gauge("rpc.queue_depth.widetest");
+        let q = IngressQueue::new(40, 50);
         q.push(second(3));
-        assert_eq!((q.len(), q.shed_count(), depth.get()), (1, 0, 50));
+        assert_eq!((q.len(), q.shed_count()), (1, 0));
         q.push(second(4));
         assert_eq!((q.len(), q.shed_count()), (1, 1));
         assert_eq!(drained_stamps(&q), [4]);
@@ -878,6 +853,45 @@ mod tests {
         // (alarm + dist) = 32 envelopes, all flushed out.
         assert_eq!(report.bb_alarms.len(), 32);
         assert!(daemon.tenants().is_empty());
+    }
+
+    #[test]
+    fn a_tenant_leaves_no_metric_of_its_own_in_the_registry() {
+        // The tenant's engine and queue own its counts; the process-wide
+        // registry holds only aggregates, none named after a tenant, and
+        // of the engine's and the wire's only the families an exporter
+        // prints.
+        const FAMILIES: [&str; 6] = [
+            "engine.run_ns.",
+            "engine.tick_ns",
+            "engine.env_clones.",
+            "rpc.messages_total",
+            "rpc.bytes_total",
+            "rpc.poll_ns.",
+        ];
+        let opts = ServeOptions {
+            white_box: true,
+            ..fast_opts()
+        };
+        let mut daemon = ServeDaemon::new(tiny_model(), opts);
+        let hello = Handshake::new("registry-probe").encode();
+        daemon.join_tenant(hello, TenantSpec::paced(3, 20)).unwrap();
+        assert!(daemon.wait_idle("registry-probe", Duration::from_secs(30)));
+        let report = daemon.leave_tenant("registry-probe").unwrap();
+        assert!(report.delivered > 0, "the tenant streamed nothing");
+        let snap = asdf_obs::registry().snapshot();
+        let names = (snap.counters.iter().map(|(n, _)| n))
+            .chain(snap.gauges.iter().map(|(n, _)| n))
+            .chain(snap.histograms.iter().map(|(n, _)| n));
+        for name in names {
+            let layer = name.starts_with("engine.") || name.starts_with("rpc.");
+            assert!(
+                !name.contains("registry-probe")
+                    && !name.starts_with("online.")
+                    && (!layer || FAMILIES.iter().any(|f| name.starts_with(f))),
+                "`{name}` is a per-tenant mirror or a metric no exporter prints"
+            );
+        }
     }
 
     #[test]
@@ -959,7 +973,7 @@ mod tests {
         frames: &[Bytes],
         chunks: &[usize],
     ) -> ([Vec<Envelope>; 3], u64) {
-        let queue = Arc::new(IngressQueue::new("offline", usize::MAX, 1));
+        let queue = Arc::new(IngressQueue::new(usize::MAX, 1));
         let mut engine = TickEngine::new(dag(&queue));
         let taps = ["bb", "wb_tt", "wb_st"].map(|id| engine.tap(id).unwrap());
         let mut rest = frames;
@@ -997,7 +1011,7 @@ mod tests {
             .collect();
         let handle = ClusterHandle::new(cluster);
         let collectors = connect_collectors(&handle, opts.slaves, true).unwrap();
-        let captured = Arc::new(IngressQueue::new("capture", usize::MAX, 1));
+        let captured = Arc::new(IngressQueue::new(usize::MAX, 1));
         let never = Arc::new(AtomicBool::new(false));
         feeder_loop(
             handle,
@@ -1157,7 +1171,7 @@ mod tests {
                     ..fast_opts()
                 };
                 let daemon = ServeDaemon::new(tiny_model(), opts);
-                let queue = Arc::new(IngressQueue::new("shape", 1, 1));
+                let queue = Arc::new(IngressQueue::new(1, 1));
                 let dag = daemon.tenant_dag(&queue, &origins).unwrap();
                 let what = format!("{slaves} slaves, white box {white_box}");
                 assert_eq!(dag.len(), instances, "{what}");

@@ -203,7 +203,7 @@ fn ragged_dist2_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
 }
 
 /// The analysis micro-kernels on one 120-dim query against 12 centroids:
-/// four ways to classify, then the bounded comparison of the nearest-
+/// three ways to classify, then the bounded comparison of the nearest-
 /// centroid scan.
 fn kernels_section() -> Section {
     eprintln!("[perfsuite] analysis kernels ...");
@@ -232,10 +232,6 @@ fn kernels_section() -> Section {
         black_box(best);
     });
     s.row("classify_1nn_naive_ns", naive_ns);
-    let model_ns = time_ns(20_000, || {
-        black_box(model.classify(black_box(&sample)));
-    });
-    s.row("classify_1nn_model_ns", model_ns);
     let mut ctx = model.clone().into_classifier();
     let ctx_ns = time_ns(20_000, || {
         black_box(ctx.classify(black_box(&sample)));

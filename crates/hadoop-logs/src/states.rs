@@ -78,16 +78,6 @@ impl HadoopState {
             .expect("every state is in ALL")
     }
 
-    /// Whether this state is instantaneous (entrance and exit coincide).
-    pub fn is_instant(self) -> bool {
-        matches!(self, HadoopState::DeleteBlock | HadoopState::TaskFailed)
-    }
-
-    /// Whether this state appears in TaskTracker logs (vs DataNode logs).
-    pub fn is_tasktracker(self) -> bool {
-        HadoopState::TASKTRACKER.contains(&self)
-    }
-
     /// Short metric-style name.
     pub fn name(self) -> &'static str {
         match self {
@@ -123,26 +113,9 @@ impl StateVector {
         StateVector::default()
     }
 
-    /// Creates a vector from raw counts in [`HadoopState::ALL`] order.
-    pub fn from_counts(counts: [f64; 9]) -> Self {
-        StateVector { counts }
-    }
-
     /// The raw counts in [`HadoopState::ALL`] order.
     pub fn as_slice(&self) -> &[f64] {
         &self.counts
-    }
-
-    /// The counts for TaskTracker states only, in
-    /// [`HadoopState::TASKTRACKER`] order.
-    pub fn tasktracker_slice(&self) -> &[f64] {
-        &self.counts[0..HadoopState::TASKTRACKER.len()]
-    }
-
-    /// The counts for DataNode states only, in [`HadoopState::DATANODE`]
-    /// order.
-    pub fn datanode_slice(&self) -> &[f64] {
-        &self.counts[HadoopState::TASKTRACKER.len()..]
     }
 
     /// Sum of all counts (total concurrent activity).
@@ -193,7 +166,7 @@ mod tests {
     fn daemon_partition_is_total_and_disjoint() {
         for s in HadoopState::ALL {
             assert_eq!(
-                s.is_tasktracker(),
+                HadoopState::TASKTRACKER.contains(&s),
                 !HadoopState::DATANODE.contains(&s),
                 "{s} must belong to exactly one daemon"
             );
@@ -205,25 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn only_delete_block_and_task_failed_are_instant() {
-        for s in HadoopState::ALL {
-            assert_eq!(
-                s.is_instant(),
-                s == HadoopState::DeleteBlock || s == HadoopState::TaskFailed
-            );
-        }
-    }
-
-    #[test]
     fn vector_indexing_and_slices() {
         let mut v = StateVector::zero();
         v[HadoopState::MapTask] = 3.0;
         v[HadoopState::ReadBlock] = 2.0;
         assert_eq!(v[HadoopState::MapTask], 3.0);
         assert_eq!(v.total(), 5.0);
-        assert_eq!(v.tasktracker_slice(), &[3.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        assert_eq!(v.datanode_slice(), &[2.0, 0.0, 0.0]);
-        assert_eq!(v.as_slice().len(), 9);
+        assert_eq!(v.as_slice(), &[3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -58,6 +58,11 @@ serve-soak:
     cargo test -p asdf --lib -- serve::tests
     cargo test -p asdf-core --test online_semantics
 
+# The observability suites: the exporters' summary table and Chrome trace
+# (obs_layer) and the registry snapshot round trip (obs_snapshot).
+obs:
+    cargo test -q -p integration-tests --test obs_layer --test obs_snapshot
+
 # Warnings-denied rustdoc build of the first-party packages: the one list
 # in scripts/docs.sh, which verify.sh and CI's tier1 job run too.
 docs:

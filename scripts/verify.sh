@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # PR gate: the tier-1 recipe plus the `unsafe` audit, the pinned-stream
 # equivalence suite, the fleet suites, a smoke run of the benchmark
-# binary, the serve soak, the kernel property suites, the perfwatch and
-# snapshot suites, and a warnings-denied doc build. Nothing here times
+# binary, the serve soak, the kernel property suites, the obs suites, the
+# perfwatch suite, and a warnings-denied doc build. Nothing here times
 # anything: `serve` and the fleet are measured by asdfbench alone, and
 # their correctness is these suites' (pinned streams, every node ranked,
 # lag bound, shed isolation, exact flush counts).
@@ -54,8 +54,11 @@ cargo test -p asdf-core --test online_semantics
 echo "[verify] kernel property suites (bitwise pinning to the lane-fold reference)" >&2
 cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
-echo "[verify] perfwatch suites (snapshot round-trip, E-Divisive)" >&2
-cargo test -q -p integration-tests --test obs_snapshot --test perfwatch
+echo "[verify] obs suites (exporters, trace nesting, snapshot round-trip)" >&2
+cargo test -q -p integration-tests --test obs_layer --test obs_snapshot
+
+echo "[verify] perfwatch suite (E-Divisive)" >&2
+cargo test -q -p integration-tests --test perfwatch
 
 echo "[verify] rustdoc -D warnings (scripts/docs.sh, every first-party package)" >&2
 ./scripts/docs.sh
