@@ -32,6 +32,18 @@
 //! `kernel_prop` property tests against an independent reference). Zero
 //! padding is bitwise-invisible: squared terms are non-negative, so every
 //! lane accumulator stays non-negative and `acc + 0.0` is exact.
+//!
+//! # The single-precision screen kernels
+//!
+//! [`ln_f32`] and [`dist2_f32x16`] are the two kernels of the certified
+//! `f32` screen in front of [`crate::training::Classifier::classify`]:
+//! a branch-free logarithm that LLVM vectorizes over a whole node row,
+//! and a 16-lane `f32` squared distance. Neither result is ever emitted.
+//! The screen uses them to propose a nearest centroid, and keeps the
+//! proposal only when an error budget proves that the `f64` path above
+//! would have returned the same index. [`LN_F32_TOL`] is the logarithm's
+//! share of that budget, pinned by `kernel_prop` over every `f32`
+//! mantissa.
 
 /// Components per accumulation lane group, and the multiple every stored
 /// row is zero-padded to.
@@ -190,15 +202,6 @@ impl CentroidBlock {
     /// shape. Lets scratch matrices be reused without reallocating.
     pub fn zero(&mut self) {
         self.data.fill(0.0);
-    }
-
-    /// Removes every row while keeping the dimension and the allocation,
-    /// so a scratch block can be refilled with [`Self::push_row`] without
-    /// reallocating — the batched classification path packs each
-    /// tick-range into one reused block this way.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.n_rows = 0;
     }
 }
 
@@ -388,6 +391,77 @@ pub fn argmin_dist2(query: &[f64], block: &CentroidBlock) -> usize {
         }
     }
     best
+}
+
+/// Accumulator lanes of [`dist2_f32x16`], and the multiple the screen
+/// pads its `f32` rows to.
+pub const LANES_F32: usize = 16;
+
+/// Exclusive upper end of the `1 + x` inputs on which [`ln_f32`] is pinned
+/// to [`LN_F32_TOL`]: `[1, LN_F32_MAX)`, exponents 0 to 99.
+pub const LN_F32_MAX: f64 = 1e30;
+
+/// The error bound [`ln_f32`] is pinned to on `[1, LN_F32_MAX)`:
+/// `|ln_f32(y) - ln y| <= LN_F32_TOL * (1 + |ln y|)`, with `2^-21`.
+pub const LN_F32_TOL: f64 = 1.0 / (1u64 << 21) as f64;
+
+/// Natural logarithm in single precision, for `y` in `[1, LN_F32_MAX)`.
+///
+/// `y = 2^e * m` with `m` in `[sqrt(1/2), sqrt(2))`, read off the bits, and
+/// `ln m = 2 atanh(s)` with `s = (m - 1) / (m + 1)`, `|s| <= 0.172`, as the
+/// odd series to `s^7` (truncation under `3e-8`). There is no branch and
+/// one division, so a loop over a row vectorizes. Within `[1,
+/// LN_F32_MAX)` the error is at most [`LN_F32_TOL`]` * (1 + |ln y|)`;
+/// `kernel_prop` checks that over every `f32` mantissa and every
+/// exponent. Outside it the result is unspecified but never a panic.
+#[inline]
+pub fn ln_f32(y: f32) -> f32 {
+    /// The bits of `sqrt(1/2)`: subtracting them moves `y`'s exponent
+    /// boundary from 1 to `sqrt(1/2)`.
+    const SQRT_HALF: u32 = 0x3f35_04f3;
+    let ix = y.to_bits().wrapping_sub(SQRT_HALF);
+    let e = ((ix as i32) >> 23) as f32;
+    let m = f32::from_bits((ix & 0x007f_ffff) + SQRT_HALF);
+    let s = (m - 1.0) / (m + 1.0);
+    let s2 = s * s;
+    let series = s + s * (s2 * (1.0 / 3.0 + s2 * (1.0 / 5.0 + s2 * (1.0 / 7.0))));
+    e * std::f32::consts::LN_2 + 2.0 * series
+}
+
+/// Squared Euclidean distance in `f32` over [`LANES_F32`] independent
+/// accumulators, folded as a pairwise tree.
+///
+/// Lane `j` accumulates components `j, j+16, j+32, ...`, a tail included,
+/// so each lane sums at most `len.div_ceil(16)` terms and the fold adds
+/// four levels: the count the screen's rounding bound is built on
+/// (`kernel_prop` pins it). The screen's rows are zero-padded to a
+/// multiple of [`LANES_F32`], so it never has a tail. Only the common
+/// prefix is compared when the lengths differ.
+pub fn dist2_f32x16(a: &[f32], b: &[f32]) -> f32 {
+    fn accumulate(acc: &mut [f32; LANES_F32], a: &[f32], b: &[f32]) {
+        for j in 0..LANES_F32 {
+            let d = a[j] - b[j];
+            acc[j] += d * d;
+        }
+    }
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [0.0f32; LANES_F32];
+    let mut chunks_a = a.chunks_exact(LANES_F32);
+    let mut chunks_b = b.chunks_exact(LANES_F32);
+    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+        accumulate(&mut acc, ca, cb);
+    }
+    let tail = chunks_a.remainder().len();
+    if tail > 0 {
+        let (mut ta, mut tb) = ([0.0f32; LANES_F32], [0.0f32; LANES_F32]);
+        ta[..tail].copy_from_slice(chunks_a.remainder());
+        tb[..tail].copy_from_slice(chunks_b.remainder());
+        accumulate(&mut acc, &ta, &tb);
+    }
+    let half: [f32; 8] = std::array::from_fn(|j| acc[j] + acc[j + 8]);
+    let quarter: [f32; 4] = std::array::from_fn(|j| half[j] + half[j + 4]);
+    (quarter[0] + quarter[2]) + (quarter[1] + quarter[3])
 }
 
 /// The widest vector unit the distance kernels were compiled for:

@@ -10,10 +10,10 @@
 //!
 //! A sample is one node's vector, as wide as the model, or a rack's second:
 //! a collector's `frame` row `[n, dim, node₀…, node₁…]`
-//! ([`crate::rack::RackSummary::shape`]). Its node rows go through the same
-//! scale and nearest-centroid scan either way, so one instance per rack —
-//! one parse of the model text, one [`Classifier`] — reads exactly what
-//! `n` per-node instances would.
+//! ([`crate::rack::RackSummary::shape`]). Each node row is classified
+//! where it lies in the sample, with no copy, by the same
+//! [`Classifier`] either way, so one instance per rack — one parse of the
+//! model text — reads exactly what `n` per-node instances would.
 //!
 //! Configuration parameters:
 //!
@@ -28,32 +28,24 @@
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::time::Timestamp;
 use asdf_core::value::Sample;
 
-use crate::kernel::CentroidBlock;
 use crate::rack::RackSummary;
 use crate::training::{BlackBoxModel, Classifier};
 
 /// 1-NN / k-NN workload-state classifier.
 ///
-/// Every pending sample is packed into one [`CentroidBlock`] of query rows
-/// and classified back to back by the `argmin_dist2` kernel scan; nothing
-/// is allocated per sample but the output row.
+/// Every node row of a pending sample goes straight from the sample to
+/// [`Classifier::classify`] (its certified `f32` screen, else the exact
+/// `f64` scan) or, at `k > 1`, to the exact `k`-nearest ranking of
+/// [`Classifier::classify_k_into`]; nothing is allocated per sample but
+/// the output row.
 #[derive(Debug, Default)]
 pub struct Knn {
     classifier: Option<Classifier>,
     k: usize,
     out: Option<PortId>,
-    /// Nearest-centroid scratch: the 1-NN state of every row of `rows`, or
-    /// one row's `k` nearest.
-    nearest: Vec<usize>,
-    /// One padded query row per pending node row.
-    rows: CentroidBlock,
-    /// Per pending sample: its timestamp and the node rows it holds in
-    /// `rows` — `None` for a bare vector, which holds one.
-    samples: Vec<(Timestamp, Option<usize>)>,
-    /// The `k` indices of every row of `rows`, row-major.
+    /// One sample's `k` indices per node row, node-major.
     indices: Vec<f64>,
 }
 
@@ -62,30 +54,22 @@ impl Knn {
     pub fn new() -> Self {
         Knn::default()
     }
+}
 
-    /// Packs one sample's node rows for the scan: the one place a
-    /// sample's width is checked.
-    fn pack(&mut self, ts: Timestamp, sample: &[f64]) -> Result<(), ModuleError> {
-        let dim = self.rows.dim();
-        let (width, node_rows) = if sample.len() == dim {
-            (None, sample)
-        } else {
-            match RackSummary::shape(sample) {
-                Ok((n, d)) if d == dim => (Some(n), &sample[2..]),
-                shape => {
-                    return Err(ModuleError::Other(format!(
-                        "knn dimension mismatch: sample {} vs model {dim}, \
-                         and as a rack frame: {shape:?}",
-                        sample.len()
-                    )))
-                }
-            }
-        };
-        for row in node_rows.chunks_exact(dim) {
-            self.rows.push_row(row);
-        }
-        self.samples.push((ts, width));
-        Ok(())
+/// A sample's node rows, and whether it came as a bare vector (`None`)
+/// or as a rack frame of `n` nodes: the one place a sample's width is
+/// checked.
+fn node_rows(sample: &[f64], dim: usize) -> Result<(Option<usize>, &[f64]), ModuleError> {
+    if sample.len() == dim {
+        return Ok((None, sample));
+    }
+    match RackSummary::shape(sample) {
+        Ok((n, d)) if d == dim => Ok((Some(n), &sample[2..])),
+        shape => Err(ModuleError::Other(format!(
+            "knn dimension mismatch: sample {} vs model {dim}, \
+             and as a rack frame: {shape:?}",
+            sample.len()
+        ))),
     }
 }
 
@@ -105,14 +89,13 @@ impl Module for Knn {
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
         self.out = Some(ctx.declare_output_with_origin("output0", origin));
-        self.rows = CentroidBlock::with_dim(model.stddev.len());
         self.classifier = Some(model.into_classifier());
         Ok(())
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        self.rows.clear();
-        self.samples.clear();
+        let classifier = self.classifier.as_mut().expect("initialized");
+        let (out, k) = (self.out.expect("initialized"), self.k);
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
             let Some(raw) = env.sample.value.as_vector() else {
@@ -121,30 +104,21 @@ impl Module for Knn {
                     env.sample.value.type_name()
                 )));
             };
-            self.pack(env.sample.timestamp, raw)?;
-        }
-
-        let classifier = self.classifier.as_mut().expect("initialized");
-        let (out, k) = (self.out.expect("initialized"), self.k);
-        self.indices.clear();
-        if k == 1 {
-            // The fused kernel scan; per row the same scale + argmin as
-            // `Classifier::classify`.
-            classifier.classify_block_into(&self.rows, &mut self.nearest);
-            self.indices.extend(self.nearest.iter().map(|&i| i as f64));
-        } else {
-            for row in self.rows.rows() {
-                classifier.classify_k_into(row, k, &mut self.nearest);
-                self.indices.extend(self.nearest.iter().map(|&i| i as f64));
+            let dim = classifier.dim();
+            let (width, rows) = node_rows(raw, dim)?;
+            self.indices.clear();
+            for row in rows.chunks_exact(dim) {
+                if k == 1 {
+                    self.indices.push(classifier.classify(row) as f64);
+                } else {
+                    let nearest = classifier.nearest_k(row, k);
+                    self.indices.extend(nearest.map(|i| i as f64));
+                }
             }
-        }
-        let mut rest = &self.indices[..];
-        for &(ts, width) in &self.samples {
-            let (mine, later) = rest.split_at(width.unwrap_or(1) * k);
-            rest = later;
-            let sample = match (width, mine) {
+            let ts = env.sample.timestamp;
+            let sample = match (width, &self.indices[..]) {
                 (None, &[idx]) => Sample::new(ts, idx as i64),
-                _ => Sample::new(ts, mine),
+                (_, indices) => Sample::new(ts, indices),
             };
             emit.emit_sample(out, sample);
         }

@@ -10,6 +10,12 @@
 //! [`kernel::argmin_dist2`] — must match it bit for bit across dimensions
 //! 0..200, non-multiple-of-4 tails included, and at the `bound = 0.0` /
 //! `bound = INFINITY` early-exit edges.
+//!
+//! The same suite pins the two constants the `Classifier`'s certified
+//! `f32` screen rests on: [`kernel::ln_f32`]'s error bound
+//! ([`kernel::LN_F32_TOL`]), over every `f32` mantissa and every exponent
+//! up to [`kernel::LN_F32_MAX`], and the relative rounding bound of
+//! [`kernel::dist2_f32x16`] that the screen's `γ32` counts.
 
 use asdf_modules::kernel::{self, CentroidBlock, PaddedVec};
 use proptest::collection::vec;
@@ -201,4 +207,91 @@ fn empty_inputs_are_zero() {
     // A zero bound on empty input still returns the (empty) fold.
     assert_eq!(kernel::dist2_bounded_x4(&[], &[], 0.0), 0.0);
     assert_eq!(kernel::dist2_x4(&[], &[]).to_bits(), 0.0f64.to_bits());
+}
+
+/// `|ln_f32(y) - ln y| / (1 + |ln y|)`, against the `f64` logarithm.
+fn ln_f32_rel_err(y: f32) -> f64 {
+    let exact = f64::from(y).ln();
+    (f64::from(kernel::ln_f32(y)) - exact).abs() / (1.0 + exact.abs())
+}
+
+#[test]
+fn ln_f32_holds_its_bound_on_every_mantissa() {
+    // Every f32 in [1, 2): each mantissa once, both sides of the sqrt(2)
+    // split where the exponent term switches on.
+    let one = 1.0f32.to_bits();
+    let worst = (0..1u32 << 23)
+        .map(|m| ln_f32_rel_err(f32::from_bits(one + m)))
+        .fold(0.0, f64::max);
+    assert!(
+        worst <= kernel::LN_F32_TOL,
+        "worst {worst:e} > {:e}",
+        kernel::LN_F32_TOL
+    );
+}
+
+#[test]
+fn ln_f32_exponent_term_holds_to_the_domain_limit() {
+    // The mantissa part of ln_f32 depends only on the mantissa bits, so
+    // what changes with the exponent is the `e ln 2` term and the last
+    // addition. Every exponent in the screen's domain, each with a stride
+    // of mantissas plus the two ends and the sqrt(2) split.
+    let split = std::f32::consts::SQRT_2.to_bits() & 0x007f_ffff;
+    let mantissas: Vec<u32> = (0..1u32 << 23)
+        .step_by(251)
+        .chain([0, (1 << 23) - 1, split - 1, split, split + 1])
+        .collect();
+    let mut exponents = 0;
+    for e in 0u32.. {
+        let base = (127 + e) << 23;
+        if f64::from(f32::from_bits(base)) >= kernel::LN_F32_MAX {
+            break;
+        }
+        exponents += 1;
+        for &m in &mantissas {
+            let y = f32::from_bits(base | m);
+            if f64::from(y) >= kernel::LN_F32_MAX {
+                continue;
+            }
+            let err = ln_f32_rel_err(y);
+            assert!(err <= kernel::LN_F32_TOL, "y = {y:e}: {err:e}");
+        }
+    }
+    assert_eq!(exponents, 100, "2^0 ..= 2^99 lie under 1e30");
+}
+
+/// The screen's summation bound: `n` rounded operations per lane.
+fn gamma32(len: usize) -> f64 {
+    let nu = (len.div_ceil(kernel::LANES_F32) + 6) as f64 * f64::from(f32::EPSILON) / 2.0;
+    nu / (1.0 - nu)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// [`kernel::dist2_f32x16`] is within `γ32` of the exact sum over the
+    /// same `f32` operands (computed in `f64`, where each square and the
+    /// sum of a few hundred of them is exact to far below `γ32`), and zero
+    /// padding to the lane multiple is invisible.
+    #[test]
+    fn dist2_f32x16_is_within_the_screens_rounding_bound(
+        (a, b) in (0usize..200).prop_flat_map(|len| {
+            (vec(-1.0e3f32..1.0e3, len..len + 1), vec(-1.0e3f32..1.0e3, len..len + 1))
+        })
+    ) {
+        let exact: f64 = a
+            .iter()
+            .zip(&b)
+            .map(|(&x, &y)| (f64::from(x) - f64::from(y)).powi(2))
+            .sum();
+        let got = f64::from(kernel::dist2_f32x16(&a, &b));
+        prop_assert!((got - exact).abs() <= gamma32(a.len()) * exact, "{} vs {}", got, exact);
+        let pad = |v: &[f32]| {
+            let mut p = v.to_vec();
+            p.resize(v.len().div_ceil(kernel::LANES_F32) * kernel::LANES_F32, 0.0);
+            p
+        };
+        let padded = f64::from(kernel::dist2_f32x16(&pad(&a), &pad(&b)));
+        prop_assert!((padded - exact).abs() <= gamma32(a.len()) * exact);
+    }
 }

@@ -32,16 +32,15 @@ impl AnalysisTrace {
     /// Extracts a trace from a tapped analysis instance's envelopes.
     ///
     /// `score_prefix` selects the diagnostic ports (`dist` for
-    /// `analysis_bb`, `kcrit` for `analysis_wb`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the envelopes are not the well-formed output of one
-    /// analysis instance (mismatched ports or types).
+    /// `analysis_bb`, `kcrit` for `analysis_wb`). An envelope whose port
+    /// suffix is not a node index below `n_nodes`, or whose value has the
+    /// wrong type (an alarm must be a `Bool`, a score numeric), is skipped;
+    /// its window is then partial and left out, as a truncated tap's is.
     pub fn from_envelopes(envelopes: &[Envelope], n_nodes: usize, score_prefix: &str) -> Self {
         use std::collections::BTreeMap;
         /// Partially-assembled row: per-node scores and alarms.
         type PartialRow = (Vec<Option<f64>>, Vec<Option<bool>>);
+        let node = |suffix: &str| suffix.parse::<usize>().ok().filter(|&i| i < n_nodes);
         let mut by_time: BTreeMap<u64, PartialRow> = BTreeMap::new();
         for env in envelopes {
             let name = &env.source.name;
@@ -49,17 +48,20 @@ impl AnalysisTrace {
             let entry = by_time
                 .entry(t)
                 .or_insert_with(|| (vec![None; n_nodes], vec![None; n_nodes]));
-            if let Some(idx) = name.strip_prefix("alarm") {
-                let idx: usize = idx.parse().expect("alarm port index");
-                entry.1[idx] = Some(env.sample.value.as_bool().expect("alarm is bool"));
-            } else if let Some(idx) = name.strip_prefix(score_prefix) {
-                let idx: usize = idx.parse().expect("score port index");
-                entry.0[idx] = Some(env.sample.value.as_float().expect("score is numeric"));
+            let value = &env.sample.value;
+            if let Some(suffix) = name.strip_prefix("alarm") {
+                if let (Some(idx), Some(alarm)) = (node(suffix), value.as_bool()) {
+                    entry.1[idx] = Some(alarm);
+                }
+            } else if let Some(suffix) = name.strip_prefix(score_prefix) {
+                if let (Some(idx), Some(score)) = (node(suffix), value.as_float()) {
+                    entry.0[idx] = Some(score);
+                }
             }
         }
         let mut trace = AnalysisTrace::default();
         for (t, (scores, alarms)) in by_time {
-            // Skip partial rows (can only happen on truncated taps).
+            // Skip partial rows: a truncated tap or a skipped envelope.
             if scores.iter().any(Option::is_none) || alarms.iter().any(Option::is_none) {
                 continue;
             }
@@ -274,6 +276,31 @@ mod tests {
         assert_eq!(tr.scores[0], vec![5.0, 5.0]);
         assert_eq!(tr.scores[1], vec![5.0, 80.0]);
         assert_eq!(tr.alarms[2], vec![false, true]);
+    }
+
+    #[test]
+    fn a_malformed_envelope_is_skipped_and_its_window_dropped() {
+        let mut envs = Vec::new();
+        for t in [60u64, 120, 180, 240, 300] {
+            for node in 0..2 {
+                envs.push(env(&format!("dist{node}"), t, 5.0.into()));
+                envs.push(env(&format!("alarm{node}"), t, false.into()));
+            }
+        }
+        // Window 120 loses node 1's alarm to a Float on its `alarm` port;
+        // 180 gets a suffix that is no index; 240 gets index n_nodes.
+        envs[7] = env("alarm1", 120, 1.0.into());
+        envs.push(env("alarmx", 180, true.into()));
+        envs.push(env("dist2", 240, 9.0.into()));
+        envs.push(env("alarm2", 240, true.into()));
+        let tr = AnalysisTrace::from_envelopes(&envs, 2, "dist");
+        assert_eq!(tr.window_times, vec![60, 180, 240, 300]);
+        assert!(tr.scores.iter().all(|row| row == &[5.0, 5.0]));
+        assert!(tr.alarms.iter().flatten().all(|&a| !a));
+        // A `Bool` on a score port drops its window the same way.
+        envs[16] = env("dist0", 300, true.into());
+        let tr = AnalysisTrace::from_envelopes(&envs, 2, "dist");
+        assert_eq!(tr.window_times, vec![60, 180, 240]);
     }
 
     #[test]

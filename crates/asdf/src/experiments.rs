@@ -805,6 +805,38 @@ mod tests {
     }
 
     #[test]
+    fn the_knn_screen_decides_nearly_every_row_of_a_real_run() {
+        // Every node-second of a fault-free run and a DiskHog run, through
+        // the classifier `knn` holds: the f32 screen should settle all but
+        // a handful, leaving under 0.1% to the exact path.
+        let cfg = CampaignConfig::smoke();
+        let mut classifier = BlackBoxModel::clone(&train_model(&cfg)).into_classifier();
+        let disk_hog = FaultSpec {
+            node: cfg.fault_node,
+            kind: FaultKind::DiskHog,
+            start_at: cfg.injection_at,
+        };
+        for (faults, seed) in [(vec![], 500), (vec![disk_hog], 9000)] {
+            let mut cluster = Cluster::new(cfg.cluster_config(cfg.base_seed + seed), faults);
+            for _ in 0..cfg.run_secs {
+                cluster.tick();
+                for node in 0..cfg.slaves {
+                    if let Some(frame) = cluster.latest_frame(node) {
+                        classifier.classify(frame.values());
+                    }
+                }
+            }
+        }
+        let counts = classifier.screen_counts();
+        let rows = counts.certified + counts.fallback;
+        assert!(
+            rows >= 2 * (cfg.run_secs - 1) * cfg.slaves as u64,
+            "{counts:?}"
+        );
+        assert!(counts.fallback * 1000 < rows, "{counts:?}");
+    }
+
+    #[test]
     fn fault_free_run_has_low_false_positive_rate_at_paper_threshold() {
         let cfg = CampaignConfig::smoke();
         let model = train_model(&cfg);

@@ -21,7 +21,10 @@ equivalence:
     cargo test -p integration-tests --test stream_equivalence --test collection_streams --test golden_figures
 
 # The kernel property suites: the 4-lane distance kernels pinned bitwise
-# to an independent reference, plus the classification-path equivalences.
+# to an independent reference, the certificate of the classifier's f32
+# screen pinned (ln_f32's error bound over every f32 mantissa and exponent,
+# the f32 kernel's rounding bound), and the screened classify equal to the
+# exact path on ties, near-midpoint queries and non-finite rows.
 kernel-props:
     cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 

@@ -10,7 +10,11 @@
 # The equivalence tests hold synthetic DAGs and campaign streams to FNV-1a
 # constants and compare every observable bitwise across rack counts and
 # campaign threads. The kernel property suites pin the 4-lane distance
-# kernels bitwise to an independent reference. The doc build is scripts/docs.sh, the one list of
+# kernels bitwise to an independent reference and pin the certificate of
+# the classifier's f32 screen: ln_f32's error bound over every f32
+# mantissa and exponent, the f32 kernel's rounding bound, and the screen
+# equal to the exact path on ties, near-midpoint queries and non-finite
+# rows. The doc build is scripts/docs.sh, the one list of
 # first-party packages (the vendored workspace members are not ours to
 # lint).
 set -eu
@@ -51,7 +55,7 @@ cargo test -p integration-tests --test serve_soak --test online_engine
 cargo test -p asdf --lib -- serve::tests
 cargo test -p asdf-core --test online_semantics
 
-echo "[verify] kernel property suites (bitwise pinning to the lane-fold reference)" >&2
+echo "[verify] kernel property suites (bitwise pinning to the lane-fold reference; the f32 screen's certificate: ln_f32 bound, f32 rounding bound, screen == exact path)" >&2
 cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
 echo "[verify] obs suites (exporters, trace nesting, snapshot round-trip)" >&2
