@@ -597,6 +597,8 @@ impl Cluster {
                 }
             }
         }
+        // In task order, not the map's: stragglers compete for targets.
+        stragglers.sort_unstable_by_key(|(task, _)| (task.kind == TaskKind::Reduce, task.index));
         let _ = now;
         for (task, current) in stragglers {
             let grants: &mut [bool] = match task.kind {

@@ -75,7 +75,7 @@ fn simulated_node_seconds_hold_their_pinned_digest() {
     assert_eq!(fnv.0, SIMULATOR_FNV, "{:#018x}", fnv.0);
 }
 
-const RACK_FRAMES_FNV: u64 = 0xa30f_641e_4c69_05a9;
+const RACK_FRAMES_FNV: u64 = 0x2027_1578_94da_1825;
 
 #[test]
 fn collector_rows_hold_their_pinned_digest() {
@@ -90,7 +90,7 @@ fn collector_rows_hold_their_pinned_digest() {
     let mut config = String::from("[cluster_driver]\nid = drv\n\n");
     let mut ids = Vec::new();
     for (i, (kind, params)) in collectors.iter().enumerate() {
-        for (form, nodes) in [("rack", "nodes = 0..12"), ("node", "node = 11")] {
+        for (form, nodes) in [("rack", "nodes = 0..12"), ("node", "nodes = 11..12")] {
             let id = format!("{form}{i}");
             config.push_str(&format!(
                 "[{kind}]\nid = {id}\n{params}{nodes}\ninput[clock] = drv.tick\n\n"
