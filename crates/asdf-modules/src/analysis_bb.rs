@@ -20,14 +20,13 @@
 //! * `threshold` — L1 alarm threshold (default 60);
 //! * `consecutive` — anomalous windows required before alarming (default 3);
 //! * `nodes` — comma-separated hostnames of every compared node, in node
-//!   order. Absent, each slot is one node, named by its source.
+//!   order (required).
 //!
 //! Inputs: slots (`l0`, `l1`, ...) each carrying the per-second state
-//! indices of one node (an `Int`) or of one rack (a `knn`'s row over the
-//! rack's frame); the slots' nodes, in slot order, are the compared nodes,
-//! so their widths must add up to `nodes`. Outputs per node: `alarm<i>`
-//! (Bool) and `dist<i>` (Float, the raw L1 distance — lets threshold
-//! sweeps reuse one run).
+//! indices of one rack, a `knn`'s row over the rack's frame; the slots'
+//! nodes, in slot order, are the compared nodes, so their widths must add
+//! up to `nodes`. Outputs per node: `alarm<i>` (Bool) and `dist<i>`
+//! (Float, the raw L1 distance — lets threshold sweeps reuse one run).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -143,7 +142,7 @@ impl Module for AnalysisBb {
         }
 
         let n_slots = ctx.input_slots().len();
-        let origins = rack::peer_origins(ctx, rack::slot_origins(ctx))?;
+        let origins = rack::peer_origins(ctx, n_slots)?;
         let n_nodes = origins.len();
         for (i, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{i}"), origin.clone());
@@ -167,15 +166,11 @@ impl Module for AnalysisBb {
         // without a per-run Vec; emissions happen after the drain, once
         // rows align.
         for (slot_idx, env) in ctx.drain_all() {
-            let states: Arc<[f64]> = match &env.sample.value {
-                Value::Int(idx) => Arc::from([*idx as f64]),
-                Value::Vector(row) => Arc::clone(row),
-                other => {
-                    return Err(ModuleError::Other(format!(
-                        "analysis_bb expects integer state indices, got {}",
-                        other.type_name()
-                    )))
-                }
+            let Value::Vector(states) = &env.sample.value else {
+                return Err(ModuleError::Other(format!(
+                    "analysis_bb expects rows of state indices, got {}",
+                    env.sample.value.type_name()
+                )));
             };
             // Also false for NaN, which is in no range.
             let in_range = |x: &f64| x.fract() == 0.0 && (0.0..self.n_states as f64).contains(x);
@@ -186,7 +181,7 @@ impl Module for AnalysisBb {
                 )));
             }
             self.aligner
-                .push(slot_idx, env.sample.timestamp.as_secs(), states);
+                .push(slot_idx, env.sample.timestamp.as_secs(), Arc::clone(states));
         }
 
         while let Some((t, row)) = self.aligner.pop_aligned() {
@@ -260,9 +255,9 @@ mod tests {
     use asdf_core::time::TickDuration;
     use asdf_core::value::Value;
 
-    /// Per-node state source: node N cycles through healthy states; an
-    /// optional deviant node emits a constant rare state after a start
-    /// time.
+    /// What a one-node rack's `knn` emits: node N cycles through healthy
+    /// states; an optional deviant node emits a constant rare state after a
+    /// start time.
     struct StateSource {
         port: Option<PortId>,
         t: u64,
@@ -276,7 +271,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
-            ctx.emit(self.port.unwrap(), (self.t % 3) as i64);
+            ctx.emit(self.port.unwrap(), vec![(self.t % 3) as f64]);
             Ok(())
         }
     }
@@ -298,9 +293,9 @@ mod tests {
             let state = if self.t > self.deviate_after {
                 3
             } else {
-                (self.t % 3) as i64
+                self.t % 3
             };
-            ctx.emit(self.port.unwrap(), state);
+            ctx.emit(self.port.unwrap(), vec![state as f64]);
             Ok(())
         }
     }
@@ -341,6 +336,7 @@ n_states = 4
 window = 10
 threshold = {threshold}
 consecutive = {consecutive}
+nodes = peer0, peer1, culprit
 input[l0] = n0.out
 input[l1] = n1.out
 input[l2] = n2.out
@@ -413,7 +409,7 @@ input[l2] = n2.out
 
     /// `secs` rows of what `three_peer_config`'s first `width` sources emit,
     /// as a `rowreplay` parameter.
-    fn rack_rows(width: usize, deviant_after: u64, secs: u64) -> String {
+    fn replayed_rows(width: usize, deviant_after: u64, secs: u64) -> String {
         let row = |t: u64| {
             let deviant = if t > deviant_after { 3 } else { t % 3 };
             let states = [t % 3, t % 3, deviant];
@@ -435,12 +431,12 @@ input[l2] = n2.out
         // The three nodes as one rack; and as a rack of two beside a node.
         let one_rack = format!(
             "[rowreplay]\nid = rack\nrows = {}\n\n{analysis}input[l0] = rack.out\n",
-            rack_rows(3, 30, 100)
+            replayed_rows(3, 30, 100)
         );
         let rack_and_node = format!(
             "[rowreplay]\nid = rack\nrows = {}\n\n[deviant]\nid = n2\nafter = 30\n\n\
              {analysis}input[l0] = rack.out\ninput[l1] = n2.out\n",
-            rack_rows(2, 30, 100)
+            replayed_rows(2, 30, 100)
         );
         for cfg in [one_rack, rack_and_node] {
             assert!(run(&cfg, 100) == per_node, "{cfg}");
@@ -517,7 +513,9 @@ input[l2] = n2.out
     fn config_validation() {
         for cfg in [
             // too few peers
-            "[statesource]\nid = n0\norigin = a\n\n[statesource]\nid = n1\norigin = b\n\n[analysis_bb]\nid = bb\nn_states = 4\ninput[l0] = n0.out\ninput[l1] = n1.out\n".to_owned(),
+            "[statesource]\nid = n0\norigin = a\n\n[statesource]\nid = n1\norigin = b\n\n[analysis_bb]\nid = bb\nn_states = 4\nnodes = a,b\ninput[l0] = n0.out\ninput[l1] = n1.out\n".to_owned(),
+            // no `nodes`
+            three_peer_config(0, 5.0, 1).replace("nodes = peer0, peer1, culprit\n", ""),
             // zero n_states
             three_peer_config(0, 5.0, 1).replace("n_states = 4", "n_states = 0"),
             // zero window

@@ -10,12 +10,11 @@
 //! nodes", making the median σ zero and a bare `k·σ` threshold a
 //! false-positive machine.
 //!
-//! Inputs: slot pairs `a<i>` / `d<i>`, the windowed-mean and -stddev rows of
-//! one `mavgvec` with `emit = both`: one node's two vectors, or with
-//! `nodes` one rack's — the `mavgvec` ran over the rack collector's `frame`
-//! rows, whose statistics are the per-node statistics bit for bit
-//! ([`crate::rack::window_stats`] reads them); the pairs' nodes, in slot
-//! order, are the compared nodes, so their widths must add up to `nodes`.
+//! Inputs: slot pairs `a<i>` / `d<i>`, the `mean` and `stddev` rows of one
+//! `mavgvec` over a rack collector's `frame` rows, whose statistics are the
+//! per-node statistics bit for bit ([`crate::rack::window_stats`] reads
+//! them); the pairs' nodes, in slot order, are the compared nodes, so
+//! their widths must add up to `nodes`.
 //! Outputs per node: `alarm<i>` (Bool) and `kcrit<i>` (Float — the smallest
 //! `k` at which the node would *stop* being flagged, `+inf` when a
 //! deviating metric has zero median-σ; lets k sweeps reuse one run).
@@ -26,7 +25,7 @@
 //! * `consecutive` — anomalous windows required before alarming
 //!   (default 3, matching the black-box confirmation depth);
 //! * `nodes` — comma-separated hostnames of every compared node, in node
-//!   order. Absent, each slot pair is one node, named by its source.
+//!   order (required).
 
 use std::sync::Arc;
 
@@ -43,8 +42,6 @@ use crate::rack;
 pub struct AnalysisWb {
     k: f64,
     consecutive: usize,
-    /// Whether the slots carry rack rows (`nodes` was given).
-    rack_rows: bool,
     /// Streams 0..s are the slots' means, s..2s their stddevs; a row shares
     /// its envelope's allocation.
     aligner: Aligner<Arc<[f64]>>,
@@ -69,7 +66,6 @@ impl AnalysisWb {
         AnalysisWb {
             k: 0.0,
             consecutive: 0,
-            rack_rows: false,
             aligner: Aligner::new(1),
             anomalous_streak: Vec::new(),
             alarm_ports: Vec::new(),
@@ -119,12 +115,10 @@ impl Module for AnalysisWb {
         // s + i; the indices must tile 0..s, each once.
         let slots = ctx.input_slots();
         let n_slots = slots.len() / 2;
-        let mut slot_origins = vec![String::new(); n_slots];
         self.slot_to_stream.clear();
-        for (name, sources) in slots {
+        for (name, _) in slots {
             let index = |rest: &str| rest.parse().ok().filter(|i| *i < n_slots);
             let stream = if let Some(i) = name.strip_prefix('a').and_then(index) {
-                slot_origins[i] = sources.first().map_or(String::new(), |m| m.origin.clone());
                 i
             } else if let Some(i) = name.strip_prefix('d').and_then(index) {
                 n_slots + i
@@ -143,8 +137,7 @@ impl Module for AnalysisWb {
                 "mean slots a0..aN-1 and stddev slots d0..dN-1 must pair up".into(),
             ));
         }
-        self.rack_rows = ctx.param("nodes").is_some();
-        let origins = rack::peer_origins(ctx, slot_origins)?;
+        let origins = rack::peer_origins(ctx, n_slots)?;
         let n = origins.len();
         for (node, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{node}"), origin.clone());
@@ -181,8 +174,7 @@ impl Module for AnalysisWb {
             self.sds.clear();
             let mut dim = 0;
             for (mean, sd) in slot_means.iter().zip(slot_sds) {
-                let (d, means, sds) =
-                    rack::window_stats(mean, sd, self.rack_rows).map_err(ModuleError::Other)?;
+                let (d, means, sds) = rack::window_stats(mean, sd).map_err(ModuleError::Other)?;
                 if dim != 0 && d != dim {
                     return Err(ModuleError::Other(
                         "inconsistent metric dimensions across nodes".into(),
@@ -244,9 +236,9 @@ mod tests {
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
 
-    /// Emits a (mean, stddev) vector pair per second. The `bias` parameter
-    /// shifts the mean after `after` seconds; `sd` sets the reported
-    /// deviation.
+    /// Emits the (mean, stddev) row pair a `mavgvec` over a one-node rack
+    /// would, once per second. The `bias` parameter shifts the mean after
+    /// `after` seconds; `sd` sets the reported deviation.
     struct WbSource {
         mean_port: Option<PortId>,
         sd_port: Option<PortId>,
@@ -269,9 +261,10 @@ mod tests {
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
             let bias = if self.t > self.after { self.bias } else { 0.0 };
-            // Two metrics: one live, one constant across the cluster.
-            ctx.emit(self.mean_port.unwrap(), vec![10.0 + bias, 2.0]);
-            ctx.emit(self.sd_port.unwrap(), vec![self.sd, 0.0]);
+            // Two metrics: one live, one constant across the cluster, under
+            // the frame's `[1, 2]` header and what its variance leaves of it.
+            ctx.emit(self.mean_port.unwrap(), vec![1.0, 2.0, 10.0 + bias, 2.0]);
+            ctx.emit(self.sd_port.unwrap(), vec![0.0, 0.0, self.sd, 0.0]);
             Ok(())
         }
     }
@@ -314,6 +307,7 @@ after = {after}
 id = wb
 k = {k}
 consecutive = {consecutive}
+nodes = peer0, peer1, culprit
 input[a0] = n0.mean
 input[d0] = n0.stddev
 input[a1] = n1.mean

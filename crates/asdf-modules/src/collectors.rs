@@ -17,19 +17,18 @@
 //! * `strace` — per-category syscall counts of the node's tasktracker
 //!   process tree from `strace_rpcd` (the paper's §5 future-work module).
 //!
-//! Each takes `node = i` (the paper's Figure 3 dialect) or `nodes = lo..hi`
-//! (a half-open index range, a rack), and an optional input `clock`. One
-//! instance holds one daemon connection per node and polls them all under
-//! one cluster lock per pulse ([`poll_frame`]) into the second's frame,
-//! `[k, dim, node₀ values…, node₁ values…]` (the layout of
-//! [`crate::rack::RackSummary`], samples where the means go) — whole, or
-//! absent when some node has nothing for the second. The frame is the
-//! payload that leaves: each node's response is decoded straight into its
-//! row of it, so a node-second is copied once on its way from the wire to
-//! the consumer. A range emits it on its one output, `frame`, origin = the
-//! first node's hostname: the edge a rack's `knn`, `mavgvec`, `rack_agg`
-//! or `metric_rank` listens to. A single node emits the frame's values, its
-//! bare vector, on its one output, `output0`, origin = its hostname.
+//! Each takes `nodes = lo..hi` (a half-open index range, a rack; `i..i+1`
+//! is node `i` alone) and an optional input `clock`. One instance holds one
+//! daemon connection per node and polls them all under one cluster lock
+//! per pulse ([`poll_frame`]) into the second's frame, `[k, dim, node₀
+//! values…, node₁ values…]` (the layout of [`crate::rack::RackSummary`],
+//! samples where the means go) — whole, or absent when some node has
+//! nothing for the second. The frame is the payload that leaves: each
+//! node's response is decoded straight into its row of it, so a
+//! node-second is copied once on its way from the wire to the consumer. It
+//! leaves on the one output, `frame`, origin = the first node's hostname:
+//! the edge a rack's `knn`, `mavgvec`, `rack_agg` or `metric_rank` listens
+//! to.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -75,8 +74,8 @@ impl Module for ClusterDriver {
 /// kind has (`hadoop_log`'s `daemon`).
 type Connect<D> = fn(&InitCtx<'_>, ClusterHandle, usize) -> Result<D, ModuleError>;
 
-/// The collector body: polls one daemon kind for one node (`node = i`) or a
-/// contiguous range of nodes (`nodes = lo..hi`).
+/// The collector body: polls one daemon kind for a contiguous range of
+/// nodes (`nodes = lo..hi`).
 ///
 /// Every node keeps what the paper's one-instance-per-node deployment gives
 /// it — its own connection, its own request and response on the wire, its
@@ -89,9 +88,8 @@ pub struct RangeCollector<D> {
     connect: Connect<D>,
     /// One daemon per monitored node, in node order.
     daemons: Vec<D>,
-    /// The one output, and whether it carries the whole frame (`frame`, a
-    /// range) or only its values (`output0`, one node).
-    port: Option<(PortId, bool)>,
+    /// The one output, `frame`.
+    port: Option<PortId>,
 }
 
 /// The black-box collector: `sadc_rpcd` metric vectors.
@@ -156,42 +154,28 @@ impl<D> RangeCollector<D> {
         }
     }
 
-    /// The monitored node indices: `node = i` is the one-element range.
+    /// The monitored node indices, the `nodes = lo..hi` parameter.
     fn node_range(&self, ctx: &InitCtx<'_>) -> Result<Range<usize>, ModuleError> {
-        let n_slaves = self.cluster.n_slaves();
-        let (key, range) = match ctx.param("nodes") {
-            Some(_) if ctx.param("node").is_some() => {
-                return Err(ModuleError::invalid_parameter(
-                    "nodes",
-                    "give either `node` or `nodes`, not both",
-                ))
-            }
-            Some(raw) => {
-                let bounds = raw
-                    .split_once("..")
-                    .and_then(|(lo, hi)| Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?));
-                let Some(range) = bounds else {
-                    return Err(ModuleError::invalid_parameter(
-                        "nodes",
-                        format!("expected `lo..hi`, got `{raw}`"),
-                    ));
-                };
-                ("nodes", range)
-            }
-            None => {
-                let node: usize = ctx.parse_param("node")?;
-                ("node", node..node.saturating_add(1))
-            }
+        let raw = ctx.require_param("nodes")?;
+        let bounds = raw
+            .split_once("..")
+            .and_then(|(lo, hi)| Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?));
+        let Some(range) = bounds else {
+            return Err(ModuleError::invalid_parameter(
+                "nodes",
+                format!("expected `lo..hi`, got `{raw}`"),
+            ));
         };
         if range.is_empty() {
             return Err(ModuleError::invalid_parameter(
-                key,
+                "nodes",
                 format!("{}..{} holds no node", range.start, range.end),
             ));
         }
+        let n_slaves = self.cluster.n_slaves();
         if range.end > n_slaves {
             return Err(ModuleError::invalid_parameter(
-                key,
+                "nodes",
                 format!("cluster has {n_slaves} slaves"),
             ));
         }
@@ -246,11 +230,7 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         let nodes = self.node_range(ctx)?;
         let origin = self.cluster.slave_name(nodes.start);
-        let (name, framed) = match ctx.param("nodes") {
-            Some(_) => ("frame", true),
-            None => ("output0", false),
-        };
-        self.port = Some((ctx.declare_output_with_origin(name, origin), framed));
+        self.port = Some(ctx.declare_output_with_origin("frame", origin));
         for node in nodes {
             self.daemons
                 .push((self.connect)(ctx, self.cluster.clone(), node)?);
@@ -281,10 +261,8 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
         let kind = self.daemons[0].kind();
         let polled =
             polled.map_err(|e| ModuleError::Other(format!("{kind}_rpcd poll failed: {e}")))?;
-        match (polled, self.port) {
-            (Some(_), Some((port, true))) => ctx.emit(port, Value::Vector(frame)),
-            (Some(_), Some((port, false))) => ctx.emit(port, &frame[2..]),
-            _ => {}
+        if polled.is_some() {
+            ctx.emit(self.port.expect("declared in init"), Value::Vector(frame));
         }
         Ok(())
     }
@@ -329,7 +307,7 @@ id = drv
 
 [sadc]
 id = sadc1
-node = 1
+nodes = 1..2
 input[clock] = drv.tick
 "
         .parse()
@@ -341,7 +319,9 @@ input[clock] = drv.tick
         let out = tap.drain();
         assert_eq!(out.len(), 5);
         assert_eq!(out[0].source.origin, "slave01");
-        assert_eq!(out[0].sample.value.as_vector().unwrap().len(), 120);
+        let frame = out[0].sample.value.as_vector().unwrap();
+        assert_eq!(frame[..2], [1.0, 120.0]);
+        assert_eq!(frame.len(), 2 + 120);
     }
 
     #[test]
@@ -353,13 +333,13 @@ id = drv
 
 [hadoop_log]
 id = hl_tt
-node = 0
+nodes = 0..1
 daemon = tasktracker
 input[clock] = drv.tick
 
 [hadoop_log]
 id = hl_dn
-node = 0
+nodes = 0..1
 daemon = datanode
 input[clock] = drv.tick
 "
@@ -373,12 +353,12 @@ input[clock] = drv.tick
         let tt_out = tt.drain();
         let dn_out = dn.drain();
         assert_eq!(tt_out.len(), 120);
-        assert_eq!(tt_out[0].sample.value.as_vector().unwrap().len(), 6);
-        assert_eq!(dn_out[0].sample.value.as_vector().unwrap().len(), 3);
+        assert_eq!(tt_out[0].sample.value.as_vector().unwrap().len(), 2 + 6);
+        assert_eq!(dn_out[0].sample.value.as_vector().unwrap().len(), 2 + 3);
         // Some task activity must be visible over two minutes.
         let total: f64 = tt_out
             .iter()
-            .flat_map(|e| e.sample.value.as_vector().unwrap().to_vec())
+            .flat_map(|e| e.sample.value.as_vector().unwrap()[2..].to_vec())
             .sum();
         assert!(total > 0.0);
     }
@@ -387,9 +367,9 @@ input[clock] = drv.tick
     fn invalid_node_or_daemon_fails_init() {
         let h = handle(2);
         for cfg in [
-            "[sadc]\nid = s\nnode = 9\n",
-            "[hadoop_log]\nid = hl\nnode = 0\ndaemon = bogus\n",
-            "[hadoop_log]\nid = hl\nnode = 0\n",
+            "[sadc]\nid = s\nnodes = 9..10\n",
+            "[hadoop_log]\nid = hl\nnodes = 0..1\ndaemon = bogus\n",
+            "[hadoop_log]\nid = hl\nnodes = 0..1\n",
         ] {
             let parsed: Config = cfg.parse().unwrap();
             assert!(
@@ -437,133 +417,56 @@ input[clock] = drv.tick
     const SECS: u64 = 40;
 
     #[test]
-    fn node_range_is_bitwise_equal_per_port_to_one_instance_per_node() {
-        // Clocked by the driver, and free-running *ahead* of it: listed
-        // first, the collectors' run at t=0 precedes the first simulation
-        // tick, a `sadc` or `strace` polls `Ok(None)`, and must emit nothing.
-        let clocked = (
-            "[cluster_driver]\nid = drv\n\n",
-            "input[clock] = drv.tick\n",
-            "",
-        );
-        let ahead = ("", "", "\n[cluster_driver]\nid = drv\n");
+    fn node_range_frame_is_one_headed_row_a_second() {
+        // Clocked, and free-running *ahead* of the driver: listed first, the
+        // collector's run at t=0 precedes the first simulation tick, every
+        // `sadc` or `strace` node polls `Ok(None)`, and no frame may leave.
+        // (`collection_streams` pins the frames' values.)
+        let driver = "[cluster_driver]\nid = drv\n\n";
         for (kind, params, dim, silent_at_first) in kinds() {
-            for (head, clock, tail) in [clocked, ahead] {
-                let rack =
-                    format!("{head}[{kind}]\nid = rack\n{params}nodes = 1..4\n{clock}{tail}");
-                let per_node = (1..4)
-                    .map(|i| format!("[{kind}]\nid = s{i}\n{params}node = {i}\n{clock}\n"))
-                    .collect::<String>();
-                let per_node = format!("{head}{per_node}{tail}");
-                // A range declares one port, its frame.
-                let dag = Dag::build(&registry(&handle(5)), &rack.parse().unwrap()).unwrap();
-                let ports = &dag.node("rack").unwrap().outputs;
-                assert_eq!(ports.len(), 1, "{kind}");
-                assert_eq!(ports[0].name, "frame");
-                let run = |cfg: &str, ids: &[&str]| {
-                    let h = handle(5);
-                    let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
-                    let mut eng = TickEngine::new(dag);
-                    let taps: Vec<TapHandle> = ids.iter().map(|id| eng.tap(id).unwrap()).collect();
-                    eng.run_for(TickDuration::from_secs(SECS)).unwrap();
-                    taps
-                };
-                let rack_tap = &run(&rack, &["rack"])[0];
-                let node_taps = run(&per_node, &["s1", "s2", "s3"]);
-                let frames = port_stream(rack_tap, "frame");
-                assert_eq!(frames.len(), rack_tap.len(), "nothing but frames leave");
-                for (j, node_tap) in node_taps.iter().enumerate() {
-                    let expected = port_stream(node_tap, "output0");
-                    let skipped = u64::from(clock.is_empty() && silent_at_first);
-                    assert_eq!(expected.len() as u64, SECS - skipped, "{kind}");
-                    assert_eq!(expected[0].0, format!("slave{:02}", j + 1));
-                    let node_j = |(_, t, bits): &(String, u64, Vec<u64>), at: usize| {
-                        (*t, bits[at..][..dim].to_vec())
-                    };
-                    let expected: Vec<_> = expected.iter().map(|e| node_j(e, 0)).collect();
-                    let in_frames: Vec<_> = frames.iter().map(|f| node_j(f, 2 + j * dim)).collect();
-                    assert_eq!(in_frames, expected, "{kind} node {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_range_frame_is_every_node_port_of_the_second_bitwise() {
-        // Clocked, and free-running ahead of the driver: there the run at
-        // t=0 polls `Ok(None)` from every `sadc` or `strace` node, and no
-        // frame may leave. Beside the rack, node 2 alone in both forms, each
-        // on a cluster of its own (log daemons drain what they read):
-        // `node = 2` emits the values of `nodes = 2..3`'s frame.
-        for (kind, params, dim, silent_at_first) in kinds() {
-            let driver = "[cluster_driver]\nid = drv\n\n";
             for (clock, first_second) in [
                 ("input[clock] = drv.tick\n", 0),
                 ("", u64::from(silent_at_first)),
             ] {
-                let run = |nodes: &str, port: &str| {
-                    let collector = format!("[{kind}]\nid = c\n{params}{nodes}\n{clock}\n");
-                    let cfg = if clock.is_empty() {
-                        format!("{collector}{driver}")
-                    } else {
-                        format!("{driver}{collector}")
-                    };
-                    let h = handle(5);
-                    let dag = Dag::build(&registry(&h), &cfg.parse().unwrap()).unwrap();
-                    let mut eng = TickEngine::new(dag);
-                    let tap = eng.tap("c").unwrap();
-                    eng.run_for(TickDuration::from_secs(SECS)).unwrap();
-                    port_stream(&tap, port)
+                let collector = format!("[{kind}]\nid = c\n{params}nodes = 1..4\n{clock}\n");
+                let cfg = if clock.is_empty() {
+                    format!("{collector}{driver}")
+                } else {
+                    format!("{driver}{collector}")
                 };
+                let dag = Dag::build(&registry(&handle(5)), &cfg.parse().unwrap()).unwrap();
+                // A range declares one port, its frame.
+                let ports = &dag.node("c").unwrap().outputs;
+                assert_eq!(ports.len(), 1, "{kind}");
+                assert_eq!(ports[0].name, "frame");
+                let mut eng = TickEngine::new(dag);
+                let tap = eng.tap("c").unwrap();
+                eng.run_for(TickDuration::from_secs(SECS)).unwrap();
 
-                let frames = run("nodes = 1..4", "frame");
+                let frames = port_stream(&tap, "frame");
+                assert_eq!(frames.len(), tap.len(), "nothing but frames leave");
                 let seconds: Vec<u64> = frames.iter().map(|(_, t, _)| *t).collect();
-                assert_eq!(seconds, (first_second..SECS).collect::<Vec<_>>());
+                assert_eq!(seconds, (first_second..SECS).collect::<Vec<_>>(), "{kind}");
                 let header = [3f64.to_bits(), (dim as f64).to_bits()];
                 for (origin, t, frame) in &frames {
                     assert_eq!(origin, "slave01", "the range's first node");
                     assert_eq!(frame[..2], header, "{kind} t={t}");
                     assert_eq!(frame.len(), 2 + 3 * dim);
                 }
-
-                let one = run("node = 2", "output0");
-                let range = run("nodes = 2..3", "frame");
-                assert_eq!(one.len(), frames.len());
-                let header = [1f64.to_bits(), (dim as f64).to_bits()];
-                let unframed: Vec<_> = range
-                    .iter()
-                    .map(|(origin, t, frame)| {
-                        assert_eq!(frame[..2], header);
-                        (origin.clone(), *t, frame[2..].to_vec())
-                    })
-                    .collect();
-                assert_eq!(one[0].0, "slave02");
-                assert_eq!(one, unframed, "{kind}");
             }
         }
-    }
-
-    #[test]
-    fn one_node_collector_declares_no_frame_port() {
-        let h = handle(3);
-        let cfg = "[sadc]\nid = s\nnode = 1\n\n[print]\nid = p\ninput[a] = s.frame\n";
-        assert!(Dag::build(&registry(&h), &cfg.parse().unwrap()).is_err());
-        let cfg = cfg.replace("node = 1", "nodes = 1..2");
-        assert!(Dag::build(&registry(&h), &cfg.parse().unwrap()).is_ok());
     }
 
     #[test]
     fn node_and_nodes_parameters_are_validated() {
         let h = handle(4);
         for (params, why) in [
-            ("node = 1\nnodes = 0..2", "both forms"),
             ("nodes = 2..2", "empty range"),
             ("nodes = 3..1", "reversed range"),
             ("nodes = 2..5", "hi > n_slaves"),
             ("nodes = 2", "not a range"),
             ("nodes = a..b", "not numbers"),
-            ("node = 4", "node >= n_slaves"),
-            ("", "neither form"),
+            ("", "no range"),
         ] {
             let cfg: Config = format!("[sadc]\nid = s\n{params}\n").parse().unwrap();
             assert!(
@@ -571,7 +474,7 @@ input[clock] = drv.tick
                 "should reject {why}"
             );
         }
-        for params in ["nodes = 0..4", "nodes = 3..4", "node = 3"] {
+        for params in ["nodes = 0..4", "nodes = 3..4"] {
             let cfg: Config = format!("[sadc]\nid = s\n{params}\n").parse().unwrap();
             assert!(
                 Dag::build(&registry(&h), &cfg).is_ok(),
@@ -583,7 +486,7 @@ input[clock] = drv.tick
     #[test]
     fn collectors_can_free_run_periodically_without_a_clock() {
         let h = handle(2);
-        let cfg: Config = "[cluster_driver]\nid = drv\n\n[sadc]\nid = s\nnode = 0\n"
+        let cfg: Config = "[cluster_driver]\nid = drv\n\n[sadc]\nid = s\nnodes = 0..1\n"
             .parse()
             .unwrap();
         let dag = Dag::build(&registry(&h), &cfg).unwrap();
@@ -603,7 +506,7 @@ id = drv
 
 [strace]
 id = st1
-node = 1
+nodes = 1..2
 input[clock] = drv.tick
 "
         .parse()
@@ -617,7 +520,7 @@ input[clock] = drv.tick
         assert_eq!(out[0].source.origin, "slave01");
         assert_eq!(
             out[0].sample.value.as_vector().unwrap().len(),
-            procsim::syscalls::SYSCALL_CATEGORY_COUNT
+            2 + procsim::syscalls::SYSCALL_CATEGORY_COUNT
         );
     }
 }

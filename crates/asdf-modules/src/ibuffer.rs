@@ -9,11 +9,13 @@
 //! Configuration parameters:
 //!
 //! * `size` — data points per emitted batch (required, > 0);
-//! * `mode` — `tumbling` (default: buffer clears after each batch) or
-//!   `sliding` (batch emitted every sample once warm).
+//! * `mode` — `tumbling` (default: a batch takes its `size` points out of
+//!   the buffer) or `sliding` (a batch takes out only its oldest point).
 //!
-//! Scalar inputs batch into a `Vector` of `size` points; the batch carries
-//! the timestamp of its newest point.
+//! Input rows' values are appended to the buffer in order — a one-node
+//! rack's `knn` row is one point — and a `Vector` batch of the `size`
+//! oldest points leaves each time the buffer holds `size`, stamped with the
+//! row that filled it.
 
 use std::collections::VecDeque;
 
@@ -21,7 +23,7 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::value::{Sample, Value};
 
-/// Batches scalar samples into fixed-size vectors.
+/// Batches the values of its input rows into fixed-size vectors.
 #[derive(Debug, Default)]
 pub struct IBuffer {
     size: usize,
@@ -65,21 +67,19 @@ impl Module for IBuffer {
         let out = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            let x = env.sample.value.as_float().ok_or_else(|| {
-                ModuleError::Other(format!(
-                    "ibuffer expects scalar samples, got {}",
+            let Value::Vector(row) = &env.sample.value else {
+                return Err(ModuleError::Other(format!(
+                    "ibuffer expects rows, got {}",
                     env.sample.value.type_name()
-                ))
-            })?;
-            self.buf.push_back(x);
-            if self.buf.len() >= self.size {
-                let batch: Vec<f64> = self.buf.iter().copied().collect();
-                emit.emit_sample(out, Sample::new(env.sample.timestamp, Value::from(batch)));
-                if self.sliding {
-                    self.buf.pop_front();
-                } else {
-                    self.buf.clear();
-                }
+                )));
+            };
+            self.buf.extend(row.iter());
+            while self.buf.len() >= self.size {
+                let batch = self.buf.range(..self.size).copied();
+                let batch = Value::from(batch.collect::<Vec<f64>>());
+                emit.emit_sample(out, Sample::new(env.sample.timestamp, batch));
+                let taken = if self.sliding { 1 } else { self.size };
+                self.buf.drain(..taken);
             }
         }
         Ok(())
@@ -88,20 +88,15 @@ impl Module for IBuffer {
 
 #[cfg(test)]
 mod tests {
-    use crate::testutil::{run_source_pipeline, scalar_source_registry};
+    use crate::testutil::{run_source_pipeline, vector_source_registry};
+
+    /// One-value rows `1|2|…|7`: what a one-node rack's `knn` hands on.
+    const ROWS: &str = "[rowreplay]\nid = src\nrows = 1|2|3|4|5|6|7\n\n";
 
     #[test]
     fn tumbling_batches_do_not_overlap() {
-        let cfg = "\
-[scalarsource]
-id = src
-
-[ibuffer]
-id = buf
-size = 3
-input[input] = src.out
-";
-        let out = run_source_pipeline(&scalar_source_registry(), cfg, "buf", 7);
+        let cfg = &format!("{ROWS}[ibuffer]\nid = buf\nsize = 3\ninput[input] = src.out\n");
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "buf", 7);
         assert_eq!(out.len(), 2);
         assert_eq!(
             out[0].sample.value.as_vector().unwrap(),
@@ -117,17 +112,10 @@ input[input] = src.out
 
     #[test]
     fn sliding_batches_overlap() {
-        let cfg = "\
-[scalarsource]
-id = src
-
-[ibuffer]
-id = buf
-size = 3
-mode = sliding
-input[input] = src.out
-";
-        let out = run_source_pipeline(&scalar_source_registry(), cfg, "buf", 5);
+        let cfg = &format!(
+            "{ROWS}[ibuffer]\nid = buf\nsize = 3\nmode = sliding\ninput[input] = src.out\n"
+        );
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "buf", 5);
         assert_eq!(out.len(), 3);
         assert_eq!(
             out[1].sample.value.as_vector().unwrap(),
@@ -136,18 +124,39 @@ input[input] = src.out
     }
 
     #[test]
-    fn origin_propagates() {
-        let cfg = "\
-[scalarsource]
-id = src
+    fn a_row_of_several_values_is_appended_in_order() {
+        // `vecsource` rows `[t, 2t]`: a row can complete more than one batch.
+        let cfg = |mode: &str| {
+            format!("[vecsource]\nid = src\n\n[ibuffer]\nid = buf\nsize = 3\nmode = {mode}\ninput[input] = src.out\n")
+        };
+        let batches = |mode| {
+            let out = run_source_pipeline(&vector_source_registry(), &cfg(mode), "buf", 3);
+            let batch = |e: &asdf_core::module::Envelope| {
+                let secs = e.sample.timestamp.as_secs();
+                (secs, e.sample.value.as_vector().unwrap().to_vec())
+            };
+            out.iter().map(batch).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            batches("tumbling"),
+            [(1, vec![1.0, 2.0, 2.0]), (2, vec![4.0, 3.0, 6.0])]
+        );
+        assert_eq!(
+            batches("sliding"),
+            [
+                (1, vec![1.0, 2.0, 2.0]),
+                (1, vec![2.0, 2.0, 4.0]),
+                (2, vec![2.0, 4.0, 3.0]),
+                (2, vec![4.0, 3.0, 6.0]),
+            ]
+        );
+    }
 
-[ibuffer]
-id = buf
-size = 2
-input[input] = src.out
-";
-        let out = run_source_pipeline(&scalar_source_registry(), cfg, "buf", 2);
-        assert_eq!(out[0].source.origin, "test-node");
+    #[test]
+    fn origin_propagates() {
+        let cfg = &format!("{ROWS}[ibuffer]\nid = buf\nsize = 2\ninput[input] = src.out\n");
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "buf", 2);
+        assert_eq!(out[0].source.origin, "test-rack");
     }
 
     #[test]
@@ -155,14 +164,14 @@ input[input] = src.out
         use asdf_core::config::Config;
         use asdf_core::dag::Dag;
         for cfg in [
-            "[scalarsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 0\ninput[i] = s.out\n",
-            "[scalarsource]\nid = s\n\n[ibuffer]\nid = b\ninput[i] = s.out\n",
-            "[scalarsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 2\nmode = bogus\ninput[i] = s.out\n",
+            "[vecsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 0\ninput[i] = s.out\n",
+            "[vecsource]\nid = s\n\n[ibuffer]\nid = b\ninput[i] = s.out\n",
+            "[vecsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 2\nmode = bogus\ninput[i] = s.out\n",
             "[ibuffer]\nid = b\nsize = 2\n",
         ] {
             let parsed: Config = cfg.parse().unwrap();
             assert!(
-                Dag::build(&scalar_source_registry(), &parsed).is_err(),
+                Dag::build(&vector_source_registry(), &parsed).is_err(),
                 "should reject: {cfg}"
             );
         }

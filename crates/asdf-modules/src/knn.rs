@@ -8,12 +8,11 @@
 //! centroid is computed. The indices of the k nearest centroids to s′ ...
 //! are output."
 //!
-//! A sample is one node's vector, as wide as the model, or a rack's second:
-//! a collector's `frame` row `[n, dim, node₀…, node₁…]`
-//! ([`crate::rack::RackSummary::shape`]). Each node row is classified
-//! where it lies in the sample, with no copy, by the same
-//! [`Classifier`] either way, so one instance per rack — one parse of the
-//! model text — reads exactly what `n` per-node instances would.
+//! A sample is a rack's second: a collector's `frame` row `[n, dim,
+//! node₀…, node₁…]` ([`crate::rack::RackSummary::shape`]) whose `dim` is
+//! the model's width. Each node row is classified where it lies in the
+//! sample, with no copy, by one [`Classifier`]: one instance per rack, one
+//! parse of the model text.
 //!
 //! Configuration parameters:
 //!
@@ -23,8 +22,8 @@
 //! * `k` — neighbors to output (default 1).
 //!
 //! Output `output0`: per sample, the `k` nearest indices of each of its
-//! node rows, node-major, as one row — except that a bare vector at `k = 1`
-//! is answered with the nearest index as an `Int`, the paper's form.
+//! node rows, node-major, as one row (a one-node rack at `k = 1`: the
+//! nearest index alone).
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
@@ -56,18 +55,12 @@ impl Knn {
     }
 }
 
-/// A sample's node rows, and whether it came as a bare vector (`None`)
-/// or as a rack frame of `n` nodes: the one place a sample's width is
-/// checked.
-fn node_rows(sample: &[f64], dim: usize) -> Result<(Option<usize>, &[f64]), ModuleError> {
-    if sample.len() == dim {
-        return Ok((None, sample));
-    }
+/// A sample's node rows: the one place a sample's shape is checked.
+fn node_rows(sample: &[f64], dim: usize) -> Result<&[f64], ModuleError> {
     match RackSummary::shape(sample) {
-        Ok((n, d)) if d == dim => Ok((Some(n), &sample[2..])),
+        Ok((_, d)) if d == dim => Ok(&sample[2..]),
         shape => Err(ModuleError::Other(format!(
-            "knn dimension mismatch: sample {} vs model {dim}, \
-             and as a rack frame: {shape:?}",
+            "knn expects rack frames of the model's width {dim}, got {} values: {shape:?}",
             sample.len()
         ))),
     }
@@ -105,7 +98,7 @@ impl Module for Knn {
                 )));
             };
             let dim = classifier.dim();
-            let (width, rows) = node_rows(raw, dim)?;
+            let rows = node_rows(raw, dim)?;
             self.indices.clear();
             for row in rows.chunks_exact(dim) {
                 if k == 1 {
@@ -115,12 +108,7 @@ impl Module for Knn {
                     self.indices.extend(nearest.map(|i| i as f64));
                 }
             }
-            let ts = env.sample.timestamp;
-            let sample = match (width, &self.indices[..]) {
-                (None, &[idx]) => Sample::new(ts, idx as i64),
-                (_, indices) => Sample::new(ts, indices),
-            };
-            emit.emit_sample(out, sample);
+            emit.emit_sample(out, Sample::new(env.sample.timestamp, &self.indices[..]));
         }
         Ok(())
     }
@@ -130,7 +118,6 @@ impl Module for Knn {
 mod tests {
     use super::*;
     use crate::testutil::{run_source_pipeline, vector_source_registry};
-    use asdf_core::value::Value;
 
     /// Model with centroids near log-scaled [1,2] and [8,16] streams.
     fn model_params() -> (String, String) {
@@ -141,35 +128,6 @@ mod tests {
         (model.centroids_param(), model.stddev_param())
     }
 
-    #[test]
-    fn one_nn_classifies_the_stream_consistently() {
-        let (cents, sd) = model_params();
-        let cfg = format!(
-            "[vecsource]\nid = src\n\n[knn]\nid = onenn\ncentroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n"
-        );
-        let out = run_source_pipeline(&vector_source_registry(), &cfg, "onenn", 10);
-        assert_eq!(out.len(), 10);
-        let states: Vec<i64> = out
-            .iter()
-            .map(|e| e.sample.value.as_int().unwrap())
-            .collect();
-        // All samples come from the near-stream workload: one state.
-        assert!(states.windows(2).all(|w| w[0] == w[1]), "{states:?}");
-        assert_eq!(out[0].source.origin, "test-node");
-    }
-
-    #[test]
-    fn k_greater_than_one_emits_index_vectors() {
-        let (cents, sd) = model_params();
-        let cfg = format!(
-            "[vecsource]\nid = src\n\n[knn]\nid = nn\nk = 2\ncentroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n"
-        );
-        let out = run_source_pipeline(&vector_source_registry(), &cfg, "nn", 3);
-        let v = out[0].sample.value.as_vector().unwrap();
-        assert_eq!(v.len(), 2);
-        assert_ne!(v[0], v[1]);
-    }
-
     /// A `knn` with `params` over a replayed stream of `rows`.
     fn over_rows(params: &str, rows: &str) -> String {
         format!(
@@ -178,25 +136,70 @@ mod tests {
         )
     }
 
+    /// A `knn` with `params` on the [`model_params`] model over `secs`
+    /// seconds of the stream it was fitted to, `[t, 2t]`, as one-node frames.
+    fn over_fitted_stream(params: &str, secs: u64) -> String {
+        let (cents, sd) = model_params();
+        let rows: Vec<String> = (1..=secs).map(|t| format!("1,2, {t},{}", 2 * t)).collect();
+        format!(
+            "[rowreplay]\nid = src\nrows = {}\n\n\
+             [knn]\nid = nn\n{params}centroids = {cents}\nstddev = {sd}\ninput[input] = src.out\n",
+            rows.join("|")
+        )
+    }
+
+    #[test]
+    fn one_nn_classifies_the_stream_consistently() {
+        let out = run_source_pipeline(
+            &vector_source_registry(),
+            &over_fitted_stream("", 10),
+            "nn",
+            10,
+        );
+        assert_eq!(out.len(), 10);
+        let states: Vec<f64> = out
+            .iter()
+            .map(|e| match e.sample.value.as_vector().unwrap() {
+                &[state] => state,
+                row => panic!("a one-node frame is answered with one index: {row:?}"),
+            })
+            .collect();
+        // All samples come from the near-stream workload: one state.
+        assert!(states.windows(2).all(|w| w[0] == w[1]), "{states:?}");
+        assert_eq!(out[0].source.origin, "test-rack");
+    }
+
+    #[test]
+    fn k_greater_than_one_emits_index_vectors() {
+        let cfg = over_fitted_stream("k = 2\n", 3);
+        let out = run_source_pipeline(&vector_source_registry(), &cfg, "nn", 3);
+        let v = out[0].sample.value.as_vector().unwrap();
+        assert_eq!(v.len(), 2);
+        assert_ne!(v[0], v[1]);
+    }
+
     #[test]
     fn a_frame_is_answered_with_one_row_of_its_nodes_neighbours() {
         let reg = vector_source_registry();
         // Three nodes, dim 2: near centroids 0, 2 and 1 (log-scaled).
         let frame = "3,2, 0,0, 9000,9000, 20,20";
-        let bare = "0,0 | 9000,9000 | 20,20";
+        let nodes = [[0.0, 0.0], [9000.0, 9000.0], [20.0, 20.0]];
         for (k, params) in [(1, ""), (2, "k = 2\n")] {
             let rack = run_source_pipeline(&reg, &over_rows(params, frame), "nn", 2);
             assert_eq!(rack.len(), 1);
             let got = rack[0].sample.value.as_vector().unwrap();
-            // What three per-node samples are answered with, node-major.
-            let per_node = run_source_pipeline(&reg, &over_rows(params, bare), "nn", 4);
-            let want: Vec<f64> = per_node
-                .iter()
-                .flat_map(|e| match &e.sample.value {
-                    Value::Int(i) => vec![*i as f64],
-                    other => other.as_vector().unwrap().to_vec(),
-                })
-                .collect();
+            // What the classifier answers each node row with, node-major.
+            let mut classifier = BlackBoxModel::from_params("0,0|3,3|9,9", "1,1")
+                .unwrap()
+                .into_classifier();
+            let mut want = Vec::new();
+            for row in &nodes {
+                if k == 1 {
+                    want.push(classifier.classify(row) as f64);
+                } else {
+                    want.extend(classifier.nearest_k(row, k).map(|i| i as f64));
+                }
+            }
             assert_eq!(want.len(), 3 * k);
             assert_eq!(got, &want[..], "k = {k}");
             assert_eq!(rack[0].source.origin, "test-rack");
@@ -206,12 +209,6 @@ mod tests {
                 "nearest first"
             );
         }
-        assert!(matches!(
-            run_source_pipeline(&reg, &over_rows("", bare), "nn", 1)[0]
-                .sample
-                .value,
-            Value::Int(0)
-        ));
     }
 
     #[test]
@@ -219,17 +216,32 @@ mod tests {
         use asdf_core::dag::Dag;
         use asdf_core::engine::TickEngine;
         use asdf_core::time::TickDuration;
-        for (rows, why) in [
-            ("2,2, 1,1, 2", "short payload"),
-            ("2,2, 1,1, 2,2, 3", "long payload"),
-            ("1.5,2, 1,1, 2", "fractional node count"),
-            ("nan,2, 1,1", "NaN node count"),
-            ("0,2, 1", "no nodes"),
-            ("2,3, 1,1,1, 2,2,2", "a frame of another width"),
-            ("1e300,2, 1,1", "a header no payload can match"),
-            ("7", "one value"),
+        // Each after a good one-node frame, against a model `width` wide.
+        for (width, rows, why) in [
+            (2, "2,2, 1,1, 2", "short payload"),
+            (2, "2,2, 1,1, 2,2, 3", "long payload"),
+            (2, "1.5,2, 1,1, 2", "fractional node count"),
+            (2, "nan,2, 1,1", "NaN node count"),
+            (2, "0,2, 1", "no nodes"),
+            (2, "2,3, 1,1,1, 2,2,2", "a frame of another width"),
+            (2, "1e300,2, 1,1", "a header no payload can match"),
+            (2, "7", "one value"),
+            (
+                8,
+                "2,3, 1,1,1, 2,2,2",
+                "a frame as long as the model is wide",
+            ),
         ] {
-            let cfg = over_rows("", &format!("1,1 | {rows}"));
+            let row = |x: &str| vec![x; width].join(",");
+            let cfg = format!(
+                "[rowreplay]\nid = src\nrows = 1,{width}, {} | {rows}\n\n\
+                 [knn]\nid = nn\ncentroids = {}|{}|{}\nstddev = {}\ninput[input] = src.out\n",
+                row("1"),
+                row("0"),
+                row("3"),
+                row("9"),
+                row("1")
+            );
             let dag = Dag::build(&vector_source_registry(), &cfg.parse().unwrap()).unwrap();
             let mut engine = TickEngine::new(dag);
             let tap = engine.tap("nn").unwrap();
@@ -241,8 +253,8 @@ mod tests {
 
     #[test]
     fn row_bursts_match_per_sample_outputs_at_any_batch() {
-        // 45 rows, handed over one, 2, 7 or 9 to a run: every row is
-        // answered, in order, with the state it alone decides.
+        // 45 one-node frames, handed over one, 2, 7 or 9 to a run: every
+        // frame is answered, in order, with the state it alone decides.
         let (cents, sd) = model_params();
         let cfg = |burst: usize| {
             format!(
@@ -311,10 +323,11 @@ mod tests {
         use asdf_core::dag::Dag;
         use asdf_core::engine::TickEngine;
         use asdf_core::time::TickDuration;
-        // Model expects 3 dims; source emits 2.
+        // Model expects 3 dims; the frame's nodes hold 2.
         let cfg = "\
-[vecsource]
+[rowreplay]
 id = src
+rows = 1,2, 1,2
 
 [knn]
 id = nn

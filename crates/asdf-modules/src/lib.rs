@@ -10,7 +10,8 @@
 //! `/proc` metric vectors via `sadc_rpcd`), `hadoop_log` (white-box state
 //! counts via `hadoop_log_rpcd`), `strace` (syscall counts via
 //! `strace_rpcd`) — three daemon kinds behind one collector body, each
-//! instance holding one node or a rack of them.
+//! instance holding a rack of nodes and emitting its second as one frame
+//! row.
 //!
 //! **Analysis**: [`mavgvec`] (windowed mean/variance), [`knn`]
 //! (`log(1+x)/σ`-scaled 1-NN workload classification), [`ibuffer`]
@@ -65,14 +66,14 @@
 //! [mavgvec]
 //! id = avg
 //! window = 4
-//! emit = mean
 //! input[input] = src.out
 //! ".parse()?;
 //!
 //! let mut engine = TickEngine::new(Dag::build(&registry, &config)?);
 //! let tap = engine.tap("avg").unwrap();
 //! engine.run_for(TickDuration::from_secs(8))?;
-//! let means = tap.drain();
+//! let mut means = tap.drain();
+//! means.retain(|e| e.source.name == "mean"); // `stddev` rows ride beside
 //! assert_eq!(means.len(), 2); // two non-overlapping 4-sample windows
 //! assert_eq!(means[0].sample.value.as_vector().unwrap()[0], 2.5);
 //! assert_eq!(means[0].source.origin, "node-a");

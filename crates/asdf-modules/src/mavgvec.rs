@@ -9,9 +9,9 @@
 //! Configuration parameters:
 //!
 //! * `window` — samples per window (required, > 0);
-//! * `slide` — samples to advance between emissions (default = `window`);
-//! * `emit` — `mean`, `var`, `stddev`, or `both` (default `both`:
-//!   `output0` = mean, `output1` = stddev).
+//! * `slide` — samples to advance between emissions (default = `window`).
+//!
+//! Outputs: `mean` and `stddev`, one row each per window.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,14 +20,6 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
 use asdf_core::value::{Sample, Value};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Emit {
-    Mean,
-    Var,
-    StdDev,
-    Both,
-}
 
 /// Moving mean/variance over a sliding window of vector samples.
 ///
@@ -38,16 +30,14 @@ enum Emit {
 pub struct MavgVec {
     window: usize,
     slide: usize,
-    emit: Option<Emit>,
     buf: VecDeque<(Timestamp, Arc<[f64]>)>,
     since_emit: usize,
     /// Per-emission mean scratch.
     mean: Vec<f64>,
-    /// Per-emission variance scratch (transformed to stddev in place when
-    /// that is what gets emitted).
+    /// Per-emission variance scratch, transformed to stddev in place.
     var: Vec<f64>,
-    out_a: Option<PortId>,
-    out_b: Option<PortId>,
+    /// The `mean` and `stddev` outputs.
+    ports: Option<(PortId, PortId)>,
 }
 
 impl MavgVec {
@@ -104,46 +94,18 @@ impl MavgVec {
             // Stamp outputs with the window-end sample's timestamp so
             // cross-node alignment sees matching times.
             let ts = self.buf.back().expect("non-empty").0;
-            let mut out = |port: Option<PortId>, row: &[f64]| {
-                emit.emit_sample(port.expect("configured in init"), Sample::new(ts, row));
-            };
-            match self.emit.expect("configured in init") {
-                Emit::Mean => out(self.out_a, &self.mean),
-                Emit::Var => out(self.out_a, &self.var),
-                Emit::StdDev => {
-                    for s in &mut self.var {
-                        *s = s.sqrt();
-                    }
-                    out(self.out_a, &self.var);
-                }
-                Emit::Both => {
-                    out(self.out_a, &self.mean);
-                    for s in &mut self.var {
-                        *s = s.sqrt();
-                    }
-                    out(self.out_b, &self.var);
-                }
+            let (mean_port, stddev_port) = self.ports.expect("configured in init");
+            emit.emit_sample(mean_port, Sample::new(ts, &self.mean[..]));
+            for s in &mut self.var {
+                *s = s.sqrt();
             }
+            emit.emit_sample(stddev_port, Sample::new(ts, &self.var[..]));
             // Trim history we can never need again.
             while self.buf.len() > self.window {
                 self.buf.pop_front();
             }
         }
         Ok(())
-    }
-
-    /// Converts one envelope's payload into a buffered window row: a vector
-    /// shares its allocation, a scalar is promoted to a 1-D vector.
-    fn envelope_row(value: &Value) -> Result<Arc<[f64]>, ModuleError> {
-        match value {
-            Value::Vector(v) => Ok(Arc::clone(v)),
-            Value::Float(x) => Ok(Arc::from([*x])),
-            Value::Int(x) => Ok(Arc::from([*x as f64])),
-            other => Err(ModuleError::Other(format!(
-                "mavgvec expects numeric samples, got {}",
-                other.type_name()
-            ))),
-        }
     }
 }
 
@@ -159,30 +121,8 @@ impl Module for MavgVec {
         }
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
-        let emit = match ctx.param("emit").unwrap_or("both") {
-            "mean" => Emit::Mean,
-            "var" => Emit::Var,
-            "stddev" => Emit::StdDev,
-            "both" => Emit::Both,
-            other => {
-                return Err(ModuleError::invalid_parameter(
-                    "emit",
-                    format!("unknown mode `{other}`"),
-                ))
-            }
-        };
-        self.emit = Some(emit);
-        match emit {
-            Emit::Mean => self.out_a = Some(ctx.declare_output_with_origin("mean", origin)),
-            Emit::Var => self.out_a = Some(ctx.declare_output_with_origin("var", origin)),
-            Emit::StdDev => {
-                self.out_a = Some(ctx.declare_output_with_origin("stddev", origin));
-            }
-            Emit::Both => {
-                self.out_a = Some(ctx.declare_output_with_origin("mean", origin.clone()));
-                self.out_b = Some(ctx.declare_output_with_origin("stddev", origin));
-            }
-        }
+        let mean = ctx.declare_output_with_origin("mean", origin.clone());
+        self.ports = Some((mean, ctx.declare_output_with_origin("stddev", origin)));
         Ok(())
     }
 
@@ -191,10 +131,13 @@ impl Module for MavgVec {
         // a per-run Vec allocation.
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            // Vector samples share the engine's allocation; only scalar
-            // promotions copy (one element).
-            let row = Self::envelope_row(&env.sample.value)?;
-            self.ingest(env.sample.timestamp, row, &mut emit)?;
+            let Value::Vector(row) = &env.sample.value else {
+                return Err(ModuleError::Other(format!(
+                    "mavgvec expects vector samples, got {}",
+                    env.sample.value.type_name()
+                )));
+            };
+            self.ingest(env.sample.timestamp, Arc::clone(row), &mut emit)?;
         }
         Ok(())
     }
@@ -203,7 +146,14 @@ impl Module for MavgVec {
 #[cfg(test)]
 mod tests {
     use crate::testutil::{run_source_pipeline, vector_source_registry};
-    use asdf_core::value::Value;
+    use asdf_core::module::Envelope;
+
+    /// The `mean` rows of `out`.
+    fn means(out: Vec<Envelope>) -> Vec<Envelope> {
+        out.into_iter()
+            .filter(|e| e.source.name == "mean")
+            .collect()
+    }
 
     #[test]
     fn mean_and_stddev_over_non_overlapping_windows() {
@@ -220,6 +170,8 @@ input[input] = src.out
         let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 8);
         // Two windows: t=1..4 and t=5..8 (slide defaults to window).
         assert_eq!(out.len(), 4, "mean+stddev per window: {out:?}");
+        let ports: Vec<&str> = out.iter().map(|e| e.source.name.as_str()).collect();
+        assert_eq!(ports, ["mean", "stddev", "mean", "stddev"]);
         let mean1 = out[0].sample.value.as_vector().unwrap().to_vec();
         assert_eq!(mean1, vec![2.5, 5.0]);
         let sd1 = out[1].sample.value.as_vector().unwrap().to_vec();
@@ -240,10 +192,14 @@ id = src
 id = avg
 window = 4
 slide = 2
-emit = mean
 input[input] = src.out
 ";
-        let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 8);
+        let out = means(run_source_pipeline(
+            &vector_source_registry(),
+            cfg,
+            "avg",
+            8,
+        ));
         // Windows ending at t=4, 6, 8.
         assert_eq!(out.len(), 3);
         let means: Vec<f64> = out
@@ -251,18 +207,6 @@ input[input] = src.out
             .map(|e| e.sample.value.as_vector().unwrap()[0])
             .collect();
         assert_eq!(means, vec![2.5, 4.5, 6.5]);
-    }
-
-    #[test]
-    fn emit_modes_declare_matching_ports() {
-        for (mode, port) in [("mean", "mean"), ("var", "var"), ("stddev", "stddev")] {
-            let cfg = format!(
-                "[vecsource]\nid = src\n\n[mavgvec]\nid = avg\nwindow = 2\nemit = {mode}\ninput[input] = src.out\n"
-            );
-            let out = run_source_pipeline(&vector_source_registry(), &cfg, "avg", 4);
-            assert!(!out.is_empty());
-            assert!(out.iter().all(|e| e.source.name == port));
-        }
     }
 
     #[test]
@@ -274,10 +218,14 @@ id = src
 [mavgvec]
 id = avg
 window = 3
-emit = mean
 input[input] = src.out
 ";
-        let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 6);
+        let out = means(run_source_pipeline(
+            &vector_source_registry(),
+            cfg,
+            "avg",
+            6,
+        ));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].sample.timestamp.as_secs(), 2); // samples at t=0,1,2
         assert_eq!(out[1].sample.timestamp.as_secs(), 5);
@@ -292,7 +240,6 @@ id = src
 [mavgvec]
 id = avg
 window = 2
-emit = mean
 input[input] = src.out
 ";
         let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 2);
@@ -306,7 +253,6 @@ input[input] = src.out
         for cfg in [
             "[vecsource]\nid = src\n\n[mavgvec]\nid = a\nwindow = 0\ninput[i] = src.out\n",
             "[vecsource]\nid = src\n\n[mavgvec]\nid = a\nwindow = 2\nslide = 0\ninput[i] = src.out\n",
-            "[vecsource]\nid = src\n\n[mavgvec]\nid = a\nwindow = 2\nemit = nope\ninput[i] = src.out\n",
             "[vecsource]\nid = src\n\n[mavgvec]\nid = a\ninput[i] = src.out\n", // missing window
             "[mavgvec]\nid = a\nwindow = 2\n", // no inputs
         ] {
@@ -334,20 +280,19 @@ input[input] = src.out
     }
 
     #[test]
-    fn scalar_inputs_are_promoted_to_1d_vectors() {
-        use crate::testutil::scalar_source_registry;
-        let cfg = "\
-[scalarsource]
-id = src
-
-[mavgvec]
-id = avg
-window = 2
-emit = mean
-input[input] = src.out
-";
-        let out = run_source_pipeline(&scalar_source_registry(), cfg, "avg", 4);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].sample.value, Value::from(vec![1.5]));
+    fn scalar_inputs_are_rejected_at_runtime() {
+        use crate::testutil::{frame_node_registry, Emitted};
+        use asdf_core::dag::Dag;
+        use asdf_core::engine::TickEngine;
+        use asdf_core::time::TickDuration;
+        let cfg = "[framenode]\nid = f\nbase = 1\nbad = scalar\nbad_at = 0\n\n\
+                   [mavgvec]\nid = avg\nwindow = 2\ninput[input] = f.frame\n";
+        let dag = Dag::build(
+            &frame_node_registry(&Emitted::default()),
+            &cfg.parse().unwrap(),
+        );
+        let mut eng = TickEngine::new(dag.unwrap());
+        let err = eng.run_for(TickDuration::from_secs(3)).unwrap_err();
+        assert_eq!((err.instance.as_str(), err.at_secs), ("avg", 0));
     }
 }

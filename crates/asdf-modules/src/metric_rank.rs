@@ -198,8 +198,7 @@ impl Module for MetricRank {
         if ranker.top == 0 {
             return Err(ModuleError::invalid_parameter("top", "must be positive"));
         }
-        ctx.require_param("nodes")?;
-        let origins = rack::peer_origins(ctx, rack::slot_origins(ctx))?;
+        let origins = rack::peer_origins(ctx, ctx.input_slots().len())?;
         let nodes = origins.len();
         self.input = if ctx.param("window").is_some() || ctx.param("slide").is_some() {
             Input::Frames(FrameWindows::init(ctx, "metric_rank", Some(nodes))?.0)
@@ -610,9 +609,9 @@ input[r1] = ra1.sum
 
     #[test]
     fn scalar_inputs_are_rejected_at_runtime() {
-        let cfg = "[scalarsource]\nid = s\n\n\
-                   [metric_rank]\nid = mr\nwindow = 2\nnodes = a,b,c\ninput[frame] = s.out\n";
-        let reg = crate::testutil::scalar_source_registry();
+        let cfg = "[framenode]\nid = f\nbase = 1,3,5\nbad = scalar\nbad_at = 0\n\n\
+                   [metric_rank]\nid = mr\nwindow = 2\nnodes = a,b,c\ninput[frame] = f.frame\n";
+        let reg = frame_node_registry(&Emitted::default());
         let dag = Dag::build(&reg, &cfg.parse().unwrap()).unwrap();
         let mut eng = TickEngine::new(dag);
         let err = eng.run_for(TickDuration::from_secs(5)).unwrap_err();

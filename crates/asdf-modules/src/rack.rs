@@ -24,10 +24,12 @@
 //! second where there used to be one per node; coming out of `rack_agg`,
 //! they are a closed window's means.
 //!
-//! The paper's own analyses read the same rows: `knn` answers a frame with
-//! the rack's `k` state indices, and `mavgvec` needs no rack mode — mean
-//! and variance are component-wise, so its statistics over frames *are*
-//! the per-node statistics, header included ([`window_stats`]).
+//! The paper's own analyses read the same rows, and no other shape: `knn`
+//! answers a frame with the rack's `k` state indices, the row `analysis_bb`
+//! compares, and `mavgvec` needs no rack mode — mean and variance are
+//! component-wise, so its statistics over frames *are* the per-node
+//! statistics, header included ([`window_stats`]), the rows `analysis_wb`
+//! compares.
 //!
 //! No sample is retained to form a mean: [`FrameWindows`] checks a frame's
 //! shape and [`WindowSums`] adds its node rows, slices of the frame, into
@@ -243,31 +245,18 @@ impl FrameWindows {
     }
 }
 
-/// The hostnames of a `nodes = a,b,c` parameter, in node order: it tells a
-/// peer comparison that its slots are rack-wide, and names its node ports.
+/// The hostnames of a `nodes = a,b,c` parameter, in node order.
 pub fn node_names(param: &str) -> Vec<String> {
     let names = param.split(',').map(|s| s.trim().to_owned());
     names.filter(|s| !s.is_empty()).collect()
 }
 
-/// What every slot's node is called when a slot is a node: its source's
-/// origin, or failing that the slot's name.
-pub(crate) fn slot_origins(ctx: &InitCtx<'_>) -> Vec<String> {
-    let slots = ctx.input_slots().iter();
-    slots
-        .map(|(slot, sources)| sources.first().map_or(slot, |m| &m.origin).clone())
-        .collect()
-}
-
-/// The hostnames a peer comparison labels its per-node ports with: its
-/// `nodes` parameter's, else `slot_origins`, a node a slot. `BadInputs`
-/// below three nodes, without a slot, or with more slots than nodes.
-pub(crate) fn peer_origins(
-    ctx: &InitCtx<'_>,
-    slot_origins: Vec<String>,
-) -> Result<Vec<String>, ModuleError> {
-    let n_slots = slot_origins.len();
-    let origins = ctx.param("nodes").map_or(slot_origins, node_names);
+/// The hostnames a peer comparison of `n_slots` rack rows labels its
+/// per-node ports with: its required `nodes` parameter's, the nodes the
+/// rows cover, in slot order. `BadInputs` below three nodes, without a
+/// slot, or with more slots than nodes.
+pub(crate) fn peer_origins(ctx: &InitCtx<'_>, n_slots: usize) -> Result<Vec<String>, ModuleError> {
+    let origins = node_names(ctx.require_param("nodes")?);
     let n = origins.len();
     if n < 3 {
         return Err(ModuleError::BadInputs(format!(
@@ -282,32 +271,26 @@ pub(crate) fn peer_origins(
     Ok(origins)
 }
 
-/// One slot's window statistics as node rows, `(dim, means, stddevs)`: with
-/// `rack`, `mavgvec`'s rows over a rack's frames (the mean carried the
-/// `[k, dim]` header through exactly, the stddev left `[0, 0]` of it);
-/// without, one node's bare vectors.
+/// One slot's window statistics as node rows, `(dim, means, stddevs)`:
+/// `mavgvec`'s rows over a rack's frames — the mean carried the `[k, dim]`
+/// header through exactly, the stddev left `[0, 0]` of it.
 ///
 /// # Errors
 ///
-/// A bad rack header, an empty vector, or rows of two lengths, described.
+/// A bad rack header, or a stddev row of another length, described.
 pub fn window_stats<'a>(
     mean: &'a [f64],
     stddev: &'a [f64],
-    rack: bool,
 ) -> Result<(usize, &'a [f64], &'a [f64]), String> {
-    let (dim, header) = if rack {
-        (RackSummary::shape(mean)?.1, 2)
-    } else {
-        (mean.len(), 0)
-    };
-    if dim == 0 || stddev.len() != mean.len() {
+    let (_, dim) = RackSummary::shape(mean)?;
+    if stddev.len() != mean.len() {
         return Err(format!(
             "a mean row of {} values against a stddev row of {}",
             mean.len(),
             stddev.len()
         ));
     }
-    Ok((dim, &mean[header..], &stddev[header..]))
+    Ok((dim, &mean[2..], &stddev[2..]))
 }
 
 /// Median of a peer column by selection, not a sort; for even counts the

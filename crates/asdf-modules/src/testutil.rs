@@ -32,28 +32,9 @@ impl Module for VectorSource {
     }
 }
 
-/// A periodic source emitting the scalar `t+1` each second.
-pub struct ScalarSource {
-    port: Option<PortId>,
-    n: i64,
-}
-
-impl Module for ScalarSource {
-    fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        self.port = Some(ctx.declare_output_with_origin("out", "test-node"));
-        ctx.request_periodic(TickDuration::SECOND);
-        Ok(())
-    }
-    fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        self.n += 1;
-        ctx.emit(self.port.unwrap(), self.n as f64);
-        Ok(())
-    }
-}
-
-/// A periodic source emitting `burst` two-component rows per second — the
-/// `n`-th row ever `[n, 2n]` — so one run of its consumer can be handed
-/// several rows.
+/// A periodic source emitting `burst` one-node frames of two components
+/// per second — the `n`-th ever `[1, 2, n, 2n]` — so one run of its
+/// consumer can be handed several rows.
 pub struct BurstRowSource {
     port: Option<PortId>,
     burst: usize,
@@ -71,7 +52,7 @@ impl Module for BurstRowSource {
         for _ in 0..self.burst {
             self.n += 1;
             let x = self.n as f64;
-            ctx.emit(self.port.unwrap(), vec![x, 2.0 * x]);
+            ctx.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
         }
         Ok(())
     }
@@ -291,15 +272,6 @@ pub fn burst_source_registry() -> ModuleRegistry {
             burst: 4,
             n: 0,
         })
-    });
-    reg
-}
-
-/// Registry with every standard module plus `scalarsource`.
-pub fn scalar_source_registry() -> ModuleRegistry {
-    let mut reg = base_registry();
-    reg.register("scalarsource", || {
-        Box::new(ScalarSource { port: None, n: 0 })
     });
     reg
 }

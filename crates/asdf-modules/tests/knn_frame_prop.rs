@@ -1,7 +1,7 @@
-//! Property test: one `knn` over a rack's frames answers exactly what one
-//! `knn` per node answers over the frames' rows — at any rack size, vector
-//! width and burst, on any values a counter can arrive as (NaN, infinities
-//! and negatives included).
+//! Property test: one `knn` over a rack's frames answers exactly what the
+//! model's classifier answers for each of the frames' node rows — at any
+//! rack size, vector width and burst, on any values a counter can arrive as
+//! (NaN, infinities and negatives included).
 
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
@@ -10,29 +10,23 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
-use asdf_core::value::Value;
 use asdf_modules::kernel::CentroidBlock;
 use asdf_modules::training::BlackBoxModel;
 use proptest::prelude::*;
 
-/// A rack collector's ports: `burst` seconds' worth of rows per tick, each
-/// second as one `frame` row `[n, dim, node rows…]` and as one bare row per
-/// node on `output<j>`.
+/// A rack collector's port: `burst` seconds' worth of rows per tick, each
+/// second as one `frame` row `[n, dim, node rows…]`.
 struct Rack {
     /// `seconds[s][node]` is that node's vector.
     seconds: Vec<Vec<Vec<f64>>>,
     burst: usize,
     at: usize,
     frame: Option<PortId>,
-    nodes: Vec<PortId>,
 }
 
 impl Module for Rack {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         self.frame = Some(ctx.declare_output("frame"));
-        for j in 0..self.seconds[0].len() {
-            self.nodes.push(ctx.declare_output(format!("output{j}")));
-        }
         ctx.request_periodic(TickDuration::SECOND);
         Ok(())
     }
@@ -40,8 +34,7 @@ impl Module for Rack {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         for second in self.seconds.iter().skip(self.at).take(self.burst) {
             let mut frame = vec![second.len() as f64, second[0].len() as f64];
-            for (row, port) in second.iter().zip(&self.nodes) {
-                ctx.emit(*port, row.as_slice());
+            for row in second {
                 frame.extend_from_slice(row);
             }
             ctx.emit(self.frame.unwrap(), frame);
@@ -83,17 +76,11 @@ proptest! {
                 &centroids.iter().map(|c| c[..dim].to_vec()).collect::<Vec<_>>(),
             ),
         };
-        let knn = |id: &str, port: &str| {
-            format!(
-                "[knn]\nid = {id}\ncentroids = {}\nstddev = {}\ninput[input] = src.{port}\n\n",
-                model.centroids_param(),
-                model.stddev_param()
-            )
-        };
-        let mut cfg = format!("[rack]\nid = src\n\n{}", knn("rack", "frame"));
-        for j in 0..n {
-            cfg += &knn(&format!("node{j}"), &format!("output{j}"));
-        }
+        let cfg = format!(
+            "[rack]\nid = src\n\n[knn]\nid = rack\ncentroids = {}\nstddev = {}\ninput[input] = src.frame\n",
+            model.centroids_param(),
+            model.stddev_param()
+        );
         let cfg: Config = cfg.parse().expect("parses");
 
         let mut reg = ModuleRegistry::new();
@@ -105,40 +92,23 @@ proptest! {
                 burst,
                 at: 0,
                 frame: None,
-                nodes: Vec::new(),
             })
         });
         let mut engine = TickEngine::new(Dag::build(&reg, &cfg).expect("builds"));
         let rack = engine.tap("rack").unwrap();
-        let nodes: Vec<_> = (0..n)
-            .map(|j| engine.tap(&format!("node{j}")).unwrap())
-            .collect();
         engine
             .run_for(TickDuration::from_secs(seconds.len() as u64 + 1))
             .expect("runs");
 
-        // Per node, the per-second `Int` states with their timestamps.
-        let per_node: Vec<Vec<(u64, f64)>> = nodes
-            .iter()
-            .map(|tap| {
-                tap.drain()
-                    .iter()
-                    .map(|e| {
-                        let Value::Int(state) = e.sample.value else {
-                            panic!("a bare vector is answered with an Int");
-                        };
-                        (e.sample.timestamp.as_secs(), state as f64)
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut classifier = model.into_classifier();
         let rows = rack.drain();
         prop_assert_eq!(rows.len(), seconds.len());
-        for (s, env) in rows.iter().enumerate() {
+        for (s, (env, second)) in rows.iter().zip(&seconds).enumerate() {
             let got = env.sample.value.as_vector().expect("a frame is answered with a row");
-            let want: Vec<f64> = per_node.iter().map(|node| node[s].1).collect();
+            prop_assert_eq!(got.len(), n, "one index a node");
+            let want: Vec<f64> = second.iter().map(|row| classifier.classify(row) as f64).collect();
             prop_assert_eq!(got, &want[..], "second {}", s);
-            prop_assert_eq!(env.sample.timestamp.as_secs(), per_node[0][s].0);
+            prop_assert_eq!(env.sample.timestamp.as_secs(), (s / burst) as u64);
         }
     }
 }

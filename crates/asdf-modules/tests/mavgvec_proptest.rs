@@ -95,7 +95,6 @@ proptest! {
             InstanceConfig::new("mavgvec", "avg")
                 .with_param("window", window)
                 .with_param("slide", slide)
-                .with_param("emit", "both")
                 .with_input("input", "src", "out"),
         )
         .unwrap();

@@ -131,6 +131,10 @@ fn parse_row(line: &str, line_no: usize) -> Result<TraceRow, TraceParseError> {
         s.parse::<u64>()
             .map_err(|_| err(format!("{name}: not a non-negative integer: {s:?}")))
     };
+    let count = |name: &str, s: &str| -> Result<u32, TraceParseError> {
+        s.parse::<u32>()
+            .map_err(|_| err(format!("{name}: not an integer in 0..={}: {s:?}", u32::MAX)))
+    };
     let pos_f64 = |name: &str, s: &str| -> Result<f64, TraceParseError> {
         let v = s
             .parse::<f64>()
@@ -147,8 +151,8 @@ fn parse_row(line: &str, line_no: usize) -> Result<TraceRow, TraceParseError> {
         .copied()
         .find(|c| c.name() == fields[1])
         .ok_or_else(|| err(format!("class: unknown job class {:?}", fields[1])))?;
-    let maps = uint("maps", fields[2])? as u32;
-    let reduces = uint("reduces", fields[3])? as u32;
+    let maps = count("maps", fields[2])?;
+    let reduces = count("reduces", fields[3])?;
     if maps == 0 {
         return Err(err("maps: must be at least 1".to_string()));
     }
@@ -265,6 +269,22 @@ mod tests {
             ("x,webdata_scan,8,1,1,1,1,1,1,1,1", 1, "arrival_secs"),
             ("5,webdata_scan,0,1,1,1,1,1,1,1,1", 1, "maps"),
             ("5,webdata_scan,8,0,1,1,1,1,1,1,1", 1, "reduces"),
+            // Past `u32`: an error, never a wrapped count.
+            (
+                "5,webdata_scan,4294967297,1,1,1,1,1,1,1,1",
+                1,
+                "maps: not an integer in 0..=4294967295",
+            ),
+            (
+                "5,webdata_scan,4294967296,1,1,1,1,1,1,1,1",
+                1,
+                "maps: not an integer in 0..=4294967295",
+            ),
+            (
+                "5,webdata_scan,8,4294967297,1,1,1,1,1,1,1",
+                1,
+                "reduces: not an integer in 0..=4294967295",
+            ),
             ("5,webdata_scan,8,1,-3,1,1,1,1,1,1", 1, "map_input_kb"),
             ("5,webdata_scan,8,1,NaN,1,1,1,1,1,1", 1, "map_input_kb"),
             (

@@ -24,7 +24,7 @@ use procsim::metrics::node_idx;
 /// A custom analysis module: flags samples where one metric exceeds its
 /// own exponentially-weighted moving average by a configurable factor.
 ///
-/// Parameters: `metric` (index into the sadc vector), `alpha` (EWMA
+/// Parameters: `metric` (index into the node's sadc vector), `alpha` (EWMA
 /// weight, default 0.05), `factor` (spike multiplier, default 3).
 struct EwmaSpike {
     metric: usize,
@@ -59,10 +59,11 @@ impl Module for EwmaSpike {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         for (_, env) in ctx.take_all() {
-            let Some(v) = env.sample.value.as_vector() else {
+            // A one-node `sadc` frame, `[1, dim, row…]`: its one row.
+            let Some(row) = env.sample.value.as_vector().and_then(|v| v.get(2..)) else {
                 continue;
             };
-            let x = *v.get(self.metric).ok_or_else(|| {
+            let x = *row.get(self.metric).ok_or_else(|| {
                 ModuleError::Other(format!("metric index {} out of range", self.metric))
             })?;
             let baseline = *self.ewma.get_or_insert(x.max(1.0));
@@ -93,20 +94,20 @@ fn main() {
     // The pipeline, in the paper's configuration dialect (Figure 3 style).
     let config_text = format!(
         "\
-# Watch disk write sectors (bwrtn/s) on every node with the custom module.
+# Watch disk write sectors (bwrtn/s) on node 2 with the custom module.
 [cluster_driver]
 id = drv
 
 [sadc]
 id = sadc2
-node = 2
+nodes = 2..3
 input[clock] = drv.tick
 
 [ewma_spike]
 id = spike2
 metric = {bwrtn}
 factor = 4
-input[input] = sadc2.output0
+input[input] = sadc2.frame
 
 [print]
 id = DiskAlarm

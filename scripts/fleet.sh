@@ -4,11 +4,11 @@
 #
 # Covered: the 5000-node full-pipeline cell (--release; prints DESIGN 5g's
 # reading), the generated wiring at racks {0, 1, 2, 3, 7} against the
-# paper's per-node Figure 4 and the pinned per-node `metric_rank` stream,
+# pinned per-node streams of the paper's Figure 4 and `metric_rank`,
 # its instance count and one-frame edges, every generated port routed or
 # tapped, a campaign's streams and rankings at racks {1, 2, 3, 7} against
-# its one-rack wiring, every collector kind's `nodes = lo..hi` frame against one
-# instance per node, `knn` / `analysis_*` / `rack_agg` / `metric_rank` over
+# its one-rack wiring, every collector kind's `nodes = lo..hi` frame shape,
+# clocked and free-running, `knn` / `analysis_*` / `rack_agg` / `metric_rank` over
 # rack rows (malformed frames included), the running window sums against
 # a buffered window, a node's second rendered over its last one, a tap
 # attached after construction on a port nothing is wired to, the collector

@@ -50,7 +50,7 @@ echo "[verify] fleet: the one fleet test list (scripts/fleet.sh)" >&2
 echo "[verify] bench-smoke: the benchmark binary passes its own checks, untraced and traced" >&2
 ./scripts/bench_smoke.sh
 
-echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound, thread budget), the daemon's one-rack DAG vs per-node, + online engine suites" >&2
+echo "[verify] serve soak (N-tenant isolation, shed, flush, lag bound, thread budget), the daemon's one-rack DAG vs pinned per-node streams, + online engine suites" >&2
 cargo test -p integration-tests --test serve_soak --test online_engine
 cargo test -p asdf --lib -- serve::tests
 cargo test -p asdf-core --test online_semantics

@@ -27,7 +27,8 @@ fn figure_3_shaped_pipeline_runs_from_config_text() {
     asdf_modules::register_all(&mut registry, handle.clone());
 
     // The paper's Figure 3 wiring, written in its dialect: knn state
-    // indices buffered by ibuffer before reaching the sink.
+    // indices buffered by ibuffer before reaching the sink. `sadc0` holds
+    // a one-node rack, so each of its frames is answered with one index.
     let text = format!(
         "\
 [cluster_driver]
@@ -35,14 +36,14 @@ id = drv
 
 [sadc]
 id = sadc0
-node = 0
+nodes = 0..1
 input[clock] = drv.tick
 
 [knn]
 id = onenn0
 centroids = {cents}
 stddev = {sd}
-input[input] = sadc0.output0
+input[input] = sadc0.frame
 
 [ibuffer]
 id = buf0

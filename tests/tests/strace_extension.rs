@@ -12,35 +12,29 @@ use asdf_rpc::daemons::ClusterHandle;
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 use hadoop_sim::faults::{FaultKind, FaultSpec};
 
-/// Builds: per node `strace → mavgvec(both)`, all feeding one
-/// `analysis_wb` — the same peer-comparison analysis the white-box path
-/// uses, now running on syscall vectors.
+/// Builds: one `strace` over every node, its frames into one `mavgvec`,
+/// into `analysis_wb` — the same peer-comparison analysis the white-box
+/// path uses, now running on syscall vectors.
 fn strace_pipeline(n_nodes: usize) -> Config {
     let mut cfg = Config::new();
-    cfg.push(InstanceConfig::new("cluster_driver", "drv"))
-        .unwrap();
-    let mut wb = InstanceConfig::new("analysis_wb", "wb_strace")
-        .with_param("k", 3)
-        .with_param("consecutive", 2);
-    for i in 0..n_nodes {
-        cfg.push(
-            InstanceConfig::new("strace", format!("st{i}"))
-                .with_param("node", i)
-                .with_input("clock", "drv", "tick"),
-        )
-        .unwrap();
-        cfg.push(
-            InstanceConfig::new("mavgvec", format!("avg{i}"))
-                .with_param("window", 60)
-                .with_param("emit", "both")
-                .with_input("input", format!("st{i}"), "output0"),
-        )
-        .unwrap();
-        wb = wb
-            .with_input(format!("a{i}"), format!("avg{i}"), "mean")
-            .with_input(format!("d{i}"), format!("avg{i}"), "stddev");
+    let names: Vec<String> = (0..n_nodes).map(|i| format!("slave{i:02}")).collect();
+    for inst in [
+        InstanceConfig::new("cluster_driver", "drv"),
+        InstanceConfig::new("strace", "st")
+            .with_param("nodes", format!("0..{n_nodes}"))
+            .with_input("clock", "drv", "tick"),
+        InstanceConfig::new("mavgvec", "avg")
+            .with_param("window", 60)
+            .with_input("input", "st", "frame"),
+        InstanceConfig::new("analysis_wb", "wb_strace")
+            .with_param("k", 3)
+            .with_param("consecutive", 2)
+            .with_param("nodes", names.join(","))
+            .with_input("a0", "avg", "mean")
+            .with_input("d0", "avg", "stddev"),
+    ] {
+        cfg.push(inst).unwrap();
     }
-    cfg.push(wb).unwrap();
     cfg
 }
 
