@@ -23,21 +23,21 @@
 //!   order (required).
 //!
 //! Inputs: slots (`l0`, `l1`, ...) each carrying the per-second state
-//! indices of one rack, a `knn`'s row over the rack's frame; the slots'
-//! nodes, in slot order, are the compared nodes, so their widths must add
-//! up to `nodes`. Outputs per node: `alarm<i>` (Bool) and `dist<i>`
-//! (Float, the raw L1 distance — lets threshold sweeps reuse one run).
+//! indices of one rack, a `knn`'s frame `[k, 1, indices…]` over the rack's
+//! collector frame; the slots' nodes, in slot order, are the compared
+//! nodes, so their `k`s must add up to `nodes`
+//! ([`crate::rack::PeerFrames`] assembles them). Outputs per node:
+//! `alarm<i>` (Bool) and `dist<i>` (Float, the raw L1 distance — lets
+//! threshold sweeps reuse one run).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::{Sample, Value};
-use hadoop_logs::sync::Aligner;
+use asdf_core::value::Sample;
 
 use crate::kernel::CentroidBlock;
-use crate::rack;
+use crate::rack::PeerFrames;
 
 /// Black-box peer-comparison fingerpointer.
 #[derive(Debug)]
@@ -47,9 +47,8 @@ pub struct AnalysisBb {
     slide: usize,
     threshold: f64,
     consecutive: usize,
-    /// One stream per slot: a second's state indices of the slot's nodes,
-    /// in node order (a rack's row shares its envelope's allocation).
-    aligner: Aligner<Arc<[f64]>>,
+    /// Every node's state index of a second, from the slots' frames.
+    frames: Option<PeerFrames>,
     /// Per node, the window's state indices.
     history: Vec<VecDeque<usize>>,
     anomalous_streak: Vec<usize>,
@@ -74,7 +73,7 @@ impl AnalysisBb {
             slide: 0,
             threshold: 0.0,
             consecutive: 0,
-            aligner: Aligner::new(1),
+            frames: None,
             history: Vec::new(),
             anomalous_streak: Vec::new(),
             rows_since_eval: 0,
@@ -141,8 +140,7 @@ impl Module for AnalysisBb {
             ));
         }
 
-        let n_slots = ctx.input_slots().len();
-        let origins = rack::peer_origins(ctx, n_slots)?;
+        let (frames, origins) = PeerFrames::init(ctx, "analysis_bb")?;
         let n_nodes = origins.len();
         for (i, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{i}"), origin.clone());
@@ -150,7 +148,7 @@ impl Module for AnalysisBb {
             self.alarm_ports.push(alarm);
             self.dist_ports.push(dist);
         }
-        self.aligner = Aligner::new(n_slots);
+        self.frames = Some(frames);
         self.history = vec![VecDeque::new(); n_nodes];
         self.anomalous_streak = vec![0; n_nodes];
         self.hists = CentroidBlock::zeroed(self.n_states, n_nodes);
@@ -161,17 +159,17 @@ impl Module for AnalysisBb {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let n_nodes = self.history.len();
-        // Borrowing drain: the fan-in hot path ingests everything queued
-        // since the last run (one row per slot per tick) into the aligner
-        // without a per-run Vec; emissions happen after the drain, once
-        // rows align.
-        for (slot_idx, env) in ctx.drain_all() {
-            let Value::Vector(states) = &env.sample.value else {
+        let frames = self.frames.as_mut().expect("initialized");
+        for (slot, env) in ctx.drain_all() {
+            frames.push(slot, &env.sample)?;
+        }
+
+        while let Some((t, width, states)) = frames.pop()? {
+            if width != 1 {
                 return Err(ModuleError::Other(format!(
-                    "analysis_bb expects rows of state indices, got {}",
-                    env.sample.value.type_name()
+                    "analysis_bb compares one state index a node, got {width}"
                 )));
-            };
+            }
             // Also false for NaN, which is in no range.
             let in_range = |x: &f64| x.fract() == 0.0 && (0.0..self.n_states as f64).contains(x);
             if let Some(idx) = states.iter().find(|x| !in_range(x)) {
@@ -180,19 +178,7 @@ impl Module for AnalysisBb {
                     self.n_states
                 )));
             }
-            self.aligner
-                .push(slot_idx, env.sample.timestamp.as_secs(), Arc::clone(states));
-        }
-
-        while let Some((t, row)) = self.aligner.pop_aligned() {
-            let width: usize = row.iter().map(|states| states.len()).sum();
-            if width != n_nodes {
-                return Err(ModuleError::Other(format!(
-                    "the slots' rows cover {width} nodes at t={t}, expected {n_nodes}"
-                )));
-            }
-            let indices = row.iter().flat_map(|states| states.iter());
-            for (history, idx) in self.history.iter_mut().zip(indices) {
+            for (history, idx) in self.history.iter_mut().zip(states) {
                 history.push_back(*idx as usize);
                 if history.len() > self.window {
                     history.pop_front();
@@ -255,7 +241,7 @@ mod tests {
     use asdf_core::time::TickDuration;
     use asdf_core::value::Value;
 
-    /// What a one-node rack's `knn` emits: node N cycles through healthy
+    /// What a one-node rack's `knn` emits, `[1, 1, state]`: node N cycles through healthy
     /// states; an optional deviant node emits a constant rare state after a
     /// start time.
     struct StateSource {
@@ -271,7 +257,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
-            ctx.emit(self.port.unwrap(), vec![(self.t % 3) as f64]);
+            ctx.emit(self.port.unwrap(), vec![1.0, 1.0, (self.t % 3) as f64]);
             Ok(())
         }
     }
@@ -295,7 +281,7 @@ mod tests {
             } else {
                 self.t % 3
             };
-            ctx.emit(self.port.unwrap(), vec![state as f64]);
+            ctx.emit(self.port.unwrap(), vec![1.0, 1.0, state as f64]);
             Ok(())
         }
     }
@@ -407,17 +393,14 @@ input[l2] = n2.out
         assert!(alarms_of(&out, "alarm2").iter().any(|(_, a)| *a));
     }
 
-    /// `secs` rows of what `three_peer_config`'s first `width` sources emit,
-    /// as a `rowreplay` parameter.
+    /// `secs` frames of what `three_peer_config`'s first `width` sources
+    /// emit, as one rack's `knn` would, as a `rowreplay` parameter.
     fn replayed_rows(width: usize, deviant_after: u64, secs: u64) -> String {
         let row = |t: u64| {
             let deviant = if t > deviant_after { 3 } else { t % 3 };
             let states = [t % 3, t % 3, deviant];
-            states[..width]
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
+            let states: Vec<String> = states[..width].iter().map(u64::to_string).collect();
+            format!("{width},1,{}", states.join(","))
         };
         (1..=secs).map(row).collect::<Vec<_>>().join("|")
     }
@@ -446,13 +429,19 @@ input[l2] = n2.out
     #[test]
     fn a_mis_sized_or_malformed_rack_row_is_a_module_error_never_a_panic() {
         for (nodes, rows, says) in [
-            ("a,b,c", "0,1", "cover 2 nodes at t=0, expected 3"),
-            ("a,b,c", "0,1,2,0", "cover 4 nodes at t=0, expected 3"),
-            ("a,b,c", "0,1.5,2", "state index 1.5 outside 0..4"),
-            ("a,b,c", "0,nan,2", "state index NaN outside 0..4"),
-            ("a,b,c", "0,-1,2", "state index -1 outside 0..4"),
-            ("a,b,c", "0,4,2", "state index 4 outside 0..4"),
-            ("a,b,c", "0,1e300,2", "outside 0..4"),
+            ("a,b,c", "2,1, 0,1", "cover 2 nodes at t=0, expected 3"),
+            ("a,b,c", "4,1, 0,1,2,0", "cover 4 nodes at t=0, expected 3"),
+            ("a,b,c", "3,1, 0,1.5,2", "state index 1.5 outside 0..4"),
+            ("a,b,c", "3,1, 0,nan,2", "state index NaN outside 0..4"),
+            ("a,b,c", "3,1, 0,-1,2", "state index -1 outside 0..4"),
+            ("a,b,c", "3,1, 0,4,2", "state index 4 outside 0..4"),
+            ("a,b,c", "3,1, 0,1e300,2", "outside 0..4"),
+            (
+                "a,b,c",
+                "3,2, 0,1, 1,2, 2,3",
+                "one state index a node, got 2",
+            ),
+            ("a,b,c", "1,2, 0", "header says 1x2"),
         ] {
             let cfg: Config = format!(
                 "[rowreplay]\nid = rack\nrows = {rows}\n\n\

@@ -10,11 +10,11 @@
 //! nodes", making the median σ zero and a bare `k·σ` threshold a
 //! false-positive machine.
 //!
-//! Inputs: slot pairs `a<i>` / `d<i>`, the `mean` and `stddev` rows of one
-//! `mavgvec` over a rack collector's `frame` rows, whose statistics are the
-//! per-node statistics bit for bit ([`crate::rack::window_stats`] reads
-//! them); the pairs' nodes, in slot order, are the compared nodes, so
-//! their widths must add up to `nodes`.
+//! Inputs: one slot per rack, the `stats` frame `[k, 2·dim, per node: dim
+//! means, then dim stddevs]` of one `mavgvec` over the rack collector's
+//! `frame` rows; the slots' nodes, in slot order, are the compared nodes,
+//! so their `k`s must add up to `nodes` ([`crate::rack::PeerFrames`]
+//! assembles them).
 //! Outputs per node: `alarm<i>` (Bool) and `kcrit<i>` (Float — the smallest
 //! `k` at which the node would *stop* being flagged, `+inf` when a
 //! deviating metric has zero median-σ; lets k sweeps reuse one run).
@@ -27,37 +27,28 @@
 //! * `nodes` — comma-separated hostnames of every compared node, in node
 //!   order (required).
 
-use std::sync::Arc;
-
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::{Sample, Value};
-use hadoop_logs::sync::Aligner;
+use asdf_core::value::Sample;
 
 use crate::analysis_bb::median;
-use crate::rack;
+use crate::rack::PeerFrames;
 
 /// White-box peer-comparison fingerpointer.
 #[derive(Debug)]
 pub struct AnalysisWb {
     k: f64,
     consecutive: usize,
-    /// Streams 0..s are the slots' means, s..2s their stddevs; a row shares
-    /// its envelope's allocation.
-    aligner: Aligner<Arc<[f64]>>,
+    /// Every node's means and stddevs of a second, from the slots' frames.
+    frames: Option<PeerFrames>,
     /// Per node.
     anomalous_streak: Vec<usize>,
     alarm_ports: Vec<PortId>,
     kcrit_ports: Vec<PortId>,
-    /// Maps envelope slot index -> aligner stream index.
-    slot_to_stream: Vec<usize>,
-    /// Row-major `nodes × dim` windowed means and stddevs of the row being
-    /// evaluated, and the median scratch: all reused every evaluation.
-    means: Vec<f64>,
-    sds: Vec<f64>,
+    /// Median scratch, reused every evaluation: a column, and the medians
+    /// of every mean, then of every stddev.
     col: Vec<f64>,
-    median_mean: Vec<f64>,
-    median_sd: Vec<f64>,
+    medians: Vec<f64>,
 }
 
 impl AnalysisWb {
@@ -66,27 +57,23 @@ impl AnalysisWb {
         AnalysisWb {
             k: 0.0,
             consecutive: 0,
-            aligner: Aligner::new(1),
+            frames: None,
             anomalous_streak: Vec::new(),
             alarm_ports: Vec::new(),
             kcrit_ports: Vec::new(),
-            slot_to_stream: Vec::new(),
-            means: Vec::new(),
-            sds: Vec::new(),
             col: Vec::new(),
-            median_mean: Vec::new(),
-            median_sd: Vec::new(),
+            medians: Vec::new(),
         }
     }
 }
 
-/// The median across nodes of every metric of a row-major `nodes × dim`
+/// The median across nodes of every column of a row-major `nodes × width`
 /// matrix, into `medians`; `col` is scratch.
-fn column_medians(matrix: &[f64], dim: usize, col: &mut Vec<f64>, medians: &mut Vec<f64>) {
+fn column_medians(matrix: &[f64], width: usize, col: &mut Vec<f64>, medians: &mut Vec<f64>) {
     medians.clear();
-    for m in 0..dim {
+    for m in 0..width {
         col.clear();
-        col.extend(matrix.iter().skip(m).step_by(dim));
+        col.extend(matrix.iter().skip(m).step_by(width));
         medians.push(median(col));
     }
 }
@@ -110,34 +97,7 @@ impl Module for AnalysisWb {
                 "must be positive",
             ));
         }
-
-        // Slot `a<i>` (means) is aligner stream i, `d<i>` (stddevs) stream
-        // s + i; the indices must tile 0..s, each once.
-        let slots = ctx.input_slots();
-        let n_slots = slots.len() / 2;
-        self.slot_to_stream.clear();
-        for (name, _) in slots {
-            let index = |rest: &str| rest.parse().ok().filter(|i| *i < n_slots);
-            let stream = if let Some(i) = name.strip_prefix('a').and_then(index) {
-                i
-            } else if let Some(i) = name.strip_prefix('d').and_then(index) {
-                n_slots + i
-            } else {
-                return Err(ModuleError::BadInputs(format!(
-                    "analysis_wb slots must be a<i> (means) or d<i> (stddevs), \
-                     i < {n_slots}, got `{name}`"
-                )));
-            };
-            self.slot_to_stream.push(stream);
-        }
-        let mut streams = self.slot_to_stream.clone();
-        streams.sort_unstable();
-        if streams.iter().enumerate().any(|(i, s)| *s != i) {
-            return Err(ModuleError::BadInputs(
-                "mean slots a0..aN-1 and stddev slots d0..dN-1 must pair up".into(),
-            ));
-        }
-        let origins = rack::peer_origins(ctx, n_slots)?;
+        let (frames, origins) = PeerFrames::init(ctx, "analysis_wb")?;
         let n = origins.len();
         for (node, origin) in origins.into_iter().enumerate() {
             let alarm = ctx.declare_output_with_origin(format!("alarm{node}"), origin.clone());
@@ -145,64 +105,36 @@ impl Module for AnalysisWb {
             self.alarm_ports.push(alarm);
             self.kcrit_ports.push(kcrit);
         }
-        self.aligner = Aligner::new(2 * n_slots);
+        self.frames = Some(frames);
         self.anomalous_streak = vec![0; n];
         self.col = Vec::with_capacity(n);
         Ok(())
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        let n = self.anomalous_streak.len();
-        for (slot_idx, env) in ctx.drain_all() {
-            let Value::Vector(v) = &env.sample.value else {
-                return Err(ModuleError::Other(format!(
-                    "analysis_wb expects vector samples, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            self.aligner.push(
-                self.slot_to_stream[slot_idx],
-                env.sample.timestamp.as_secs(),
-                Arc::clone(v),
-            );
+        let frames = self.frames.as_mut().expect("initialized");
+        for (slot, env) in ctx.drain_all() {
+            frames.push(slot, &env.sample)?;
         }
 
-        while let Some((t, row)) = self.aligner.pop_aligned() {
-            // The slots' node rows, concatenated: the `n × dim` matrices.
-            let (slot_means, slot_sds) = row.split_at(row.len() / 2);
-            self.means.clear();
-            self.sds.clear();
-            let mut dim = 0;
-            for (mean, sd) in slot_means.iter().zip(slot_sds) {
-                let (d, means, sds) = rack::window_stats(mean, sd).map_err(ModuleError::Other)?;
-                if dim != 0 && d != dim {
-                    return Err(ModuleError::Other(
-                        "inconsistent metric dimensions across nodes".into(),
-                    ));
-                }
-                dim = d;
-                self.means.extend_from_slice(means);
-                self.sds.extend_from_slice(sds);
-            }
-            if self.means.len() != n * dim {
+        while let Some((t, width, stats)) = frames.pop()? {
+            if width % 2 != 0 {
                 return Err(ModuleError::Other(format!(
-                    "the slots' rows cover {} nodes at t={t}, expected {n}",
-                    self.means.len() / dim
+                    "analysis_wb reads each node's means then stddevs, got a width of {width}"
                 )));
             }
-            column_medians(&self.means, dim, &mut self.col, &mut self.median_mean);
-            column_medians(&self.sds, dim, &mut self.col, &mut self.median_sd);
-            let (means, median_mean, median_sd) = (&self.means, &self.median_mean, &self.median_sd);
+            let dim = width / 2;
+            column_medians(stats, width, &mut self.col, &mut self.medians);
+            let (median_mean, median_sd) = self.medians.split_at(dim);
             let ts = asdf_core::time::Timestamp::from_secs(t);
-            #[allow(clippy::needless_range_loop)] // several parallel per-node arrays
-            for node in 0..n {
+            for (node, row) in stats.chunks_exact(width).enumerate() {
                 // k_crit: the smallest k at which this node is NOT flagged.
                 // Per metric: |diff| <= 1 never flags; σ_med = 0 with
                 // |diff| > 1 always flags (k_crit = ∞); else flags while
                 // k < |diff|/σ_med.
                 let mut kcrit: f64 = 0.0;
                 for m in 0..dim {
-                    let diff = (means[node * dim + m] - median_mean[m]).abs();
+                    let diff = (row[m] - median_mean[m]).abs();
                     if diff <= 1.0 {
                         continue;
                     }
@@ -236,12 +168,11 @@ mod tests {
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
 
-    /// Emits the (mean, stddev) row pair a `mavgvec` over a one-node rack
-    /// would, once per second. The `bias` parameter shifts the mean after
-    /// `after` seconds; `sd` sets the reported deviation.
+    /// Emits the `stats` frame a `mavgvec` over a one-node rack would,
+    /// once per second. The `bias` parameter shifts the mean after `after`
+    /// seconds; `sd` sets the reported deviation.
     struct WbSource {
-        mean_port: Option<PortId>,
-        sd_port: Option<PortId>,
+        port: Option<PortId>,
         t: u64,
         bias: f64,
         after: u64,
@@ -253,18 +184,17 @@ mod tests {
             self.after = ctx.parse_param_or("after", 0u64)?;
             self.sd = ctx.parse_param_or("sd", 0.5)?;
             let origin: String = ctx.require_param("origin")?.to_owned();
-            self.mean_port = Some(ctx.declare_output_with_origin("mean", origin.clone()));
-            self.sd_port = Some(ctx.declare_output_with_origin("stddev", origin));
+            self.port = Some(ctx.declare_output_with_origin("stats", origin));
             ctx.request_periodic(TickDuration::SECOND);
             Ok(())
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
             let bias = if self.t > self.after { self.bias } else { 0.0 };
-            // Two metrics: one live, one constant across the cluster, under
-            // the frame's `[1, 2]` header and what its variance leaves of it.
-            ctx.emit(self.mean_port.unwrap(), vec![1.0, 2.0, 10.0 + bias, 2.0]);
-            ctx.emit(self.sd_port.unwrap(), vec![0.0, 0.0, self.sd, 0.0]);
+            // Two metrics: one live, one constant across the cluster, each
+            // node's means then its stddevs.
+            let stats = vec![1.0, 4.0, 10.0 + bias, 2.0, self.sd, 0.0];
+            ctx.emit(self.port.unwrap(), stats);
             Ok(())
         }
     }
@@ -274,8 +204,7 @@ mod tests {
         crate::register_analysis_modules(&mut reg);
         reg.register("wbsource", || {
             Box::new(WbSource {
-                mean_port: None,
-                sd_port: None,
+                port: None,
                 t: 0,
                 bias: 0.0,
                 after: 0,
@@ -308,12 +237,9 @@ id = wb
 k = {k}
 consecutive = {consecutive}
 nodes = peer0, peer1, culprit
-input[a0] = n0.mean
-input[d0] = n0.stddev
-input[a1] = n1.mean
-input[d1] = n1.stddev
-input[a2] = n2.mean
-input[d2] = n2.stddev
+input[r0] = n0.stats
+input[r1] = n1.stats
+input[r2] = n2.stats
 "
         )
     }
@@ -400,24 +326,18 @@ input[d2] = n2.stddev
         assert!(kcrits.iter().any(|k| (k - 10.0).abs() < 1e-9), "{kcrits:?}");
     }
 
-    /// Two `rowreplay`s, `m<id>` and `s<id>`: `secs` seconds of the mean and
-    /// stddev rows a `mavgvec` would emit over a rack holding the sources
-    /// `nodes` of `config`, under the frame's `[width, 2]` header and what
-    /// its variance leaves of it, `[0, 0]`.
+    /// A `rowreplay` `r<id>`: `secs` seconds of the `stats` frames a
+    /// `mavgvec` would emit over a rack holding the sources `nodes` of
+    /// `config`.
     fn rack_stats(id: usize, nodes: std::ops::Range<usize>, bias: f64, after: u64) -> String {
         let width = nodes.len();
-        let mean = |t: u64| {
+        let stats = |t: u64| {
             let culprit = if t > after { 10.0 + bias } else { 10.0 };
-            let of_nodes = [10.0, 10.0, culprit].map(|m| format!("{m},2"));
-            format!("{width},2,{}", of_nodes[nodes.clone()].join(","))
+            let of_nodes = [10.0, 10.0, culprit].map(|m| format!("{m},2, 0.5,0"));
+            format!("{width},4, {}", of_nodes[nodes.clone()].join(", "))
         };
-        let means: Vec<String> = (1..=40).map(mean).collect();
-        let sd = format!("0,0{}", ",0.5,0".repeat(width));
-        format!(
-            "[rowreplay]\nid = m{id}\nrows = {}\n\n[rowreplay]\nid = s{id}\nrows = {}\n\n",
-            means.join("|"),
-            vec![sd; 40].join("|")
-        )
+        let frames: Vec<String> = (1..=40).map(stats).collect();
+        format!("[rowreplay]\nid = r{id}\nrows = {}\n\n", frames.join("|"))
     }
 
     #[test]
@@ -425,12 +345,12 @@ input[d2] = n2.stddev
         let per_node = run(&config(5.0, 10, 3.0, 2), 40);
         assert!(alarms(&per_node, "alarm2").iter().any(|a| *a));
         let analysis = "[analysis_wb]\nid = wb\nk = 3\nconsecutive = 2\n\
-                        nodes = peer0, peer1, culprit\ninput[a0] = m0.out\ninput[d0] = s0.out\n";
+                        nodes = peer0, peer1, culprit\ninput[r0] = r0.out\n";
         // The three nodes as one rack; and as a rack of two beside a rack
         // of one.
         let one_rack = format!("{}{analysis}", rack_stats(0, 0..3, 5.0, 10));
         let two_racks = format!(
-            "{}{}{analysis}input[a1] = m1.out\ninput[d1] = s1.out\n",
+            "{}{}{analysis}input[r1] = r1.out\n",
             rack_stats(0, 0..2, 5.0, 10),
             rack_stats(1, 2..3, 5.0, 10)
         );
@@ -441,67 +361,62 @@ input[d2] = n2.stddev
 
     #[test]
     fn a_mis_sized_or_malformed_rack_row_is_a_module_error_never_a_panic() {
-        for (mean, sd, says) in [
+        for (stats, says) in [
             (
-                "2,2, 10,2, 10,2",
-                "0,0, 1,0, 1,0",
+                "2,4, 10,2,1,0, 10,2,1,0",
                 "cover 2 nodes at t=0, expected 3",
             ),
             (
-                "4,1, 1,1,1,1",
-                "0,0, 1,1,1,1",
+                "4,2, 1,1, 1,1, 1,1, 1,1",
                 "cover 4 nodes at t=0, expected 3",
             ),
-            ("3,2, 10,2, 10,2", "0,0, 1,0, 1,0", "header says 3x2"),
-            ("3,1, 1,1,1", "0,0, 1,1", "against a stddev row of 4"),
-            ("1.5,2, 10,2, 10,2", "0,0, 1,0, 1,0", "bad rack row header"),
-            ("nan,1, 1,1,1", "0,0, 1,1,1", "bad rack row header"),
-            ("7", "7", "rack row needs [k, dim"),
+            ("3,4, 10,2,1,0, 10,2,1,0", "header says 3x4"),
+            (
+                "3,3, 1,1,1, 1,1,1, 1,1,1",
+                "means then stddevs, got a width of 3",
+            ),
+            ("1.5,4, 10,2,1,0, 10,2,1,0", "bad rack row header"),
+            ("nan,2, 1,1, 1,1, 1,1", "bad rack row header"),
+            ("7", "rack row needs [k, dim"),
         ] {
             let cfg: Config = format!(
-                "[rowreplay]\nid = m\nrows = {mean}\n\n[rowreplay]\nid = s\nrows = {sd}\n\n\
-                 [analysis_wb]\nid = wb\nnodes = a,b,c\ninput[a0] = m.out\ninput[d0] = s.out\n"
+                "[rowreplay]\nid = m\nrows = {stats}\n\n\
+                 [analysis_wb]\nid = wb\nnodes = a,b,c\ninput[r0] = m.out\n"
             )
             .parse()
             .unwrap();
             let mut eng = TickEngine::new(Dag::build(&registry(), &cfg).unwrap());
             let err = eng.run_for(TickDuration::from_secs(3)).unwrap_err();
-            assert_eq!(err.instance, "wb", "{mean}");
+            assert_eq!(err.instance, "wb", "{stats}");
             let ModuleError::Other(msg) = &err.source else {
-                panic!("{mean}: {:?}", err.source);
+                panic!("{stats}: {:?}", err.source);
             };
-            assert!(msg.contains(says), "{mean}: {msg}");
+            assert!(msg.contains(says), "{stats}: {msg}");
         }
-        // Fewer than three names; no slot pair at all.
-        for analysis in [
-            "nodes = a,b\ninput[a0] = m.out\ninput[d0] = s.out\n",
-            "nodes = a,b,c\n",
-        ] {
-            let cfg: Config = format!(
-                "[rowreplay]\nid = m\nrows = 1\n\n[rowreplay]\nid = s\nrows = 1\n\n\
-                 [analysis_wb]\nid = wb\n{analysis}"
-            )
-            .parse()
-            .unwrap();
+        // Fewer than three names; no slot at all.
+        for analysis in ["nodes = a,b\ninput[r0] = m.out\n", "nodes = a,b,c\n"] {
+            let cfg: Config =
+                format!("[rowreplay]\nid = m\nrows = 1\n\n[analysis_wb]\nid = wb\n{analysis}")
+                    .parse()
+                    .unwrap();
             assert!(Dag::build(&registry(), &cfg).is_err(), "{analysis}");
         }
     }
 
     #[test]
-    fn slot_pairing_is_validated() {
-        for mutilation in [
-            // missing a stddev slot
-            ("input[d2] = n2.stddev\n", ""),
-            // bad slot name
-            ("input[a0] = n0.mean", "input[x0] = n0.mean"),
-        ] {
-            let cfg = config(0.0, 0, 3.0, 1).replace(mutilation.0, mutilation.1);
-            let parsed: Config = cfg.parse().unwrap();
-            assert!(
-                Dag::build(&registry(), &parsed).is_err(),
-                "should reject mutilated config"
-            );
-        }
+    fn one_slot_per_rack_is_validated() {
+        // Three racks of one node build; a fourth slot for three nodes
+        // does not.
+        let three = config(0.0, 0, 3.0, 1);
+        let four = three.replace(
+            "input[r2] = n2.stats\n",
+            "input[r2] = n2.stats\ninput[r3] = n2.stats\n",
+        );
+        assert!(Dag::build(&registry(), &three.parse().unwrap()).is_ok());
+        assert!(
+            Dag::build(&registry(), &four.parse().unwrap()).is_err(),
+            "should reject a slot beyond the nodes"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! is node `i` alone) and an optional input `clock`. One instance holds one
 //! daemon connection per node and polls them all under one cluster lock
 //! per pulse ([`poll_frame`]) into the second's frame, `[k, dim, node₀
-//! values…, node₁ values…]` (the layout of [`crate::rack::RackSummary`],
-//! samples where the means go) — whole, or absent when some node has
+//! values…, node₁ values…]` (the rack frame every analysis edge carries,
+//! [`crate::rack::frame_shape`]) — whole, or absent when some node has
 //! nothing for the second. The frame is the payload that leaves: each
 //! node's response is decoded straight into its row of it, so a
 //! node-second is copied once on its way from the wire to the consumer. It

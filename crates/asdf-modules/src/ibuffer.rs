@@ -12,10 +12,11 @@
 //! * `mode` — `tumbling` (default: a batch takes its `size` points out of
 //!   the buffer) or `sliding` (a batch takes out only its oldest point).
 //!
-//! Input rows' values are appended to the buffer in order — a one-node
-//! rack's `knn` row is one point — and a `Vector` batch of the `size`
-//! oldest points leaves each time the buffer holds `size`, stamped with the
-//! row that filled it.
+//! The input is a stream of rack frames ([`crate::rack::frame_shape`]),
+//! every frame of the first one's shape. A frame's node values are
+//! appended to the buffer in node order — a one-node rack's `knn` frame is
+//! one point — and a `Vector` batch of the `size` oldest points leaves each
+//! time the buffer holds `size`, stamped with the frame that filled it.
 
 use std::collections::VecDeque;
 
@@ -23,11 +24,14 @@ use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::value::{Sample, Value};
 
-/// Batches the values of its input rows into fixed-size vectors.
+use crate::rack::FrameStream;
+
+/// Batches the node values of its input frames into fixed-size vectors.
 #[derive(Debug, Default)]
 pub struct IBuffer {
     size: usize,
     sliding: bool,
+    frames: FrameStream,
     buf: VecDeque<f64>,
     out: Option<PortId>,
 }
@@ -67,13 +71,8 @@ impl Module for IBuffer {
         let out = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            let Value::Vector(row) = &env.sample.value else {
-                return Err(ModuleError::Other(format!(
-                    "ibuffer expects rows, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            self.buf.extend(row.iter());
+            let (frame, _) = self.frames.check("ibuffer", &env.sample.value)?;
+            self.buf.extend(&frame[2..]);
             while self.buf.len() >= self.size {
                 let batch = self.buf.range(..self.size).copied();
                 let batch = Value::from(batch.collect::<Vec<f64>>());
@@ -90,8 +89,10 @@ impl Module for IBuffer {
 mod tests {
     use crate::testutil::{run_source_pipeline, vector_source_registry};
 
-    /// One-value rows `1|2|…|7`: what a one-node rack's `knn` hands on.
-    const ROWS: &str = "[rowreplay]\nid = src\nrows = 1|2|3|4|5|6|7\n\n";
+    /// The frames `[1, 1, t]` for t = 1..=7: what a one-node rack's `knn`
+    /// hands on.
+    const ROWS: &str =
+        "[rowreplay]\nid = src\nrows = 1,1,1|1,1,2|1,1,3|1,1,4|1,1,5|1,1,6|1,1,7\n\n";
 
     #[test]
     fn tumbling_batches_do_not_overlap() {
@@ -125,7 +126,8 @@ mod tests {
 
     #[test]
     fn a_row_of_several_values_is_appended_in_order() {
-        // `vecsource` rows `[t, 2t]`: a row can complete more than one batch.
+        // `vecsource` frames `[1, 2, t, 2t]`: a frame can complete more than
+        // one batch.
         let cfg = |mode: &str| {
             format!("[vecsource]\nid = src\n\n[ibuffer]\nid = buf\nsize = 3\nmode = {mode}\ninput[input] = src.out\n")
         };

@@ -9,10 +9,10 @@
 //! are output."
 //!
 //! A sample is a rack's second: a collector's `frame` row `[n, dim,
-//! node₀…, node₁…]` ([`crate::rack::RackSummary::shape`]) whose `dim` is
-//! the model's width. Each node row is classified where it lies in the
-//! sample, with no copy, by one [`Classifier`]: one instance per rack, one
-//! parse of the model text.
+//! node₀…, node₁…]` ([`crate::rack::frame_shape`]) whose `dim` is the
+//! model's width, every frame of the rack's first one's shape. Each node
+//! row is classified where it lies in the sample, with no copy, by one
+//! [`Classifier`]: one instance per rack, one parse of the model text.
 //!
 //! Configuration parameters:
 //!
@@ -21,15 +21,15 @@
 //! * `stddev` — comma-separated scaling vector;
 //! * `k` — neighbors to output (default 1).
 //!
-//! Output `output0`: per sample, the `k` nearest indices of each of its
-//! node rows, node-major, as one row (a one-node rack at `k = 1`: the
-//! nearest index alone).
+//! Output `output0`: per sample, a rack frame `[n, k, indices…]` of each
+//! node row's `k` nearest indices, nearest first — at `k = 1` the frame
+//! `analysis_bb` compares.
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::value::Sample;
 
-use crate::rack::RackSummary;
+use crate::rack::FrameStream;
 use crate::training::{BlackBoxModel, Classifier};
 
 /// 1-NN / k-NN workload-state classifier.
@@ -43,8 +43,9 @@ use crate::training::{BlackBoxModel, Classifier};
 pub struct Knn {
     classifier: Option<Classifier>,
     k: usize,
+    frames: FrameStream,
     out: Option<PortId>,
-    /// One sample's `k` indices per node row, node-major.
+    /// One sample's answer: `[n, k, indices…]`.
     indices: Vec<f64>,
 }
 
@@ -52,17 +53,6 @@ impl Knn {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         Knn::default()
-    }
-}
-
-/// A sample's node rows: the one place a sample's shape is checked.
-fn node_rows(sample: &[f64], dim: usize) -> Result<&[f64], ModuleError> {
-    match RackSummary::shape(sample) {
-        Ok((_, d)) if d == dim => Ok(&sample[2..]),
-        shape => Err(ModuleError::Other(format!(
-            "knn expects rack frames of the model's width {dim}, got {} values: {shape:?}",
-            sample.len()
-        ))),
     }
 }
 
@@ -91,16 +81,16 @@ impl Module for Knn {
         let (out, k) = (self.out.expect("initialized"), self.k);
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            let Some(raw) = env.sample.value.as_vector() else {
-                return Err(ModuleError::Other(format!(
-                    "knn expects vector samples, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
+            let (frame, (nodes, width)) = self.frames.check("knn", &env.sample.value)?;
             let dim = classifier.dim();
-            let rows = node_rows(raw, dim)?;
+            if width != dim {
+                return Err(ModuleError::Other(format!(
+                    "knn expects rack frames of the model's width {dim}, got {nodes}x{width}"
+                )));
+            }
             self.indices.clear();
-            for row in rows.chunks_exact(dim) {
+            self.indices.extend([nodes as f64, k as f64]);
+            for row in frame[2..].chunks_exact(dim) {
                 if k == 1 {
                     self.indices.push(classifier.classify(row) as f64);
                 } else {
@@ -159,9 +149,10 @@ mod tests {
         assert_eq!(out.len(), 10);
         let states: Vec<f64> = out
             .iter()
-            .map(|e| match e.sample.value.as_vector().unwrap() {
-                &[state] => state,
-                row => panic!("a one-node frame is answered with one index: {row:?}"),
+            .map(|e| {
+                let row = e.sample.value.as_vector().unwrap();
+                assert_eq!(row[..2], [1.0, 1.0], "one node, one index: {row:?}");
+                row[2]
             })
             .collect();
         // All samples come from the near-stream workload: one state.
@@ -174,8 +165,9 @@ mod tests {
         let cfg = over_fitted_stream("k = 2\n", 3);
         let out = run_source_pipeline(&vector_source_registry(), &cfg, "nn", 3);
         let v = out[0].sample.value.as_vector().unwrap();
-        assert_eq!(v.len(), 2);
-        assert_ne!(v[0], v[1]);
+        assert_eq!(v.len(), 4);
+        assert_eq!(v[..2], [1.0, 2.0], "one node, two indices");
+        assert_ne!(v[2], v[3]);
     }
 
     #[test]
@@ -192,7 +184,7 @@ mod tests {
             let mut classifier = BlackBoxModel::from_params("0,0|3,3|9,9", "1,1")
                 .unwrap()
                 .into_classifier();
-            let mut want = Vec::new();
+            let mut want = vec![3.0, k as f64];
             for row in &nodes {
                 if k == 1 {
                     want.push(classifier.classify(row) as f64);
@@ -200,11 +192,11 @@ mod tests {
                     want.extend(classifier.nearest_k(row, k).map(|i| i as f64));
                 }
             }
-            assert_eq!(want.len(), 3 * k);
+            assert_eq!(want.len(), 2 + 3 * k);
             assert_eq!(got, &want[..], "k = {k}");
             assert_eq!(rack[0].source.origin, "test-rack");
             assert_eq!(
-                [got[0], got[k], got[2 * k]],
+                [got[2], got[2 + k], got[2 + 2 * k]],
                 [0.0, 2.0, 1.0],
                 "nearest first"
             );

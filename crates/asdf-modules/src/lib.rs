@@ -34,13 +34,13 @@
 //!
 //! # Examples
 //!
-//! Wiring a custom source through `mavgvec` in the paper's configuration
-//! dialect:
+//! Wiring a custom one-node rack through `mavgvec` in the paper's
+//! configuration dialect:
 //!
 //! ```
 //! use asdf_core::prelude::*;
 //!
-//! // A source emitting [t, 10t] once per second.
+//! // A one-node rack emitting the frame [1, 2, t, 10t] once per second.
 //! struct Ramp { port: Option<PortId>, t: f64 }
 //! impl Module for Ramp {
 //!     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
@@ -50,7 +50,7 @@
 //!     }
 //!     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
 //!         self.t += 1.0;
-//!         ctx.emit(self.port.unwrap(), vec![self.t, 10.0 * self.t]);
+//!         ctx.emit(self.port.unwrap(), vec![1.0, 2.0, self.t, 10.0 * self.t]);
 //!         Ok(())
 //!     }
 //! }
@@ -72,11 +72,12 @@
 //! let mut engine = TickEngine::new(Dag::build(&registry, &config)?);
 //! let tap = engine.tap("avg").unwrap();
 //! engine.run_for(TickDuration::from_secs(8))?;
-//! let mut means = tap.drain();
-//! means.retain(|e| e.source.name == "mean"); // `stddev` rows ride beside
-//! assert_eq!(means.len(), 2); // two non-overlapping 4-sample windows
-//! assert_eq!(means[0].sample.value.as_vector().unwrap()[0], 2.5);
-//! assert_eq!(means[0].source.origin, "node-a");
+//! let stats = tap.drain();
+//! assert_eq!(stats.len(), 2); // two non-overlapping 4-sample windows
+//! // [nodes, 2·dim, the node's means, then its stddevs]
+//! let row = stats[0].sample.value.as_vector().unwrap();
+//! assert_eq!(row[..4], [1.0, 4.0, 2.5, 25.0]);
+//! assert_eq!(stats[0].source.origin, "node-a");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -6,12 +6,20 @@
 //! the number of samples to slide the window before generating new
 //! outputs."
 //!
+//! A sample is a rack's second, a collector's `frame` row `[k, dim, node
+//! rows…]` ([`crate::rack::frame_shape`]), every frame of the first one's
+//! `(k, dim)`. Mean and variance are component-wise, so the statistics of
+//! a rack's frames are its nodes' statistics: each component is summed
+//! over the window newest first, divided by the window, and its variance
+//! taken in a second pass over the same samples.
+//!
 //! Configuration parameters:
 //!
 //! * `window` — samples per window (required, > 0);
 //! * `slide` — samples to advance between emissions (default = `window`).
 //!
-//! Outputs: `mean` and `stddev`, one row each per window.
+//! Output `stats`, one rack frame per window, `[k, 2·dim, per node: its
+//! dim means, then its dim stddevs]` — the frame `analysis_wb` compares.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,23 +29,27 @@ use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
 use asdf_core::value::{Sample, Value};
 
-/// Moving mean/variance over a sliding window of vector samples.
+use crate::rack::FrameStream;
+
+/// Moving mean/variance over a sliding window of rack frames.
 ///
-/// Vector samples are buffered by sharing the engine's `Arc<[f64]>`
-/// allocation (no per-sample copy); the per-emission statistics are
-/// accumulated in reusable scratch buffers.
+/// Frames are buffered by sharing the engine's `Arc<[f64]>` allocation (no
+/// per-sample copy); the per-emission statistics are accumulated in
+/// reusable scratch buffers.
 #[derive(Debug, Default)]
 pub struct MavgVec {
     window: usize,
     slide: usize,
+    frames: FrameStream,
     buf: VecDeque<(Timestamp, Arc<[f64]>)>,
     since_emit: usize,
-    /// Per-emission mean scratch.
+    /// Per-emission mean scratch, node rows as in a frame.
     mean: Vec<f64>,
     /// Per-emission variance scratch, transformed to stddev in place.
     var: Vec<f64>,
-    /// The `mean` and `stddev` outputs.
-    ports: Option<(PortId, PortId)>,
+    /// Per-emission output row, the `stats` frame.
+    stats: Vec<f64>,
+    out: Option<PortId>,
 }
 
 impl MavgVec {
@@ -46,34 +58,25 @@ impl MavgVec {
         MavgVec::default()
     }
 
-    /// Buffers one sample and emits window statistics when a window
+    /// Buffers one frame and emits window statistics when a window
     /// completes.
     fn ingest(
         &mut self,
         ts: Timestamp,
-        row: Arc<[f64]>,
+        value: &Value,
         emit: &mut Emitter<'_>,
     ) -> Result<(), ModuleError> {
-        if let Some((_, first)) = self.buf.front() {
-            if first.len() != row.len() {
-                return Err(ModuleError::Other(format!(
-                    "inconsistent vector width: {} then {}",
-                    first.len(),
-                    row.len()
-                )));
-            }
-        }
-        self.buf.push_back((ts, row));
+        let (frame, (k, dim)) = self.frames.check("mavgvec", value)?;
+        self.buf.push_back((ts, Arc::clone(frame)));
         self.since_emit += 1;
 
         if self.buf.len() >= self.window && self.since_emit >= self.slide {
             self.since_emit = 0;
-            let dim = self.buf.back().expect("non-empty").1.len();
             let n = self.window as f64;
             self.mean.clear();
-            self.mean.resize(dim, 0.0);
+            self.mean.resize(k * dim, 0.0);
             for (_, v) in self.buf.iter().rev().take(self.window) {
-                for (m, x) in self.mean.iter_mut().zip(v.iter()) {
+                for (m, x) in self.mean.iter_mut().zip(&v[2..]) {
                     *m += x;
                 }
             }
@@ -81,9 +84,9 @@ impl MavgVec {
                 *m /= n;
             }
             self.var.clear();
-            self.var.resize(dim, 0.0);
+            self.var.resize(k * dim, 0.0);
             for (_, v) in self.buf.iter().rev().take(self.window) {
-                for ((s, m), x) in self.var.iter_mut().zip(&self.mean).zip(v.iter()) {
+                for ((s, m), x) in self.var.iter_mut().zip(&self.mean).zip(&v[2..]) {
                     let d = x - m;
                     *s += d * d;
                 }
@@ -91,15 +94,21 @@ impl MavgVec {
             for s in &mut self.var {
                 *s /= n;
             }
-            // Stamp outputs with the window-end sample's timestamp so
-            // cross-node alignment sees matching times.
-            let ts = self.buf.back().expect("non-empty").0;
-            let (mean_port, stddev_port) = self.ports.expect("configured in init");
-            emit.emit_sample(mean_port, Sample::new(ts, &self.mean[..]));
             for s in &mut self.var {
                 *s = s.sqrt();
             }
-            emit.emit_sample(stddev_port, Sample::new(ts, &self.var[..]));
+            // Per node, its means then its stddevs.
+            self.stats.clear();
+            self.stats.extend([k as f64, (2 * dim) as f64]);
+            for (mean, sd) in self.mean.chunks_exact(dim).zip(self.var.chunks_exact(dim)) {
+                self.stats.extend_from_slice(mean);
+                self.stats.extend_from_slice(sd);
+            }
+            // Stamp outputs with the window-end sample's timestamp so
+            // cross-node alignment sees matching times.
+            let ts = self.buf.back().expect("non-empty").0;
+            let out = self.out.expect("configured in init");
+            emit.emit_sample(out, Sample::new(ts, &self.stats[..]));
             // Trim history we can never need again.
             while self.buf.len() > self.window {
                 self.buf.pop_front();
@@ -121,8 +130,7 @@ impl Module for MavgVec {
         }
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
-        let mean = ctx.declare_output_with_origin("mean", origin.clone());
-        self.ports = Some((mean, ctx.declare_output_with_origin("stddev", origin)));
+        self.out = Some(ctx.declare_output_with_origin("stats", origin));
         Ok(())
     }
 
@@ -131,13 +139,7 @@ impl Module for MavgVec {
         // a per-run Vec allocation.
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            let Value::Vector(row) = &env.sample.value else {
-                return Err(ModuleError::Other(format!(
-                    "mavgvec expects vector samples, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            self.ingest(env.sample.timestamp, Arc::clone(row), &mut emit)?;
+            self.ingest(env.sample.timestamp, &env.sample.value, &mut emit)?;
         }
         Ok(())
     }
@@ -146,18 +148,10 @@ impl Module for MavgVec {
 #[cfg(test)]
 mod tests {
     use crate::testutil::{run_source_pipeline, vector_source_registry};
-    use asdf_core::module::Envelope;
-
-    /// The `mean` rows of `out`.
-    fn means(out: Vec<Envelope>) -> Vec<Envelope> {
-        out.into_iter()
-            .filter(|e| e.source.name == "mean")
-            .collect()
-    }
 
     #[test]
     fn mean_and_stddev_over_non_overlapping_windows() {
-        // Source emits [t, 2t] at t = 1, 2, 3, ...
+        // Source emits the one-node frame [1, 2, t, 2t] at t = 1, 2, 3, ...
         let cfg = "\
 [vecsource]
 id = src
@@ -169,17 +163,16 @@ input[input] = src.out
 ";
         let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 8);
         // Two windows: t=1..4 and t=5..8 (slide defaults to window).
-        assert_eq!(out.len(), 4, "mean+stddev per window: {out:?}");
-        let ports: Vec<&str> = out.iter().map(|e| e.source.name.as_str()).collect();
-        assert_eq!(ports, ["mean", "stddev", "mean", "stddev"]);
-        let mean1 = out[0].sample.value.as_vector().unwrap().to_vec();
-        assert_eq!(mean1, vec![2.5, 5.0]);
-        let sd1 = out[1].sample.value.as_vector().unwrap().to_vec();
+        assert_eq!(out.len(), 2, "one stats frame per window: {out:?}");
+        assert!(out.iter().all(|e| e.source.name == "stats"));
+        // One node: its two means, then its two stddevs.
+        let stats1 = out[0].sample.value.as_vector().unwrap().to_vec();
+        assert_eq!(stats1[..4], [1.0, 4.0, 2.5, 5.0]);
         let expect_sd = (1.25f64).sqrt();
-        assert!((sd1[0] - expect_sd).abs() < 1e-9);
-        assert!((sd1[1] - 2.0 * expect_sd).abs() < 1e-9);
-        let mean2 = out[2].sample.value.as_vector().unwrap().to_vec();
-        assert_eq!(mean2, vec![6.5, 13.0]);
+        assert!((stats1[4] - expect_sd).abs() < 1e-9);
+        assert!((stats1[5] - 2.0 * expect_sd).abs() < 1e-9);
+        let stats2 = out[1].sample.value.as_vector().unwrap().to_vec();
+        assert_eq!(stats2[..4], [1.0, 4.0, 6.5, 13.0]);
     }
 
     #[test]
@@ -194,17 +187,12 @@ window = 4
 slide = 2
 input[input] = src.out
 ";
-        let out = means(run_source_pipeline(
-            &vector_source_registry(),
-            cfg,
-            "avg",
-            8,
-        ));
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 8);
         // Windows ending at t=4, 6, 8.
         assert_eq!(out.len(), 3);
         let means: Vec<f64> = out
             .iter()
-            .map(|e| e.sample.value.as_vector().unwrap()[0])
+            .map(|e| e.sample.value.as_vector().unwrap()[2])
             .collect();
         assert_eq!(means, vec![2.5, 4.5, 6.5]);
     }
@@ -220,12 +208,7 @@ id = avg
 window = 3
 input[input] = src.out
 ";
-        let out = means(run_source_pipeline(
-            &vector_source_registry(),
-            cfg,
-            "avg",
-            6,
-        ));
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "avg", 6);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].sample.timestamp.as_secs(), 2); // samples at t=0,1,2
         assert_eq!(out[1].sample.timestamp.as_secs(), 5);

@@ -41,24 +41,20 @@
 //!   open window's running sums and the frame is dropped, so the module
 //!   holds `ceil(window / slide)` mean matrices, never a window of samples;
 //! * **without**, one slot per rack: `rack_agg` summaries, windowed
-//!   already, aligned by second and concatenated back into the mean matrix
-//!   in node order.
+//!   already, assembled back into the mean matrix in node order
+//!   ([`crate::rack::PeerFrames`]).
 //!
 //! Output per node:
 //! `rank<i>`, a vector of `2·top` values `[idx0, score0, idx1, score1, …]`
 //! — metric indices into the collector's flattened frame, most deviant
 //! first, ties broken toward the lower index so results are deterministic.
 
-use std::sync::Arc;
-
 use asdf_core::error::ModuleError;
 use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
-use asdf_core::value::{Sample, Value};
-use hadoop_logs::sync::Aligner;
+use asdf_core::value::Sample;
 
-use crate::kernel::CentroidBlock;
-use crate::rack::{self, FrameWindows, RackSummary};
+use crate::rack::{self, FrameWindows, PeerFrames};
 
 /// Where the windowed means come from.
 #[derive(Debug)]
@@ -66,18 +62,13 @@ enum Input {
     /// A rack frame a second, windowed here.
     Frames(FrameWindows),
     /// `rack_agg` summaries, one slot per rack, aligned by second.
-    Summaries(Aligner<Arc<[f64]>>),
+    Summaries(PeerFrames),
 }
 
-/// The mean matrix and the ranking over it, whichever [`Input`] fills it.
+/// The ranking over a mean matrix, whichever [`Input`] fills it.
 #[derive(Debug)]
 struct Ranker {
     top: usize,
-    /// Metric vector width, fixed by the first means loaded.
-    dim: usize,
-    /// Per-node windowed means, one contiguous row per node, overwritten
-    /// every evaluation.
-    means: CentroidBlock,
     /// Peer baseline (component-wise median across nodes).
     baseline: Vec<f64>,
     /// Per-metric MAD across nodes.
@@ -94,7 +85,7 @@ struct Ranker {
 /// Peer-baseline metric deviation ranker.
 #[derive(Debug)]
 pub struct MetricRank {
-    input: Input,
+    input: Option<Input>,
     ranker: Ranker,
 }
 
@@ -102,11 +93,9 @@ impl MetricRank {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
         MetricRank {
-            input: Input::Summaries(Aligner::new(1)),
+            input: None,
             ranker: Ranker {
                 top: 0,
-                dim: 0,
-                means: CentroidBlock::default(),
                 baseline: Vec::new(),
                 mad: Vec::new(),
                 col: Vec::new(),
@@ -119,47 +108,16 @@ impl MetricRank {
 }
 
 impl Ranker {
-    /// Copies `rows`, node rows of `dim` metrics, into the mean matrix from
-    /// node `at` on, and returns the node after the last. The first call
-    /// fixes `dim`.
-    fn load(&mut self, at: usize, dim: usize, rows: &[f64]) -> Result<usize, ModuleError> {
-        let nodes = self.rank_ports.len();
-        if self.dim == 0 {
-            self.dim = dim;
-            self.means = CentroidBlock::zeroed(dim, nodes);
-            self.baseline = vec![0.0; dim];
-            self.mad = vec![0.0; dim];
-        } else if dim != self.dim {
-            return Err(ModuleError::Other(format!(
-                "inconsistent rack metric width: {} then {dim}",
-                self.dim
-            )));
-        }
-        let end = at + rows.len() / dim;
-        if end > nodes {
-            return Err(ModuleError::Other(format!(
-                "rack summaries cover more than the declared {nodes} nodes"
-            )));
-        }
-        for (node, row) in (at..end).zip(rows.chunks_exact(dim)) {
-            self.means.row_mut(node).copy_from_slice(row);
-        }
-        Ok(end)
-    }
-
-    /// Peer baseline + MAD + deviation ranking over the mean matrix, one
-    /// `rank<i>` row per node stamped `t`.
-    fn rank_and_emit(&mut self, t: u64, emit: &mut Emitter<'_>) {
-        rack::peer_baseline_into(
-            &self.means,
-            &mut self.baseline,
-            &mut self.mad,
-            &mut self.col,
-        );
+    /// Peer baseline + MAD + deviation ranking over `means`, one row of
+    /// `dim` metrics per node, emitting one `rank<i>` row per node stamped
+    /// `t`.
+    fn rank_and_emit(&mut self, t: u64, dim: usize, means: &[f64], emit: &mut Emitter<'_>) {
+        self.baseline.resize(dim, 0.0);
+        self.mad.resize(dim, 0.0);
+        rack::peer_baseline_into(means, &mut self.baseline, &mut self.mad, &mut self.col);
         let ts = Timestamp::from_secs(t);
-        for node in 0..self.rank_ports.len() {
+        for (port, mean) in self.rank_ports.iter().zip(means.chunks_exact(dim)) {
             self.ranked.clear();
-            let mean = self.means.row(node);
             for (d, m) in mean.iter().enumerate() {
                 let dev = rack::deviation(*m, self.baseline[d], self.mad[d]);
                 self.ranked.push((d, dev));
@@ -180,7 +138,7 @@ impl Ranker {
                 self.out_row.push(d as f64);
                 self.out_row.push(dev);
             }
-            emit.emit_sample(self.rank_ports[node], Sample::new(ts, &self.out_row[..]));
+            emit.emit_sample(*port, Sample::new(ts, &self.out_row[..]));
         }
     }
 }
@@ -198,14 +156,16 @@ impl Module for MetricRank {
         if ranker.top == 0 {
             return Err(ModuleError::invalid_parameter("top", "must be positive"));
         }
-        let origins = rack::peer_origins(ctx, ctx.input_slots().len())?;
-        let nodes = origins.len();
-        self.input = if ctx.param("window").is_some() || ctx.param("slide").is_some() {
-            Input::Frames(FrameWindows::init(ctx, "metric_rank", Some(nodes))?.0)
+        let (input, origins) = if ctx.param("window").is_some() || ctx.param("slide").is_some() {
+            let origins = rack::peer_origins(ctx, ctx.input_slots().len())?;
+            let (frames, _) = FrameWindows::init(ctx, "metric_rank", Some(origins.len()))?;
+            (Input::Frames(frames), origins)
         } else {
-            Input::Summaries(Aligner::new(ctx.input_slots().len()))
+            let (frames, origins) = PeerFrames::init(ctx, "metric_rank")?;
+            (Input::Summaries(frames), origins)
         };
-        ranker.col = Vec::with_capacity(nodes);
+        self.input = Some(input);
+        ranker.col = Vec::with_capacity(origins.len());
         for (i, origin) in origins.into_iter().enumerate() {
             let port = ctx.declare_output_with_origin(format!("rank{i}"), origin);
             ranker.rank_ports.push(port);
@@ -215,46 +175,25 @@ impl Module for MetricRank {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let ranker = &mut self.ranker;
+        let input = self.input.as_mut().expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (slot, env) in drain {
-            let Value::Vector(row) = &env.sample.value else {
-                return Err(ModuleError::Other(format!(
-                    "metric_rank expects rack frames, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            let t = env.sample.timestamp.as_secs();
-            match &mut self.input {
+            match input {
                 Input::Frames(frames) => {
-                    if let Some(means) = frames.push(row)? {
-                        // `push` held the frame to `k` = nodes.
-                        let dim = means.len() / ranker.rank_ports.len();
-                        ranker.load(0, dim, means)?;
-                        ranker.rank_and_emit(t, &mut emit);
+                    // `push` held the frame to `k` = nodes.
+                    if let Some(((_, dim), means)) = frames.push(&env.sample.value)? {
+                        let t = env.sample.timestamp.as_secs();
+                        ranker.rank_and_emit(t, dim, means, &mut emit);
                     }
                 }
-                Input::Summaries(aligner) => aligner.push(slot, t, Arc::clone(row)),
+                Input::Summaries(frames) => frames.push(slot, &env.sample)?,
             }
         }
-        // Every aligned set of rack summaries is one evaluation: they
-        // cover contiguous node ranges in ascending global order, so
-        // concatenating them rebuilds the whole mean matrix bitwise.
-        let Input::Summaries(aligner) = &mut self.input else {
-            return Ok(());
-        };
-        while let Some((t, racks)) = aligner.pop_aligned() {
-            let mut at = 0;
-            for row in &racks {
-                let (_, dim) = RackSummary::shape(row).map_err(ModuleError::Other)?;
-                at = ranker.load(at, dim, &row[2..])?;
+        // Every aligned set of rack summaries is one evaluation.
+        if let Input::Summaries(frames) = input {
+            while let Some((t, dim, means)) = frames.pop()? {
+                ranker.rank_and_emit(t, dim, means, &mut emit);
             }
-            if at != ranker.rank_ports.len() {
-                return Err(ModuleError::Other(format!(
-                    "rack summaries cover {at} nodes, expected {}",
-                    ranker.rank_ports.len()
-                )));
-            }
-            ranker.rank_and_emit(t, &mut emit);
         }
         Ok(())
     }
@@ -624,7 +563,7 @@ input[r1] = ra1.sum
         // ranked on the three nodes' ports.
         let mr = "[metric_rank]\nid = mr\nwindow = 2\nslide = 1\nnodes = n0,n1,n2\n\
                   input[frame] = rack.frame\n";
-        assert_bad_frames_are_module_errors(3, mr, "mr", 12);
+        assert_bad_frames_are_module_errors(3, 2, mr, "mr", 12);
         // A frame of other than the named nodes fails on the first one.
         let cfg: Config = format!("[framenode]\nid = rack\nbase = 1,3,5\n\n{mr}")
             .replace("nodes = n0,n1,n2", "nodes = n0,n1,n2,n3")

@@ -1,35 +1,32 @@
-//! Rack-level tree-reduce math for fleet-scale peer comparison.
+//! Rack frames: the one row layout on every edge between analyses, and the
+//! fleet-scale tree-reduce over them.
 //!
-//! A peer comparison needs every node's windowed per-metric means in one
-//! place. With one rack, `metric_rank` windows its collector's frames
-//! itself; a fleet of racks instead tree-reduces **per-rack summaries**:
-//! each rack computes its nodes' windowed means locally (`rack_agg`, the
-//! same [`FrameWindows`]), and the global stage merges rack summaries
-//! before running the identical peer baseline + MAD + deviation ranking.
-//! The global stage then costs O(racks) *data* while the fleet still pays
-//! O(nodes) *work*, spread across the rack aggregators.
+//! Every row an analysis reads or hands on is a rack frame, `[k, width,
+//! node₀ values…, node₁ values…]`: `k` node rows of `width` values in
+//! ascending node order, checked by one decoder, [`frame_shape`]. A rack
+//! collector's `frame` port carries one second of samples in it; `knn`
+//! answers with each node's state indices, `[k, 1, …]`; `mavgvec` with
+//! each node's window means then stddevs, `[k, 2·dim, …]`; `rack_agg`
+//! with each node's windowed means, `[k, dim, …]`. Every consumer holds a
+//! stream to the shape of its first frame (`FrameStream`), so a frame
+//! that changes shape is a [`ModuleError`] where it arrives — never a
+//! silently mis-shaped statistic further down.
 //!
-//! The merge is exact by construction: a rack summary carries the per-node
-//! windowed means themselves (a sufficient statistic for the peer
-//! comparison), and merging is concatenation in global node order — no
-//! arithmetic happens at merge time, so any tree shape reduces to the same
-//! flat mean matrix bitwise. The per-node mean and the per-metric
-//! median/MAD are computed by the exact same code on both paths
-//! ([`WindowSums`], [`peer_baseline_into`]).
+//! A peer comparison — `analysis_bb`, `analysis_wb`, and `metric_rank`
+//! over `rack_agg` summaries — takes one frame per rack and reaches its
+//! node matrix only through [`PeerFrames`]: the paper's cross-instance
+//! synchronization (§3.7), which lines the racks' frames up by second and
+//! concatenates their node rows in slot order. No arithmetic happens
+//! there, so any contiguous rack split of a fleet assembles the flat
+//! matrix bitwise. The `rack_merge_prop` proptests pin this down.
 //!
-//! A rack travels as one flat row in both directions of the reduce, in one
-//! layout ([`RackSummary::shape`]): `[k, dim, …k × dim values…]`, node
-//! rows in ascending node order. Going in, the values are one second's
-//! samples — the rack collector's `frame` port, one row per rack per
-//! second where there used to be one per node; coming out of `rack_agg`,
-//! they are a closed window's means.
-//!
-//! The paper's own analyses read the same rows, and no other shape: `knn`
-//! answers a frame with the rack's `k` state indices, the row `analysis_bb`
-//! compares, and `mavgvec` needs no rack mode — mean and variance are
-//! component-wise, so its statistics over frames *are* the per-node
-//! statistics, header included ([`window_stats`]), the rows `analysis_wb`
-//! compares.
+//! That is what makes the fleet tree-reduce exact: each `rack_agg` windows
+//! its rack's frames locally ([`FrameWindows`], the code a one-rack
+//! `metric_rank` windows its collector's frames with), and the global
+//! `metric_rank` assembles the summaries and runs the same peer baseline,
+//! MAD and deviation ranking ([`peer_baseline_into`], [`deviation`]). The
+//! global stage costs O(racks) *data* while the fleet still pays O(nodes)
+//! *work*, spread across the rack aggregators.
 //!
 //! No sample is retained to form a mean: [`FrameWindows`] checks a frame's
 //! shape and [`WindowSums`] adds its node rows, slices of the frame, into
@@ -42,12 +39,186 @@
 //! window length in samples.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::InitCtx;
+use asdf_core::value::{Sample, Value};
+use hadoop_logs::sync::Aligner;
 
 use crate::analysis_bb::nan_last;
-use crate::kernel::CentroidBlock;
+
+/// A rack frame's `(k, width)`: `k` node rows of `width` values.
+pub type Shape = (usize, usize);
+
+/// One second of a peer comparison's node matrix, `(t, width, matrix)`:
+/// row-major, `width` values a node.
+pub type NodeMatrix<'a> = (u64, usize, &'a [f64]);
+
+/// Validates the `[k, width]` header of a rack frame against its length
+/// and returns `(k, width)`. The values, `row[2..]`, are then `k` node rows
+/// of `width`.
+///
+/// # Errors
+///
+/// Returns a description of the malformation when the header is
+/// missing, non-integral, below one, or inconsistent with the payload
+/// length.
+pub fn frame_shape(row: &[f64]) -> Result<Shape, String> {
+    let [k, dim, payload @ ..] = row else {
+        return Err(format!(
+            "rack row needs [k, dim, …], got {} values",
+            row.len()
+        ));
+    };
+    // Checked against the payload as floats: a header too large for
+    // `usize` (or not finite) is a mismatch, never an overflow.
+    if k.fract() != 0.0 || dim.fract() != 0.0 || *k < 1.0 || *dim < 1.0 {
+        return Err(format!("bad rack row header [k={k}, dim={dim}]"));
+    }
+    if k * dim != payload.len() as f64 {
+        return Err(format!(
+            "rack row payload is {} values, header says {k}x{dim}",
+            payload.len()
+        ));
+    }
+    Ok((*k as usize, *dim as usize))
+}
+
+/// One stream of rack frames, held to the shape of its first frame.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrameStream {
+    /// The shape of the first frame.
+    shape: Option<Shape>,
+}
+
+impl FrameStream {
+    /// Checks that `value`, arriving at a `module`, is a rack frame of the
+    /// stream's shape (the first frame sets it), and returns the frame with
+    /// its `(k, width)`.
+    ///
+    /// # Errors
+    ///
+    /// A value other than a vector, a malformed header ([`frame_shape`]),
+    /// or a `k` or `width` other than the first frame's, described.
+    pub(crate) fn check<'v>(
+        &mut self,
+        module: &str,
+        value: &'v Value,
+    ) -> Result<(&'v Arc<[f64]>, Shape), ModuleError> {
+        let Value::Vector(frame) = value else {
+            return Err(ModuleError::Other(format!(
+                "{module} expects rack frames, got {}",
+                value.type_name()
+            )));
+        };
+        let shape = frame_shape(frame).map_err(ModuleError::Other)?;
+        let (k, width) = *self.shape.get_or_insert(shape);
+        if shape != (k, width) {
+            return Err(ModuleError::Other(format!(
+                "rack frame changed shape: {k}x{width} then {}x{}",
+                shape.0, shape.1
+            )));
+        }
+        Ok((frame, shape))
+    }
+}
+
+/// The node matrix of a peer comparison, assembled from one rack frame per
+/// slot: each slot's frames are held to the shape of its first, the slots
+/// are lined up by second (an [`Aligner`] — a second some slot skipped is
+/// dropped), and an aligned second's node rows are concatenated in slot
+/// order.
+#[derive(Debug)]
+pub struct PeerFrames {
+    module: &'static str,
+    streams: Vec<FrameStream>,
+    aligner: Aligner<Arc<[f64]>>,
+    /// The nodes the slots cover between them.
+    nodes: usize,
+    /// The `nodes × width` matrix of the second popped last.
+    matrix: Vec<f64>,
+}
+
+impl PeerFrames {
+    /// The assembler of a `module` reading `slots` racks that cover `nodes`
+    /// nodes between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
+    pub fn new(module: &'static str, slots: usize, nodes: usize) -> Self {
+        PeerFrames {
+            module,
+            streams: vec![FrameStream::default(); slots],
+            aligner: Aligner::new(slots),
+            nodes,
+            matrix: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// The assembler over `module`'s input slots, and the hostnames its
+    /// required `nodes` parameter names, in node order.
+    ///
+    /// # Errors
+    ///
+    /// `BadInputs` below three nodes, without a slot, or with more slots
+    /// than nodes.
+    pub fn init(
+        ctx: &InitCtx<'_>,
+        module: &'static str,
+    ) -> Result<(PeerFrames, Vec<String>), ModuleError> {
+        let slots = ctx.input_slots().len();
+        let origins = peer_origins(ctx, slots)?;
+        Ok((PeerFrames::new(module, slots, origins.len()), origins))
+    }
+
+    /// Checks `slot`'s frame and holds it until every slot has its second.
+    ///
+    /// # Errors
+    ///
+    /// A value other than a vector, a malformed header ([`frame_shape`]),
+    /// or a `k` or `width` other than the slot's first frame's, described.
+    pub fn push(&mut self, slot: usize, sample: &Sample) -> Result<(), ModuleError> {
+        let (frame, _) = self.streams[slot].check(self.module, &sample.value)?;
+        let t = sample.timestamp.as_secs();
+        self.aligner.push(slot, t, Arc::clone(frame));
+        Ok(())
+    }
+
+    /// The next second every slot has a frame of, as `(t, width, matrix)`:
+    /// the slots' node rows of `width` values, concatenated in slot order
+    /// into a row-major `nodes × width` matrix (valid until the next pop).
+    ///
+    /// # Errors
+    ///
+    /// Frames of different widths, or covering other than `nodes` nodes.
+    pub fn pop(&mut self) -> Result<Option<NodeMatrix<'_>>, ModuleError> {
+        let Some((t, frames)) = self.aligner.pop_aligned() else {
+            return Ok(None);
+        };
+        self.matrix.clear();
+        // `push` checked every header.
+        let width = frames[0][1] as usize;
+        for frame in &frames {
+            if frame[1] as usize != width {
+                return Err(ModuleError::Other(format!(
+                    "the slots' frames are {width} and {} wide at t={t}",
+                    frame[1]
+                )));
+            }
+            self.matrix.extend_from_slice(&frame[2..]);
+        }
+        let covered = self.matrix.len() / width;
+        if covered != self.nodes {
+            return Err(ModuleError::Other(format!(
+                "the slots' frames cover {covered} nodes at t={t}, expected {}",
+                self.nodes
+            )));
+        }
+        Ok(Some((t, width, &self.matrix)))
+    }
+}
 
 /// Accumulates `rows` (chronologically ordered window samples) into `out`
 /// and scales by `1/window` — the windowed mean of a *buffered* window.
@@ -163,17 +334,17 @@ impl WindowSums {
 /// the input side of both `rack_agg` and one-rack `metric_rank`.
 ///
 /// A frame is input from outside the module, so it is checked before any
-/// of it is summed: a header that is missing, non-integral or at odds with
-/// the payload length, a `k` or `dim` other than the first frame's, and a
+/// of it is summed: a value other than a vector, a malformed header
+/// ([`frame_shape`]), a `k` or `dim` other than the first frame's, and a
 /// `k` other than the consumer's node count are each a [`ModuleError`]
 /// that names the problem — never a panic, never a mis-shaped mean.
 #[derive(Debug)]
 pub struct FrameWindows {
+    module: &'static str,
     sums: WindowSums,
+    stream: FrameStream,
     /// The `k` every frame must hold, when the consumer knows it.
     nodes: Option<usize>,
-    /// `(k, dim)` of the first frame; every later frame must match.
-    shape: Option<(usize, usize)>,
 }
 
 impl FrameWindows {
@@ -188,7 +359,7 @@ impl FrameWindows {
     /// `BadInputs` for any other number of slots or connections.
     pub fn init(
         ctx: &InitCtx<'_>,
-        module: &str,
+        module: &'static str,
         nodes: Option<usize>,
     ) -> Result<(FrameWindows, String), ModuleError> {
         let window = ctx.parse_param_or("window", 60usize)?;
@@ -212,36 +383,31 @@ impl FrameWindows {
             )));
         };
         let frames = FrameWindows {
+            module,
             sums: WindowSums::new(window, slide),
+            stream: FrameStream::default(),
             nodes,
-            shape: None,
         };
         Ok((frames, frame_port.origin.clone()))
     }
 
     /// Adds one frame to the open windows. When it completes a window,
-    /// returns that window's row-major `k × dim` mean matrix (valid until
-    /// the next push).
+    /// returns the frames' `(k, dim)` and that window's row-major `k × dim`
+    /// mean matrix (valid until the next push).
     ///
     /// # Errors
     ///
     /// A malformed frame, described (see the type docs); nothing of it has
     /// been summed.
-    pub fn push(&mut self, frame: &[f64]) -> Result<Option<&[f64]>, ModuleError> {
-        let shape = RackSummary::shape(frame).map_err(ModuleError::Other)?;
-        let (k, dim) = *self.shape.get_or_insert(shape);
-        if shape != (k, dim) {
-            return Err(ModuleError::Other(format!(
-                "rack frame changed shape: {k}x{dim} then {}x{}",
-                shape.0, shape.1
-            )));
-        }
+    pub fn push(&mut self, value: &Value) -> Result<Option<(Shape, &[f64])>, ModuleError> {
+        let (frame, (k, dim)) = self.stream.check(self.module, value)?;
         if let Some(n) = self.nodes.filter(|&n| n != k) {
             return Err(ModuleError::Other(format!(
                 "rack frame holds {k} nodes, `nodes` names {n}"
             )));
         }
-        Ok(self.sums.push(frame[2..].chunks_exact(dim)))
+        let means = self.sums.push(frame[2..].chunks_exact(dim));
+        Ok(means.map(|means| ((k, dim), means)))
     }
 }
 
@@ -271,28 +437,6 @@ pub(crate) fn peer_origins(ctx: &InitCtx<'_>, n_slots: usize) -> Result<Vec<Stri
     Ok(origins)
 }
 
-/// One slot's window statistics as node rows, `(dim, means, stddevs)`:
-/// `mavgvec`'s rows over a rack's frames — the mean carried the `[k, dim]`
-/// header through exactly, the stddev left `[0, 0]` of it.
-///
-/// # Errors
-///
-/// A bad rack header, or a stddev row of another length, described.
-pub fn window_stats<'a>(
-    mean: &'a [f64],
-    stddev: &'a [f64],
-) -> Result<(usize, &'a [f64], &'a [f64]), String> {
-    let (_, dim) = RackSummary::shape(mean)?;
-    if stddev.len() != mean.len() {
-        return Err(format!(
-            "a mean row of {} values against a stddev row of {}",
-            mean.len(),
-            stddev.len()
-        ));
-    }
-    Ok((dim, &mean[2..], &stddev[2..]))
-}
-
 /// Median of a peer column by selection, not a sort; for even counts the
 /// mean of the middle pair. Orders as `analysis_bb::median` does
 /// ([`nan_last`]: NaNs after every number, so they shift the median and it
@@ -317,11 +461,12 @@ fn select_median(values: &mut [f64]) -> f64 {
 }
 
 /// Component-wise peer baseline (median across node rows) and MAD (median
-/// absolute deviation from that baseline) over a mean matrix. `col` is
-/// reusable scratch. The medians are selected, `O(nodes)` per metric
-/// (see `select_median` for why no output can tell them from sorted ones).
+/// absolute deviation from that baseline) over a row-major mean matrix of
+/// `baseline.len()` metrics a node. `col` is reusable scratch. The medians
+/// are selected, `O(nodes)` per metric (see `select_median` for why no
+/// output can tell them from sorted ones).
 pub fn peer_baseline_into(
-    means: &CentroidBlock,
+    means: &[f64],
     baseline: &mut [f64],
     mad: &mut [f64],
     col: &mut Vec<f64>,
@@ -329,11 +474,11 @@ pub fn peer_baseline_into(
     let dim = baseline.len();
     for d in 0..dim {
         col.clear();
-        col.extend(means.rows().map(|r| r[d]));
+        col.extend(means.iter().skip(d).step_by(dim));
         baseline[d] = select_median(col);
         let base = baseline[d];
         col.clear();
-        col.extend(means.rows().map(|r| (r[d] - base).abs()));
+        col.extend(means.iter().skip(d).step_by(dim).map(|m| (m - base).abs()));
         mad[d] = select_median(col);
     }
 }
@@ -350,141 +495,54 @@ pub fn deviation(mean: f64, baseline: f64, mad: f64) -> f64 {
     (mean - baseline).abs() / (mad + floor)
 }
 
-/// A rack's contribution to the global peer comparison: the windowed
-/// per-metric means of its nodes, in ascending global node order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RackSummary {
-    /// Nodes summarized by this partial.
-    pub n_nodes: usize,
-    /// Metrics per node.
-    pub dim: usize,
-    /// Row-major `n_nodes × dim` mean matrix.
-    pub means: Vec<f64>,
-}
-
-impl RackSummary {
-    /// Encodes the summary as a self-describing flat row:
-    /// `[n_nodes, dim, means…]`.
-    pub fn encode_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.push(self.n_nodes as f64);
-        out.push(self.dim as f64);
-        out.extend_from_slice(&self.means);
-    }
-
-    /// Decodes a row produced by [`Self::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformation when the header is
-    /// missing, non-integral, or inconsistent with the payload length.
-    pub fn decode(row: &[f64]) -> Result<RackSummary, String> {
-        let (n_nodes, dim) = RackSummary::shape(row)?;
-        Ok(RackSummary {
-            n_nodes,
-            dim,
-            means: row[2..].to_vec(),
-        })
-    }
-
-    /// Validates the `[k, dim]` header of a rack row — a summary, or a
-    /// rack collector's one-second frame, which carries samples in the same
-    /// layout — against its length, and returns `(k, dim)`. The values,
-    /// `row[2..]`, are then `k` node rows of `dim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformation when the header is
-    /// missing, non-integral, below one, or inconsistent with the payload
-    /// length.
-    pub fn shape(row: &[f64]) -> Result<(usize, usize), String> {
-        let [k, dim, payload @ ..] = row else {
-            return Err(format!(
-                "rack row needs [k, dim, …], got {} values",
-                row.len()
-            ));
-        };
-        // Checked against the payload as floats: a header too large for
-        // `usize` (or not finite) is a mismatch, never an overflow.
-        if k.fract() != 0.0 || dim.fract() != 0.0 || *k < 1.0 || *dim < 1.0 {
-            return Err(format!("bad rack row header [k={k}, dim={dim}]"));
-        }
-        if k * dim != payload.len() as f64 {
-            return Err(format!(
-                "rack row payload is {} values, header says {k}x{dim}",
-                payload.len()
-            ));
-        }
-        Ok((*k as usize, *dim as usize))
-    }
-
-    /// Merges partials (each covering a contiguous node range, in global
-    /// node order) into one summary — pure concatenation, no arithmetic,
-    /// so every merge tree shape produces the identical matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when partials disagree on `dim`.
-    pub fn merge(parts: &[RackSummary]) -> RackSummary {
-        let dim = parts.first().map_or(0, |p| p.dim);
-        let mut merged = RackSummary {
-            n_nodes: 0,
-            dim,
-            means: Vec::new(),
-        };
-        for p in parts {
-            assert_eq!(p.dim, dim, "rack partials must agree on metric width");
-            merged.n_nodes += p.n_nodes;
-            merged.means.extend_from_slice(&p.means);
-        }
-        merged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_round_trips_through_encoding() {
-        let s = RackSummary {
-            n_nodes: 2,
-            dim: 3,
-            means: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-        };
-        let mut row = Vec::new();
-        s.encode_into(&mut row);
-        assert_eq!(row[..2], [2.0, 3.0]);
-        assert_eq!(RackSummary::decode(&row).unwrap(), s);
-    }
+    use asdf_core::time::Timestamp;
 
     #[test]
     fn decode_rejects_malformed_rows() {
-        assert!(RackSummary::decode(&[]).is_err());
-        assert!(RackSummary::decode(&[2.0]).is_err());
-        assert!(RackSummary::decode(&[2.5, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]).is_err());
-        assert!(RackSummary::decode(&[2.0, 2.0, 0.0]).is_err()); // short payload
-        assert!(RackSummary::decode(&[0.0, 2.0]).is_err()); // zero nodes
+        assert_eq!(
+            frame_shape(&[2.0, 3.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            Ok((2, 3))
+        );
+        assert!(frame_shape(&[]).is_err());
+        assert!(frame_shape(&[2.0]).is_err());
+        assert!(frame_shape(&[2.5, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]).is_err());
+        assert!(frame_shape(&[2.0, 2.0, 0.0]).is_err()); // short payload
+        assert!(frame_shape(&[0.0, 2.0]).is_err()); // zero nodes
     }
 
     #[test]
     fn merge_concatenates_in_order() {
-        let a = RackSummary {
-            n_nodes: 1,
-            dim: 2,
-            means: vec![1.0, 2.0],
-        };
-        let b = RackSummary {
-            n_nodes: 2,
-            dim: 2,
-            means: vec![3.0, 4.0, 5.0, 6.0],
-        };
-        let m = RackSummary::merge(&[a.clone(), b.clone()]);
-        assert_eq!(m.n_nodes, 3);
-        assert_eq!(m.means, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // Tree shapes collapse to the same result.
-        let t = RackSummary::merge(&[RackSummary::merge(&[a]), b]);
-        assert_eq!(m, t);
+        // Two racks of one and two nodes, their frames arriving in either
+        // order: the matrix is the slots' node rows in slot order.
+        let frame = |t: u64, row: &[f64]| Sample::new(Timestamp::from_secs(t), row);
+        let (a, b) = ([1.0, 2.0, 1.0, 2.0], [2.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut frames = PeerFrames::new("test", 2, 3);
+        frames.push(0, &frame(7, &a)).unwrap();
+        assert_eq!(frames.pop().unwrap(), None, "rack 1 has not reported");
+        frames.push(1, &frame(7, &b)).unwrap();
+        frames.push(1, &frame(8, &b)).unwrap();
+        frames.push(0, &frame(8, &a)).unwrap();
+        for t in [7, 8] {
+            let want = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+            assert_eq!(frames.pop().unwrap(), Some((t, 2, &want[..])));
+        }
+        // A rack changing shape; racks covering other than `nodes`; racks
+        // of different widths.
+        let err = frames.push(1, &frame(9, &a)).unwrap_err().to_string();
+        assert!(err.contains("changed shape: 2x2 then 1x2"), "{err}");
+        for (second, says) in [
+            ([1.0, 2.0, 3.0, 4.0], "cover 2 nodes at t=1, expected 3"),
+            ([2.0, 1.0, 3.0, 4.0], "are 2 and 1 wide at t=1"),
+        ] {
+            let mut frames = PeerFrames::new("test", 2, 3);
+            frames.push(0, &frame(1, &a)).unwrap();
+            frames.push(1, &frame(1, &second)).unwrap();
+            let err = frames.pop().unwrap_err().to_string();
+            assert!(err.contains(says), "{err}");
+        }
     }
 
     #[test]

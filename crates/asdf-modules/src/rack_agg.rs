@@ -10,7 +10,7 @@
 //! or aligner between a collector and its aggregator, and nothing is held
 //! per sample. Every `slide` frames (the first time on frame
 //! `max(window, slide)`) a window closes and its per-node means leave in
-//! the same layout, `[k, dim, means…]` ([`crate::rack::RackSummary`]), on
+//! the same layout, `[k, dim, means…]` ([`crate::rack::frame_shape`]), on
 //! the `sum` port, stamped like the frame that closed it.
 //!
 //! A frame is input from outside the module: a header that is missing,
@@ -18,8 +18,9 @@
 //! that changes mid-stream, are each a [`ModuleError`] that names the
 //! problem — never a panic, never a silently mis-shaped mean.
 //!
-//! A downstream `metric_rank` without a `window` of its own reads the rack
-//! summaries, concatenates them back into the fleet's mean matrix and runs
+//! A downstream `metric_rank` without a `window` of its own assembles the
+//! rack summaries back into the fleet's mean matrix
+//! ([`crate::rack::PeerFrames`]) and runs
 //! the identical baseline/MAD/deviation ranking — bitwise equal to one
 //! `metric_rank` windowing one frame of every node, while the DAG moves
 //! O(racks) rows per second ahead of the aggregators and O(racks) per
@@ -32,7 +33,7 @@
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::{Sample, Value};
+use asdf_core::value::Sample;
 
 use crate::rack::FrameWindows;
 
@@ -80,17 +81,11 @@ impl Module for RackAgg {
         let port = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
-            let Value::Vector(frame) = &env.sample.value else {
-                return Err(ModuleError::Other(format!(
-                    "rack_agg expects rack frames, got {}",
-                    env.sample.value.type_name()
-                )));
-            };
-            let Some(means) = frames.push(frame)? else {
+            let Some(((k, dim), means)) = frames.push(&env.sample.value)? else {
                 continue;
             };
             self.out_row.clear();
-            self.out_row.extend_from_slice(&frame[..2]);
+            self.out_row.extend([k as f64, dim as f64]);
             self.out_row.extend_from_slice(means);
             emit.emit_sample(port, Sample::new(env.sample.timestamp, &self.out_row[..]));
         }
@@ -108,7 +103,7 @@ mod tests {
     use asdf_core::registry::ModuleRegistry;
     use asdf_core::time::TickDuration;
 
-    use crate::rack::RackSummary;
+    use crate::rack::frame_shape;
     use crate::testutil::{assert_bad_frames_are_module_errors, frame_node_registry, Emitted};
 
     fn registry() -> ModuleRegistry {
@@ -138,17 +133,16 @@ input[frame] = rack.frame
         for env in &out {
             assert_eq!(env.source.origin, "n0", "the frame's origin");
             let row = env.sample.value.as_vector().unwrap();
-            let s = RackSummary::decode(row).unwrap();
-            assert_eq!((s.n_nodes, s.dim), (2, 2));
+            assert_eq!(frame_shape(row), Ok((2, 2)));
             // Constant inputs: the mean is the input itself.
-            assert_eq!(s.means, vec![1.0, 2.0, 3.0, 6.0]);
+            assert_eq!(row[2..], [1.0, 2.0, 3.0, 6.0]);
         }
     }
 
     /// A ramping two-node rack into one `rack_agg` with window 4 and the
-    /// given slide, run for 13 s: `(closing second, summary)` per emission,
+    /// given slide, run for 13 s: `(closing second, means)` per emission,
     /// and the engine they came from, still holding whatever it holds.
-    fn ramp_summaries(slide: usize, emitted: &Emitted) -> (TickEngine, Vec<(u64, RackSummary)>) {
+    fn ramp_summaries(slide: usize, emitted: &Emitted) -> (TickEngine, Vec<(u64, Vec<f64>)>) {
         let cfg: Config = format!(
             "\
 [framenode]
@@ -174,10 +168,8 @@ input[frame] = rack.frame
             .iter()
             .map(|env| {
                 let row = env.sample.value.as_vector().unwrap();
-                (
-                    env.sample.timestamp.as_secs(),
-                    RackSummary::decode(row).unwrap(),
-                )
+                assert_eq!(frame_shape(row), Ok((2, 2)));
+                (env.sample.timestamp.as_secs(), row[2..].to_vec())
             })
             .collect();
         (eng, out)
@@ -196,10 +188,10 @@ input[frame] = rack.frame
             // Row r is second r - 1; a summary is stamped with its last row.
             let rows: Vec<u64> = out.iter().map(|(t, _)| t + 1).collect();
             assert_eq!(rows, closing_rows, "slide {slide}");
-            for (e, (_, s)) in closing_rows.iter().zip(&out) {
+            for (e, (_, means)) in closing_rows.iter().zip(&out) {
                 let n0 = *e as f64 - 1.5;
                 let n1 = 3.0 + (*e as f64 - 2.5) / 2.0;
-                assert_eq!(s.means, vec![n0, 2.0 * n0, n1, 2.0 * n1], "slide {slide}");
+                assert_eq!(*means, vec![n0, 2.0 * n0, n1, 2.0 * n1], "slide {slide}");
             }
         }
     }
@@ -225,7 +217,7 @@ input[frame] = rack.frame
     fn a_malformed_frame_is_a_module_error_never_a_panic() {
         // Window 2, slide 1: the five good frames close four windows.
         let ra = "[rack_agg]\nid = ra\nwindow = 2\nslide = 1\ninput[frame] = rack.frame\n";
-        assert_bad_frames_are_module_errors(2, ra, "ra", 4);
+        assert_bad_frames_are_module_errors(3, 2, ra, "ra", 4);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
 use asdf_core::value::Value;
 
-/// A periodic source emitting the vector `[t+1, 2(t+1)]` each second, with
-/// origin `test-node`.
+/// A periodic source emitting the one-node frame `[1, 2, t+1, 2(t+1)]`
+/// each second, with origin `test-node`.
 pub struct VectorSource {
     port: Option<PortId>,
     n: i64,
@@ -27,7 +27,7 @@ impl Module for VectorSource {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         self.n += 1;
         let x = self.n as f64;
-        ctx.emit(self.port.unwrap(), vec![x, 2.0 * x]);
+        ctx.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
         Ok(())
     }
 }
@@ -105,14 +105,15 @@ pub type Emitted = Arc<Mutex<Vec<Weak<[f64]>>>>;
 
 /// A rack collector's `frame` port over `k` nodes, one per entry of its
 /// `base` parameter (a comma list; `ramp`, the same length, defaults to
-/// zeros): every second `[k, 2, x₀, 2·x₀, x₁, 2·x₁, …]`,
-/// `xᵢ = baseᵢ + rampᵢ·(seconds so far)`, origin `n0`. From second `bad_at`
-/// on (when set) the frame is broken as `bad` names, one of
-/// [`frame_breakages`].
+/// zeros): every second `[k, dim, x₀, 2·x₀, …, dim·x₀, x₁, …]` (`dim`
+/// defaults to 2), `xᵢ = baseᵢ + rampᵢ·(seconds so far)`, origin `n0`.
+/// From second `bad_at` on (when set) the frame is broken as `bad` names,
+/// one of [`frame_breakages`].
 pub struct FrameNode {
     port: Option<PortId>,
     base: Vec<f64>,
     ramp: Vec<f64>,
+    dim: usize,
     bad: String,
     bad_at: u64,
     emitted: Emitted,
@@ -130,6 +131,7 @@ impl Module for FrameNode {
         self.base = list("base");
         self.ramp = list("ramp");
         self.ramp.resize(self.base.len(), 0.0);
+        self.dim = ctx.parse_param_or("dim", 2)?;
         self.bad = ctx.param("bad").unwrap_or("").to_owned();
         self.bad_at = ctx.parse_param_or("bad_at", u64::MAX)?;
         self.port = Some(ctx.declare_output_with_origin("frame", "n0"));
@@ -139,9 +141,10 @@ impl Module for FrameNode {
         Ok(())
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        let k = self.base.len() as f64;
-        let mut frame = vec![k, 2.0];
-        frame.extend(self.base.iter().flat_map(|&x| [x, 2.0 * x]));
+        let (k, dim) = (self.base.len() as f64, self.dim);
+        let mut frame = vec![k, dim as f64];
+        let row = |x: f64| (1..=dim).map(move |j| j as f64 * x);
+        frame.extend(self.base.iter().flat_map(|&x| row(x)));
         if ctx.now().as_secs() >= self.bad_at {
             match self.bad.as_str() {
                 "empty" => frame.clear(),
@@ -154,12 +157,14 @@ impl Module for FrameNode {
                 "long" => frame.push(0.0),
                 "extra_node" => {
                     frame[0] = k + 1.0;
-                    frame.extend([9.0, 18.0]);
+                    frame.extend(row(9.0));
                 }
                 "wider" => {
-                    frame = vec![k, 3.0];
-                    frame.extend(self.base.iter().flat_map(|&x| [x; 3]));
+                    frame = vec![k, dim as f64 + 1.0];
+                    let row = |x: f64| std::iter::repeat_n(x, dim + 1);
+                    frame.extend(self.base.iter().flat_map(|&x| row(x)));
                 }
+                "swapped" => frame.swap(0, 1),
                 "scalar" => {
                     ctx.emit(self.port.unwrap(), 1.0);
                     return Ok(());
@@ -187,6 +192,7 @@ pub fn frame_node_registry(emitted: &Emitted) -> ModuleRegistry {
             port: None,
             base: Vec::new(),
             ramp: Vec::new(),
+            dim: 2,
             bad: String::new(),
             bad_at: u64::MAX,
             emitted: Arc::clone(&emitted),
@@ -195,11 +201,13 @@ pub fn frame_node_registry(emitted: &Emitted) -> ModuleRegistry {
     reg
 }
 
-/// Every way a [`FrameNode`] of `k` nodes breaks its frame (its `bad`
-/// parameter), each with a phrase of the error a frame consumer must
-/// answer it with.
-pub fn frame_breakages(k: usize) -> [(&'static str, String); 9] {
-    let (short, long) = (2 * k - 1, 2 * k + 1);
+/// Every way a [`FrameNode`] of `k` nodes of `dim` values breaks its frame
+/// (its `bad` parameter), each with a phrase of the error a frame consumer
+/// must answer it with. `swapped` keeps the frame's length, so it breaks
+/// it only while `k ≠ dim`.
+pub fn frame_breakages(k: usize, dim: usize) -> [(&'static str, String); 10] {
+    let (short, long) = (k * dim - 1, k * dim + 1);
+    let changed = |to: (usize, usize)| format!("changed shape: {k}x{dim} then {}x{}", to.0, to.1);
     [
         ("empty", "needs [k, dim".to_owned()),
         ("header", "bad rack row header".to_owned()),
@@ -207,33 +215,38 @@ pub fn frame_breakages(k: usize) -> [(&'static str, String); 9] {
         ("huge", "header says".to_owned()),
         (
             "short",
-            format!("payload is {short} values, header says {k}x2"),
+            format!("payload is {short} values, header says {k}x{dim}"),
         ),
         (
             "long",
-            format!("payload is {long} values, header says {k}x2"),
+            format!("payload is {long} values, header says {k}x{dim}"),
         ),
-        (
-            "extra_node",
-            format!("changed shape: {k}x2 then {}x2", k + 1),
-        ),
-        ("wider", format!("changed shape: {k}x2 then {k}x3")),
+        ("extra_node", changed((k + 1, dim))),
+        ("wider", changed((k, dim + 1))),
+        ("swapped", changed((dim, k))),
         ("scalar", "expects rack frames, got float".to_owned()),
     ]
 }
 
 /// Runs `consumer`, the configuration of an instance `id` reading
-/// `rack.frame`, behind a `k`-node [`FrameNode`] broken from second 5 on
-/// in each of the [`frame_breakages`] ways (after two windows' worth of
-/// good frames, so a shape change lands on open accumulators). Each run
-/// must end in a [`ModuleError::Other`] of `id` at second 5 that names the
-/// problem, with the `before` envelopes `id` emitted on the good frames
-/// still in its tap.
-pub fn assert_bad_frames_are_module_errors(k: usize, consumer: &str, id: &str, before: usize) {
+/// `rack.frame`, behind a [`FrameNode`] of `k` nodes of `dim` values
+/// broken from second 5 on in each of the [`frame_breakages`] ways (after
+/// two windows' worth of good frames, so a shape change lands on open
+/// accumulators). Each run must end in a [`ModuleError::Other`] of `id` at
+/// second 5 that names the problem, with the `before` envelopes `id`
+/// emitted on the good frames still in its tap.
+pub fn assert_bad_frames_are_module_errors(
+    k: usize,
+    dim: usize,
+    consumer: &str,
+    id: &str,
+    before: usize,
+) {
+    assert_ne!(k, dim, "a swapped header would be no breakage");
     let base: Vec<String> = (0..k).map(|i| (1 + 2 * i).to_string()).collect();
-    for (bad, says) in frame_breakages(k) {
+    for (bad, says) in frame_breakages(k, dim) {
         let cfg: Config = format!(
-            "[framenode]\nid = rack\nbase = {}\nbad = {bad}\nbad_at = 5\n\n{consumer}",
+            "[framenode]\nid = rack\nbase = {}\ndim = {dim}\nbad = {bad}\nbad_at = 5\n\n{consumer}",
             base.join(",")
         )
         .parse()
@@ -241,7 +254,9 @@ pub fn assert_bad_frames_are_module_errors(k: usize, consumer: &str, id: &str, b
         let dag = Dag::build(&frame_node_registry(&Emitted::default()), &cfg).unwrap();
         let mut eng = TickEngine::new(dag);
         let tap = eng.tap(id).unwrap();
-        let err = eng.run_for(TickDuration::from_secs(9)).unwrap_err();
+        let Err(err) = eng.run_for(TickDuration::from_secs(9)) else {
+            panic!("{bad}: {id} took the frame");
+        };
         assert_eq!((err.instance.as_str(), err.at_secs), (id, 5), "{bad}");
         let ModuleError::Other(msg) = &err.source else {
             panic!("{bad}: {:?}", err.source);
@@ -323,4 +338,60 @@ pub fn assert_burst_invariant(
         assert_eq!(got[..reference.len()], reference[..], "burst {burst}");
     }
     reference
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assert_bad_frames_are_module_errors;
+
+    /// Every module that reads rack frames off an analysis edge, behind
+    /// three nodes' frames, answers each breakage at the bad second with a
+    /// described `ModuleError` and keeps what the good frames closed
+    /// (`rack_agg` and `metric_rank` are held to the same in their own
+    /// tests).
+    #[test]
+    fn every_frame_consumer_answers_a_bad_frame_with_a_module_error() {
+        for (dim, consumer, id, before) in [
+            // Five frames, five answers.
+            (
+                2,
+                "[knn]\nid = nn\ncentroids = 0,0|3,3|9,9\nstddev = 1,1\ninput[input] = rack.frame\n",
+                "nn",
+                5,
+            ),
+            // Window 2, slide 1: four windows.
+            (
+                2,
+                "[mavgvec]\nid = avg\nwindow = 2\nslide = 1\ninput[input] = rack.frame\n",
+                "avg",
+                4,
+            ),
+            // Six values a frame, batches of three: ten batches.
+            (
+                2,
+                "[ibuffer]\nid = buf\nsize = 3\ninput[input] = rack.frame\n",
+                "buf",
+                10,
+            ),
+            // States 1, 3 and 5, window 2, slide 1: four evaluations of an
+            // alarm and a distance per node.
+            (
+                1,
+                "[analysis_bb]\nid = bb\nn_states = 6\nwindow = 2\nslide = 1\n\
+                 nodes = n0,n1,n2\ninput[l0] = rack.frame\n",
+                "bb",
+                24,
+            ),
+            // One mean and one stddev a node: five evaluations of an alarm
+            // and a k_crit per node.
+            (
+                2,
+                "[analysis_wb]\nid = wb\nnodes = n0,n1,n2\ninput[r0] = rack.frame\n",
+                "wb",
+                30,
+            ),
+        ] {
+            assert_bad_frames_are_module_errors(3, dim, consumer, id, before);
+        }
+    }
 }

@@ -1,7 +1,8 @@
-//! Property test: one `knn` over a rack's frames answers exactly what the
-//! model's classifier answers for each of the frames' node rows — at any
-//! rack size, vector width and burst, on any values a counter can arrive as
-//! (NaN, infinities and negatives included).
+//! Property test: one `knn` over a rack's frames answers, in a frame
+//! `[n, 1, indices…]`, exactly what the model's classifier answers for each
+//! of the frames' node rows — at any rack size, vector width and burst, on
+//! any values a counter can arrive as (NaN, infinities and negatives
+//! included).
 
 use asdf_core::config::Config;
 use asdf_core::dag::Dag;
@@ -104,10 +105,11 @@ proptest! {
         let rows = rack.drain();
         prop_assert_eq!(rows.len(), seconds.len());
         for (s, (env, second)) in rows.iter().zip(&seconds).enumerate() {
-            let got = env.sample.value.as_vector().expect("a frame is answered with a row");
-            prop_assert_eq!(got.len(), n, "one index a node");
+            let got = env.sample.value.as_vector().expect("a frame is answered with a frame");
+            prop_assert_eq!(got.len(), 2 + n, "one index a node");
+            prop_assert_eq!(&got[..2], &[n as f64, 1.0][..], "[n, 1, indices…]");
             let want: Vec<f64> = second.iter().map(|row| classifier.classify(row) as f64).collect();
-            prop_assert_eq!(got, &want[..], "second {}", s);
+            prop_assert_eq!(&got[2..], &want[..], "second {}", s);
             prop_assert_eq!(env.sample.timestamp.as_secs(), (s / burst) as u64);
         }
     }

@@ -1,5 +1,6 @@
 //! Property test: `mavgvec`'s windowed statistics match a direct
-//! computation for arbitrary input streams and window geometry.
+//! computation for arbitrary input streams and window geometry, laid out
+//! per node in its `stats` frame.
 
 use asdf_core::config::{Config, InstanceConfig};
 use asdf_core::dag::Dag;
@@ -10,7 +11,8 @@ use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
 use proptest::prelude::*;
 
-/// Replays a fixed sequence of vectors, one per second.
+/// Replays a fixed sequence of vectors, one per second, each as the frame
+/// of a rack of `NODES` nodes.
 struct Replay {
     data: Vec<Vec<f64>>,
     idx: usize,
@@ -25,12 +27,18 @@ impl Module for Replay {
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         if self.idx < self.data.len() {
-            ctx.emit(self.port.unwrap(), self.data[self.idx].clone());
+            let mut frame = vec![NODES as f64, (DIM / NODES) as f64];
+            frame.extend_from_slice(&self.data[self.idx]);
+            ctx.emit(self.port.unwrap(), frame);
             self.idx += 1;
         }
         Ok(())
     }
 }
+
+/// Components a second, split evenly over the rack's nodes.
+const DIM: usize = 6;
+const NODES: usize = 2;
 
 fn expected_windows(data: &[Vec<f64>], window: usize, slide: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
     let mut out = Vec::new();
@@ -73,7 +81,7 @@ proptest! {
     #[test]
     fn windowed_stats_match_direct_computation(
         data in proptest::collection::vec(
-            proptest::collection::vec(-100.0f64..100.0, 3),
+            proptest::collection::vec(-100.0f64..100.0, DIM),
             4..40,
         ),
         window in 1usize..8,
@@ -105,22 +113,24 @@ proptest! {
             .run_for(TickDuration::from_secs(data.len() as u64))
             .expect("runs");
 
-        let envs = tap.drain();
-        let got_means: Vec<Vec<f64>> = envs
-            .iter()
-            .filter(|e| e.source.name == "mean")
-            .map(|e| e.sample.value.as_vector().unwrap().to_vec())
-            .collect();
-        let got_sds: Vec<Vec<f64>> = envs
-            .iter()
-            .filter(|e| e.source.name == "stddev")
-            .map(|e| e.sample.value.as_vector().unwrap().to_vec())
-            .collect();
+        // Each node's means, then its stddevs, under `[NODES, 2·dim]`.
+        let per_node = DIM / NODES;
+        let mut got_means = Vec::new();
+        let mut got_sds = Vec::new();
+        for e in tap.drain() {
+            prop_assert_eq!(e.source.name.as_str(), "stats");
+            let stats = e.sample.value.as_vector().unwrap();
+            prop_assert_eq!(&stats[..2], &[NODES as f64, (2 * per_node) as f64][..]);
+            let nodes = stats[2..].chunks_exact(2 * per_node);
+            got_means.push(nodes.clone().flat_map(|n| n[..per_node].to_vec()).collect::<Vec<f64>>());
+            got_sds.push(nodes.flat_map(|n| n[per_node..].to_vec()).collect::<Vec<f64>>());
+        }
 
         let expected = expected_windows(&data, window, slide);
         prop_assert_eq!(got_means.len(), expected.len(), "window count");
         prop_assert_eq!(got_sds.len(), expected.len());
         for ((gm, gs), (em, es)) in got_means.iter().zip(&got_sds).zip(&expected) {
+            prop_assert_eq!((gm.len(), gs.len()), (DIM, DIM));
             for (a, b) in gm.iter().zip(em) {
                 prop_assert!((a - b).abs() < 1e-9, "mean {a} vs {b}");
             }

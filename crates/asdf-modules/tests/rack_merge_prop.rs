@@ -1,62 +1,42 @@
 //! Property test: tree-reducing per-rack summaries is bitwise equal to
-//! the flat fleet-wide computation — for any node count, rack partition,
-//! merge tree shape, window geometry, and NaN-free metric values.
+//! the flat fleet-wide computation — for any node count, contiguous rack
+//! partition, slot arrival order, window length, and NaN-free metric
+//! values.
 //!
 //! This is the contract the fleet diagnosis path rests on: `rack_agg`
 //! computes per-node windowed means rack-locally, `metric_rank` over rack
-//! summaries concatenates them back into the flat mean matrix,
-//! and the peer baseline/MAD it computes must match what the flat wiring
-//! would have produced, to the last bit.
+//! summaries assembles them back into the flat mean matrix through the
+//! production assembler, [`PeerFrames`], and the peer baseline/MAD it
+//! computes must match what the flat wiring would have produced, to the
+//! last bit.
 //!
 //! A second property holds the peer statistics themselves to a reference:
 //! [`peer_baseline_into`] *selects* its medians, and every median, MAD and
 //! deviation score it leads to must be what sorting each column gives —
 //! over columns with NaNs, both zeros, ties, and even and odd counts.
 
-use asdf_modules::kernel::CentroidBlock;
-use asdf_modules::rack::{deviation, peer_baseline_into, windowed_mean_into, RackSummary};
+use asdf_core::time::Timestamp;
+use asdf_core::value::Sample;
+use asdf_modules::rack::{deviation, peer_baseline_into, windowed_mean_into, PeerFrames};
 use proptest::prelude::*;
 
-/// Per-node windowed means for a contiguous node range, with the shared
-/// arithmetic (exactly what one `rack_agg` instance computes).
-fn summarize(
-    samples: &[Vec<Vec<f64>>],
-    range: std::ops::Range<usize>,
-    window: usize,
-) -> RackSummary {
+/// The summary frame `[k, dim, means…]` of a contiguous node range, with
+/// the shared arithmetic (exactly what one `rack_agg` instance computes).
+fn summarize(samples: &[Vec<Vec<f64>>], range: std::ops::Range<usize>, window: usize) -> Vec<f64> {
     let dim = samples[0][0].len();
-    let mut s = RackSummary {
-        n_nodes: range.len(),
-        dim,
-        means: vec![0.0; range.len() * dim],
-    };
+    let mut frame = vec![range.len() as f64, dim as f64];
+    frame.resize(2 + range.len() * dim, 0.0);
     for (local, node) in range.enumerate() {
         windowed_mean_into(
             samples[node].iter().map(|r| r.as_slice()),
             window,
-            &mut s.means[local * dim..][..dim],
+            &mut frame[2 + local * dim..][..dim],
         );
     }
-    s
+    frame
 }
 
-/// Merges partials pairwise as a balanced tree (vs the flat left fold).
-fn tree_merge(parts: &[RackSummary]) -> RackSummary {
-    match parts.len() {
-        0 => RackSummary {
-            n_nodes: 0,
-            dim: 0,
-            means: Vec::new(),
-        },
-        1 => parts[0].clone(),
-        n => {
-            let (l, r) = parts.split_at(n / 2);
-            RackSummary::merge(&[tree_merge(l), tree_merge(r)])
-        }
-    }
-}
-
-fn peer_stats(means: &CentroidBlock, dim: usize) -> (Vec<f64>, Vec<f64>) {
+fn peer_stats(means: &[f64], dim: usize) -> (Vec<f64>, Vec<f64>) {
     let mut baseline = vec![0.0; dim];
     let mut mad = vec![0.0; dim];
     let mut col = Vec::new();
@@ -115,8 +95,9 @@ fn arb_peer_matrix() -> impl Strategy<Value = (usize, Vec<Vec<f64>>)> {
 }
 
 /// Random fleet geometry + metric values: node count, metric width,
-/// window length, rack-size seeds, and a flat NaN-free value pool.
-fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<usize>, Vec<f64>)> {
+/// window length, rack-size seeds, a flat NaN-free value pool, and whether
+/// the racks' summaries arrive last rack first.
+fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<usize>, Vec<f64>, bool)> {
     (3usize..17, 1usize..7, 1usize..6).prop_flat_map(|(n, d, w)| {
         (
             n..n + 1,
@@ -124,6 +105,7 @@ fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<usize>, Vec<f64
             w..w + 1,
             proptest::collection::vec(1usize..5, n..n + 1),
             proptest::collection::vec(-1.0e6f64..1.0e6, n * w * d..n * w * d + 1),
+            any::<bool>(),
         )
     })
 }
@@ -133,7 +115,7 @@ proptest! {
 
     #[test]
     fn selected_medians_rank_exactly_as_sorted_ones((dim, rows) in arb_peer_matrix()) {
-        let (base, mad) = peer_stats(&CentroidBlock::from_rows(&rows), dim);
+        let (base, mad) = peer_stats(&rows.concat(), dim);
         let (want_base, want_mad) = sorted_peer_stats(&rows, dim);
         // `==`, not bits: the sign of a zero (or NaN) median is the one
         // thing a selection may return differently.
@@ -159,7 +141,7 @@ proptest! {
 
     #[test]
     fn tree_reduce_is_bitwise_equal_to_flat(
-        (n_nodes, dim, window, rack_sizes, flat_values) in arb_case()
+        (n_nodes, dim, window, rack_sizes, flat_values, reversed) in arb_case()
     ) {
         // Samples[node][row][metric], window rows per node.
         let samples: Vec<Vec<Vec<f64>>> = (0..n_nodes)
@@ -189,40 +171,33 @@ proptest! {
             racks.push(at..n_nodes);
         }
 
-        // Flat path: one pass over every node.
+        // Flat path: one summary of every node.
         let flat = summarize(&samples, 0..n_nodes, window);
-        let flat_block = CentroidBlock::from_rows(
-            &(0..n_nodes)
-                .map(|i| flat.means[i * dim..][..dim].to_vec())
-                .collect::<Vec<_>>(),
-        );
-        let (flat_base, flat_mad) = peer_stats(&flat_block, dim);
+        let flat_means = &flat[2..];
+        let (flat_base, flat_mad) = peer_stats(flat_means, dim);
 
-        // Rack path: per-rack partials, merged both as a left fold and as
-        // a balanced tree, with an encode/decode round trip in between
-        // (the DAG ships summaries as flat rows).
-        let partials: Vec<RackSummary> = racks
-            .iter()
-            .map(|r| {
-                let s = summarize(&samples, r.clone(), window);
-                let mut row = Vec::new();
-                s.encode_into(&mut row);
-                RackSummary::decode(&row).expect("round trip")
-            })
-            .collect();
-        let folded = RackSummary::merge(&partials);
-        let treed = tree_merge(&partials);
-        prop_assert_eq!(&folded, &treed);
-        prop_assert_eq!(&folded.means, &flat.means);
-        prop_assert_eq!(folded.n_nodes, n_nodes);
+        // Rack path: one summary frame per rack, one slot each, assembled
+        // by the production assembler whichever order the slots report in.
+        let mut frames = PeerFrames::new("metric_rank", racks.len(), n_nodes);
+        let mut slots: Vec<usize> = (0..racks.len()).collect();
+        if reversed {
+            slots.reverse();
+        }
+        for slot in slots {
+            let summary = summarize(&samples, racks[slot].clone(), window);
+            let second = Sample::new(Timestamp::from_secs(59), summary);
+            frames.push(slot, &second).expect("a well-formed summary");
+        }
+        let (t, width, merged) = frames
+            .pop()
+            .expect("contiguous racks cover the fleet")
+            .expect("every slot reported");
+        prop_assert_eq!((t, width), (59, dim));
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(merged), bits(flat_means));
 
-        let merged_block = CentroidBlock::from_rows(
-            &(0..n_nodes)
-                .map(|i| folded.means[i * dim..][..dim].to_vec())
-                .collect::<Vec<_>>(),
-        );
-        let (rack_base, rack_mad) = peer_stats(&merged_block, dim);
-        // Bitwise: the values are NaN-free, so == is exact equality.
+        // The values are NaN-free, so == is exact equality.
+        let (rack_base, rack_mad) = peer_stats(merged, dim);
         prop_assert_eq!(flat_base, rack_base);
         prop_assert_eq!(flat_mad, rack_mad);
     }

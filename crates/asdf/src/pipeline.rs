@@ -109,12 +109,12 @@ fn push(cfg: &mut Config, inst: InstanceConfig) {
 pub(crate) type Source = (String, String);
 
 /// Generates the analysis half of Figure 4 onto `cfg`: with `o.black_box`
-/// a `knn` per `sadc` source (`onenn<s>`) into `analysis_bb` (`bb`), with
-/// `o.white_box` per stream `(tag, sources)` a `mavgvec` per source
-/// (`avg_<tag>_<s>`) into `analysis_wb` (`wb_<tag>`). Every source is a
-/// frame port — a rack collector's, or a `serve` tenant's one stream
-/// holding the whole cluster — and `names` every covered node's hostname,
-/// in order.
+/// a `knn` per `sadc` source (`onenn<s>`) into slot `l<s>` of
+/// `analysis_bb` (`bb`), with `o.white_box` per stream `(tag, sources)` a
+/// `mavgvec` per source (`avg_<tag>_<s>`) whose `stats` frame fills slot
+/// `r<s>` of `analysis_wb` (`wb_<tag>`). Every source is a frame port — a
+/// rack collector's, or a `serve` tenant's one stream holding the whole
+/// cluster — and `names` every covered node's hostname, in order.
 ///
 /// # Panics
 ///
@@ -168,9 +168,7 @@ pub(crate) fn push_analyses(
                         .with_param("slide", o.slide)
                         .with_input("input", instance, port),
                 );
-                wb = wb
-                    .with_input(format!("a{s}"), format!("avg_{tag}_{s}"), "mean")
-                    .with_input(format!("d{s}"), format!("avg_{tag}_{s}"), "stddev");
+                wb = wb.with_input(format!("r{s}"), format!("avg_{tag}_{s}"), "stats");
             }
             push(cfg, wb);
         }

@@ -48,7 +48,7 @@ use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
 use asdf_core::value::{Sample, Value};
 use asdf_modules::collectors::poll_frame;
-use asdf_modules::rack::RackSummary;
+use asdf_modules::rack::frame_shape;
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
 use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageBuilder, WireError};
@@ -358,7 +358,7 @@ fn decode_frame(
     let stream = wired.iter().position(|(t, _)| *t == tag)?;
     let (first, ts) = (r.get_u32().ok()?, r.get_u64().ok()?);
     let values: Arc<[f64]> = r.get_f64s().ok()?;
-    let (k, dim) = RackSummary::shape(&values).ok()?;
+    let (k, dim) = frame_shape(&values).ok()?;
     let whole = first == 0 && k == slaves;
     (whole && *widths[stream].get_or_insert(dim) == dim).then_some((stream, ts, values))
 }

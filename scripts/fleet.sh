@@ -8,11 +8,14 @@
 # its instance count and one-frame edges, every generated port routed or
 # tapped, a campaign's streams and rankings at racks {1, 2, 3, 7} against
 # its one-rack wiring, every collector kind's `nodes = lo..hi` frame shape,
-# clocked and free-running, `knn` / `analysis_*` / `rack_agg` / `metric_rank` over
-# rack rows (malformed frames included), the running window sums against
-# a buffered window, a node's second rendered over its last one, a tap
-# attached after construction on a port nothing is wired to, the collector
-# wire accounting and decoder properties, and the bound on un-tailed logs.
+# clocked and free-running, every frame consumer (`knn`, `mavgvec`,
+# `ibuffer`, `analysis_*`, `rack_agg`, `metric_rank`) over rack frames,
+# malformed frames included, the running window sums against a buffered
+# window, `knn`'s and `mavgvec`'s frames against a direct computation, any
+# contiguous rack split assembled into the flat matrix, a node's second
+# rendered over its last one, a tap attached after construction on a port
+# nothing is wired to, the collector wire accounting and decoder
+# properties, and the bound on un-tailed logs.
 #
 # One line per `cargo test` run: its arguments | harness flags | name
 # filters. Before a line runs, every filter must match at least one test
@@ -41,8 +44,8 @@ done <<'EOF'
 --release -p integration-tests --test scenario_matrix|--ignored --nocapture|fleet_scale_full_pipeline
 -q -p asdf --lib||pipeline::tests::rack_wiring pipeline::tests::the_generated_dag pipeline::tests::every_generated_port
 -q -p integration-tests --test stream_equivalence||rack_tree_reduce
--q -p asdf-modules --lib||collectors::tests::node_ rack_agg::tests metric_rank::tests rack_wide rack_row frame
--q -p asdf-modules --test window_sums_prop --test knn_frame_prop||
+-q -p asdf-modules --lib||collectors::tests::node_ rack_agg::tests metric_rank::tests rack_wide rack_row frame testutil::tests::every_frame_consumer_answers_a_bad_frame_with_a_module_error
+-q -p asdf-modules --test window_sums_prop --test knn_frame_prop --test rack_merge_prop --test mavgvec_proptest||
 -q -p procsim --lib||node::tests::tick_into
 -q -p asdf-core --lib||engine::tests::a_tap_attached_after_construction
 -q -p asdf-rpc||

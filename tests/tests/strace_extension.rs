@@ -30,8 +30,7 @@ fn strace_pipeline(n_nodes: usize) -> Config {
             .with_param("k", 3)
             .with_param("consecutive", 2)
             .with_param("nodes", names.join(","))
-            .with_input("a0", "avg", "mean")
-            .with_input("d0", "avg", "stddev"),
+            .with_input("r0", "avg", "stats"),
     ] {
         cfg.push(inst).unwrap();
     }
