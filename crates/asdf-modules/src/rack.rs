@@ -417,16 +417,19 @@ pub fn node_names(param: &str) -> Vec<String> {
     names.filter(|s| !s.is_empty()).collect()
 }
 
+/// The fewest nodes a peer comparison compares.
+pub const MIN_PEERS: usize = 3;
+
 /// The hostnames a peer comparison of `n_slots` rack rows labels its
 /// per-node ports with: its required `nodes` parameter's, the nodes the
-/// rows cover, in slot order. `BadInputs` below three nodes, without a
-/// slot, or with more slots than nodes.
+/// rows cover, in slot order. `BadInputs` below [`MIN_PEERS`] nodes,
+/// without a slot, or with more slots than nodes.
 pub(crate) fn peer_origins(ctx: &InitCtx<'_>, n_slots: usize) -> Result<Vec<String>, ModuleError> {
     let origins = node_names(ctx.require_param("nodes")?);
     let n = origins.len();
-    if n < 3 {
+    if n < MIN_PEERS {
         return Err(ModuleError::BadInputs(format!(
-            "peer comparison needs >= 3 nodes, got {n}"
+            "peer comparison needs >= {MIN_PEERS} nodes, got {n}"
         )));
     }
     if n_slots == 0 || n_slots > n {

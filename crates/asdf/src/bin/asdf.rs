@@ -54,7 +54,8 @@
 //! stage.
 //!
 //! A subcommand reads only the flags listed for it; any other flag, a
-//! missing or malformed value, or a stray argument prints the usage and
+//! missing or malformed value, a `--slaves` below 3 (the fewest nodes a
+//! peer comparison compares), or a stray argument prints the usage and
 //! exits 2.
 //!
 //! Fault names: CPUHog, DiskHog, HADOOP-1036, HADOOP-1152, HADOOP-2080,
@@ -68,6 +69,7 @@ use asdf_core::dag::Dag;
 use asdf_core::engine::TickEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
+use asdf_modules::rack::MIN_PEERS;
 use asdf_rpc::daemons::ClusterHandle;
 use hadoop_sim::cluster::{Cluster, ClusterConfig};
 use hadoop_sim::faults::{FaultKind, FaultSpec};
@@ -173,6 +175,17 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Strin
         .map_err(|_| format!("flag {flag}: cannot parse `{value}`"))
 }
 
+/// Parses `--slaves`: every subcommand that takes it compares peers.
+fn parse_slaves(value: &str) -> Result<usize, String> {
+    let n = parse_value("--slaves", value)?;
+    if n < MIN_PEERS {
+        return Err(format!(
+            "flag --slaves: peer comparison needs at least {MIN_PEERS} slaves, got {n}"
+        ));
+    }
+    Ok(n)
+}
+
 struct Opts {
     fault: Option<FaultKind>,
     slaves: Option<usize>,
@@ -258,7 +271,7 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
         match flag.as_str() {
             "--fault" => o.fault = Some(parse_fault(v)?),
-            "--slaves" => o.slaves = Some(parse_value(flag, v)?),
+            "--slaves" => o.slaves = Some(parse_slaves(v)?),
             "--secs" => o.secs = Some(parse_value(flag, v)?),
             "--seed" => o.seed = parse_value(flag, v)?,
             "--runs" => o.runs = Some(parse_value(flag, v)?),
@@ -1002,6 +1015,7 @@ mod tests {
                     "--metric-rank" => &[flag],
                     "--fault" => &[flag, "HADOOP-1036"],
                     "--workload" => &[flag, "gridmix"],
+                    "--slaves" => &[flag, "3"],
                     _ => &[flag, "1"],
                 };
                 assert!(parse(cmd, args).is_ok(), "asdf {cmd} {args:?}");

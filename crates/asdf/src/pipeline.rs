@@ -234,9 +234,9 @@ impl AsdfBuilder {
             .step_by(per_rack)
             .map(|lo| lo..(lo + per_rack).min(n_nodes))
             .collect();
-        let collectors = |cfg: &mut Config, kind: &str, id: &str, daemon: Option<&str>| {
-            let mut sources = Vec::new();
-            for (rack, nodes) in racks.iter().enumerate() {
+        let collector =
+            |cfg: &mut Config, kind: &str, id: &str, daemon: Option<&str>, rack: usize| {
+                let nodes = &racks[rack];
                 let mut inst = InstanceConfig::new(kind, format!("{id}{rack}"))
                     .with_param("nodes", format!("{}..{}", nodes.start, nodes.end))
                     .with_input("clock", "drv", "tick");
@@ -244,19 +244,33 @@ impl AsdfBuilder {
                     inst = inst.with_param("daemon", daemon);
                 }
                 push(cfg, inst);
-                sources.push((format!("{id}{rack}"), "frame".to_owned()));
+                (format!("{id}{rack}"), "frame".to_owned())
+            };
+
+        // Rank metric deviations on the collectors the classifier reads —
+        // no extra collection cost. Past one rack, each rack's frames are
+        // tree-reduced by a `rack_agg` generated right after the rack's
+        // collector: the engine runs instances in this order, so the rack's
+        // frame is summed while it is still in cache.
+        let rack_sums = o.metric_rank && racks.len() > 1;
+        let mut sadc = Vec::new();
+        if o.black_box || o.metric_rank {
+            for rack in 0..racks.len() {
+                let (collector, frame) = collector(&mut cfg, "sadc", "sadcr", None, rack);
+                if rack_sums {
+                    push(
+                        &mut cfg,
+                        InstanceConfig::new("rack_agg", format!("ra{rack}"))
+                            .with_param("window", o.window)
+                            .with_param("slide", o.slide)
+                            .with_input("frame", &collector, &frame),
+                    );
+                }
+                sadc.push((collector, frame));
             }
-            sources
-        };
-        let sadc = if o.black_box || o.metric_rank {
-            collectors(&mut cfg, "sadc", "sadcr", None)
-        } else {
-            Vec::new()
-        };
+        }
 
         if o.metric_rank {
-            // Rank metric deviations on the collectors the classifier
-            // reads — no extra collection cost.
             let mut mr = InstanceConfig::new("metric_rank", "mr")
                 .with_param("top", o.rank_top)
                 .with_param("nodes", names.join(","));
@@ -267,16 +281,8 @@ impl AsdfBuilder {
                     .with_param("slide", o.slide)
                     .with_input("frame", collector, frame);
             } else {
-                // Per-rack tree-reduce, then a global ranker over O(racks)
-                // summary rows.
-                for (rack, (collector, frame)) in sadc.iter().enumerate() {
-                    push(
-                        &mut cfg,
-                        InstanceConfig::new("rack_agg", format!("ra{rack}"))
-                            .with_param("window", o.window)
-                            .with_param("slide", o.slide)
-                            .with_input("frame", collector, frame),
-                    );
+                // A global ranker over the racks' O(racks) summary rows.
+                for rack in 0..sadc.len() {
                     mr = mr.with_input(format!("r{rack}"), format!("ra{rack}"), "sum");
                 }
             }
@@ -287,7 +293,10 @@ impl AsdfBuilder {
         if o.white_box {
             for (daemon, tag) in [("tasktracker", "tt"), ("datanode", "dn")] {
                 let id = format!("hl_{tag}_");
-                white_box.push((tag, collectors(&mut cfg, "hadoop_log", &id, Some(daemon))));
+                let sources = (0..racks.len())
+                    .map(|rack| collector(&mut cfg, "hadoop_log", &id, Some(daemon), rack))
+                    .collect();
+                white_box.push((tag, sources));
             }
         }
         push_analyses(&mut cfg, o, self.model.as_deref(), names, &sadc, &white_box);
@@ -529,6 +538,42 @@ pub(crate) mod tests {
                 let what = format!("racks {racks}, paths {paths:03b}");
                 let tapped = ["bb", "wb_tt", "wb_dn", "mr"];
                 assert_every_port_is_routed_or_tapped(&dag, &tapped, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn each_rack_sum_directly_follows_its_collector() {
+        // The engine runs instances in `Dag::topo_ids` order: a rack's
+        // `rack_agg` right behind its collector sums the rack's frame while
+        // it is still in cache, whatever else the deployment diagnoses.
+        for racks in [2, 3, 7, 250] {
+            for black_box in [false, true] {
+                let options = AsdfOptions {
+                    black_box,
+                    white_box: black_box,
+                    metric_rank: true,
+                    racks,
+                    ..AsdfOptions::default()
+                };
+                let mut registry = ModuleRegistry::new();
+                let cluster = Cluster::new(ClusterConfig::new(500, 5), Vec::new());
+                asdf_modules::register_all(&mut registry, ClusterHandle::new(cluster));
+                let config = AsdfBuilder::new(options)
+                    .with_model(tiny_model())
+                    .config(500);
+                let dag = Dag::build(&registry, &config).expect("deploys");
+                let topo = dag.topo_ids();
+                for rack in 0..racks {
+                    let sadc = format!("sadcr{rack}");
+                    let at = topo.iter().position(|id| *id == sadc).expect("collector");
+                    assert_eq!(
+                        topo.get(at + 1).copied(),
+                        Some(format!("ra{rack}").as_str()),
+                        "racks {racks}, black box {black_box}"
+                    );
+                }
+                assert!(!topo.contains(&format!("sadcr{racks}").as_str()));
             }
         }
     }

@@ -48,7 +48,7 @@ use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
 use asdf_core::value::{Sample, Value};
 use asdf_modules::collectors::poll_frame;
-use asdf_modules::rack::frame_shape;
+use asdf_modules::rack::{frame_shape, MIN_PEERS};
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
 use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageBuilder, WireError};
@@ -164,6 +164,9 @@ pub enum ServeError {
     Handshake(WireError),
     /// A tenant with this id is already being served.
     DuplicateTenant(String),
+    /// [`ServeOptions::slaves`] is below the peer-comparison minimum
+    /// ([`asdf_modules::rack::MIN_PEERS`]).
+    TooFewSlaves(usize),
     /// No tenant with this id is being served.
     UnknownTenant(String),
     /// Connecting a collector daemon to the tenant's cluster failed.
@@ -181,6 +184,10 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Handshake(e) => write!(f, "tenant handshake rejected: {e}"),
             ServeError::DuplicateTenant(t) => write!(f, "tenant `{t}` already joined"),
+            ServeError::TooFewSlaves(n) => write!(
+                f,
+                "peer comparison needs at least {MIN_PEERS} slaves, got {n}"
+            ),
             ServeError::UnknownTenant(t) => write!(f, "no such tenant `{t}`"),
             ServeError::Collector(e) => write!(f, "collector connect failed: {e}"),
             ServeError::Build(e) => write!(f, "tenant DAG failed to build: {e}"),
@@ -197,7 +204,9 @@ impl std::error::Error for ServeError {
             ServeError::Build(e) => Some(e),
             ServeError::Start(e) => Some(e),
             ServeError::Engine(e) => Some(e),
-            ServeError::DuplicateTenant(_) | ServeError::UnknownTenant(_) => None,
+            ServeError::DuplicateTenant(_)
+            | ServeError::TooFewSlaves(_)
+            | ServeError::UnknownTenant(_) => None,
         }
     }
 }
@@ -466,13 +475,17 @@ impl ServeDaemon {
     /// # Errors
     ///
     /// [`ServeError::Handshake`] for a malformed or version-mismatched
-    /// hello, [`ServeError::DuplicateTenant`] if the id is taken, and the
-    /// build/start variants if the tenant's engine cannot launch.
+    /// hello, [`ServeError::DuplicateTenant`] if the id is taken,
+    /// [`ServeError::TooFewSlaves`] below three slaves, and the build/start
+    /// variants if the tenant's engine cannot launch.
     pub fn join_tenant(&mut self, hello: Bytes, spec: TenantSpec) -> Result<String, ServeError> {
         let handshake = Handshake::decode(hello).map_err(ServeError::Handshake)?;
         let tenant = handshake.tenant;
         if self.tenants.contains_key(&tenant) {
             return Err(ServeError::DuplicateTenant(tenant));
+        }
+        if self.opts.slaves < MIN_PEERS {
+            return Err(ServeError::TooFewSlaves(self.opts.slaves));
         }
 
         let cluster = Cluster::new(ClusterConfig::new(self.opts.slaves, spec.seed), Vec::new());
@@ -905,6 +918,22 @@ mod tests {
         let err = daemon.leave_tenant("ghost").unwrap_err();
         assert!(matches!(err, ServeError::UnknownTenant(t) if t == "ghost"));
         daemon.shutdown().unwrap();
+    }
+
+    #[test]
+    fn too_few_slaves_is_an_error_not_a_panic() {
+        for slaves in [0, 1, 2] {
+            let opts = ServeOptions {
+                slaves,
+                ..fast_opts()
+            };
+            let mut daemon = ServeDaemon::new(tiny_model(), opts);
+            let err = daemon
+                .join_tenant(Handshake::new("few").encode(), TenantSpec::paced(1, 5))
+                .unwrap_err();
+            assert!(matches!(err, ServeError::TooFewSlaves(n) if n == slaves));
+            daemon.shutdown().unwrap();
+        }
     }
 
     #[test]

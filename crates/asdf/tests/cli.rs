@@ -70,3 +70,22 @@ fn the_deleted_engine_flags_exit_2() {
         );
     }
 }
+
+#[test]
+fn fewer_than_three_slaves_exit_2() {
+    for args in [
+        ["serve", "--slaves", "0"],
+        ["demo", "--slaves", "0"],
+        ["dump-config", "--slaves", "0"],
+        ["demo", "--slaves", "2"],
+        ["fig7", "--slaves", "1"],
+    ] {
+        let out = asdf(&args);
+        assert_eq!(out.status.code(), Some(2), "asdf {args:?}");
+        assert!(out.stdout.is_empty(), "asdf {args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--slaves"),
+            "asdf {args:?}"
+        );
+    }
+}

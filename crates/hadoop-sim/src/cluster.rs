@@ -158,10 +158,18 @@ struct Slave {
     running: Vec<RunningTaskExt>,
     fault: Option<ActiveFault>,
     logs: NodeLogs,
+    /// The last rendered second's frame: the last second once
+    /// `frame_due` is clear.
     last_frame: Option<MetricFrame>,
-    /// Last second's syscall-category counts for the tasktracker process
-    /// tree (the paper's future-work strace data source).
+    /// Whether the last second's frame is still to be rendered from the
+    /// inputs the tick kept in [`TickScratch::works`].
+    frame_due: bool,
+    /// The last rendered second's syscall-category counts for the
+    /// tasktracker process tree (the paper's future-work strace data
+    /// source); `None` until the first [`Cluster::latest_tt_syscalls`].
     last_tt_syscalls: Option<Vec<f64>>,
+    /// Whether the last second's syscall counts are still to be drawn.
+    syscalls_due: bool,
     /// When this tasktracker last reported a task failure (drives the
     /// lame-duck scheduling magnetism).
     last_failure_at: Option<u64>,
@@ -277,7 +285,9 @@ struct DemandScratch {
 #[derive(Default)]
 struct TickScratch {
     demand: DemandScratch,
-    /// One per slave, in node order.
+    /// One per slave, in node order. Between ticks each holds its node's
+    /// last second, with the render inputs derived: what
+    /// [`Cluster::latest_frame`] renders from.
     works: Vec<NodeWork>,
     /// Every node's flows, in ascending node order: `(node, task, kind, flow)`.
     flows: Vec<(usize, usize, FlowKind, Flow)>,
@@ -349,7 +359,9 @@ impl Cluster {
                 fault: None,
                 logs: NodeLogs::new(),
                 last_frame: None,
+                frame_due: false,
                 last_tt_syscalls: None,
+                syscalls_due: false,
                 last_failure_at: None,
             })
             .collect();
@@ -408,10 +420,26 @@ impl Cluster {
         }
     }
 
-    /// The metric frame rendered at the end of the last tick, if any tick
-    /// has run.
-    pub fn latest_frame(&self, node: usize) -> Option<&MetricFrame> {
-        self.slaves[node].last_frame.as_ref()
+    /// The metric frame of the last second, if any tick has run.
+    ///
+    /// The tick stores what the frame is rendered from; the first read of
+    /// a second renders it, as the kernel renders a `/proc` file when
+    /// `sadc` reads it, and the next tick renders any second nobody read.
+    /// Each node draws its noise from its own generator, so when and in
+    /// what node order frames are read cannot show: every frame is the
+    /// same bits whoever reads it, and whenever.
+    pub fn latest_frame(&mut self, node: usize) -> Option<&MetricFrame> {
+        let slave = &mut self.slaves[node];
+        if slave.frame_due {
+            slave.frame_due = false;
+            let work = &self.scratch.works[node];
+            slave.sim.tick_into(
+                &work.act,
+                &[("datanode", work.dn), ("tasktracker", work.tt)],
+                slave.last_frame.get_or_insert_with(MetricFrame::default),
+            );
+        }
+        slave.last_frame.as_ref()
     }
 
     /// Drains log lines written on `node` since the last drain:
@@ -435,8 +463,37 @@ impl Cluster {
     /// The last second's per-category syscall counts for `node`'s
     /// tasktracker process tree, if any tick has run
     /// (categories: [`procsim::syscalls::SYSCALL_CATEGORIES`]).
-    pub fn latest_tt_syscalls(&self, node: usize) -> Option<&[f64]> {
-        self.slaves[node].last_tt_syscalls.as_deref()
+    ///
+    /// Rendered on read like [`Cluster::latest_frame`], from the node's own
+    /// syscall generator. The stream starts at the node's first read: a
+    /// node nobody traces never draws it, and a node first traced at
+    /// second `T` reads the stream's first counts at `T`. From then on
+    /// every second is drawn, read or not (the next tick draws one nobody
+    /// read), so a node traced from its first second reads the same bits
+    /// however the rest of the cluster is read.
+    pub fn latest_tt_syscalls(&mut self, node: usize) -> Option<&[f64]> {
+        let slave = &mut self.slaves[node];
+        if slave.syscalls_due {
+            slave.syscalls_due = false;
+            let out = slave.last_tt_syscalls.get_or_insert_with(Vec::new);
+            slave
+                .sim
+                .syscall_rates_into(&self.scratch.works[node].tt, out);
+        }
+        slave.last_tt_syscalls.as_deref()
+    }
+
+    /// Renders every node's last second that nobody read: its frame, and
+    /// its syscall counts once the node is traced. Runs before a tick
+    /// overwrites the inputs, so each node's generators advance one second
+    /// at a time whoever reads them.
+    fn render_unread(&mut self) {
+        for node in 0..self.slaves.len() {
+            self.latest_frame(node);
+            if self.slaves[node].last_tt_syscalls.is_some() {
+                self.latest_tt_syscalls(node);
+            }
+        }
     }
 
     /// Number of task attempts currently running on `node`.
@@ -463,6 +520,7 @@ impl Cluster {
 
     /// Advances the simulation by one second.
     pub fn tick(&mut self) {
+        self.render_unread();
         self.submit_due_jobs();
         self.schedule_tasks();
         self.execute_second();
@@ -1140,11 +1198,14 @@ impl Cluster {
         // Losing speculative attempts are killed once their sibling wins.
         self.apply_kills(&kills);
 
-        // --- Render metrics (node-local) -------------------------------------
+        // --- Render inputs (node-local) --------------------------------------
         // Each node's frame depends only on its own accumulated activity;
-        // the per-node `procsim` instances never share state.
-        for (slave, work) in self.slaves.iter_mut().zip(works.iter()) {
-            render_node(now, slave, work.act, work.dn, work.tt);
+        // the per-node `procsim` instances never share state. The inputs
+        // stay in `works` and the frame is rendered when it is read.
+        for (slave, work) in self.slaves.iter_mut().zip(works.iter_mut()) {
+            render_inputs(now, slave, work);
+            slave.frame_due = true;
+            slave.syscalls_due = true;
         }
         self.scratch = scratch;
 
@@ -1738,15 +1799,12 @@ fn node_demands(
     }
 }
 
-/// Renders one node's OS + daemon metric frame from its accumulated
-/// activity — entirely node-local.
-fn render_node(
-    now: u64,
-    slave: &mut Slave,
-    mut a: Activity,
-    dn: ProcessActivity,
-    tt: ProcessActivity,
-) {
+/// Derives, in `work`, what one node's OS + daemon metric frame is
+/// rendered from: its accumulated activity plus the daemon baselines and
+/// the memory, queue and fault load of its running tasks — entirely
+/// node-local.
+fn render_inputs(now: u64, slave: &Slave, work: &mut NodeWork) {
+    let NodeWork { act: a, dn, tt, .. } = work;
     // Daemon baseline + heartbeats (tasktracker reports every 3 s).
     a.cpu_system += 0.03;
     a.mem_used_mb += 550.0; // datanode + tasktracker JVMs
@@ -1783,33 +1841,16 @@ fn render_node(
         a.running_tasks += bg.running_tasks;
     }
 
-    let mut dn = dn;
     dn.cpu_user += 0.01;
     dn.cpu_system += 0.01 + (dn.read_kb + dn.write_kb) / 800_000.0;
     dn.rss_mb = 310.0;
     dn.threads = 28.0;
     dn.fds = 60.0;
-    let mut tt = tt;
     tt.cpu_user += 0.02;
     tt.cpu_system += 0.01;
     tt.rss_mb = 260.0 + TASK_MEM_MB * slave.running.len() as f64;
     tt.threads = 34.0 + 6.0 * slave.running.len() as f64;
     tt.fds = 90.0 + 10.0 * slave.running.len() as f64;
-
-    // Rendered over last second's frame: nothing is allocated per node
-    // per second once the first tick has shaped the buffers.
-    let Slave {
-        sim,
-        last_frame,
-        last_tt_syscalls,
-        ..
-    } = slave;
-    sim.tick_into(
-        &a,
-        &[("datanode", dn), ("tasktracker", tt)],
-        last_frame.get_or_insert_with(MetricFrame::default),
-    );
-    sim.syscall_rates_into(&tt, last_tt_syscalls.get_or_insert_with(Vec::new));
 }
 
 #[cfg(test)]
@@ -1882,7 +1923,7 @@ mod tests {
             kind: FaultKind::CpuHog,
             start_at: 60,
         };
-        let c = run_cluster(5, 21, 300, vec![fault]);
+        let mut c = run_cluster(5, 21, 300, vec![fault]);
         let busy: Vec<f64> = (0..5)
             .map(|i| {
                 let f = c.latest_frame(i).unwrap();
@@ -1912,7 +1953,7 @@ mod tests {
             kind: FaultKind::DiskHog,
             start_at: 30,
         };
-        let c = run_cluster(4, 9, 120, vec![fault]);
+        let mut c = run_cluster(4, 9, 120, vec![fault]);
         let f = c.latest_frame(1).unwrap();
         assert!(
             f.node()[node_idx::BWRTN] > 60_000.0,

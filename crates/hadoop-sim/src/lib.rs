@@ -12,7 +12,12 @@
 //! real cluster:
 //!
 //! * per-node OS performance counters, rendered by [`procsim`] from the
-//!   realized resource usage ([`cluster::Cluster::latest_frame`]);
+//!   realized resource usage ([`cluster::Cluster::latest_frame`]). A tick
+//!   keeps what a node's second is rendered from and the first read renders
+//!   it, as the kernel renders a `/proc` file when `sadc` reads it; every
+//!   frame is the same bits whenever it is read. The tasktracker's syscall
+//!   counts ([`cluster::Cluster::latest_tt_syscalls`]) are drawn on read
+//!   too, their stream starting at the node's first read;
 //! * native-format TaskTracker/DataNode log lines
 //!   ([`cluster::Cluster::drain_logs`]) that the `hadoop-logs` crate parses
 //!   back with no knowledge of the simulator.

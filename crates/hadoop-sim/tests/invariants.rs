@@ -5,7 +5,7 @@ use hadoop_sim::cluster::{Cluster, ClusterConfig, ClusterStats};
 use hadoop_sim::faults::{FaultKind, FaultSpec};
 use procsim::metrics::node_idx;
 
-fn check_frames_sane(cluster: &Cluster, n: usize, label: &str) {
+fn check_frames_sane(cluster: &mut Cluster, n: usize, label: &str) {
     for node in 0..n {
         let Some(frame) = cluster.latest_frame(node) else {
             continue;
@@ -43,7 +43,7 @@ fn fault_free_long_run_stays_sane_and_makes_progress() {
     let mut prev = cluster.stats();
     for chunk in 0..20 {
         cluster.advance(120);
-        check_frames_sane(&cluster, n, &format!("chunk {chunk}"));
+        check_frames_sane(&mut cluster, n, &format!("chunk {chunk}"));
         let cur = cluster.stats();
         stats_monotone(prev, cur);
         prev = cur;
@@ -68,7 +68,7 @@ fn every_fault_keeps_the_simulation_sane() {
         let mut prev = cluster.stats();
         for chunk in 0..10 {
             cluster.advance(120);
-            check_frames_sane(&cluster, n, &format!("{kind} chunk {chunk}"));
+            check_frames_sane(&mut cluster, n, &format!("{kind} chunk {chunk}"));
             let cur = cluster.stats();
             stats_monotone(prev, cur);
             prev = cur;

@@ -241,24 +241,24 @@ impl NodeSim {
         crate::syscalls::syscall_rates_into(p, &mut self.sys_rng, out);
     }
 
-    /// Multiplicative jitter around `x`.
-    fn noisy(&mut self, x: f64) -> f64 {
-        if self.noise_amp == 0.0 || x == 0.0 {
-            return x;
+    /// The noise source for one render call: a copy of the metric
+    /// generator, written back by [`NodeSim::put_noise`] once the call is
+    /// done. A local copy stays in registers across the draws instead of
+    /// being loaded from and stored to the node on every one.
+    fn take_noise(&self) -> Noise {
+        Noise {
+            rng: self.rng.clone(),
+            amp: self.noise_amp,
         }
-        let jitter = 1.0 + self.noise_amp * (self.rng.gen::<f64>() * 2.0 - 1.0);
-        (x * jitter).max(0.0)
     }
 
-    /// Additive non-negative jitter for near-zero baselines.
-    fn hum(&mut self, scale: f64) -> f64 {
-        if self.noise_amp == 0.0 {
-            return 0.0;
-        }
-        self.rng.gen::<f64>() * scale
+    /// Stores the generator state a render call advanced.
+    fn put_noise(&mut self, noise: Noise) {
+        self.rng = noise.rng;
     }
 
     fn render_node(&mut self, a: &Activity, m: &mut [f64]) {
+        let mut nz = self.take_noise();
         let cores = f64::from(self.spec.cores);
         m.fill(0.0);
 
@@ -269,11 +269,11 @@ impl NodeSim {
         // iowait: time cores sat idle while IO was pending.
         let busy = (user_frac + sys_frac).min(100.0);
         let iowait = ((a.io_wait_tasks / cores) * 100.0).min(100.0 - busy);
-        let user = self.noisy(user_frac);
-        let system = self.noisy(sys_frac);
-        let iowait = self.noisy(iowait);
-        let nice = self.hum(0.2);
-        let steal = self.hum(0.1);
+        let user = nz.noisy(user_frac);
+        let system = nz.noisy(sys_frac);
+        let iowait = nz.noisy(iowait);
+        let nice = nz.hum(0.2);
+        let steal = nz.hum(0.1);
         let idle = (100.0 - user - system - iowait - nice - steal).max(0.0);
         m[node_idx::CPU_USER] = user;
         m[node_idx::CPU_NICE] = nice;
@@ -283,15 +283,15 @@ impl NodeSim {
         m[node_idx::CPU_IDLE] = idle;
 
         // --- Tasks and switching ---
-        m[node_idx::PROCS_PER_SEC] = self.noisy(0.5 + a.procs_spawned);
+        m[node_idx::PROCS_PER_SEC] = nz.noisy(0.5 + a.procs_spawned);
         m[node_idx::CSWCH_PER_SEC] =
-            self.noisy(900.0 + 2500.0 * a.cpu_total() + 0.8 * (a.net_rx_kb + a.net_tx_kb) / 16.0);
+            nz.noisy(900.0 + 2500.0 * a.cpu_total() + 0.8 * (a.net_rx_kb + a.net_tx_kb) / 16.0);
 
         // --- Queues and load ---
-        let runq = a.running_tasks + self.hum(0.3);
+        let runq = a.running_tasks + nz.hum(0.3);
         let blocked = a.io_wait_tasks;
         m[node_idx::RUNQ_SZ] = runq;
-        m[node_idx::PLIST_SZ] = self.noisy(130.0 + 3.0 * a.running_tasks);
+        m[node_idx::PLIST_SZ] = nz.noisy(130.0 + 3.0 * a.running_tasks);
         // Exponentially-weighted load averages with 60/300/900 s constants.
         let inst = runq + blocked;
         self.load1 += (inst - self.load1) / 60.0;
@@ -312,16 +312,16 @@ impl NodeSim {
         let base_used_kb = 450_000.0; // kernel + daemons
         let app_kb = a.mem_used_mb * 1024.0;
         let used_kb = (base_used_kb + app_kb + self.cached_kb).min(total_kb * 0.98);
-        m[node_idx::KBMEMFREE] = self.noisy(total_kb - used_kb);
-        m[node_idx::KBMEMUSED] = self.noisy(used_kb);
+        m[node_idx::KBMEMFREE] = nz.noisy(total_kb - used_kb);
+        m[node_idx::KBMEMUSED] = nz.noisy(used_kb);
         m[node_idx::PCT_MEMUSED] = (used_kb / total_kb) * 100.0;
-        m[17] = self.noisy(90_000.0); // kbbuffers
-        m[node_idx::KBCACHED] = self.noisy(self.cached_kb);
-        m[19] = self.noisy(base_used_kb + app_kb * 1.2); // kbcommit
+        m[17] = nz.noisy(90_000.0); // kbbuffers
+        m[node_idx::KBCACHED] = nz.noisy(self.cached_kb);
+        m[19] = nz.noisy(base_used_kb + app_kb * 1.2); // kbcommit
         m[20] = (m[19] / total_kb) * 100.0; // %commit
-        m[21] = self.noisy(used_kb * 0.6); // kbactive
-        m[22] = self.noisy(used_kb * 0.25); // kbinact
-        m[node_idx::KBDIRTY] = self.noisy(self.dirty_kb);
+        m[21] = nz.noisy(used_kb * 0.6); // kbactive
+        m[22] = nz.noisy(used_kb * 0.25); // kbinact
+        m[node_idx::KBDIRTY] = nz.noisy(self.dirty_kb);
 
         // --- Swap: quiescent unless memory pressure exceeds capacity ---
         let swap_total_kb = 2_097_152.0; // 2 GB swap partition
@@ -333,27 +333,27 @@ impl NodeSim {
         m[27] = swp_used * 0.1; // kbswpcad
         m[28] = if swp_used > 0.0 { 10.0 } else { 0.0 }; // %swpcad
         m[38] = if overshoot_kb > 0.0 {
-            self.noisy(overshoot_kb / 4.0)
+            nz.noisy(overshoot_kb / 4.0)
         } else {
             0.0
         }; // pswpin/s
         m[39] = if overshoot_kb > 0.0 {
-            self.noisy(overshoot_kb / 4.0)
+            nz.noisy(overshoot_kb / 4.0)
         } else {
             0.0
         }; // pswpout/s
 
         // --- Paging ---
-        m[node_idx::PGPGIN] = self.noisy(a.disk_read_kb);
-        m[node_idx::PGPGOUT] = self.noisy(a.disk_write_kb);
-        m[node_idx::FAULTS] = self.noisy(250.0 + 400.0 * a.cpu_total());
-        m[node_idx::MAJFLT] = self.hum(0.5);
-        m[33] = self.noisy(300.0 + 0.5 * (a.disk_read_kb + a.disk_write_kb)); // pgfree/s
-        m[34] = self.hum(1.0); // pgscank/s
-        m[35] = self.hum(1.0); // pgscand/s
-        m[36] = self.hum(0.5); // pgsteal/s
+        m[node_idx::PGPGIN] = nz.noisy(a.disk_read_kb);
+        m[node_idx::PGPGOUT] = nz.noisy(a.disk_write_kb);
+        m[node_idx::FAULTS] = nz.noisy(250.0 + 400.0 * a.cpu_total());
+        m[node_idx::MAJFLT] = nz.hum(0.5);
+        m[33] = nz.noisy(300.0 + 0.5 * (a.disk_read_kb + a.disk_write_kb)); // pgfree/s
+        m[34] = nz.hum(1.0); // pgscank/s
+        m[35] = nz.hum(1.0); // pgscand/s
+        m[36] = nz.hum(0.5); // pgsteal/s
         m[37] = if m[34] + m[35] > 0.0 {
-            90.0 + self.hum(10.0)
+            90.0 + nz.hum(10.0)
         } else {
             0.0
         }; // %vmeff
@@ -362,108 +362,138 @@ impl NodeSim {
         // Average request ~128 KB sequential, ~16 KB random; blend.
         let rtps = a.disk_read_kb / 48.0;
         let wtps = a.disk_write_kb / 48.0;
-        m[node_idx::RTPS] = self.noisy(rtps);
-        m[node_idx::WTPS] = self.noisy(wtps);
-        m[node_idx::TPS] = self.noisy(rtps + wtps + 1.0);
-        m[node_idx::BREAD] = self.noisy(a.disk_read_kb * 2.0); // 512 B sectors
-        m[node_idx::BWRTN] = self.noisy(a.disk_write_kb * 2.0);
+        m[node_idx::RTPS] = nz.noisy(rtps);
+        m[node_idx::WTPS] = nz.noisy(wtps);
+        m[node_idx::TPS] = nz.noisy(rtps + wtps + 1.0);
+        m[node_idx::BREAD] = nz.noisy(a.disk_read_kb * 2.0); // 512 B sectors
+        m[node_idx::BWRTN] = nz.noisy(a.disk_write_kb * 2.0);
 
         // --- Kernel tables ---
-        m[45] = self.noisy(24_000.0); // dentunusd
-        m[46] = self.noisy(3_200.0 + 8.0 * a.running_tasks); // file-nr
-        m[47] = self.noisy(52_000.0); // inode-nr
+        m[45] = nz.noisy(24_000.0); // dentunusd
+        m[46] = nz.noisy(3_200.0 + 8.0 * a.running_tasks); // file-nr
+        m[47] = nz.noisy(52_000.0); // inode-nr
         m[48] = 4.0; // pty-nr
 
         // --- TCP / UDP ---
-        m[node_idx::TCP_ACTIVE] = self.noisy(0.2 + a.tcp_conns_opened * 0.6);
-        m[node_idx::TCP_PASSIVE] = self.noisy(0.2 + a.tcp_conns_opened * 0.4);
+        m[node_idx::TCP_ACTIVE] = nz.noisy(0.2 + a.tcp_conns_opened * 0.6);
+        m[node_idx::TCP_PASSIVE] = nz.noisy(0.2 + a.tcp_conns_opened * 0.4);
         // ~1.4 KB of payload per segment.
-        m[node_idx::TCP_ISEG] = self.noisy(6.0 + a.net_rx_kb / 1.4);
-        m[node_idx::TCP_OSEG] = self.noisy(6.0 + a.net_tx_kb / 1.4);
-        m[53] = self.noisy(1.0); // idgm/s
-        m[54] = self.noisy(1.0); // odgm/s
-        m[55] = self.hum(0.2); // noport/s
-        m[56] = self.hum(0.1); // idgmerr/s
+        m[node_idx::TCP_ISEG] = nz.noisy(6.0 + a.net_rx_kb / 1.4);
+        m[node_idx::TCP_OSEG] = nz.noisy(6.0 + a.net_tx_kb / 1.4);
+        m[53] = nz.noisy(1.0); // idgm/s
+        m[54] = nz.noisy(1.0); // odgm/s
+        m[55] = nz.hum(0.2); // noport/s
+        m[56] = nz.hum(0.1); // idgmerr/s
 
         // --- Sockets ---
         let socks = 160.0 + a.tcp_socks;
-        m[node_idx::TOTSCK] = self.noisy(socks + 40.0);
-        m[node_idx::TCPSCK] = self.noisy(socks);
-        m[59] = self.noisy(12.0); // udpsck
+        m[node_idx::TOTSCK] = nz.noisy(socks + 40.0);
+        m[node_idx::TCPSCK] = nz.noisy(socks);
+        m[59] = nz.noisy(12.0); // udpsck
         m[60] = 0.0; // rawsck
         m[61] = 0.0; // ip-frag
-        m[62] = self.noisy(2.0 + a.tcp_conns_opened * 0.5); // tcp-tw
+        m[62] = nz.noisy(2.0 + a.tcp_conns_opened * 0.5); // tcp-tw
 
         // --- Interrupts ---
-        m[node_idx::INTR] = self.noisy(
+        m[node_idx::INTR] = nz.noisy(
             600.0
                 + (a.net_rx_kb + a.net_tx_kb) / 1.4
                 + (a.disk_read_kb + a.disk_write_kb) / 48.0
                 + 800.0 * a.cpu_total(),
         );
+        self.put_noise(nz);
     }
 
     fn render_iface(&mut self, a: &Activity, m: &mut [f64]) {
+        let mut nz = self.take_noise();
         m.fill(0.0);
         let rx_pkts = a.net_rx_kb / 1.4;
         let tx_pkts = a.net_tx_kb / 1.4;
-        m[iface_idx::RXPCK] = self.noisy(4.0 + rx_pkts);
-        m[iface_idx::TXPCK] = self.noisy(4.0 + tx_pkts);
-        m[iface_idx::RXKB] = self.noisy(a.net_rx_kb);
-        m[iface_idx::TXKB] = self.noisy(a.net_tx_kb);
+        m[iface_idx::RXPCK] = nz.noisy(4.0 + rx_pkts);
+        m[iface_idx::TXPCK] = nz.noisy(4.0 + tx_pkts);
+        m[iface_idx::RXKB] = nz.noisy(a.net_rx_kb);
+        m[iface_idx::TXKB] = nz.noisy(a.net_tx_kb);
         m[4] = 0.0; // rxcmp/s
         m[5] = 0.0; // txcmp/s
-        m[6] = self.noisy(0.5); // rxmcst/s
+        m[6] = nz.noisy(0.5); // rxmcst/s
         m[iface_idx::IFUTIL] =
             ((a.net_rx_kb + a.net_tx_kb) / self.spec.net_kbps * 100.0).min(100.0);
         // Error counters are ~zero on a healthy interface; packet-loss
         // faults surface as inbound drops.
-        m[iface_idx::RXERR] = self.hum(0.05);
-        m[iface_idx::TXERR] = self.hum(0.05);
+        m[iface_idx::RXERR] = nz.hum(0.05);
+        m[iface_idx::TXERR] = nz.hum(0.05);
         m[10] = 0.0; // coll/s
         m[iface_idx::RXDROP] = if a.packet_loss > 0.0 {
-            self.noisy((4.0 + rx_pkts) * a.packet_loss)
+            nz.noisy((4.0 + rx_pkts) * a.packet_loss)
         } else {
-            self.hum(0.05)
+            nz.hum(0.05)
         };
-        m[iface_idx::TXDROP] = self.hum(0.05);
+        m[iface_idx::TXDROP] = nz.hum(0.05);
         m[13] = 0.0; // txcarr/s
         m[14] = 0.0; // rxfram/s
         m[15] = 0.0; // rxfifo/s
         m[16] = 0.0; // txfifo/s
         m[iface_idx::IFUP] = 1.0;
+        self.put_noise(nz);
     }
 
     fn render_process(&mut self, p: &ProcessActivity, m: &mut [f64]) {
+        let mut nz = self.take_noise();
         let cores = f64::from(self.spec.cores);
         let total_kb = self.spec.mem_mb as f64 * 1024.0;
         m.fill(0.0);
         let usr_pct = (p.cpu_user / cores * 100.0).min(100.0);
         let sys_pct = (p.cpu_system / cores * 100.0).min(100.0);
-        m[process_idx::PCT_USR] = self.noisy(usr_pct);
-        m[process_idx::PCT_SYSTEM] = self.noisy(sys_pct);
+        m[process_idx::PCT_USR] = nz.noisy(usr_pct);
+        m[process_idx::PCT_SYSTEM] = nz.noisy(sys_pct);
         m[process_idx::PCT_CPU] = (m[0] + m[1]).min(100.0);
-        m[3] = self.noisy(20.0 + 100.0 * (p.cpu_user + p.cpu_system)); // minflt/s
-        m[4] = self.hum(0.2); // majflt/s
+        m[3] = nz.noisy(20.0 + 100.0 * (p.cpu_user + p.cpu_system)); // minflt/s
+        m[4] = nz.hum(0.2); // majflt/s
         let rss_kb = p.rss_mb * 1024.0;
-        m[5] = self.noisy(rss_kb * 2.2); // vsz_kb (JVM virtual >> resident)
-        m[process_idx::RSS_KB] = self.noisy(rss_kb);
+        m[5] = nz.noisy(rss_kb * 2.2); // vsz_kb (JVM virtual >> resident)
+        m[process_idx::RSS_KB] = nz.noisy(rss_kb);
         m[7] = rss_kb / total_kb * 100.0; // %MEM
-        m[process_idx::KB_RD] = self.noisy(p.read_kb);
-        m[process_idx::KB_WR] = self.noisy(p.write_kb);
-        m[10] = self.noisy(p.write_kb * 0.02); // kB_ccwr/s (cancelled writes)
-        m[process_idx::IODELAY] =
-            self.noisy((p.read_kb + p.write_kb) / self.spec.disk_kbps * 100.0);
-        m[12] = self.noisy(40.0 + 400.0 * (p.cpu_user + p.cpu_system)); // cswch/s
-        m[13] = self.noisy(5.0 + 60.0 * (p.cpu_user + p.cpu_system)); // nvcswch/s
+        m[process_idx::KB_RD] = nz.noisy(p.read_kb);
+        m[process_idx::KB_WR] = nz.noisy(p.write_kb);
+        m[10] = nz.noisy(p.write_kb * 0.02); // kB_ccwr/s (cancelled writes)
+        m[process_idx::IODELAY] = nz.noisy((p.read_kb + p.write_kb) / self.spec.disk_kbps * 100.0);
+        m[12] = nz.noisy(40.0 + 400.0 * (p.cpu_user + p.cpu_system)); // cswch/s
+        m[13] = nz.noisy(5.0 + 60.0 * (p.cpu_user + p.cpu_system)); // nvcswch/s
         m[process_idx::THREADS] = p.threads.max(1.0);
         m[15] = p.fds.max(8.0); // fds
                                 // Reported as a per-interval rate (CPU seconds consumed this
                                 // second), like sadc's per-interval deltas — a cumulative counter
                                 // would make samples time-dependent and unusable for clustering.
         m[process_idx::CPU_SECS] = p.cpu_user + p.cpu_system;
-        m[17] = self.noisy(p.read_kb / 48.0); // rd_ops/s
-        m[18] = self.noisy(p.write_kb / 48.0); // wr_ops/s
+        m[17] = nz.noisy(p.read_kb / 48.0); // rd_ops/s
+        m[18] = nz.noisy(p.write_kb / 48.0); // wr_ops/s
+        self.put_noise(nz);
+    }
+}
+
+/// A render call's measurement noise: the node's metric generator, copied
+/// out for the call, and the noise amplitude.
+struct Noise {
+    rng: SmallRng,
+    amp: f64,
+}
+
+impl Noise {
+    /// Multiplicative jitter around `x`.
+    fn noisy(&mut self, x: f64) -> f64 {
+        if self.amp == 0.0 || x == 0.0 {
+            return x;
+        }
+        let jitter = 1.0 + self.amp * (self.rng.gen::<f64>() * 2.0 - 1.0);
+        (x * jitter).max(0.0)
+    }
+
+    /// Additive non-negative jitter for near-zero baselines.
+    fn hum(&mut self, scale: f64) -> f64 {
+        if self.amp == 0.0 {
+            return 0.0;
+        }
+        self.rng.gen::<f64>() * scale
     }
 }
 

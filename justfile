@@ -49,6 +49,14 @@ fleet:
 bench-smoke:
     ./scripts/bench_smoke.sh
 
+# Paired runs of one asdfbench workload, the working tree against a parent
+# revision built in a worktree under target/: alternating sides, each
+# pair's end-to-end metrics, then each side's median and quartiles and the
+# pairs in which the working tree read lower. Fails on an incorrect run, a
+# failed operation or differing digests.
+bench-pairs parent workload pairs="10" seconds="20":
+    ./scripts/bench_pairs.sh {{parent}} {{workload}} {{pairs}} {{seconds}}
+
 # The N-tenant serve soak: healthy tenants bitwise-identical to their
 # solo runs while a flooding tenant sheds, join/leave mid-run, graceful
 # shutdown flush, the 8-tenant scheduler-lag bound and the two-thread

@@ -6,14 +6,16 @@
 # reading), the generated wiring at racks {0, 1, 2, 3, 7} against the
 # pinned per-node streams of the paper's Figure 4 and `metric_rank`,
 # its instance count and one-frame edges, every generated port routed or
-# tapped, a campaign's streams and rankings at racks {1, 2, 3, 7} against
+# tapped, each rack's `rack_agg` directly behind its collector in the
+# engine's order at racks {2, 3, 7, 250}, a campaign's streams and rankings at racks {1, 2, 3, 7} against
 # its one-rack wiring, every collector kind's `nodes = lo..hi` frame shape,
 # clocked and free-running, every frame consumer (`knn`, `mavgvec`,
 # `ibuffer`, `analysis_*`, `rack_agg`, `metric_rank`) over rack frames,
 # malformed frames included, the running window sums against a buffered
 # window, `knn`'s and `mavgvec`'s frames against a direct computation, any
 # contiguous rack split assembled into the flat matrix, a node's second
-# rendered over its last one, a tap attached after construction on a port
+# rendered over its last one, a sparse reader's rendered-on-read frames and
+# syscall counts against an every-second reader's, a tap attached after construction on a port
 # nothing is wired to, the collector wire accounting and decoder
 # properties, and the bound on un-tailed logs.
 #
@@ -42,7 +44,7 @@ while IFS='|' read -r args flags filters; do
     cargo test $args -- $flags $filters </dev/null
 done <<'EOF'
 --release -p integration-tests --test scenario_matrix|--ignored --nocapture|fleet_scale_full_pipeline
--q -p asdf --lib||pipeline::tests::rack_wiring pipeline::tests::the_generated_dag pipeline::tests::every_generated_port
+-q -p asdf --lib||pipeline::tests::rack_wiring pipeline::tests::the_generated_dag pipeline::tests::every_generated_port pipeline::tests::each_rack_sum_directly_follows_its_collector
 -q -p integration-tests --test stream_equivalence||rack_tree_reduce
 -q -p asdf-modules --lib||collectors::tests::node_ rack_agg::tests metric_rank::tests rack_wide rack_row frame testutil::tests::every_frame_consumer_answers_a_bad_frame_with_a_module_error
 -q -p asdf-modules --test window_sums_prop --test knn_frame_prop --test rack_merge_prop --test mavgvec_proptest||
@@ -50,5 +52,6 @@ done <<'EOF'
 -q -p asdf-core --lib||engine::tests::a_tap_attached_after_construction
 -q -p asdf-rpc||
 -q -p hadoop-sim --test invariants||untailed_logs
+-q -p hadoop-sim --test render_on_read||a_sparse_reader_reads_the_eager_readers_bits
 EOF
 echo "[fleet] OK" >&2
