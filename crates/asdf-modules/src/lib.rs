@@ -17,7 +17,8 @@
 //! (`log(1+x)/σ`-scaled 1-NN workload classification), [`ibuffer`]
 //! (rate-matching batches), [`analysis_bb`] (state-histogram L1 peer
 //! comparison), [`analysis_wb`] (windowed-mean median comparison with the
-//! `max(1, k·σ_median)` threshold), [`rack_agg`] (fleet-scale rack
+//! `max(1, k·σ_median)` threshold), [`judge`] (both analyses' alarm rule,
+//! its parameters and verdict ports), [`rack_agg`] (fleet-scale rack
 //! tree-reduce feeding [`metric_rank`]), [`print`](mod@print)
 //! (alarm sink).
 //!
@@ -89,6 +90,7 @@ pub mod analysis_bb;
 pub mod analysis_wb;
 pub mod collectors;
 pub mod ibuffer;
+pub mod judge;
 pub mod kernel;
 pub mod knn;
 pub mod mavgvec;

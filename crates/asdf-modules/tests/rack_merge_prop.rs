@@ -44,9 +44,9 @@ fn peer_stats(means: &[f64], dim: usize) -> (Vec<f64>, Vec<f64>) {
     (baseline, mad)
 }
 
-/// The sorted median `peer_baseline_into` used before it selected: a
+/// The sorted median every peer comparison used before it selected: a
 /// stable sort, NaNs after every number, the mean of the middle pair for
-/// even counts (`analysis_bb::median`, which the analyses still use).
+/// even counts.
 fn sorted_median(mut values: Vec<f64>) -> f64 {
     values.sort_by(|a, b| {
         a.partial_cmp(b)

@@ -31,6 +31,7 @@ use asdf_core::engine::{TapHandle, TickEngine};
 use asdf_core::error::BuildDagError;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
+use asdf_modules::judge;
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::ClusterHandle;
 use hadoop_sim::cluster::Cluster;
@@ -87,9 +88,9 @@ impl Default for AsdfOptions {
         AsdfOptions {
             window: 60,
             slide: 60,
-            bb_threshold: 60.0,
-            wb_k: 3.0,
-            consecutive: 3,
+            bb_threshold: judge::BB_THRESHOLD,
+            wb_k: judge::WB_K,
+            consecutive: judge::CONSECUTIVE,
             black_box: true,
             white_box: true,
             metric_rank: false,

@@ -48,6 +48,7 @@ use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::{TickDuration, Timestamp};
 use asdf_core::value::{Sample, Value};
 use asdf_modules::collectors::poll_frame;
+use asdf_modules::judge;
 use asdf_modules::rack::{frame_shape, MIN_PEERS};
 use asdf_modules::training::BlackBoxModel;
 use asdf_rpc::daemons::{ClusterHandle, Collector, HadoopLogRpcd, LogDaemon, SadcRpcd, StraceRpcd};
@@ -98,9 +99,9 @@ impl Default for ServeOptions {
             queue_capacity: 4096,
             window: 60,
             slide: 60,
-            threshold: 60.0,
-            wb_k: 3.0,
-            consecutive: 3,
+            threshold: judge::BB_THRESHOLD,
+            wb_k: judge::WB_K,
+            consecutive: judge::CONSECUTIVE,
             white_box: true,
         }
     }
