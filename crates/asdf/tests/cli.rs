@@ -89,3 +89,25 @@ fn fewer_than_three_slaves_exit_2() {
         );
     }
 }
+
+#[test]
+fn nonsense_thresholds_and_an_empty_window_exit_2() {
+    for args in [
+        ["fig7", "--k", "nan"],
+        ["fig7", "--k", "-1"],
+        ["fig6", "--threshold", "NaN"],
+        ["ablate", "--threshold", "-0.5"],
+        ["serve", "--k", "nan"],
+        ["serve", "--threshold", "-60"],
+        ["fig7", "--window", "0"],
+        ["serve", "--window", "0"],
+    ] {
+        let out = asdf(&[&args[..], &["--slaves", "3"]].concat());
+        assert_eq!(out.status.code(), Some(2), "asdf {args:?}");
+        assert!(out.stdout.is_empty(), "asdf {args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(args[1]),
+            "asdf {args:?}"
+        );
+    }
+}
