@@ -63,6 +63,29 @@ fn rendered_pipeline_config_rebuilds_the_same_dag() {
 }
 
 #[test]
+fn offline_reflag_raises_the_live_alarms() {
+    // At the campaign's own threshold, k and depth, the judge re-run over
+    // a recorded trace must raise exactly the alarms the analyses raised
+    // live. The white-box trace merges two paths, each confirmed on its
+    // own; judged as one streak over the merged scores, each of the three
+    // faulty runs here raises one alarm neither path raised.
+    let cfg = integration_tests::support::small_campaign();
+    let model = experiments::train_model(&cfg);
+    for (fault, seed) in [
+        (None, 11),
+        (Some(FaultKind::Straggler), 11),
+        (Some(FaultKind::FlakyLink), 11),
+        (Some(FaultKind::Straggler), 12),
+    ] {
+        let tr = experiments::run_once(&cfg, &model, fault, seed);
+        let bb = tr.bb.reflag(cfg.bb_threshold, cfg.consecutive);
+        assert_eq!(bb, tr.bb.alarms, "black-box, {fault:?} at seed {seed}");
+        let wb = tr.wb.reflag(cfg.wb_k, cfg.consecutive);
+        assert_eq!(wb, tr.wb.alarms, "white-box, {fault:?} at seed {seed}");
+    }
+}
+
+#[test]
 fn fault_free_runs_stay_quiet_at_default_thresholds() {
     let cfg = smoke();
     let model = experiments::train_model(&cfg);
