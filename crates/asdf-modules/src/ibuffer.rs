@@ -9,8 +9,9 @@
 //! Configuration parameters:
 //!
 //! * `size` — data points per emitted batch (required, > 0);
-//! * `mode` — `tumbling` (default: a batch takes its `size` points out of
-//!   the buffer) or `sliding` (a batch takes out only its oldest point).
+//! * `mode` — `tumbling`, the default and the only mode accepted: a batch
+//!   takes its `size` points out of the buffer, so batches never overlap.
+//!   Any other mode is an invalid parameter rather than ignored.
 //!
 //! The input is a stream of rack frames ([`crate::rack::frame_shape`]),
 //! every frame of the first one's shape. A frame's node values are
@@ -30,7 +31,6 @@ use crate::rack::FrameStream;
 #[derive(Debug, Default)]
 pub struct IBuffer {
     size: usize,
-    sliding: bool,
     frames: FrameStream,
     buf: VecDeque<f64>,
     out: Option<PortId>,
@@ -49,16 +49,12 @@ impl Module for IBuffer {
         if self.size == 0 {
             return Err(ModuleError::invalid_parameter("size", "must be positive"));
         }
-        self.sliding = match ctx.param("mode").unwrap_or("tumbling") {
-            "tumbling" => false,
-            "sliding" => true,
-            other => {
-                return Err(ModuleError::invalid_parameter(
-                    "mode",
-                    format!("unknown mode `{other}`"),
-                ))
-            }
-        };
+        if let Some(other) = ctx.param("mode").filter(|&m| m != "tumbling") {
+            return Err(ModuleError::invalid_parameter(
+                "mode",
+                format!("`{other}`: only `tumbling` is supported"),
+            ));
+        }
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
         self.out = Some(ctx.declare_output_with_origin("output0", origin));
@@ -77,8 +73,7 @@ impl Module for IBuffer {
                 let batch = self.buf.range(..self.size).copied();
                 let batch = Value::from(batch.collect::<Vec<f64>>());
                 emit.emit_sample(out, Sample::new(env.sample.timestamp, batch));
-                let taken = if self.sliding { 1 } else { self.size };
-                self.buf.drain(..taken);
+                self.buf.drain(..self.size);
             }
         }
         Ok(())
@@ -112,45 +107,21 @@ mod tests {
     }
 
     #[test]
-    fn sliding_batches_overlap() {
-        let cfg = &format!(
-            "{ROWS}[ibuffer]\nid = buf\nsize = 3\nmode = sliding\ninput[input] = src.out\n"
-        );
-        let out = run_source_pipeline(&vector_source_registry(), cfg, "buf", 5);
-        assert_eq!(out.len(), 3);
-        assert_eq!(
-            out[1].sample.value.as_vector().unwrap(),
-            &[2.0, 3.0, 4.0][..]
-        );
-    }
-
-    #[test]
     fn a_row_of_several_values_is_appended_in_order() {
         // `vecsource` frames `[1, 2, t, 2t]`: a frame can complete more than
         // one batch.
-        let cfg = |mode: &str| {
-            format!("[vecsource]\nid = src\n\n[ibuffer]\nid = buf\nsize = 3\nmode = {mode}\ninput[input] = src.out\n")
-        };
-        let batches = |mode| {
-            let out = run_source_pipeline(&vector_source_registry(), &cfg(mode), "buf", 3);
-            let batch = |e: &asdf_core::module::Envelope| {
+        let cfg = "[vecsource]\nid = src\n\n[ibuffer]\nid = buf\nsize = 3\nmode = tumbling\ninput[input] = src.out\n";
+        let out = run_source_pipeline(&vector_source_registry(), cfg, "buf", 3);
+        let batches: Vec<_> = out
+            .iter()
+            .map(|e| {
                 let secs = e.sample.timestamp.as_secs();
                 (secs, e.sample.value.as_vector().unwrap().to_vec())
-            };
-            out.iter().map(batch).collect::<Vec<_>>()
-        };
+            })
+            .collect();
         assert_eq!(
-            batches("tumbling"),
+            batches,
             [(1, vec![1.0, 2.0, 2.0]), (2, vec![4.0, 3.0, 6.0])]
-        );
-        assert_eq!(
-            batches("sliding"),
-            [
-                (1, vec![1.0, 2.0, 2.0]),
-                (1, vec![2.0, 2.0, 4.0]),
-                (2, vec![2.0, 4.0, 3.0]),
-                (2, vec![4.0, 3.0, 6.0]),
-            ]
         );
     }
 
@@ -169,6 +140,7 @@ mod tests {
             "[vecsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 0\ninput[i] = s.out\n",
             "[vecsource]\nid = s\n\n[ibuffer]\nid = b\ninput[i] = s.out\n",
             "[vecsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 2\nmode = bogus\ninput[i] = s.out\n",
+            "[vecsource]\nid = s\n\n[ibuffer]\nid = b\nsize = 2\nmode = sliding\ninput[i] = s.out\n",
             "[ibuffer]\nid = b\nsize = 2\n",
         ] {
             let parsed: Config = cfg.parse().unwrap();

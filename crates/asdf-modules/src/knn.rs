@@ -6,7 +6,8 @@
 //! deviation vector ... For each input sample s, a vector s′ is computed as
 //! `s′_i = log(1+s_i)/σ_i` and the Euclidean distance between s′ and each
 //! centroid is computed. The indices of the k nearest centroids to s′ ...
-//! are output."
+//! are output." ASDF's black-box analysis uses k = 1 (§4.4's 1-NN), and so
+//! does this module: it answers each row with its nearest centroid.
 //!
 //! A sample is a rack's second: a collector's `frame` row `[n, dim,
 //! node₀…, node₁…]` ([`crate::rack::frame_shape`]) whose `dim` is the
@@ -19,11 +20,12 @@
 //! * `centroids` — clusters separated by `|`, components by `,`
 //!   (as rendered by [`crate::training::BlackBoxModel::centroids_param`]);
 //! * `stddev` — comma-separated scaling vector;
-//! * `k` — neighbors to output (default 1).
+//! * `k` — neighbors to output: 1, the default and the only value
+//!   accepted. Any other is an invalid parameter rather than ignored, so
+//!   a configuration that asks for more neighbours fails at build.
 //!
-//! Output `output0`: per sample, a rack frame `[n, k, indices…]` of each
-//! node row's `k` nearest indices, nearest first — at `k = 1` the frame
-//! `analysis_bb` compares.
+//! Output `output0`: per sample, a rack frame `[n, 1, indices…]` of each
+//! node row's nearest centroid index — the frame `analysis_bb` compares.
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
@@ -32,20 +34,17 @@ use asdf_core::value::Sample;
 use crate::rack::FrameStream;
 use crate::training::{BlackBoxModel, Classifier};
 
-/// 1-NN / k-NN workload-state classifier.
+/// 1-NN workload-state classifier.
 ///
 /// Every node row of a pending sample goes straight from the sample to
 /// [`Classifier::classify`] (its certified `f32` screen, else the exact
-/// `f64` scan) or, at `k > 1`, to the exact `k`-nearest ranking of
-/// [`Classifier::classify_k_into`]; nothing is allocated per sample but
-/// the output row.
+/// `f64` scan); nothing is allocated per sample but the output row.
 #[derive(Debug, Default)]
 pub struct Knn {
     classifier: Option<Classifier>,
-    k: usize,
     frames: FrameStream,
     out: Option<PortId>,
-    /// One sample's answer: `[n, k, indices…]`.
+    /// One sample's answer: `[n, 1, indices…]`.
     indices: Vec<f64>,
 }
 
@@ -62,12 +61,8 @@ impl Module for Knn {
         let stddev = ctx.require_param("stddev")?.to_owned();
         let model = BlackBoxModel::from_params(&centroids, &stddev)
             .map_err(|e| ModuleError::invalid_parameter("centroids", e.to_string()))?;
-        self.k = ctx.parse_param_or("k", 1usize)?;
-        if self.k == 0 || self.k > model.n_states() {
-            return Err(ModuleError::invalid_parameter(
-                "k",
-                format!("must be in 1..={}", model.n_states()),
-            ));
+        if ctx.parse_param_or("k", 1usize)? != 1 {
+            return Err(ModuleError::invalid_parameter("k", "must be 1"));
         }
         ctx.expect_input_count(1)?;
         let origin = ctx.input_slots()[0].1[0].origin.clone();
@@ -78,7 +73,7 @@ impl Module for Knn {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let classifier = self.classifier.as_mut().expect("initialized");
-        let (out, k) = (self.out.expect("initialized"), self.k);
+        let out = self.out.expect("initialized");
         let (drain, mut emit) = ctx.drain_and_emit();
         for (_, env) in drain {
             let (frame, (nodes, width)) = self.frames.check("knn", &env.sample.value)?;
@@ -89,15 +84,12 @@ impl Module for Knn {
                 )));
             }
             self.indices.clear();
-            self.indices.extend([nodes as f64, k as f64]);
-            for row in frame[2..].chunks_exact(dim) {
-                if k == 1 {
-                    self.indices.push(classifier.classify(row) as f64);
-                } else {
-                    let nearest = classifier.nearest_k(row, k);
-                    self.indices.extend(nearest.map(|i| i as f64));
-                }
-            }
+            self.indices.extend([nodes as f64, 1.0]);
+            self.indices.extend(
+                frame[2..]
+                    .chunks_exact(dim)
+                    .map(|row| classifier.classify(row) as f64),
+            );
             emit.emit_sample(out, Sample::new(env.sample.timestamp, &self.indices[..]));
         }
         Ok(())
@@ -118,11 +110,11 @@ mod tests {
         (model.centroids_param(), model.stddev_param())
     }
 
-    /// A `knn` with `params` over a replayed stream of `rows`.
-    fn over_rows(params: &str, rows: &str) -> String {
+    /// A `knn` over a replayed stream of `rows`.
+    fn over_rows(rows: &str) -> String {
         format!(
             "[rowreplay]\nid = src\nrows = {rows}\n\n\
-             [knn]\nid = nn\n{params}centroids = 0,0|3,3|9,9\nstddev = 1,1\ninput[input] = src.out\n"
+             [knn]\nid = nn\ncentroids = 0,0|3,3|9,9\nstddev = 1,1\ninput[input] = src.out\n"
         )
     }
 
@@ -161,46 +153,23 @@ mod tests {
     }
 
     #[test]
-    fn k_greater_than_one_emits_index_vectors() {
-        let cfg = over_fitted_stream("k = 2\n", 3);
-        let out = run_source_pipeline(&vector_source_registry(), &cfg, "nn", 3);
-        let v = out[0].sample.value.as_vector().unwrap();
-        assert_eq!(v.len(), 4);
-        assert_eq!(v[..2], [1.0, 2.0], "one node, two indices");
-        assert_ne!(v[2], v[3]);
-    }
-
-    #[test]
     fn a_frame_is_answered_with_one_row_of_its_nodes_neighbours() {
         let reg = vector_source_registry();
         // Three nodes, dim 2: near centroids 0, 2 and 1 (log-scaled).
         let frame = "3,2, 0,0, 9000,9000, 20,20";
         let nodes = [[0.0, 0.0], [9000.0, 9000.0], [20.0, 20.0]];
-        for (k, params) in [(1, ""), (2, "k = 2\n")] {
-            let rack = run_source_pipeline(&reg, &over_rows(params, frame), "nn", 2);
-            assert_eq!(rack.len(), 1);
-            let got = rack[0].sample.value.as_vector().unwrap();
-            // What the classifier answers each node row with, node-major.
-            let mut classifier = BlackBoxModel::from_params("0,0|3,3|9,9", "1,1")
-                .unwrap()
-                .into_classifier();
-            let mut want = vec![3.0, k as f64];
-            for row in &nodes {
-                if k == 1 {
-                    want.push(classifier.classify(row) as f64);
-                } else {
-                    want.extend(classifier.nearest_k(row, k).map(|i| i as f64));
-                }
-            }
-            assert_eq!(want.len(), 2 + 3 * k);
-            assert_eq!(got, &want[..], "k = {k}");
-            assert_eq!(rack[0].source.origin, "test-rack");
-            assert_eq!(
-                [got[2], got[2 + k], got[2 + 2 * k]],
-                [0.0, 2.0, 1.0],
-                "nearest first"
-            );
-        }
+        let rack = run_source_pipeline(&reg, &over_rows(frame), "nn", 2);
+        assert_eq!(rack.len(), 1);
+        let got = rack[0].sample.value.as_vector().unwrap();
+        // What the classifier answers each node row with, node-major.
+        let mut classifier = BlackBoxModel::from_params("0,0|3,3|9,9", "1,1")
+            .unwrap()
+            .into_classifier();
+        let mut want = vec![3.0, 1.0];
+        want.extend(nodes.iter().map(|row| classifier.classify(row) as f64));
+        assert_eq!(got, &want[..]);
+        assert_eq!(got[2..], [0.0, 2.0, 1.0]);
+        assert_eq!(rack[0].source.origin, "test-rack");
     }
 
     #[test]
@@ -263,9 +232,22 @@ mod tests {
         use asdf_core::config::Config;
         use asdf_core::dag::Dag;
         let (cents, sd) = model_params();
+        use asdf_core::error::BuildDagError;
+        let with_k = |k| {
+            format!("[vecsource]\nid = s\n\n[knn]\nid = n\nk = {k}\ncentroids = {cents}\nstddev = {sd}\ninput[i] = s.out\n")
+        };
+        // A k other than 1, in and out of the model's range.
+        for k in [0, 2, 9] {
+            let parsed: Config = with_k(k).parse().unwrap();
+            match Dag::build(&vector_source_registry(), &parsed) {
+                Err(BuildDagError::ModuleInit {
+                    source: ModuleError::InvalidParameter { key, .. },
+                    ..
+                }) => assert_eq!(key, "k"),
+                other => panic!("k = {k}: expected invalid_parameter, got {other:?}"),
+            }
+        }
         for cfg in [
-            // k out of range
-            format!("[vecsource]\nid = s\n\n[knn]\nid = n\nk = 9\ncentroids = {cents}\nstddev = {sd}\ninput[i] = s.out\n"),
             // missing centroids
             "[vecsource]\nid = s\n\n[knn]\nid = n\nstddev = 1.0,1.0\ninput[i] = s.out\n".to_owned(),
             // malformed centroids

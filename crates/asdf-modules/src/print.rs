@@ -2,13 +2,11 @@
 //!
 //! The terminal vertex of the paper's DAGs (`BlackBoxAlarm`,
 //! `DataNodeAlarm`): consumes fingerpointing alarms and renders them for
-//! the administrator. Rendered lines are re-emitted on a `log` output so
-//! taps (and downstream sinks) can observe them; with `stdout = true` they
-//! are also printed.
+//! the administrator. Rendered lines are emitted on a `log` output, where
+//! taps (and downstream sinks) observe them.
 //!
-//! Configuration parameters:
+//! Configuration parameter:
 //!
-//! * `stdout` — print rendered lines to standard output (default `false`);
 //! * `only_alarms` — render only `Bool(true)` samples (default `true`:
 //!   quiet when the cluster is healthy).
 
@@ -19,10 +17,8 @@ use asdf_core::value::Value;
 /// Alarm sink: formats incoming samples as human-readable alert lines.
 #[derive(Debug, Default)]
 pub struct Print {
-    stdout: bool,
     only_alarms: bool,
     out: Option<PortId>,
-    rendered: u64,
 }
 
 impl Print {
@@ -34,7 +30,6 @@ impl Print {
 
 impl Module for Print {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        self.stdout = ctx.parse_param_or("stdout", false)?;
         self.only_alarms = ctx.parse_param_or("only_alarms", true)?;
         if ctx.input_slots().is_empty() {
             return Err(ModuleError::BadInputs(
@@ -59,10 +54,6 @@ impl Module for Print {
                 env.source.origin,
                 env.sample.value
             );
-            if self.stdout {
-                println!("{line}");
-            }
-            self.rendered += 1;
             ctx.emit(port, line);
         }
         Ok(())

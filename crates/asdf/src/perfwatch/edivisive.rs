@@ -17,40 +17,26 @@
 //! candidate; its significance is assessed with a seeded permutation test
 //! (does the observed maximum beat the maxima of shuffled copies?), and
 //! detection recurses on the two sides until no segment yields a
-//! significant split. Everything is deterministic for a fixed
-//! [`DetectorConfig::seed`] and dependency-free; the all-`t` scan is
-//! incremental, so one pass over the candidate splits costs `O(n²)` total
-//! rather than `O(n³)`.
+//! significant split. The detector runs at one fixed setting, as the
+//! MongoDB pipeline does: [`PERMUTATIONS`] shuffles at `p ≤`
+//! [`P_THRESHOLD`], at least [`MIN_SEGMENT`] points a side, the shuffles
+//! drawn from [`SEED`] — so detection is deterministic. It is
+//! dependency-free, and the all-`t` scan is incremental, so one pass over
+//! the candidate splits costs `O(n²)` total rather than `O(n³)`.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Tuning for [`detect`]. The defaults mirror the common configuration of
-/// the E-Divisive permutation test: 199 permutations at `p ≤ 0.05`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Shuffled replicas per permutation test.
-    pub permutations: usize,
-    /// Significance threshold on the permutation p-value.
-    pub p_threshold: f64,
-    /// Minimum points required on each side of a candidate split.
-    pub min_segment: usize,
-    /// RNG seed for the permutation test (detection is deterministic for a
-    /// fixed seed).
-    pub seed: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            permutations: 199,
-            p_threshold: 0.05,
-            min_segment: 4,
-            seed: 0x5eed_a5df,
-        }
-    }
-}
+/// Shuffled replicas per permutation test: with [`P_THRESHOLD`], the
+/// common configuration of the E-Divisive permutation test.
+pub const PERMUTATIONS: usize = 199;
+/// Significance threshold on the permutation p-value.
+pub const P_THRESHOLD: f64 = 0.05;
+/// Minimum points required on each side of a candidate split.
+pub const MIN_SEGMENT: usize = 4;
+/// RNG seed for the permutation test.
+pub const SEED: u64 = 0x5eed_a5df;
 
 /// One significant change point in a series.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,36 +128,36 @@ fn mean(xs: &[f64]) -> f64 {
 /// Permutation p-value of the observed maximum `q̂` on a segment: the
 /// fraction of shuffled replicas whose own maximum matches or beats it
 /// (with the standard +1 correction so the p-value is never 0).
-fn permutation_p_value(xs: &[f64], observed: f64, cfg: &DetectorConfig, rng: &mut SmallRng) -> f64 {
+fn permutation_p_value(xs: &[f64], observed: f64, rng: &mut SmallRng) -> f64 {
     let mut beat = 0usize;
     let mut scratch = xs.to_vec();
-    for _ in 0..cfg.permutations {
+    for _ in 0..PERMUTATIONS {
         scratch.shuffle(rng);
-        let perm_max = best_split(&scratch, cfg.min_segment).map_or(0.0, |(_, q)| q);
+        let perm_max = best_split(&scratch, MIN_SEGMENT).map_or(0.0, |(_, q)| q);
         if perm_max >= observed {
             beat += 1;
         }
     }
-    (beat + 1) as f64 / (cfg.permutations + 1) as f64
+    (beat + 1) as f64 / (PERMUTATIONS + 1) as f64
 }
 
 /// Hierarchical E-Divisive detection: finds the most significant split of
 /// the whole series, then recurses into both sides, collecting every
-/// split whose permutation p-value clears [`DetectorConfig::p_threshold`].
-/// Change points come back ordered by index. A constant series (or one
-/// whose fluctuations shuffled copies reproduce) yields none.
-pub fn detect(xs: &[f64], cfg: &DetectorConfig) -> Vec<ChangePoint> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+/// split whose permutation p-value clears [`P_THRESHOLD`]. Change points
+/// come back ordered by index. A constant series (or one whose
+/// fluctuations shuffled copies reproduce) yields none.
+pub fn detect(xs: &[f64]) -> Vec<ChangePoint> {
+    let mut rng = SmallRng::seed_from_u64(SEED);
     let mut found = Vec::new();
     // Explicit worklist of (offset, segment) keeps recursion depth flat
     // and the visit order (hence RNG stream) deterministic.
     let mut work = vec![(0usize, xs.to_vec())];
     while let Some((offset, seg)) = work.pop() {
-        let Some((t, q)) = best_split(&seg, cfg.min_segment) else {
+        let Some((t, q)) = best_split(&seg, MIN_SEGMENT) else {
             continue;
         };
-        let p = permutation_p_value(&seg, q, cfg, &mut rng);
-        if p > cfg.p_threshold {
+        let p = permutation_p_value(&seg, q, &mut rng);
+        if p > P_THRESHOLD {
             continue;
         }
         let before = mean(&seg[..t]);
@@ -210,7 +196,7 @@ mod tests {
         // 30 points near 1.0, then 30 points near 1.2: a 20% step at 30.
         let mut xs = noisy(1.0, 30, 7);
         xs.extend(noisy(1.2, 30, 8));
-        let cps = detect(&xs, &DetectorConfig::default());
+        let cps = detect(&xs);
         assert_eq!(cps.len(), 1, "exactly one change point: {cps:?}");
         let cp = &cps[0];
         assert!(
@@ -229,10 +215,10 @@ mod tests {
     #[test]
     fn stationary_noise_yields_no_change_points() {
         let xs = noisy(5.0, 60, 21);
-        assert_eq!(detect(&xs, &DetectorConfig::default()), vec![]);
+        assert_eq!(detect(&xs), vec![]);
         // Constant series: all pairwise distances are 0.
         let flat = vec![3.25; 40];
-        assert_eq!(detect(&flat, &DetectorConfig::default()), vec![]);
+        assert_eq!(detect(&flat), vec![]);
     }
 
     #[test]
@@ -240,7 +226,7 @@ mod tests {
         let mut xs = noisy(1.0, 25, 1);
         xs.extend(noisy(1.5, 25, 2));
         xs.extend(noisy(0.8, 25, 3));
-        let cps = detect(&xs, &DetectorConfig::default());
+        let cps = detect(&xs);
         assert_eq!(cps.len(), 2, "{cps:?}");
         assert!((23..=27).contains(&cps[0].index), "{cps:?}");
         assert!((48..=52).contains(&cps[1].index), "{cps:?}");
@@ -251,11 +237,10 @@ mod tests {
     fn detection_is_deterministic_for_a_fixed_seed() {
         let mut xs = noisy(2.0, 20, 4);
         xs.extend(noisy(2.6, 20, 5));
-        let cfg = DetectorConfig::default();
-        assert_eq!(detect(&xs, &cfg), detect(&xs, &cfg));
-        // Short series (below 2·min_segment) never split.
-        assert_eq!(detect(&xs[..6], &cfg), vec![]);
-        assert_eq!(detect(&[], &cfg), vec![]);
+        assert_eq!(detect(&xs), detect(&xs));
+        // Short series (below 2·MIN_SEGMENT) never split.
+        assert_eq!(detect(&xs[..6]), vec![]);
+        assert_eq!(detect(&[]), vec![]);
     }
 
     #[test]

@@ -22,28 +22,13 @@ pub mod report;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-pub use edivisive::{detect, ChangePoint, DetectorConfig};
+pub use edivisive::{detect, ChangePoint};
 pub use history::{parse_history, render_record, utc_from_epoch, HistoryError, HistoryRecord};
 pub use report::{MetricFinding, PerfwatchReport};
 
-/// Options for [`analyze`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyzeOptions {
-    /// E-Divisive tuning.
-    pub detector: DetectorConfig,
-    /// Minimum points a metric series needs before change-point
-    /// detection considers it.
-    pub min_points: usize,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            detector: DetectorConfig::default(),
-            min_points: 8,
-        }
-    }
-}
+/// Minimum points a metric series needs before change-point detection
+/// considers it.
+pub const MIN_POINTS: usize = 8;
 
 /// Runs the watchdog over a `BENCH_history.jsonl` document: parses the
 /// records (legacy schema-0 lines included), runs E-Divisive per metric
@@ -56,7 +41,7 @@ impl Default for AnalyzeOptions {
 /// short to analyze is *not* an error — the report simply carries no
 /// findings (the watchdog is advisory and must be safe to run from the
 /// very first record).
-pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchReport, HistoryError> {
+pub fn analyze(history_text: &str) -> Result<PerfwatchReport, HistoryError> {
     let records = parse_history(history_text)?;
     let n_records = records.len();
     let n_schema0 = records.iter().filter(|r| r.schema == 0).count();
@@ -97,8 +82,8 @@ pub fn analyze(history_text: &str, opts: &AnalyzeOptions) -> Result<PerfwatchRep
         .map(|(metric, xs)| MetricFinding {
             metric: metric.clone(),
             n_points: xs.len(),
-            change_points: if xs.len() >= opts.min_points {
-                detect(xs, &opts.detector)
+            change_points: if xs.len() >= MIN_POINTS {
+                detect(xs)
             } else {
                 Vec::new()
             },
@@ -162,7 +147,7 @@ mod tests {
     #[test]
     fn an_injected_step_is_found_at_the_right_metric_and_index() {
         let text = synthetic_history(60, 30);
-        let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
+        let rep = analyze(&text).expect("analyzes");
         assert_eq!(rep.n_records, 60);
         assert_eq!(rep.shifted_metrics(), ["campaign_serial_secs"]);
         let cp = &rep.findings[0].change_points[0];
@@ -174,11 +159,11 @@ mod tests {
     #[test]
     fn tiny_history_reports_quietly_instead_of_failing() {
         let text = synthetic_history(2, 99);
-        let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
+        let rep = analyze(&text).expect("analyzes");
         assert_eq!(rep.n_records, 2);
         assert!(rep.shifted_metrics().is_empty());
         // Empty history is fine too.
-        let empty = analyze("", &AnalyzeOptions::default()).unwrap();
+        let empty = analyze("").unwrap();
         assert_eq!(empty.n_records, 0);
     }
 
@@ -186,7 +171,7 @@ mod tests {
     fn seed_plus_synthetic_schema1_lines_mix() {
         let seed = r#"{"schema":0,"ts_epoch_secs":1786223772,"suite":"perfsuite","workers":1,"campaign_serial_secs":0.519,"scan_speedup":1.985}"#;
         let text = format!("{seed}\n{}", synthetic_history(10, 999));
-        let rep = analyze(&text, &AnalyzeOptions::default()).expect("mixed history analyzes");
+        let rep = analyze(&text).expect("mixed history analyzes");
         assert_eq!(rep.n_records, 11);
         assert_eq!(rep.n_schema0, 1);
         // The seed line carries no host, so it is a population of its own:
@@ -213,7 +198,7 @@ mod tests {
             })
             .collect();
         let text = format!("{}\n{}", synthetic_history(12, 999), two_cores.join("\n"));
-        let rep = analyze(&text, &AnalyzeOptions::default()).expect("analyzes");
+        let rep = analyze(&text).expect("analyzes");
         assert_eq!(rep.n_records, 24);
         assert_eq!(rep.n_set_aside, 12);
         assert_eq!(rep.population, (2, "avx2".to_owned()));
@@ -225,7 +210,7 @@ mod tests {
         // The pooled analysis this replaces: the same rows with the host
         // fingerprint erased read as one population that doubled.
         let pooled = text.replace("\"cores\":4", "\"cores\":2");
-        let rep = analyze(&pooled, &AnalyzeOptions::default()).expect("analyzes");
+        let rep = analyze(&pooled).expect("analyzes");
         assert_eq!(rep.n_set_aside, 0);
         assert_eq!(rep.shifted_metrics().len(), 4);
         for f in &rep.findings {
@@ -253,7 +238,7 @@ mod tests {
                 render_record(&r)
             })
             .collect();
-        let rep = analyze(&rows.join("\n"), &AnalyzeOptions::default()).expect("analyzes");
+        let rep = analyze(&rows.join("\n")).expect("analyzes");
         assert_eq!(rep.retired, ["envelopes_per_sec_b64"]);
         assert_eq!(rep.n_retired(), 1);
         assert!(rep

@@ -101,6 +101,9 @@ fn nonsense_thresholds_and_an_empty_window_exit_2() {
         ["serve", "--threshold", "-60"],
         ["fig7", "--window", "0"],
         ["serve", "--window", "0"],
+        ["serve", "--speed", "0"],
+        ["serve", "--speed", "nan"],
+        ["serve", "--speed", "-1"],
     ] {
         let out = asdf(&[&args[..], &["--slaves", "3"]].concat());
         assert_eq!(out.status.code(), Some(2), "asdf {args:?}");
@@ -110,4 +113,18 @@ fn nonsense_thresholds_and_an_empty_window_exit_2() {
             "asdf {args:?}"
         );
     }
+}
+
+#[test]
+fn perfwatch_reports_what_the_library_analyzes() {
+    let history = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+    let json = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("perfwatch-{}.json", std::process::id()));
+    let json = json.to_str().expect("utf-8 path");
+    stdout_of(&["perfwatch", "--history", history, "--json", json]);
+    let got = std::fs::read_to_string(json).expect("the JSON report is written");
+    std::fs::remove_file(json).ok();
+    let text = std::fs::read_to_string(history).expect("tracked history");
+    let report = asdf::perfwatch::analyze(&text).expect("tracked history analyzes");
+    assert_eq!(got, asdf::perfwatch::report::render_json(&report));
 }

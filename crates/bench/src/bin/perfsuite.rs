@@ -237,12 +237,6 @@ fn kernels_section() -> Section {
         black_box(ctx.classify(black_box(&sample)));
     });
     s.row("classify_1nn_context_ns", ctx_ns);
-    let mut ranked = Vec::new();
-    let ctx_k3_ns = time_ns(20_000, || {
-        ctx.classify_k_into(black_box(&sample), 3, &mut ranked);
-        black_box(ranked.last());
-    });
-    s.row("classify_k3_context_ns", ctx_k3_ns);
 
     // The pre-`CentroidBlock` hot path (early-exit `ragged_dist2_bounded`
     // over `Vec<Vec<f64>>` rows) against the fused 4-lane `argmin_dist2`

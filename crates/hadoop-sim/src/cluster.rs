@@ -19,7 +19,10 @@
 
 use std::collections::VecDeque;
 
-use procsim::{Activity, MetricFrame, NodeSim, NodeSpec, ProcessActivity};
+use procsim::{
+    Activity, MetricFrame, NodeSim, NodeSpec, ProcessActivity, NODE_CORES, NODE_DISK_KBPS,
+    NODE_NET_KBPS,
+};
 
 use crate::faults::{ActiveFault, FaultKind, FaultSpec};
 use crate::gridmix::{GridMix, GridMixConfig};
@@ -39,6 +42,29 @@ const TASK_MEM_MB: f64 = 200.0;
 /// output segment is moved into place).
 const H1152_FAIL_AFTER_SECS: u64 = 5;
 
+/// Map slots per tasktracker (the testbed tuned this to 3; Hadoop 0.18
+/// shipped 2).
+const MAP_SLOTS: usize = 3;
+/// Reduce slots per tasktracker.
+const REDUCE_SLOTS: usize = 2;
+/// HDFS replication factor.
+const REPLICATION: usize = 3;
+/// Fraction of a job's maps that must finish before its reduces launch.
+const REDUCE_LAUNCH_THRESHOLD: f64 = 0.35;
+/// Seconds after which a non-progressing attempt is killed and retried
+/// (Hadoop's `mapred.task.timeout`).
+const TASK_TIMEOUT_SECS: u64 = 600;
+/// Failures a job tolerates on one tasktracker before blacklisting it for
+/// the job (Hadoop's `mapred.max.tracker.failures`). Without this, a
+/// failing node becomes a black hole: the scheduler keeps feeding it work
+/// it disposes of slowly.
+const TRACKER_FAILURES_TO_BAN: u32 = 4;
+/// A map attempt is a straggler once it has run this many times the job's
+/// mean map duration...
+const SPECULATIVE_SLOWDOWN: f64 = 2.5;
+/// ...and at least this many seconds.
+const SPECULATIVE_MIN_AGE_SECS: u64 = 90;
+
 /// Static cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -46,37 +72,12 @@ pub struct ClusterConfig {
     pub slaves: usize,
     /// Master RNG seed; all randomness in the run derives from it.
     pub seed: u64,
-    /// Map slots per tasktracker (the testbed tuned this to 3; Hadoop
-    /// 0.18 shipped 2).
-    pub map_slots: usize,
-    /// Reduce slots per tasktracker (default: 2).
-    pub reduce_slots: usize,
-    /// HDFS replication factor (default: 3).
-    pub replication: usize,
-    /// Fraction of a job's maps that must finish before its reduces launch.
-    pub reduce_launch_threshold: f64,
-    /// Seconds after which a non-progressing attempt is killed and retried
-    /// (Hadoop's `mapred.task.timeout`, default 600 s).
-    pub task_timeout_secs: u64,
-    /// Failures a job tolerates on one tasktracker before blacklisting it
-    /// for the job (Hadoop's `mapred.max.tracker.failures`, default 4).
-    /// Without this, a failing node becomes a black hole: the scheduler
-    /// keeps feeding it work it disposes of slowly.
-    pub tracker_failures_to_ban: u32,
-    /// Speculative execution (Hadoop 0.18 default: on): a straggling
+    /// Speculative execution (Hadoop 0.18 default: on): a straggling map
     /// attempt gets a duplicate on another node; the first finisher wins
-    /// and the loser is killed.
-    pub speculative_execution: bool,
-    /// Speculate on straggling reduces too. Off by default, the common
+    /// and the loser is killed. Reduces are never speculated, the common
     /// production setting (`mapred.reduce.tasks.speculative.execution =
-    /// false`): duplicate reduces re-pull the whole shuffle, so operators
-    /// usually reserve speculation for maps.
-    pub speculative_reduces: bool,
-    /// An attempt is a straggler once it has run `slowdown ×` the job's
-    /// mean task duration (of its kind)...
-    pub speculative_slowdown: f64,
-    /// ...and at least this many seconds.
-    pub speculative_min_age_secs: u64,
+    /// false`): a duplicate reduce re-pulls the whole shuffle.
+    pub speculative_execution: bool,
     /// Workload generator configuration.
     pub gridmix: GridMixConfig,
     /// When set, jobs are replayed from this trace instead of being
@@ -90,29 +91,19 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster sized like the paper's evaluation: `slaves` EC2-Large
-    /// slave nodes, default Hadoop slot counts, GridMix workload seeded
+    /// slave nodes, the testbed's Hadoop settings, GridMix workload seeded
     /// from `seed`.
     pub fn new(slaves: usize, seed: u64) -> Self {
         ClusterConfig {
             slaves,
             seed,
-            map_slots: 3,
-            reduce_slots: 2,
-            replication: 3,
-            reduce_launch_threshold: 0.35,
-            task_timeout_secs: 600,
-            tracker_failures_to_ban: 4,
             speculative_execution: true,
-            speculative_reduces: false,
-            speculative_slowdown: 2.5,
-            speculative_min_age_secs: 90,
             gridmix: GridMixConfig {
                 seed,
                 // Job arrival scales with cluster size so slot occupancy
                 // stays in the moderately-loaded regime of a shared
                 // production cluster (~40-60%), independent of scale.
                 mean_interarrival_secs: (400.0 / slaves as f64).clamp(8.0, 40.0),
-                ..GridMixConfig::default()
             },
             trace: None,
             sim_shards: 1,
@@ -217,8 +208,13 @@ struct NodeWork {
     flows: Vec<(usize, FlowKind, Flow)>,
     /// Shuffle demand contributions keyed `(job index, source node)`.
     shuffle_wanted: Vec<((usize, usize), f64)>,
-    /// Wanted shuffle KB per consuming reduce attempt (task index).
-    reduce_wanted: Vec<(usize, f64)>,
+    /// Wanted and granted shuffle KB per running task (a reduce in its
+    /// copy phase; zero for any other).
+    reduce_rx: Vec<(f64, f64)>,
+    /// The slowest pipeline hop granted per running task (a reduce writing
+    /// its output; infinite for any other): the pipeline advances at its
+    /// slowest link.
+    pipeline_min: Vec<f64>,
     /// Granted CPU seconds per running task.
     task_cpu: Vec<f64>,
     /// Granted IO KB per running task.
@@ -240,7 +236,8 @@ impl NodeWork {
         NodeWork {
             flows: Vec::new(),
             shuffle_wanted: Vec::new(),
-            reduce_wanted: Vec::new(),
+            reduce_rx: Vec::new(),
+            pipeline_min: Vec::new(),
             task_cpu: Vec::new(),
             task_io: Vec::new(),
             act: Activity::idle(),
@@ -255,7 +252,8 @@ impl NodeWork {
     fn reset(&mut self) {
         self.flows.clear();
         self.shuffle_wanted.clear();
-        self.reduce_wanted.clear();
+        self.reduce_rx.clear();
+        self.pipeline_min.clear();
         self.task_cpu.clear();
         self.task_io.clear();
         self.act = Activity::idle();
@@ -295,6 +293,9 @@ struct TickScratch {
     raw_flows: Vec<Flow>,
     /// Every node's effective line rate.
     net_caps: Vec<f64>,
+    /// Shuffle `(wanted, granted)` KB per `(job index, source node)`,
+    /// sorted by key.
+    shuffle: Vec<((usize, usize), f64, f64)>,
 }
 
 /// The simulated Hadoop cluster.
@@ -332,7 +333,7 @@ pub struct Cluster {
     /// cleared when the pair delivers. Cross-destination evidence here is
     /// what lets the jobtracker distinguish a sick source from a sick
     /// reducer.
-    pair_starve: std::collections::HashMap<(usize, usize), u32>,
+    pair_starve: std::collections::BTreeMap<(usize, usize), u32>,
     /// Nodes judged globally shuffle-sick: starving ≥2 distinct
     /// destinations. New jobs blacklist them at submission.
     shuffle_sick: Vec<bool>,
@@ -374,7 +375,7 @@ impl Cluster {
             None => Workload::GridMix(GridMix::new(cfg.gridmix.clone())),
         };
         let next_submission = workload.next_job();
-        let hdfs = Hdfs::new(cfg.slaves, cfg.replication, cfg.seed);
+        let hdfs = Hdfs::new(cfg.slaves, REPLICATION, cfg.seed);
         let names = slaves.iter().map(|s| s.sim.spec().name.clone()).collect();
         Cluster {
             now: 0,
@@ -389,7 +390,7 @@ impl Cluster {
             stats: ClusterStats::default(),
             schedule_offset: 0,
             decommissioned: vec![false; cfg.slaves],
-            pair_starve: std::collections::HashMap::new(),
+            pair_starve: std::collections::BTreeMap::new(),
             shuffle_sick: vec![false; cfg.slaves],
             scratch: TickScratch::default(),
             cfg,
@@ -578,8 +579,8 @@ impl Cluster {
             return 0;
         }
         let cap = match kind {
-            TaskKind::Map => self.cfg.map_slots,
-            TaskKind::Reduce => self.cfg.reduce_slots,
+            TaskKind::Map => MAP_SLOTS,
+            TaskKind::Reduce => REDUCE_SLOTS,
         };
         let used = self.slaves[node]
             .running
@@ -610,39 +611,33 @@ impl Cluster {
             self.schedule_maps(job_idx, &order, &mut map_grants);
             self.schedule_reduces(job_idx, &order, &mut reduce_grants);
             if self.cfg.speculative_execution {
-                self.schedule_speculative(job_idx, &order, &mut map_grants, &mut reduce_grants);
+                self.schedule_speculative(job_idx, &order, &mut map_grants);
             }
         }
     }
 
-    /// Launches duplicate attempts for straggling tasks (speculative
-    /// execution): when a task's sole attempt has run far longer than the
-    /// job's typical task of that kind, a second attempt starts on another
-    /// node, and whichever finishes first wins.
-    fn schedule_speculative(
-        &mut self,
-        job_idx: usize,
-        order: &[usize],
-        map_grants: &mut [bool],
-        reduce_grants: &mut [bool],
-    ) {
-        let now = self.now;
-        // Collect straggler tasks first to keep borrows short.
-        let mut stragglers: Vec<(TaskId, usize)> = Vec::new();
+    /// Launches duplicate attempts for straggling maps (speculative
+    /// execution): when a map's sole attempt has run far longer than the
+    /// job's typical map, a second attempt starts on another node, and
+    /// whichever finishes first wins.
+    fn schedule_speculative(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
+        // Collect straggler maps first to keep borrows short. They are
+        // visited in task order, the order they compete for targets in.
+        let mut stragglers: Vec<(u32, usize)> = Vec::new();
         {
             let job = &self.jobs[job_idx];
             for (&task, nodes) in &job.running_attempts {
-                if task.kind == TaskKind::Reduce && !self.cfg.speculative_reduces {
+                if task.kind != TaskKind::Map {
                     continue;
                 }
                 let [node] = nodes[..] else { continue };
-                // With no completed sample of this kind yet (small jobs may
-                // only have 2-3 reduces), fall back to a conservative
+                // With no completed sample yet, fall back to a conservative
                 // absolute straggler age.
-                let threshold = match job.mean_duration(task.kind, 1) {
-                    Some(mean) => (self.cfg.speculative_slowdown * mean)
-                        .max(self.cfg.speculative_min_age_secs as f64),
-                    None => (4 * self.cfg.speculative_min_age_secs) as f64,
+                let threshold = match job.mean_duration(TaskKind::Map, 1) {
+                    Some(mean) => {
+                        (SPECULATIVE_SLOWDOWN * mean).max(SPECULATIVE_MIN_AGE_SECS as f64)
+                    }
+                    None => (4 * SPECULATIVE_MIN_AGE_SECS) as f64,
                 };
                 let age = self.slaves[node]
                     .running
@@ -651,36 +646,22 @@ impl Cluster {
                     .map(|ext| ext.task.age)
                     .unwrap_or(0);
                 if (age as f64) > threshold {
-                    stragglers.push((task, node));
+                    stragglers.push((task.index, node));
                 }
             }
         }
-        // In task order, not the map's: stragglers compete for targets.
-        stragglers.sort_unstable_by_key(|(task, _)| (task.kind == TaskKind::Reduce, task.index));
-        let _ = now;
-        for (task, current) in stragglers {
-            let grants: &mut [bool] = match task.kind {
-                TaskKind::Map => map_grants,
-                TaskKind::Reduce => reduce_grants,
-            };
+        for (map_idx, current) in stragglers {
             let Some(target) = order.iter().copied().find(|&n| {
                 n != current
                     && !grants[n]
                     && !self.jobs[job_idx].banned_sources[n]
-                    && self.free_slots(n, task.kind) > 0
+                    && self.free_slots(n, TaskKind::Map) > 0
             }) else {
                 continue;
             };
             grants[target] = true;
-            match task.kind {
-                TaskKind::Map => {
-                    let block = self.input_blocks[job_idx][task.index as usize];
-                    self.launch_map(job_idx, task.index as usize, target, block);
-                }
-                TaskKind::Reduce => {
-                    self.launch_reduce(job_idx, task.index as usize, target);
-                }
-            }
+            let block = self.input_blocks[job_idx][map_idx as usize];
+            self.launch_map(job_idx, map_idx as usize, target, block);
         }
     }
 
@@ -787,7 +768,7 @@ impl Cluster {
     }
 
     fn schedule_reduces(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
-        if self.jobs[job_idx].map_fraction_done() < self.cfg.reduce_launch_threshold {
+        if self.jobs[job_idx].map_fraction_done() < REDUCE_LAUNCH_THRESHOLD {
             return;
         }
         let n_reduces = self.jobs[job_idx].reduce_status.len();
@@ -883,6 +864,7 @@ impl Cluster {
             flows,
             raw_flows,
             net_caps,
+            shuffle,
         } = &mut scratch;
         works.resize_with(n, NodeWork::empty);
         for (node, (slave, work)) in self.slaves.iter().zip(works.iter_mut()).enumerate() {
@@ -894,36 +876,33 @@ impl Cluster {
         flows.clear();
         net_caps.clear();
         // Shuffle demand/grant accounting per (job index, source node), for
-        // fetch-stall detection.
-        let mut shuffle_wanted: std::collections::HashMap<(usize, usize), f64> =
-            std::collections::HashMap::new();
-        let mut shuffle_granted: std::collections::HashMap<(usize, usize), f64> =
-            std::collections::HashMap::new();
-        // Per consuming reduce attempt: (wanted, granted) shuffle totals.
-        let mut reduce_rx: std::collections::HashMap<(usize, usize), (f64, f64)> =
-            std::collections::HashMap::new();
+        // fetch-stall detection: each key's contributions summed in node
+        // order (the sort is stable).
+        shuffle.clear();
         for (node, work) in works.iter_mut().enumerate() {
             for (t_idx, kind, flow) in work.flows.drain(..) {
                 flows.push((node, t_idx, kind, flow));
             }
-            for (key, kb) in work.shuffle_wanted.drain(..) {
-                *shuffle_wanted.entry(key).or_insert(0.0) += kb;
-            }
-            for (t_idx, kb) in work.reduce_wanted.drain(..) {
-                reduce_rx.entry((node, t_idx)).or_insert((0.0, 0.0)).0 += kb;
-            }
+            shuffle.extend(
+                work.shuffle_wanted
+                    .drain(..)
+                    .map(|(key, kb)| (key, kb, 0.0)),
+            );
             net_caps.push(work.net_cap);
         }
+        shuffle.sort_by_key(|&(key, _, _)| key);
+        shuffle.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
 
         // --- Allocate cross-node flows (global) ----------------------------
         raw_flows.clear();
         raw_flows.extend(flows.iter().map(|&(_, _, _, f)| f));
         let flow_rates = allocate_flows(raw_flows, net_caps, net_caps);
-
-        // Pipeline hops are aggregated per writer-task as the *minimum*
-        // hop rate (the pipeline advances at its slowest link).
-        let mut pipeline_min: std::collections::HashMap<(usize, usize), f64> =
-            std::collections::HashMap::new();
 
         for (&(consumer_node, t_idx, kind, flow), &rate) in flows.iter().zip(&flow_rates) {
             match kind {
@@ -950,11 +929,12 @@ impl Cluster {
                                 .job,
                         )
                         .expect("running task's job exists");
-                    *shuffle_granted.entry((job_idx, flow.src)).or_insert(0.0) += rate;
-                    reduce_rx
-                        .entry((consumer_node, t_idx))
-                        .or_insert((0.0, 0.0))
-                        .1 += rate;
+                    if let Ok(i) =
+                        shuffle.binary_search_by_key(&(job_idx, flow.src), |&(key, _, _)| key)
+                    {
+                        shuffle[i].2 += rate;
+                    }
+                    works[consumer_node].reduce_rx[t_idx].1 += rate;
                     // Global source-health evidence, per (src, dst) pair.
                     let starved = flow.wanted_kb > 64.0
                         && rate < (0.02 * flow.wanted_kb).max(256.0).min(flow.wanted_kb);
@@ -969,9 +949,7 @@ impl Cluster {
                     writer_node,
                     writer_task,
                 } => {
-                    let e = pipeline_min
-                        .entry((writer_node, writer_task))
-                        .or_insert(f64::INFINITY);
+                    let e = &mut works[writer_node].pipeline_min[writer_task];
                     *e = e.min(rate);
                     works[flow.src].act.net_tx_kb += rate;
                     works[flow.dst].act.net_rx_kb += rate;
@@ -982,9 +960,10 @@ impl Cluster {
         }
 
         // Pipeline progress = min(local disk grant, slowest hop).
-        for ((node, t_idx), hop_rate) in pipeline_min {
-            let io = &mut works[node].task_io[t_idx];
-            *io = io.min(hop_rate);
+        for work in works.iter_mut() {
+            for (io, &hop_rate) in work.task_io.iter_mut().zip(&work.pipeline_min) {
+                *io = io.min(hop_rate);
+            }
         }
 
         // Fetch-stall detection: a source that starves a job's shuffle for
@@ -998,22 +977,13 @@ impl Cluster {
         /// A transfer is considered starved below this absolute rate even
         /// if it is a large fraction of a small residual demand.
         const STALL_FLOOR_KBPS: f64 = 256.0;
-        let mut per_job: std::collections::HashMap<usize, Vec<(usize, f64, f64)>> =
-            std::collections::HashMap::new();
-        for (&(job_idx, src), &wanted) in &shuffle_wanted {
-            let granted = shuffle_granted.get(&(job_idx, src)).copied().unwrap_or(0.0);
-            per_job
-                .entry(job_idx)
-                .or_default()
-                .push((src, wanted, granted));
-        }
-        for (job_idx, sources) in per_job {
+        for sources in shuffle.chunk_by(|a, b| a.0 .0 == b.0 .0) {
             let stalled = |wanted: f64, granted: f64| {
                 wanted > 64.0 && granted < (0.02 * wanted).max(STALL_FLOOR_KBPS).min(wanted)
             };
             let any_delivering = sources.iter().any(|&(_, w, g)| w > 64.0 && !stalled(w, g));
-            let job = &mut self.jobs[job_idx];
-            for (src, wanted, granted) in sources {
+            let job = &mut self.jobs[sources[0].0 .0];
+            for &((_, src), wanted, granted) in sources {
                 if stalled(wanted, granted) {
                     if any_delivering {
                         job.stall_secs[src] += 1;
@@ -1040,8 +1010,7 @@ impl Cluster {
         // map outputs it holds.
         const PAIR_STARVE_SECS: u32 = 30;
         // One pass over the starving pairs — there are few, where probing
-        // every `(src, dst)` would be n² lookups a second. A count per
-        // source does not depend on the map's iteration order.
+        // every `(src, dst)` would be n² lookups a second.
         let mut starving_dsts: Vec<u32> = Vec::new();
         if !self.pair_starve.is_empty() {
             starving_dsts.resize(n, 0);
@@ -1078,20 +1047,13 @@ impl Cluster {
         // job's tracker-failure count), not to the reducer's own node —
         // exactly Hadoop's fetch-failure attribution.
         const FETCH_FAIL_SECS: u32 = 90;
-        for node in 0..n {
-            for t_idx in 0..self.slaves[node].running.len() {
-                let is_copy = matches!(
-                    self.slaves[node].running[t_idx].task.phase,
-                    TaskPhase::ReduceCopy { .. }
-                );
-                if !is_copy {
-                    self.slaves[node].running[t_idx].starved_secs = 0;
+        for (slave, work) in self.slaves.iter_mut().zip(works.iter()) {
+            for (ext, &(wanted, granted)) in slave.running.iter_mut().zip(&work.reduce_rx) {
+                if !matches!(ext.task.phase, TaskPhase::ReduceCopy { .. }) {
+                    ext.starved_secs = 0;
                     continue;
                 }
-                let (wanted, granted) =
-                    reduce_rx.get(&(node, t_idx)).copied().unwrap_or((0.0, 0.0));
                 let starved = wanted > 64.0 && granted < (0.02 * wanted).max(256.0).min(wanted);
-                let ext = &mut self.slaves[node].running[t_idx];
                 if starved {
                     ext.starved_secs += 1;
                 } else {
@@ -1151,11 +1113,9 @@ impl Cluster {
                             excluded.push(i);
                         }
                     }
-                    let fresh = self.hdfs.pick_pipeline_excluding(
-                        node,
-                        self.cfg.replication.saturating_sub(1),
-                        &excluded,
-                    );
+                    let fresh = self
+                        .hdfs
+                        .pick_pipeline_excluding(node, REPLICATION - 1, &excluded);
                     if let Some(block) = self.slaves[node].running[t_idx].output_block {
                         for &r in &fresh {
                             self.slaves[r].logs.record(
@@ -1382,11 +1342,9 @@ impl Cluster {
                         let known_bad: Vec<usize> = (0..self.cfg.slaves)
                             .filter(|&i| self.shuffle_sick[i])
                             .collect();
-                        let pipeline = self.hdfs.pick_pipeline_excluding(
-                            node,
-                            self.cfg.replication.saturating_sub(1),
-                            &known_bad,
-                        );
+                        let pipeline =
+                            self.hdfs
+                                .pick_pipeline_excluding(node, REPLICATION - 1, &known_bad);
                         let block = self.hdfs.allocate_block();
                         self.slaves[node].logs.record(
                             now,
@@ -1457,7 +1415,7 @@ impl Cluster {
                 ext.task.age += 1;
                 // The task timeout kills any attempt that has lived too
                 // long without finishing (hung tasks, starved transfers).
-                if !done && failed.is_none() && ext.task.age >= self.cfg.task_timeout_secs {
+                if !done && failed.is_none() && ext.task.age >= TASK_TIMEOUT_SECS {
                     failed = Some("Task attempt failed to report status; killing. (task timeout)");
                 }
             }
@@ -1475,7 +1433,7 @@ impl Cluster {
                 // sources, serving) this job's work.
                 for &b in blame {
                     self.jobs[job_idx].failures_by_node[b] += 1;
-                    if self.jobs[job_idx].failures_by_node[b] >= self.cfg.tracker_failures_to_ban
+                    if self.jobs[job_idx].failures_by_node[b] >= TRACKER_FAILURES_TO_BAN
                         && !self.jobs[job_idx].banned_sources[b]
                     {
                         self.jobs[job_idx].banned_sources[b] = true;
@@ -1618,12 +1576,9 @@ fn node_demands(
     cpu_dem.clear();
     disk_dem.clear();
 
-    let (cores, disk_kbps) = {
-        let spec = slave.sim.spec();
-        (f64::from(spec.cores), spec.disk_kbps)
-    };
+    let cores = f64::from(NODE_CORES);
     if let Some(fault) = &slave.fault {
-        let bg = fault.background_demand(now, cores, disk_kbps);
+        let bg = fault.background_demand(now, cores, NODE_DISK_KBPS);
         // Hog processes contend as multiple threads/streams, so the
         // scheduler's max-min fair share actually squeezes the tasks on the
         // node — a single monolithic demand would be water-filled around
@@ -1651,6 +1606,8 @@ fn node_demands(
     // Daemon CPU hum (datanode + tasktracker).
     cpu_dem.push((BACKGROUND - 1, 0.08));
 
+    out.reduce_rx.resize(slave.running.len(), (0.0, 0.0));
+    out.pipeline_min.resize(slave.running.len(), f64::INFINITY);
     for (t_idx, ext) in slave.running.iter().enumerate() {
         match ext.task.phase {
             TaskPhase::MapRead {
@@ -1707,7 +1664,7 @@ fn node_demands(
                         disk_dem.push((t_idx, share, false));
                     } else {
                         out.shuffle_wanted.push(((job_idx, src), share));
-                        out.reduce_wanted.push((t_idx, share));
+                        out.reduce_rx[t_idx].0 += share;
                         out.flows.push((
                             t_idx,
                             FlowKind::ShufflePull,
@@ -1755,7 +1712,7 @@ fn node_demands(
 
     // Effective line rate under packet loss.
     let loss = slave.fault.as_ref().map_or(0.0, |f| f.packet_loss(now));
-    out.net_cap = slave.sim.spec().net_kbps * loss_goodput_factor(loss);
+    out.net_cap = NODE_NET_KBPS * loss_goodput_factor(loss);
 
     // --- Local max-min arbitration, aggregated per task: CPU, then disk ---
     out.task_cpu.resize(slave.running.len(), 0.0);
@@ -1780,7 +1737,7 @@ fn node_demands(
     }
     demands.clear();
     demands.extend(disk_dem.iter().map(|&(_, d, _)| d));
-    fair_share_into(disk_kbps, demands, grants);
+    fair_share_into(NODE_DISK_KBPS, demands, grants);
     for (&(who, _demand, is_write), &grant) in disk_dem.iter().zip(grants.iter()) {
         if who < out.task_io.len() {
             out.task_io[who] += grant;
@@ -1832,11 +1789,7 @@ fn render_inputs(now: u64, slave: &Slave, work: &mut NodeWork) {
     // run queue like any other process — apply whatever the fault
     // demanded this second (behavior-driven; no per-kind matching).
     if let Some(f) = &slave.fault {
-        let (cores, disk_kbps) = {
-            let spec = slave.sim.spec();
-            (f64::from(spec.cores), spec.disk_kbps)
-        };
-        let bg = f.background_demand(now, cores, disk_kbps);
+        let bg = f.background_demand(now, f64::from(NODE_CORES), NODE_DISK_KBPS);
         a.mem_used_mb += bg.mem_used_mb;
         a.running_tasks += bg.running_tasks;
     }

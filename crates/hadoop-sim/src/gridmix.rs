@@ -8,7 +8,10 @@
 //! property that stresses peer-comparison diagnosis.
 //!
 //! Sizes are scaled down the same way the paper scaled its dataset to
-//! 200 MB per job "to ensure timely completion of experiments".
+//! 200 MB per job "to ensure timely completion of experiments": one map
+//! reads one 16 MB block. The first job is submitted at
+//! [`FIRST_JOB_AT`]; the seed and the mean inter-arrival time are the
+//! settings.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,11 +26,10 @@ pub struct GridMixConfig {
     pub seed: u64,
     /// Mean seconds between job submissions.
     pub mean_interarrival_secs: f64,
-    /// First submission time (seconds).
-    pub first_job_at: u64,
-    /// Scale factor on job sizes (1.0 = the defaults below).
-    pub size_scale: f64,
 }
+
+/// Submission time of the first job (seconds).
+pub const FIRST_JOB_AT: u64 = 5;
 
 impl Default for GridMixConfig {
     fn default() -> Self {
@@ -37,8 +39,6 @@ impl Default for GridMixConfig {
             // testbed, so slave nodes are comparably loaded most of the
             // time — the condition peer comparison relies on.
             mean_interarrival_secs: 30.0,
-            first_job_at: 5,
-            size_scale: 1.0,
         }
     }
 }
@@ -61,7 +61,6 @@ pub struct GridMix {
     next_at: u64,
     next_id: u32,
     mean_interarrival: f64,
-    size_scale: f64,
 }
 
 impl GridMix {
@@ -69,10 +68,9 @@ impl GridMix {
     pub fn new(cfg: GridMixConfig) -> Self {
         GridMix {
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xa5a5_5a5a_dead_beef),
-            next_at: cfg.first_job_at,
+            next_at: FIRST_JOB_AT,
             next_id: 1,
             mean_interarrival: cfg.mean_interarrival_secs.max(1.0),
-            size_scale: cfg.size_scale.max(0.01),
         }
     }
 
@@ -97,7 +95,6 @@ impl GridMix {
 
         // One map per 16 MB block; job input sizes are drawn per class.
         const BLOCK_KB: f64 = 16.0 * 1024.0;
-        let scale = self.size_scale;
         // (maps, reduces, map cpu, selectivity map-out/in, reduce cpu, out/in)
         let (maps, reduces, map_cpu, map_sel, red_cpu, red_sel) = match class {
             JobClass::WebdataScan => (
@@ -142,7 +139,7 @@ impl GridMix {
             ),
         };
 
-        let input_kb = BLOCK_KB * scale;
+        let input_kb = BLOCK_KB;
         let map_out_kb = input_kb * map_sel;
         let total_shuffle = map_out_kb * f64::from(maps);
         let per_reduce_shuffle = total_shuffle / f64::from(reduces);
@@ -154,13 +151,13 @@ impl GridMix {
             reduces,
             map_profile: MapProfile {
                 input_kb,
-                cpu_secs: map_cpu * scale.max(0.25),
+                cpu_secs: map_cpu,
                 output_kb: map_out_kb,
             },
             reduce_profile: ReduceProfile {
                 shuffle_kb: per_reduce_shuffle,
-                sort_cpu_secs: red_cpu * 0.6 * scale.max(0.25),
-                reduce_cpu_secs: red_cpu * scale.max(0.25),
+                sort_cpu_secs: red_cpu * 0.6,
+                reduce_cpu_secs: red_cpu,
                 output_kb: per_reduce_shuffle * red_sel,
             },
         }
@@ -241,17 +238,5 @@ mod tests {
             let pulled = job.reduce_profile.shuffle_kb * f64::from(job.reduces);
             assert!((emitted - pulled).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn size_scale_shrinks_jobs() {
-        let mut big = GridMix::new(GridMixConfig::default());
-        let mut small = GridMix::new(GridMixConfig {
-            size_scale: 0.25,
-            ..GridMixConfig::default()
-        });
-        let (_, b) = big.next_job();
-        let (_, s) = small.next_job();
-        assert!(s.map_profile.input_kb < b.map_profile.input_kb);
     }
 }

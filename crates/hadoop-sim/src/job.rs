@@ -222,8 +222,8 @@ pub struct JobState {
     /// per-job tracker blacklisting, Hadoop's `mapred.max.tracker.failures`).
     pub failures_by_node: Vec<u32>,
     /// Nodes currently running an attempt of each task (more than one when
-    /// a speculative duplicate is in flight).
-    pub running_attempts: std::collections::HashMap<TaskId, Vec<usize>>,
+    /// a speculative duplicate is in flight), in task order.
+    pub running_attempts: std::collections::BTreeMap<TaskId, Vec<usize>>,
     /// Completed map durations (sum, count) for straggler detection.
     pub map_durations: (f64, u32),
     /// Completed reduce durations (sum, count) for straggler detection.
@@ -250,7 +250,7 @@ impl JobState {
             banned_sources: vec![false; n_nodes],
             stall_secs: vec![0; n_nodes],
             failures_by_node: vec![0; n_nodes],
-            running_attempts: std::collections::HashMap::new(),
+            running_attempts: std::collections::BTreeMap::new(),
             map_durations: (0.0, 0),
             reduce_durations: (0.0, 0),
             submitted_at,

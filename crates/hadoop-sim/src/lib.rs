@@ -36,6 +36,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -18,7 +18,7 @@ impl fmt::Display for JobId {
 }
 
 /// Map or reduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TaskKind {
     /// A map task (`m` in attempt names).
     Map,
@@ -36,8 +36,9 @@ impl TaskKind {
     }
 }
 
-/// A task within a job: kind plus per-kind index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A task within a job: kind plus per-kind index. Tasks order by job,
+/// then maps before reduces, then index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId {
     /// Owning job.
     pub job: JobId,

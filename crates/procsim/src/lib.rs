@@ -34,4 +34,6 @@ pub mod node;
 pub mod syscalls;
 
 pub use activity::{Activity, ProcessActivity};
-pub use node::{MetricFrame, NodeSim, NodeSpec};
+pub use node::{
+    MetricFrame, NodeSim, NodeSpec, NODE_CORES, NODE_DISK_KBPS, NODE_MEM_MB, NODE_NET_KBPS,
+};

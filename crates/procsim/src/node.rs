@@ -21,32 +21,29 @@ use crate::activity::{Activity, ProcessActivity};
 use crate::metrics::{iface_idx, node_idx, process_idx};
 use crate::metrics::{IFACE_METRIC_COUNT, NODE_METRIC_COUNT, PROCESS_METRIC_COUNT};
 
-/// Static description of a simulated node's hardware.
+/// CPU cores of every simulated node: the paper's evaluation hardware,
+/// Amazon EC2 "Large" instances with two dual-core CPUs.
+pub const NODE_CORES: u32 = 4;
+/// Physical memory of every simulated node, in megabytes (7.5 GB).
+pub const NODE_MEM_MB: u64 = 7_680;
+/// Sequential disk bandwidth of every simulated node, in KB/s (~80 MB/s).
+pub const NODE_DISK_KBPS: f64 = 80_000.0;
+/// Network line rate of every simulated node, in KB/s (~1 Gbit/s).
+pub const NODE_NET_KBPS: f64 = 125_000.0;
+
+/// A simulated node: an EC2 "Large" instance ([`NODE_CORES`],
+/// [`NODE_MEM_MB`], [`NODE_DISK_KBPS`], [`NODE_NET_KBPS`]) known by its
+/// hostname.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Hostname, used as sample origin throughout the pipeline.
     pub name: String,
-    /// Number of CPU cores.
-    pub cores: u32,
-    /// Physical memory, in megabytes.
-    pub mem_mb: u64,
-    /// Sequential disk bandwidth, in KB/s.
-    pub disk_kbps: f64,
-    /// Network line rate, in KB/s.
-    pub net_kbps: f64,
 }
 
 impl NodeSpec {
-    /// The paper's evaluation hardware: Amazon EC2 "Large" instances with
-    /// 7.5 GB of RAM and two dual-core CPUs.
+    /// The paper's evaluation hardware, named `name`.
     pub fn ec2_large(name: impl Into<String>) -> Self {
-        NodeSpec {
-            name: name.into(),
-            cores: 4,
-            mem_mb: 7_680,
-            disk_kbps: 80_000.0, // ~80 MB/s sequential
-            net_kbps: 125_000.0, // ~1 Gbit/s
-        }
+        NodeSpec { name: name.into() }
     }
 }
 
@@ -187,7 +184,7 @@ impl NodeSim {
         self
     }
 
-    /// The node's hardware description.
+    /// The node's description.
     pub fn spec(&self) -> &NodeSpec {
         &self.spec
     }
@@ -259,7 +256,7 @@ impl NodeSim {
 
     fn render_node(&mut self, a: &Activity, m: &mut [f64]) {
         let mut nz = self.take_noise();
-        let cores = f64::from(self.spec.cores);
+        let cores = f64::from(NODE_CORES);
         m.fill(0.0);
 
         // --- CPU ---
@@ -303,7 +300,7 @@ impl NodeSim {
         m[node_idx::BLOCKED] = blocked;
 
         // --- Memory ---
-        let total_kb = self.spec.mem_mb as f64 * 1024.0;
+        let total_kb = NODE_MEM_MB as f64 * 1024.0;
         // Page cache grows with I/O traffic and decays slowly.
         self.cached_kb += 0.25 * (a.disk_read_kb + a.disk_write_kb) - self.cached_kb * 0.001;
         self.cached_kb = self.cached_kb.clamp(100_000.0, total_kb * 0.5);
@@ -416,8 +413,7 @@ impl NodeSim {
         m[4] = 0.0; // rxcmp/s
         m[5] = 0.0; // txcmp/s
         m[6] = nz.noisy(0.5); // rxmcst/s
-        m[iface_idx::IFUTIL] =
-            ((a.net_rx_kb + a.net_tx_kb) / self.spec.net_kbps * 100.0).min(100.0);
+        m[iface_idx::IFUTIL] = ((a.net_rx_kb + a.net_tx_kb) / NODE_NET_KBPS * 100.0).min(100.0);
         // Error counters are ~zero on a healthy interface; packet-loss
         // faults surface as inbound drops.
         m[iface_idx::RXERR] = nz.hum(0.05);
@@ -439,8 +435,8 @@ impl NodeSim {
 
     fn render_process(&mut self, p: &ProcessActivity, m: &mut [f64]) {
         let mut nz = self.take_noise();
-        let cores = f64::from(self.spec.cores);
-        let total_kb = self.spec.mem_mb as f64 * 1024.0;
+        let cores = f64::from(NODE_CORES);
+        let total_kb = NODE_MEM_MB as f64 * 1024.0;
         m.fill(0.0);
         let usr_pct = (p.cpu_user / cores * 100.0).min(100.0);
         let sys_pct = (p.cpu_system / cores * 100.0).min(100.0);
@@ -456,7 +452,7 @@ impl NodeSim {
         m[process_idx::KB_RD] = nz.noisy(p.read_kb);
         m[process_idx::KB_WR] = nz.noisy(p.write_kb);
         m[10] = nz.noisy(p.write_kb * 0.02); // kB_ccwr/s (cancelled writes)
-        m[process_idx::IODELAY] = nz.noisy((p.read_kb + p.write_kb) / self.spec.disk_kbps * 100.0);
+        m[process_idx::IODELAY] = nz.noisy((p.read_kb + p.write_kb) / NODE_DISK_KBPS * 100.0);
         m[12] = nz.noisy(40.0 + 400.0 * (p.cpu_user + p.cpu_system)); // cswch/s
         m[13] = nz.noisy(5.0 + 60.0 * (p.cpu_user + p.cpu_system)); // nvcswch/s
         m[process_idx::THREADS] = p.threads.max(1.0);

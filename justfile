@@ -29,11 +29,13 @@ kernel-props:
     cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
 # The widened-fault-matrix suites: activation-model property tests, the
-# golden per-fault scenarios with the metric-rank accuracy gate, and the
-# trace-parser fixtures.
+# golden per-fault scenarios with the metric-rank accuracy gate, the
+# trace-parser fixtures, and the simulator's determinism and scheduling
+# suites.
 scenarios:
     cargo test -q -p integration-tests --test fault_props
     cargo test -p integration-tests --test scenario_matrix
+    cargo test -p hadoop-sim --test fuzz_determinism --test scheduling
 
 # The fleet-scale suites on their own: the 500-node rack-path
 # fingerpointing scenario, then the fleet test list (scripts/fleet.sh,

@@ -42,6 +42,9 @@ echo "[verify] fault matrix: activation properties + golden scenarios + 500-node
 cargo test -q -p integration-tests --test fault_props
 cargo test -p integration-tests --test scenario_matrix
 
+echo "[verify] simulator determinism: same seed, same cluster; speculation and fault scheduling" >&2
+cargo test -p hadoop-sim --test fuzz_determinism --test scheduling
+
 # (`just fleet` also runs the fleet_scale scenario, which ran whole just
 # above; the fleet list adds the ignored 5000-node cell in --release.)
 echo "[verify] fleet: the one fleet test list (scripts/fleet.sh)" >&2

@@ -6,9 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use asdf::perfwatch::{
-    analyze, history, render_record, utc_from_epoch, AnalyzeOptions, HistoryRecord,
-};
+use asdf::perfwatch::{analyze, history, render_record, utc_from_epoch, HistoryRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,7 +45,7 @@ fn synthetic_history(n: usize, step_at: usize, seed: u64) -> String {
 #[test]
 fn injected_regression_is_flagged() {
     let text = synthetic_history(60, 30, 7);
-    let rep = analyze(&text, &AnalyzeOptions::default()).expect("history analyzes");
+    let rep = analyze(&text).expect("history analyzes");
 
     assert_eq!(rep.n_records, 60);
     // E-Divisive: exactly one metric shifted, localized at the step.
@@ -81,7 +79,7 @@ fn injected_regression_is_flagged() {
 #[test]
 fn healthy_history_stays_quiet_end_to_end() {
     let text = synthetic_history(60, usize::MAX, 11);
-    let rep = analyze(&text, &AnalyzeOptions::default()).expect("history analyzes");
+    let rep = analyze(&text).expect("history analyzes");
     assert!(rep.shifted_metrics().is_empty(), "no E-Divisive findings");
 }
 
@@ -96,6 +94,6 @@ fn repository_seed_history_parses_and_analyzes() {
         "seed record carries the campaign timing metric"
     );
     // Advisory from the very first record: short history is not an error.
-    let rep = analyze(&text, &AnalyzeOptions::default()).expect("short history analyzes");
+    let rep = analyze(&text).expect("short history analyzes");
     assert_eq!(rep.n_records, records.len());
 }

@@ -131,3 +131,120 @@ proptest! {
         }
     }
 }
+
+/// A valid JSON document exercising every value kind, escapes included.
+const JSON_DOC: &str = r#"{"suite": "perfsuite", "n": [0, -1.5, 2e3, 1E-2], "ok": true,
+ "no": false, "none": null, "s": "tab\t quote\" \\ \/ é 😀",
+ "nested": {"a": [[], {}, [{"b": "c"}]]}}"#;
+
+/// Valid TaskTracker, task and DataNode log lines, one per line.
+const LOG_LINES: &str = "\
+2008-04-15 14:23:15,324 INFO org.apache.hadoop.mapred.TaskTracker: LaunchTaskAction: task_0001_m_000096_0
+2008-04-15 14:23:16,000 INFO org.apache.hadoop.mapred.ReduceTask: task_0001_r_000002_0 Copying map outputs
+2008-04-15 14:23:17,000 INFO org.apache.hadoop.mapred.ReduceTask: task_0001_r_000002_0 Merge complete, reducing
+2008-04-15 14:23:18,500 INFO org.apache.hadoop.mapred.TaskTracker: Task task_0001_m_000096_0 is done.
+2008-04-15 14:23:19,000 WARN org.apache.hadoop.mapred.TaskRunner: task_0001_r_000002_0 failed
+2008-04-15 14:23:20,000 INFO org.apache.hadoop.dfs.DataNode: Served block blk_7 to /10.1.0.3
+2008-04-15 23:59:59,999 INFO org.apache.hadoop.dfs.DataNode: Receiving block blk_8 src: /10.1.0.4";
+
+/// The syntax the parsers split and match on: half of the bytes a
+/// mutation writes come from here, the other half are any byte.
+const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \t\n#_";
+
+/// `valid` after up to eight byte edits: each deletes, inserts or
+/// overwrites a byte, truncates, or repeats up to 16 bytes in place. The
+/// result is read as UTF-8, lossily, as a caller reading a file would.
+fn mutated(valid: &'static str) -> impl Strategy<Value = String> {
+    let edit = (0u8..5, any::<u64>(), any::<bool>(), any::<u8>());
+    proptest::collection::vec(edit, 0..8).prop_map(move |edits| {
+        let mut bytes = valid.as_bytes().to_vec();
+        for (op, at, syntax, byte) in edits {
+            let i = (at % (bytes.len() as u64 + 1)) as usize;
+            let byte = if syntax {
+                SYNTAX[usize::from(byte) % SYNTAX.len()]
+            } else {
+                byte
+            };
+            match op {
+                0 if i < bytes.len() => {
+                    bytes.remove(i);
+                }
+                1 => bytes.insert(i, byte),
+                2 if i < bytes.len() => bytes[i] = byte,
+                3 => bytes.truncate(i),
+                _ => {
+                    let run: Vec<u8> = bytes[i..].iter().take(16).copied().collect();
+                    bytes.splice(i..i, run);
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+/// Arbitrary bytes, read as UTF-8 lossily.
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u8>(), 0..512)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+#[test]
+fn the_mutation_seeds_are_valid_inputs() {
+    let history = include_str!("../../BENCH_history.jsonl");
+    assert!(asdf::perfwatch::parse_history(history).is_ok());
+    assert!(hadoop_sim::Trace::parse_str(include_str!("../fixtures/sample_trace.csv")).is_ok());
+    assert!(asdf_obs::json::parse(JSON_DOC).is_ok());
+    assert!(asdf_obs::json::parse(include_str!("../fixtures/sample_trace_parsed.json")).is_ok());
+    for line in LOG_LINES.lines() {
+        assert!(
+            hadoop_logs::event::parse_timestamp(line).is_some(),
+            "{line}"
+        );
+        assert!(hadoop_logs::event::parse_line(line).is_some(), "{line}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The text parsers answer every input, valid or mangled, with a value
+    /// or an error and never panic: cluster traces, JSON and Hadoop log
+    /// lines, each fed arbitrary bytes and mutations of a valid input.
+    #[test]
+    fn trace_json_and_log_parsers_never_panic(
+        noise in arbitrary_text(),
+        trace in mutated(include_str!("../fixtures/sample_trace.csv")),
+        json in mutated(JSON_DOC),
+        fixture_json in mutated(include_str!("../fixtures/sample_trace_parsed.json")),
+        log in mutated(LOG_LINES),
+    ) {
+        for text in [&noise, &trace] {
+            let _ = hadoop_sim::Trace::parse_str(text);
+        }
+        for text in [&noise, &json, &fixture_json] {
+            let _ = asdf_obs::json::parse(text);
+        }
+        for line in noise.lines().chain(log.lines()) {
+            let _ = hadoop_logs::event::parse_timestamp(line);
+            let _ = hadoop_logs::event::parse_line(line);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The perf history never panics its reader or the watchdog, and the
+    /// watchdog fails exactly when the history does not parse.
+    #[test]
+    fn history_parse_and_analyze_never_panic(
+        noise in arbitrary_text(),
+        history in mutated(include_str!("../../BENCH_history.jsonl")),
+    ) {
+        for text in [&noise, &history] {
+            let parsed = asdf::perfwatch::parse_history(text);
+            let analyzed = asdf::perfwatch::analyze(text);
+            prop_assert_eq!(parsed.is_ok(), analyzed.is_ok());
+        }
+    }
+}
