@@ -140,7 +140,7 @@ struct RuntimeNode {
 ///     }
 ///     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
 ///         self.1 += 1;
-///         ctx.emit(self.0.unwrap(), self.1);
+///         ctx.out.emit(self.0.unwrap(), self.1);
 ///         Ok(())
 ///     }
 /// }
@@ -358,12 +358,7 @@ fn run_module(
     emitted: &mut Vec<(PortId, Sample)>,
 ) -> Result<(), RunEngineError> {
     debug_assert!(emitted.is_empty());
-    let mut ctx = RunCtx {
-        now,
-        queues: &mut rt.queues,
-        emitted,
-        n_outputs: rt.node.outputs.len(),
-    };
+    let mut ctx = RunCtx::new(now, &mut rt.queues, emitted, rt.node.outputs.len());
     let result = {
         let _timer = obs.then(|| rt.span.enter_forced());
         rt.node.module.run(&mut ctx, reason)
@@ -437,7 +432,7 @@ mod tests {
         fn run(&mut self, ctx: &mut RunCtx<'_>, reason: RunReason) -> Result<(), ModuleError> {
             assert_eq!(reason, RunReason::Periodic);
             self.count += 1;
-            ctx.emit(self.port.unwrap(), self.count);
+            ctx.out.emit(self.port.unwrap(), self.count);
             Ok(())
         }
     }
@@ -458,7 +453,7 @@ mod tests {
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             for _ in 0..self.burst {
                 self.count += 1;
-                ctx.emit(self.port.unwrap(), self.count);
+                ctx.out.emit(self.port.unwrap(), self.count);
             }
             Ok(())
         }
@@ -478,10 +473,10 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, reason: RunReason) -> Result<(), ModuleError> {
             assert_eq!(reason, RunReason::InputsReady);
-            for (_, env) in ctx.take_all() {
+            for (_, env) in &mut ctx.inputs {
                 self.total += env.sample.value.as_int().unwrap_or(0);
             }
-            ctx.emit(self.port.unwrap(), self.total);
+            ctx.out.emit(self.port.unwrap(), self.total);
             Ok(())
         }
     }
@@ -508,7 +503,7 @@ mod tests {
                 for (j, x) in row.iter_mut().enumerate() {
                     *x = (self.count * 31 + j as u64) as f64 * 0.5;
                 }
-                ctx.emit(self.port.unwrap(), row.as_slice());
+                ctx.out.emit(self.port.unwrap(), row.as_slice());
             }
             Ok(())
         }
@@ -529,7 +524,7 @@ mod tests {
             Ok(())
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            for (_, env) in ctx.drain_all() {
+            for (_, env) in &mut ctx.inputs {
                 let t = env.sample.timestamp.as_secs() as f64;
                 let mut fold = |x: f64| self.acc = self.acc.mul_add(1.000_000_1, x + t);
                 match &env.sample.value {
@@ -539,7 +534,7 @@ mod tests {
                     _ => {}
                 }
             }
-            ctx.emit(self.digest.unwrap(), self.acc);
+            ctx.out.emit(self.digest.unwrap(), self.acc);
             Ok(())
         }
     }
@@ -563,9 +558,9 @@ mod tests {
                 self.count += 1;
                 let x = self.count as f64;
                 if scalar {
-                    ctx.emit(port, self.count as i64);
+                    ctx.out.emit(port, self.count as i64);
                 } else {
-                    ctx.emit(port, vec![x, -x]);
+                    ctx.out.emit(port, vec![x, -x]);
                 }
             }
             Ok(())
@@ -592,11 +587,12 @@ mod tests {
             if self.tick % 2 == 1 {
                 for _ in 0..3 {
                     self.count += 1;
-                    ctx.emit(port, vec![self.count as f64 * 0.25, self.count as f64]);
+                    ctx.out
+                        .emit(port, vec![self.count as f64 * 0.25, self.count as f64]);
                 }
             } else {
                 self.count += 1;
-                ctx.emit(port, self.count as i64);
+                ctx.out.emit(port, self.count as i64);
             }
             Ok(())
         }
@@ -621,9 +617,9 @@ mod tests {
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.count += 1;
             let x = self.count as f64;
-            ctx.emit(self.heard.unwrap(), vec![x, x + 0.5]);
+            ctx.out.emit(self.heard.unwrap(), vec![x, x + 0.5]);
             if self.sibling {
-                ctx.emit(self.unheard.unwrap(), vec![-x, -x - 0.5]);
+                ctx.out.emit(self.unheard.unwrap(), vec![-x, -x - 0.5]);
             }
             Ok(())
         }

@@ -13,11 +13,16 @@
 //! `hadoop-logs`). What lives here:
 //!
 //! * [`module`] — the plug-in API every module implements ([`module::Module`]
-//!   with `init()`/`run()`, periodic and input-triggered scheduling);
+//!   with `init()`/`run()`, periodic and input-triggered scheduling):
+//!   `init()` reads its parameters through [`module::InitCtx`] (a parameter
+//!   it never reads fails the build) and declares its outputs; `run()`
+//!   drains one input iterator, `ctx.inputs`, and emits through one
+//!   [`module::Emitter`], `ctx.out`;
 //! * [`config`] — the paper's INI-style configuration dialect
 //!   (`[type]` sections, `input[slot] = instance.output` / `@instance`);
 //! * [`registry`] — module-type factories, the pluggability mechanism;
-//! * [`dag`] — worklist DAG construction (§3.3 of the paper);
+//! * [`dag`] — worklist DAG construction (§3.3 of the paper), resolving
+//!   each connection once into the route tables;
 //! * [`engine`] — a deterministic simulated-time executor
 //!   ([`engine::TickEngine`]) used by the reproduction's experiments;
 //! * [`online`] — the same engine paced against a wall clock
@@ -40,7 +45,7 @@
 //!     }
 //!     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
 //!         self.n += 1;
-//!         ctx.emit(self.port.unwrap(), self.n);
+//!         ctx.out.emit(self.port.unwrap(), self.n);
 //!         Ok(())
 //!     }
 //! }
@@ -80,7 +85,8 @@ pub mod prelude {
         BuildDagError, ModuleError, OnlineStartError, ParseConfigError, RunEngineError,
     };
     pub use crate::module::{
-        Envelope, InitCtx, Module, OutputMeta, PortId, RunCtx, RunReason, ScheduleSpec,
+        Emitter, Envelope, InitCtx, Inputs, Module, OutputMeta, PortId, RunCtx, RunReason,
+        ScheduleSpec,
     };
     pub use crate::online::OnlineEngine;
     pub use crate::registry::ModuleRegistry;

@@ -5,16 +5,19 @@
 //!
 //! * [`Module::init`] is called once when the instance is created, while the
 //!   DAG is being constructed. The module reads its configuration
-//!   parameters, verifies its wired inputs, declares its outputs, and
-//!   requests scheduling (periodic and/or input-triggered).
+//!   parameters (a parameter it never reads fails the build), verifies its
+//!   wired inputs, declares its outputs, and requests scheduling (periodic
+//!   and/or input-triggered).
 //! * [`Module::run`] is called by the engine scheduler, with a
 //!   [`RunReason`] explaining why: a periodic timer fired, or enough new
-//!   input samples arrived.
+//!   input samples arrived. It drains the input queues by iterating
+//!   [`RunCtx::inputs`] and emits through [`RunCtx::out`].
 //!
 //! Output-only modules (data collectors) typically request periodic
 //! scheduling; modules with inputs are run automatically whenever a
 //! configurable number of their inputs are updated.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
@@ -28,7 +31,7 @@ use crate::value::{Sample, Value};
 /// Identifies one declared output port of a module instance.
 ///
 /// Returned by [`InitCtx::declare_output`] and consumed by
-/// [`RunCtx::emit`]. Port ids are only meaningful within the instance that
+/// [`Emitter::emit`]. Port ids are only meaningful within the instance that
 /// declared them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortId(pub(crate) usize);
@@ -143,7 +146,7 @@ impl Default for ScheduleSpec {
 ///
 ///     fn run(&mut self, ctx: &mut RunCtx<'_>, _why: RunReason) -> Result<(), ModuleError> {
 ///         self.n += 1;
-///         ctx.emit(self.out.unwrap(), self.n);
+///         ctx.out.emit(self.out.unwrap(), self.n);
 ///         Ok(())
 ///     }
 /// }
@@ -161,9 +164,8 @@ pub trait Module: Send {
 
     /// Called by the engine scheduler.
     ///
-    /// Modules with inputs should drain them via [`RunCtx::drain_all`] /
-    /// [`RunCtx::drain_and_emit`] / [`RunCtx::take_all`] and perform their
-    /// processing; modules with outputs should emit via [`RunCtx::emit`].
+    /// Modules with inputs drain them by iterating [`RunCtx::inputs`];
+    /// modules with outputs emit through [`RunCtx::out`].
     ///
     /// # Errors
     ///
@@ -192,22 +194,58 @@ pub trait Module: Send {
 }
 
 /// Everything a module may inspect or request during [`Module::init`].
+///
+/// Every parameter getter goes through [`InitCtx::param`], which records
+/// the keys it is asked for: a configured parameter that `init` never
+/// looks up fails the build (a misspelt key would otherwise run at its
+/// default).
 pub struct InitCtx<'a> {
-    pub(crate) cfg: &'a InstanceConfig,
-    pub(crate) resolved_inputs: &'a [(String, Vec<Arc<OutputMeta>>)],
-    pub(crate) outputs: &'a mut Vec<Arc<OutputMeta>>,
-    pub(crate) schedule: &'a mut ScheduleSpec,
+    cfg: &'a InstanceConfig,
+    resolved_inputs: &'a [(String, Vec<Arc<OutputMeta>>)],
+    outputs: &'a mut Vec<Arc<OutputMeta>>,
+    schedule: &'a mut ScheduleSpec,
+    read: RefCell<Vec<&'a str>>,
 }
 
 impl<'a> InitCtx<'a> {
+    pub(crate) fn new(
+        cfg: &'a InstanceConfig,
+        resolved_inputs: &'a [(String, Vec<Arc<OutputMeta>>)],
+        outputs: &'a mut Vec<Arc<OutputMeta>>,
+        schedule: &'a mut ScheduleSpec,
+    ) -> Self {
+        InitCtx {
+            cfg,
+            resolved_inputs,
+            outputs,
+            schedule,
+            read: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The first configured parameter key, in name order, that no getter
+    /// has looked up.
+    pub(crate) fn unread_param(&self) -> Option<&'a str> {
+        let read = self.read.borrow();
+        self.cfg
+            .params
+            .keys()
+            .map(String::as_str)
+            .filter(|key| !read.contains(key))
+            .min()
+    }
+
     /// The instance id from the configuration.
     pub fn instance_id(&self) -> &str {
         &self.cfg.id
     }
 
-    /// Looks up an optional configuration parameter.
+    /// Looks up an optional configuration parameter, recording that the
+    /// module reads it.
     pub fn param(&self, key: &str) -> Option<&str> {
-        self.cfg.param(key)
+        let (key, value) = self.cfg.params.get_key_value(key)?;
+        self.read.borrow_mut().push(key);
+        Some(value)
     }
 
     /// Looks up a required configuration parameter.
@@ -312,126 +350,56 @@ impl<'a> InitCtx<'a> {
     }
 }
 
-/// Everything a module may do during [`Module::run`]: inspect the clock,
-/// drain its input queues, and emit output samples.
+/// Everything a module may do during [`Module::run`]: drain its input
+/// queues through [`RunCtx::inputs`] and emit through [`RunCtx::out`].
+///
+/// The two fields borrow disjointly, so a module can emit while it drains:
+///
+/// ```
+/// # use asdf_core::module::{PortId, RunCtx};
+/// # fn run(ctx: &mut RunCtx<'_>, port: PortId) {
+/// for (_slot, env) in &mut ctx.inputs {
+///     ctx.out.emit_sample(port, env.sample);
+/// }
+/// # }
+/// ```
 pub struct RunCtx<'a> {
-    pub(crate) now: Timestamp,
-    pub(crate) queues: &'a mut [VecDeque<Envelope>],
-    pub(crate) emitted: &'a mut Vec<(PortId, Sample)>,
-    pub(crate) n_outputs: usize,
-}
-
-/// Panics unless `port` is one of an instance's `n_outputs` declared ports.
-fn check_declared(port: PortId, n_outputs: usize) {
-    assert!(
-        port.0 < n_outputs,
-        "emit on undeclared port {} (instance has {} outputs)",
-        port.0,
-        n_outputs
-    );
+    /// The queued input envelopes, drained in slot-then-FIFO order.
+    pub inputs: Inputs<'a>,
+    /// The output side: the engine clock and the emit calls.
+    pub out: Emitter<'a>,
 }
 
 impl<'a> RunCtx<'a> {
-    /// The current engine time.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Drains every slot, returning `(slot_index, envelope)` pairs in slot
-    /// order.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths should prefer the
-    /// borrowing [`RunCtx::drain_all`] / [`RunCtx::drain_and_emit`].
-    pub fn take_all(&mut self) -> Vec<(usize, Envelope)> {
-        let mut out = Vec::new();
-        for (idx, q) in self.queues.iter_mut().enumerate() {
-            out.extend(q.drain(..).map(|e| (idx, e)));
-        }
-        out
-    }
-
-    /// Drains every slot lazily, yielding `(slot_index, envelope)` pairs in
-    /// the same slot-then-FIFO order as [`RunCtx::take_all`], without
-    /// collecting into a `Vec` first.
-    ///
-    /// The iterator borrows the input queues, so `emit` cannot be called
-    /// while it is live; modules that emit per consumed envelope should use
-    /// [`RunCtx::drain_and_emit`] instead.
-    pub fn drain_all(&mut self) -> DrainAll<'_> {
-        DrainAll {
-            queues: &mut *self.queues,
-            slot: 0,
-        }
-    }
-
-    /// Splits the context into a draining iterator over the input queues
-    /// and an [`Emitter`] for the output side, so a module can emit while
-    /// consuming — the borrowing counterpart of the
-    /// `for (..) in take_all() { ... emit ... }` pattern.
-    pub fn drain_and_emit(&mut self) -> (DrainAll<'_>, Emitter<'_>) {
-        (
-            DrainAll {
-                queues: &mut *self.queues,
-                slot: 0,
+    pub(crate) fn new(
+        now: Timestamp,
+        queues: &'a mut [VecDeque<Envelope>],
+        emitted: &'a mut Vec<(PortId, Sample)>,
+        n_outputs: usize,
+    ) -> Self {
+        RunCtx {
+            inputs: Inputs { queues, slot: 0 },
+            out: Emitter {
+                now,
+                emitted,
+                n_outputs,
             },
-            Emitter {
-                now: self.now,
-                emitted: &mut *self.emitted,
-                n_outputs: self.n_outputs,
-            },
-        )
-    }
-
-    /// Clears every input queue without inspecting the envelopes, returning
-    /// how many were discarded. For modules that only consume a clock pulse.
-    pub fn discard_pending(&mut self) -> usize {
-        let mut n = 0;
-        for q in self.queues.iter_mut() {
-            n += q.len();
-            q.clear();
         }
-        n
-    }
-
-    /// Number of queued input envelopes across all slots.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Emits a value on `port`, stamped with the current engine time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit(&mut self, port: PortId, value: impl Into<Value>) {
-        self.emit_sample(port, Sample::new(self.now, value));
-    }
-
-    /// Emits a pre-stamped sample on `port` (for modules that re-emit
-    /// buffered data with original timestamps, like `ibuffer`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` was not declared by this instance during `init()`.
-    pub fn emit_sample(&mut self, port: PortId, sample: Sample) {
-        check_declared(port, self.n_outputs);
-        self.emitted.push((port, sample));
     }
 }
 
-/// Borrowing drain over a module's input queues, yielding
-/// `(slot_index, envelope)` in slot-then-FIFO order — the allocation-free
-/// counterpart of [`RunCtx::take_all`]. Created by [`RunCtx::drain_all`]
-/// and [`RunCtx::drain_and_emit`].
+/// A module's input queues as a draining iterator, yielding
+/// `(slot_index, envelope)` in slot-then-FIFO order.
 ///
-/// Envelopes are removed as they are yielded; dropping the iterator early
-/// leaves the remaining ones queued.
-pub struct DrainAll<'a> {
+/// Envelopes are removed as they are yielded; stopping early leaves the
+/// remaining ones queued for the next run. A module that only consumes a
+/// clock pulse discards its input with `ctx.inputs.by_ref().for_each(drop)`.
+pub struct Inputs<'a> {
     queues: &'a mut [VecDeque<Envelope>],
     slot: usize,
 }
 
-impl Iterator for DrainAll<'_> {
+impl Iterator for Inputs<'_> {
     type Item = (usize, Envelope);
 
     fn next(&mut self) -> Option<(usize, Envelope)> {
@@ -453,8 +421,7 @@ impl Iterator for DrainAll<'_> {
     }
 }
 
-/// The output half of [`RunCtx::drain_and_emit`]: lets a module emit while
-/// a [`DrainAll`] borrow of the input queues is live.
+/// The output half of a [`RunCtx`]: the engine clock and the emit calls.
 pub struct Emitter<'a> {
     now: Timestamp,
     emitted: &'a mut Vec<(PortId, Sample)>,
@@ -476,13 +443,19 @@ impl Emitter<'_> {
         self.emit_sample(port, Sample::new(self.now, value));
     }
 
-    /// Emits a pre-stamped sample on `port`.
+    /// Emits a pre-stamped sample on `port` (for modules that re-emit
+    /// buffered data with original timestamps, like `ibuffer`).
     ///
     /// # Panics
     ///
     /// Panics if `port` was not declared by this instance during `init()`.
     pub fn emit_sample(&mut self, port: PortId, sample: Sample) {
-        check_declared(port, self.n_outputs);
+        assert!(
+            port.0 < self.n_outputs,
+            "emit on undeclared port {} (instance has {} outputs)",
+            port.0,
+            self.n_outputs
+        );
         self.emitted.push((port, sample));
     }
 }
@@ -507,12 +480,7 @@ mod tests {
             .with_param("size", 10)
             .with_param("bad", "xyz");
         let (resolved, mut outputs, mut schedule) = ctx_fixture(&cfg);
-        let ctx = InitCtx {
-            cfg: &cfg,
-            resolved_inputs: &resolved,
-            outputs: &mut outputs,
-            schedule: &mut schedule,
-        };
+        let ctx = InitCtx::new(&cfg, &resolved, &mut outputs, &mut schedule);
         assert_eq!(ctx.parse_param::<usize>("size").unwrap(), 10);
         assert_eq!(ctx.parse_param_or::<usize>("missing", 7).unwrap(), 7);
         assert!(matches!(
@@ -532,12 +500,7 @@ mod tests {
         let resolved = Vec::new();
         let mut outputs = Vec::new();
         let mut schedule = ScheduleSpec::default();
-        let mut ctx = InitCtx {
-            cfg: &cfg,
-            resolved_inputs: &resolved,
-            outputs: &mut outputs,
-            schedule: &mut schedule,
-        };
+        let mut ctx = InitCtx::new(&cfg, &resolved, &mut outputs, &mut schedule);
         let a = ctx.declare_output("a");
         let b = ctx.declare_output_with_origin("b", "node7");
         assert_eq!(a.index(), 0);
@@ -554,116 +517,84 @@ mod tests {
         let resolved = Vec::new();
         let mut outputs = Vec::new();
         let mut schedule = ScheduleSpec::default();
-        let mut ctx = InitCtx {
-            cfg: &cfg,
-            resolved_inputs: &resolved,
-            outputs: &mut outputs,
-            schedule: &mut schedule,
-        };
+        let mut ctx = InitCtx::new(&cfg, &resolved, &mut outputs, &mut schedule);
         ctx.request_periodic(TickDuration::from_secs(5));
         ctx.set_input_trigger(3);
         assert_eq!(schedule.periodic, Some(TickDuration::from_secs(5)));
         assert_eq!(schedule.input_trigger, 3);
     }
 
-    #[test]
-    fn run_ctx_take_and_emit() {
-        let meta = Arc::new(OutputMeta {
+    fn envelope(meta: &Arc<OutputMeta>, secs: u64, v: f64) -> Envelope {
+        Envelope {
+            source: Arc::clone(meta),
+            sample: Sample::new(Timestamp::from_secs(secs), v),
+        }
+    }
+
+    fn upstream() -> Arc<OutputMeta> {
+        Arc::new(OutputMeta {
             instance: "up".into(),
             name: "o".into(),
             origin: "up".into(),
-        });
+        })
+    }
+
+    #[test]
+    fn run_ctx_take_and_emit() {
+        let meta = upstream();
         let mut queues = vec![VecDeque::from(vec![
-            Envelope {
-                source: Arc::clone(&meta),
-                sample: Sample::new(Timestamp::from_secs(1), 1.0),
-            },
-            Envelope {
-                source: Arc::clone(&meta),
-                sample: Sample::new(Timestamp::from_secs(2), 2.0),
-            },
+            envelope(&meta, 1, 1.0),
+            envelope(&meta, 2, 2.0),
         ])];
         let mut emitted = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::from_secs(2),
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: 1,
-        };
-        assert_eq!(ctx.pending(), 2);
-        let got = ctx.take_all();
+        let mut ctx = RunCtx::new(Timestamp::from_secs(2), &mut queues, &mut emitted, 1);
+        assert_eq!(ctx.inputs.size_hint(), (2, Some(2)));
+        let got: Vec<(usize, Envelope)> = ctx.inputs.by_ref().collect();
         assert_eq!(got.len(), 2);
-        assert_eq!(ctx.pending(), 0);
-        assert!(ctx.take_all().is_empty());
-        ctx.emit(PortId(0), 9.0);
+        assert_eq!(ctx.inputs.next(), None);
+        ctx.out.emit(PortId(0), 9.0);
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].1.timestamp, Timestamp::from_secs(2));
     }
 
     #[test]
     fn run_ctx_drain_all_matches_take_all_order() {
-        let meta = Arc::new(OutputMeta {
-            instance: "up".into(),
-            name: "o".into(),
-            origin: "up".into(),
-        });
-        let env = |secs: u64, v: f64| Envelope {
-            source: Arc::clone(&meta),
-            sample: Sample::new(Timestamp::from_secs(secs), v),
-        };
+        let meta = upstream();
         let mut queues = vec![
-            VecDeque::from(vec![env(1, 1.0), env(2, 2.0)]),
-            VecDeque::from(vec![env(1, 3.0)]),
+            VecDeque::from(vec![envelope(&meta, 1, 1.0), envelope(&meta, 2, 2.0)]),
+            VecDeque::new(),
+            VecDeque::from(vec![envelope(&meta, 1, 3.0)]),
         ];
-        let mut reference = queues.clone();
+        let reference: Vec<(usize, Envelope)> = queues
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, q)| q.iter().map(move |env| (slot, env.clone())))
+            .collect();
         let mut emitted = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::from_secs(2),
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: 1,
-        };
-        let drained: Vec<(usize, Envelope)> = ctx.drain_all().collect();
-        assert_eq!(ctx.pending(), 0);
-        let mut emitted2 = Vec::new();
-        let mut ref_ctx = RunCtx {
-            now: Timestamp::from_secs(2),
-            queues: &mut reference,
-            emitted: &mut emitted2,
-            n_outputs: 1,
-        };
-        assert_eq!(drained, ref_ctx.take_all());
+        let mut ctx = RunCtx::new(Timestamp::from_secs(2), &mut queues, &mut emitted, 1);
+        // A drain stopped early leaves the rest queued, in order.
+        let first = ctx.inputs.next().unwrap();
+        let rest: Vec<(usize, Envelope)> = ctx.inputs.by_ref().collect();
+        assert_eq!(ctx.inputs.size_hint(), (0, Some(0)));
+        let mut drained = vec![first];
+        drained.extend(rest);
+        assert_eq!(drained, reference);
     }
 
     #[test]
     fn run_ctx_drain_and_emit_interleaves() {
-        let meta = Arc::new(OutputMeta {
-            instance: "up".into(),
-            name: "o".into(),
-            origin: "up".into(),
-        });
+        let meta = upstream();
         let mut queues = vec![VecDeque::from(vec![
-            Envelope {
-                source: Arc::clone(&meta),
-                sample: Sample::new(Timestamp::from_secs(1), 1.0),
-            },
-            Envelope {
-                source: Arc::clone(&meta),
-                sample: Sample::new(Timestamp::from_secs(2), 2.0),
-            },
+            envelope(&meta, 1, 1.0),
+            envelope(&meta, 2, 2.0),
         ])];
         let mut emitted = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::from_secs(5),
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: 1,
-        };
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
-            emit.emit(PortId(0), env.sample.value.as_float().unwrap() * 10.0);
+        let mut ctx = RunCtx::new(Timestamp::from_secs(5), &mut queues, &mut emitted, 1);
+        for (_, env) in &mut ctx.inputs {
+            ctx.out
+                .emit(PortId(0), env.sample.value.as_float().unwrap() * 10.0);
         }
-        assert_eq!(emit.now(), Timestamp::from_secs(5));
+        assert_eq!(ctx.out.now(), Timestamp::from_secs(5));
         assert_eq!(emitted.len(), 2);
         assert_eq!(emitted[1].1.value.as_float(), Some(20.0));
         assert_eq!(emitted[1].1.timestamp, Timestamp::from_secs(5));
@@ -671,29 +602,17 @@ mod tests {
 
     #[test]
     fn run_ctx_discard_pending_counts_and_clears() {
-        let meta = Arc::new(OutputMeta {
-            instance: "up".into(),
-            name: "o".into(),
-            origin: "up".into(),
-        });
-        let env = Envelope {
-            source: meta,
-            sample: Sample::new(Timestamp::from_secs(1), 1.0),
-        };
+        let meta = upstream();
+        let env = envelope(&meta, 1, 1.0);
         let mut queues = vec![
             VecDeque::from(vec![env.clone(), env.clone()]),
             VecDeque::from(vec![env]),
         ];
         let mut emitted = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::EPOCH,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: 0,
-        };
-        assert_eq!(ctx.discard_pending(), 3);
-        assert_eq!(ctx.pending(), 0);
-        assert_eq!(ctx.discard_pending(), 0);
+        let mut ctx = RunCtx::new(Timestamp::EPOCH, &mut queues, &mut emitted, 0);
+        assert_eq!(ctx.inputs.by_ref().count(), 3);
+        assert_eq!(ctx.inputs.by_ref().count(), 0);
+        assert!(queues.iter().all(VecDeque::is_empty));
     }
 
     #[test]
@@ -701,12 +620,7 @@ mod tests {
     fn run_ctx_emit_on_undeclared_port_panics() {
         let mut queues: Vec<VecDeque<Envelope>> = Vec::new();
         let mut emitted = Vec::new();
-        let mut ctx = RunCtx {
-            now: Timestamp::EPOCH,
-            queues: &mut queues,
-            emitted: &mut emitted,
-            n_outputs: 0,
-        };
-        ctx.emit(PortId(0), 1.0);
+        let mut ctx = RunCtx::new(Timestamp::EPOCH, &mut queues, &mut emitted, 0);
+        ctx.out.emit(PortId(0), 1.0);
     }
 }

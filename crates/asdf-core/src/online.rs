@@ -427,7 +427,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.count += 1;
-            ctx.emit(self.port.unwrap(), self.count);
+            ctx.out.emit(self.port.unwrap(), self.count);
             Ok(())
         }
     }
@@ -441,9 +441,9 @@ mod tests {
             Ok(())
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            for (_, env) in ctx.take_all() {
+            for (_, env) in &mut ctx.inputs {
                 let x = env.sample.value.as_int().unwrap_or(0);
-                ctx.emit(self.port.unwrap(), x * 2);
+                ctx.out.emit(self.port.unwrap(), x * 2);
             }
             Ok(())
         }

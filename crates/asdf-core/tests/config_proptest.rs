@@ -1,5 +1,8 @@
 //! Property-based tests for the configuration dialect and DAG construction.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use asdf_core::config::{Config, Connection, InstanceConfig};
 use asdf_core::dag::Dag;
 use asdf_core::error::ModuleError;
@@ -105,13 +108,22 @@ proptest! {
     }
 }
 
-/// Permissive module used for DAG property tests: accepts any params and
-/// inputs, declares three outputs.
-struct Universal;
+/// The output names [`Universal`] declares on every instance.
+const UNIVERSAL_OUTPUTS: [&str; 3] = ["output0", "output1", "output2"];
+
+/// Permissive module used for DAG property tests: reads every parameter key
+/// the configuration uses anywhere (a build fails on a parameter its module
+/// never reads), accepts any inputs, declares three outputs.
+struct Universal {
+    keys: Arc<Vec<String>>,
+}
 impl Module for Universal {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
-        for i in 0..3 {
-            ctx.declare_output(format!("output{i}"));
+        for key in self.keys.iter() {
+            ctx.param(key);
+        }
+        for name in UNIVERSAL_OUTPUTS {
+            ctx.declare_output(name);
         }
         Ok(())
     }
@@ -121,14 +133,22 @@ impl Module for Universal {
 }
 
 proptest! {
-    /// Every layered (acyclic-by-construction) configuration builds, and the
-    /// DAG's topological order respects every edge.
+    /// Every layered (acyclic-by-construction) configuration builds, the
+    /// DAG's topological order respects every edge, and every slot's
+    /// sources and every port's routes equal a reference resolved by name:
+    /// (producer id, port name) -> (consumer, slot) in consumer order, then
+    /// slot order, then source order, wildcards expanded in port order.
     #[test]
     fn layered_configs_always_build_in_topo_order(cfg in arb_config()) {
+        let keys: Arc<Vec<String>> = Arc::new(
+            cfg.instances().iter().flat_map(|inst| inst.params.keys().cloned()).collect(),
+        );
         let mut registry = ModuleRegistry::new();
         for inst in cfg.instances() {
-            let ty = inst.module_type.clone();
-            registry.register(ty, || Box::new(Universal));
+            let keys = Arc::clone(&keys);
+            registry.register(inst.module_type.clone(), move || {
+                Box::new(Universal { keys: Arc::clone(&keys) })
+            });
         }
         let dag = Dag::build(&registry, &cfg).expect("layered config must build");
         prop_assert_eq!(dag.len(), cfg.instances().len());
@@ -142,5 +162,42 @@ proptest! {
                     "edge {} -> {} violates topo order", conn.instance(), inst.id);
             }
         }
+
+        // The reference wiring, by name.
+        let mut routes: HashMap<(String, String), Vec<(usize, usize)>> = HashMap::new();
+        for (consumer, node) in dag.iter().enumerate() {
+            let inst = cfg.instance(&node.id).unwrap();
+            prop_assert_eq!(node.slots.len(), inst.inputs.len());
+            for (slot_idx, ((slot, conn), spec)) in inst.inputs.iter().zip(&node.slots).enumerate() {
+                let ports: Vec<&str> = match conn {
+                    Connection::Port { output, .. } => vec![output.as_str()],
+                    Connection::AllOutputs { .. } => UNIVERSAL_OUTPUTS.to_vec(),
+                };
+                let expected: Vec<(String, String)> = ports
+                    .iter()
+                    .map(|port| (conn.instance().to_owned(), (*port).to_owned()))
+                    .collect();
+                let got: Vec<(String, String)> = spec
+                    .sources
+                    .iter()
+                    .map(|meta| (meta.instance.clone(), meta.name.clone()))
+                    .collect();
+                prop_assert_eq!(&spec.name, slot);
+                prop_assert_eq!(&got, &expected);
+                for key in expected {
+                    routes.entry(key).or_default().push((consumer, slot_idx));
+                }
+            }
+        }
+        for node in dag.iter() {
+            prop_assert_eq!(node.routes.len(), node.outputs.len());
+            for (port, meta) in node.outputs.iter().enumerate() {
+                let expected = routes
+                    .remove(&(node.id.clone(), meta.name.clone()))
+                    .unwrap_or_default();
+                prop_assert_eq!(&node.routes[port], &expected, "routes of {}", meta);
+            }
+        }
+        prop_assert!(routes.is_empty(), "sources with no producing port: {:?}", routes);
     }
 }

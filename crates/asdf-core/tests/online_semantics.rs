@@ -22,7 +22,7 @@ impl Module for Pulse {
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         self.n += 1;
-        ctx.emit(self.port.unwrap(), self.n);
+        ctx.out.emit(self.port.unwrap(), self.n);
         Ok(())
     }
 }
@@ -36,8 +36,8 @@ impl Module for Relay {
         Ok(())
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        for (_, env) in ctx.take_all() {
-            ctx.emit_sample(self.port.unwrap(), env.sample);
+        for (_, env) in &mut ctx.inputs {
+            ctx.out.emit_sample(self.port.unwrap(), env.sample);
         }
         Ok(())
     }

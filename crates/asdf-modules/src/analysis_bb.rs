@@ -91,7 +91,7 @@ impl Module for AnalysisBb {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let frames = self.frames.as_mut().expect("initialized");
         let verdicts = self.verdicts.as_mut().expect("initialized");
-        for (slot, env) in ctx.drain_all() {
+        for (slot, env) in &mut ctx.inputs {
             frames.push(slot, &env.sample)?;
         }
 
@@ -166,7 +166,8 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
-            ctx.emit(self.port.unwrap(), vec![1.0, 1.0, (self.t % 3) as f64]);
+            ctx.out
+                .emit(self.port.unwrap(), vec![1.0, 1.0, (self.t % 3) as f64]);
             Ok(())
         }
     }
@@ -190,7 +191,8 @@ mod tests {
             } else {
                 self.t % 3
             };
-            ctx.emit(self.port.unwrap(), vec![1.0, 1.0, state as f64]);
+            ctx.out
+                .emit(self.port.unwrap(), vec![1.0, 1.0, state as f64]);
             Ok(())
         }
     }

@@ -59,7 +59,7 @@ impl Module for AnalysisWb {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let frames = self.frames.as_mut().expect("initialized");
         let verdicts = self.verdicts.as_mut().expect("initialized");
-        for (slot, env) in ctx.drain_all() {
+        for (slot, env) in &mut ctx.inputs {
             frames.push(slot, &env.sample)?;
         }
 
@@ -132,7 +132,7 @@ mod tests {
             // Two metrics: one live, one constant across the cluster, each
             // node's means then its stddevs.
             let stats = vec![1.0, 4.0, 10.0 + bias, 2.0, self.sd, 0.0];
-            ctx.emit(self.port.unwrap(), stats);
+            ctx.out.emit(self.port.unwrap(), stats);
             Ok(())
         }
     }

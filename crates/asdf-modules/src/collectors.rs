@@ -65,7 +65,8 @@ impl Module for ClusterDriver {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         self.cluster.tick();
-        ctx.emit(self.out.unwrap(), self.cluster.now() as i64 - 1);
+        ctx.out
+            .emit(self.out.unwrap(), self.cluster.now() as i64 - 1);
         Ok(())
     }
 }
@@ -251,7 +252,7 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        ctx.discard_pending();
+        ctx.inputs.by_ref().for_each(drop);
         let mut frame = new_frame(self.daemons.len(), self.daemons[0].width());
         let rows = Arc::get_mut(&mut frame).expect("a new frame is unshared");
         let daemons = &mut self.daemons;
@@ -262,7 +263,8 @@ impl<D: Collector + Send> Module for RangeCollector<D> {
         let polled =
             polled.map_err(|e| ModuleError::Other(format!("{kind}_rpcd poll failed: {e}")))?;
         if polled.is_some() {
-            ctx.emit(self.port.expect("declared in init"), Value::Vector(frame));
+            ctx.out
+                .emit(self.port.expect("declared in init"), Value::Vector(frame));
         }
         Ok(())
     }

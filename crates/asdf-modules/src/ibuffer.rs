@@ -62,17 +62,15 @@ impl Module for IBuffer {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Borrowing drain: the rate-matching hot path consumes its whole
-        // queue without a per-run Vec allocation.
         let out = self.out.expect("initialized");
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
+        for (_, env) in &mut ctx.inputs {
             let (frame, _) = self.frames.check("ibuffer", &env.sample.value)?;
             self.buf.extend(&frame[2..]);
             while self.buf.len() >= self.size {
                 let batch = self.buf.range(..self.size).copied();
                 let batch = Value::from(batch.collect::<Vec<f64>>());
-                emit.emit_sample(out, Sample::new(env.sample.timestamp, batch));
+                ctx.out
+                    .emit_sample(out, Sample::new(env.sample.timestamp, batch));
                 self.buf.drain(..self.size);
             }
         }

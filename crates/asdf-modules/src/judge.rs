@@ -121,8 +121,8 @@ impl Verdicts {
         let (score_port, alarm_port) = self.ports[node];
         let alarm = self.judge.judge(node, score);
         let t = Timestamp::from_secs(t);
-        ctx.emit_sample(score_port, Sample::new(t, score));
-        ctx.emit_sample(alarm_port, Sample::new(t, alarm));
+        ctx.out.emit_sample(score_port, Sample::new(t, score));
+        ctx.out.emit_sample(alarm_port, Sample::new(t, alarm));
     }
 }
 

@@ -74,8 +74,7 @@ impl Module for Knn {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let classifier = self.classifier.as_mut().expect("initialized");
         let out = self.out.expect("initialized");
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
+        for (_, env) in &mut ctx.inputs {
             let (frame, (nodes, width)) = self.frames.check("knn", &env.sample.value)?;
             let dim = classifier.dim();
             if width != dim {
@@ -90,7 +89,8 @@ impl Module for Knn {
                     .chunks_exact(dim)
                     .map(|row| classifier.classify(row) as f64),
             );
-            emit.emit_sample(out, Sample::new(env.sample.timestamp, &self.indices[..]));
+            ctx.out
+                .emit_sample(out, Sample::new(env.sample.timestamp, &self.indices[..]));
         }
         Ok(())
     }

@@ -51,7 +51,7 @@
 //!     }
 //!     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
 //!         self.t += 1.0;
-//!         ctx.emit(self.port.unwrap(), vec![1.0, 2.0, self.t, 10.0 * self.t]);
+//!         ctx.out.emit(self.port.unwrap(), vec![1.0, 2.0, self.t, 10.0 * self.t]);
 //!         Ok(())
 //!     }
 //! }

@@ -135,11 +135,8 @@ impl Module for MavgVec {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
-        // Borrowing drain: the whole pending queue streams through without
-        // a per-run Vec allocation.
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
-            self.ingest(env.sample.timestamp, &env.sample.value, &mut emit)?;
+        for (_, env) in &mut ctx.inputs {
+            self.ingest(env.sample.timestamp, &env.sample.value, &mut ctx.out)?;
         }
         Ok(())
     }

@@ -176,14 +176,13 @@ impl Module for MetricRank {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let ranker = &mut self.ranker;
         let input = self.input.as_mut().expect("initialized");
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (slot, env) in drain {
+        for (slot, env) in &mut ctx.inputs {
             match input {
                 Input::Frames(frames) => {
                     // `push` held the frame to `k` = nodes.
                     if let Some(((_, dim), means)) = frames.push(&env.sample.value)? {
                         let t = env.sample.timestamp.as_secs();
-                        ranker.rank_and_emit(t, dim, means, &mut emit);
+                        ranker.rank_and_emit(t, dim, means, &mut ctx.out);
                     }
                 }
                 Input::Summaries(frames) => frames.push(slot, &env.sample)?,
@@ -192,7 +191,7 @@ impl Module for MetricRank {
         // Every aligned set of rack summaries is one evaluation.
         if let Input::Summaries(frames) = input {
             while let Some((t, dim, means)) = frames.pop()? {
-                ranker.rank_and_emit(t, dim, means, &mut emit);
+                ranker.rank_and_emit(t, dim, means, &mut ctx.out);
             }
         }
         Ok(())
@@ -225,7 +224,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
-            ctx.emit(self.port.unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
+            ctx.out.emit(self.port.unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
             Ok(())
         }
     }
@@ -250,7 +249,7 @@ mod tests {
             if self.t > self.after {
                 v[2] += self.bump;
             }
-            ctx.emit(self.port.unwrap(), v);
+            ctx.out.emit(self.port.unwrap(), v);
             Ok(())
         }
     }
@@ -268,13 +267,13 @@ mod tests {
             Ok(())
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-            let vectors = ctx.take_all();
+            let vectors: Vec<_> = ctx.inputs.by_ref().collect();
             let dim = vectors[0].1.sample.value.as_vector().unwrap().len();
             let mut frame = vec![vectors.len() as f64, dim as f64];
             for (_, env) in &vectors {
                 frame.extend_from_slice(env.sample.value.as_vector().unwrap());
             }
-            ctx.emit(self.port.unwrap(), frame);
+            ctx.out.emit(self.port.unwrap(), frame);
             Ok(())
         }
     }

@@ -69,8 +69,7 @@ impl Module for Mitigate {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let port = self.out.expect("initialized");
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
+        for (_, env) in &mut ctx.inputs {
             if env.sample.value.as_bool() != Some(true) {
                 continue;
             }
@@ -95,7 +94,7 @@ impl Module for Mitigate {
             self.cluster.with(|c| c.decommission(node));
             self.acted_on.insert(node);
             self.last_action_at = Some(env.sample.timestamp);
-            emit.emit(
+            ctx.out.emit(
                 port,
                 format!(
                     "[{}] decommissioned {origin} (alarm from {})",
@@ -133,7 +132,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.t += 1;
-            ctx.emit(self.port.unwrap(), self.t > self.at);
+            ctx.out.emit(self.port.unwrap(), self.t > self.at);
             Ok(())
         }
     }

@@ -42,7 +42,7 @@ impl Module for Print {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let port = self.out.expect("initialized");
-        for (_, env) in ctx.take_all() {
+        for (_, env) in &mut ctx.inputs {
             let is_alarm = matches!(env.sample.value, Value::Bool(true));
             if self.only_alarms && !is_alarm {
                 continue;
@@ -54,7 +54,7 @@ impl Module for Print {
                 env.source.origin,
                 env.sample.value
             );
-            ctx.emit(port, line);
+            ctx.out.emit(port, line);
         }
         Ok(())
     }
@@ -81,7 +81,7 @@ mod tests {
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
             self.n += 1;
-            ctx.emit(self.port.unwrap(), self.n.is_multiple_of(2));
+            ctx.out.emit(self.port.unwrap(), self.n.is_multiple_of(2));
             Ok(())
         }
     }

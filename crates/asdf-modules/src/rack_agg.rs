@@ -79,15 +79,15 @@ impl Module for RackAgg {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _reason: RunReason) -> Result<(), ModuleError> {
         let frames = self.frames.as_mut().expect("initialized");
         let port = self.out.expect("initialized");
-        let (drain, mut emit) = ctx.drain_and_emit();
-        for (_, env) in drain {
+        for (_, env) in &mut ctx.inputs {
             let Some(((k, dim), means)) = frames.push(&env.sample.value)? else {
                 continue;
             };
             self.out_row.clear();
             self.out_row.extend([k as f64, dim as f64]);
             self.out_row.extend_from_slice(means);
-            emit.emit_sample(port, Sample::new(env.sample.timestamp, &self.out_row[..]));
+            ctx.out
+                .emit_sample(port, Sample::new(env.sample.timestamp, &self.out_row[..]));
         }
         Ok(())
     }

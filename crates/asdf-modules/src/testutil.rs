@@ -27,7 +27,7 @@ impl Module for VectorSource {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         self.n += 1;
         let x = self.n as f64;
-        ctx.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
+        ctx.out.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
         Ok(())
     }
 }
@@ -52,7 +52,7 @@ impl Module for BurstRowSource {
         for _ in 0..self.burst {
             self.n += 1;
             let x = self.n as f64;
-            ctx.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
+            ctx.out.emit(self.port.unwrap(), vec![1.0, 2.0, x, 2.0 * x]);
         }
         Ok(())
     }
@@ -84,7 +84,7 @@ impl Module for RowReplay {
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         if let Some(row) = self.rows.next() {
-            ctx.emit(self.port.unwrap(), row);
+            ctx.out.emit(self.port.unwrap(), row);
         }
         Ok(())
     }
@@ -145,7 +145,7 @@ impl Module for FrameNode {
         let mut frame = vec![k, dim as f64];
         let row = |x: f64| (1..=dim).map(move |j| j as f64 * x);
         frame.extend(self.base.iter().flat_map(|&x| row(x)));
-        if ctx.now().as_secs() >= self.bad_at {
+        if ctx.out.now().as_secs() >= self.bad_at {
             match self.bad.as_str() {
                 "empty" => frame.clear(),
                 "header" => frame[0] = k + 0.5,
@@ -166,7 +166,7 @@ impl Module for FrameNode {
                 }
                 "swapped" => frame.swap(0, 1),
                 "scalar" => {
-                    ctx.emit(self.port.unwrap(), 1.0);
+                    ctx.out.emit(self.port.unwrap(), 1.0);
                     return Ok(());
                 }
                 other => panic!("unknown breakage `{other}`"),
@@ -177,7 +177,7 @@ impl Module for FrameNode {
         }
         let payload: Arc<[f64]> = Arc::from(frame);
         self.emitted.lock().unwrap().push(Arc::downgrade(&payload));
-        ctx.emit(self.port.unwrap(), Value::Vector(payload));
+        ctx.out.emit(self.port.unwrap(), Value::Vector(payload));
         Ok(())
     }
 }

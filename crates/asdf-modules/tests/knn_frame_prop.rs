@@ -38,7 +38,7 @@ impl Module for Rack {
             for row in second {
                 frame.extend_from_slice(row);
             }
-            ctx.emit(self.frame.unwrap(), frame);
+            ctx.out.emit(self.frame.unwrap(), frame);
         }
         self.at += self.burst;
         Ok(())

@@ -29,7 +29,7 @@ impl Module for Replay {
         if self.idx < self.data.len() {
             let mut frame = vec![NODES as f64, (DIM / NODES) as f64];
             frame.extend_from_slice(&self.data[self.idx]);
-            ctx.emit(self.port.unwrap(), frame);
+            ctx.out.emit(self.port.unwrap(), frame);
             self.idx += 1;
         }
         Ok(())

@@ -180,15 +180,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Each level
+/// is one stack frame of the recursive descent, so a bound keeps a hostile
+/// document from overflowing the stack; nothing this workspace writes nests
+/// deeper than 10.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (one value plus trailing whitespace).
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// arrays and objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -202,6 +210,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -242,8 +252,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -417,6 +438,19 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("nulll").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        // Each level is one frame of the recursive descent: unbounded, these
+        // overflow a test thread's stack and abort the process.
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

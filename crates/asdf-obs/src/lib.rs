@@ -17,9 +17,8 @@
 //!   spans as Chrome `trace_event` JSON (loads in `chrome://tracing` /
 //!   Perfetto), [`export::render_summary`] renders an end-of-run text
 //!   table, and [`snapshot::render_snapshot`] serializes the full metric
-//!   state to a stable, schema-versioned JSON record with a
-//!   [`snapshot::snapshot_digest`] fingerprint (round-tripped losslessly
-//!   by [`snapshot::parse_snapshot`]).
+//!   state to a stable, schema-versioned JSON record, hashed into the
+//!   [`snapshot::snapshot_digest`] fingerprint.
 //!
 //! # Cost model
 //!
@@ -65,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, RegistrySnapshot};
-pub use snapshot::{parse_snapshot, render_snapshot, snapshot_digest};
+pub use snapshot::{render_snapshot, snapshot_digest};
 pub use span::{current_tid, Sampler, SpanGuard, SpanHandle, TraceEvent, DEFAULT_TRACE_CAPACITY};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);

@@ -8,19 +8,15 @@
 //!   name-ordered), so the same state always renders to the same bytes;
 //! * **versioned** — a top-level `schema` field gates future layout
 //!   changes, and `kind` tags the document type;
-//! * **lossless** — integer values that exceed the 2^53 exact range of a
-//!   JSON `f64` are encoded as decimal strings, so a `u64::MAX` histogram
-//!   sum survives the round trip bit-for-bit.
+//! * **exact** — integer values that exceed the 2^53 exact range of a
+//!   JSON `f64` are written as decimal strings, so a `u64::MAX` histogram
+//!   sum keeps every digit.
 //!
-//! [`parse_snapshot`] inverts [`render_snapshot`] exactly, and
-//! [`snapshot_digest`] hashes the canonical rendering into a short stable
-//! fingerprint (FNV-1a 64) that perf-history records and the end-of-run
-//! summary can cite.
+//! Nothing reads a snapshot back: [`snapshot_digest`] hashes the canonical
+//! rendering into a short stable fingerprint (FNV-1a 64) that perf-history
+//! records and the end-of-run summary cite.
 
-use std::fmt;
-
-use crate::json::{self, Value};
-use crate::metrics::{HistogramSnapshot, N_BUCKETS};
+use crate::json;
 use crate::registry::RegistrySnapshot;
 
 /// Version tag written into every rendered snapshot document.
@@ -122,156 +118,6 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
     out
 }
 
-/// A structural failure while parsing a snapshot document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(pub String);
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed snapshot: {}", self.0)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-fn bad(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError(msg.into())
-}
-
-/// Reads a `u64` written by [`push_u64`] (number or decimal string).
-fn read_u64(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    match v {
-        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT as f64 => {
-            Ok(*n as u64)
-        }
-        Value::String(s) => s.parse().map_err(|_| bad(format!("{what}: bad `{s}`"))),
-        other => Err(bad(format!(
-            "{what}: expected unsigned integer, got {other:?}"
-        ))),
-    }
-}
-
-/// Reads an `i64` written by [`push_i64`].
-fn read_i64(v: &Value, what: &str) -> Result<i64, SnapshotError> {
-    match v {
-        Value::Number(n) if n.fract() == 0.0 && n.abs() <= MAX_EXACT as f64 => Ok(*n as i64),
-        Value::String(s) => s.parse().map_err(|_| bad(format!("{what}: bad `{s}`"))),
-        other => Err(bad(format!("{what}: expected integer, got {other:?}"))),
-    }
-}
-
-fn object<'a>(
-    v: &'a Value,
-    what: &str,
-) -> Result<&'a std::collections::BTreeMap<String, Value>, SnapshotError> {
-    match v {
-        Value::Object(map) => Ok(map),
-        _ => Err(bad(format!("{what}: expected object"))),
-    }
-}
-
-/// Parses a document produced by [`render_snapshot`] back into a
-/// [`RegistrySnapshot`]. Exact inverse: for every snapshot `s`,
-/// `parse_snapshot(&render_snapshot(&s)) == Ok(s)`.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on malformed JSON, a wrong `schema`/`kind`,
-/// or out-of-range values.
-pub fn parse_snapshot(text: &str) -> Result<RegistrySnapshot, SnapshotError> {
-    let doc = json::parse(text).map_err(|e| bad(e.to_string()))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| bad("missing schema"))?;
-    if schema != f64::from(SNAPSHOT_SCHEMA) {
-        return Err(bad(format!("unsupported schema {schema}")));
-    }
-    if doc.get("kind").and_then(Value::as_str) != Some(SNAPSHOT_KIND) {
-        return Err(bad("missing or wrong kind tag"));
-    }
-
-    let counters = object(
-        doc.get("counters").ok_or_else(|| bad("missing counters"))?,
-        "counters",
-    )?
-    .iter()
-    .map(|(name, v)| Ok((name.clone(), read_u64(v, name)?)))
-    .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let gauges = object(
-        doc.get("gauges").ok_or_else(|| bad("missing gauges"))?,
-        "gauges",
-    )?
-    .iter()
-    .map(|(name, v)| {
-        let g = object(v, name)?;
-        let value = read_i64(
-            g.get("value").ok_or_else(|| bad("gauge missing value"))?,
-            name,
-        )?;
-        let hw = read_i64(
-            g.get("high_water")
-                .ok_or_else(|| bad("gauge missing high_water"))?,
-            name,
-        )?;
-        Ok((name.clone(), (value, hw)))
-    })
-    .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let histograms = object(
-        doc.get("histograms")
-            .ok_or_else(|| bad("missing histograms"))?,
-        "histograms",
-    )?
-    .iter()
-    .map(|(name, v)| {
-        let h = object(v, name)?;
-        let count = read_u64(
-            h.get("count")
-                .ok_or_else(|| bad("histogram missing count"))?,
-            name,
-        )?;
-        let sum = read_u64(
-            h.get("sum").ok_or_else(|| bad("histogram missing sum"))?,
-            name,
-        )?;
-        let mut buckets = [0u64; N_BUCKETS];
-        for pair in h
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| bad("histogram missing buckets"))?
-        {
-            let pair = pair
-                .as_array()
-                .ok_or_else(|| bad("bucket entry not a pair"))?;
-            if pair.len() != 2 {
-                return Err(bad("bucket entry not a pair"));
-            }
-            let idx = read_u64(&pair[0], "bucket index")? as usize;
-            if idx >= N_BUCKETS {
-                return Err(bad(format!("bucket index {idx} out of range")));
-            }
-            buckets[idx] = read_u64(&pair[1], "bucket count")?;
-        }
-        Ok((
-            name.clone(),
-            HistogramSnapshot {
-                count,
-                sum,
-                buckets,
-            },
-        ))
-    })
-    .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    Ok(RegistrySnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
 /// FNV-1a 64-bit hash — tiny, dependency-free, stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -293,33 +139,8 @@ pub fn snapshot_digest(snap: &RegistrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use crate::Registry;
-
-    fn populated() -> RegistrySnapshot {
-        let reg = Registry::default();
-        reg.counter("engine.ticks_total").add(41);
-        reg.counter("rpc.bytes_total").add(1 << 30);
-        reg.gauge("engine.pending.a").set(7);
-        reg.gauge("pool.workers").set(-3);
-        let h = reg.histogram("engine.tick_ns");
-        h.record(0);
-        h.record(900);
-        h.record(1 << 40);
-        reg.histogram("empty.hist"); // registered, never recorded
-        reg.snapshot()
-    }
-
-    #[test]
-    fn round_trip_is_exact() {
-        let _guard = crate::tests::flag_lock();
-        let snap = populated();
-        let text = render_snapshot(&snap);
-        let back = parse_snapshot(&text).expect("parses");
-        assert_eq!(back, snap);
-        // Determinism: same state, same bytes, same digest.
-        assert_eq!(render_snapshot(&back), text);
-        assert_eq!(snapshot_digest(&back), snapshot_digest(&snap));
-    }
 
     #[test]
     fn values_beyond_f64_precision_survive() {
@@ -329,11 +150,24 @@ mod tests {
         reg.gauge("low").set(i64::MIN + 1);
         let h = reg.histogram("h");
         h.record(u64::MAX); // sum = u64::MAX, bucket 63
-        let snap = reg.snapshot();
-        let text = render_snapshot(&snap);
+        let text = render_snapshot(&reg.snapshot());
         // The big values must have gone out as strings, not lossy numbers.
-        assert!(text.contains(&format!("\"{}\"", u64::MAX)), "{text}");
-        assert_eq!(parse_snapshot(&text).expect("parses"), snap);
+        let doc = json::parse(&text).expect("a snapshot is plain JSON");
+        let at = |path: &[&str]| {
+            let mut v = &doc;
+            for key in path {
+                v = v.get(key).unwrap_or_else(|| panic!("{path:?} in {text}"));
+            }
+            v.clone()
+        };
+        let max = Value::String(u64::MAX.to_string());
+        assert_eq!(at(&["counters", "big"]), max);
+        assert_eq!(at(&["histograms", "h", "sum"]), max);
+        assert_eq!(
+            at(&["gauges", "low", "value"]),
+            Value::String((i64::MIN + 1).to_string())
+        );
+        assert_eq!(at(&["histograms", "h", "count"]), Value::Number(1.0));
     }
 
     #[test]
@@ -342,6 +176,7 @@ mod tests {
         let reg = Registry::default();
         reg.counter("c").add(1);
         let d1 = snapshot_digest(&reg.snapshot());
+        assert_eq!(d1, snapshot_digest(&reg.snapshot()));
         reg.counter("c").add(1);
         let d2 = snapshot_digest(&reg.snapshot());
         assert_ne!(d1, d2);
@@ -350,29 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_schema_kind_and_garbage() {
-        assert!(parse_snapshot("not json").is_err());
-        assert!(parse_snapshot("{}").is_err());
-        assert!(parse_snapshot(
-            r#"{"schema":99,"kind":"asdf-obs-snapshot","counters":{},"gauges":{},"histograms":{}}"#
-        )
-        .is_err());
-        assert!(parse_snapshot(
-            r#"{"schema":1,"kind":"other","counters":{},"gauges":{},"histograms":{}}"#
-        )
-        .is_err());
-        // Bucket index out of range.
-        assert!(parse_snapshot(
-            r#"{"schema":1,"kind":"asdf-obs-snapshot","counters":{},"gauges":{},
-                "histograms":{"h":{"count":1,"sum":1,"buckets":[[64,1]]}}}"#
-        )
-        .is_err());
-    }
-
-    #[test]
     fn empty_registry_renders_and_parses() {
-        let snap = RegistrySnapshot::default();
-        let back = parse_snapshot(&render_snapshot(&snap)).expect("parses");
-        assert!(back.is_empty());
+        let text = render_snapshot(&RegistrySnapshot::default());
+        assert_eq!(
+            text,
+            r#"{"schema":1,"kind":"asdf-obs-snapshot","counters":{},"gauges":{},"histograms":{}}"#
+        );
+        json::parse(&text).expect("a snapshot is plain JSON");
     }
 }

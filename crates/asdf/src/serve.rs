@@ -346,7 +346,7 @@ impl Module for ServeIngest {
                 continue;
             };
             let sample = Sample::new(Timestamp::from_secs(ts), Value::Vector(values));
-            ctx.emit_sample(self.ports[stream], sample);
+            ctx.out.emit_sample(self.ports[stream], sample);
         }
         Ok(())
     }

@@ -128,3 +128,30 @@ fn perfwatch_reports_what_the_library_analyzes() {
     let report = asdf::perfwatch::analyze(&text).expect("tracked history analyzes");
     assert_eq!(got, asdf::perfwatch::report::render_json(&report));
 }
+
+#[test]
+fn run_config_refuses_a_parameter_no_module_reads() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, text: &str| {
+        let path = dir.join(format!("{name}-{}.conf", std::process::id()));
+        std::fs::write(&path, text).expect("config written");
+        path.to_str().expect("utf-8 path").to_owned()
+    };
+    let generated = stdout_of(&["dump-config", "--slaves", "4"]);
+    let clean = write("generated", &generated);
+    stdout_of(&["run-config", &clean, "--secs", "60"]);
+
+    let misspelt = generated.replacen("[analysis_bb]\n", "[analysis_bb]\ntreshold = 0.5\n", 1);
+    assert_ne!(
+        misspelt, generated,
+        "the generated config has an analysis_bb"
+    );
+    let misspelt = write("misspelt", &misspelt);
+    let out = asdf(&["run-config", &misspelt, "--secs", "60"]);
+    for path in [clean, misspelt] {
+        std::fs::remove_file(path).ok();
+    }
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`treshold`"), "{stderr}");
+}

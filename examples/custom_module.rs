@@ -25,7 +25,8 @@ use procsim::metrics::node_idx;
 /// own exponentially-weighted moving average by a configurable factor.
 ///
 /// Parameters: `metric` (index into the node's sadc vector), `alpha` (EWMA
-/// weight, default 0.05), `factor` (spike multiplier, default 3).
+/// weight, default 0.05), `factor` (spike multiplier, default 3). A key
+/// `init` never looks up (say, a misspelt `alhpa`) fails the DAG build.
 struct EwmaSpike {
     metric: usize,
     alpha: f64,
@@ -58,7 +59,9 @@ impl Module for EwmaSpike {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        for (_, env) in ctx.take_all() {
+        // `ctx.inputs` drains the queued frames; `ctx.out` emits while the
+        // drain is live (the two fields borrow separately).
+        for (_, env) in &mut ctx.inputs {
             // A one-node `sadc` frame, `[1, dim, row…]`: its one row.
             let Some(row) = env.sample.value.as_vector().and_then(|v| v.get(2..)) else {
                 continue;
@@ -69,7 +72,7 @@ impl Module for EwmaSpike {
             let baseline = *self.ewma.get_or_insert(x.max(1.0));
             let spike = x > self.factor * baseline && baseline > 1.0;
             self.ewma = Some(baseline + self.alpha * (x - baseline));
-            ctx.emit(self.alarm.unwrap(), spike);
+            ctx.out.emit(self.alarm.unwrap(), spike);
         }
         Ok(())
     }

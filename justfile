@@ -37,6 +37,12 @@ scenarios:
     cargo test -p integration-tests --test scenario_matrix
     cargo test -p hadoop-sim --test fuzz_determinism --test scheduling
 
+# Parsers never panic: the configuration parser and the DAG build, JSON,
+# cluster traces, Hadoop log lines and the perf history, each fed arbitrary
+# bytes and byte mutations of a valid input.
+parsers:
+    cargo test -q -p integration-tests --test properties
+
 # The fleet-scale suites on their own: the 500-node rack-path
 # fingerpointing scenario, then the fleet test list (scripts/fleet.sh,
 # which says what it covers, the rack tree-reduce rankings included, and
@@ -72,7 +78,7 @@ serve-soak:
     cargo test -p asdf-core --test online_semantics
 
 # The observability suites: the exporters' summary table and Chrome trace
-# (obs_layer) and the registry snapshot round trip (obs_snapshot).
+# (obs_layer) and registry snapshots under concurrent writers (obs_snapshot).
 obs:
     cargo test -q -p integration-tests --test obs_layer --test obs_snapshot
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # PR gate: the tier-1 recipe plus the `unsafe` audit, the pinned-stream
 # equivalence suite, the fleet suites, a smoke run of the benchmark
-# binary, the serve soak, the kernel property suites, the obs suites, the
-# perfwatch suite, and a warnings-denied doc build. Nothing here times
+# binary, the serve soak, the kernel property suites, the parsers'
+# never-panic properties, the obs suites, the perfwatch suite, and a
+# warnings-denied doc build. Nothing here times
 # anything: `serve` and the fleet are measured by asdfbench alone, and
 # their correctness is these suites' (pinned streams, every node ranked,
 # lag bound, shed isolation, exact flush counts).
@@ -61,7 +62,10 @@ cargo test -p asdf-core --test online_semantics
 echo "[verify] kernel property suites (bitwise pinning to the lane-fold reference; the f32 screen's certificate: ln_f32 bound, f32 rounding bound, screen == exact path)" >&2
 cargo test -q -p asdf-modules --test kernel_prop --test classify_proptest
 
-echo "[verify] obs suites (exporters, trace nesting, snapshot round-trip)" >&2
+echo "[verify] parsers never panic (config + DAG build, JSON, cluster traces, Hadoop logs, perf history)" >&2
+cargo test -q -p integration-tests --test properties
+
+echo "[verify] obs suites (exporters, trace nesting, snapshots under concurrent writers)" >&2
 cargo test -q -p integration-tests --test obs_layer --test obs_snapshot
 
 echo "[verify] perfwatch suite (E-Divisive)" >&2

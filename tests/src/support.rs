@@ -52,7 +52,7 @@ impl Module for Pulse {
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
         for _ in 0..self.burst {
             self.count += 1;
-            ctx.emit(self.port.unwrap(), self.count);
+            ctx.out.emit(self.port.unwrap(), self.count);
         }
         Ok(())
     }
@@ -74,7 +74,7 @@ impl Module for Mix {
     }
 
     fn run(&mut self, ctx: &mut RunCtx<'_>, _: RunReason) -> Result<(), ModuleError> {
-        for (slot, env) in ctx.take_all() {
+        for (slot, env) in &mut ctx.inputs {
             // Multiply-then-add: position-dependent, so swapping any two
             // envelopes changes the fold.
             self.state = self
@@ -87,7 +87,7 @@ impl Module for Mix {
                 self.state = self.state.wrapping_mul(131).wrapping_add(i64::from(b));
             }
         }
-        ctx.emit(self.port.unwrap(), self.state);
+        ctx.out.emit(self.port.unwrap(), self.state);
         Ok(())
     }
 }

@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests on the invariants the diagnosis
 //! pipeline relies on.
 
+use asdf_core::config::Config;
+use asdf_core::dag::Dag;
 use hadoop_logs::sync::Aligner;
 use hadoop_sim::resources::{allocate_flows, fair_share, loss_goodput_factor, Flow};
 use proptest::prelude::*;
@@ -147,9 +149,59 @@ const LOG_LINES: &str = "\
 2008-04-15 14:23:20,000 INFO org.apache.hadoop.dfs.DataNode: Served block blk_7 to /10.1.0.3
 2008-04-15 23:59:59,999 INFO org.apache.hadoop.dfs.DataNode: Receiving block blk_8 src: /10.1.0.4";
 
+/// A small analysis DAG in the configuration dialect: a `pulse` source
+/// feeding `mavgvec → analysis_wb`, `rack_agg → metric_rank` and
+/// `ibuffer → print`.
+const ANALYSIS_CONFIG: &str = "\
+[pulse]
+id = src
+
+[mavgvec]
+id = avg
+input[input] = src.out
+window = 5
+slide = 5
+
+[analysis_wb]
+id = wb
+input[r0] = avg.stats
+consecutive = 3
+k = 3
+nodes = slave00,slave01,slave02
+
+[rack_agg]
+id = ra
+input[frame] = src.out
+window = 5
+
+[metric_rank]
+id = mr
+input[r0] = ra.sum
+nodes = slave00,slave01,slave02
+top = 2
+
+[ibuffer]
+id = buf
+input[input] = src.out
+size = 4
+
+[print]
+id = sink
+input[a] = @buf
+";
+
+/// Parses `text` as a configuration and builds it over the analysis
+/// modules plus the harness's `pulse` source.
+fn build_analysis_config(text: &str) -> Result<Dag, String> {
+    let config: Config = text.parse().map_err(|e| format!("{e}"))?;
+    let mut registry = integration_tests::support::synthetic_registry();
+    asdf_modules::register_analysis_modules(&mut registry);
+    Dag::build(&registry, &config).map_err(|e| format!("{e}"))
+}
+
 /// The syntax the parsers split and match on: half of the bytes a
 /// mutation writes come from here, the other half are any byte.
-const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \t\n#_";
+const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \t\n#_=@;";
 
 /// `valid` after up to eight byte edits: each deletes, inserts or
 /// overwrites a byte, truncates, or repeats up to 16 bytes in place. The
@@ -195,6 +247,8 @@ fn the_mutation_seeds_are_valid_inputs() {
     assert!(hadoop_sim::Trace::parse_str(include_str!("../fixtures/sample_trace.csv")).is_ok());
     assert!(asdf_obs::json::parse(JSON_DOC).is_ok());
     assert!(asdf_obs::json::parse(include_str!("../fixtures/sample_trace_parsed.json")).is_ok());
+    let dag = build_analysis_config(ANALYSIS_CONFIG).expect("the analysis config builds");
+    assert_eq!(dag.len(), 7);
     for line in LOG_LINES.lines() {
         assert!(
             hadoop_logs::event::parse_timestamp(line).is_some(),
@@ -245,6 +299,23 @@ proptest! {
             let parsed = asdf::perfwatch::parse_history(text);
             let analyzed = asdf::perfwatch::analyze(text);
             prop_assert_eq!(parsed.is_ok(), analyzed.is_ok());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The configuration parser and the DAG build answer every input with
+    /// a DAG or an error and never panic: arbitrary bytes, and mutations of
+    /// a valid analysis configuration built over the analysis modules.
+    #[test]
+    fn config_parser_and_dag_build_never_panic(
+        noise in arbitrary_text(),
+        config in mutated(ANALYSIS_CONFIG),
+    ) {
+        for text in [&noise, &config] {
+            let _ = build_analysis_config(text);
         }
     }
 }
