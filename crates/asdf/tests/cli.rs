@@ -155,3 +155,28 @@ fn run_config_refuses_a_parameter_no_module_reads() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("`treshold`"), "{stderr}");
 }
+
+#[test]
+fn run_config_simulates_the_nodes_its_collectors_poll() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("four-nodes-{}.conf", std::process::id()));
+    std::fs::write(&path, stdout_of(&["dump-config", "--slaves", "4"])).expect("config written");
+    let path = path.to_str().expect("utf-8 path");
+    let run = ["run-config", path, "--secs", "900", "--fault", "diskhog"];
+    // Sized from `nodes = 0..4`, the fault lands on slave02, which is polled.
+    let sized = asdf(&run);
+    // Ten nodes put it on slave05, which no collector polls.
+    let too_many = asdf(&[&run[..], &["--slaves", "10"]].concat());
+    std::fs::remove_file(path).ok();
+
+    assert!(sized.status.success(), "{}", String::from_utf8_lossy(&sized.stderr));
+    let stdout = String::from_utf8_lossy(&sized.stdout);
+    assert!(
+        stdout.lines().any(|l| l.contains("ALARM slave02: true")),
+        "{stdout}"
+    );
+    assert_eq!(too_many.status.code(), Some(2));
+    assert!(too_many.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&too_many.stderr);
+    assert!(stderr.contains("slave05"), "{stderr}");
+}

@@ -15,7 +15,9 @@
 //!    fault collapses the afflicted node's effective line rate);
 //! 4. granted resources advance task phases, emitting native-format Hadoop
 //!    log events on transitions;
-//! 5. realized usage is rendered into sysstat metric frames by `procsim`.
+//! 5. realized usage is rendered into sysstat metric frames by `procsim`;
+//! 6. a job that has finished, and of which no attempt still runs, leaves
+//!    the jobtracker's table, and its input and output blocks leave HDFS.
 
 use std::collections::VecDeque;
 
@@ -317,13 +319,13 @@ pub struct Cluster {
     slaves: Vec<Slave>,
     /// Cached slave hostnames (`slave_name` is on hot paths).
     names: Vec<String>,
+    /// The jobtracker's table: every job submitted and not yet retired,
+    /// in submission order.
     jobs: Vec<JobState>,
     queue: VecDeque<(u64, JobSpec)>,
     workload: Workload,
     next_submission: (u64, JobSpec),
     hdfs: Hdfs,
-    /// Per-job input block lists, indexed by job position in `jobs`.
-    input_blocks: Vec<Vec<BlockId>>,
     stats: ClusterStats,
     schedule_offset: usize,
     /// Nodes an operator (or an automated mitigation) has removed from
@@ -386,7 +388,6 @@ impl Cluster {
             workload,
             next_submission,
             hdfs,
-            input_blocks: Vec::new(),
             stats: ClusterStats::default(),
             schedule_offset: 0,
             decommissioned: vec![false; cfg.slaves],
@@ -539,8 +540,8 @@ impl Cluster {
         }
         while let Some((at, spec)) = self.queue.pop_front() {
             let blocks = self.hdfs.create_file(spec.maps as usize);
-            self.input_blocks.push(blocks);
             let mut job = JobState::new(spec, self.cfg.slaves, at);
+            job.input_blocks = blocks;
             for (node, sick) in self.shuffle_sick.iter().enumerate() {
                 job.banned_sources[node] |= sick;
             }
@@ -660,7 +661,7 @@ impl Cluster {
                 continue;
             };
             grants[target] = true;
-            let block = self.input_blocks[job_idx][map_idx as usize];
+            let block = self.jobs[job_idx].input_blocks[map_idx as usize];
             self.launch_map(job_idx, map_idx as usize, target, block);
         }
     }
@@ -689,7 +690,7 @@ impl Cluster {
             if self.jobs[job_idx].map_status[map_idx] != TaskStatus::Pending {
                 continue;
             }
-            let block = self.input_blocks[job_idx][map_idx];
+            let block = self.jobs[job_idx].input_blocks[map_idx];
             let usable = |n: usize, this: &Self| {
                 !this.jobs[job_idx].banned_sources[n]
                     && !grants[n]
@@ -1188,6 +1189,22 @@ impl Cluster {
                 }
             }
         }
+
+        // --- Retirement ---------------------------------------------------------
+        // A finished job of which nothing still runs leaves the table, and
+        // its files leave the namenode (deleting draws no random number).
+        // `retain` keeps submission order, so every per-tick order over the
+        // live jobs is the order it would be with the finished ones kept.
+        let hdfs = &mut self.hdfs;
+        self.jobs.retain(|job| {
+            let retired = job.completed_at.is_some() && job.running_attempts.is_empty();
+            if retired {
+                for &block in job.input_blocks.iter().chain(&job.output_blocks) {
+                    hdfs.delete(block);
+                }
+            }
+            !retired
+        });
     }
 
     fn job_index(&self, id: JobId) -> Option<usize> {
@@ -1338,7 +1355,8 @@ impl Cluster {
                 TaskPhase::ReduceCompute { remaining_secs } => {
                     *remaining_secs -= cpu;
                     if *remaining_secs <= 1e-6 {
-                        let profile = self.reduce_profile_of(attempt.task.job);
+                        let job_idx = self.job_index(attempt.task.job).expect("job exists");
+                        let profile = self.jobs[job_idx].spec.reduce_profile;
                         let known_bad: Vec<usize> = (0..self.cfg.slaves)
                             .filter(|&i| self.shuffle_sick[i])
                             .collect();
@@ -1346,6 +1364,7 @@ impl Cluster {
                             self.hdfs
                                 .pick_pipeline_excluding(node, REPLICATION - 1, &known_bad);
                         let block = self.hdfs.allocate_block();
+                        self.jobs[job_idx].output_blocks.push(block);
                         self.slaves[node].logs.record(
                             now,
                             &LogEvent::ReceiveBlockStart {
@@ -2015,13 +2034,56 @@ mod tests {
         c.tick();
         assert!(!c.shuffle_sick.contains(&true));
         // Jobs submitted from then on never place work behind the sick
-        // source's shuffle.
+        // source's shuffle. Each is checked every second it is in the
+        // table, so a job that finishes and leaves is checked too.
         let mut c = Cluster::new(ClusterConfig::new(6, 3), Vec::new());
         c.pair_starve.insert((1, 2), 30);
         c.pair_starve.insert((1, 3), 30);
-        c.advance(120);
-        assert!(!c.jobs.is_empty());
-        assert!(c.jobs.iter().all(|j| j.banned_sources[1]));
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..120 {
+            c.tick();
+            for job in &c.jobs {
+                assert!(job.banned_sources[1], "{:?} uses the sick source", job.spec.id);
+                seen.insert(job.spec.id);
+            }
+        }
+        assert!(seen.len() >= 2, "jobs checked: {seen:?}");
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_table_and_their_blocks_leave_hdfs() {
+        // Four simulated hours on six nodes: a job arrives every 40 s or so,
+        // so a table that kept every job would pass 300 of them.
+        let mut c = Cluster::new(ClusterConfig::new(6, 5), Vec::new());
+        let (mut jobs_hour1, mut blocks_hour1) = (0, 0);
+        let (mut jobs_max, mut blocks_max) = (0, 0);
+        for second in 0..4 * 3600 {
+            c.tick();
+            // Every running attempt belongs to a job still in the table:
+            // the per-tick passes look its job up and expect to find it.
+            for slave in &c.slaves {
+                for ext in &slave.running {
+                    let job = ext.task.attempt.task.job;
+                    assert!(c.job_index(job).is_some(), "{job:?} retired while it runs");
+                }
+            }
+            if second < 3600 {
+                jobs_hour1 = jobs_hour1.max(c.jobs.len());
+                blocks_hour1 = blocks_hour1.max(c.hdfs.block_count());
+            }
+            jobs_max = jobs_max.max(c.jobs.len());
+            blocks_max = blocks_max.max(c.hdfs.block_count());
+        }
+        let done = c.stats().jobs_completed;
+        assert!(done > 200, "only {done} jobs completed");
+        assert!(
+            jobs_max <= 2 * jobs_hour1 && jobs_max < done / 10,
+            "live jobs peaked at {jobs_max} (hour 1: {jobs_hour1}) with {done} completed"
+        );
+        assert!(
+            blocks_max <= 2 * blocks_hour1,
+            "live blocks peaked at {blocks_max} (hour 1: {blocks_hour1})"
+        );
     }
 
     #[test]

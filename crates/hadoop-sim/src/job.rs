@@ -5,7 +5,7 @@
 //! [`RunningTask`] is one attempt executing on a slave, advancing through
 //! its [`TaskPhase`]s as the node grants it resources.
 
-use crate::types::{AttemptId, JobId, TaskId, TaskKind};
+use crate::types::{AttemptId, BlockId, JobId, TaskId, TaskKind};
 
 /// The workload class a job belongs to — GridMix's five job types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,6 +232,10 @@ pub struct JobState {
     pub submitted_at: u64,
     /// Completion time, when finished.
     pub completed_at: Option<u64>,
+    /// The job's input file: one HDFS block per map, in map order.
+    pub(crate) input_blocks: Vec<BlockId>,
+    /// The HDFS blocks its reduce attempts allocated for their output.
+    pub(crate) output_blocks: Vec<BlockId>,
 }
 
 impl JobState {
@@ -255,6 +259,8 @@ impl JobState {
             reduce_durations: (0.0, 0),
             submitted_at,
             completed_at: None,
+            input_blocks: Vec::new(),
+            output_blocks: Vec::new(),
         }
     }
 

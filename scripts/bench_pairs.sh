@@ -9,7 +9,18 @@
 # alternately (seed 1, untraced, [seconds] per run, 20 by default), flipping
 # which side goes first each pair, for [pairs] pairs (10 by default). Prints
 # each pair's four end-to-end metrics, then per metric each side's median
-# and quartiles and in how many pairs the working tree read lower.
+# and quartiles, in how many pairs the working tree read lower, and a
+# verdict (every metric here is better lower; `bound` is the metric's
+# relative bound in BENCHMARK.json):
+#
+#   gain        the working tree read lower in at least 9 of 10 pairs, and
+#               the medians differ by more than the parent's interquartile
+#               range;
+#   worse       the working tree's median is above the parent's by more
+#               than bound;
+#   unresolved  the parent's interquartile range, relative to its median,
+#               is wider than bound: these runs cannot tell;
+#   neutral     otherwise.
 #
 # Wall time drifts on a shared host from one hour to the next, so only
 # pairs taken side by side support a claim. Fails if a run reports
@@ -87,10 +98,20 @@ if [ "$(printf '%s\n' "$distinct" | wc -l)" -ne 1 ]; then
     exit 1
 fi
 
+# `<metric> <bound>` for each end-to-end metric BENCHMARK.json declares.
+bounds=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/.*"name": *"|".*/, ""); name = $0 }
+    on && /"bound"/ { gsub(/.*"bound": *|[ ,]*$/, ""); print name, $0 }
+' BENCHMARK.json)
+
 echo
 echo "$workload, $pairs pairs of ${seconds} s, parent $rev -> working tree (median, quartiles):"
 for m in $metrics; do
-    awk -v m="$m" '
+    bound=$(printf '%s\n' "$bounds" | awk -v m="$m" '$1 == m { print $2 }')
+    [ -n "$bound" ] || { echo "[bench-pairs] no bound for $m in BENCHMARK.json" >&2; exit 1; }
+    awk -v m="$m" -v bound="$bound" '
         # Linear-interpolated quantile of the sorted a[1..n].
         function q(a, n, p,   h, lo) {
             h = (n - 1) * p + 1
@@ -110,10 +131,15 @@ for m in $metrics; do
                 if (w[i] < p[i]) lower++
             }
             sort(p, n); sort(w, n)
-            printf "  %-26s parent %.4g (%.4g-%.4g)  work %.4g (%.4g-%.4g)  %+.1f%%  work lower in %d/%d\n",
-                m, q(p, n, .5), q(p, n, .25), q(p, n, .75),
-                q(w, n, .5), q(w, n, .25), q(w, n, .75),
-                100 * (q(w, n, .5) / q(p, n, .5) - 1), lower, n
+            pm = q(p, n, .5); wm = q(w, n, .5); iqr = q(p, n, .75) - q(p, n, .25)
+            if (10 * lower >= 9 * n && pm - wm > iqr) verdict = "gain"
+            else if (wm > pm * (1 + bound)) verdict = "worse"
+            else if (iqr > pm * bound) verdict = "unresolved"
+            else verdict = "neutral"
+            printf "  %-26s parent %.4g (%.4g-%.4g)  work %.4g (%.4g-%.4g)  %+.1f%%  work lower in %d/%d  %s\n",
+                m, pm, q(p, n, .25), q(p, n, .75),
+                wm, q(w, n, .25), q(w, n, .75),
+                100 * (wm / pm - 1), lower, n, verdict
         }' "$samples"
 done
 echo "[bench-pairs] OK: every run correct, 0 failed, digest $distinct" >&2

@@ -2,6 +2,7 @@
 //! pipeline relies on.
 
 use asdf_core::config::Config;
+use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageReader};
 use asdf_core::dag::Dag;
 use hadoop_logs::sync::Aligner;
 use hadoop_sim::resources::{allocate_flows, fair_share, loss_goodput_factor, Flow};
@@ -204,12 +205,11 @@ fn build_analysis_config(text: &str) -> Result<Dag, String> {
 const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE0123456789 \t\n#_=@;";
 
 /// `valid` after up to eight byte edits: each deletes, inserts or
-/// overwrites a byte, truncates, or repeats up to 16 bytes in place. The
-/// result is read as UTF-8, lossily, as a caller reading a file would.
-fn mutated(valid: &'static str) -> impl Strategy<Value = String> {
+/// overwrites a byte, truncates, or repeats up to 16 bytes in place.
+fn mutated_bytes(valid: Vec<u8>) -> impl Strategy<Value = Vec<u8>> {
     let edit = (0u8..5, any::<u64>(), any::<bool>(), any::<u8>());
     proptest::collection::vec(edit, 0..8).prop_map(move |edits| {
-        let mut bytes = valid.as_bytes().to_vec();
+        let mut bytes = valid.clone();
         for (op, at, syntax, byte) in edits {
             let i = (at % (bytes.len() as u64 + 1)) as usize;
             let byte = if syntax {
@@ -230,14 +230,25 @@ fn mutated(valid: &'static str) -> impl Strategy<Value = String> {
                 }
             }
         }
-        String::from_utf8_lossy(&bytes).into_owned()
+        bytes
     })
+}
+
+/// [`mutated_bytes`] of a text, read as UTF-8, lossily, as a caller
+/// reading a file would.
+fn mutated(valid: &'static str) -> impl Strategy<Value = String> {
+    mutated_bytes(valid.as_bytes().to_vec())
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// Arbitrary bytes.
+fn arbitrary_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..512)
 }
 
 /// Arbitrary bytes, read as UTF-8 lossily.
 fn arbitrary_text() -> impl Strategy<Value = String> {
-    proptest::collection::vec(any::<u8>(), 0..512)
-        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+    arbitrary_bytes().prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
 #[test]
@@ -316,6 +327,76 @@ proptest! {
     ) {
         for text in [&noise, &config] {
             let _ = build_analysis_config(text);
+        }
+    }
+}
+
+/// A serve frame as a tenant's feeder sends it: the `sadc` stream tag, node
+/// 0, a timestamp, and one second of three nodes of two values each.
+fn valid_serve_frame() -> Vec<u8> {
+    asdf::serve::encode_frame(0, 0, 1_234, &[3.0, 2.0, 0.5, 1.0, 0.25, 2.0, 8.0, 0.0]).to_vec()
+}
+
+/// A session handshake.
+fn valid_handshake() -> Vec<u8> {
+    Handshake::new("tenant-03").encode().to_vec()
+}
+
+/// `framed` with its length prefix rewritten to match the payload, so an
+/// edit reaches the field decoders instead of failing the frame check.
+fn honest_prefix(framed: &[u8]) -> Option<Vec<u8>> {
+    let payload = framed.get(4..)?;
+    let mut fixed = u32::try_from(payload.len()).ok()?.to_le_bytes().to_vec();
+    fixed.extend_from_slice(payload);
+    Some(fixed)
+}
+
+/// Decodes `framed` every way the daemons do: as a serve frame (stream
+/// tag, first node, timestamp, values) through both readers, as a
+/// collector response (strings, then a row of a fixed width), and as a
+/// handshake.
+fn decode_every_way(framed: &[u8]) {
+    if let Ok(mut r) = FrameReader::new(framed) {
+        let _ = (r.get_u8(), r.get_u32(), r.get_u64(), r.get_f64s::<Vec<f64>>());
+    }
+    if let Ok(mut r) = MessageReader::new(Bytes::from(framed.to_vec())) {
+        let _ = (r.get_u8(), r.get_u32(), r.get_u64(), r.get_f64_slice());
+        let _ = (r.get_f64(), r.get_str(), r.remaining());
+    }
+    if let Ok(mut r) = FrameReader::new(framed) {
+        while r.get_str().is_ok() && r.remaining() > 0 {}
+        let _ = r.get_f64_slice_to(&mut [0.0; 8]);
+    }
+    let _ = Handshake::decode(Bytes::from(framed.to_vec()));
+}
+
+#[test]
+fn the_wire_mutation_seeds_decode() {
+    let frame = valid_serve_frame();
+    let mut r = FrameReader::new(&frame).expect("a whole frame");
+    assert_eq!((r.get_u8(), r.get_u32(), r.get_u64()), (Ok(0), Ok(0), Ok(1_234)));
+    assert_eq!(r.get_f64s::<Vec<f64>>().map(|v| v.len()), Ok(8));
+    let hello = Handshake::decode(Bytes::from(valid_handshake())).expect("a handshake");
+    assert_eq!(hello.tenant, "tenant-03");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The wire decoders answer every input with a value or an error and
+    /// never panic: arbitrary bytes, and edits of a valid serve frame and
+    /// handshake, each also with its length prefix made to match.
+    #[test]
+    fn wire_decoders_never_panic(
+        noise in arbitrary_bytes(),
+        frame in mutated_bytes(valid_serve_frame()),
+        hello in mutated_bytes(valid_handshake()),
+    ) {
+        for bytes in [&noise, &frame, &hello] {
+            decode_every_way(bytes);
+            if let Some(fixed) = honest_prefix(bytes) {
+                decode_every_way(&fixed);
+            }
         }
     }
 }
