@@ -25,7 +25,7 @@
 //! indices of one rack, a `knn`'s frame `[k, 1, indices…]` over the rack's
 //! collector frame; the slots' nodes, in slot order, are the compared
 //! nodes, so their `k`s must add up to `nodes`
-//! ([`crate::rack::PeerFrames`] assembles them).
+//! ([`crate::rack::PeerFrames`] lines them up).
 
 use std::collections::VecDeque;
 
@@ -103,14 +103,14 @@ impl Module for AnalysisBb {
             }
             // Also false for NaN, which is in no range.
             let in_range = |x: &f64| x.fract() == 0.0 && (0.0..self.n_states as f64).contains(x);
-            if let Some(idx) = states.iter().find(|x| !in_range(x)) {
+            if let Some(idx) = states.iter().map(|s| s[0]).find(|x| !in_range(x)) {
                 return Err(ModuleError::Other(format!(
                     "state index {idx} outside 0..{}",
                     self.n_states
                 )));
             }
-            for (history, idx) in self.history.iter_mut().zip(states) {
-                history.push_back(*idx as usize);
+            for (history, idx) in self.history.iter_mut().zip(states.iter().map(|s| s[0])) {
+                history.push_back(idx as usize);
                 if history.len() > self.window {
                     history.pop_front();
                 }
@@ -129,8 +129,9 @@ impl Module for AnalysisBb {
                     hist[idx] += 1.0;
                 }
             }
-            let median = self.medians.of(&self.hists, self.n_states);
-            for (node, hist) in self.hists.chunks_exact(self.n_states).enumerate() {
+            let hists = self.hists.chunks_exact(self.n_states);
+            let median = self.medians.of(hists.clone(), self.n_states);
+            for (node, hist) in hists.enumerate() {
                 let l1: f64 = hist.iter().zip(median).map(|(a, b)| (a - b).abs()).sum();
                 verdicts.emit(ctx, t, node, l1);
             }

@@ -22,7 +22,7 @@
 //! means, then dim stddevs]` of one `mavgvec` over the rack collector's
 //! `frame` rows; the slots' nodes, in slot order, are the compared nodes,
 //! so their `k`s must add up to `nodes` ([`crate::rack::PeerFrames`]
-//! assembles them). Its one other parameter, `nodes`, names every compared
+//! lines them up). Its one other parameter, `nodes`, names every compared
 //! node, comma-separated, in node order (required).
 
 use asdf_core::error::ModuleError;
@@ -70,8 +70,8 @@ impl Module for AnalysisWb {
                 )));
             }
             let dim = width / 2;
-            let (median_mean, median_sd) = self.medians.of(stats, width).split_at(dim);
-            for (node, row) in stats.chunks_exact(width).enumerate() {
+            let (median_mean, median_sd) = self.medians.of(stats.iter(), width).split_at(dim);
+            for (node, row) in stats.iter().enumerate() {
                 // k_crit: the smallest k at which this node is NOT flagged.
                 // Per metric: |diff| <= 1 never flags; σ_med = 0 with
                 // |diff| > 1 always flags (k_crit = ∞); else flags while

@@ -39,10 +39,11 @@
 //!   of `nodes`). The frames are windowed by the code `rack_agg` runs,
 //!   [`crate::rack::FrameWindows`]: a frame's node rows are added to every
 //!   open window's running sums and the frame is dropped, so the module
-//!   holds `ceil(window / slide)` mean matrices, never a window of samples;
+//!   holds `ceil(window / slide)` frames of sums, never a window of
+//!   samples, and ranks the rows of the frame a window closes as;
 //! * **without**, one slot per rack: `rack_agg` summaries, windowed
-//!   already, assembled back into the mean matrix in node order
-//!   ([`crate::rack::PeerFrames`]).
+//!   already, lined up by second ([`crate::rack::PeerFrames`]) and ranked
+//!   in place, node rows in node order, then released: no fleet matrix.
 //!
 //! Output per node:
 //! `rank<i>`, a vector of `2·top` values `[idx0, score0, idx1, score1, …]`
@@ -54,7 +55,7 @@ use asdf_core::module::{Emitter, InitCtx, Module, PortId, RunCtx, RunReason};
 use asdf_core::time::Timestamp;
 use asdf_core::value::Sample;
 
-use crate::rack::{self, FrameWindows, PeerFrames};
+use crate::rack::{self, ColumnMedians, FrameWindows, PeerFrames};
 
 /// Where the windowed means come from.
 #[derive(Debug)]
@@ -65,16 +66,16 @@ enum Input {
     Summaries(PeerFrames),
 }
 
-/// The ranking over a mean matrix, whichever [`Input`] fills it.
-#[derive(Debug)]
+/// The ranking over node rows of means, whichever [`Input`] holds them.
+#[derive(Debug, Default)]
 struct Ranker {
     top: usize,
     /// Peer baseline (component-wise median across nodes).
     baseline: Vec<f64>,
     /// Per-metric MAD across nodes.
     mad: Vec<f64>,
-    /// Per-node column scratch for the medians.
-    col: Vec<f64>,
+    /// Column scratch for the medians.
+    medians: ColumnMedians,
     /// Ranking scratch: (metric index, deviation score).
     ranked: Vec<(usize, f64)>,
     /// Emission scratch: `[idx, score, ...]` pairs.
@@ -83,7 +84,7 @@ struct Ranker {
 }
 
 /// Peer-baseline metric deviation ranker.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricRank {
     input: Option<Input>,
     ranker: Ranker,
@@ -92,18 +93,7 @@ pub struct MetricRank {
 impl MetricRank {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
-        MetricRank {
-            input: None,
-            ranker: Ranker {
-                top: 0,
-                baseline: Vec::new(),
-                mad: Vec::new(),
-                col: Vec::new(),
-                ranked: Vec::new(),
-                out_row: Vec::new(),
-                rank_ports: Vec::new(),
-            },
-        }
+        MetricRank::default()
     }
 }
 
@@ -111,12 +101,19 @@ impl Ranker {
     /// Peer baseline + MAD + deviation ranking over `means`, one row of
     /// `dim` metrics per node, emitting one `rank<i>` row per node stamped
     /// `t`.
-    fn rank_and_emit(&mut self, t: u64, dim: usize, means: &[f64], emit: &mut Emitter<'_>) {
+    fn rank_and_emit<'a>(
+        &mut self,
+        t: u64,
+        dim: usize,
+        means: impl Iterator<Item = &'a [f64]> + Clone,
+        emit: &mut Emitter<'_>,
+    ) {
         self.baseline.resize(dim, 0.0);
         self.mad.resize(dim, 0.0);
-        rack::peer_baseline_into(means, &mut self.baseline, &mut self.mad, &mut self.col);
+        let (baseline, mad) = (&mut self.baseline, &mut self.mad);
+        rack::peer_baseline_into(means.clone(), baseline, mad, &mut self.medians);
         let ts = Timestamp::from_secs(t);
-        for (port, mean) in self.rank_ports.iter().zip(means.chunks_exact(dim)) {
+        for (port, mean) in self.rank_ports.iter().zip(means) {
             self.ranked.clear();
             for (d, m) in mean.iter().enumerate() {
                 let dev = rack::deviation(*m, self.baseline[d], self.mad[d]);
@@ -143,12 +140,6 @@ impl Ranker {
     }
 }
 
-impl Default for MetricRank {
-    fn default() -> Self {
-        MetricRank::new()
-    }
-}
-
 impl Module for MetricRank {
     fn init(&mut self, ctx: &mut InitCtx<'_>) -> Result<(), ModuleError> {
         let ranker = &mut self.ranker;
@@ -165,7 +156,6 @@ impl Module for MetricRank {
             (Input::Summaries(frames), origins)
         };
         self.input = Some(input);
-        ranker.col = Vec::with_capacity(origins.len());
         for (i, origin) in origins.into_iter().enumerate() {
             let port = ctx.declare_output_with_origin(format!("rank{i}"), origin);
             ranker.rank_ports.push(port);
@@ -180,9 +170,9 @@ impl Module for MetricRank {
             match input {
                 Input::Frames(frames) => {
                     // `push` held the frame to `k` = nodes.
-                    if let Some(((_, dim), means)) = frames.push(&env.sample.value)? {
-                        let t = env.sample.timestamp.as_secs();
-                        ranker.rank_and_emit(t, dim, means, &mut ctx.out);
+                    if let Some(means) = frames.push(&env.sample.value)? {
+                        let (t, dim) = (env.sample.timestamp.as_secs(), means[1] as usize);
+                        ranker.rank_and_emit(t, dim, means[2..].chunks_exact(dim), &mut ctx.out);
                     }
                 }
                 Input::Summaries(frames) => frames.push(slot, &env.sample)?,
@@ -191,7 +181,7 @@ impl Module for MetricRank {
         // Every aligned set of rack summaries is one evaluation.
         if let Input::Summaries(frames) = input {
             while let Some((t, dim, means)) = frames.pop()? {
-                ranker.rank_and_emit(t, dim, means, &mut ctx.out);
+                ranker.rank_and_emit(t, dim, means.iter(), &mut ctx.out);
             }
         }
         Ok(())

@@ -14,29 +14,27 @@
 //!
 //! A peer comparison — `analysis_bb`, `analysis_wb`, and `metric_rank`
 //! over `rack_agg` summaries — takes one frame per rack and reaches its
-//! node matrix only through [`PeerFrames`]: the paper's cross-instance
+//! nodes only through [`PeerFrames`]: the paper's cross-instance
 //! synchronization (§3.7), which lines the racks' frames up by second and
-//! concatenates their node rows in slot order. No arithmetic happens
-//! there, so any contiguous rack split of a fleet assembles the flat
-//! matrix bitwise. The `rack_merge_prop` proptests pin this down.
+//! hands them on as a [`NodeRows`] view, node rows in slot order. That
+//! stage holds the frames, never a copy of them, until its consumer is
+//! done, and does no arithmetic, so any contiguous rack split of a fleet
+//! ranks bitwise as the flat fleet does (the `rack_merge_prop` proptests).
 //!
 //! That is what makes the fleet tree-reduce exact: each `rack_agg` windows
-//! its rack's frames locally ([`FrameWindows`], the code a one-rack
-//! `metric_rank` windows its collector's frames with), and the global
-//! `metric_rank` assembles the summaries and runs the same peer baseline,
-//! MAD and deviation ranking ([`peer_baseline_into`], [`deviation`]). The
-//! global stage costs O(racks) *data* while the fleet still pays O(nodes)
-//! *work*, spread across the rack aggregators.
+//! its rack's frames locally ([`FrameWindows`], as a one-rack
+//! `metric_rank` does), and the global `metric_rank` runs the same peer
+//! baseline, MAD and deviation ranking ([`peer_baseline_into`],
+//! [`deviation`]) over the summaries' rows: O(racks) *data* at the global
+//! stage, O(nodes) *work* spread across the rack aggregators.
 //!
-//! No sample is retained to form a mean: [`FrameWindows`] checks a frame's
-//! shape and [`WindowSums`] adds its node rows, slices of the frame, into
-//! the running sum of every window the second belongs to; nothing is
-//! kept. The additions run in
-//! arrival order from `0.0` — the order [`windowed_mean_into`] sums a
-//! buffered window in — so the means are the same bits as recomputing from
-//! retained rows, which is what the `window_sums_prop` proptests pin down.
-//! It holds `ceil(window / slide) × nodes × dim × 8` bytes whatever the
-//! window length in samples.
+//! No sample is retained to form a mean: [`WindowSums`] adds a second's
+//! node rows, slices of the frame, into the sums of every window open,
+//! each kept in the frame `[k, dim, sums…]` its window closes as. The
+//! additions run in arrival order from `0.0`, as [`windowed_mean_into`]
+//! sums a buffered window, so the means are its bits (the
+//! `window_sums_prop` proptests). That is `ceil(window / slide)` frames of
+//! `(2 + nodes × dim) × 8` bytes, whatever the window length in samples.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,10 +46,6 @@ use hadoop_logs::sync::Aligner;
 
 /// A rack frame's `(k, width)`: `k` node rows of `width` values.
 pub type Shape = (usize, usize);
-
-/// One second of a peer comparison's node matrix, `(t, width, matrix)`:
-/// row-major, `width` values a node.
-pub type NodeMatrix<'a> = (u64, usize, &'a [f64]);
 
 /// Validates the `[k, width]` header of a rack frame against its length
 /// and returns `(k, width)`. The values, `row[2..]`, are then `k` node rows
@@ -122,11 +116,9 @@ impl FrameStream {
     }
 }
 
-/// The node matrix of a peer comparison, assembled from one rack frame per
-/// slot: each slot's frames are held to the shape of its first, the slots
-/// are lined up by second (an [`Aligner`] — a second some slot skipped is
-/// dropped), and an aligned second's node rows are concatenated in slot
-/// order.
+/// The node rows of a peer comparison, one rack frame per slot: each
+/// slot's frames held to the shape of its first, the slots lined up by
+/// second (an [`Aligner`]; a second some slot skipped is dropped).
 #[derive(Debug)]
 pub struct PeerFrames {
     module: &'static str,
@@ -134,8 +126,21 @@ pub struct PeerFrames {
     aligner: Aligner<Arc<[f64]>>,
     /// The nodes the slots cover between them.
     nodes: usize,
-    /// The `nodes × width` matrix of the second popped last.
-    matrix: Vec<f64>,
+}
+
+/// One aligned second of a peer comparison: the slots' rack frames, one
+/// width, whose node rows in slot order are the compared nodes. Nothing
+/// is copied out of them; dropping the view releases them.
+#[derive(Debug)]
+pub struct NodeRows(Vec<Arc<[f64]>>);
+
+impl NodeRows {
+    /// Every node's row, in node order.
+    pub fn iter(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        self.0
+            .iter()
+            .flat_map(|f| f[2..].chunks_exact(f[1] as usize))
+    }
 }
 
 impl PeerFrames {
@@ -151,7 +156,6 @@ impl PeerFrames {
             streams: vec![FrameStream::default(); slots],
             aligner: Aligner::new(slots),
             nodes,
-            matrix: Vec::with_capacity(nodes),
         }
     }
 
@@ -184,37 +188,32 @@ impl PeerFrames {
         Ok(())
     }
 
-    /// The next second every slot has a frame of, as `(t, width, matrix)`:
-    /// the slots' node rows of `width` values, concatenated in slot order
-    /// into a row-major `nodes × width` matrix (valid until the next pop).
+    /// The next second every slot has a frame of, as `(t, width, rows)`:
+    /// the slots' frames, no longer held here.
     ///
     /// # Errors
     ///
     /// Frames of different widths, or covering other than `nodes` nodes.
-    pub fn pop(&mut self) -> Result<Option<NodeMatrix<'_>>, ModuleError> {
+    pub fn pop(&mut self) -> Result<Option<(u64, usize, NodeRows)>, ModuleError> {
         let Some((t, frames)) = self.aligner.pop_aligned() else {
             return Ok(None);
         };
-        self.matrix.clear();
         // `push` checked every header.
         let width = frames[0][1] as usize;
-        for frame in &frames {
-            if frame[1] as usize != width {
-                return Err(ModuleError::Other(format!(
-                    "the slots' frames are {width} and {} wide at t={t}",
-                    frame[1]
-                )));
-            }
-            self.matrix.extend_from_slice(&frame[2..]);
+        if let Some(other) = frames.iter().find(|f| f[1] as usize != width) {
+            return Err(ModuleError::Other(format!(
+                "the slots' frames are {width} and {} wide at t={t}",
+                other[1]
+            )));
         }
-        let covered = self.matrix.len() / width;
+        let covered: usize = frames.iter().map(|f| f[0] as usize).sum();
         if covered != self.nodes {
             return Err(ModuleError::Other(format!(
                 "the slots' frames cover {covered} nodes at t={t}, expected {}",
                 self.nodes
             )));
         }
-        Ok(Some((t, width, &self.matrix)))
+        Ok(Some((t, width, NodeRows(frames))))
     }
 }
 
@@ -246,19 +245,18 @@ pub fn windowed_mean_into<'a>(
 /// Windows are `window` aligned rows long and one closes every `slide`
 /// rows, the first on row `max(window, slide)`: with `slide < window`
 /// `ceil(window / slide)` windows overlap, with `slide > window` the rows
-/// between two windows belong to none. Each open window owns a row-major
-/// `nodes × dim` accumulator; a closed window's accumulator is the next
-/// one to open.
+/// between two windows belong to none. Each open window sums into a frame
+/// of its own, `[nodes, dim, sums…]`, allocated when it opens and written
+/// through [`Arc::get_mut`] while nothing else holds it; a closing window
+/// scales its sums into means in place and leaves as that frame.
 #[derive(Debug)]
 pub struct WindowSums {
     window: usize,
     slide: usize,
     /// Aligned rows pushed so far.
     rows: usize,
-    /// Sums of the open windows, oldest first.
-    open: VecDeque<Vec<f64>>,
-    /// Means of the window closed last.
-    closed: Vec<f64>,
+    /// The frames of the open windows, oldest first.
+    open: VecDeque<Arc<[f64]>>,
 }
 
 impl WindowSums {
@@ -275,20 +273,18 @@ impl WindowSums {
             slide,
             rows: 0,
             open: VecDeque::new(),
-            closed: Vec::new(),
         }
     }
 
     /// Adds one second — one metric vector per node, in node order — to
     /// every open window. When it completes a window, returns that
-    /// window's row-major `nodes × dim` mean matrix (valid until the next
-    /// push).
+    /// window's frame, `[nodes, dim, means…]`.
     ///
     /// # Panics
     ///
     /// Panics if the vectors differ in length, or their count or length
     /// differs from the seconds already in an open window.
-    pub fn push<'a, I>(&mut self, node_rows: I) -> Option<&[f64]>
+    pub fn push<'a, I>(&mut self, node_rows: I) -> Option<Arc<[f64]>>
     where
         I: IntoIterator<Item = &'a [f64]>,
         I::IntoIter: ExactSizeIterator,
@@ -301,15 +297,17 @@ impl WindowSums {
 
         let lead = self.slide.saturating_sub(self.window);
         if seen >= lead && (seen - lead).is_multiple_of(self.slide) {
-            let mut sums = std::mem::take(&mut self.closed);
-            sums.clear();
-            sums.resize(nodes * dim, 0.0);
-            self.open.push_back(sums);
+            let header = [nodes as f64, dim as f64].into_iter();
+            let zeros = std::iter::repeat_n(0.0, nodes * dim);
+            self.open.push_back(header.chain(zeros).collect());
         }
+        // Each node row is added to every open window while it is in cache.
+        let unshared = |f| Arc::get_mut(f).expect("an open window's frame is not shared");
+        let mut open: Vec<&mut [f64]> = self.open.iter_mut().map(unshared).collect();
         for (node, v) in node_rows.enumerate() {
             assert_eq!(v.len(), dim, "metric vectors of one row must agree");
-            for sums in &mut self.open {
-                for (m, x) in sums[node * dim..][..dim].iter_mut().zip(v) {
+            for sums in &mut open {
+                for (m, x) in sums[2 + node * dim..][..dim].iter_mut().zip(v) {
                     *m += x;
                 }
             }
@@ -319,12 +317,11 @@ impl WindowSums {
         if self.rows < first || !(self.rows - first).is_multiple_of(self.slide) {
             return None;
         }
-        self.closed = self.open.pop_front().expect("opened `window` rows ago");
+        let mut frame = self.open.pop_front().expect("opened `window` rows ago");
+        let means = Arc::get_mut(&mut frame).expect("an open window's frame is not shared");
         let inv_n = 1.0 / self.window as f64;
-        for m in &mut self.closed {
-            *m *= inv_n;
-        }
-        Some(&self.closed)
+        means[2..].iter_mut().for_each(|m| *m *= inv_n);
+        Some(frame)
     }
 }
 
@@ -390,22 +387,20 @@ impl FrameWindows {
     }
 
     /// Adds one frame to the open windows. When it completes a window,
-    /// returns the frames' `(k, dim)` and that window's row-major `k × dim`
-    /// mean matrix (valid until the next push).
+    /// returns that window's frame of means, `[k, dim, means…]`.
     ///
     /// # Errors
     ///
     /// A malformed frame, described (see the type docs); nothing of it has
     /// been summed.
-    pub fn push(&mut self, value: &Value) -> Result<Option<(Shape, &[f64])>, ModuleError> {
+    pub fn push(&mut self, value: &Value) -> Result<Option<Arc<[f64]>>, ModuleError> {
         let (frame, (k, dim)) = self.stream.check(self.module, value)?;
         if let Some(n) = self.nodes.filter(|&n| n != k) {
             return Err(ModuleError::Other(format!(
                 "rack frame holds {k} nodes, `nodes` names {n}"
             )));
         }
-        let means = self.sums.push(frame[2..].chunks_exact(dim));
-        Ok(means.map(|means| ((k, dim), means)))
+        Ok(self.sums.push(frame[2..].chunks_exact(dim)))
     }
 }
 
@@ -465,48 +460,78 @@ fn select_median(values: &mut [f64]) -> f64 {
     (lower.expect("an even, non-empty column has a lower half") + upper) / 2.0
 }
 
-/// The median across nodes of every column of a row-major `nodes × width`
-/// matrix, with scratch kept from one evaluation to the next.
+/// The columns a pass over the node rows gathers: eight values, one cache
+/// line of a row, where a column a pass reads each line eight times.
+const COLUMN_BLOCK: usize = 8;
+
+/// Per-column medians across node rows, with scratch kept from one
+/// evaluation to the next.
 #[derive(Debug, Default)]
-pub(crate) struct ColumnMedians {
-    col: Vec<f64>,
+pub struct ColumnMedians {
+    /// One block of columns, each in node order, one after another.
+    cols: Vec<f64>,
+    /// A column's copy, for a selection that leaves the column in order.
+    copy: Vec<f64>,
     medians: Vec<f64>,
 }
 
 impl ColumnMedians {
-    /// Every column's median, in column order.
-    pub(crate) fn of(&mut self, matrix: &[f64], width: usize) -> &[f64] {
+    /// The median of every column of `rows`, `width` values each.
+    pub fn of<'a>(
+        &mut self,
+        rows: impl Iterator<Item = &'a [f64]> + Clone,
+        width: usize,
+    ) -> &[f64] {
         self.medians.clear();
-        for m in 0..width {
-            self.col.clear();
-            self.col.extend(matrix.iter().skip(m).step_by(width));
-            self.medians.push(select_median(&mut self.col));
-        }
+        for_each_column(&mut self.cols, rows, width, |_, col| {
+            self.medians.push(select_median(col));
+        });
         &self.medians
     }
 }
 
-/// Component-wise peer baseline (median across node rows) and MAD (median
-/// absolute deviation from that baseline) over a row-major mean matrix of
-/// `baseline.len()` metrics a node. `col` is reusable scratch. The medians
-/// are selected, `O(nodes)` per metric (see `select_median` for why no
-/// output can tell them from sorted ones).
-pub fn peer_baseline_into(
-    means: &[f64],
+/// Calls `f(d, column d)` for every column of `rows`, each gathered in
+/// node order, [`COLUMN_BLOCK`] columns a pass over the rows.
+fn for_each_column<'a>(
+    cols: &mut Vec<f64>,
+    rows: impl Iterator<Item = &'a [f64]> + Clone,
+    width: usize,
+    mut f: impl FnMut(usize, &mut [f64]),
+) {
+    let n = rows.clone().count();
+    for start in (0..width).step_by(COLUMN_BLOCK) {
+        let end = width.min(start + COLUMN_BLOCK);
+        cols.resize((end - start) * n, 0.0);
+        for (i, row) in rows.clone().enumerate() {
+            for (col, &x) in cols.chunks_exact_mut(n).zip(&row[start..end]) {
+                col[i] = x;
+            }
+        }
+        (start..)
+            .zip(cols.chunks_exact_mut(n))
+            .for_each(|(d, col)| f(d, col));
+    }
+}
+
+/// Component-wise peer baseline (median across node `rows`) and MAD
+/// (median absolute deviation from that baseline) of `baseline.len()`
+/// metrics a node. The medians are selected, `O(nodes)` per metric (see
+/// `select_median` for why no output can tell them from sorted ones), each
+/// over its column in node order.
+pub fn peer_baseline_into<'a>(
+    rows: impl Iterator<Item = &'a [f64]> + Clone,
     baseline: &mut [f64],
     mad: &mut [f64],
-    col: &mut Vec<f64>,
+    medians: &mut ColumnMedians,
 ) {
-    let dim = baseline.len();
-    for d in 0..dim {
-        col.clear();
-        col.extend(means.iter().skip(d).step_by(dim));
-        baseline[d] = select_median(col);
-        let base = baseline[d];
-        col.clear();
-        col.extend(means.iter().skip(d).step_by(dim).map(|m| (m - base).abs()));
+    let copy = &mut medians.copy;
+    for_each_column(&mut medians.cols, rows, baseline.len(), |d, col| {
+        copy.clear();
+        copy.extend_from_slice(col);
+        baseline[d] = select_median(copy);
+        col.iter_mut().for_each(|m| *m = (*m - baseline[d]).abs());
         mad[d] = select_median(col);
-    }
+    });
 }
 
 /// Fraction of the baseline magnitude used as the floor of
@@ -547,13 +572,15 @@ mod tests {
         let (a, b) = ([1.0, 2.0, 1.0, 2.0], [2.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut frames = PeerFrames::new("test", 2, 3);
         frames.push(0, &frame(7, &a)).unwrap();
-        assert_eq!(frames.pop().unwrap(), None, "rack 1 has not reported");
+        assert!(frames.pop().unwrap().is_none(), "rack 1 has not reported");
         frames.push(1, &frame(7, &b)).unwrap();
         frames.push(1, &frame(8, &b)).unwrap();
         frames.push(0, &frame(8, &a)).unwrap();
         for t in [7, 8] {
-            let want = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-            assert_eq!(frames.pop().unwrap(), Some((t, 2, &want[..])));
+            let (at, width, rows) = frames.pop().unwrap().expect("both racks reported");
+            assert_eq!((at, width), (t, 2));
+            let want: [&[f64]; 3] = [&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]];
+            assert!(rows.iter().eq(want), "{rows:?}");
         }
         // A rack changing shape; racks covering other than `nodes`; racks
         // of different widths.
@@ -569,6 +596,36 @@ mod tests {
             let err = frames.pop().unwrap_err().to_string();
             assert!(err.contains(says), "{err}");
         }
+    }
+
+    /// The global stage holds a frame only until its consumer is done:
+    /// once the popped rows are dropped, the pushing side holds the only
+    /// reference to each frame again.
+    #[test]
+    fn popped_frames_are_released_with_their_rows() {
+        let racks: Vec<Arc<[f64]>> = (0..3)
+            .map(|r| Arc::from(&[1.0, 2.0, r as f64, 10.0 + r as f64][..]))
+            .collect();
+        let mut frames = PeerFrames::new("test", 3, 3);
+        for (slot, frame) in racks.iter().enumerate() {
+            let second = Sample::new(Timestamp::from_secs(4), Value::Vector(Arc::clone(frame)));
+            frames.push(slot, &second).unwrap();
+        }
+        assert!(
+            racks.iter().all(|f| Arc::strong_count(f) == 2),
+            "held until aligned"
+        );
+        let (t, _, rows) = frames.pop().unwrap().expect("every slot reported");
+        assert_eq!((t, rows.iter().count()), (4, 3));
+        assert!(
+            racks.iter().all(|f| Arc::strong_count(f) == 2),
+            "lent to the rows"
+        );
+        drop(rows);
+        for frame in &racks {
+            assert_eq!(Arc::strong_count(frame), 1, "released after use");
+        }
+        assert!(frames.pop().unwrap().is_none());
     }
 
     #[test]

@@ -9,22 +9,22 @@
 //! dropped in the run that delivered it: there is no per-node edge, queue
 //! or aligner between a collector and its aggregator, and nothing is held
 //! per sample. Every `slide` frames (the first time on frame
-//! `max(window, slide)`) a window closes and its per-node means leave in
-//! the same layout, `[k, dim, means…]` ([`crate::rack::frame_shape`]), on
-//! the `sum` port, stamped like the frame that closed it.
+//! `max(window, slide)`) a window closes, and the frame its sums were
+//! kept in, scaled in place into per-node means `[k, dim, means…]`
+//! ([`crate::rack::frame_shape`]), leaves uncopied on the `sum` port,
+//! stamped like the frame that closed it.
 //!
 //! A frame is input from outside the module: a header that is missing,
 //! non-integral or at odds with the payload length, and a `k` or `dim`
 //! that changes mid-stream, are each a [`ModuleError`] that names the
 //! problem — never a panic, never a silently mis-shaped mean.
 //!
-//! A downstream `metric_rank` without a `window` of its own assembles the
-//! rack summaries back into the fleet's mean matrix
-//! ([`crate::rack::PeerFrames`]) and runs
-//! the identical baseline/MAD/deviation ranking — bitwise equal to one
-//! `metric_rank` windowing one frame of every node, while the DAG moves
-//! O(racks) rows per second ahead of the aggregators and O(racks) per
-//! evaluation behind them.
+//! A downstream `metric_rank` without a `window` of its own lines the rack
+//! summaries up by second ([`crate::rack::PeerFrames`]) and runs the
+//! identical baseline/MAD/deviation ranking over their node rows — bitwise
+//! equal to one `metric_rank` windowing one frame of every node, while the
+//! DAG moves O(racks) rows per second ahead of the aggregators and
+//! O(racks) per evaluation behind them.
 //!
 //! Configuration parameters:
 //!
@@ -33,33 +33,21 @@
 
 use asdf_core::error::ModuleError;
 use asdf_core::module::{InitCtx, Module, PortId, RunCtx, RunReason};
-use asdf_core::value::Sample;
+use asdf_core::value::{Sample, Value};
 
 use crate::rack::FrameWindows;
 
 /// Per-rack windowed-mean summarizer (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RackAgg {
     frames: Option<FrameWindows>,
-    /// Emission scratch: `[k, dim, means…]`.
-    out_row: Vec<f64>,
     out: Option<PortId>,
 }
 
 impl RackAgg {
     /// Creates an unconfigured instance.
     pub fn new() -> Self {
-        RackAgg {
-            frames: None,
-            out_row: Vec::new(),
-            out: None,
-        }
-    }
-}
-
-impl Default for RackAgg {
-    fn default() -> Self {
-        RackAgg::new()
+        RackAgg::default()
     }
 }
 
@@ -80,14 +68,10 @@ impl Module for RackAgg {
         let frames = self.frames.as_mut().expect("initialized");
         let port = self.out.expect("initialized");
         for (_, env) in &mut ctx.inputs {
-            let Some(((k, dim), means)) = frames.push(&env.sample.value)? else {
-                continue;
-            };
-            self.out_row.clear();
-            self.out_row.extend([k as f64, dim as f64]);
-            self.out_row.extend_from_slice(means);
-            ctx.out
-                .emit_sample(port, Sample::new(env.sample.timestamp, &self.out_row[..]));
+            if let Some(means) = frames.push(&env.sample.value)? {
+                let summary = Sample::new(env.sample.timestamp, Value::Vector(means));
+                ctx.out.emit_sample(port, summary);
+            }
         }
         Ok(())
     }

@@ -1,8 +1,9 @@
 //! Property test: `rack::WindowSums` — running sums, no sample retained —
-//! closes the same windows with the same means, bit for bit, as buffering
-//! the last `window` rows per node and recomputing with
-//! `rack::windowed_mean_into` at every slide, which is what `rack_agg` and
-//! `metric_rank` did before they shared it.
+//! closes the same windows as buffering the last `window` rows per node
+//! and recomputing with `rack::windowed_mean_into` at every slide, which
+//! is what `rack_agg` and `metric_rank` did before they shared it: the
+//! frame a window closes into is `[nodes, dim]` followed by those means,
+//! bit for bit.
 //!
 //! Both modules run this one piece of code (through `rack::FrameWindows`),
 //! so their rack-vs-one-rack equality tests say nothing about how a mean
@@ -18,8 +19,8 @@ type Row = Vec<Vec<f64>>;
 /// The buffered evaluation this replaced: every row is kept, a window is
 /// evaluated once `window` rows exist and `slide` rows have passed since
 /// the last evaluation (counted from the first row), over the last
-/// `window` rows in arrival order. Returns `(closing row, means)`, rows
-/// numbered from 1.
+/// `window` rows in arrival order. Returns `(closing row, frame)`, rows
+/// numbered from 1, the frame `[nodes, dim, means…]`.
 fn buffered(rows: &[Row], window: usize, slide: usize) -> Vec<(usize, Vec<f64>)> {
     let mut closed = Vec::new();
     let mut rows_since_eval = 0;
@@ -31,15 +32,16 @@ fn buffered(rows: &[Row], window: usize, slide: usize) -> Vec<(usize, Vec<f64>)>
         rows_since_eval = 0;
         let nodes = rows[0].len();
         let dim = rows[0][0].len();
-        let mut means = vec![f64::NAN; nodes * dim];
+        let mut frame = vec![nodes as f64, dim as f64];
+        frame.resize(2 + nodes * dim, f64::NAN);
         for node in 0..nodes {
             windowed_mean_into(
                 rows[n - window..n].iter().map(|r| r[node].as_slice()),
                 window,
-                &mut means[node * dim..][..dim],
+                &mut frame[2 + node * dim..][..dim],
             );
         }
-        closed.push((n, means));
+        closed.push((n, frame));
     }
     closed
 }
@@ -85,8 +87,8 @@ proptest! {
         let mut sums = WindowSums::new(window, slide);
         let mut closed = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            if let Some(means) = sums.push(row.iter().map(Vec::as_slice)) {
-                closed.push((i + 1, means.to_vec()));
+            if let Some(frame) = sums.push(row.iter().map(Vec::as_slice)) {
+                closed.push((i + 1, frame.to_vec()));
             }
         }
         let want = buffered(&rows, window, slide);

@@ -169,7 +169,11 @@ fn run_config_simulates_the_nodes_its_collectors_poll() {
     let too_many = asdf(&[&run[..], &["--slaves", "10"]].concat());
     std::fs::remove_file(path).ok();
 
-    assert!(sized.status.success(), "{}", String::from_utf8_lossy(&sized.stderr));
+    assert!(
+        sized.status.success(),
+        "{}",
+        String::from_utf8_lossy(&sized.stderr)
+    );
     let stdout = String::from_utf8_lossy(&sized.stdout);
     assert!(
         stdout.lines().any(|l| l.contains("ALARM slave02: true")),

@@ -10,9 +10,19 @@
 //! [`Aligner`] implements exactly that: per-node time-indexed buffers, a
 //! pop operation that releases a row only when *every* node has
 //! contributed that timestamp, and drop semantics for timestamps that some
-//! node skipped.
+//! node skipped. A node that falls silent costs the others at most
+//! [`MAX_BACKLOG`] held values each: past it, whenever no timestamp is
+//! complete, a node's oldest ones are given up.
 
 use std::collections::VecDeque;
+
+/// The most values one node's buffer keeps while no timestamp is
+/// complete: [`Aligner::pop_aligned`] finding none drops each node's
+/// oldest values past it, all incomplete, into [`Aligner::dropped`]. The
+/// streams of an fpt-core DAG all advance with the one engine clock, a
+/// tick or a window apart; this many seconds (or windows) of lag is a
+/// stream that stopped.
+pub const MAX_BACKLOG: usize = 256;
 
 /// Aligns per-node time series so downstream peer comparison always sees
 /// one row per timestamp with a value from every node.
@@ -97,8 +107,33 @@ impl<T: Clone> Aligner<T> {
     /// them, so they can never complete).
     ///
     /// Returns `(t, values-in-node-order)` or `None` when no timestamp is
-    /// complete yet.
+    /// complete yet; then every buffered value is incomplete, and each
+    /// node's oldest past [`MAX_BACKLOG`] are dropped.
     pub fn pop_aligned(&mut self) -> Option<(u64, Vec<T>)> {
+        let Some(candidate) = self.earliest_complete() else {
+            for buf in &mut self.buffers {
+                let excess = buf.len().saturating_sub(MAX_BACKLOG);
+                buf.drain(..excess);
+                self.dropped += excess as u64;
+            }
+            return None;
+        };
+        // Release: extract values at `candidate`, drop everything earlier.
+        let mut row = Vec::with_capacity(self.buffers.len());
+        for buf in &mut self.buffers {
+            // The stale rows were dropped because a peer skipped them.
+            let stale = lower_bound(buf, candidate);
+            buf.drain(..stale);
+            self.dropped += stale as u64;
+            let (_, value) = buf.pop_front().expect("candidate complete");
+            row.push(value);
+        }
+        self.released_through = Some(candidate);
+        Some((candidate, row))
+    }
+
+    /// The earliest timestamp every node has contributed, if any.
+    fn earliest_complete(&self) -> Option<u64> {
         // The earliest candidate that *could* be complete is the maximum
         // over nodes of each node's earliest buffered timestamp.
         let mut candidate: u64 = 0;
@@ -117,22 +152,10 @@ impl<T: Clone> Aligner<T> {
                 next_candidate = next_candidate.max(t);
             }
             if next_candidate == candidate {
-                break;
+                return Some(candidate);
             }
             candidate = next_candidate;
         }
-        // Release: extract values at `candidate`, drop everything earlier.
-        let mut row = Vec::with_capacity(self.buffers.len());
-        for buf in &mut self.buffers {
-            // The stale rows were dropped because a peer skipped them.
-            let stale = lower_bound(buf, candidate);
-            buf.drain(..stale);
-            self.dropped += stale as u64;
-            let (_, value) = buf.pop_front().expect("candidate complete");
-            row.push(value);
-        }
-        self.released_through = Some(candidate);
-        Some((candidate, row))
     }
 
     /// Pops every complete row currently available.
@@ -222,6 +245,48 @@ mod tests {
         a.push(1, 4, 41);
         assert_eq!(a.pop_aligned(), Some((4, vec![40, 41])));
         assert_eq!(a.dropped(), 2);
+    }
+
+    #[test]
+    fn a_silent_stream_holds_the_others_to_the_backlog_cap() {
+        // Node 2 is silent for 1,000 seconds: after each pop nodes 0 and 1
+        // hold at most the cap, giving up their oldest seconds as they go.
+        let mut a: Aligner<u64> = Aligner::new(3);
+        for t in 0..1_000 {
+            a.push(0, t, t);
+            a.push(1, t, t);
+            assert_eq!(a.pop_aligned(), None);
+            assert!(a.pending() <= 2 * MAX_BACKLOG, "t={t}: {}", a.pending());
+        }
+        assert_eq!(a.pending(), 2 * MAX_BACKLOG);
+        assert_eq!(a.dropped(), 2 * (1_000 - MAX_BACKLOG as u64));
+        // Node 2 comes back: alignment resumes at its first second, and the
+        // seconds it never sent are dropped on the way.
+        for t in 1_000..1_003 {
+            for node in 0..3 {
+                a.push(node, t, t);
+            }
+        }
+        let rows = a.drain_aligned();
+        let seconds: Vec<u64> = rows.iter().map(|(t, _)| *t).collect();
+        assert_eq!(seconds, [1_000, 1_001, 1_002]);
+        assert_eq!(rows[0].1, [1_000; 3]);
+        assert_eq!((a.pending(), a.dropped()), (0, 2 * 1_000));
+    }
+
+    #[test]
+    fn a_backlog_of_complete_timestamps_is_kept_whole() {
+        // More than the cap pushed before the first pop, every timestamp
+        // complete: all of them are released, none dropped.
+        let mut a: Aligner<u64> = Aligner::new(2);
+        let n = 3 * MAX_BACKLOG as u64;
+        for node in 0..2 {
+            for t in 0..n {
+                a.push(node, t, t);
+            }
+        }
+        assert_eq!(a.drain_aligned().len() as u64, n);
+        assert_eq!(a.dropped(), 0);
     }
 
     #[test]

@@ -2043,7 +2043,11 @@ mod tests {
         for _ in 0..120 {
             c.tick();
             for job in &c.jobs {
-                assert!(job.banned_sources[1], "{:?} uses the sick source", job.spec.id);
+                assert!(
+                    job.banned_sources[1],
+                    "{:?} uses the sick source",
+                    job.spec.id
+                );
                 seen.insert(job.spec.id);
             }
         }

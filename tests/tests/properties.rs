@@ -2,8 +2,8 @@
 //! pipeline relies on.
 
 use asdf_core::config::Config;
-use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageReader};
 use asdf_core::dag::Dag;
+use asdf_rpc::wire::{Bytes, FrameReader, Handshake, MessageReader};
 use hadoop_logs::sync::Aligner;
 use hadoop_sim::resources::{allocate_flows, fair_share, loss_goodput_factor, Flow};
 use proptest::prelude::*;
@@ -357,7 +357,12 @@ fn honest_prefix(framed: &[u8]) -> Option<Vec<u8>> {
 /// handshake.
 fn decode_every_way(framed: &[u8]) {
     if let Ok(mut r) = FrameReader::new(framed) {
-        let _ = (r.get_u8(), r.get_u32(), r.get_u64(), r.get_f64s::<Vec<f64>>());
+        let _ = (
+            r.get_u8(),
+            r.get_u32(),
+            r.get_u64(),
+            r.get_f64s::<Vec<f64>>(),
+        );
     }
     if let Ok(mut r) = MessageReader::new(Bytes::from(framed.to_vec())) {
         let _ = (r.get_u8(), r.get_u32(), r.get_u64(), r.get_f64_slice());
@@ -374,7 +379,10 @@ fn decode_every_way(framed: &[u8]) {
 fn the_wire_mutation_seeds_decode() {
     let frame = valid_serve_frame();
     let mut r = FrameReader::new(&frame).expect("a whole frame");
-    assert_eq!((r.get_u8(), r.get_u32(), r.get_u64()), (Ok(0), Ok(0), Ok(1_234)));
+    assert_eq!(
+        (r.get_u8(), r.get_u32(), r.get_u64()),
+        (Ok(0), Ok(0), Ok(1_234))
+    );
     assert_eq!(r.get_f64s::<Vec<f64>>().map(|v| v.len()), Ok(8));
     let hello = Handshake::decode(Bytes::from(valid_handshake())).expect("a handshake");
     assert_eq!(hello.tenant, "tenant-03");
