@@ -141,6 +141,14 @@ impl Strace {
     }
 }
 
+/// Parses a collector's `nodes = lo..hi` parameter: `None` unless `raw`
+/// is two node indices around `..`. The range may be empty; the
+/// collectors refuse that at init.
+pub fn parse_node_range(raw: &str) -> Option<Range<usize>> {
+    let (lo, hi) = raw.split_once("..")?;
+    Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?)
+}
+
 fn connect_failed(kind: &str, e: WireError) -> ModuleError {
     ModuleError::Other(format!("{kind}_rpcd connect failed: {e}"))
 }
@@ -158,10 +166,7 @@ impl<D> RangeCollector<D> {
     /// The monitored node indices, the `nodes = lo..hi` parameter.
     fn node_range(&self, ctx: &InitCtx<'_>) -> Result<Range<usize>, ModuleError> {
         let raw = ctx.require_param("nodes")?;
-        let bounds = raw
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?));
-        let Some(range) = bounds else {
+        let Some(range) = parse_node_range(raw) else {
             return Err(ModuleError::invalid_parameter(
                 "nodes",
                 format!("expected `lo..hi`, got `{raw}`"),

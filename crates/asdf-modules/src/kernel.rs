@@ -11,9 +11,8 @@
 //! * a strict left-to-right `acc += d*d` fold is one serial dependency
 //!   chain, which caps throughput at one add per FP-add latency.
 //!
-//! This module fixes both. [`CentroidBlock`] stores all centroids in one
-//! flat, row-major `Vec<f64>` whose rows are zero-padded to a multiple of
-//! [`LANES`] components, and the kernels ([`dist2_x4`],
+//! This module fixes both. [`CentroidBlock`] stores all centroids back to
+//! back in one flat, row-major `Vec<f64>`, and the kernels ([`dist2_x4`],
 //! [`dist2_bounded_x4`], and the fused [`argmin_dist2`]) accumulate into
 //! **four independent lanes** that are folded once at the end. Four lanes
 //! break the dependency chain, and LLVM auto-vectorizes the inner loop
@@ -29,9 +28,7 @@
 //! and the total is folded as `(acc0 + acc1) + (acc2 + acc3)`.
 //! [`dist2_x4`], its early-exit form and the fused scan all use that
 //! order, so their results are **bitwise identical** (pinned by the
-//! `kernel_prop` property tests against an independent reference). Zero
-//! padding is bitwise-invisible: squared terms are non-negative, so every
-//! lane accumulator stays non-negative and `acc + 0.0` is exact.
+//! `kernel_prop` property tests against an independent reference).
 //!
 //! # The single-precision screen kernels
 //!
@@ -45,30 +42,19 @@
 //! share of that budget, pinned by `kernel_prop` over every `f32`
 //! mantissa.
 
-/// Components per accumulation lane group, and the multiple every stored
-/// row is zero-padded to.
+/// Components per accumulation lane group.
 pub const LANES: usize = 4;
 
 /// Components between early-exit bound checks in [`dist2_bounded_x4`]
 /// (four lane groups).
 const BOUND_CHUNK: usize = 4 * LANES;
 
-/// Rounds `dim` up to a whole number of lane groups.
-fn padded_len(dim: usize) -> usize {
-    dim.div_ceil(LANES) * LANES
-}
-
 /// A contiguous, row-major matrix of `f64` rows, built once and scanned
-/// many times.
-///
-/// Rows all share one allocation; each row is zero-padded to a multiple
-/// of [`LANES`] components. The padding is an internal invariant (only
-/// the `dim`-component prefix of a row is ever handed out mutably), which
-/// lets the kernels run a tail-free full-stride loop over
-/// [`Self::row_padded`].
+/// many times: every row is `dim` components, stored back to back in one
+/// allocation.
 ///
 /// This is the storage behind [`crate::training::BlackBoxModel`]'s
-/// centroids and the scratch matrices of the `analysis_bb` fingerpointer.
+/// centroids.
 ///
 /// # Examples
 ///
@@ -98,15 +84,6 @@ impl CentroidBlock {
         }
     }
 
-    /// Creates a block of `n_rows` all-zero rows.
-    pub fn zeroed(dim: usize, n_rows: usize) -> Self {
-        CentroidBlock {
-            data: vec![0.0; padded_len(dim) * n_rows],
-            dim,
-            n_rows,
-        }
-    }
-
     /// Builds a block from ragged storage. The dimension is taken from the
     /// first row; an empty slice yields an empty zero-dimensional block.
     ///
@@ -129,9 +106,8 @@ impl CentroidBlock {
     /// Panics if `row.len() != self.dim()`.
     pub fn push_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row length must match block dim");
-        self.data.resize(self.data.len() + self.stride(), 0.0);
+        self.data.extend_from_slice(row);
         self.n_rows += 1;
-        self.row_mut(self.n_rows - 1).copy_from_slice(row);
     }
 
     /// Number of components per row.
@@ -149,46 +125,27 @@ impl CentroidBlock {
         self.n_rows == 0
     }
 
-    /// Components per stored row including the zero padding (a multiple of
-    /// [`LANES`]; 0 when `dim` is 0).
-    pub fn stride(&self) -> usize {
-        padded_len(self.dim)
-    }
-
-    /// Row `i` without padding.
+    /// Row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.row_padded(i)[..self.dim]
-    }
-
-    /// Row `i` including its zero padding (length [`Self::stride`]) — the
-    /// tail-free view the kernels scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn row_padded(&self, i: usize) -> &[f64] {
         assert!(i < self.n_rows, "row {i} out of {}", self.n_rows);
-        let stride = self.stride();
-        &self.data[i * stride..(i + 1) * stride]
+        &self.data[i * self.dim..][..self.dim]
     }
 
-    /// Mutable view of row `i` without padding, so the zero-padding
-    /// invariant cannot be violated through it.
+    /// Mutable view of row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.n_rows, "row {i} out of {}", self.n_rows);
-        let start = i * self.stride();
-        &mut self.data[start..start + self.dim]
+        &mut self.data[i * self.dim..][..self.dim]
     }
 
-    /// Iterates the rows (without padding) in order.
+    /// Iterates the rows in order.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
         (0..self.n_rows).map(move |i| self.row(i))
     }
@@ -196,78 +153,6 @@ impl CentroidBlock {
     /// Copies the block back out into ragged storage.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows().map(<[f64]>::to_vec).collect()
-    }
-
-    /// Resets every component (padding included) to `0.0`, keeping the
-    /// shape. Lets scratch matrices be reused without reallocating.
-    pub fn zero(&mut self) {
-        self.data.fill(0.0);
-    }
-}
-
-/// An `f64` vector zero-padded to a multiple of [`LANES`] components —
-/// the query-side counterpart of [`CentroidBlock`].
-///
-/// The `knn` hot path keeps its scaled-sample scratch and reciprocal-σ
-/// vector in this form so the fused scan reads both sides of the distance
-/// at full stride with no tail loop.
-///
-/// # Examples
-///
-/// ```
-/// use asdf_modules::kernel::PaddedVec;
-///
-/// let v = PaddedVec::from_slice(&[1.0, 2.0, 3.0]);
-/// assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
-/// assert_eq!(v.as_padded().len() % 4, 0);
-/// assert!(v.as_padded()[3..].iter().all(|&x| x == 0.0));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PaddedVec {
-    data: Vec<f64>,
-    len: usize,
-}
-
-impl PaddedVec {
-    /// An all-zero vector of `len` components.
-    pub fn zeroed(len: usize) -> Self {
-        PaddedVec {
-            data: vec![0.0; padded_len(len)],
-            len,
-        }
-    }
-
-    /// Copies a slice into padded storage.
-    pub fn from_slice(v: &[f64]) -> Self {
-        let mut out = PaddedVec::zeroed(v.len());
-        out.as_mut_slice().copy_from_slice(v);
-        out
-    }
-
-    /// Number of live (unpadded) components.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether there are no live components.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The live components.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data[..self.len]
-    }
-
-    /// The live components plus the zero padding (length a multiple of
-    /// [`LANES`]) — the tail-free view the kernels scan.
-    pub fn as_padded(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable view of the live components; the padding stays zero.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data[..self.len]
     }
 }
 
@@ -277,8 +162,7 @@ impl PaddedVec {
 /// tail lands in lanes `0..tail`), and the lanes are folded as
 /// `(acc0 + acc1) + (acc2 + acc3)`. The order is part of the public
 /// contract: [`dist2_bounded_x4`] and [`argmin_dist2`] produce bitwise
-/// identical sums, including over zero-padded [`CentroidBlock`] /
-/// [`PaddedVec`] views (padding contributes exact `+0.0` terms).
+/// identical sums.
 ///
 /// Only the common prefix is compared when the slices' lengths differ
 /// (`zip` semantics).
@@ -355,35 +239,21 @@ pub fn dist2_bounded_x4(a: &[f64], b: &[f64], bound: f64) -> f64 {
 
 /// Fused nearest-row scan: the index of the row of `block` nearest to
 /// `query` in squared Euclidean distance ([`dist2_x4`] semantics), with
-/// per-candidate early exit against the best distance so far.
-///
-/// `query` is either an unpadded vector of `block.dim()` components or a
-/// padded view of `block.stride()` components whose tail is zero (as
-/// produced by [`PaddedVec::as_padded`]); both give bitwise identical
-/// decisions, but the padded form lets the scan run tail-free over
-/// [`CentroidBlock::row_padded`]. Ties keep the lowest index. Returns 0
-/// for an empty block.
+/// per-candidate early exit against the best distance so far. Ties keep
+/// the lowest index. Returns 0 for an empty block.
 ///
 /// # Panics
 ///
-/// Panics if `query.len()` is neither `block.dim()` nor `block.stride()`.
+/// Panics if `query.len() != block.dim()`.
 pub fn argmin_dist2(query: &[f64], block: &CentroidBlock) -> usize {
-    assert!(
-        query.len() == block.dim() || query.len() == block.stride(),
-        "query length {} matches neither dim {} nor stride {}",
+    assert_eq!(
         query.len(),
         block.dim(),
-        block.stride()
+        "query length must match block dim"
     );
-    let padded = query.len() == block.stride();
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for i in 0..block.len() {
-        let row = if padded {
-            block.row_padded(i)
-        } else {
-            block.row(i)
-        };
+    for (i, row) in block.rows().enumerate() {
         let d = dist2_bounded_x4(query, row, best_d);
         if d < best_d {
             best_d = d;
@@ -483,40 +353,6 @@ pub fn simd_dispatch() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rows_are_zero_padded_to_the_stride() {
-        let block = CentroidBlock::from_rows(&[vec![1.0; 7], vec![2.0; 7]]);
-        assert_eq!(block.stride(), 8);
-        for i in 0..block.len() {
-            let padded = block.row_padded(i);
-            assert_eq!(padded.len(), 8);
-            assert_eq!(padded[7], 0.0, "padding must stay zero");
-        }
-    }
-
-    #[test]
-    fn push_and_mutate_preserve_padding() {
-        let mut block = CentroidBlock::zeroed(5, 2);
-        block.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        block.push_row(&[9.0; 5]);
-        assert_eq!(block.len(), 3);
-        assert_eq!(block.row(1), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!(block.row_padded(1)[5..].iter().all(|&x| x == 0.0));
-        block.zero();
-        assert!(block.rows().all(|r| r.iter().all(|&x| x == 0.0)));
-    }
-
-    #[test]
-    fn dist2_x4_matches_over_padded_views() {
-        let a: Vec<f64> = (0..13).map(|i| i as f64 * 0.37).collect();
-        let b: Vec<f64> = (0..13).map(|i| 5.0 - i as f64 * 0.21).collect();
-        let block = CentroidBlock::from_rows(std::slice::from_ref(&b));
-        let q = PaddedVec::from_slice(&a);
-        let unpadded = dist2_x4(&a, &b);
-        let padded = dist2_x4(q.as_padded(), block.row_padded(0));
-        assert_eq!(unpadded.to_bits(), padded.to_bits());
-    }
 
     #[test]
     fn argmin_ties_keep_the_lowest_index() {

@@ -5,11 +5,11 @@
 //! total = `(acc0 + acc1) + (acc2 + acc3)`) is the canonical
 //! squared-distance semantics of the workspace. `ref_dist2_lane4` below is
 //! an independent re-implementation of that contract; every kernel entry
-//! point — [`kernel::dist2_x4`], [`kernel::dist2_bounded_x4`] (both over
-//! raw slices and over zero-padded block/query views), and the fused
-//! [`kernel::argmin_dist2`] — must match it bit for bit across dimensions
-//! 0..200, non-multiple-of-4 tails included, and at the `bound = 0.0` /
-//! `bound = INFINITY` early-exit edges.
+//! point — [`kernel::dist2_x4`], [`kernel::dist2_bounded_x4`] and the
+//! fused [`kernel::argmin_dist2`] over a [`CentroidBlock`] — must match it
+//! bit for bit across dimensions 0..200, non-multiple-of-4 tails
+//! included, and at the `bound = 0.0` / `bound = INFINITY` early-exit
+//! edges.
 //!
 //! The same suite pins the two constants the `Classifier`'s certified
 //! `f32` screen rests on: [`kernel::ln_f32`]'s error bound
@@ -17,7 +17,7 @@
 //! up to [`kernel::LN_F32_MAX`], and the relative rounding bound of
 //! [`kernel::dist2_f32x16`] that the screen's `γ32` counts.
 
-use asdf_modules::kernel::{self, CentroidBlock, PaddedVec};
+use asdf_modules::kernel::{self, CentroidBlock};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::Strategy;
@@ -63,24 +63,6 @@ proptest! {
         prop_assert_eq!(
             kernel::dist2_x4(&a, &b).to_bits(),
             ref_dist2_lane4(&a, &b).to_bits()
-        );
-    }
-
-    #[test]
-    fn padded_views_do_not_change_the_bits((a, b) in arb_pair()) {
-        // Zero padding contributes exact +0.0 terms to non-negative lane
-        // accumulators, so the padded full-stride scan is bit-identical.
-        let exact = ref_dist2_lane4(&a, &b);
-        let q = PaddedVec::from_slice(&a);
-        let block = CentroidBlock::from_rows(std::slice::from_ref(&b));
-        prop_assert_eq!(
-            kernel::dist2_x4(q.as_padded(), block.row_padded(0)).to_bits(),
-            exact.to_bits()
-        );
-        prop_assert_eq!(
-            kernel::dist2_bounded_x4(q.as_padded(), block.row_padded(0), f64::INFINITY)
-                .to_bits(),
-            exact.to_bits()
         );
     }
 
@@ -143,11 +125,7 @@ proptest! {
                 best = i;
             }
         }
-        // Unpadded query path.
         prop_assert_eq!(kernel::argmin_dist2(&q, &block), best);
-        // Padded full-stride query path.
-        let padded = PaddedVec::from_slice(&q);
-        prop_assert_eq!(kernel::argmin_dist2(padded.as_padded(), &block), best);
     }
 
     #[test]
@@ -193,10 +171,6 @@ proptest! {
             pushed.push_row(row);
         }
         prop_assert_eq!(&pushed, &block);
-        // The padded views expose only zeros past `dim`.
-        for i in 0..block.len() {
-            prop_assert!(block.row_padded(i)[dim..].iter().all(|&x| x == 0.0));
-        }
     }
 }
 

@@ -249,10 +249,9 @@ impl Session {
 
 /// The metric names every `sadc_rpcd` announces at handshake.
 ///
-/// The schema is static (the `procsim` inventory: node metrics, one
-/// interface, the two Hadoop daemons), so it is rendered, encoded and
-/// decoded once per process and shared, instead of once per node. Each
-/// connection is still charged `wire_len` bytes for it.
+/// The schema is static ([`procsim::metrics::sadc_names`]), so it is
+/// encoded and decoded once per process and shared, instead of once per
+/// node. Each connection is still charged `wire_len` bytes for it.
 #[derive(Debug)]
 struct SadcSchema {
     names: Arc<[String]>,
@@ -264,22 +263,7 @@ fn sadc_schema() -> Result<&'static SadcSchema, WireError> {
     static SCHEMA: OnceLock<Result<SadcSchema, WireError>> = OnceLock::new();
     SCHEMA
         .get_or_init(|| {
-            let mut names: Vec<String> = procsim::metrics::NODE_METRICS
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect();
-            names.extend(
-                procsim::metrics::IFACE_METRICS
-                    .iter()
-                    .map(|s| format!("eth0.{s}")),
-            );
-            for proc_name in ["datanode", "tasktracker"] {
-                names.extend(
-                    procsim::metrics::PROCESS_METRICS
-                        .iter()
-                        .map(|s| format!("{proc_name}.{s}")),
-                );
-            }
+            let names = procsim::metrics::sadc_names();
             let mut b = MessageBuilder::new();
             b.put_u32(names.len() as u32);
             for n in &names {
@@ -785,7 +769,11 @@ mod tests {
         // Node names of different lengths: the handshake carries the name.
         let h = handle(101, 12);
         h.tick();
-        let frame_names = h.with(|c| c.latest_frame(0).unwrap().flat_names());
+        let frame_names = procsim::metrics::sadc_names();
+        assert_eq!(
+            h.with(|c| c.latest_frame(0).unwrap().values().len()),
+            frame_names.len()
+        );
         for node in [0, 7, 100] {
             let d = SadcRpcd::connect(h.clone(), node).unwrap();
             assert_eq!(d.metric_names(), frame_names, "schema is the frame's");

@@ -71,6 +71,7 @@ use asdf_core::dag::Dag;
 use asdf_core::engine::TickEngine;
 use asdf_core::registry::ModuleRegistry;
 use asdf_core::time::TickDuration;
+use asdf_modules::collectors::parse_node_range;
 use asdf_modules::judge;
 use asdf_modules::rack::MIN_PEERS;
 use asdf_rpc::daemons::ClusterHandle;
@@ -198,12 +199,17 @@ fn parse_speed(value: &str) -> Result<f64, String> {
     }
 }
 
-/// Parses `--window`: a window holds at least one sample.
-fn parse_window(value: &str) -> Result<usize, String> {
-    match parse_value("--window", value)? {
-        0 => Err("flag --window: must be positive, got 0".to_owned()),
-        window => Ok(window),
+/// Parses `--window`, `--secs` or `--runs`: a window holds at least one
+/// sample, and a measurement covers at least one second and one run.
+fn parse_positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    let n = parse_value(flag, value)?;
+    if n == T::default() {
+        return Err(format!("flag {flag}: must be positive, got 0"));
     }
+    Ok(n)
 }
 
 struct Opts {
@@ -286,10 +292,10 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
         match flag.as_str() {
             "--fault" => o.fault = Some(parse_fault(v)?),
             "--slaves" => o.slaves = Some(parse_slaves(v)?),
-            "--secs" => o.secs = Some(parse_value(flag, v)?),
+            "--secs" => o.secs = Some(parse_positive(flag, v)?),
             "--seed" => o.seed = parse_value(flag, v)?,
-            "--runs" => o.runs = Some(parse_value(flag, v)?),
-            "--window" => o.window = Some(parse_window(v)?),
+            "--runs" => o.runs = Some(parse_positive(flag, v)?),
+            "--window" => o.window = Some(parse_positive(flag, v)?),
             "--threshold" => o.threshold = Some(parse_threshold(flag, v)?),
             "--k" => o.k = Some(parse_threshold(flag, v)?),
             "--threads" => o.threads = parse_value(flag, v)?,
@@ -486,10 +492,7 @@ fn collector_ranges(config: &Config) -> Vec<std::ops::Range<usize>> {
     config
         .instances()
         .iter()
-        .filter_map(|i| {
-            let (lo, hi) = i.param("nodes")?.split_once("..")?;
-            Some(lo.trim().parse().ok()?..hi.trim().parse().ok()?)
-        })
+        .filter_map(|i| parse_node_range(i.param("nodes")?))
         .collect()
 }
 

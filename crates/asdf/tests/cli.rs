@@ -90,26 +90,31 @@ fn fewer_than_three_slaves_exit_2() {
     }
 }
 
+/// A threshold that is no number, and a window, a run count or a
+/// measured span that is empty.
 #[test]
 fn nonsense_thresholds_and_an_empty_window_exit_2() {
     for args in [
-        ["fig7", "--k", "nan"],
-        ["fig7", "--k", "-1"],
-        ["fig6", "--threshold", "NaN"],
-        ["ablate", "--threshold", "-0.5"],
-        ["serve", "--k", "nan"],
-        ["serve", "--threshold", "-60"],
-        ["fig7", "--window", "0"],
-        ["serve", "--window", "0"],
-        ["serve", "--speed", "0"],
-        ["serve", "--speed", "nan"],
-        ["serve", "--speed", "-1"],
+        &["fig7", "--k", "nan", "--slaves", "3"][..],
+        &["fig7", "--k", "-1", "--slaves", "3"],
+        &["fig6", "--threshold", "NaN", "--slaves", "3"],
+        &["ablate", "--threshold", "-0.5", "--slaves", "3"],
+        &["serve", "--k", "nan", "--slaves", "3"],
+        &["serve", "--threshold", "-60", "--slaves", "3"],
+        &["fig7", "--window", "0", "--slaves", "3"],
+        &["serve", "--window", "0", "--slaves", "3"],
+        &["serve", "--speed", "0", "--slaves", "3"],
+        &["serve", "--speed", "nan", "--slaves", "3"],
+        &["serve", "--speed", "-1", "--slaves", "3"],
+        &["fig6", "--runs", "0", "--slaves", "3", "--secs", "120"],
+        &["table3", "--secs", "0"],
+        &["table4", "--secs", "0"],
     ] {
-        let out = asdf(&[&args[..], &["--slaves", "3"]].concat());
+        let out = asdf(args);
         assert_eq!(out.status.code(), Some(2), "asdf {args:?}");
         assert!(out.stdout.is_empty(), "asdf {args:?}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(args[1]),
+            String::from_utf8_lossy(&out.stderr).contains(&format!("asdf: flag {}:", args[1])),
             "asdf {args:?}"
         );
     }

@@ -244,7 +244,6 @@ fn kernels_section() -> Section {
     // are single-thread and share the early-exit discipline, so the ratio
     // isolates the lane accumulators plus the contiguous row layout.
     let scaled_q = asdf_modules::training::scale_log(&sample, &model.stddev);
-    let padded_q = kernel::PaddedVec::from_slice(&scaled_q);
     let scalar_ns = time_ns(100_000, || {
         let q: &[f64] = black_box(&scaled_q);
         let mut best = (0, f64::INFINITY);
@@ -258,10 +257,7 @@ fn kernels_section() -> Section {
     });
     s.row("scan_scalar_ns", scalar_ns);
     let simd_ns = time_ns(100_000, || {
-        black_box(kernel::argmin_dist2(
-            black_box(padded_q.as_padded()),
-            &model.centroids,
-        ));
+        black_box(kernel::argmin_dist2(black_box(&scaled_q), &model.centroids));
     });
     s.row("scan_simd_ns", simd_ns);
     // Bounded at 1.3x, not the ~3x of a host whose compiler leaves the

@@ -437,7 +437,8 @@ impl Cluster {
             let work = &self.scratch.works[node];
             slave.sim.tick_into(
                 &work.act,
-                &[("datanode", work.dn), ("tasktracker", work.tt)],
+                &work.dn,
+                &work.tt,
                 slave.last_frame.get_or_insert_with(MetricFrame::default),
             );
         }
@@ -2098,7 +2099,7 @@ mod tests {
         for i in 0..3 {
             let f = c.latest_frame(i).unwrap();
             assert_eq!(f.node().len(), 64);
-            let names = f.flat_names();
+            let names = procsim::metrics::sadc_names();
             assert_eq!(names.len(), f.values().len());
             assert_eq!(names[64 + 18], "datanode.%usr");
             assert_eq!(names[64 + 18 + 19], "tasktracker.%usr");

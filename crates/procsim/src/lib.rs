@@ -4,10 +4,12 @@
 //! once per second by the `sadc` utility from the sysstat package. This
 //! crate stands in for `/proc` on a simulated cluster: each node is a
 //! [`node::NodeSim`] that turns realized resource usage
-//! ([`activity::Activity`], reported by the cluster simulator) into the
-//! full metric inventory the paper cites — 64 node-level metrics, 18 per
-//! network interface, and 19 per tracked process
-//! (see [`metrics`]).
+//! ([`activity::Activity`] for the node, [`activity::ProcessActivity`] for
+//! its `datanode` and `tasktracker` daemons, reported by the cluster
+//! simulator) into the `sadc` row the paper cites: 64 node-level metrics,
+//! 18 for the `eth0` interface, and 19 for each daemon. [`metrics`] defines
+//! that one layout ([`metrics::SADC_WIDTH`] values, named by
+//! [`metrics::sadc_names`]).
 //!
 //! The synthesis is deterministic per seed, which is what makes the
 //! reproduction's end-to-end experiments exactly repeatable.
@@ -15,13 +17,17 @@
 //! # Examples
 //!
 //! ```
-//! use procsim::activity::Activity;
+//! use procsim::activity::{Activity, ProcessActivity};
+//! use procsim::metrics::{sadc_names, SADC_WIDTH};
 //! use procsim::node::{NodeSim, NodeSpec};
 //!
 //! let mut node = NodeSim::new(NodeSpec::ec2_large("slave-1"), 1);
-//! let frame = node.tick(&Activity::idle().with_cpu_user(1.5), &[]);
+//! let daemon = ProcessActivity::default();
+//! let frame = node.tick(&Activity::idle().with_cpu_user(1.5), &daemon, &daemon);
+//! assert_eq!(frame.values().len(), SADC_WIDTH);
 //! assert_eq!(frame.node().len(), 64);
-//! assert_eq!(frame.iface(0).len(), 18);
+//! assert_eq!(frame.iface().len(), 18);
+//! assert_eq!(sadc_names()[64 + 18 + 19], "tasktracker.%usr");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,8 +3,9 @@
 //! The paper's `sadc` data-collection module gathers "64 node-level metrics,
 //! 18 network-interface-specific metrics and 19 process-level metrics"
 //! (§3.5). This module pins down exactly that inventory, with sysstat-
-//! flavored names, and provides index constants for the metrics the
-//! simulator and tests need to address individually.
+//! flavored names, the one layout of the `sadc` row built from it
+//! ([`SADC_WIDTH`], [`sadc_names`]), and index constants for the metrics
+//! the simulator and tests need to address individually.
 
 /// Names of the 64 node-level metrics, in vector order.
 pub const NODE_METRICS: [&str; 64] = [
@@ -245,6 +246,23 @@ pub const IFACE_METRIC_COUNT: usize = IFACE_METRICS.len();
 /// Number of per-process metrics (19, per the paper).
 pub const PROCESS_METRIC_COUNT: usize = PROCESS_METRICS.len();
 
+/// Width of the `sadc` row, the one layout every rendered frame has: the
+/// node metrics, one interface (`eth0`) and two tracked processes (the
+/// `datanode` and `tasktracker` daemons).
+pub const SADC_WIDTH: usize = NODE_METRIC_COUNT + IFACE_METRIC_COUNT + 2 * PROCESS_METRIC_COUNT;
+
+/// The `sadc` row's metric names, in frame order: the node metrics as
+/// they are, the others qualified by interface or process (`eth0.rxkB/s`,
+/// `tasktracker.%CPU`).
+pub fn sadc_names() -> Vec<String> {
+    let mut names: Vec<String> = NODE_METRICS.iter().map(|s| (*s).to_owned()).collect();
+    names.extend(IFACE_METRICS.iter().map(|s| format!("eth0.{s}")));
+    for process in ["datanode", "tasktracker"] {
+        names.extend(PROCESS_METRICS.iter().map(|s| format!("{process}.{s}")));
+    }
+    names
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +283,21 @@ mod tests {
         assert!(all_unique(&NODE_METRICS));
         assert!(all_unique(&IFACE_METRICS));
         assert!(all_unique(&PROCESS_METRICS));
+    }
+
+    #[test]
+    fn the_sadc_row_has_sadc_width_distinct_names() {
+        let names = sadc_names();
+        assert_eq!(SADC_WIDTH, 120);
+        assert_eq!(names.len(), SADC_WIDTH);
+        let distinct: std::collections::HashSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), SADC_WIDTH);
+        let frame = crate::node::NodeSim::new(crate::node::NodeSpec::ec2_large("n1"), 1).tick(
+            &crate::Activity::idle(),
+            &crate::ProcessActivity::default(),
+            &crate::ProcessActivity::default(),
+        );
+        assert_eq!(frame.values().len(), SADC_WIDTH);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The per-node metric synthesizer.
 //!
 //! [`NodeSim`] turns a stream of realized [`Activity`] reports (one per
-//! second) into the full sysstat-style metric inventory of
-//! [`crate::metrics`]: 64 node-level metrics, 18 metrics per network
-//! interface, and 19 metrics per tracked process. The synthesis is
+//! second), with the realized usage of the node's `datanode` and
+//! `tasktracker` daemons, into the `sadc` row of [`crate::metrics`]: 64
+//! node-level metrics, 18 for the `eth0` interface, and 19 for each
+//! daemon, [`crate::metrics::SADC_WIDTH`] values. The synthesis is
 //! deterministic for a given seed; measurement noise is multiplicative with
 //! a small configurable amplitude, mirroring the jitter of real `/proc`
 //! sampling.
@@ -19,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::activity::{Activity, ProcessActivity};
 use crate::metrics::{iface_idx, node_idx, process_idx};
-use crate::metrics::{IFACE_METRIC_COUNT, NODE_METRIC_COUNT, PROCESS_METRIC_COUNT};
+use crate::metrics::{IFACE_METRIC_COUNT, NODE_METRIC_COUNT, PROCESS_METRIC_COUNT, SADC_WIDTH};
 
 /// CPU cores of every simulated node: the paper's evaluation hardware,
 /// Amazon EC2 "Large" instances with two dual-core CPUs.
@@ -49,22 +50,18 @@ impl NodeSpec {
 
 /// One second's worth of rendered metrics for a node, in one buffer.
 ///
-/// The values are the flat vector the black-box `sadc` collector ships to
-/// analysis: the 64 node-level metrics, then 18 per network interface, then
-/// 19 per tracked process, each block ordered as its inventory in
+/// The values are the `sadc` row the black-box collector ships to
+/// analysis, named by [`crate::metrics::sadc_names`]: the 64 node-level
+/// metrics, then 18 for `eth0`, then 19 for the `datanode` and 19 for the
+/// `tasktracker`, each block ordered as its inventory in
 /// [`crate::metrics`]. [`MetricFrame::node`], [`MetricFrame::iface`] and
-/// [`MetricFrame::process`] are views into it, and
-/// [`MetricFrame::flat_names`] labels it.
+/// [`MetricFrame::process`] are views into it.
 ///
-/// The default frame is empty; [`NodeSim::tick_into`] shapes it on first
+/// The default frame is empty; [`NodeSim::tick_into`] sizes it on first
 /// use and writes every later second over the same buffer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricFrame {
     values: Vec<f64>,
-    /// Interface names, in block order.
-    ifaces: Vec<String>,
-    /// Tracked process names, in block order.
-    procs: Vec<String>,
 }
 
 impl MetricFrame {
@@ -78,48 +75,21 @@ impl MetricFrame {
         &self.values[..NODE_METRIC_COUNT]
     }
 
-    /// Interface `i`'s 18 metrics, ordered as [`crate::metrics::IFACE_METRICS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame has no interface `i`.
-    pub fn iface(&self, i: usize) -> &[f64] {
-        assert!(i < self.ifaces.len(), "no interface {i}");
-        &self.values[NODE_METRIC_COUNT + i * IFACE_METRIC_COUNT..][..IFACE_METRIC_COUNT]
+    /// The `eth0` interface's 18 metrics, ordered as
+    /// [`crate::metrics::IFACE_METRICS`].
+    pub fn iface(&self) -> &[f64] {
+        &self.values[NODE_METRIC_COUNT..][..IFACE_METRIC_COUNT]
     }
 
-    /// Process `i`'s 19 metrics, ordered as
-    /// [`crate::metrics::PROCESS_METRICS`].
+    /// The 19 metrics of the `datanode` (`i = 0`) or the `tasktracker`
+    /// (`i = 1`), ordered as [`crate::metrics::PROCESS_METRICS`].
     ///
     /// # Panics
     ///
-    /// Panics if the frame tracks no process `i`.
+    /// Panics if `i` is neither.
     pub fn process(&self, i: usize) -> &[f64] {
-        assert!(i < self.procs.len(), "no process {i}");
-        let start = NODE_METRIC_COUNT + self.ifaces.len() * IFACE_METRIC_COUNT;
-        &self.values[start + i * PROCESS_METRIC_COUNT..][..PROCESS_METRIC_COUNT]
-    }
-
-    /// Names matching [`MetricFrame::values`], qualified by interface and
-    /// process (e.g. `eth0.rxkB/s`, `tasktracker.%CPU`).
-    pub fn flat_names(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.values.len());
-        out.extend(crate::metrics::NODE_METRICS.iter().map(|s| (*s).to_owned()));
-        for iface in &self.ifaces {
-            out.extend(
-                crate::metrics::IFACE_METRICS
-                    .iter()
-                    .map(|s| format!("{iface}.{s}")),
-            );
-        }
-        for proc_name in &self.procs {
-            out.extend(
-                crate::metrics::PROCESS_METRICS
-                    .iter()
-                    .map(|s| format!("{proc_name}.{s}")),
-            );
-        }
-        out
+        let start = NODE_METRIC_COUNT + IFACE_METRIC_COUNT + i * PROCESS_METRIC_COUNT;
+        &self.values[start..][..PROCESS_METRIC_COUNT]
     }
 }
 
@@ -128,13 +98,14 @@ impl MetricFrame {
 /// # Examples
 ///
 /// ```
-/// use procsim::activity::Activity;
+/// use procsim::activity::{Activity, ProcessActivity};
 /// use procsim::node::{NodeSim, NodeSpec};
 /// use procsim::metrics::node_idx;
 ///
 /// let mut node = NodeSim::new(NodeSpec::ec2_large("node1"), 42);
 /// let busy = Activity::idle().with_cpu_user(3.0); // 3 of 4 cores busy
-/// let frame = node.tick(&busy, &[]);
+/// let daemon = ProcessActivity::default();
+/// let frame = node.tick(&busy, &daemon, &daemon);
 /// assert!(frame.node()[node_idx::CPU_USER] > 50.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -151,7 +122,6 @@ pub struct NodeSim {
     load15: f64,
     cached_kb: f64,
     dirty_kb: f64,
-    tick_count: u64,
 }
 
 impl NodeSim {
@@ -171,7 +141,6 @@ impl NodeSim {
             load15: 0.1,
             cached_kb: 400_000.0,
             dirty_kb: 2_000.0,
-            tick_count: 0,
             spec,
         }
     }
@@ -190,39 +159,42 @@ impl NodeSim {
     }
 
     /// Advances one second: renders the metric frame implied by `activity`
-    /// plus the per-process frames for `procs`.
-    pub fn tick(&mut self, activity: &Activity, procs: &[(&str, ProcessActivity)]) -> MetricFrame {
+    /// and the realized usage of the `datanode` and `tasktracker` daemons.
+    pub fn tick(
+        &mut self,
+        activity: &Activity,
+        datanode: &ProcessActivity,
+        tasktracker: &ProcessActivity,
+    ) -> MetricFrame {
         let mut frame = MetricFrame::default();
-        self.tick_into(activity, procs, &mut frame);
+        self.tick_into(activity, datanode, tasktracker, &mut frame);
         frame
     }
 
     /// [`NodeSim::tick`] into `frame`, replacing its contents and reusing
-    /// its storage: once `frame` has held one second for these `procs`, the
-    /// next is written over it without an allocation. The random draws are
-    /// the ones `tick` makes, in the same order, so the frame is the same
-    /// bits either way.
+    /// its storage: once `frame` has held one second, the next is written
+    /// over it without an allocation. The random draws are the ones `tick`
+    /// makes, in the same order, so the frame is the same bits either way.
     pub fn tick_into(
         &mut self,
         activity: &Activity,
-        procs: &[(&str, ProcessActivity)],
+        datanode: &ProcessActivity,
+        tasktracker: &ProcessActivity,
         frame: &mut MetricFrame,
     ) {
-        self.tick_count += 1;
-        let len = NODE_METRIC_COUNT + IFACE_METRIC_COUNT + procs.len() * PROCESS_METRIC_COUNT;
-        frame.values.resize(len, 0.0);
+        frame.values.resize(SADC_WIDTH, 0.0);
         let (node, rest) = frame.values.split_at_mut(NODE_METRIC_COUNT);
-        let (iface, proc_blocks) = rest.split_at_mut(IFACE_METRIC_COUNT);
+        let (iface, daemons) = rest.split_at_mut(IFACE_METRIC_COUNT);
         self.render_node(activity, node);
         self.render_iface(activity, iface);
-        for ((_, pa), m) in procs
-            .iter()
-            .zip(proc_blocks.chunks_exact_mut(PROCESS_METRIC_COUNT))
+        // One call site for both daemons: two call sites measured 5-7%
+        // slower per render (2-vCPU x86-64), from how the renderer inlines.
+        for (p, m) in [datanode, tasktracker]
+            .into_iter()
+            .zip(daemons.chunks_exact_mut(PROCESS_METRIC_COUNT))
         {
-            self.render_process(pa, m);
+            self.render_process(p, m);
         }
-        relabel(&mut frame.ifaces, ["eth0"]);
-        relabel(&mut frame.procs, procs.iter().map(|(name, _)| *name));
     }
 
     /// Synthesizes one second of per-category syscall counts for a
@@ -493,23 +465,6 @@ impl Noise {
     }
 }
 
-/// Makes `labels` read `names`, reusing every label it already holds.
-fn relabel<'a>(labels: &mut Vec<String>, names: impl IntoIterator<Item = &'a str>) {
-    let mut n = 0;
-    for name in names {
-        match labels.get_mut(n) {
-            Some(label) if label == name => {}
-            Some(label) => {
-                label.clear();
-                label.push_str(name);
-            }
-            None => labels.push(name.to_owned()),
-        }
-        n += 1;
-    }
-    labels.truncate(n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,6 +484,12 @@ mod tests {
         a
     }
 
+    /// One second with both daemons idle.
+    fn tick(node: &mut NodeSim, a: &Activity) -> MetricFrame {
+        let idle = ProcessActivity::default();
+        node.tick(a, &idle, &idle)
+    }
+
     #[test]
     fn same_seed_same_frames() {
         let spec = NodeSpec::ec2_large("n1");
@@ -536,15 +497,13 @@ mod tests {
         let mut b = NodeSim::new(spec, 7);
         let act = busy_activity();
         for _ in 0..10 {
-            assert_eq!(a.tick(&act, &[]), b.tick(&act, &[]));
+            assert_eq!(tick(&mut a, &act), tick(&mut b, &act));
         }
     }
 
-    /// A frame's labels, and every value as its bits.
-    fn frame_bits(f: &MetricFrame) -> (Vec<&str>, Vec<u64>) {
-        let labels = f.ifaces.iter().chain(&f.procs);
-        let bits = f.values().iter().map(|x| x.to_bits()).collect();
-        (labels.map(String::as_str).collect(), bits)
+    /// A frame's values as their bits.
+    fn frame_bits(f: &MetricFrame) -> Vec<u64> {
+        f.values().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -570,11 +529,10 @@ mod tests {
                 threads: 40.0,
                 ..Default::default()
             };
-            let procs = [("datanode", pa), ("tasktracker", pa)];
-            reused.tick_into(&act, &procs, &mut frame);
+            reused.tick_into(&act, &pa, &pa, &mut frame);
             assert_eq!(
                 frame_bits(&frame),
-                frame_bits(&fresh.tick(&act, &procs)),
+                frame_bits(&fresh.tick(&act, &pa, &pa)),
                 "t={t}"
             );
             reused.syscall_rates_into(&pa, &mut syscalls);
@@ -583,29 +541,11 @@ mod tests {
             for (got, want) in syscalls.iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits(), "syscalls, t={t}");
             }
-            // The metric buffer, its labels and the syscall buffer stay
-            // where the first call put them.
-            let now = (
-                frame.values().as_ptr(),
-                frame.procs[1].as_ptr(),
-                syscalls.as_ptr(),
-            );
+            // The metric buffer and the syscall buffer stay where the first
+            // call put them.
+            let now = (frame.values().as_ptr(), syscalls.as_ptr());
             assert_eq!(*addrs.get_or_insert(now), now, "t={t}");
         }
-    }
-
-    #[test]
-    fn tick_into_reshapes_a_frame_rendered_for_other_processes() {
-        let mut a = NodeSim::new(NodeSpec::ec2_large("n1"), 7);
-        let mut b = NodeSim::new(NodeSpec::ec2_large("n1"), 7);
-        let act = busy_activity();
-        let pa = ProcessActivity::default();
-        let mut frame = MetricFrame::default();
-        a.tick_into(&act, &[("datanode", pa), ("tasktracker", pa)], &mut frame);
-        b.tick(&act, &[("datanode", pa), ("tasktracker", pa)]);
-        a.tick_into(&act, &[("jobtracker", pa)], &mut frame);
-        assert_eq!(frame, b.tick(&act, &[("jobtracker", pa)]));
-        assert_eq!(frame.values().len(), 64 + 18 + 19);
     }
 
     #[test]
@@ -614,14 +554,14 @@ mod tests {
         let mut a = NodeSim::new(spec.clone(), 7);
         let mut b = NodeSim::new(spec, 8);
         let act = busy_activity();
-        assert_ne!(a.tick(&act, &[]), b.tick(&act, &[]));
+        assert_ne!(tick(&mut a, &act), tick(&mut b, &act));
     }
 
     #[test]
     fn cpu_percentages_sum_to_about_100() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         for _ in 0..50 {
-            let f = node.tick(&busy_activity(), &[]);
+            let f = tick(&mut node, &busy_activity());
             let sum: f64 = f.node()[0..6].iter().sum();
             assert!((85.0..=115.0).contains(&sum), "cpu sum {sum}");
         }
@@ -630,16 +570,16 @@ mod tests {
     #[test]
     fn idle_node_is_mostly_idle() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
-        let f = node.tick(&Activity::idle(), &[]);
+        let f = tick(&mut node, &Activity::idle());
         assert!(f.node()[node_idx::CPU_IDLE] > 95.0);
         assert!(f.node()[node_idx::CPU_USER] < 3.0);
-        assert_eq!(f.iface(0)[iface_idx::IFUP], 1.0);
+        assert_eq!(f.iface()[iface_idx::IFUP], 1.0);
     }
 
     #[test]
     fn disk_metrics_track_activity() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3).with_noise(0.0);
-        let f = node.tick(&busy_activity(), &[]);
+        let f = tick(&mut node, &busy_activity());
         assert_eq!(f.node()[node_idx::BREAD], 8_000.0);
         assert_eq!(f.node()[node_idx::BWRTN], 4_000.0);
         assert_eq!(f.node()[node_idx::PGPGIN], 4_000.0);
@@ -652,54 +592,46 @@ mod tests {
         let act = busy_activity();
         let mut lossy_act = act;
         lossy_act.packet_loss = 0.5;
-        let hf = healthy.tick(&act, &[]);
-        let lf = lossy.tick(&lossy_act, &[]);
-        assert!(lf.iface(0)[iface_idx::RXDROP] > 100.0 * hf.iface(0)[iface_idx::RXDROP]);
+        let hf = tick(&mut healthy, &act);
+        let lf = tick(&mut lossy, &lossy_act);
+        assert!(lf.iface()[iface_idx::RXDROP] > 100.0 * hf.iface()[iface_idx::RXDROP]);
     }
 
     #[test]
     fn load_average_rises_under_sustained_load_and_lags() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         let act = busy_activity();
-        let first = node.tick(&act, &[]).node()[node_idx::LDAVG_1];
+        let first = tick(&mut node, &act).node()[node_idx::LDAVG_1];
         let mut last = first;
         for _ in 0..120 {
-            last = node.tick(&act, &[]).node()[node_idx::LDAVG_1];
+            last = tick(&mut node, &act).node()[node_idx::LDAVG_1];
         }
         assert!(last > first, "load1 should climb: {first} -> {last}");
         // 15-minute average must lag the 1-minute average.
-        let f = node.tick(&act, &[]);
+        let f = tick(&mut node, &act);
         assert!(f.node()[node_idx::LDAVG_15] < f.node()[node_idx::LDAVG_1]);
     }
 
     #[test]
     fn frame_flattening_and_names_align() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
-        let procs = [
-            (
-                "datanode",
-                ProcessActivity {
-                    cpu_user: 0.2,
-                    rss_mb: 300.0,
-                    threads: 40.0,
-                    ..Default::default()
-                },
-            ),
-            (
-                "tasktracker",
-                ProcessActivity {
-                    cpu_user: 0.4,
-                    rss_mb: 500.0,
-                    threads: 60.0,
-                    ..Default::default()
-                },
-            ),
-        ];
-        let f = node.tick(&busy_activity(), &procs);
+        let datanode = ProcessActivity {
+            cpu_user: 0.2,
+            rss_mb: 300.0,
+            threads: 40.0,
+            ..Default::default()
+        };
+        let tasktracker = ProcessActivity {
+            cpu_user: 0.4,
+            rss_mb: 500.0,
+            threads: 60.0,
+            ..Default::default()
+        };
+        let f = node.tick(&busy_activity(), &datanode, &tasktracker);
         let flat = f.values();
-        let blocks = [f.node(), f.iface(0), f.process(0), f.process(1)];
+        let blocks = [f.node(), f.iface(), f.process(0), f.process(1)];
         assert_eq!(blocks.concat(), flat, "one buffer, blocks in order");
-        let names = f.flat_names();
+        let names = crate::metrics::sadc_names();
         assert_eq!(flat.len(), 64 + 18 + 2 * 19);
         assert_eq!(names.len(), flat.len());
         assert_eq!(names[0], "%user");
@@ -716,8 +648,8 @@ mod tests {
             cpu_system: 0.5,
             ..Default::default()
         };
-        let f1 = node.tick(&Activity::idle(), &[("dn", pa)]);
-        let f2 = node.tick(&Activity::idle(), &[("dn", pa)]);
+        let f1 = node.tick(&Activity::idle(), &pa, &pa);
+        let f2 = node.tick(&Activity::idle(), &pa, &pa);
         // Identical activity ⇒ identical sample: no time dependence.
         assert_eq!(f1.process(0)[process_idx::CPU_SECS], 1.0);
         assert_eq!(f2.process(0)[process_idx::CPU_SECS], 1.0);
@@ -726,10 +658,10 @@ mod tests {
     #[test]
     fn memory_pressure_triggers_swap_activity() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3).with_noise(0.0);
-        let calm = node.tick(&busy_activity(), &[]);
+        let calm = tick(&mut node, &busy_activity());
         assert_eq!(calm.node()[39], 0.0, "no swapping when memory fits");
         let hog = Activity::idle().with_mem_used_mb(9_000.0);
-        let pressured = node.tick(&hog, &[]);
+        let pressured = tick(&mut node, &hog);
         assert!(pressured.node()[39] > 0.0, "pswpout under pressure");
         assert!(pressured.node()[25] > 0.0, "kbswpused under pressure");
     }
@@ -738,7 +670,7 @@ mod tests {
     fn cpu_demand_is_clamped_to_capacity() {
         let mut node = NodeSim::new(NodeSpec::ec2_large("n1"), 3);
         let over = Activity::idle().with_cpu_user(40.0);
-        let f = node.tick(&over, &[]);
+        let f = tick(&mut node, &over);
         assert!(f.node()[node_idx::CPU_USER] <= 103.1); // noise margin
         assert!(f.node()[node_idx::CPU_IDLE] >= 0.0);
     }

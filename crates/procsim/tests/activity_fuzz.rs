@@ -54,7 +54,7 @@ proptest! {
             ..Default::default()
         };
         for a in &activities {
-            let frame = node.tick(a, &[("p", pa)]);
+            let frame = node.tick(a, &pa, &pa);
             for (i, &x) in frame.values().iter().enumerate() {
                 prop_assert!(x.is_finite(), "metric {i} not finite: {x}");
                 prop_assert!(x >= 0.0, "metric {i} negative: {x}");
@@ -73,9 +73,10 @@ proptest! {
     #[test]
     fn flatten_and_names_always_align(seed in 0u64..100, a in arb_activity()) {
         let mut node = NodeSim::new(NodeSpec::ec2_large("fuzz"), seed);
-        let frame = node.tick(&a, &[("dn", ProcessActivity::default())]);
-        prop_assert_eq!(frame.values().len(), frame.flat_names().len());
-        let blocks = [frame.node(), frame.iface(0), frame.process(0)];
+        let daemon = ProcessActivity::default();
+        let frame = node.tick(&a, &daemon, &daemon);
+        prop_assert_eq!(frame.values().len(), procsim::metrics::sadc_names().len());
+        let blocks = [frame.node(), frame.iface(), frame.process(0), frame.process(1)];
         prop_assert_eq!(blocks.concat(), frame.values());
     }
 }

@@ -335,18 +335,6 @@ pub fn sample_trace() -> Arc<hadoop_sim::Trace> {
     Arc::new(hadoop_sim::Trace::load(&path).expect("sample trace parses"))
 }
 
-/// The qualified metric names matching the flattened `sadc` vector, by
-/// rendering one frame of a throwaway single-node cluster (the frame
-/// layout is fixed, so any frame yields the canonical names).
-pub fn metric_names() -> Vec<String> {
-    let mut cluster = Cluster::new(ClusterConfig::new(1, 1), Vec::new());
-    cluster.tick();
-    cluster
-        .latest_frame(0)
-        .expect("one tick renders a frame")
-        .flat_names()
-}
-
 /// Renders one fault-scenario run — its accuracy row plus the faulty
 /// node's top-ranked metrics — as deterministic JSON for golden
 /// fixtures.

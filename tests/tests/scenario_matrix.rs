@@ -86,7 +86,7 @@ fn extended_fault_scenarios_match_fixtures_and_rank_the_culprit_metric() {
         metric_rank: true,
         ..support::small_campaign()
     };
-    let names = support::metric_names();
+    let names = procsim::metrics::sadc_names();
     let mut hits = 0;
     for fault in FaultKind::EXTENDED {
         let (result, top) = scenario(&cfg, fault, &names);
@@ -178,7 +178,7 @@ fn fleet_scale_rack_path_fingers_the_straggler() {
 
     // The straggler's dominant metric across those windows must belong to
     // its culprit family (task pileup: queue/load growth, I/O divergence).
-    let names = support::metric_names();
+    let names = procsim::metrics::sadc_names();
     let mut counts = std::collections::HashMap::new();
     for r in &windows[FAULT_NODE] {
         *counts.entry(r[0] as usize).or_insert(0usize) += 1;
@@ -292,7 +292,7 @@ fn trace_workload_scenario_matches_fixture() {
         workload: Workload::Trace(support::sample_trace()),
         ..support::small_campaign()
     };
-    let names = support::metric_names();
+    let names = procsim::metrics::sadc_names();
     let (result, top) = scenario(&cfg, FaultKind::Straggler, &names);
     support::assert_matches_fixture(
         "scenario_trace_straggler_small.json",
