@@ -113,6 +113,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The analysis window, in seconds, where `--window` does not set it.
+const DEFAULT_WINDOW: usize = 60;
+
 /// Monitored seconds of the `table3` / `table4` measurements.
 const TABLE_SECS: u64 = 600;
 
@@ -199,8 +202,9 @@ fn parse_speed(value: &str) -> Result<f64, String> {
     }
 }
 
-/// Parses `--window`, `--secs` or `--runs`: a window holds at least one
-/// sample, and a measurement covers at least one second and one run.
+/// Parses `--window`, `--secs`, `--runs` or `--tenants`: a window holds at
+/// least one sample, and a measurement covers at least one second, one run
+/// and one tenant.
 fn parse_positive<T: std::str::FromStr + Default + PartialEq>(
     flag: &str,
     value: &str,
@@ -305,13 +309,26 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
             "--history" => o.history = Some(v.clone()),
             "--report" => o.report_out = Some(v.clone()),
             "--json" => o.json_out = Some(v.clone()),
-            "--tenants" => o.tenants = parse_value(flag, v)?,
+            "--tenants" => o.tenants = parse_positive(flag, v)?,
             "--flood" => o.flood = parse_value(flag, v)?,
             "--tick-ms" => o.tick_ms = parse_value(flag, v)?,
             "--speed" => o.speed = parse_speed(v)?,
             "--queue-cap" => o.queue_cap = Some(parse_value(flag, v)?),
             other => unreachable!("{other} is listed in flags_of but not parsed"),
         }
+    }
+    // A run shorter than the window it is judged in measures no window.
+    let window = match cmd {
+        "fig6" | "fig7" | "serve" => o.window.unwrap_or(DEFAULT_WINDOW),
+        "demo" => DEFAULT_WINDOW,
+        // The ablation sweeps windows up to 120 s.
+        "ablate" => o.window.unwrap_or(DEFAULT_WINDOW).max(120),
+        _ => return Ok(o),
+    };
+    if let Some(secs) = o.secs.filter(|&s| s < window as u64) {
+        return Err(format!(
+            "flag --secs: {secs} s is shorter than the {window}-s analysis window"
+        ));
     }
     Ok(o)
 }
@@ -772,7 +789,7 @@ fn cmd_serve(o: Opts) {
     let slaves = o.slaves.unwrap_or(4);
     let steps = o.secs.unwrap_or(240);
     let flood = o.flood.min(o.tenants);
-    let window = o.window.unwrap_or(60);
+    let window = o.window.unwrap_or(DEFAULT_WINDOW);
     let train_cfg = CampaignConfig {
         slaves,
         base_seed: o.seed,
@@ -1049,6 +1066,8 @@ mod tests {
                     "--fault" => &[flag, "HADOOP-1036"],
                     "--workload" => &[flag, "gridmix"],
                     "--slaves" => &[flag, "3"],
+                    // At least the longest window a subcommand judges in.
+                    "--secs" => &[flag, "120"],
                     _ => &[flag, "1"],
                 };
                 assert!(parse(cmd, args).is_ok(), "asdf {cmd} {args:?}");

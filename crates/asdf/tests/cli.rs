@@ -109,6 +109,35 @@ fn nonsense_thresholds_and_an_empty_window_exit_2() {
         &["fig6", "--runs", "0", "--slaves", "3", "--secs", "120"],
         &["table3", "--secs", "0"],
         &["table4", "--secs", "0"],
+        &["fig6", "--secs", "30", "--slaves", "3", "--runs", "1"],
+        &["fig7", "--secs", "30", "--slaves", "3", "--runs", "1"],
+        &[
+            "fig7", "--secs", "100", "--slaves", "3", "--runs", "1", "--window", "120",
+        ],
+        &["ablate", "--secs", "90", "--slaves", "3", "--runs", "1"],
+        &["demo", "--secs", "30", "--slaves", "3"],
+        &[
+            "serve",
+            "--secs",
+            "30",
+            "--slaves",
+            "3",
+            "--tenants",
+            "1",
+            "--tick-ms",
+            "1",
+        ],
+        &[
+            "serve",
+            "--tenants",
+            "0",
+            "--slaves",
+            "3",
+            "--secs",
+            "60",
+            "--tick-ms",
+            "1",
+        ],
     ] {
         let out = asdf(args);
         assert_eq!(out.status.code(), Some(2), "asdf {args:?}");

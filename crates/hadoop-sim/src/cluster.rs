@@ -19,8 +19,6 @@
 //! 6. a job that has finished, and of which no attempt still runs, leaves
 //!    the jobtracker's table, and its input and output blocks leave HDFS.
 
-use std::collections::VecDeque;
-
 use procsim::{
     Activity, MetricFrame, NodeSim, NodeSpec, ProcessActivity, NODE_CORES, NODE_DISK_KBPS,
     NODE_NET_KBPS,
@@ -32,7 +30,7 @@ use crate::hdfs::Hdfs;
 use crate::job::{JobSpec, JobState, RunningTask, TaskPhase, TaskStatus};
 use crate::logging::{LogEvent, NodeLogs};
 use crate::resources::{allocate_flows, fair_share_into, loss_goodput_factor, Flow};
-use crate::types::{BlockId, JobId, TaskId, TaskKind};
+use crate::types::{AttemptId, BlockId, JobId, TaskId, TaskKind};
 
 /// Per-task rate caps (KB/s) — a single stream does not saturate a device.
 const TASK_DISK_KBPS: f64 = 40_960.0;
@@ -66,6 +64,36 @@ const TRACKER_FAILURES_TO_BAN: u32 = 4;
 const SPECULATIVE_SLOWDOWN: f64 = 2.5;
 /// ...and at least this many seconds.
 const SPECULATIVE_MIN_AGE_SECS: u64 = 90;
+
+/// A transfer is judged in a second only when it wants more than this many
+/// KB; below it, it is idle.
+const STARVE_MIN_WANTED_KB: f64 = 64.0;
+/// A judged transfer is starved when it is granted less than this share of
+/// what it wants...
+const STARVE_SHARE: f64 = 0.02;
+/// ...or less than this rate (KB/s), even where that is a large share of a
+/// small residual demand, though never less than all it wants.
+const STARVE_FLOOR_KBPS: f64 = 256.0;
+
+/// Whether a transfer that wanted `wanted_kb` this second and was granted
+/// `granted_kb` was starved (`Some(true)`) or delivered (`Some(false)`);
+/// `None` when it was idle. The one rule behind the fetch-stall ban,
+/// shuffle-sickness, fetch-failure kills and write-pipeline recovery; each
+/// keeps its own streak and decides for itself what an idle second does
+/// to it.
+fn starved(wanted_kb: f64, granted_kb: f64) -> Option<bool> {
+    (wanted_kb > STARVE_MIN_WANTED_KB).then(|| {
+        granted_kb
+            < (STARVE_SHARE * wanted_kb)
+                .max(STARVE_FLOOR_KBPS)
+                .min(wanted_kb)
+    })
+}
+
+/// The address a slave's daemons are reached at, as the logs print it.
+fn node_addr(node: usize) -> String {
+    format!("/10.1.0.{}", node + 2)
+}
 
 /// Static cluster configuration.
 #[derive(Debug, Clone)]
@@ -172,10 +200,6 @@ struct Slave {
 /// carry.
 struct RunningTaskExt {
     task: RunningTask,
-    /// Map: the input block and the node serving it.
-    input_block: Option<(BlockId, usize)>,
-    /// Reduce: total shuffle volume, for availability accounting.
-    shuffle_total_kb: f64,
     /// Reduce: HDFS write pipeline targets and output block.
     pipeline: Vec<usize>,
     output_block: Option<BlockId>,
@@ -322,7 +346,6 @@ pub struct Cluster {
     /// The jobtracker's table: every job submitted and not yet retired,
     /// in submission order.
     jobs: Vec<JobState>,
-    queue: VecDeque<(u64, JobSpec)>,
     workload: Workload,
     next_submission: (u64, JobSpec),
     hdfs: Hdfs,
@@ -384,7 +407,6 @@ impl Cluster {
             slaves,
             names,
             jobs: Vec::new(),
-            queue: VecDeque::new(),
             workload,
             next_submission,
             hdfs,
@@ -537,14 +559,10 @@ impl Cluster {
     fn submit_due_jobs(&mut self) {
         while self.next_submission.0 <= self.now {
             let (_, spec) = std::mem::replace(&mut self.next_submission, self.workload.next_job());
-            self.queue.push_back((self.now, spec));
-        }
-        while let Some((at, spec)) = self.queue.pop_front() {
-            let blocks = self.hdfs.create_file(spec.maps as usize);
-            let mut job = JobState::new(spec, self.cfg.slaves, at);
-            job.input_blocks = blocks;
-            for (node, sick) in self.shuffle_sick.iter().enumerate() {
-                job.banned_sources[node] |= sick;
+            let mut job = JobState::new(spec, self.cfg.slaves);
+            job.input_blocks = self.hdfs.create_file(job.spec.maps as usize);
+            for node in (0..self.cfg.slaves).filter(|&n| self.shuffle_sick[n]) {
+                job.ban_source(node);
             }
             self.jobs.push(job);
         }
@@ -635,7 +653,7 @@ impl Cluster {
                 let [node] = nodes[..] else { continue };
                 // With no completed sample yet, fall back to a conservative
                 // absolute straggler age.
-                let threshold = match job.mean_duration(TaskKind::Map, 1) {
+                let threshold = match job.mean_map_duration() {
                     Some(mean) => {
                         (SPECULATIVE_SLOWDOWN * mean).max(SPECULATIVE_MIN_AGE_SECS as f64)
                     }
@@ -653,12 +671,9 @@ impl Cluster {
             }
         }
         for (map_idx, current) in stragglers {
-            let Some(target) = order.iter().copied().find(|&n| {
-                n != current
-                    && !grants[n]
-                    && !self.jobs[job_idx].banned_sources[n]
-                    && self.free_slots(n, TaskKind::Map) > 0
-            }) else {
+            let Some(target) =
+                self.pick_target(job_idx, TaskKind::Map, order, grants, |n| n != current)
+            else {
                 continue;
             };
             grants[target] = true;
@@ -685,6 +700,25 @@ impl Cluster {
         order
     }
 
+    /// The first node in `order` that may take a new `kind` task of job
+    /// `job_idx` this second, and that `also` accepts: one the job has not
+    /// banned, not yet granted a `kind` task this second, with a free slot.
+    fn pick_target(
+        &self,
+        job_idx: usize,
+        kind: TaskKind,
+        order: &[usize],
+        grants: &[bool],
+        also: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        order.iter().copied().find(|&n| {
+            !self.jobs[job_idx].banned_sources[n]
+                && !grants[n]
+                && self.free_slots(n, kind) > 0
+                && also(n)
+        })
+    }
+
     fn schedule_maps(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
         let n_maps = self.jobs[job_idx].map_status.len();
         for map_idx in 0..n_maps {
@@ -692,74 +726,46 @@ impl Cluster {
                 continue;
             }
             let block = self.jobs[job_idx].input_blocks[map_idx];
-            let usable = |n: usize, this: &Self| {
-                !this.jobs[job_idx].banned_sources[n]
-                    && !grants[n]
-                    && this.free_slots(n, TaskKind::Map) > 0
+            // Prefer a data-local slot, then any free slot.
+            let local = self.pick_target(job_idx, TaskKind::Map, order, grants, |n| {
+                self.hdfs.replicas(block).contains(&n)
+            });
+            let any = || self.pick_target(job_idx, TaskKind::Map, order, grants, |_| true);
+            let Some(node) = local.or_else(any) else {
+                return;
             };
-            // Prefer a data-local slot, then any free slot — never a node
-            // the jobtracker has blacklisted for this job.
-            let local = order
-                .iter()
-                .copied()
-                .find(|&n| usable(n, self) && self.hdfs.replicas(block).contains(&n));
-            let chosen = local.or_else(|| order.iter().copied().find(|&n| usable(n, self)));
-            let Some(node) = chosen else { return };
             grants[node] = true;
             self.launch_map(job_idx, map_idx, node, block);
         }
     }
 
-    fn launch_map(&mut self, job_idx: usize, map_idx: usize, node: usize, block: BlockId) {
-        let task_id = TaskId {
-            job: self.jobs[job_idx].spec.id,
-            kind: TaskKind::Map,
-            index: map_idx as u32,
+    /// Starts an attempt of task `index` of kind `kind` of job `job_idx` on
+    /// `node`, in `phase`: the jobtracker's bookkeeping, the tasktracker's
+    /// launch line, and the slave's new entry.
+    fn launch(
+        &mut self,
+        job_idx: usize,
+        kind: TaskKind,
+        index: usize,
+        node: usize,
+        phase: TaskPhase,
+    ) -> AttemptId {
+        let job = &mut self.jobs[job_idx];
+        let task = TaskId {
+            job: job.spec.id,
+            kind,
+            index: index as u32,
         };
-        let attempt = self.jobs[job_idx].new_attempt(task_id);
-        let profile = self.jobs[job_idx].spec.map_profile;
-        let source = self
-            .hdfs
-            .pick_replica(block, node)
-            .expect("input block placed at submission");
-        self.slaves[node]
-            .logs
-            .record(self.now, &LogEvent::LaunchTask(attempt));
-        // The replica holder's datanode starts serving the block.
-        self.slaves[source].logs.record(
-            self.now,
-            &LogEvent::ServeBlockStart {
-                block,
-                dest: format!("/10.1.0.{}", node + 2),
-            },
-        );
-
-        // HADOOP-1036: maps launched on the faulty node spin forever.
-        let hangs = self.fault_kind_active(node) == Some(FaultKind::Hadoop1036);
-        let phase = if hangs {
-            TaskPhase::Hung { cpu: 1.0 }
-        } else {
-            TaskPhase::MapRead {
-                remaining_kb: profile.input_kb,
-                source: (source != node).then_some(source),
-            }
-        };
-        self.jobs[job_idx].map_status[map_idx] = TaskStatus::Running(node);
-        self.jobs[job_idx]
-            .running_attempts
-            .entry(task_id)
-            .or_default()
-            .push(node);
-        self.slaves[node].running.push(RunningTaskExt {
+        let attempt = job.launch(task, node);
+        let slave = &mut self.slaves[node];
+        slave.logs.record(self.now, &LogEvent::LaunchTask(attempt));
+        slave.running.push(RunningTaskExt {
             task: RunningTask {
                 attempt,
                 phase,
                 phase_age: 0,
                 age: 0,
-                mem_mb: TASK_MEM_MB,
             },
-            input_block: Some((block, source)),
-            shuffle_total_kb: 0.0,
             pipeline: Vec::new(),
             output_block: None,
             starved_secs: 0,
@@ -767,6 +773,33 @@ impl Cluster {
             pipeline_excluded: Vec::new(),
             pending_failure: None,
         });
+        attempt
+    }
+
+    fn launch_map(&mut self, job_idx: usize, map_idx: usize, node: usize, block: BlockId) {
+        let source = self
+            .hdfs
+            .pick_replica(block, node)
+            .expect("input block placed at submission");
+        // HADOOP-1036: maps launched on the faulty node spin forever.
+        let hangs = self.fault_kind_active(node) == Some(FaultKind::Hadoop1036);
+        let phase = if hangs {
+            TaskPhase::Hung { cpu: 1.0 }
+        } else {
+            TaskPhase::MapRead {
+                remaining_kb: self.jobs[job_idx].spec.map_profile.input_kb,
+                source: (source != node).then_some(source),
+            }
+        };
+        self.launch(job_idx, TaskKind::Map, map_idx, node, phase);
+        // The replica holder's datanode starts serving the block.
+        self.slaves[source].logs.record(
+            self.now,
+            &LogEvent::ServeBlockStart {
+                block,
+                dest: node_addr(node),
+            },
+        );
     }
 
     fn schedule_reduces(&mut self, job_idx: usize, order: &[usize], grants: &mut [bool]) {
@@ -778,57 +811,19 @@ impl Cluster {
             if self.jobs[job_idx].reduce_status[red_idx] != TaskStatus::Pending {
                 continue;
             }
-            let Some(node) = order.iter().copied().find(|&n| {
-                !self.jobs[job_idx].banned_sources[n]
-                    && !grants[n]
-                    && self.free_slots(n, TaskKind::Reduce) > 0
-            }) else {
+            let Some(node) = self.pick_target(job_idx, TaskKind::Reduce, order, grants, |_| true)
+            else {
                 return;
             };
             grants[node] = true;
-            self.launch_reduce(job_idx, red_idx, node);
+            let phase = TaskPhase::ReduceCopy {
+                remaining_kb: self.jobs[job_idx].spec.reduce_profile.shuffle_kb,
+            };
+            let attempt = self.launch(job_idx, TaskKind::Reduce, red_idx, node, phase);
+            self.slaves[node]
+                .logs
+                .record(self.now, &LogEvent::ReduceCopyStart(attempt));
         }
-    }
-
-    fn launch_reduce(&mut self, job_idx: usize, red_idx: usize, node: usize) {
-        let task_id = TaskId {
-            job: self.jobs[job_idx].spec.id,
-            kind: TaskKind::Reduce,
-            index: red_idx as u32,
-        };
-        let attempt = self.jobs[job_idx].new_attempt(task_id);
-        let profile = self.jobs[job_idx].spec.reduce_profile;
-        self.slaves[node]
-            .logs
-            .record(self.now, &LogEvent::LaunchTask(attempt));
-        self.slaves[node]
-            .logs
-            .record(self.now, &LogEvent::ReduceCopyStart(attempt));
-        self.jobs[job_idx].reduce_status[red_idx] = TaskStatus::Running(node);
-        self.jobs[job_idx]
-            .running_attempts
-            .entry(task_id)
-            .or_default()
-            .push(node);
-        self.slaves[node].running.push(RunningTaskExt {
-            task: RunningTask {
-                attempt,
-                phase: TaskPhase::ReduceCopy {
-                    remaining_kb: profile.shuffle_kb,
-                },
-                phase_age: 0,
-                age: 0,
-                mem_mb: TASK_MEM_MB,
-            },
-            input_block: None,
-            shuffle_total_kb: profile.shuffle_kb,
-            pipeline: Vec::new(),
-            output_block: None,
-            starved_secs: 0,
-            write_starved_secs: 0,
-            pipeline_excluded: Vec::new(),
-            pending_failure: None,
-        });
     }
 
     fn fault_kind_active(&self, node: usize) -> Option<FaultKind> {
@@ -869,9 +864,9 @@ impl Cluster {
             shuffle,
         } = &mut scratch;
         works.resize_with(n, NodeWork::empty);
-        for (node, (slave, work)) in self.slaves.iter().zip(works.iter_mut()).enumerate() {
+        for (node, work) in works.iter_mut().enumerate() {
             work.reset();
-            node_demands(&self.jobs, &emitted_per_job, now, node, slave, demand, work);
+            node_demands(self, &emitted_per_job, node, demand, work);
         }
 
         // --- Coordination barrier: merge node-local outputs ----------------
@@ -938,13 +933,13 @@ impl Cluster {
                     }
                     works[consumer_node].reduce_rx[t_idx].1 += rate;
                     // Global source-health evidence, per (src, dst) pair.
-                    let starved = flow.wanted_kb > 64.0
-                        && rate < (0.02 * flow.wanted_kb).max(256.0).min(flow.wanted_kb);
                     let key = (flow.src, consumer_node);
-                    if starved {
-                        *self.pair_starve.entry(key).or_insert(0) += 1;
-                    } else if flow.wanted_kb > 64.0 {
-                        self.pair_starve.remove(&key);
+                    match starved(flow.wanted_kb, rate) {
+                        Some(true) => *self.pair_starve.entry(key).or_insert(0) += 1,
+                        Some(false) => {
+                            self.pair_starve.remove(&key);
+                        }
+                        None => {}
                     }
                 }
                 FlowKind::PipelineHop {
@@ -976,32 +971,19 @@ impl Cluster {
         // is the sick party, so no source is blamed (the task timeout and
         // speculative execution deal with the reducer instead).
         const STALL_SECS_TO_BAN: u32 = 60;
-        /// A transfer is considered starved below this absolute rate even
-        /// if it is a large fraction of a small residual demand.
-        const STALL_FLOOR_KBPS: f64 = 256.0;
         for sources in shuffle.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-            let stalled = |wanted: f64, granted: f64| {
-                wanted > 64.0 && granted < (0.02 * wanted).max(STALL_FLOOR_KBPS).min(wanted)
-            };
-            let any_delivering = sources.iter().any(|&(_, w, g)| w > 64.0 && !stalled(w, g));
+            let any_delivering = sources
+                .iter()
+                .any(|&(_, w, g)| starved(w, g) == Some(false));
             let job = &mut self.jobs[sources[0].0 .0];
             for &((_, src), wanted, granted) in sources {
-                if stalled(wanted, granted) {
-                    if any_delivering {
-                        job.stall_secs[src] += 1;
-                    }
-                } else if wanted > 64.0 {
-                    job.stall_secs[src] = 0;
+                match starved(wanted, granted) {
+                    Some(true) if any_delivering => job.stall_secs[src] += 1,
+                    Some(false) => job.stall_secs[src] = 0,
+                    _ => {}
                 }
-                if job.stall_secs[src] >= STALL_SECS_TO_BAN && !job.banned_sources[src] {
-                    job.banned_sources[src] = true;
-                    job.map_output_kb_by_node[src] = 0.0;
-                    for (m_idx, ran) in job.map_ran_on.iter_mut().enumerate() {
-                        if *ran == Some(src) && job.map_status[m_idx] == TaskStatus::Done {
-                            job.map_status[m_idx] = TaskStatus::Pending;
-                            *ran = None;
-                        }
-                    }
+                if job.stall_secs[src] >= STALL_SECS_TO_BAN {
+                    job.ban_source(src);
                 }
             }
         }
@@ -1025,20 +1007,8 @@ impl Cluster {
         for (src, &dsts) in starving_dsts.iter().enumerate() {
             if dsts >= 2 && !self.shuffle_sick[src] {
                 self.shuffle_sick[src] = true;
-                for job in &mut self.jobs {
-                    if job.completed_at.is_some() || job.banned_sources[src] {
-                        continue;
-                    }
-                    job.banned_sources[src] = true;
-                    job.map_output_kb_by_node[src] = 0.0;
-                    for m_idx in 0..job.map_ran_on.len() {
-                        if job.map_ran_on[m_idx] == Some(src)
-                            && job.map_status[m_idx] == TaskStatus::Done
-                        {
-                            job.map_status[m_idx] = TaskStatus::Pending;
-                            job.map_ran_on[m_idx] = None;
-                        }
-                    }
+                for job in self.jobs.iter_mut().filter(|j| j.completed_at.is_none()) {
+                    job.ban_source(src);
                 }
             }
         }
@@ -1055,8 +1025,7 @@ impl Cluster {
                     ext.starved_secs = 0;
                     continue;
                 }
-                let starved = wanted > 64.0 && granted < (0.02 * wanted).max(256.0).min(wanted);
-                if starved {
+                if starved(wanted, granted) == Some(true) {
                     ext.starved_secs += 1;
                 } else {
                     ext.starved_secs = 0;
@@ -1079,61 +1048,36 @@ impl Cluster {
         #[allow(clippy::needless_range_loop)] // indices address slaves and grants in parallel
         for node in 0..n {
             for t_idx in 0..self.slaves[node].running.len() {
-                let (is_write, wanted) = match self.slaves[node].running[t_idx].task.phase {
-                    TaskPhase::ReduceWrite { remaining_kb } => {
-                        (true, remaining_kb.min(TASK_DISK_KBPS))
-                    }
-                    _ => (false, 0.0),
-                };
-                if !is_write {
-                    self.slaves[node].running[t_idx].write_starved_secs = 0;
+                let ext = &mut self.slaves[node].running[t_idx];
+                let TaskPhase::ReduceWrite { remaining_kb } = ext.task.phase else {
+                    ext.write_starved_secs = 0;
                     continue;
-                }
-                let granted = works[node].task_io[t_idx];
-                let starved = wanted > 64.0 && granted < (0.02 * wanted).max(256.0).min(wanted);
-                let rebuild = {
-                    let ext = &mut self.slaves[node].running[t_idx];
-                    if starved {
-                        ext.write_starved_secs += 1;
-                    } else {
-                        ext.write_starved_secs = 0;
-                    }
-                    ext.write_starved_secs >= PIPELINE_STARVE_SECS
                 };
-                if rebuild {
-                    let (old_pipeline, mut excluded) = {
-                        let ext = &self.slaves[node].running[t_idx];
-                        (ext.pipeline.clone(), ext.pipeline_excluded.clone())
-                    };
-                    for p in old_pipeline {
-                        if !excluded.contains(&p) {
-                            excluded.push(p);
-                        }
-                    }
-                    for (i, sick) in self.shuffle_sick.iter().enumerate() {
-                        if *sick && !excluded.contains(&i) {
-                            excluded.push(i);
-                        }
-                    }
-                    let fresh = self
-                        .hdfs
-                        .pick_pipeline_excluding(node, REPLICATION - 1, &excluded);
-                    if let Some(block) = self.slaves[node].running[t_idx].output_block {
-                        for &r in &fresh {
-                            self.slaves[r].logs.record(
-                                now,
-                                &LogEvent::ReceiveBlockStart {
-                                    block,
-                                    src: format!("/10.1.0.{}", node + 2),
-                                },
-                            );
-                        }
-                    }
-                    let ext = &mut self.slaves[node].running[t_idx];
-                    ext.pipeline = fresh;
-                    ext.pipeline_excluded = excluded;
+                let wanted = remaining_kb.min(TASK_DISK_KBPS);
+                if starved(wanted, works[node].task_io[t_idx]) == Some(true) {
+                    ext.write_starved_secs += 1;
+                } else {
                     ext.write_starved_secs = 0;
                 }
+                if ext.write_starved_secs < PIPELINE_STARVE_SECS {
+                    continue;
+                }
+                // Exclude the old pipeline, then every shuffle-sick node.
+                let mut excluded = std::mem::take(&mut ext.pipeline_excluded);
+                let sick = (0..n).filter(|&i| self.shuffle_sick[i]);
+                for p in std::mem::take(&mut ext.pipeline).into_iter().chain(sick) {
+                    if !excluded.contains(&p) {
+                        excluded.push(p);
+                    }
+                }
+                let fresh = self
+                    .hdfs
+                    .pick_pipeline_excluding(node, REPLICATION - 1, &excluded);
+                ext.pipeline_excluded = excluded;
+                ext.write_starved_secs = 0;
+                let block = ext.output_block.expect("write phase has block");
+                self.log_replicas_receiving(block, node, &fresh);
+                self.slaves[node].running[t_idx].pipeline = fresh;
             }
         }
 
@@ -1212,26 +1156,37 @@ impl Cluster {
         self.jobs.iter().position(|j| j.spec.id == id)
     }
 
+    /// Logs the replicas of a write pipeline starting to receive `block`
+    /// from its writer on `writer`.
+    fn log_replicas_receiving(&mut self, block: BlockId, writer: usize, replicas: &[usize]) {
+        for &r in replicas {
+            self.slaves[r].logs.record(
+                self.now,
+                &LogEvent::ReceiveBlockStart {
+                    block,
+                    src: node_addr(writer),
+                },
+            );
+        }
+    }
+
     /// Kills every still-running attempt of each task in `kills` except
     /// the winner's (already removed), logging the jobtracker kill.
     fn apply_kills(&mut self, kills: &[(TaskId, usize)]) {
         let now = self.now;
         for &(task, winner) in kills {
-            for node in 0..self.cfg.slaves {
+            for (node, slave) in self.slaves.iter_mut().enumerate() {
                 if node == winner {
                     continue;
                 }
-                let slave = &mut self.slaves[node];
-                let mut i = 0;
-                while i < slave.running.len() {
-                    if slave.running[i].task.attempt.task == task {
-                        let attempt = slave.running[i].task.attempt;
-                        slave.logs.record(now, &LogEvent::TaskKilled(attempt));
-                        slave.running.remove(i);
-                    } else {
-                        i += 1;
+                let logs = &mut slave.logs;
+                slave.running.retain(|ext| {
+                    let killed = ext.task.attempt.task == task;
+                    if killed {
+                        logs.record(now, &LogEvent::TaskKilled(ext.task.attempt));
                     }
-                }
+                    !killed
+                });
             }
             if let Some(job_idx) = self.job_index(task.job) {
                 self.jobs[job_idx].running_attempts.remove(&task);
@@ -1267,6 +1222,9 @@ impl Cluster {
                 let ext = &self.slaves[node].running[t_idx];
                 (ext.task.attempt, ext.task.phase)
             };
+            let job_idx = self
+                .job_index(attempt.task.job)
+                .expect("running task's job exists");
             let cpu = cpu_grants.get(t_idx).copied().unwrap_or(0.0) * progress;
             let io = io_grants.get(t_idx).copied().unwrap_or(0.0) * progress;
             let mut done = false;
@@ -1279,26 +1237,27 @@ impl Cluster {
                 .map_or(std::slice::from_ref(&node), |(_, blamed)| blamed);
 
             match &mut phase {
-                TaskPhase::MapRead { remaining_kb, .. } => {
+                TaskPhase::MapRead {
+                    remaining_kb,
+                    source,
+                } => {
                     *remaining_kb -= io;
                     if *remaining_kb <= 1e-6 {
                         // Input read complete: the serving datanode logs it.
-                        let (block, source) = self.slaves[node].running[t_idx]
-                            .input_block
-                            .expect("map has block");
-                        self.slaves[source]
+                        let job = &self.jobs[job_idx];
+                        let block = job.input_blocks[attempt.task.index as usize];
+                        self.slaves[source.unwrap_or(node)]
                             .logs
                             .record(now, &LogEvent::ServeBlockEnd { block });
-                        let profile = self.map_profile_of(attempt.task.job);
                         phase = TaskPhase::MapCompute {
-                            remaining_secs: profile.cpu_secs,
+                            remaining_secs: job.spec.map_profile.cpu_secs,
                         };
                     }
                 }
                 TaskPhase::MapCompute { remaining_secs } => {
                     *remaining_secs -= cpu;
                     if *remaining_secs <= 1e-6 {
-                        let profile = self.map_profile_of(attempt.task.job);
+                        let profile = self.jobs[job_idx].spec.map_profile;
                         phase = TaskPhase::MapSpill {
                             remaining_kb: profile.output_kb.max(1.0),
                         };
@@ -1326,7 +1285,7 @@ impl Cluster {
                         self.slaves[node]
                             .logs
                             .record(now, &LogEvent::ReduceSortStart(attempt));
-                        let profile = self.reduce_profile_of(attempt.task.job);
+                        let profile = self.jobs[job_idx].spec.reduce_profile;
                         // HADOOP-2080: the checksum bug freezes the reducer
                         // as it starts merging.
                         if self.fault_kind_active(node) == Some(FaultKind::Hadoop2080) {
@@ -1347,7 +1306,7 @@ impl Cluster {
                         self.slaves[node]
                             .logs
                             .record(now, &LogEvent::ReduceSortEnd(attempt));
-                        let profile = self.reduce_profile_of(attempt.task.job);
+                        let profile = self.jobs[job_idx].spec.reduce_profile;
                         phase = TaskPhase::ReduceCompute {
                             remaining_secs: profile.reduce_cpu_secs,
                         };
@@ -1356,7 +1315,6 @@ impl Cluster {
                 TaskPhase::ReduceCompute { remaining_secs } => {
                     *remaining_secs -= cpu;
                     if *remaining_secs <= 1e-6 {
-                        let job_idx = self.job_index(attempt.task.job).expect("job exists");
                         let profile = self.jobs[job_idx].spec.reduce_profile;
                         let known_bad: Vec<usize> = (0..self.cfg.slaves)
                             .filter(|&i| self.shuffle_sick[i])
@@ -1373,15 +1331,7 @@ impl Cluster {
                                 src: "/127.0.0.1".to_owned(),
                             },
                         );
-                        for &r in &pipeline {
-                            self.slaves[r].logs.record(
-                                now,
-                                &LogEvent::ReceiveBlockStart {
-                                    block,
-                                    src: format!("/10.1.0.{}", node + 2),
-                                },
-                            );
-                        }
+                        self.log_replicas_receiving(block, node, &pipeline);
                         let ext = &mut self.slaves[node].running[t_idx];
                         ext.pipeline = pipeline;
                         ext.output_block = Some(block);
@@ -1393,18 +1343,13 @@ impl Cluster {
                 TaskPhase::ReduceWrite { remaining_kb } => {
                     *remaining_kb -= io;
                     if *remaining_kb <= 1e-6 {
-                        let ext = &self.slaves[node].running[t_idx];
+                        // The writer's datanode, then the replicas', in
+                        // pipeline order.
+                        let ext = &mut self.slaves[node].running[t_idx];
                         let block = ext.output_block.expect("write phase has block");
-                        let size_kb = self.reduce_profile_of(attempt.task.job).output_kb;
-                        let pipeline = ext.pipeline.clone();
-                        self.slaves[node].logs.record(
-                            now,
-                            &LogEvent::ReceiveBlockEnd {
-                                block,
-                                size: (size_kb * 1024.0) as u64,
-                            },
-                        );
-                        for &r in &pipeline {
+                        let pipeline = std::mem::take(&mut ext.pipeline);
+                        let size_kb = self.jobs[job_idx].spec.reduce_profile.output_kb;
+                        for &r in std::iter::once(&node).chain(&pipeline) {
                             self.slaves[r].logs.record(
                                 now,
                                 &LogEvent::ReceiveBlockEnd {
@@ -1446,94 +1391,31 @@ impl Cluster {
                     .record(now, &LogEvent::TaskFailed { attempt, reason });
                 self.slaves[node].last_failure_at = Some(now);
                 self.stats.task_failures += 1;
-                let job_idx = self.job_index(attempt.task.job).expect("job exists");
                 // Per-job tracker blacklisting: the blamed node(s) — the
                 // failing tracker itself, or the shuffle sources that
                 // starved a fetch-failed reduce — stop receiving (and, for
                 // sources, serving) this job's work.
+                let job = &mut self.jobs[job_idx];
                 for &b in blame {
-                    self.jobs[job_idx].failures_by_node[b] += 1;
-                    if self.jobs[job_idx].failures_by_node[b] >= TRACKER_FAILURES_TO_BAN
-                        && !self.jobs[job_idx].banned_sources[b]
-                    {
-                        self.jobs[job_idx].banned_sources[b] = true;
-                        // A banned shuffle source's map outputs must be
-                        // re-executed elsewhere.
-                        self.jobs[job_idx].map_output_kb_by_node[b] = 0.0;
-                        for m_idx in 0..self.jobs[job_idx].map_ran_on.len() {
-                            if self.jobs[job_idx].map_ran_on[m_idx] == Some(b)
-                                && self.jobs[job_idx].map_status[m_idx] == TaskStatus::Done
-                            {
-                                self.jobs[job_idx].map_status[m_idx] = TaskStatus::Pending;
-                                self.jobs[job_idx].map_ran_on[m_idx] = None;
-                            }
-                        }
+                    job.failures_by_node[b] += 1;
+                    if job.failures_by_node[b] >= TRACKER_FAILURES_TO_BAN {
+                        job.ban_source(b);
                     }
                 }
-                // Drop this attempt; the task goes back to Pending only if
-                // no sibling (speculative) attempt is still running.
-                let siblings_left = {
-                    let job = &mut self.jobs[job_idx];
-                    if let Some(nodes) = job.running_attempts.get_mut(&attempt.task) {
-                        nodes.retain(|&x| x != node);
-                        let left = !nodes.is_empty();
-                        if !left {
-                            job.running_attempts.remove(&attempt.task);
-                        }
-                        left
-                    } else {
-                        false
-                    }
-                };
-                if !siblings_left {
-                    match attempt.task.kind {
-                        TaskKind::Map => {
-                            self.jobs[job_idx].map_status[attempt.task.index as usize] =
-                                TaskStatus::Pending;
-                        }
-                        TaskKind::Reduce => {
-                            self.jobs[job_idx].reduce_status[attempt.task.index as usize] =
-                                TaskStatus::Pending;
-                        }
-                    }
-                }
+                job.attempt_failed(attempt.task, node);
                 finished.push(t_idx);
             } else if done {
                 self.slaves[node]
                     .logs
                     .record(now, &LogEvent::TaskDone(attempt));
-                let job_idx = self.job_index(attempt.task.job).expect("job exists");
                 let duration = self.slaves[node].running[t_idx].task.age as f64;
-                let had_siblings = self.jobs[job_idx]
-                    .running_attempts
-                    .get(&attempt.task)
-                    .is_some_and(|nodes| nodes.len() > 1);
-                match attempt.task.kind {
-                    TaskKind::Map => {
-                        self.jobs[job_idx].map_status[attempt.task.index as usize] =
-                            TaskStatus::Done;
-                        self.jobs[job_idx].map_ran_on[attempt.task.index as usize] = Some(node);
-                        let out = self.jobs[job_idx].spec.map_profile.output_kb;
-                        self.jobs[job_idx].map_output_kb_by_node[node] += out;
-                        let d = &mut self.jobs[job_idx].map_durations;
-                        d.0 += duration;
-                        d.1 += 1;
-                        self.stats.maps_done += 1;
-                    }
-                    TaskKind::Reduce => {
-                        self.jobs[job_idx].reduce_status[attempt.task.index as usize] =
-                            TaskStatus::Done;
-                        let d = &mut self.jobs[job_idx].reduce_durations;
-                        d.0 += duration;
-                        d.1 += 1;
-                        self.stats.reduces_done += 1;
-                    }
-                }
-                if had_siblings {
+                if self.jobs[job_idx].attempt_done(attempt.task, node, duration) {
                     kills.push((attempt.task, node));
-                } else {
-                    self.jobs[job_idx].running_attempts.remove(&attempt.task);
                 }
+                *match attempt.task.kind {
+                    TaskKind::Map => &mut self.stats.maps_done,
+                    TaskKind::Reduce => &mut self.stats.reduces_done,
+                } += 1;
                 finished.push(t_idx);
             }
         }
@@ -1543,16 +1425,6 @@ impl Cluster {
             self.slaves[node].running.remove(idx);
         }
         kills
-    }
-
-    fn map_profile_of(&self, job: JobId) -> crate::job::MapProfile {
-        let idx = self.job_index(job).expect("job exists");
-        self.jobs[idx].spec.map_profile
-    }
-
-    fn reduce_profile_of(&self, job: JobId) -> crate::job::ReduceProfile {
-        let idx = self.job_index(job).expect("job exists");
-        self.jobs[idx].spec.reduce_profile
     }
 }
 
@@ -1567,21 +1439,16 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-fn job_index_in(jobs: &[JobState], id: JobId) -> Option<usize> {
-    jobs.iter().position(|j| j.spec.id == id)
-}
-
 /// One node's share of `execute_second`'s demand phase: reads the shared
 /// job table and this node's state, writes only `out`.
 fn node_demands(
-    jobs: &[JobState],
+    cluster: &Cluster,
     emitted_per_job: &[f64],
-    now: u64,
     node: usize,
-    slave: &Slave,
     scratch: &mut DemandScratch,
     out: &mut NodeWork,
 ) {
+    let (jobs, now, slave) = (&cluster.jobs, cluster.now, &cluster.slaves[node]);
     // CPU and disk demands: (slave_task_index or BACKGROUND, amount).
     const BACKGROUND: usize = usize::MAX;
     // Gray-failure kernel burn: contends like a hog but is accounted as
@@ -1659,9 +1526,10 @@ fn node_demands(
                 disk_dem.push((t_idx, remaining_kb.min(TASK_DISK_KBPS), true));
             }
             TaskPhase::ReduceCopy { remaining_kb } => {
-                let job_idx = job_index_in(jobs, ext.task.attempt.task.job)
+                let job_idx = cluster
+                    .job_index(ext.task.attempt.task.job)
                     .expect("running task's job exists");
-                let pulled = ext.shuffle_total_kb - remaining_kb;
+                let pulled = jobs[job_idx].spec.reduce_profile.shuffle_kb - remaining_kb;
                 let reduces = jobs[job_idx].reduce_status.len().max(1) as f64;
                 let available = (emitted_per_job[job_idx] / reduces - pulled).max(0.0);
                 let want = remaining_kb.min(available).min(TASK_NET_KBPS);
@@ -1785,8 +1653,8 @@ fn render_inputs(now: u64, slave: &Slave, work: &mut NodeWork) {
     // Daemon baseline + heartbeats (tasktracker reports every 3 s).
     a.cpu_system += 0.03;
     a.mem_used_mb += 550.0; // datanode + tasktracker JVMs
-    for t in &slave.running {
-        a.mem_used_mb += t.task.mem_mb;
+    for _ in &slave.running {
+        a.mem_used_mb += TASK_MEM_MB;
     }
     if now.is_multiple_of(3) {
         a.net_tx_kb += 1.0;
@@ -2009,6 +1877,22 @@ mod tests {
         );
         assert!(faulty.fault_active(3));
         assert!(!faulty.fault_active(0));
+    }
+
+    #[test]
+    fn starvation_is_judged_above_64_kb_against_the_capped_floor() {
+        // At 64 KB wanted a transfer is idle, whatever it gets.
+        assert_eq!(starved(64.0, 0.0), None);
+        assert_eq!(starved(64.5, 0.0), Some(true));
+        // Below 256 KB wanted the floor is all of it.
+        assert_eq!(starved(100.0, 99.5), Some(true));
+        assert_eq!(starved(100.0, 100.0), Some(false));
+        // Up to 12,800 KB wanted the floor is 256 KB/s...
+        assert_eq!(starved(1_000.0, 255.5), Some(true));
+        assert_eq!(starved(1_000.0, 256.0), Some(false));
+        // ...and above it, 2% of what is wanted.
+        assert_eq!(starved(20_000.0, 399.5), Some(true));
+        assert_eq!(starved(20_000.0, 400.0), Some(false));
     }
 
     #[test]

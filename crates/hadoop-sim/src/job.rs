@@ -1,7 +1,9 @@
 //! MapReduce job and task models.
 //!
 //! A [`JobSpec`] describes the work a job will do (task counts and per-task
-//! resource quantities); [`JobState`] tracks a submitted job's progress; a
+//! resource quantities); [`JobState`] tracks a submitted job's progress and
+//! owns its tasks' transitions (launch, failure, completion, and the ban of
+//! a source node that sends its finished maps back to be re-executed); a
 //! [`RunningTask`] is one attempt executing on a slave, advancing through
 //! its [`TaskPhase`]s as the node grants it resources.
 
@@ -87,13 +89,6 @@ pub struct JobSpec {
     pub reduce_profile: ReduceProfile,
 }
 
-impl JobSpec {
-    /// Total input volume in KB (maps × per-map input).
-    pub fn input_kb(&self) -> f64 {
-        f64::from(self.maps) * self.map_profile.input_kb
-    }
-}
-
 /// A task phase and the work remaining in it.
 ///
 /// Each phase demands exactly one class of resource; the node's per-tick
@@ -147,22 +142,6 @@ pub enum TaskPhase {
     },
 }
 
-impl TaskPhase {
-    /// A short state label used in logs and assertions.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TaskPhase::MapRead { .. } => "map_read",
-            TaskPhase::MapCompute { .. } => "map_compute",
-            TaskPhase::MapSpill { .. } => "map_spill",
-            TaskPhase::ReduceCopy { .. } => "reduce_copy",
-            TaskPhase::ReduceSort { .. } => "reduce_sort",
-            TaskPhase::ReduceCompute { .. } => "reduce_compute",
-            TaskPhase::ReduceWrite { .. } => "reduce_write",
-            TaskPhase::Hung { .. } => "hung",
-        }
-    }
-}
-
 /// One attempt executing on a slave node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunningTask {
@@ -174,8 +153,6 @@ pub struct RunningTask {
     pub phase_age: u64,
     /// Seconds since the attempt launched (for the task timeout).
     pub age: u64,
-    /// Resident memory footprint of the task JVM, MB.
-    pub mem_mb: f64,
 }
 
 impl RunningTask {
@@ -190,8 +167,8 @@ impl RunningTask {
 pub enum TaskStatus {
     /// Not yet scheduled.
     Pending,
-    /// Currently running on the contained node.
-    Running(usize),
+    /// Currently running.
+    Running,
     /// Finished successfully.
     Done,
 }
@@ -213,7 +190,7 @@ pub struct JobState {
     /// Which node each completed map ran on (for fetch-stall re-execution).
     pub map_ran_on: Vec<Option<usize>>,
     /// Nodes this job refuses to schedule maps on or shuffle from
-    /// (jobtracker blacklisting after sustained fetch stalls).
+    /// (jobtracker blacklisting, see [`JobState::ban_source`]).
     pub banned_sources: Vec<bool>,
     /// Consecutive seconds each source node has starved this job's
     /// reduces.
@@ -226,10 +203,6 @@ pub struct JobState {
     pub running_attempts: std::collections::BTreeMap<TaskId, Vec<usize>>,
     /// Completed map durations (sum, count) for straggler detection.
     pub map_durations: (f64, u32),
-    /// Completed reduce durations (sum, count) for straggler detection.
-    pub reduce_durations: (f64, u32),
-    /// Submission time (cluster seconds).
-    pub submitted_at: u64,
     /// Completion time, when finished.
     pub completed_at: Option<u64>,
     /// The job's input file: one HDFS block per map, in map order.
@@ -241,7 +214,7 @@ pub struct JobState {
 impl JobState {
     /// Creates bookkeeping for a freshly submitted job on a cluster with
     /// `n_nodes` slaves.
-    pub fn new(spec: JobSpec, n_nodes: usize, submitted_at: u64) -> Self {
+    pub fn new(spec: JobSpec, n_nodes: usize) -> Self {
         let maps = spec.maps as usize;
         let reduces = spec.reduces as usize;
         JobState {
@@ -256,8 +229,6 @@ impl JobState {
             failures_by_node: vec![0; n_nodes],
             running_attempts: std::collections::BTreeMap::new(),
             map_durations: (0.0, 0),
-            reduce_durations: (0.0, 0),
-            submitted_at,
             completed_at: None,
             input_blocks: Vec::new(),
             output_blocks: Vec::new(),
@@ -294,14 +265,19 @@ impl JobState {
         self.maps_done() == self.map_status.len() && self.reduces_done() == self.reduce_status.len()
     }
 
-    /// Mean duration of completed tasks of `kind`, if at least `min`
-    /// samples exist.
-    pub fn mean_duration(&self, kind: TaskKind, min: u32) -> Option<f64> {
-        let (sum, count) = match kind {
-            TaskKind::Map => self.map_durations,
-            TaskKind::Reduce => self.reduce_durations,
+    /// Mean duration of completed maps, once one has completed.
+    pub fn mean_map_duration(&self) -> Option<f64> {
+        let (sum, count) = self.map_durations;
+        (count > 0).then(|| sum / f64::from(count))
+    }
+
+    /// The status of `task`, which must be one of this job's.
+    fn status_mut(&mut self, task: TaskId) -> &mut TaskStatus {
+        let statuses = match task.kind {
+            TaskKind::Map => &mut self.map_status,
+            TaskKind::Reduce => &mut self.reduce_status,
         };
-        (count >= min).then(|| sum / f64::from(count))
+        &mut statuses[task.index as usize]
     }
 
     /// Allocates the next attempt id for `task`.
@@ -310,6 +286,68 @@ impl JobState {
         let attempt = AttemptId { task, attempt: *n };
         *n += 1;
         attempt
+    }
+
+    /// Starts an attempt of `task` on `node`: allocates its attempt id and
+    /// marks the task running there.
+    pub fn launch(&mut self, task: TaskId, node: usize) -> AttemptId {
+        let attempt = self.new_attempt(task);
+        *self.status_mut(task) = TaskStatus::Running;
+        self.running_attempts.entry(task).or_default().push(node);
+        attempt
+    }
+
+    /// Drops `task`'s failed attempt on `node`; the task goes back to
+    /// `Pending` unless a sibling (speculative) attempt still runs.
+    pub fn attempt_failed(&mut self, task: TaskId, node: usize) {
+        if let Some(nodes) = self.running_attempts.get_mut(&task) {
+            nodes.retain(|&x| x != node);
+            if !nodes.is_empty() {
+                return;
+            }
+            self.running_attempts.remove(&task);
+        }
+        *self.status_mut(task) = TaskStatus::Pending;
+    }
+
+    /// Marks `task` done by its attempt on `node`, which ran `duration`
+    /// seconds; a map's output is then held on `node`. Returns whether a
+    /// sibling attempt still runs, to be killed: until then the task stays
+    /// in `running_attempts`.
+    pub fn attempt_done(&mut self, task: TaskId, node: usize, duration: f64) -> bool {
+        *self.status_mut(task) = TaskStatus::Done;
+        if task.kind == TaskKind::Map {
+            self.map_ran_on[task.index as usize] = Some(node);
+            self.map_output_kb_by_node[node] += self.spec.map_profile.output_kb;
+            self.map_durations.0 += duration;
+            self.map_durations.1 += 1;
+        }
+        let had_siblings = self
+            .running_attempts
+            .get(&task)
+            .is_some_and(|nodes| nodes.len() > 1);
+        if !had_siblings {
+            self.running_attempts.remove(&task);
+        }
+        had_siblings
+    }
+
+    /// Bans `node` for this job (jobtracker blacklisting): no map of the
+    /// job is scheduled on it and no reduce pulls from it. The maps that
+    /// finished there go back to `Pending` to be re-executed, and the
+    /// output they left there is forgotten. A node already banned is left
+    /// as it is.
+    pub fn ban_source(&mut self, node: usize) {
+        if std::mem::replace(&mut self.banned_sources[node], true) {
+            return;
+        }
+        self.map_output_kb_by_node[node] = 0.0;
+        for (status, ran) in self.map_status.iter_mut().zip(&mut self.map_ran_on) {
+            if *ran == Some(node) && *status == TaskStatus::Done {
+                *status = TaskStatus::Pending;
+                *ran = None;
+            }
+        }
     }
 }
 
@@ -340,7 +378,7 @@ mod tests {
 
     #[test]
     fn job_state_progress_accounting() {
-        let mut job = JobState::new(spec(), 3, 100);
+        let mut job = JobState::new(spec(), 3);
         assert_eq!(job.maps_done(), 0);
         assert_eq!(job.map_fraction_done(), 0.0);
         assert!(!job.is_complete());
@@ -360,7 +398,7 @@ mod tests {
 
     #[test]
     fn attempt_numbers_increment_per_task() {
-        let mut job = JobState::new(spec(), 3, 0);
+        let mut job = JobState::new(spec(), 3);
         let t = TaskId {
             job: JobId(1),
             kind: TaskKind::Reduce,
@@ -380,37 +418,47 @@ mod tests {
     fn empty_map_set_counts_as_done() {
         let mut s = spec();
         s.maps = 0;
-        let job = JobState::new(s, 3, 0);
+        let job = JobState::new(s, 3);
         assert_eq!(job.map_fraction_done(), 1.0);
     }
 
     #[test]
-    fn phase_labels_are_distinct() {
-        let phases = [
-            TaskPhase::MapRead {
-                remaining_kb: 1.0,
-                source: None,
-            },
-            TaskPhase::MapCompute {
-                remaining_secs: 1.0,
-            },
-            TaskPhase::MapSpill { remaining_kb: 1.0 },
-            TaskPhase::ReduceCopy { remaining_kb: 1.0 },
-            TaskPhase::ReduceSort {
-                remaining_secs: 1.0,
-            },
-            TaskPhase::ReduceCompute {
-                remaining_secs: 1.0,
-            },
-            TaskPhase::ReduceWrite { remaining_kb: 1.0 },
-            TaskPhase::Hung { cpu: 1.0 },
-        ];
-        let labels: std::collections::HashSet<&str> = phases.iter().map(TaskPhase::label).collect();
-        assert_eq!(labels.len(), phases.len());
-    }
+    fn banning_a_source_reruns_only_the_maps_done_there() {
+        let mut job = JobState::new(spec(), 3);
+        let map = |index| TaskId {
+            job: JobId(1),
+            kind: TaskKind::Map,
+            index,
+        };
+        // Maps 0 and 2 finish on node 1, map 1 on node 2; map 3 still runs
+        // on node 1.
+        for (index, node) in [(0, 1), (1, 2), (2, 1), (3, 1)] {
+            job.launch(map(index), node);
+        }
+        for (index, node) in [(0, 1), (1, 2), (2, 1)] {
+            assert!(!job.attempt_done(map(index), node, 10.0));
+        }
+        assert_eq!(job.map_output_kb_by_node, [0.0, 16_384.0, 8_192.0]);
 
-    #[test]
-    fn input_kb_scales_with_maps() {
-        assert_eq!(spec().input_kb(), 4.0 * 16_384.0);
+        job.ban_source(1);
+        assert!(job.banned_sources[1]);
+        assert_eq!(
+            job.map_status,
+            [
+                TaskStatus::Pending,
+                TaskStatus::Done,
+                TaskStatus::Pending,
+                TaskStatus::Running
+            ]
+        );
+        assert_eq!(job.map_ran_on, [None, Some(2), None, None]);
+        assert_eq!(job.map_output_kb_by_node, [0.0, 0.0, 8_192.0]);
+
+        // A second ban of the same node is no ban: map 3, finishing there
+        // after the first, keeps its output.
+        assert!(!job.attempt_done(map(3), 1, 10.0));
+        job.ban_source(1);
+        assert_eq!(job.map_status[3], TaskStatus::Done);
+        assert_eq!(job.map_output_kb_by_node, [0.0, 8_192.0, 8_192.0]);
     }
 }
